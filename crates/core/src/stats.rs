@@ -353,6 +353,26 @@ impl ServiceTimeDist {
         bins
     }
 
+    /// Publishes the distribution as the [`ServiceTimeDist::log2_bins`]
+    /// histogram `name` on the deterministic channel (bucket `i`
+    /// observed at its midpoint `i + 0.5`). The bins are a pure function
+    /// of the sample multiset, so the histogram is byte-identical across
+    /// `--jobs` settings and lands in the golden-diffed manifests.
+    pub fn publish(&self, obs: &crate::obs::Obs, name: &str) {
+        let h = obs.metrics.histogram_on(
+            name,
+            crate::obs::Channel::Deterministic,
+            0.0,
+            SERVICE_TIME_LOG2_BINS as f64,
+            SERVICE_TIME_LOG2_BINS,
+        );
+        for (i, &n) in self.log2_bins().iter().enumerate() {
+            if n > 0 {
+                h.observe_n(i as f64 + 0.5, n);
+            }
+        }
+    }
+
     /// The `rank`-th smallest sample (0-based; saturates at the max).
     fn value_at(&self, rank: u64) -> u64 {
         let mut seen = 0u64;

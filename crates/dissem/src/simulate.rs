@@ -31,6 +31,7 @@ use specweb_netsim::cluster::{Cluster, ClusterMap};
 use specweb_netsim::cost::{LatencyModel, TrafficAccount};
 use specweb_netsim::fault::FaultPlan;
 use specweb_netsim::proxystore::ProxyStore;
+use specweb_netsim::replay::ClusterShards;
 use specweb_netsim::routing::Router;
 use specweb_netsim::topology::Topology;
 use specweb_trace::generator::{Access, Trace};
@@ -191,13 +192,11 @@ pub struct DisseminationSim<'a> {
     /// accounting lands here (deterministic channel — the replay is a
     /// pure function of trace + config + fault plan).
     obs: Option<specweb_core::obs::Obs>,
-    /// Static shard partition for the replay: access indices grouped by
-    /// the root-child subtree ("cluster") the client lives under,
-    /// ordered by cluster node id. [`Router::route`] stops collecting
-    /// interceptions at the root, so every proxy's counters are touched
-    /// by exactly one shard and the merged replay is bit-identical to a
-    /// serial pass (DESIGN §12).
-    shards: Vec<Vec<usize>>,
+    /// The replay kernel's cluster partition. [`Router::route`] stops
+    /// collecting interceptions at the root, so every proxy's counters
+    /// are touched by exactly one shard and the merged replay is
+    /// bit-identical to a serial pass (DESIGN §12).
+    shards: ClusterShards,
 }
 
 /// Partial outcome of replaying one shard of the trace.
@@ -215,6 +214,21 @@ struct ReplayPart {
     /// Service times of the no-dissemination baseline (full origin
     /// path, fault-free by construction).
     baseline_service: ServiceTimeDist,
+}
+
+impl ReplayPart {
+    /// Adds another shard's partial outcome (saturating sums and
+    /// multiset unions: exact and order-independent).
+    fn merge(&mut self, other: &ReplayPart) {
+        self.baseline.merge(&other.baseline);
+        self.with_d.merge(&other.with_d);
+        self.proxy_hits = self.proxy_hits.saturating_add(other.proxy_hits);
+        self.origin_hits = self.origin_hits.saturating_add(other.origin_hits);
+        self.shed = self.shed.saturating_add(other.shed);
+        self.tally.merge(&other.tally);
+        self.service.merge(&other.service);
+        self.baseline_service.merge(&other.baseline_service);
+    }
 }
 
 impl FaultTally {
@@ -245,19 +259,18 @@ impl<'a> DisseminationSim<'a> {
             .unwrap_or(0);
         let servers: Vec<ServerId> = (0..n_servers).map(ServerId::from).collect();
         let profiles = ServerProfile::from_trace_many(trace, &servers, days)?;
-        // Partition the replay by root-child cluster (see `shards` doc).
-        let mut by_cluster: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for (i, a) in trace.accesses.iter().enumerate() {
-            let p = topo.path_to_root(trace.clients.get(a.client).node);
-            let cluster = if p.len() >= 2 { p[p.len() - 2] } else { p[0] };
-            by_cluster.entry(cluster).or_default().push(i);
-        }
+        let nodes: Vec<NodeId> = trace.clients.iter().map(|c| c.node).collect();
+        let shards = ClusterShards::partition(
+            topo,
+            &nodes,
+            trace.accesses.iter().map(|a| a.client.index()),
+        );
         Ok(DisseminationSim {
             trace,
             topo,
             profiles,
             obs: None,
-            shards: by_cluster.into_values().collect(),
+            shards,
         })
     }
 
@@ -323,13 +336,11 @@ impl<'a> DisseminationSim<'a> {
                     best = Some((gain, i));
                 }
             }
-            let Some((gain, idx)) = best else { break };
+            // A zero gain means no residual demand anywhere; the caller
+            // asked for k, so keep filling — interception (not traffic)
+            // can still grow.
+            let Some((_, idx)) = best else { break };
             let v = available.swap_remove(idx);
-            if gain == 0 && !placed.is_empty() {
-                // No residual demand anywhere; placing more proxies is
-                // pure storage waste, but the caller asked for k — keep
-                // filling so interception (not traffic) can still grow.
-            }
             let dv = self.topo.depth(v);
             for &(leaf, _) in &leaves {
                 if self.topo.is_ancestor(v, leaf) {
@@ -488,68 +499,46 @@ impl<'a> DisseminationSim<'a> {
             }
         }
 
-        // Replay, sharded by root-child cluster: every interception
-        // proxy lies strictly below the root on its client's path, so
-        // per-proxy counters (daily shedding, capacity thinning) are
-        // shard-local and the merge below reproduces a serial pass
-        // bit for bit (DESIGN §12).
+        // Replay through the kernel: every interception proxy lies
+        // strictly below the root on its client's path, so per-proxy
+        // counters (daily shedding, capacity thinning) are shard-local
+        // and the kernel's fold reproduces a serial pass bit for bit
+        // (DESIGN §12).
         let _replay_frame = specweb_core::obs::profile::frame("replay");
-        let pool = specweb_core::par::Pool::auto();
-        let parts: Vec<ReplayPart> = if self.shards.len() > 1 && pool.jobs() > 1 {
-            pool.map_indexed(&self.shards, |_, idxs| {
-                self.replay_shard(
-                    cfg,
-                    faults,
-                    &router,
-                    &stores,
-                    idxs.iter().map(|&i| &self.trace.accesses[i]),
-                )
-            })
-        } else {
-            vec![self.replay_shard(cfg, faults, &router, &stores, self.trace.accesses.iter())]
-        };
-        let mut baseline = TrafficAccount::new();
-        let mut with_d = TrafficAccount::new();
-        let mut proxy_hits = 0u64;
-        let mut origin_hits = 0u64;
-        let mut shed = 0u64;
-        let mut tally = FaultTally::default();
-        let mut service = ServiceTimeDist::new();
-        let mut baseline_service = ServiceTimeDist::new();
-        for p in &parts {
-            baseline.merge(&p.baseline);
-            with_d.merge(&p.with_d);
-            proxy_hits = proxy_hits.saturating_add(p.proxy_hits);
-            origin_hits = origin_hits.saturating_add(p.origin_hits);
-            shed = shed.saturating_add(p.shed);
-            tally.merge(&p.tally);
-            service.merge(&p.service);
-            baseline_service.merge(&p.baseline_service);
-        }
+        let whole = self.shards.replay_sharded(
+            &self.trace.accesses,
+            |accesses| {
+                Ok::<_, CoreError>(self.replay_shard(cfg, faults, &router, &stores, accesses))
+            },
+            |whole: &mut ReplayPart, part| whole.merge(&part),
+        )?;
 
         // lint:allow(W1): ByteHops Add saturates (units::unit_arith!)
-        let total_with = with_d.byte_hops + push_traffic;
-        let reduction = 1.0 - total_with.ratio(baseline.byte_hops);
-        let total_requests = proxy_hits.saturating_add(origin_hits);
+        let total_with = whole.with_d.byte_hops + push_traffic;
+        let reduction = 1.0 - total_with.ratio(whole.baseline.byte_hops);
+        let total_requests = whole.proxy_hits.saturating_add(whole.origin_hits);
         let intercepted_fraction = if total_requests == 0 {
             0.0
         } else {
-            proxy_hits as f64 / total_requests as f64
+            whole.proxy_hits as f64 / total_requests as f64
         };
 
         if let Some(obs) = &self.obs {
             let pairs = [
                 ("dissem.requests", total_requests),
-                ("dissem.proxy_hits", proxy_hits),
-                ("dissem.origin_hits", origin_hits),
-                ("dissem.shed_requests", shed),
+                ("dissem.proxy_hits", whole.proxy_hits),
+                ("dissem.origin_hits", whole.origin_hits),
+                ("dissem.shed_requests", whole.shed),
                 ("dissem.push_byte_hops", push_traffic.get()),
-                ("dissem.fault_denied", tally.fault_denied),
-                ("dissem.retries", tally.retries),
-                ("dissem.unavailable", tally.unavailable),
-                ("dissem.stalled", tally.stalled),
-                ("dissem.slow_served", tally.slow_served),
-                ("dissem.partial_write_resends", tally.partial_write_resends),
+                ("dissem.fault_denied", whole.tally.fault_denied),
+                ("dissem.retries", whole.tally.retries),
+                ("dissem.unavailable", whole.tally.unavailable),
+                ("dissem.stalled", whole.tally.stalled),
+                ("dissem.slow_served", whole.tally.slow_served),
+                (
+                    "dissem.partial_write_resends",
+                    whole.tally.partial_write_resends,
+                ),
             ];
             for (name, v) in pairs {
                 obs.metrics.counter(name).add(v);
@@ -557,25 +546,27 @@ impl<'a> DisseminationSim<'a> {
             obs.metrics
                 .gauge("dissem.proxy_storage_bytes")
                 .record(total_storage.get());
-            publish_service_histogram(obs, "dissem.service_time_ms", &service);
-            publish_service_histogram(obs, "dissem.baseline.service_time_ms", &baseline_service);
+            whole.service.publish(obs, "dissem.service_time_ms");
+            whole
+                .baseline_service
+                .publish(obs, "dissem.baseline.service_time_ms");
         }
 
         Ok((
             DisseminationOutcome {
-                baseline,
-                with_dissemination: with_d,
+                baseline: whole.baseline,
+                with_dissemination: whole.with_d,
                 push_traffic,
-                proxy_hits,
-                origin_hits,
-                shed_requests: shed,
+                proxy_hits: whole.proxy_hits,
+                origin_hits: whole.origin_hits,
+                shed_requests: whole.shed,
                 total_proxy_storage: total_storage,
                 reduction,
                 intercepted_fraction,
-                service_times: service.quantiles(),
-                baseline_service_times: baseline_service.quantiles(),
+                service_times: whole.service.quantiles(),
+                baseline_service_times: whole.baseline_service.quantiles(),
             },
-            tally,
+            whole.tally,
         ))
     }
 
@@ -584,13 +575,13 @@ impl<'a> DisseminationSim<'a> {
     /// shedding counters and the capacity-fault thinning counters —
     /// lives here, which is exact because a proxy only ever intercepts
     /// clients of its own root-child subtree, i.e. of a single shard.
-    fn replay_shard<'t>(
+    fn replay_shard(
         &self,
         cfg: &DisseminationConfig,
         faults: Option<&FaultPlan>,
         router: &Router<'_>,
         stores: &BTreeMap<NodeId, ProxyStore>,
-        accesses: impl Iterator<Item = &'t Access>,
+        accesses: &mut dyn Iterator<Item = &Access>,
     ) -> ReplayPart {
         let mut part = ReplayPart::default();
         // Per-proxy request counters, reset daily (for shedding).
@@ -792,26 +783,6 @@ impl<'a> DisseminationSim<'a> {
             out.push((doc, size));
         }
         out
-    }
-}
-
-/// Publishes a replay's service-time distribution as a log₂-bucketed
-/// histogram on the deterministic channel (bucket `i` ⇔ `(ms+1).ilog2()
-/// == i`, observed at the bucket midpoint). Pure function of trace +
-/// config + plan, so the histogram is byte-identical across `--jobs`.
-fn publish_service_histogram(obs: &specweb_core::obs::Obs, name: &str, dist: &ServiceTimeDist) {
-    use specweb_core::stats::SERVICE_TIME_LOG2_BINS;
-    let h = obs.metrics.histogram_on(
-        name,
-        specweb_core::obs::Channel::Deterministic,
-        0.0,
-        SERVICE_TIME_LOG2_BINS as f64,
-        SERVICE_TIME_LOG2_BINS,
-    );
-    for (i, &n) in dist.log2_bins().iter().enumerate() {
-        if n > 0 {
-            h.observe_n(i as f64 + 0.5, n);
-        }
     }
 }
 
@@ -1128,9 +1099,19 @@ mod tests {
         specweb_core::par::set_default_jobs(2);
         let (trace, topo) = setup(93);
         let sim = DisseminationSim::new(&trace, &topo).unwrap();
-        assert!(sim.shards.len() > 1, "topology must yield several shards");
+        assert!(
+            sim.shards.n_shards() > 1,
+            "topology must yield several shards"
+        );
+        // The serial twin pretends every client sits at the root: one
+        // cluster, hence one full-order pass.
         let mut serial_sim = DisseminationSim::new(&trace, &topo).unwrap();
-        serial_sim.shards = vec![(0..trace.accesses.len()).collect()];
+        serial_sim.shards = ClusterShards::partition(
+            &topo,
+            &vec![Topology::ROOT; trace.clients.len()],
+            trace.accesses.iter().map(|a| a.client.index()),
+        );
+        assert_eq!(serial_sim.shards.n_shards(), 1);
 
         let capped = DisseminationConfig {
             proxy_daily_request_cap: Some(5),

@@ -165,9 +165,9 @@ pub struct Call {
     /// True specifically for `self.name(..)`.
     pub on_self: bool,
     /// True when the call site sits inside the argument list of a
-    /// `core::par` dispatch (`map_indexed`/`try_map_indexed`/
-    /// `par_map_indexed`) — i.e. inside a worker closure. G5 checks
-    /// these calls against the purity classification.
+    /// `core::par` dispatch ([`PAR_ENTRIES`]) — i.e. inside a worker
+    /// closure. G5 checks these calls against the purity
+    /// classification.
     pub in_par: bool,
     /// 1-based line number.
     pub line: usize,
@@ -457,8 +457,15 @@ const IO_TYPES: &[&str] = &[
 ];
 
 /// `core::par` dispatch points: a call inside their argument list runs
-/// inside a worker closure (G5's scope).
-const PAR_ENTRIES: &[&str] = &["map_indexed", "par_map_indexed", "try_map_indexed"];
+/// inside a worker closure (G5's scope). `replay_sharded` is the replay
+/// kernel's entry (`netsim::replay`): the part closure handed to it is
+/// what the pool's workers run.
+const PAR_ENTRIES: &[&str] = &[
+    "map_indexed",
+    "par_map_indexed",
+    "replay_sharded",
+    "try_map_indexed",
+];
 
 /// Method names that iterate their receiver.
 const ITER_METHODS: &[&str] = &[

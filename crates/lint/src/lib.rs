@@ -93,6 +93,30 @@ impl fmt::Display for Diag {
     }
 }
 
+/// Line counts of one crate (or one file of it): non-blank lines that
+/// carry code after the lexer stripped comments. ROADMAP aim 2 tracks
+/// these per crate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Loc {
+    /// Lines of library/binary code outside `#[cfg(test)]` regions.
+    pub code: usize,
+    /// Lines inside `#[cfg(test)]`/`#[test]` regions and in test/bench
+    /// targets.
+    pub test: usize,
+}
+
+/// The crate a workspace-relative path belongs to: `crates/<name>/..`
+/// is `<name>`, the root package's own targets are `specweb`, any other
+/// top-level directory (e.g. `benchmark`) is named after itself.
+fn crate_of(rel: &str) -> &str {
+    let (top, rest) = rel.split_once('/').unwrap_or(("", rel));
+    match top {
+        "crates" => rest.split('/').next().unwrap_or(rest),
+        "" | "src" | "tests" | "examples" => "specweb",
+        _ => top,
+    }
+}
+
 /// Outcome of linting a file set.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -105,6 +129,8 @@ pub struct Report {
     pub allowed: Vec<(String, String, usize)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Line counts per crate (see [`Loc`]), keyed by crate name.
+    pub loc: BTreeMap<String, Loc>,
     /// Whether the call-graph engine ran (workspace mode) or only the
     /// line engine (standalone / fixture mode).
     pub graph_engine: bool,
@@ -124,6 +150,11 @@ impl Report {
         self.unused_allows.extend(other.unused_allows);
         self.allowed.extend(other.allowed);
         self.files_scanned += other.files_scanned;
+        for (krate, n) in other.loc {
+            let sum = self.loc.entry(krate).or_default();
+            sum.code += n.code;
+            sum.test += n.test;
+        }
         self.graph_engine |= other.graph_engine;
     }
 
@@ -171,6 +202,16 @@ impl Report {
             ));
         }
         out.push_str("  },\n");
+        out.push_str("  \"loc\": {");
+        out.push_str(
+            &self
+                .loc
+                .iter()
+                .map(|(k, n)| format!("\"{k}\": {{\"code\": {}, \"test\": {}}}", n.code, n.test))
+                .collect::<Vec<_>>()
+                .join(", "),
+        );
+        out.push_str("},\n");
         if let Some(stats) = &self.resolution {
             out.push_str(&format!("  \"resolution\": {},\n", stats.to_json_obj()));
         }
@@ -407,6 +448,8 @@ struct FilePass {
     line_hits: Vec<(usize, &'static str, String)>,
     /// Trimmed raw source lines, for diagnostics.
     snippets: Vec<String>,
+    /// This file's line counts.
+    loc: Loc,
     /// Extraction result (Hybrid mode, non-test files).
     extract: Option<extract::FileExtract>,
 }
@@ -421,13 +464,26 @@ fn file_pass(rel: &str, kind: FileKind, src: &str, engine: Engine) -> FilePass {
         allows: Vec::new(),
         line_hits: Vec::new(),
         snippets,
+        loc: Loc::default(),
         extract: None,
+    };
+    let lines = lexer::sanitize(src);
+    let skip = if kind == FileKind::Test {
+        vec![true; lines.len()]
+    } else {
+        test_regions(&lines)
+    };
+    let carrying_code = |test: bool| {
+        let counted = |(l, &t): &(&lexer::Line, &bool)| t == test && !l.code.trim().is_empty();
+        lines.iter().zip(&skip).filter(counted).count()
+    };
+    pass.loc = Loc {
+        code: carrying_code(false),
+        test: carrying_code(true),
     };
     if kind == FileKind::Test {
         return pass;
     }
-    let lines = lexer::sanitize(src);
-    let skip = test_regions(&lines);
 
     for (idx, line) in lines.iter().enumerate() {
         if skip[idx] {
@@ -490,6 +546,7 @@ fn file_pass(rel: &str, kind: FileKind, src: &str, engine: Engine) -> FilePass {
 fn finish_file(mut pass: FilePass, graph_hits: &[taint::GraphHit], graph_engine: bool) -> Report {
     let mut report = Report {
         files_scanned: 1,
+        loc: BTreeMap::from([(crate_of(&pass.rel).to_string(), pass.loc)]),
         graph_engine,
         ..Report::default()
     };
@@ -816,6 +873,33 @@ mod tests {
             "\"D2\": { \"violations\": 0, \"allowed\": 1, \"baseline_allows\": 11, \"retired\": 10 }"
         ));
         assert!(json.contains("\"unused_allows\": 0"));
+        assert!(json.contains("\"loc\": {\"x\": {\"code\": 1, \"test\": 0}}"));
+    }
+
+    #[test]
+    fn line_counts_split_code_from_test_and_skip_comments() {
+        let src = "\
+//! Docs are not code.
+pub fn f() -> u32 {
+    // nor is this
+
+    1 /* but this line is */
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+        let lib = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        assert_eq!(lib.loc["x"], Loc { code: 3, test: 5 });
+        // A test target is test code throughout; the root package's
+        // targets are counted under its own name.
+        let it = lint_source("tests/pipeline.rs", FileKind::Test, src);
+        assert_eq!(it.loc["specweb"], Loc { code: 0, test: 8 });
+        assert_eq!(crate_of("benchmark/benches/main.rs"), "benchmark");
+        assert_eq!(crate_of("crates/serve/src/bin/specweb-serve.rs"), "serve");
     }
 
     #[test]

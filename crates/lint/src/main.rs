@@ -209,6 +209,10 @@ fn main() -> ExitCode {
                     .join(", ")
             );
         }
+        println!("lines per crate (code outside #[cfg(test)] and comments / test):");
+        for (krate, n) in &report.loc {
+            println!("  {krate:<10} {:>6} {:>6}", n.code, n.test);
+        }
         println!(
             "fallback pairs pinned: {} (golden-tested ceiling; see results/callgraph.json)",
             stats.fallback_pairs.len()

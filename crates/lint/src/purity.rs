@@ -454,6 +454,27 @@ fn quiet(y: u32) -> u32 { y }
     }
 
     #[test]
+    fn g5_covers_closures_handed_to_the_replay_kernel() {
+        // The simulators never call `core::par` themselves: the kernel's
+        // `replay_sharded` dispatches their part closure, so G5 must
+        // treat its argument list as worker code too.
+        let g = graph(&[(
+            "crates/a/src/simulate.rs",
+            "
+pub fn run(shards: &ClusterShards) {
+    shards.replay_sharded(&accesses, |accs| replay_shard(accs), |whole, part| whole.merge(&part));
+}
+fn replay_shard(accs: Accesses) -> u32 { eprintln!( ); 0 }
+",
+        )]);
+        let pm = PurityMap::compute(&g);
+        let hits = check_par_purity(&g, &pm);
+        assert_eq!(hits.len(), 1, "{hits:#?}");
+        assert_eq!(hits[0].rule, "G5");
+        assert!(hits[0].message.contains("a::simulate::replay_shard"));
+    }
+
+    #[test]
     fn purity_json_is_deterministic_and_counts() {
         let g = graph(&[(
             "crates/a/src/lib.rs",

@@ -21,7 +21,10 @@
 //!   request-count "server load" into response time under load;
 //! * [`fault`] — deterministic fault-injection plans (link failures and
 //!   delays, proxy crash/recovery windows, capacity faults) for
-//!   degraded-mode evaluation.
+//!   degraded-mode evaluation;
+//! * [`replay`] — the cluster-sharded replay kernel both simulators run
+//!   on: partition a trace by root-child subtree, replay the shards on
+//!   `core::par`, fold the partial outcomes in canonical order.
 //!
 //! The substrate is deliberately *analytic*, not packet-level: the
 //! paper's evaluation needs hop-weighted byte counts and a
@@ -35,6 +38,7 @@ pub mod cost;
 pub mod fault;
 pub mod proxystore;
 pub mod queueing;
+pub mod replay;
 pub mod routing;
 pub mod topology;
 
@@ -42,5 +46,6 @@ pub use cluster::{Cluster, ClusterMap};
 pub use cost::{CostModel, LatencyModel, TrafficAccount};
 pub use fault::{FaultConfig, FaultPlan, FaultRate, FaultWindow, RetrySchedule};
 pub use proxystore::ProxyStore;
+pub use replay::ClusterShards;
 pub use routing::Router;
 pub use topology::{NodeKind, Topology, TopologyBuilder};

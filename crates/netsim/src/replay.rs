@@ -1,0 +1,237 @@
+//! The cluster-sharded replay kernel (DESIGN.md §12).
+//!
+//! The paper evaluates both of its protocols the same way — replay one
+//! server log over the clientele tree, with and without the protocol
+//! (§2.2, §3.2) — so both simulators split and reassemble that replay
+//! the same way, and this module is the one place that knows how:
+//!
+//! 1. **Partition.** [`ClusterShards::partition`] groups a trace's
+//!    access indices by the root-child subtree
+//!    ([`Topology::root_child`]) the requesting client lives under.
+//!    Shards are ordered by cluster node id and each keeps trace order.
+//! 2. **Gate.** [`ClusterShards::replay_sharded`] shards only when that
+//!    can pay: more than one shard *and* more than one worker in the
+//!    process-default pool. The index gather costs locality, so with one
+//!    worker the part closure gets the whole trace in a single pass.
+//! 3. **Fold.** Partial outcomes fold into `T::default()` in shard
+//!    order, whatever order the workers finished in.
+//!
+//! The kernel knows nothing of caches, proxies or faults. That the fold
+//! equals a serial pass is the caller's obligation: all replay state
+//! must be local to one root-child subtree and every accumulator an
+//! order-independent sum. Each simulator argues that for its own policy
+//! body and pins it with a sharded ≡ serial differential test.
+
+use specweb_core::ids::NodeId;
+use specweb_core::par::Pool;
+
+use crate::topology::Topology;
+
+/// Static partition of a trace's access indices by the client's
+/// root-child cluster.
+#[derive(Debug, Clone)]
+pub struct ClusterShards {
+    shards: Vec<Vec<usize>>,
+}
+
+impl ClusterShards {
+    /// Partitions accesses `0..` by cluster. `client_nodes[c]` is the
+    /// node client `c` attaches at; `access_clients` yields each
+    /// access's client index in trace order.
+    pub fn partition(
+        topo: &Topology,
+        client_nodes: &[NodeId],
+        access_clients: impl Iterator<Item = usize>,
+    ) -> ClusterShards {
+        let cluster_of: Vec<NodeId> = client_nodes.iter().map(|&n| topo.root_child(n)).collect();
+        let mut clusters = cluster_of.clone();
+        clusters.sort_unstable();
+        clusters.dedup();
+        let shard_of: Vec<usize> = cluster_of
+            .iter()
+            .map(|c| clusters.partition_point(|x| x < c))
+            .collect();
+        let mut shards: Vec<Vec<usize>> = clusters.iter().map(|_| Vec::new()).collect();
+        for (i, c) in access_clients.enumerate() {
+            shards[shard_of[c]].push(i);
+        }
+        ClusterShards { shards }
+    }
+
+    /// Number of shards (distinct clusters with a client in them).
+    pub fn n_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Replays `accesses` through `part`, which receives them in trace
+    /// order — everything in one call, or one call per shard's gathered
+    /// subsequence on `core::par` with the results combined by `fold`
+    /// in shard order (see the module docs for the gate). A failing
+    /// shard surfaces as the first error in shard order.
+    pub fn replay_sharded<A, T, E>(
+        &self,
+        accesses: &[A],
+        part: impl Fn(&mut dyn Iterator<Item = &A>) -> Result<T, E> + Sync,
+        mut fold: impl FnMut(&mut T, T),
+    ) -> Result<T, E>
+    where
+        A: Sync,
+        T: Default + Send,
+        E: Send,
+    {
+        let pool = Pool::auto();
+        if self.shards.len() > 1 && pool.jobs() > 1 {
+            let parts = pool.try_map_indexed(&self.shards, |_, idxs| {
+                part(&mut idxs.iter().map(|&i| &accesses[i]))
+            })?;
+            let mut whole = T::default();
+            for p in parts {
+                fold(&mut whole, p);
+            }
+            Ok(whole)
+        } else {
+            part(&mut accesses.iter())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use specweb_core::rng::SeedTree;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// The worker count is process-wide and these tests assert on the
+    /// gate it drives, so whoever pins it holds this lock meanwhile.
+    static JOBS: Mutex<()> = Mutex::new(());
+
+    fn pin_jobs() -> std::sync::MutexGuard<'static, ()> {
+        JOBS.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Integer-sum outcome of the toy policy.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Toy {
+        weighted: u64,
+        repeats: u64,
+    }
+
+    /// A toy policy with per-client state: each access `(client, doc)`
+    /// is weighted by how many accesses that client made before it, and
+    /// counted when it repeats the client's previous document — so the
+    /// result depends on every client seeing its accesses in trace order.
+    fn toy(n_clients: usize, accesses: &mut dyn Iterator<Item = &(usize, u64)>) -> Toy {
+        let mut seen = vec![0u64; n_clients];
+        let mut last = vec![u64::MAX; n_clients];
+        let mut out = Toy::default();
+        for &(c, doc) in accesses {
+            seen[c] += 1;
+            out.weighted += doc * seen[c];
+            out.repeats += u64::from(last[c] == doc);
+            last[c] = doc;
+        }
+        out
+    }
+
+    /// Sharded fold ≡ one serial pass at jobs 1/2/4, and the gate calls
+    /// `part` once per shard exactly when it can pay.
+    fn check(topo: &Topology, nodes: &[NodeId], accesses: &[(usize, u64)]) {
+        let shards = ClusterShards::partition(topo, nodes, accesses.iter().map(|a| a.0));
+        // The partition: every index once, ascending within a shard, one
+        // cluster per shard, shards ordered by cluster id.
+        let mut all: Vec<usize> = shards.shards.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..accesses.len()).collect::<Vec<_>>());
+        let cluster_of = |i: usize| topo.root_child(nodes[accesses[i].0]);
+        for shard in &shards.shards {
+            assert!(shard.windows(2).all(|w| w[0] < w[1]));
+        }
+        let mut clusters: Vec<NodeId> = nodes.iter().map(|&n| topo.root_child(n)).collect();
+        clusters.sort_unstable();
+        clusters.dedup();
+        assert_eq!(shards.n_shards(), clusters.len());
+        for (shard, &cluster) in shards.shards.iter().zip(&clusters) {
+            assert!(shard.iter().all(|&i| cluster_of(i) == cluster));
+        }
+
+        let serial = toy(nodes.len(), &mut accesses.iter());
+        let _pinned = pin_jobs();
+        for jobs in [1, 2, 4] {
+            specweb_core::par::set_default_jobs(jobs);
+            let calls = AtomicUsize::new(0);
+            let folded = shards
+                .replay_sharded(
+                    accesses,
+                    |accs| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        Ok::<_, ()>(toy(nodes.len(), accs))
+                    },
+                    |whole: &mut Toy, part| {
+                        whole.weighted += part.weighted;
+                        whole.repeats += part.repeats;
+                    },
+                )
+                .unwrap();
+            assert_eq!(folded, serial, "jobs={jobs}");
+            let sharded = jobs > 1 && shards.n_shards() > 1;
+            let expect = if sharded { shards.n_shards() } else { 1 };
+            assert_eq!(calls.load(Ordering::Relaxed), expect, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn empty_trace_and_single_cluster_stay_serial() {
+        let topo = Topology::balanced(2, 3, 2);
+        let leaves = topo.leaves();
+        check(&topo, &[], &[]);
+        check(&topo, &[leaves[0], leaves[17]], &[]);
+        // Everyone at the root, and everyone under one root child.
+        let trace = [(0, 7), (1, 7), (0, 7), (1, 3)];
+        check(&topo, &[Topology::ROOT, Topology::ROOT], &trace);
+        check(&topo, &[leaves[0], leaves[1]], &trace);
+    }
+
+    #[test]
+    fn first_error_in_shard_order_wins() {
+        let _pinned = pin_jobs();
+        specweb_core::par::set_default_jobs(2);
+        let topo = Topology::two_level(3, 1);
+        let nodes = topo.leaves().to_vec();
+        let shards = ClusterShards::partition(&topo, &nodes, [2usize, 1, 0].into_iter());
+        let failed = shards.replay_sharded(
+            &[2usize, 1, 0],
+            |accs| match accs.next() {
+                Some(&c) if c > 0 => Err(c),
+                _ => Ok(0u64),
+            },
+            |whole, part| *whole += part,
+        );
+        assert_eq!(failed, Err(1), "client 1's cluster precedes client 2's");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sharded_fold_equals_one_serial_pass(
+            seed in 0u64..500,
+            placement in prop::collection::vec(0usize..1000, 2..12),
+            trace in prop::collection::vec((0usize..1000, 0u64..50), 0..300),
+        ) {
+            let topo = Topology::random(&SeedTree::new(seed), 12, 30, 4);
+            // Clients anywhere in the tree — plus one at the root and one
+            // directly under it (node 1 is always the root's first child).
+            let mut nodes: Vec<NodeId> =
+                placement.iter().map(|&p| NodeId::new((p % topo.len()) as u32)).collect();
+            nodes[0] = Topology::ROOT;
+            nodes[1] = NodeId::new(1);
+            prop_assert_eq!(topo.parent(nodes[1]), Topology::ROOT);
+            let accesses: Vec<(usize, u64)> =
+                trace.iter().map(|&(c, doc)| (c % nodes.len(), doc)).collect();
+            check(&topo, &nodes, &accesses);
+        }
+    }
+}

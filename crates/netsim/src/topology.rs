@@ -138,6 +138,17 @@ impl Topology {
         out
     }
 
+    /// The root-child subtree ("cluster") `n` lives under: its ancestor
+    /// at depth 1, or `n` itself when it is the root or one of the
+    /// root's children. Walks parent pointers without allocating.
+    pub fn root_child(&self, n: NodeId) -> NodeId {
+        let mut cur = n;
+        while self.depth(cur) > 1 {
+            cur = self.parent(cur);
+        }
+        cur
+    }
+
     /// Whether `anc` is an ancestor of `n` (or equal to it).
     pub fn is_ancestor(&self, anc: NodeId, n: NodeId) -> bool {
         let mut cur = n;
@@ -357,6 +368,21 @@ mod tests {
         assert!(t.is_ancestor(Topology::ROOT, leaf));
         assert!(t.is_ancestor(leaf, leaf));
         assert!(!t.is_ancestor(leaf, Topology::ROOT));
+    }
+
+    #[test]
+    fn root_child_is_the_path_entry_below_the_root() {
+        let t = Topology::balanced(3, 3, 6);
+        for n in (0..t.len() as u32).map(NodeId) {
+            let path = t.path_to_root(n);
+            let expect = if path.len() >= 2 {
+                path[path.len() - 2]
+            } else {
+                path[0]
+            };
+            assert_eq!(t.root_child(n), expect, "node {n}");
+        }
+        assert_eq!(t.root_child(Topology::ROOT), Topology::ROOT);
     }
 
     #[test]

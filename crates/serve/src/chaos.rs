@@ -7,8 +7,8 @@
 //! shrink every write to one byte, and `stall` windows freeze the
 //! client entirely. Because the harness itself is an event loop, it can
 //! hold hundreds of misbehaving connections open at once — exactly the
-//! load shape that pins one thread per peer on the blocking baseline
-//! ([`crate::blocking`]) but only costs buffers on the reactor.
+//! load shape that pins one thread per peer on a thread-per-connection
+//! server but only costs buffers on the reactor.
 //!
 //! The schedule is deterministic given `(seed, horizon, clients)`: the
 //! same windows hit the same clients at the same *simulated* offsets.
@@ -230,7 +230,7 @@ pub fn run_chaos(addr: SocketAddr, cfg: &ChaosConfig) -> Result<ChaosReport> {
             }
             // A stalled client is frozen outright — it neither sends
             // nor drains, which is precisely the peer shape that pins a
-            // handler thread on the blocking baseline.
+            // handler thread on a thread-per-connection server.
             if plan.stalled_until(c.node, t).is_some() {
                 continue;
             }

@@ -217,7 +217,7 @@ impl ConnCore {
     }
 
     /// Signals end of input from the peer. A half-received line is a
-    /// protocol violation, exactly as in the blocking reader.
+    /// protocol violation.
     pub fn on_eof(&mut self) {
         if self.phase == Phase::Streaming && self.decoder.pending() > 0 {
             self.protocol_error("connection closed mid-line");

@@ -18,8 +18,6 @@
 //! * [`server`] — the public server surface over a single-threaded
 //!   readiness reactor: nonblocking sockets, incremental reads and
 //!   writes, and backpressure instead of thread-per-connection;
-//! * [`blocking`] — the original thread-per-connection server, kept as
-//!   the baseline the chaos harness measures the reactor against;
 //! * [`session`] — deterministic record/replay: capture a serve
 //!   session as a `specweb-session/v1` trace, re-drive it
 //!   byte-identically, and diff the outcomes;
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocking;
 pub mod chaos;
 pub mod client;
 pub mod conn;
@@ -43,7 +40,6 @@ pub mod server;
 pub mod session;
 pub mod shutdown;
 
-pub use blocking::{BlockingHandle, BlockingServer};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use client::{ClientConfig, FetchResult, RetryConfig, SpecClient};
 pub use conn::{ConnCore, FrameDecoder, OutputDigest};

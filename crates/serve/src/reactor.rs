@@ -14,10 +14,10 @@
 //! deterministic root, while `ConnCore` and the replay driver are
 //! (DESIGN §9) and must stay clock- and randomness-free.
 //!
-//! Compared to the thread-per-connection baseline ([`crate::blocking`])
-//! the resource model flips: a slow, stalled or malicious peer used to
-//! pin one OS thread for up to a read-timeout; here it holds a few
-//! kilobytes of buffer and one file descriptor, and backpressure is
+//! Compared to a thread-per-connection server the resource model
+//! flips: a slow, stalled or malicious peer would pin one OS thread for
+//! up to a read-timeout; here it holds a few kilobytes of buffer and
+//! one file descriptor, and backpressure is
 //! explicit — a connection whose output buffer is over
 //! [`out_buffer_cap`](crate::server::ServerConfig::out_buffer_cap) is
 //! simply not read from until it drains.
@@ -313,8 +313,7 @@ impl Reactor {
 }
 
 /// Mirrors the delta since the last mirror into the shared stats (and
-/// the wall-clock obs channel), emitting the shed trace event the
-/// blocking server used to emit inline.
+/// the wall-clock obs channel), emitting the shed trace event.
 fn mirror(stats: &ServerStats, live: &mut Live) {
     let cur = live.core.counters();
     let prev = live.mirrored;

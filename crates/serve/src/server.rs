@@ -25,10 +25,6 @@
 //! * **record/replay** — [`SpecServer::spawn_recording`] captures the
 //!   session into a deterministic [`SessionTrace`] that
 //!   [`crate::session::replay`] re-drives byte-identically.
-//!
-//! The original thread-per-connection implementation survives as
-//! [`crate::blocking`], kept as the baseline the chaos harness measures
-//! the event loop against.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,7 +128,7 @@ pub struct ServerStats {
     pub(crate) stats_requests: AtomicU64,
     /// Admit→last-byte lifetime of every closed connection, in ms —
     /// wall-clock tail-latency the `STATS` verb reports live.
-    pub(crate) conn_lifetime: Mutex<ServiceTimeDist>,
+    conn_lifetime: Mutex<ServiceTimeDist>,
 }
 
 /// A point-in-time copy of [`ServerStats`].

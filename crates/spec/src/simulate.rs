@@ -27,6 +27,7 @@ use specweb_core::units::Bytes;
 use specweb_core::Result;
 use specweb_netsim::cost::LatencyModel;
 use specweb_netsim::fault::{FaultPlan, RetrySchedule};
+use specweb_netsim::replay::ClusterShards;
 use specweb_netsim::topology::Topology;
 use specweb_trace::generator::Trace;
 
@@ -114,6 +115,29 @@ pub struct SpecOutcome {
     pub baseline_service_times: ServiceQuantiles,
 }
 
+impl SpecOutcome {
+    /// The outcome of one speculative replay measured against `base`.
+    fn assemble(
+        cfg: &SpecConfig,
+        speculative: RunTotals,
+        counters: &ReplayCounters,
+        base: BaselineRun,
+    ) -> SpecOutcome {
+        SpecOutcome {
+            cost_speculative: cfg.cost.total_cost(&speculative),
+            cost_baseline: cfg.cost.total_cost(&base.totals),
+            service_times: counters.service.quantiles(),
+            baseline_service_times: base.service_times,
+            ratios: Ratios::between(&speculative, &base.totals),
+            speculative,
+            baseline: base.totals,
+            pushes: counters.pushes,
+            wasted_pushes: counters.wasted_pushes,
+            prefetches: counters.prefetches,
+        }
+    }
+}
+
 /// A precomputed baseline replay: the totals plus its service-time
 /// summary. Parameter sweeps compute this **once** via
 /// [`SpecSim::baseline_totals`] and hand it to every
@@ -138,14 +162,12 @@ pub struct SpecSim<'a> {
     /// Per-client leaf node (for client-side fault lookups: slow
     /// clients, partial writes, stalls).
     nodes: Vec<specweb_core::ids::NodeId>,
-    /// Static partition of access indices by the client's root-child
-    /// cluster (DESIGN.md §12). Replay state is strictly per-client
-    /// (caches, profiles), the matrices and fault plan are read-only,
-    /// and every accumulator is an integer sum — so any client
-    /// partition replays independently and merges *exactly*. Shards are
-    /// ordered by cluster node id, making the merge canonical for any
-    /// worker count.
-    shards: Vec<Vec<usize>>,
+    /// The replay kernel's cluster partition (DESIGN.md §12). Replay
+    /// state is strictly per-client (caches, profiles), the matrices
+    /// and fault plan are read-only, and every accumulator is an
+    /// integer sum — so any client partition replays independently and
+    /// merges *exactly*.
+    shards: ClusterShards,
     /// Optional observability bundle: per-policy push/hit/waste
     /// accounting lands here (deterministic channel — the replay is a
     /// pure function of trace + config).
@@ -293,33 +315,12 @@ impl<'a> SpecSim<'a> {
                 p
             })
             .collect();
-        let nodes = trace.clients.iter().map(|c| c.node).collect();
-
-        // Cluster each client under its root-child subtree (clients at
-        // or directly under the root all land in one cluster), then
-        // partition the access indices accordingly.
-        let client_cluster: Vec<specweb_core::ids::NodeId> = trace
-            .clients
-            .iter()
-            .map(|c| {
-                let p = topo.path_to_root(c.node);
-                if p.len() >= 2 {
-                    p[p.len() - 2]
-                } else {
-                    p[0]
-                }
-            })
-            .collect();
-        let mut clusters = client_cluster.clone();
-        clusters.sort_unstable();
-        clusters.dedup();
-        let shard_index: std::collections::BTreeMap<specweb_core::ids::NodeId, usize> =
-            clusters.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        // lint:allow(W3): one shard per already-materialized cluster id
-        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); clusters.len()];
-        for (i, a) in trace.accesses.iter().enumerate() {
-            shards[shard_index[&client_cluster[a.client.index()]]].push(i);
-        }
+        let nodes: Vec<specweb_core::ids::NodeId> = trace.clients.iter().map(|c| c.node).collect();
+        let shards = ClusterShards::partition(
+            topo,
+            &nodes,
+            trace.accesses.iter().map(|a| a.client.index()),
+        );
 
         SpecSim {
             trace,
@@ -395,27 +396,9 @@ impl<'a> SpecSim<'a> {
         let (speculative, counters) = self.replay(cfg, true, store, None)?;
         let base = match baseline {
             Some(b) => *b,
-            None => {
-                let (totals, base_counters) = self.replay(cfg, false, store, None)?;
-                BaselineRun {
-                    totals,
-                    service_times: base_counters.service.quantiles(),
-                }
-            }
+            None => self.baseline_totals(cfg)?,
         };
-        let ratios = Ratios::between(&speculative, &base.totals);
-        Ok(SpecOutcome {
-            cost_speculative: cfg.cost.total_cost(&speculative),
-            cost_baseline: cfg.cost.total_cost(&base.totals),
-            service_times: counters.service.quantiles(),
-            baseline_service_times: base.service_times,
-            speculative,
-            baseline: base.totals,
-            ratios,
-            pushes: counters.pushes,
-            wasted_pushes: counters.wasted_pushes,
-            prefetches: counters.prefetches,
-        })
+        Ok(SpecOutcome::assemble(cfg, speculative, &counters, base))
     }
 
     /// Runs both replays under a deterministic fault plan and reports
@@ -444,19 +427,11 @@ impl<'a> SpecSim<'a> {
         let ctx = FaultCtx { plan, retry };
         let (speculative, counters) = self.replay(cfg, true, None, Some(&ctx))?;
         let (baseline, base_counters) = self.replay(cfg, false, None, Some(&ctx))?;
-        let ratios = Ratios::between(&speculative, &baseline);
-        let outcome = SpecOutcome {
-            cost_speculative: cfg.cost.total_cost(&speculative),
-            cost_baseline: cfg.cost.total_cost(&baseline),
-            service_times: counters.service.quantiles(),
-            baseline_service_times: base_counters.service.quantiles(),
-            speculative,
-            baseline,
-            ratios,
-            pushes: counters.pushes,
-            wasted_pushes: counters.wasted_pushes,
-            prefetches: counters.prefetches,
+        let base = BaselineRun {
+            totals: baseline,
+            service_times: base_counters.service.quantiles(),
         };
+        let outcome = SpecOutcome::assemble(cfg, speculative, &counters, base);
         let attempted = outcome.speculative.accesses.max(1);
         Ok(DegradedSpecOutcome {
             availability: (attempted - counters.unavailable.min(attempted)) as f64
@@ -476,13 +451,13 @@ impl<'a> SpecSim<'a> {
         })
     }
 
-    /// One replay pass: fans the per-cluster shards out over the
-    /// process-default worker pool and merges the partial totals in
-    /// cluster order. The merge is exact (see the `shards` field), so
-    /// the result is byte-identical to a serial replay for any worker
-    /// count. The single ineligible case is a speculative replay with no
-    /// precomputed store: the [`RollingEstimator`] mutates shared
-    /// cross-client state lazily, so that replay stays serial.
+    /// One replay pass through the kernel, which may fan the cluster
+    /// shards out and merge the partial totals; the merge is exact (see
+    /// the `shards` field), so the result is byte-identical to a serial
+    /// replay for any worker count. The single ineligible case is a
+    /// speculative replay with no precomputed store: the
+    /// [`RollingEstimator`] mutates shared cross-client state lazily, so
+    /// that replay bypasses the kernel and stays serial.
     fn replay(
         &self,
         cfg: &SpecConfig,
@@ -491,36 +466,24 @@ impl<'a> SpecSim<'a> {
         faults: Option<&FaultCtx<'_>>,
     ) -> Result<(RunTotals, ReplayCounters)> {
         // One frame per replay pass — placed here (not per shard, whose
-        // call count varies with the worker gate below) so profiler call
-        // counts stay jobs-invariant.
+        // call count varies with the kernel's worker gate) so profiler
+        // call counts stay jobs-invariant.
         let _f = specweb_core::obs::profile::frame(if speculate {
             "spec.replay"
         } else {
             "spec.replay.baseline"
         });
-        let shardable = !(speculate && store.is_none());
-        // Sharding is byte-exact (golden-tested), but the index gather
-        // costs locality — with one worker the serial path is faster.
-        let pool = specweb_core::par::Pool::auto();
-        let (totals, counters) = if shardable && self.shards.len() > 1 && pool.jobs() > 1 {
-            let parts = pool.try_map_indexed(&self.shards, |_, idxs: &Vec<usize>| {
-                self.replay_shard(
-                    cfg,
-                    speculate,
-                    store,
-                    faults,
-                    idxs.iter().map(|&i| &self.trace.accesses[i]),
-                )
-            })?;
-            let mut totals = RunTotals::new();
-            let mut counters = ReplayCounters::default();
-            for (t, c) in &parts {
-                totals.merge(t);
-                counters.merge(c);
-            }
-            (totals, counters)
+        let (totals, counters) = if speculate && store.is_none() {
+            self.replay_shard(cfg, true, None, faults, &mut self.trace.accesses.iter())?
         } else {
-            self.replay_shard(cfg, speculate, store, faults, self.trace.accesses.iter())?
+            self.shards.replay_sharded(
+                &self.trace.accesses,
+                |accesses| self.replay_shard(cfg, speculate, store, faults, accesses),
+                |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
+                    whole.0.merge(&totals);
+                    whole.1.merge(&counters);
+                },
+            )?
         };
         self.record_replay(cfg, speculate, &totals, &counters);
         Ok((totals, counters))
@@ -534,7 +497,7 @@ impl<'a> SpecSim<'a> {
         speculate: bool,
         store: Option<&MatrixStore>,
         faults: Option<&FaultCtx<'_>>,
-        accesses: impl Iterator<Item = &'a specweb_trace::generator::Access>,
+        accesses: &mut dyn Iterator<Item = &specweb_trace::generator::Access>,
     ) -> Result<(RunTotals, ReplayCounters)> {
         let trace = self.trace;
         let catalog = &trace.catalog;
@@ -589,13 +552,10 @@ impl<'a> SpecSim<'a> {
                 // client-side machinery observes them.
                 if speculate {
                     if let Some(tp) = cfg.client_profile_prefetch {
-                        self.profile_prefetch(
-                            cfg,
-                            tp,
-                            a,
+                        self.prefetch(
+                            profiles[ci].predict(a.doc, tp).into_iter().map(|(j, _)| j),
                             measured,
                             &mut caches[ci],
-                            &mut profiles[ci],
                             &mut totals,
                             &mut counters,
                         );
@@ -692,27 +652,16 @@ impl<'a> SpecSim<'a> {
             // The server sees this request — speculation may ride along.
             if let Some(matrices) = estimator.for_day(day)? {
                 let cache = &mut caches[ci];
-                let decision = if cfg.cooperative {
-                    decide(
-                        &cfg.policy,
-                        &matrices.closure,
-                        &matrices.direct,
-                        a.doc,
-                        catalog,
-                        cfg.max_size,
-                        |j| cache.peek(j),
-                    )
-                } else {
-                    decide(
-                        &cfg.policy,
-                        &matrices.closure,
-                        &matrices.direct,
-                        a.doc,
-                        catalog,
-                        cfg.max_size,
-                        |_| false,
-                    )
-                };
+                // Only cooperative clients tell the server what they hold.
+                let decision = decide(
+                    &cfg.policy,
+                    &matrices.closure,
+                    &matrices.direct,
+                    a.doc,
+                    catalog,
+                    cfg.max_size,
+                    |j| cfg.cooperative && cache.peek(j),
+                );
                 for &(j, _) in &decision.push {
                     if j == a.doc {
                         continue;
@@ -748,19 +697,13 @@ impl<'a> SpecSim<'a> {
                     let chosen = cfg
                         .hint_policy
                         .select(a.doc, &decision.hints, &profiles[ci]);
-                    for j in chosen {
-                        if caches[ci].peek(j) {
-                            continue; // clients know their own cache
-                        }
-                        let jsize = catalog.size(j);
-                        counters.prefetches += 1;
-                        if measured {
-                            totals.server_requests += 1;
-                            // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
-                            totals.bytes_sent += jsize;
-                        }
-                        caches[ci].insert(j, jsize);
-                    }
+                    self.prefetch(
+                        chosen,
+                        measured,
+                        &mut caches[ci],
+                        &mut totals,
+                        &mut counters,
+                    );
                 }
             }
 
@@ -770,13 +713,10 @@ impl<'a> SpecSim<'a> {
             // replay must not prefetch.
             if speculate {
                 if let Some(tp) = cfg.client_profile_prefetch {
-                    self.profile_prefetch(
-                        cfg,
-                        tp,
-                        a,
+                    self.prefetch(
+                        profiles[ci].predict(a.doc, tp).into_iter().map(|(j, _)| j),
                         measured,
                         &mut caches[ci],
-                        &mut profiles[ci],
                         &mut totals,
                         &mut counters,
                     );
@@ -808,16 +748,16 @@ impl<'a> SpecSim<'a> {
             obs.metrics
                 .counter("spec.baseline_requests")
                 .add(totals.server_requests);
-            publish_service_histogram(obs, "spec.baseline.service_time_ms", &counters.service);
+            counters
+                .service
+                .publish(obs, "spec.baseline.service_time_ms");
             return;
         }
         let label = cfg.policy.kind_label();
-        publish_service_histogram(obs, "spec.service_time_ms", &counters.service);
-        publish_service_histogram(
-            obs,
-            &format!("spec.policy.{label}.service_time_ms"),
-            &counters.service,
-        );
+        counters.service.publish(obs, "spec.service_time_ms");
+        counters
+            .service
+            .publish(obs, &format!("spec.policy.{label}.service_time_ms"));
         let pairs = [
             ("accesses", totals.accesses),
             ("server_requests", totals.server_requests),
@@ -842,25 +782,21 @@ impl<'a> SpecSim<'a> {
         }
     }
 
-    /// Client-initiated prefetching from the client's own profile: runs
-    /// on *every* access (the client sees its cache hits even though the
-    /// server does not). Each acted-on prediction is a normal request.
-    #[allow(clippy::too_many_arguments)]
-    fn profile_prefetch(
+    /// Client-initiated prefetches of `docs` — hints the client acts
+    /// on, or its own profile's predictions, which run on *every* access
+    /// (the client sees its cache hits even though the server does not).
+    /// Each one not already cached is a normal request.
+    fn prefetch(
         &self,
-        cfg: &SpecConfig,
-        tp: f64,
-        a: &specweb_trace::generator::Access,
+        docs: impl IntoIterator<Item = specweb_core::ids::DocId>,
         measured: bool,
         cache: &mut ClientCache,
-        profile: &mut UserProfile,
         totals: &mut RunTotals,
         counters: &mut ReplayCounters,
     ) {
-        let _ = cfg;
-        for (j, _) in profile.predict(a.doc, tp) {
+        for j in docs {
             if cache.peek(j) {
-                continue;
+                continue; // clients know their own cache
             }
             let jsize = self.trace.catalog.size(j);
             counters.prefetches += 1;
@@ -870,27 +806,6 @@ impl<'a> SpecSim<'a> {
                 totals.bytes_sent += jsize;
             }
             cache.insert(j, jsize);
-        }
-    }
-}
-
-/// Publishes a replay's service-time distribution as a log₂-bucketed
-/// histogram on the deterministic channel (bucket `i` ⇔ `(ms+1).ilog2()
-/// == i`, observed at the bucket midpoint `i + 0.5`). The bins are a
-/// pure function of trace + config, so the histogram is byte-identical
-/// across `--jobs` settings and lands in the golden-diffed manifests.
-fn publish_service_histogram(obs: &specweb_core::obs::Obs, name: &str, dist: &ServiceTimeDist) {
-    use specweb_core::stats::SERVICE_TIME_LOG2_BINS;
-    let h = obs.metrics.histogram_on(
-        name,
-        specweb_core::obs::Channel::Deterministic,
-        0.0,
-        SERVICE_TIME_LOG2_BINS as f64,
-        SERVICE_TIME_LOG2_BINS,
-    );
-    for (i, &n) in dist.log2_bins().iter().enumerate() {
-        if n > 0 {
-            h.observe_n(i as f64 + 0.5, n);
         }
     }
 }
@@ -1277,12 +1192,21 @@ mod tests {
         specweb_core::par::set_default_jobs(2);
         let (trace, topo) = setup(240);
         let sim = SpecSim::new(&trace, &topo);
-        assert!(sim.shards.len() > 1, "topology must yield several shards");
+        assert!(
+            sim.shards.n_shards() > 1,
+            "topology must yield several shards"
+        );
         let c = cfg(0.3);
         let store = MatrixStore::precompute(&c.estimator, &trace, 14).unwrap();
         for speculate in [true, false] {
             let serial = sim
-                .replay_shard(&c, speculate, Some(&store), None, trace.accesses.iter())
+                .replay_shard(
+                    &c,
+                    speculate,
+                    Some(&store),
+                    None,
+                    &mut trace.accesses.iter(),
+                )
                 .unwrap();
             let sharded = sim.replay(&c, speculate, Some(&store), None).unwrap();
             assert_eq!(serial.0, sharded.0, "totals diverge (spec={speculate})");
@@ -1301,7 +1225,7 @@ mod tests {
             retry: RetrySchedule::default(),
         };
         let serial = sim
-            .replay_shard(&c, false, None, Some(&ctx), trace.accesses.iter())
+            .replay_shard(&c, false, None, Some(&ctx), &mut trace.accesses.iter())
             .unwrap();
         let sharded = sim.replay(&c, false, None, Some(&ctx)).unwrap();
         assert_eq!(serial.0, sharded.0);
@@ -1348,7 +1272,10 @@ mod tests {
         // side-effect-free for the same reason as above.
         let (trace, topo) = setup(242);
         let sim = SpecSim::new(&trace, &topo);
-        assert!(sim.shards.len() > 1, "topology must yield several shards");
+        assert!(
+            sim.shards.n_shards() > 1,
+            "topology must yield several shards"
+        );
         let c = cfg(0.3);
         let store = MatrixStore::precompute(&c.estimator, &trace, 14).unwrap();
         specweb_core::par::set_default_jobs(1);
