@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the §3 estimation machinery:
-//! P-matrix construction from access streams and the max-product
-//! closure P*.
+//! P-matrix construction from access streams, the max-product
+//! closure P*, and the per-boundary schedule of `MatrixStore`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use specweb_bench::{workloads, Scale};
 use specweb_core::time::Duration;
 use specweb_spec::deps::DepMatrixBuilder;
+use specweb_spec::estimator::{EstimatorConfig, MatrixStore};
 
 fn bench_p_matrix(c: &mut Criterion) {
     let trace = workloads::bu_trace(Scale::Quick, 77).unwrap();
@@ -35,6 +36,33 @@ fn bench_closure(c: &mut Criterion) {
             |b, m| b.iter(|| m.closure(floor, max_row).unwrap()),
         );
     }
+    // The kernel alone: one worker, as `MatrixStore::precompute` runs it.
+    g.bench_with_input(
+        BenchmarkId::from_parameter("floor0.01_row128_jobs1"),
+        &matrix,
+        |b, m| b.iter(|| m.closure_jobs(0.01, 128, 1).unwrap()),
+    );
+    g.finish();
+}
+
+fn bench_precompute(c: &mut Criterion) {
+    let trace = workloads::bu_trace(Scale::Quick, 80).unwrap();
+    let days = trace.duration.as_millis() / 86_400_000;
+    let daily = EstimatorConfig {
+        history_days: days / 2,
+        ..EstimatorConfig::default()
+    };
+    let aged = EstimatorConfig {
+        aging_decay: Some(0.9),
+        ..daily
+    };
+    let mut g = c.benchmark_group("estimator/precompute");
+    g.throughput(Throughput::Elements(days + 1)); // boundaries
+    for (name, cfg) in [("hard_window", daily), ("aged", aged)] {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
+            b.iter(|| MatrixStore::precompute(cfg, std::hint::black_box(&trace), days).unwrap())
+        });
+    }
     g.finish();
 }
 
@@ -46,5 +74,11 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_p_matrix, bench_closure, bench_histogram);
+criterion_group!(
+    benches,
+    bench_p_matrix,
+    bench_closure,
+    bench_precompute,
+    bench_histogram
+);
 criterion_main!(benches);

@@ -7,8 +7,10 @@
 //! snapshot) must match exactly.
 //!
 //! The experiment set exercises every parallel site in the stack:
-//! `fig4` (trace → estimator → simulator) and `exp-closure` (the
-//! parallel `DepMatrix::closure` and `MatrixStore::precompute` paths).
+//! `fig4` (trace → estimator → simulator), `exp-closure` (the parallel
+//! `DepMatrix::closure` and the hard-window `MatrixStore::precompute`)
+//! and `exp-aging` (the aged `precompute`: shared per-day estimates,
+//! one blend per boundary).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -29,6 +31,7 @@ fn run_figures(out: &Path, jobs: &str) {
             out.to_str().unwrap(),
             "fig4",
             "exp-closure",
+            "exp-aging",
         ])
         .status()
         .expect("spawn figures");
@@ -68,7 +71,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
         let raw = snap.remove(TIMINGS).expect("bench_timings.json written");
         let raw = String::from_utf8(raw).expect("timings are utf-8");
         let parsed: serde_json::Value = serde_json::from_str(&raw).expect("timings parse");
-        assert_eq!(parsed["experiments"].as_array().unwrap().len(), 2);
+        assert_eq!(parsed["experiments"].as_array().unwrap().len(), 3);
         assert!(parsed["total_seconds"].as_f64().unwrap() >= 0.0);
     }
     assert_eq!(serial.get(TIMINGS), None);
@@ -86,7 +89,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
         assert_eq!(entries.len(), 1, "fresh out dir gets exactly one entry");
         assert_eq!(
             entries[0]["experiments"].as_array().unwrap().len(),
-            2,
+            3,
             "one phase timing per experiment"
         );
     }
@@ -129,6 +132,29 @@ fn serial_and_parallel_runs_are_byte_identical() {
             s, p,
             "{name}: frame paths/call counts differ between --jobs 1 and --jobs 4"
         );
+        // The estimator's frames: one per precompute call, per slide or
+        // per-day pass, and per boundary for blends and closures — the
+        // closures run on pool workers and must still nest here.
+        let wanted: &[&str] = match name.as_str() {
+            "profile_exp-closure.txt" => &[
+                "exp-closure;estimator.precompute calls ",
+                "exp-closure;estimator.precompute;estimator.slide calls ",
+                "exp-closure;estimator.precompute;deps.closure calls ",
+            ],
+            "profile_exp-aging.txt" => &[
+                "exp-aging;estimator.precompute;estimator.slide calls ",
+                "exp-aging;estimator.precompute;estimator.day_matrices calls ",
+                "exp-aging;estimator.precompute;estimator.aged_blend calls ",
+                "exp-aging;estimator.precompute;deps.closure calls ",
+            ],
+            _ => &[],
+        };
+        for frame in wanted {
+            assert!(
+                s.iter().any(|l| l.starts_with(frame)),
+                "{name}: no `{frame}` line in {s:#?}"
+            );
+        }
     }
 
     // Manifests carry a two-channel split: the `deterministic` section

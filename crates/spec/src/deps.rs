@@ -15,7 +15,7 @@
 //! `[0, 1]`, dominates `P` entrywise, and equals `P^N` on the chain
 //! structures (embedding trees) the closure exists for.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use serde::{Deserialize, Serialize};
 use specweb_core::ids::{ClientId, DocId};
@@ -123,8 +123,8 @@ impl DepMatrix {
 
     /// [`DepMatrix::closure`] with an explicit worker count. The output
     /// is byte-identical for every `jobs` value: each source row is a
-    /// pure function of the matrix, and rows are assembled in a fixed
-    /// (sorted-source) order.
+    /// pure function of the matrix, and rows are assembled in source
+    /// order.
     pub fn closure_jobs(&self, floor: f64, max_row: usize, jobs: usize) -> Result<DepMatrix> {
         if !(0.0 < floor && floor <= 1.0) {
             return Err(CoreError::invalid_config(
@@ -132,18 +132,42 @@ impl DepMatrix {
                 format!("must be in (0, 1], got {floor}"),
             ));
         }
-        let mut srcs: Vec<DocId> = self.rows.keys().copied().collect();
-        srcs.sort_unstable();
+        let _f = specweb_core::obs::profile::frame("deps.closure");
+        // The search keeps one slot per id up to the largest and stamps
+        // slots with `source + 1` in a `u32`.
+        let n_docs = (self.entries().map(|(i, j, _)| i.max(j).index() + 1))
+            .max()
+            .unwrap_or(0);
+        if u32::try_from(n_docs).is_err() {
+            return Err(CoreError::invalid_config(
+                "closure.matrix",
+                format!("document ids must stay below {}", u32::MAX),
+            ));
+        }
+        let csr = Csr::snapshot(self, n_docs);
+        let srcs: Vec<u32> = self.rows.keys().map(|d| d.raw()).collect();
         let pool = specweb_core::par::Pool::new(jobs);
-        let computed = pool.map_indexed(&srcs, |_, &src| self.best_paths_from(src, floor, max_row));
+        // A few chunks per worker balance uneven rows; each chunk owns
+        // one `Search`, so its scratch is reused across the chunk's
+        // sources instead of being rebuilt per source.
+        let chunks: Vec<&[u32]> = srcs
+            .chunks(srcs.len().div_ceil(pool.jobs() * 4).max(1))
+            .collect();
+        let computed = pool.map_indexed(&chunks, |_, chunk| {
+            let mut search = Search::new(n_docs);
+            chunk
+                .iter()
+                .map(|&src| search.best_paths_from(&csr, src, floor, max_row))
+                .collect::<Vec<_>>()
+        });
         let mut out = BTreeMap::new();
         let mut truncated_rows = 0u64;
-        for (&src, (row, truncated)) in srcs.iter().zip(computed) {
+        for (&src, (row, truncated)) in srcs.iter().zip(computed.into_iter().flatten()) {
             if truncated {
                 truncated_rows += 1;
             }
             if !row.is_empty() {
-                out.insert(src, row);
+                out.insert(DocId::new(src), row);
             }
         }
         Ok(DepMatrix {
@@ -151,74 +175,166 @@ impl DepMatrix {
             truncated_rows,
         })
     }
+}
+
+#[cfg(test)]
+impl DepMatrix {
+    /// `(i, j, bits of p)` of every entry, in id order: what the
+    /// bit-for-bit tests of this crate compare.
+    pub(crate) fn bits(&self) -> Vec<(DocId, DocId, u64)> {
+        self.entries()
+            .map(|(i, j, p)| (i, j, p.to_bits()))
+            .collect()
+    }
+}
+
+/// A read-only snapshot of a [`DepMatrix`] for the closure search: rows
+/// are indexed by [`DocId::index`] and each row is ordered by
+/// probability descending (id ascending on ties), so a relaxation can
+/// stop at the first edge that falls below the floor.
+struct Csr {
+    /// Row `d` is `edges[starts[d]..starts[d + 1]]`.
+    starts: Vec<usize>,
+    /// `(target index, probability)`.
+    edges: Vec<(u32, f64)>,
+}
+
+impl Csr {
+    /// `n_docs` is one past the largest id in `m`.
+    fn snapshot(m: &DepMatrix, n_docs: usize) -> Csr {
+        let mut starts = Vec::with_capacity(n_docs + 1);
+        let mut edges = Vec::with_capacity(m.n_entries());
+        for (&i, row) in &m.rows {
+            // Ids between the previous row and this one have no row.
+            starts.resize(i.index() + 1, edges.len());
+            let at = edges.len();
+            edges.extend(row.iter().map(|&(j, p)| (j.raw(), p)));
+            edges[at..].sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        }
+        starts.resize(n_docs + 1, edges.len());
+        Csr { starts, edges }
+    }
+
+    fn row(&self, d: u32) -> &[(u32, f64)] {
+        &self.edges[self.starts[d as usize]..self.starts[d as usize + 1]]
+    }
+}
+
+/// Max-heap entry of the best-path search: probability, then id.
+struct Item(f64, u32);
+
+impl PartialEq for Item {
+    fn eq(&self, o: &Self) -> bool {
+        self.cmp(o).is_eq()
+    }
+}
+impl Eq for Item {}
+impl PartialOrd for Item {
+    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(o))
+    }
+}
+impl Ord for Item {
+    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+        // total_cmp: a NaN probability (degenerate estimate) must not
+        // abort a whole sweep mid-search.
+        self.0.total_cmp(&o.0).then(self.1.cmp(&o.1))
+    }
+}
+
+/// What the search from the current source knows about one document.
+/// The stamps hold `source + 1` (0 = never touched), so moving to the
+/// next source invalidates every slot without clearing any.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Best candidate probability pushed so far; valid iff `seen` is
+    /// the current stamp.
+    best: f64,
+    seen: u32,
+    settled: u32,
+}
+
+/// One worker's reusable state for [`Search::best_paths_from`].
+struct Search {
+    slots: Vec<Slot>,
+    heap: BinaryHeap<Item>,
+    /// Settled documents of the current source, in pop order.
+    settled: Vec<(u32, f64)>,
+}
+
+impl Search {
+    fn new(n_docs: usize) -> Search {
+        Search {
+            slots: vec![Slot::default(); n_docs],
+            heap: BinaryHeap::new(),
+            settled: Vec::new(),
+        }
+    }
 
     /// Best path probability from `src` to every reachable doc ≥ floor,
     /// plus whether the search hit the safety valve (in which case the
     /// row may under-report reach).
-    fn best_paths_from(&self, src: DocId, floor: f64, max_row: usize) -> (Vec<(DocId, f64)>, bool) {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        // Max-heap on probability.
-        struct Item(f64, DocId);
-        impl PartialEq for Item {
-            fn eq(&self, o: &Self) -> bool {
-                self.0 == o.0 && self.1 == o.1
-            }
-        }
-        impl Eq for Item {}
-        impl PartialOrd for Item {
-            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Item {
-            fn cmp(&self, o: &Self) -> Ordering {
-                // total_cmp: a NaN probability (degenerate estimate)
-                // must not abort a whole sweep mid-search.
-                self.0.total_cmp(&o.0).then(self.1.cmp(&o.1))
-            }
-        }
-
-        let mut best: HashMap<DocId, f64> = HashMap::new();
-        let mut heap = BinaryHeap::new();
-        heap.push(Item(1.0, src));
-        let mut settled: HashMap<DocId, f64> = HashMap::new();
+    fn best_paths_from(
+        &mut self,
+        csr: &Csr,
+        src: u32,
+        floor: f64,
+        max_row: usize,
+    ) -> (Vec<(DocId, f64)>, bool) {
+        let stamp = src + 1;
+        let valve = max_row.saturating_mul(4).saturating_add(1);
+        self.heap.clear();
+        self.settled.clear();
+        self.heap.push(Item(1.0, src));
+        let mut n_settled = 0usize; // counts `src` itself, unlike `self.settled`
         let mut truncated = false;
-        while let Some(Item(p, d)) = heap.pop() {
-            if settled.contains_key(&d) {
+        while let Some(Item(p, d)) = self.heap.pop() {
+            let slot = &mut self.slots[d as usize];
+            if slot.settled == stamp {
                 continue;
             }
-            settled.insert(d, p);
-            if settled.len() > max_row.saturating_mul(4) + 1 {
+            slot.settled = stamp;
+            n_settled += 1;
+            if d != src {
+                self.settled.push((d, p));
+            }
+            if n_settled > valve {
                 truncated = true; // safety valve for pathological graphs
                 break;
             }
-            for &(j, pj) in self.row(d) {
+            for &(j, pj) in csr.row(d) {
                 let cand = p * pj;
-                if cand < floor || j == src {
+                if cand < floor {
+                    // The row descends in probability and `p ≥ 0`, so
+                    // every later candidate is below the floor too.
+                    break;
+                }
+                if j == src {
                     continue;
                 }
-                let e = best.entry(j).or_insert(0.0);
-                if cand > *e {
-                    *e = cand;
-                    heap.push(Item(cand, j));
+                let slot = &mut self.slots[j as usize];
+                if slot.seen != stamp {
+                    slot.seen = stamp;
+                    slot.best = 0.0;
+                }
+                if cand > slot.best {
+                    slot.best = cand;
+                    self.heap.push(Item(cand, j));
                 }
             }
         }
-        settled.remove(&src);
-        // lint:allow(G1): the hash-order stream is materialized here and
-        // fully re-sorted below with a total, id-tiebroken order before
-        // anything downstream can observe it.
-        let mut row: Vec<(DocId, f64)> = settled.into_iter().collect();
         // Keep the strongest max_row entries, then restore id order.
-        // Ties on probability break by id: the pre-sort order is HashMap
-        // iteration order (randomized per process), and a stable sort
-        // alone would let the truncation keep a different tied subset on
-        // every run.
-        row.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        row.truncate(max_row);
-        row.sort_by_key(|&(j, _)| j);
+        // Ties on probability break by id, so the truncation keeps the
+        // same tied subset whatever order the search settled them in.
+        self.settled
+            .sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        self.settled.truncate(max_row);
+        self.settled.sort_unstable_by_key(|&(j, _)| j);
+        let row = self
+            .settled
+            .iter()
+            .map(|&(j, p)| (DocId::new(j), p))
+            .collect();
         (row, truncated)
     }
 }
@@ -256,10 +372,22 @@ pub struct DepMatrixBuilder {
     /// Per-client recent accesses still inside the window. Each pending
     /// occurrence of `i` remembers which followers it has already
     /// counted, so `p[i,j]` is the fraction of `i`-occurrences followed
-    /// by **at least one** `j` — not a raw pair count.
-    pending: HashMap<ClientId, Vec<PendingAccess>>,
+    /// by **at least one** `j` — not a raw pair count. Ordered, so the
+    /// daily sweep walks it in an order that is the same on every run.
+    pending: BTreeMap<ClientId, Vec<PendingAccess>>,
     occurrences: HashMap<DocId, u64>,
     follows: HashMap<(DocId, DocId), u64>,
+    /// The latest day an access was pushed for: crossing into a later
+    /// day triggers the once-a-day housekeeping.
+    today: u64,
+    /// First day whose accesses count. An access or a follow event is
+    /// counted iff the day of its *antecedent* is at or past this, which
+    /// is exactly what a builder that was first fed on that day counts.
+    window_start: u64,
+    /// Days before this record what they add to the counts, for
+    /// [`DepMatrixBuilder::retire_day`] to subtract.
+    retire_before: u64,
+    deltas: BTreeMap<u64, DayDelta>,
 }
 
 /// One not-yet-expired access of the streaming estimator.
@@ -272,6 +400,50 @@ struct PendingAccess {
     counted: Vec<DocId>,
 }
 
+/// What one day's antecedents added to the counts, as sorted
+/// `(key, count)` runs once [`DayDelta::coalesce`] has run; events
+/// recorded since then sit behind them as `(key, 1)`.
+#[derive(Debug, Clone, Default)]
+struct DayDelta {
+    docs: Vec<(DocId, u64)>,
+    pairs: Vec<((DocId, DocId), u64)>,
+    /// Whether events were recorded since the last coalesce.
+    dirty: bool,
+}
+
+impl DayDelta {
+    /// Sums the counts of equal keys: a day's events repeat few
+    /// distinct pairs, and a retained day is held for `history_days`.
+    fn coalesce(&mut self) {
+        fn sum_runs<K: Ord + Copy>(v: &mut Vec<(K, u64)>) {
+            v.sort_unstable_by_key(|&(k, _)| k);
+            v.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+            v.shrink_to_fit();
+        }
+        if std::mem::take(&mut self.dirty) {
+            sum_runs(&mut self.docs);
+            sum_runs(&mut self.pairs);
+        }
+    }
+}
+
+/// Subtracts `n` from `counts[key]`; a count that returns to 0 leaves
+/// the map, as if the key had never been counted.
+fn uncount<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, u64>, key: K, n: u64) {
+    if let std::collections::hash_map::Entry::Occupied(mut e) = counts.entry(key) {
+        *e.get_mut() -= n;
+        if *e.get() == 0 {
+            e.remove();
+        }
+    }
+}
+
 impl DepMatrixBuilder {
     /// Creates a builder with dependency window `window` (`T_w`).
     pub fn new(window: Duration) -> Self {
@@ -280,11 +452,46 @@ impl DepMatrixBuilder {
             pending: Default::default(),
             occurrences: Default::default(),
             follows: Default::default(),
+            today: 0,
+            window_start: 0,
+            retire_before: 0,
+            deltas: BTreeMap::new(),
         }
     }
 
-    /// Feeds one access (must be fed in time order per client).
+    /// Makes every day before `day` retirable: what its antecedents add
+    /// to the counts is recorded until [`DepMatrixBuilder::retire_day`]
+    /// takes it back out.
+    pub(crate) fn retiring_before(mut self, day: u64) -> Self {
+        self.retire_before = day;
+        self
+    }
+
+    /// Moves the start of the counting window past `day`: subtracts what
+    /// the day's antecedents added, and counts nothing of theirs from
+    /// here on. Days retire in ascending order. The counts are then
+    /// those of a builder first fed on `day + 1`: integers, so exactly.
+    pub(crate) fn retire_day(&mut self, day: u64) {
+        self.window_start = self.window_start.max(day + 1);
+        let Some(delta) = self.deltas.remove(&day) else {
+            return;
+        };
+        for (doc, n) in delta.docs {
+            uncount(&mut self.occurrences, doc, n);
+        }
+        for (pair, n) in delta.pairs {
+            uncount(&mut self.follows, pair, n);
+        }
+    }
+
+    /// Feeds one access. Accesses must arrive in time order, as a
+    /// server log has them.
     pub fn push(&mut self, access: &Access) {
+        let day = access.time.day();
+        if day > self.today {
+            self.today = day;
+            self.close_day(access.time);
+        }
         let q = self.pending.entry(access.client).or_default();
         // Retire accesses that fell out of the window, then record the
         // i→j pairs the new access completes (once per i-occurrence).
@@ -293,15 +500,47 @@ impl DepMatrixBuilder {
         for p in q.iter_mut() {
             if p.doc != access.doc && !p.counted.contains(&access.doc) {
                 p.counted.push(access.doc);
-                *self.follows.entry((p.doc, access.doc)).or_insert(0) += 1;
+                let from = p.time.day();
+                if from >= self.window_start {
+                    *self.follows.entry((p.doc, access.doc)).or_insert(0) += 1;
+                    if from < self.retire_before {
+                        let delta = self.deltas.entry(from).or_default();
+                        delta.pairs.push(((p.doc, access.doc), 1));
+                        delta.dirty = true;
+                    }
+                }
             }
         }
-        *self.occurrences.entry(access.doc).or_insert(0) += 1;
+        if day >= self.window_start {
+            *self.occurrences.entry(access.doc).or_insert(0) += 1;
+            if day < self.retire_before {
+                let delta = self.deltas.entry(day).or_default();
+                delta.docs.push((access.doc, 1));
+                delta.dirty = true;
+            }
+        }
         q.push(PendingAccess {
             time: access.time,
             doc: access.doc,
             counted: Vec::new(),
         });
+    }
+
+    /// Once per pushed day, before the first access at `now`: drops the
+    /// queues of clients idle for a whole window — the client's next
+    /// access would empty such a queue anyway, so the counts cannot
+    /// tell, and the map stays bounded by the clients active within a
+    /// window rather than by every client ever seen — and packs the
+    /// deltas the closed days have grown.
+    fn close_day(&mut self, now: specweb_core::time::SimTime) {
+        let window = self.window;
+        if !window.is_infinite() {
+            self.pending
+                .retain(|_, q| q.last().is_some_and(|p| now.since(p.time) < window));
+        }
+        for delta in self.deltas.values_mut() {
+            delta.coalesce();
+        }
     }
 
     /// Feeds a whole slice of accesses.
@@ -350,6 +589,7 @@ impl DepMatrixBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use specweb_core::ids::ServerId;
     use specweb_core::time::SimTime;
     use specweb_trace::clients::Locality;
@@ -600,10 +840,9 @@ mod tests {
     fn closure_truncation_breaks_probability_ties_by_id() {
         // One source links to 20 targets with the *same* probability.
         // With max_row = 5 the truncation must keep a deterministic
-        // subset — the lowest ids — on every call. (The candidate list
-        // materializes from a HashMap, whose iteration order is
-        // randomized per instance; without an explicit id tie-break the
-        // kept set would change from run to run.)
+        // subset — the lowest ids — on every call. (The search settles
+        // tied candidates highest id first; without an explicit id
+        // tie-break the truncation would keep those.)
         let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
         rows.insert(
             DocId::new(0),
@@ -665,5 +904,304 @@ mod tests {
         let accesses = vec![acc(0, 1, 0), acc(0, 2, 10_000_000)];
         let m = DepMatrixBuilder::estimate(&accesses, Duration::INFINITE, 1);
         assert!(m.get(DocId(1), DocId(2)) > 0.0);
+    }
+
+    /// The closure kernel as it was before the CSR search: per-source
+    /// hash maps over the id-ordered rows, every edge scanned. Kept as
+    /// the reference the pruned kernel is compared against.
+    fn reference_closure(m: &DepMatrix, floor: f64, max_row: usize) -> DepMatrix {
+        use std::cmp::Ordering;
+
+        struct Item(f64, DocId);
+        impl PartialEq for Item {
+            fn eq(&self, o: &Self) -> bool {
+                self.0 == o.0 && self.1 == o.1
+            }
+        }
+        impl Eq for Item {}
+        impl PartialOrd for Item {
+            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+                Some(self.cmp(o))
+            }
+        }
+        impl Ord for Item {
+            fn cmp(&self, o: &Self) -> Ordering {
+                self.0.total_cmp(&o.0).then(self.1.cmp(&o.1))
+            }
+        }
+
+        let mut out = DepMatrix::empty();
+        for &src in m.rows.keys() {
+            let mut best: HashMap<DocId, f64> = HashMap::new();
+            let mut heap = BinaryHeap::new();
+            heap.push(Item(1.0, src));
+            let mut settled: HashMap<DocId, f64> = HashMap::new();
+            while let Some(Item(p, d)) = heap.pop() {
+                if settled.contains_key(&d) {
+                    continue;
+                }
+                settled.insert(d, p);
+                if settled.len() > max_row.saturating_mul(4) + 1 {
+                    out.truncated_rows += 1;
+                    break;
+                }
+                for &(j, pj) in m.row(d) {
+                    let cand = p * pj;
+                    if cand < floor || j == src {
+                        continue;
+                    }
+                    let e = best.entry(j).or_insert(0.0);
+                    if cand > *e {
+                        *e = cand;
+                        heap.push(Item(cand, j));
+                    }
+                }
+            }
+            settled.remove(&src);
+            let mut row: Vec<(DocId, f64)> = settled.into_iter().collect();
+            row.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            row.truncate(max_row);
+            row.sort_by_key(|&(j, _)| j);
+            if !row.is_empty() {
+                out.rows.insert(src, row);
+            }
+        }
+        out
+    }
+
+    /// A matrix from `(i, j, p)` edges (the last of a repeated pair
+    /// wins, self-edges are dropped: an estimate never holds one).
+    fn matrix_of(edges: &[(u32, u32, f64)]) -> DepMatrix {
+        let mut cells: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        cells.extend(
+            edges
+                .iter()
+                .filter(|e| e.0 != e.1)
+                .map(|&(i, j, p)| ((i, j), p)),
+        );
+        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
+        for ((i, j), p) in cells {
+            rows.entry(DocId::new(i))
+                .or_default()
+                .push((DocId::new(j), p));
+        }
+        let mut m = DepMatrix::empty();
+        m.replace_rows(rows);
+        m
+    }
+
+    /// Probabilities in eighths: many ties, and products that are exact
+    /// in binary floating point whatever the order of multiplication.
+    fn eighths() -> impl Strategy<Value = f64> {
+        (1u32..=8).prop_map(|k| f64::from(k) / 8.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn closure_equals_the_hash_map_kernel_bit_for_bit(
+            n in 2u32..40,
+            tied in prop::collection::vec((0u32..40, 0u32..40, eighths()), 0..160),
+            free in prop::collection::vec((0u32..40, 0u32..40, 0.001f64..1.0), 0..160),
+            floor in prop_oneof![Just(1.0), Just(0.3), Just(0.01), Just(1e-6)],
+            max_row in prop_oneof![Just(0usize), Just(1), Just(2), Just(5), Just(64)],
+            jobs in 1usize..4,
+        ) {
+            let edges: Vec<(u32, u32, f64)> =
+                tied.iter().chain(&free).map(|&(i, j, p)| (i % n, j % n, p)).collect();
+            let m = matrix_of(&edges);
+            let want = reference_closure(&m, floor, max_row);
+            let got = m.closure_jobs(floor, max_row, jobs).unwrap();
+            prop_assert_eq!(got.truncated_rows(), want.truncated_rows());
+            prop_assert_eq!(got.bits(), want.bits());
+        }
+
+        #[test]
+        fn closure_equals_brute_force_max_product_paths(
+            n in 2usize..=12,
+            raw in prop::collection::vec((0usize..12, 0usize..12, eighths()), 0..60),
+            floor in prop_oneof![Just(1.0), Just(0.25), Just(0.01), Just(1e-9)],
+        ) {
+            let edges: Vec<(u32, u32, f64)> =
+                raw.iter().map(|&(i, j, p)| ((i % n) as u32, (j % n) as u32, p)).collect();
+            let m = matrix_of(&edges);
+            // Floyd–Warshall over (max, ×): best[i][j] ends as the largest
+            // product over all paths i → j.
+            let mut best = vec![vec![0.0f64; n]; n];
+            for (i, j, p) in m.entries() {
+                best[i.index()][j.index()] = p;
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        best[i][j] = best[i][j].max(best[i][k] * best[k][j]);
+                    }
+                }
+            }
+            // Every prefix of a path is at least as probable as the path,
+            // so pruning at the floor loses no entry at or above it.
+            let mut want = Vec::new();
+            for (i, row) in best.iter().enumerate() {
+                for (j, &p) in row.iter().enumerate() {
+                    if i != j && p >= floor {
+                        want.push((DocId::from(i), DocId::from(j), p));
+                    }
+                }
+            }
+            let c = m.closure_jobs(floor, n, 1).unwrap();
+            prop_assert_eq!(c.truncated_rows(), 0);
+            prop_assert_eq!(c.entries().collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn closure_tolerates_nan_and_sparse_ids() {
+        // A NaN entry (only a hand-made matrix can hold one) sorts first
+        // in its row and must neither stop the scan nor be followed.
+        let m = matrix_of(&[(0, 1, f64::NAN), (0, 2, 0.5), (2, 900, 0.5), (900, 3, 1.0)]);
+        let c = m.closure_jobs(0.01, 8, 1).unwrap();
+        assert_eq!(c.bits(), reference_closure(&m, 0.01, 8).bits());
+        assert_eq!(c.get(DocId(0), DocId(3)), 0.25);
+        assert_eq!(c.get(DocId(0), DocId(1)), 0.0);
+    }
+
+    /// `P` by definition, with no streaming state: for every access to
+    /// `i`, the distinct other documents its client requests within the
+    /// window after it.
+    fn reference_estimate(accesses: &[Access], window: Duration, min_support: u64) -> DepMatrix {
+        let mut occurrences: BTreeMap<DocId, u64> = BTreeMap::new();
+        let mut follows: BTreeMap<(DocId, DocId), u64> = BTreeMap::new();
+        for (k, a) in accesses.iter().enumerate() {
+            *occurrences.entry(a.doc).or_insert(0) += 1;
+            let followers: std::collections::BTreeSet<DocId> = accesses[k + 1..]
+                .iter()
+                .take_while(|b| window.is_infinite() || b.time.since(a.time) < window)
+                .filter(|b| b.client == a.client && b.doc != a.doc)
+                .map(|b| b.doc)
+                .collect();
+            for j in followers {
+                *follows.entry((a.doc, j)).or_insert(0) += 1;
+            }
+        }
+        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
+        for ((i, j), n) in follows {
+            if occurrences[&i] >= min_support.max(1) {
+                let p = (n as f64 / occurrences[&i] as f64).min(1.0);
+                rows.entry(i).or_default().push((j, p));
+            }
+        }
+        let mut m = DepMatrix::empty();
+        m.replace_rows(rows);
+        m
+    }
+
+    #[test]
+    fn idle_clients_are_swept_once_a_day_and_the_matrix_cannot_tell() {
+        // A population the size of a `--scale 100` run visits once on day
+        // 0; a few regulars come back every day, two of them across
+        // midnight inside the window.
+        const CLIENTS: u32 = 60_000;
+        const DAY: u64 = 86_400_000;
+        let mut accesses = Vec::new();
+        for c in 0..CLIENTS {
+            let t = u64::from(c) * 1_000;
+            accesses.push(acc(c, c % 50, t));
+            accesses.push(acc(c, 50 + c % 7, t + 900));
+        }
+        for day in 1..4u64 {
+            for c in 0..20u32 {
+                let t = day * DAY + u64::from(c) * 10_000;
+                accesses.push(acc(c, c % 50, t));
+                accesses.push(acc(c, 50 + c % 3, t + 2_000));
+            }
+            accesses.push(acc(7, 1, (day + 1) * DAY - 1_000));
+            accesses.push(acc(7, 2, (day + 1) * DAY + 1_000));
+        }
+        accesses.sort_by_key(|a| a.time);
+
+        let mut b = DepMatrixBuilder::new(W);
+        let mut peak = 0;
+        for a in &accesses {
+            b.push(a);
+            peak = peak.max(b.pending.len());
+        }
+        assert_eq!(peak, CLIENTS as usize, "day 0 holds every client");
+        assert!(
+            b.pending.len() <= 21,
+            "{} queues left for 20 active clients",
+            b.pending.len()
+        );
+        assert_eq!(
+            b.build(2).bits(),
+            reference_estimate(&accesses, W, 2).bits()
+        );
+
+        // An infinite window can still pair with any old access: no sweep.
+        let mut b = DepMatrixBuilder::new(Duration::INFINITE);
+        b.push_all(&accesses[..4_000]);
+        b.push(accesses.last().unwrap());
+        assert_eq!(b.pending.len(), 2_000);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn estimate_matches_the_definition(
+            raw in prop::collection::vec((0u32..5, 0u32..9, 0u64..40_000_000), 0..120),
+            window in prop_oneof![
+                Just(W), Just(Duration::from_days(2)), Just(Duration::INFINITE)
+            ],
+            min_support in 1u64..4,
+        ) {
+            let mut t = 0;
+            let accesses: Vec<Access> = raw
+                .iter()
+                .map(|&(c, d, gap)| {
+                    t += gap;
+                    acc(c, d, t)
+                })
+                .collect();
+            let got = DepMatrixBuilder::estimate(&accesses, window, min_support);
+            prop_assert_eq!(got.bits(), reference_estimate(&accesses, window, min_support).bits());
+        }
+
+        #[test]
+        fn retiring_days_leaves_the_counts_of_a_later_start(
+            raw in prop::collection::vec((0u32..4, 0u32..7, 0u64..30_000_000), 1..150),
+            window in prop_oneof![
+                Just(W), Just(Duration::from_days(2)), Just(Duration::INFINITE)
+            ],
+            retired in 1u64..6,
+        ) {
+            let mut t = 0;
+            let accesses: Vec<Access> = raw
+                .iter()
+                .map(|&(c, d, gap)| {
+                    t += gap;
+                    acc(c, d, t)
+                })
+                .collect();
+            // Slide: everything is pushed, then the first days retire —
+            // half of them only after later days were counted.
+            let mut slid = DepMatrixBuilder::new(window).retiring_before(retired);
+            let early = retired / 2;
+            for a in &accesses {
+                if a.time.day() == retired && slid.window_start < early {
+                    (0..early).for_each(|d| slid.retire_day(d));
+                }
+                slid.push(a);
+            }
+            (0..retired).for_each(|d| slid.retire_day(d));
+            // From scratch: a builder that never saw the retired days.
+            let mut fresh = DepMatrixBuilder::new(window);
+            for a in accesses.iter().filter(|a| a.time.day() >= retired) {
+                fresh.push(a);
+            }
+            prop_assert_eq!(&slid.occurrences, &fresh.occurrences);
+            prop_assert_eq!(&slid.follows, &fresh.follows);
+            prop_assert!(slid.deltas.is_empty(), "retired days keep no delta");
+        }
     }
 }

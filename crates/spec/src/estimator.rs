@@ -13,7 +13,10 @@
 //! traces"): instead of a hard history window, each day's counts can be
 //! decayed by a factor before the next day is added.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use serde::{Deserialize, Serialize};
+use specweb_core::ids::DocId;
 use specweb_core::time::Duration;
 use specweb_core::{CoreError, Result};
 use specweb_trace::generator::Trace;
@@ -146,9 +149,12 @@ impl<'a> RollingEstimator<'a> {
     }
 
     /// [`RollingEstimator::estimate_at`] with an explicit worker count
-    /// for the closure step. [`MatrixStore::precompute`] parallelizes
-    /// across boundaries and therefore runs each closure serially; the
-    /// result is identical either way.
+    /// for the closure step; the result is identical either way.
+    ///
+    /// This is the from-scratch estimate: a fresh builder fed the
+    /// history window and nothing else. [`MatrixStore::precompute`]
+    /// reaches the same matrices incrementally and is checked against
+    /// this one, bit for bit.
     pub fn estimate_at_jobs(&self, day: u64, jobs: usize) -> Result<MatrixPair> {
         let start = day.saturating_sub(self.cfg.history_days);
         let direct = match self.cfg.aging_decay {
@@ -159,8 +165,12 @@ impl<'a> RollingEstimator<'a> {
                 }
                 b.build(self.cfg.min_support)
             }
-            Some(decay) => self.estimate_aged(day, decay),
+            Some(decay) => self.estimate_aged(day, decay, |d| self.day_entries(d)),
         };
+        self.pair(day, direct, jobs)
+    }
+
+    fn pair(&self, day: u64, direct: DepMatrix, jobs: usize) -> Result<MatrixPair> {
         let closure =
             direct.closure_jobs(self.cfg.closure_floor, self.cfg.closure_max_row, jobs)?;
         Ok(MatrixPair {
@@ -170,13 +180,65 @@ impl<'a> RollingEstimator<'a> {
         })
     }
 
+    /// The hard-window direct matrices of `boundaries` (ascending) from
+    /// one pass over the trace: the builder's counting window slides, so
+    /// each day is pushed once and retired once instead of being pushed
+    /// again for every boundary whose history holds it.
+    fn slide(&self, boundaries: &[u64]) -> Vec<DepMatrix> {
+        let _f = specweb_core::obs::profile::frame("estimator.slide");
+        let history = self.cfg.history_days;
+        // Only days that a later boundary's window leaves behind are
+        // ever retired.
+        let last_start = boundaries.last().map_or(0, |b| b.saturating_sub(history));
+        let mut b = DepMatrixBuilder::new(self.cfg.window).retiring_before(last_start);
+        let (mut start, mut pushed) = (0, 0);
+        let mut directs = Vec::with_capacity(boundaries.len());
+        for &day in boundaries {
+            while start < day.saturating_sub(history) {
+                b.retire_day(start);
+                start += 1;
+            }
+            // Days the window never holds (history < cycle) are skipped:
+            // nothing of theirs would count.
+            for d in pushed.max(start)..day {
+                b.push_all(self.trace.day_slice(d));
+            }
+            pushed = day;
+            directs.push(b.build(self.cfg.min_support));
+        }
+        directs
+    }
+
+    /// The days [`RollingEstimator::estimate_aged`] blends into the
+    /// estimate of `day`, oldest first, each with its weight.
+    fn aged_days(&self, day: u64, decay: f64) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let horizon = (self.cfg.history_days * 3).min(day); // old days ≈ 0 weight
+        (day - horizon..day).filter_map(move |d| {
+            let age = day - 1 - d;
+            let w = decay.powi(age as i32);
+            (w >= 1e-4 && !self.trace.day_slice(d).is_empty()).then_some((d, w))
+        })
+    }
+
+    /// The entries of day `d`'s own direct matrix, the unit the aged
+    /// blend is made of (flat: a precompute holds one per trace day).
+    fn day_entries(&self, d: u64) -> Vec<(DocId, DocId, f64)> {
+        DepMatrixBuilder::estimate(self.trace.day_slice(d), self.cfg.window, 1)
+            .entries()
+            .collect()
+    }
+
     /// Aged estimation: every past day contributes, weighted by
-    /// `decay^age`. Implemented by blending per-day matrices — counts
-    /// would be more precise, but matrices compose adequately for the
-    /// drift experiment and keep memory flat.
-    fn estimate_aged(&self, day: u64, decay: f64) -> DepMatrix {
-        use specweb_core::ids::DocId;
-        use std::collections::BTreeMap;
+    /// `decay^age`. Implemented by blending per-day matrices, which
+    /// `day_entries` supplies by day — counts would be more precise, but
+    /// matrices compose adequately for the drift experiment.
+    fn estimate_aged<M: std::borrow::Borrow<[(DocId, DocId, f64)]>>(
+        &self,
+        day: u64,
+        decay: f64,
+        mut day_entries: impl FnMut(u64) -> M,
+    ) -> DepMatrix {
+        let _f = specweb_core::obs::profile::frame("estimator.aged_blend");
         // Weighted average of per-day direct matrices. Weight by decay^age
         // and by each day's antecedent occurrence share — approximated
         // here by equal day weights, which suffices for drift tracking.
@@ -184,19 +246,8 @@ impl<'a> RollingEstimator<'a> {
         // the composed matrix is deterministic by construction.
         let mut acc: BTreeMap<(DocId, DocId), f64> = BTreeMap::new();
         let mut wsum = 0.0f64;
-        let horizon = (self.cfg.history_days * 3).min(day); // old days ≈ 0 weight
-        for d in day.saturating_sub(horizon)..day {
-            let age = day - 1 - d;
-            let w = decay.powi(age as i32);
-            if w < 1e-4 {
-                continue;
-            }
-            let slice = self.trace.day_slice(d);
-            if slice.is_empty() {
-                continue;
-            }
-            let m = DepMatrixBuilder::estimate(slice, self.cfg.window, 1);
-            for (i, j, p) in m.entries() {
+        for (d, w) in self.aged_days(day, decay) {
+            for &(i, j, p) in day_entries(d).borrow() {
                 *acc.entry((i, j)).or_insert(0.0) += w * p;
             }
             wsum += w;
@@ -230,24 +281,61 @@ pub struct MatrixStore {
 
 impl MatrixStore {
     /// Precomputes estimates for all update boundaries in
-    /// `[0, total_days]`.
+    /// `[0, total_days]`: the matrices of
+    /// [`RollingEstimator::estimate_at_jobs`] at every boundary, without
+    /// its repeated work. Under a hard window one serial pass slides the
+    /// estimation window over the trace; under aging each day's own
+    /// matrix is estimated once and shared by the boundaries that blend
+    /// it.
     pub fn precompute(
         cfg: &EstimatorConfig,
         trace: &Trace,
         total_days: u64,
     ) -> Result<MatrixStore> {
-        cfg.validate()?;
+        let _f = specweb_core::obs::profile::frame("estimator.precompute");
         let est = RollingEstimator::new(*cfg, trace)?;
-        // Boundaries are independent estimates over fixed slices of the
-        // trace, so they fan out on the process-default pool; assembling
-        // them in day order keeps the store byte-identical to a serial
-        // build. The inner closure runs serially here — one parallel
-        // level is enough, and it avoids quadratic thread fan-out.
         let days: Vec<u64> = (0..=total_days)
             .step_by(usize::try_from(cfg.update_cycle_days.max(1)).expect("cycle fits usize"))
             .collect();
-        let by_boundary = specweb_core::par::Pool::auto()
-            .try_map_indexed(&days, |_, &day| est.estimate_at_jobs(day, 1))?;
+        // Boundaries fan out on the process-default pool; assembling
+        // them in day order keeps the store byte-identical to a serial
+        // build. The inner closure runs serially here — one parallel
+        // level is enough, and it avoids quadratic thread fan-out.
+        let pool = specweb_core::par::Pool::auto();
+        let by_boundary = match cfg.aging_decay {
+            None => {
+                let directs = est.slide(&days);
+                let closures = pool.try_map_indexed(&directs, |_, direct| {
+                    direct.closure_jobs(cfg.closure_floor, cfg.closure_max_row, 1)
+                })?;
+                (days.iter().zip(directs).zip(closures))
+                    .map(|((&day, direct), closure)| MatrixPair {
+                        direct,
+                        closure,
+                        estimated_on_day: day,
+                    })
+                    .collect()
+            }
+            Some(decay) => {
+                let per_day = {
+                    let _f = specweb_core::obs::profile::frame("estimator.day_matrices");
+                    let blended: BTreeSet<u64> = days
+                        .iter()
+                        .flat_map(|&day| est.aged_days(day, decay).map(|(d, _)| d))
+                        .collect();
+                    let blended: Vec<u64> = blended.into_iter().collect();
+                    let entries = pool.map_indexed(&blended, |_, &d| est.day_entries(d));
+                    blended.into_iter().zip(entries).collect::<BTreeMap<_, _>>()
+                };
+                pool.try_map_indexed(&days, |_, &day| {
+                    est.pair(
+                        day,
+                        est.estimate_aged(day, decay, |d| per_day[&d].as_slice()),
+                        1,
+                    )
+                })?
+            }
+        };
         Ok(MatrixStore {
             cfg: *cfg,
             by_boundary,
@@ -313,6 +401,7 @@ impl MatrixStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use specweb_netsim::topology::Topology;
     use specweb_trace::generator::{TraceConfig, TraceGenerator};
 
@@ -362,16 +451,21 @@ mod tests {
     #[test]
     fn closure_is_consistent_with_direct() {
         let t = trace(102, 0.0);
-        let est = RollingEstimator::new(EstimatorConfig::default(), &t).unwrap();
+        let cfg = EstimatorConfig::default();
+        let est = RollingEstimator::new(cfg, &t).unwrap();
         let m = est.estimate_at(10).unwrap();
+        assert_eq!(m.closure.truncated_rows(), 0);
+        let mut checked = 0;
         for (i, j, p) in m.direct.entries() {
-            if p >= m.closure.row(i).first().map(|_| 0.01).unwrap_or(1.0) {
-                assert!(
-                    m.closure.get(i, j) >= p - 1e-9 || p < 0.01,
-                    "closure lost ({i},{j},{p})"
-                );
+            // A row cut to `closure_max_row` may have dropped its weakest
+            // entries; any other row keeps every direct edge at or above
+            // the floor, at no less than its direct probability.
+            if p >= cfg.closure_floor && m.closure.row(i).len() < cfg.closure_max_row {
+                assert!(m.closure.get(i, j) >= p, "closure lost ({i},{j},{p})");
+                checked += 1;
             }
         }
+        assert!(checked > 100, "only {checked} direct entries were checked");
     }
 
     #[test]
@@ -427,6 +521,33 @@ mod tests {
         }
     }
 
+    /// Every boundary of the store equals the from-scratch estimate.
+    fn assert_store_is_exact(cfg: &EstimatorConfig, t: &Trace, total_days: u64) {
+        let store = MatrixStore::precompute(cfg, t, total_days).unwrap();
+        let est = RollingEstimator::new(*cfg, t).unwrap();
+        let step = usize::try_from(cfg.update_cycle_days).unwrap();
+        assert_eq!(store.len(), (0..=total_days).step_by(step).count());
+        for day in (0..=total_days).step_by(step) {
+            let kept = store.for_day(day);
+            let fresh = est.estimate_at_jobs(day, 1).unwrap();
+            assert_eq!(kept.estimated_on_day, day);
+            assert_eq!(
+                kept.direct.bits(),
+                fresh.direct.bits(),
+                "P on day {day}, {cfg:?}"
+            );
+            assert_eq!(
+                kept.closure.bits(),
+                fresh.closure.bits(),
+                "P* on day {day}, {cfg:?}"
+            );
+            assert_eq!(
+                kept.closure.truncated_rows(),
+                fresh.closure.truncated_rows()
+            );
+        }
+    }
+
     #[test]
     fn matrix_store_matches_rolling_estimator() {
         let t = trace(106, 0.0);
@@ -435,17 +556,52 @@ mod tests {
             update_cycle_days: 2,
             ..EstimatorConfig::default()
         };
+        assert_store_is_exact(&cfg, &t, 11);
         let store = MatrixStore::precompute(&cfg, &t, 11).unwrap();
         assert_eq!(store.len(), 6); // days 0,2,4,6,8,10
+        assert!(store.for_day(10).direct.n_entries() > 0);
         let mut rolling = RollingEstimator::new(cfg, &t).unwrap();
         for day in [0u64, 3, 7, 10] {
             let a = store.for_day(day);
             let b = rolling.matrices_for_day(day).unwrap();
             assert_eq!(a.estimated_on_day, b.estimated_on_day);
-            assert_eq!(a.direct.n_entries(), b.direct.n_entries());
+            assert_eq!(a.direct.bits(), b.direct.bits());
         }
         // Days past the horizon clamp to the last boundary.
         assert_eq!(store.for_day(99).estimated_on_day, 10);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn precompute_equals_the_from_scratch_estimate_at_every_boundary(
+            schedule in (prop_oneof![1u64..8, Just(40u64)], 1u64..5, 1u64..4),
+            window in prop_oneof![
+                Just(Duration::from_secs(5)),
+                Just(Duration::from_days(2)),
+                Just(Duration::INFINITE),
+            ],
+            aging_decay in prop::option::of(prop_oneof![Just(0.9), Just(0.3), Just(0.05)]),
+            closure_max_row in prop_oneof![Just(4usize), Just(128)],
+            churned in 0usize..2,
+            total_days in 10u64..15,
+        ) {
+            static TRACES: std::sync::OnceLock<[Trace; 2]> = std::sync::OnceLock::new();
+            let traces = TRACES.get_or_init(|| [trace(107, 0.0), trace(108, 0.3)]);
+            let (history_days, update_cycle_days, min_support) = schedule;
+            let cfg = EstimatorConfig {
+                history_days,
+                update_cycle_days,
+                window,
+                min_support,
+                closure_max_row,
+                aging_decay,
+                ..EstimatorConfig::default()
+            };
+            // The trace has 12 days: the last boundaries lie past its end.
+            assert_store_is_exact(&cfg, &traces[churned], total_days);
+        }
     }
 
     #[test]
