@@ -47,7 +47,7 @@ fn bench_closure(c: &mut Criterion) {
 
 fn bench_precompute(c: &mut Criterion) {
     let trace = workloads::bu_trace(Scale::Quick, 80).unwrap();
-    let days = trace.duration.as_millis() / 86_400_000;
+    let days = trace.days();
     let daily = EstimatorConfig {
         history_days: days / 2,
         ..EstimatorConfig::default()

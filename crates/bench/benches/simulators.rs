@@ -37,7 +37,7 @@ fn bench_speculation_replay(c: &mut Criterion) {
     let mut cfg = SpecConfig::baseline(0.3);
     cfg.estimator.history_days = workloads::history_days(Scale::Quick);
     cfg.warmup_days = workloads::warmup_days(Scale::Quick);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days).unwrap();
 
     let mut g = c.benchmark_group("sim/speculation");
@@ -45,7 +45,7 @@ fn bench_speculation_replay(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("run_with_store", |b| {
         b.iter(|| {
-            sim.run_with_store(std::hint::black_box(&cfg), Some(&store))
+            sim.run_with_store_and_baseline(std::hint::black_box(&cfg), Some(&store), None)
                 .unwrap()
         })
     });
@@ -57,7 +57,7 @@ fn bench_matrix_store(c: &mut Criterion) {
     let cfg = SpecConfig::baseline(0.3);
     let mut est = cfg.estimator;
     est.history_days = workloads::history_days(Scale::Quick);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
     let mut g = c.benchmark_group("sim/matrix_store");
     g.sample_size(10);
     g.bench_function("precompute", |b| {

@@ -86,7 +86,7 @@ pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
@@ -576,7 +576,7 @@ pub fn exp_aging(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::drift_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let history = match scale {
         Scale::Full => 30,
@@ -728,7 +728,7 @@ pub fn exp_queue(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);

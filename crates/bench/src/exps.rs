@@ -106,7 +106,7 @@ pub fn exp_upd(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::drift_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     // (D, D') schedules, scaled: full = the paper's {1,7,60}×60 + 1×30.
     let schedules: &[(u64, u64)] = match scale {
@@ -235,7 +235,7 @@ pub fn exp_size(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
@@ -377,7 +377,7 @@ pub fn exp_cache(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.3);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
@@ -410,7 +410,7 @@ pub fn exp_cache(scale: Scale, seed: u64) -> Result<Report> {
     let mut rows = Vec::new();
     for (label, model) in &models {
         cfg.cache = *model;
-        let out = sim.run_with_store(&cfg, Some(&store))?;
+        let out = sim.run_with_store_and_baseline(&cfg, Some(&store), None)?;
         rows.push(CacheRow {
             cache: label.clone(),
             tp: 0.3,
@@ -473,7 +473,7 @@ pub fn exp_coop(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.3);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
@@ -569,7 +569,7 @@ pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
     let topo = crate::workloads::topology();
     let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
     let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
 
     let base = || {
         let mut c = SpecConfig::baseline(0.3);

@@ -35,7 +35,7 @@ pub struct Fig1 {
 /// Runs the experiment.
 pub fn run(scale: Scale, seed: u64) -> Result<Report> {
     let trace = crate::workloads::bu_trace(scale, seed)?;
-    let days = trace.duration.as_millis() / 86_400_000;
+    let days = trace.days();
     let profile = ServerProfile::from_trace(&trace, ServerId::new(0), days)?;
 
     // The paper's 256 KB blocks split its ~36 MB of remotely-accessed

@@ -85,7 +85,7 @@ fn sweep_jobs(scale: Scale, seed: u64, jobs: usize, obs: Option<&Obs>) -> Result
     cfg.estimator.history_days = crate::workloads::history_days(scale);
     cfg.warmup_days = crate::workloads::warmup_days(scale);
 
-    let total_days = trace.duration.as_millis() / 86_400_000;
+    let total_days = trace.days();
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
     if let Some(obs) = obs {
         store.record_truncation(obs);

@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn drift_workload_generates() {
         let t = drift_trace(Scale::Quick, 1).unwrap();
-        assert_eq!(t.duration.as_millis() / 86_400_000, 24);
+        assert_eq!(t.days(), 24);
     }
 
     #[test]

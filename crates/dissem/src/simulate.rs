@@ -250,7 +250,7 @@ impl<'a> DisseminationSim<'a> {
     /// Builds the simulator, mining one profile per server from the
     /// trace (the paper's off-line log analysis step).
     pub fn new(trace: &'a Trace, topo: &'a Topology) -> Result<Self> {
-        let days = (trace.duration.as_millis() / 86_400_000).max(1);
+        let days = trace.days().max(1);
         let n_servers = trace
             .catalog
             .iter()

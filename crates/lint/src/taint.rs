@@ -31,7 +31,8 @@ const ROOTS: &[(&str, &str)] = &[
     ("dissem::simulate", "run"),
     ("dissem::simulate", "run_with_faults"),
     ("spec::simulate", "run"),
-    ("spec::simulate", "run_with_store"),
+    ("spec::simulate", "run_with_store_and_baseline"),
+    ("spec::simulate", "baseline_totals"),
     ("spec::simulate", "run_with_faults"),
     ("trace::generator", "generate"),
     ("spec::deps", "closure"),
@@ -60,7 +61,8 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("dissem::simulate", "run"),
     ("dissem::simulate", "run_with_faults"),
     ("spec::simulate", "run"),
-    ("spec::simulate", "run_with_store"),
+    ("spec::simulate", "run_with_store_and_baseline"),
+    ("spec::simulate", "baseline_totals"),
     ("spec::simulate", "run_with_faults"),
     ("trace::generator", "generate"),
     ("spec::deps", "closure"),

@@ -1,4 +1,4 @@
-//! Rolling re-estimation of `P`/`P*` (§3.2, §3.4).
+//! Scheduled re-estimation of `P`/`P*` (§3.2, §3.4).
 //!
 //! The paper assumes *"a constant number of days (HistoryLength) is used
 //! to estimate the P and P* relations … this estimation is performed
@@ -7,11 +7,15 @@
 //! performance (7% absolute loss with a 60-day cycle, 3% with 7 days)
 //! and how shortening the history to 30 days helps (≈5%).
 //!
-//! [`RollingEstimator`] implements exactly that schedule over a trace,
-//! plus the exponential *aging* refinement the paper envisions ("an
-//! aging mechanism to phase-out dependencies exhibited in older
-//! traces"): instead of a hard history window, each day's counts can be
-//! decayed by a factor before the next day is added.
+//! [`MatrixStore::precompute`] runs exactly that schedule over a trace
+//! ahead of the replay — the estimate of every update-cycle boundary,
+//! held for the whole run — and is the simulator's only source of
+//! matrices. [`RollingEstimator`] is the estimate of one boundary from
+//! scratch, the reference the store is checked against. Both implement
+//! the exponential *aging* refinement the paper envisions ("an aging
+//! mechanism to phase-out dependencies exhibited in older traces"):
+//! instead of a hard history window, each day's counts can be decayed
+//! by a factor before the next day is added.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -102,27 +106,20 @@ pub struct MatrixPair {
     pub estimated_on_day: u64,
 }
 
-/// Rolling estimator over a trace.
-///
-/// Call [`RollingEstimator::matrices_for_day`] as the replay crosses day
-/// boundaries; re-estimation happens lazily on update-cycle boundaries
-/// and is cached in between.
+/// The estimator of one boundary at a time over a trace: the
+/// from-scratch twin of [`MatrixStore::precompute`], which also borrows
+/// its per-boundary steps.
 #[derive(Debug)]
 pub struct RollingEstimator<'a> {
     cfg: EstimatorConfig,
     trace: &'a Trace,
-    current: Option<MatrixPair>,
 }
 
 impl<'a> RollingEstimator<'a> {
     /// Creates the estimator.
     pub fn new(cfg: EstimatorConfig, trace: &'a Trace) -> Result<Self> {
         cfg.validate()?;
-        Ok(RollingEstimator {
-            cfg,
-            trace,
-            current: None,
-        })
+        Ok(RollingEstimator { cfg, trace })
     }
 
     /// The configuration.
@@ -130,26 +127,9 @@ impl<'a> RollingEstimator<'a> {
         &self.cfg
     }
 
-    /// Returns the matrices a server would be using on day `day`
-    /// (estimated from trace days strictly before the most recent
-    /// update-cycle boundary at or before `day`).
-    pub fn matrices_for_day(&mut self, day: u64) -> Result<&MatrixPair> {
-        let boundary = day - day % self.cfg.update_cycle_days;
-        let pair = match self.current.take() {
-            Some(m) if m.estimated_on_day == boundary => m,
-            _ => self.estimate_at(boundary)?,
-        };
-        Ok(self.current.insert(pair))
-    }
-
     /// Produces the estimate as of the morning of `day` (using history
-    /// days `[day − history, day)`).
-    pub fn estimate_at(&self, day: u64) -> Result<MatrixPair> {
-        self.estimate_at_jobs(day, specweb_core::par::default_jobs())
-    }
-
-    /// [`RollingEstimator::estimate_at`] with an explicit worker count
-    /// for the closure step; the result is identical either way.
+    /// days `[day − history, day)`), with `jobs` workers on the closure
+    /// step; the result is identical for any count.
     ///
     /// This is the from-scratch estimate: a fresh builder fed the
     /// history window and nothing else. [`MatrixStore::precompute`]
@@ -270,9 +250,10 @@ impl<'a> RollingEstimator<'a> {
 }
 
 /// A precomputed set of matrix estimates for every update-cycle
-/// boundary of a trace — lets parameter sweeps share the (expensive)
-/// estimation across many simulator runs with the same estimator
-/// configuration.
+/// boundary of a trace: what every speculative replay reads, read-only,
+/// so its shards can share it. A single run builds its own; parameter
+/// sweeps build one and share the (expensive) estimation across all
+/// simulator runs with the same estimator configuration.
 #[derive(Debug)]
 pub struct MatrixStore {
     cfg: EstimatorConfig,
@@ -294,9 +275,10 @@ impl MatrixStore {
     ) -> Result<MatrixStore> {
         let _f = specweb_core::obs::profile::frame("estimator.precompute");
         let est = RollingEstimator::new(*cfg, trace)?;
-        let days: Vec<u64> = (0..=total_days)
-            .step_by(usize::try_from(cfg.update_cycle_days.max(1)).expect("cycle fits usize"))
-            .collect();
+        let cycle = usize::try_from(cfg.update_cycle_days).map_err(|_| {
+            CoreError::invalid_config("estimator.update_cycle_days", "must fit a usize")
+        })?;
+        let days: Vec<u64> = (0..=total_days).step_by(cycle).collect();
         // Boundaries fan out on the process-default pool; assembling
         // them in day order keeps the store byte-identical to a serial
         // build. The inner closure runs serially here — one parallel
@@ -340,6 +322,21 @@ impl MatrixStore {
             cfg: *cfg,
             by_boundary,
         })
+    }
+
+    /// What [`MatrixStore::precompute`] must equal, built the slow way:
+    /// the from-scratch estimate of every boundary.
+    #[cfg(test)]
+    pub(crate) fn from_scratch(cfg: &EstimatorConfig, trace: &Trace, total_days: u64) -> Self {
+        let est = RollingEstimator::new(*cfg, trace).unwrap();
+        let by_boundary = (0..=total_days)
+            .step_by(usize::try_from(cfg.update_cycle_days).unwrap())
+            .map(|day| est.estimate_at_jobs(day, 1).unwrap())
+            .collect();
+        MatrixStore {
+            cfg: *cfg,
+            by_boundary,
+        }
     }
 
     /// The estimator configuration this store was built with. Simulators
@@ -415,23 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_cached_within_cycle() {
-        let t = trace(100, 0.0);
-        let cfg = EstimatorConfig {
-            history_days: 5,
-            update_cycle_days: 3,
-            ..EstimatorConfig::default()
-        };
-        let mut est = RollingEstimator::new(cfg, &t).unwrap();
-        let d6 = est.matrices_for_day(6).unwrap().estimated_on_day;
-        assert_eq!(d6, 6);
-        let d7 = est.matrices_for_day(7).unwrap().estimated_on_day;
-        assert_eq!(d7, 6, "day 7 uses the day-6 estimate");
-        let d9 = est.matrices_for_day(9).unwrap().estimated_on_day;
-        assert_eq!(d9, 9);
-    }
-
-    #[test]
     fn estimation_uses_only_past_days() {
         let t = trace(101, 0.0);
         let cfg = EstimatorConfig {
@@ -441,10 +421,10 @@ mod tests {
         };
         let est = RollingEstimator::new(cfg, &t).unwrap();
         // Day 0 has no history: the matrix must be empty.
-        let m = est.estimate_at(0).unwrap();
+        let m = est.estimate_at_jobs(0, 1).unwrap();
         assert_eq!(m.direct.n_entries(), 0);
         // Day 5 has 5 days of history: non-empty.
-        let m = est.estimate_at(5).unwrap();
+        let m = est.estimate_at_jobs(5, 1).unwrap();
         assert!(m.direct.n_entries() > 0);
     }
 
@@ -453,7 +433,7 @@ mod tests {
         let t = trace(102, 0.0);
         let cfg = EstimatorConfig::default();
         let est = RollingEstimator::new(cfg, &t).unwrap();
-        let m = est.estimate_at(10).unwrap();
+        let m = est.estimate_at_jobs(10, 1).unwrap();
         assert_eq!(m.closure.truncated_rows(), 0);
         let mut checked = 0;
         for (i, j, p) in m.direct.entries() {
@@ -481,7 +461,7 @@ mod tests {
             ..EstimatorConfig::default()
         };
         let est = RollingEstimator::new(cfg, &t).unwrap();
-        let early = est.estimate_at(6).unwrap().direct;
+        let early = est.estimate_at_jobs(6, 1).unwrap().direct;
         let late_builder =
             DepMatrixBuilder::estimate(&t.accesses[t.day_slice(0).len()..], cfg.window, 1);
         // Jaccard overlap of the *traversal* edge sets (p < 0.95 —
@@ -514,7 +494,7 @@ mod tests {
             ..EstimatorConfig::default()
         };
         let est = RollingEstimator::new(aged_cfg, &t).unwrap();
-        let m = est.estimate_at(10).unwrap();
+        let m = est.estimate_at_jobs(10, 1).unwrap();
         assert!(m.direct.n_entries() > 0);
         for (_, _, p) in m.direct.entries() {
             assert!((0.0..=1.0).contains(&p));
@@ -524,12 +504,10 @@ mod tests {
     /// Every boundary of the store equals the from-scratch estimate.
     fn assert_store_is_exact(cfg: &EstimatorConfig, t: &Trace, total_days: u64) {
         let store = MatrixStore::precompute(cfg, t, total_days).unwrap();
-        let est = RollingEstimator::new(*cfg, t).unwrap();
-        let step = usize::try_from(cfg.update_cycle_days).unwrap();
-        assert_eq!(store.len(), (0..=total_days).step_by(step).count());
-        for day in (0..=total_days).step_by(step) {
-            let kept = store.for_day(day);
-            let fresh = est.estimate_at_jobs(day, 1).unwrap();
+        let slow = MatrixStore::from_scratch(cfg, t, total_days);
+        assert_eq!(store.len(), slow.len());
+        for (kept, fresh) in store.by_boundary.iter().zip(&slow.by_boundary) {
+            let day = fresh.estimated_on_day;
             assert_eq!(kept.estimated_on_day, day);
             assert_eq!(
                 kept.direct.bits(),
@@ -560,15 +538,46 @@ mod tests {
         let store = MatrixStore::precompute(&cfg, &t, 11).unwrap();
         assert_eq!(store.len(), 6); // days 0,2,4,6,8,10
         assert!(store.for_day(10).direct.n_entries() > 0);
-        let mut rolling = RollingEstimator::new(cfg, &t).unwrap();
-        for day in [0u64, 3, 7, 10] {
-            let a = store.for_day(day);
-            let b = rolling.matrices_for_day(day).unwrap();
-            assert_eq!(a.estimated_on_day, b.estimated_on_day);
-            assert_eq!(a.direct.bits(), b.direct.bits());
+        // A day inside a cycle uses the estimate of the boundary before.
+        for (day, boundary) in [(0u64, 0u64), (3, 2), (7, 6), (10, 10)] {
+            assert_eq!(store.for_day(day).estimated_on_day, boundary);
         }
         // Days past the horizon clamp to the last boundary.
         assert_eq!(store.for_day(99).estimated_on_day, 10);
+    }
+
+    #[test]
+    fn an_imported_logs_last_day_is_a_stored_boundary() {
+        use specweb_trace::import::{trace_from_records, ImportConfig};
+        use specweb_trace::logfmt::LogRecord;
+        // An imported trace ends 1 ms after its last record — here the
+        // first instant of day 3, the tightest fit of `Trace::days`.
+        let records: Vec<LogRecord> = (0..=3)
+            .map(|day| LogRecord {
+                client: specweb_core::ids::ClientId::new(7),
+                time: specweb_core::SimTime::from_days(day),
+                method: "GET".into(),
+                path: "/a.html".into(),
+                status: 200,
+                size: specweb_core::units::Bytes::new(100),
+            })
+            .collect();
+        let topo = Topology::balanced(2, 3, 4);
+        let t = trace_from_records(&records, &topo, &ImportConfig::default(), |_| true).unwrap();
+        let last_day = t.accesses.last().unwrap().time.day();
+        assert_eq!((t.days(), last_day), (3, 3));
+        for update_cycle_days in 1..=4 {
+            let cfg = EstimatorConfig {
+                update_cycle_days,
+                ..EstimatorConfig::default()
+            };
+            let store = MatrixStore::precompute(&cfg, &t, t.days()).unwrap();
+            // A store one boundary short would clamp to an older one.
+            assert_eq!(
+                store.for_day(last_day).estimated_on_day,
+                last_day - last_day % update_cycle_days
+            );
+        }
     }
 
     proptest! {

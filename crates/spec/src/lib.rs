@@ -11,8 +11,9 @@
 //! * [`deps`] — the conditional-probability matrix `P` (`p[i,j]` = Pr
 //!   that `D_j` is requested within `T_w` of `D_i`) estimated from
 //!   traces, and its closure `P*` (best request-sequence probability);
-//! * [`estimator`] — rolling re-estimation with `HistoryLength` /
-//!   `UpdateCycle` (the §3.4 staleness machinery);
+//! * [`estimator`] — re-estimation on the `HistoryLength` /
+//!   `UpdateCycle` schedule (the §3.4 staleness machinery), precomputed
+//!   per update boundary into the `MatrixStore` a replay reads;
 //! * [`policy`] — which candidates to push: the baseline threshold
 //!   `p*[i,j] ≥ T_p` with the `MaxSize` cap, plus the §3.4 variants
 //!   (embedding-only, top-k, hybrid push+hint);

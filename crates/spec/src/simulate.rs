@@ -19,12 +19,17 @@
 //! * **Hints** (hybrid policy) are client-*initiated* prefetches: each
 //!   one the client acts on is a normal request — it costs a request
 //!   and bytes, but its latency is off the critical path.
+//! * **The matrices in force on a day are fixed before the replay.**
+//!   `P`/`P*` of every `UpdateCycle` boundary are estimated from the
+//!   trace's earlier days into a [`MatrixStore`] ahead of time — by the
+//!   caller for a sweep, by the run itself otherwise — so a replay only
+//!   reads them and any client partition replays independently.
 
 use serde::{Deserialize, Serialize};
 use specweb_core::metrics::{CostWeights, Ratios, RunTotals};
 use specweb_core::stats::{ServiceQuantiles, ServiceTimeDist};
 use specweb_core::units::Bytes;
-use specweb_core::Result;
+use specweb_core::{CoreError, Result};
 use specweb_netsim::cost::LatencyModel;
 use specweb_netsim::fault::{FaultPlan, RetrySchedule};
 use specweb_netsim::replay::ClusterShards;
@@ -32,7 +37,7 @@ use specweb_netsim::topology::Topology;
 use specweb_trace::generator::Trace;
 
 use crate::cache::{CacheModel, ClientCache};
-use crate::estimator::{EstimatorConfig, MatrixPair, MatrixStore, RollingEstimator};
+use crate::estimator::{EstimatorConfig, MatrixStore};
 use crate::policy::{decide, Policy};
 use crate::prefetch::{HintPolicy, UserProfile};
 
@@ -281,22 +286,35 @@ pub struct DegradedSpecOutcome {
     pub slow_service_times: ServiceQuantiles,
 }
 
-/// Where a replay gets its `P`/`P*` matrices from.
-enum MatrixSource<'s, 'a> {
-    /// Baseline replay: no speculation machinery at all.
-    Off,
-    /// Compute lazily while replaying (single runs).
-    Rolling(RollingEstimator<'a>),
-    /// Shared precomputed estimates (parameter sweeps).
-    Store(&'s MatrixStore),
-}
-
-impl MatrixSource<'_, '_> {
-    fn for_day(&mut self, day: u64) -> Result<Option<&MatrixPair>> {
-        match self {
-            MatrixSource::Off => Ok(None),
-            MatrixSource::Rolling(est) => est.matrices_for_day(day).map(Some),
-            MatrixSource::Store(s) => Ok(Some(s.for_day(day))),
+impl DegradedSpecOutcome {
+    /// The outcome of a speculative and a baseline replay under one
+    /// fault plan.
+    fn assemble(
+        cfg: &SpecConfig,
+        (speculative, counters): (RunTotals, ReplayCounters),
+        (baseline, base_counters): (RunTotals, ReplayCounters),
+    ) -> DegradedSpecOutcome {
+        let base = BaselineRun {
+            totals: baseline,
+            service_times: base_counters.service.quantiles(),
+        };
+        let outcome = SpecOutcome::assemble(cfg, speculative, &counters, base);
+        let attempted = outcome.speculative.accesses.max(1);
+        DegradedSpecOutcome {
+            availability: (attempted - counters.unavailable.min(attempted)) as f64
+                / attempted as f64,
+            retries: counters.retries,
+            unavailable: counters.unavailable,
+            retry_wait_ms: counters.retry_wait_ms,
+            baseline_retries: base_counters.retries,
+            baseline_unavailable: base_counters.unavailable,
+            stalled: counters.stalled,
+            stall_wait_ms: counters.stall_wait_ms,
+            slow_served: counters.slow_served,
+            partial_write_pushes: counters.partial_write_pushes,
+            stalled_service_times: counters.stalled_service.quantiles(),
+            slow_service_times: counters.slow_service.quantiles(),
+            outcome,
         }
     }
 }
@@ -343,19 +361,7 @@ impl<'a> SpecSim<'a> {
 
     /// Runs both replays and computes the ratios.
     pub fn run(&self, cfg: &SpecConfig) -> Result<SpecOutcome> {
-        self.run_with_store(cfg, None)
-    }
-
-    /// Like [`SpecSim::run`], but reuses a precomputed [`MatrixStore`]
-    /// (must have been built with the same estimator configuration) —
-    /// the way parameter sweeps avoid re-estimating `P`/`P*` for every
-    /// policy point.
-    pub fn run_with_store(
-        &self,
-        cfg: &SpecConfig,
-        store: Option<&MatrixStore>,
-    ) -> Result<SpecOutcome> {
-        self.run_with_store_and_baseline(cfg, store, None)
+        self.run_with_store_and_baseline(cfg, None, None)
     }
 
     /// The baseline (no-speculation) replay alone. The baseline depends
@@ -365,18 +371,21 @@ impl<'a> SpecSim<'a> {
     /// hand it to [`SpecSim::run_with_store_and_baseline`] instead of
     /// re-replaying an identical baseline at every sweep point.
     pub fn baseline_totals(&self, cfg: &SpecConfig) -> Result<BaselineRun> {
-        let (totals, counters) = self.replay(cfg, false, None, None)?;
+        let (totals, counters) = self.replay(cfg, None, None)?;
         Ok(BaselineRun {
             totals,
             service_times: counters.service.quantiles(),
         })
     }
 
-    /// Like [`SpecSim::run_with_store`], but reuses a baseline computed
-    /// by [`SpecSim::baseline_totals`]. The caller must have computed it
-    /// under the same `cache` model and `warmup_days` — the only
-    /// configuration the baseline replay reads; passing `None` replays
-    /// the baseline here, exactly like [`SpecSim::run_with_store`].
+    /// Like [`SpecSim::run`], but reuses what a parameter sweep shares
+    /// between its points. `store` is a precomputed [`MatrixStore`] (it
+    /// must have been built with the same estimator configuration), so
+    /// `P`/`P*` are not re-estimated for every policy point; `None`
+    /// precomputes one here over the trace's own day span. `baseline` is
+    /// a replay computed by [`SpecSim::baseline_totals`] under the same
+    /// `cache` model and `warmup_days` — the only configuration the
+    /// baseline replay reads; `None` replays the baseline here.
     pub fn run_with_store_and_baseline(
         &self,
         cfg: &SpecConfig,
@@ -384,16 +393,21 @@ impl<'a> SpecSim<'a> {
         baseline: Option<&BaselineRun>,
     ) -> Result<SpecOutcome> {
         cfg.policy.validate()?;
-        cfg.estimator.validate()?;
-        if let Some(s) = store {
-            if *s.config() != cfg.estimator {
-                return Err(specweb_core::CoreError::invalid_config(
+        let own;
+        let store = match store {
+            Some(s) if *s.config() != cfg.estimator => {
+                return Err(CoreError::invalid_config(
                     "spec.matrix_store",
                     "store was precomputed with a different estimator configuration",
                 ));
             }
-        }
-        let (speculative, counters) = self.replay(cfg, true, store, None)?;
+            Some(s) => s,
+            None => {
+                own = MatrixStore::precompute(&cfg.estimator, self.trace, self.trace.days())?;
+                &own
+            }
+        };
+        let (speculative, counters) = self.replay(cfg, Some(store), None)?;
         let base = match baseline {
             Some(b) => *b,
             None => self.baseline_totals(cfg)?,
@@ -417,7 +431,7 @@ impl<'a> SpecSim<'a> {
         retry: RetrySchedule,
     ) -> Result<DegradedSpecOutcome> {
         cfg.policy.validate()?;
-        cfg.estimator.validate()?;
+        let store = MatrixStore::precompute(&cfg.estimator, self.trace, self.trace.days())?;
         retry.validate()?;
         if let Some(obs) = &self.obs {
             // One fault log per degraded run (both replays share the
@@ -425,67 +439,40 @@ impl<'a> SpecSim<'a> {
             plan.record_to(obs);
         }
         let ctx = FaultCtx { plan, retry };
-        let (speculative, counters) = self.replay(cfg, true, None, Some(&ctx))?;
-        let (baseline, base_counters) = self.replay(cfg, false, None, Some(&ctx))?;
-        let base = BaselineRun {
-            totals: baseline,
-            service_times: base_counters.service.quantiles(),
-        };
-        let outcome = SpecOutcome::assemble(cfg, speculative, &counters, base);
-        let attempted = outcome.speculative.accesses.max(1);
-        Ok(DegradedSpecOutcome {
-            availability: (attempted - counters.unavailable.min(attempted)) as f64
-                / attempted as f64,
-            retries: counters.retries,
-            unavailable: counters.unavailable,
-            retry_wait_ms: counters.retry_wait_ms,
-            baseline_retries: base_counters.retries,
-            baseline_unavailable: base_counters.unavailable,
-            stalled: counters.stalled,
-            stall_wait_ms: counters.stall_wait_ms,
-            slow_served: counters.slow_served,
-            partial_write_pushes: counters.partial_write_pushes,
-            stalled_service_times: counters.stalled_service.quantiles(),
-            slow_service_times: counters.slow_service.quantiles(),
-            outcome,
-        })
+        Ok(DegradedSpecOutcome::assemble(
+            cfg,
+            self.replay(cfg, Some(&store), Some(&ctx))?,
+            self.replay(cfg, None, Some(&ctx))?,
+        ))
     }
 
-    /// One replay pass through the kernel, which may fan the cluster
+    /// One replay pass through the kernel — speculative on `store`'s
+    /// matrices, the baseline without one — which may fan the cluster
     /// shards out and merge the partial totals; the merge is exact (see
     /// the `shards` field), so the result is byte-identical to a serial
-    /// replay for any worker count. The single ineligible case is a
-    /// speculative replay with no precomputed store: the
-    /// [`RollingEstimator`] mutates shared cross-client state lazily, so
-    /// that replay bypasses the kernel and stays serial.
+    /// replay for any worker count.
     fn replay(
         &self,
         cfg: &SpecConfig,
-        speculate: bool,
         store: Option<&MatrixStore>,
         faults: Option<&FaultCtx<'_>>,
     ) -> Result<(RunTotals, ReplayCounters)> {
         // One frame per replay pass — placed here (not per shard, whose
         // call count varies with the kernel's worker gate) so profiler
         // call counts stay jobs-invariant.
-        let _f = specweb_core::obs::profile::frame(if speculate {
-            "spec.replay"
-        } else {
-            "spec.replay.baseline"
+        let _f = specweb_core::obs::profile::frame(match store {
+            Some(_) => "spec.replay",
+            None => "spec.replay.baseline",
         });
-        let (totals, counters) = if speculate && store.is_none() {
-            self.replay_shard(cfg, true, None, faults, &mut self.trace.accesses.iter())?
-        } else {
-            self.shards.replay_sharded(
-                &self.trace.accesses,
-                |accesses| self.replay_shard(cfg, speculate, store, faults, accesses),
-                |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
-                    whole.0.merge(&totals);
-                    whole.1.merge(&counters);
-                },
-            )?
-        };
-        self.record_replay(cfg, speculate, &totals, &counters);
+        let (totals, counters) = self.shards.replay_sharded(
+            &self.trace.accesses,
+            |accesses| Ok::<_, CoreError>(self.replay_shard(cfg, store, faults, accesses)),
+            |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
+                whole.0.merge(&totals);
+                whole.1.merge(&counters);
+            },
+        )?;
+        self.record_replay(cfg, store, &totals, &counters);
         Ok((totals, counters))
     }
 
@@ -494,11 +481,10 @@ impl<'a> SpecSim<'a> {
     fn replay_shard(
         &self,
         cfg: &SpecConfig,
-        speculate: bool,
         store: Option<&MatrixStore>,
         faults: Option<&FaultCtx<'_>>,
         accesses: &mut dyn Iterator<Item = &specweb_trace::generator::Access>,
-    ) -> Result<(RunTotals, ReplayCounters)> {
+    ) -> (RunTotals, ReplayCounters) {
         let trace = self.trace;
         let catalog = &trace.catalog;
         let n_clients = trace.clients.len();
@@ -514,12 +500,6 @@ impl<'a> SpecSim<'a> {
                 .collect()
         } else {
             Vec::new()
-        };
-
-        let mut estimator = match (speculate, store) {
-            (false, _) => MatrixSource::Off,
-            (true, Some(s)) => MatrixSource::Store(s),
-            (true, None) => MatrixSource::Rolling(RollingEstimator::new(cfg.estimator, trace)?),
         };
 
         let mut totals = RunTotals::new();
@@ -550,7 +530,7 @@ impl<'a> SpecSim<'a> {
                 }
                 // Cache hits are free and invisible to the server; only
                 // client-side machinery observes them.
-                if speculate {
+                if store.is_some() {
                     if let Some(tp) = cfg.client_profile_prefetch {
                         self.prefetch(
                             profiles[ci].predict(a.doc, tp).into_iter().map(|(j, _)| j),
@@ -650,7 +630,7 @@ impl<'a> SpecSim<'a> {
             caches[ci].insert(a.doc, size);
 
             // The server sees this request — speculation may ride along.
-            if let Some(matrices) = estimator.for_day(day)? {
+            if let Some(matrices) = store.map(|s| s.for_day(day)) {
                 let cache = &mut caches[ci];
                 // Only cooperative clients tell the server what they hold.
                 let decision = decide(
@@ -711,7 +691,7 @@ impl<'a> SpecSim<'a> {
             // server speculation — the paper proposes combining them).
             // Like pushes, it is part of the treatment: the baseline
             // replay must not prefetch.
-            if speculate {
+            if store.is_some() {
                 if let Some(tp) = cfg.client_profile_prefetch {
                     self.prefetch(
                         profiles[ci].predict(a.doc, tp).into_iter().map(|(j, _)| j),
@@ -727,7 +707,7 @@ impl<'a> SpecSim<'a> {
                 profiles[ci].record(a.time, a.doc);
             }
         }
-        Ok((totals, counters))
+        (totals, counters)
     }
 
     /// Publishes one replay's accounting into the attached obs bundle
@@ -739,12 +719,12 @@ impl<'a> SpecSim<'a> {
     fn record_replay(
         &self,
         cfg: &SpecConfig,
-        speculate: bool,
+        store: Option<&MatrixStore>,
         totals: &RunTotals,
         counters: &ReplayCounters,
     ) {
         let Some(obs) = &self.obs else { return };
-        if !speculate {
+        if store.is_none() {
             obs.metrics
                 .counter("spec.baseline_requests")
                 .add(totals.server_requests);
@@ -829,6 +809,15 @@ mod tests {
         c.estimator.history_days = 10;
         c.warmup_days = 4;
         c
+    }
+
+    /// The worker count is process-wide and gates the sharded path, so
+    /// a test that pins it to compare widths holds this lock meanwhile
+    /// (every other test's output is the same at any width).
+    fn pin_jobs() -> std::sync::MutexGuard<'static, ()> {
+        static JOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        JOBS.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -1176,11 +1165,15 @@ mod tests {
         let cfg_a = cfg(0.3);
         let store = MatrixStore::precompute(&cfg_a.estimator, &trace, 14).unwrap();
         // Same config works…
-        assert!(sim.run_with_store(&cfg_a, Some(&store)).is_ok());
+        assert!(sim
+            .run_with_store_and_baseline(&cfg_a, Some(&store), None)
+            .is_ok());
         // …a different estimator config is rejected.
         let mut cfg_b = cfg_a;
         cfg_b.estimator.history_days += 1;
-        assert!(sim.run_with_store(&cfg_b, Some(&store)).is_err());
+        assert!(sim
+            .run_with_store_and_baseline(&cfg_b, Some(&store), None)
+            .is_err());
     }
 
     #[test]
@@ -1189,6 +1182,7 @@ mod tests {
         // full-order pass produces — speculative, baseline, and faulted.
         // Sharding only engages with >1 worker; output is identical at
         // any width, so pinning the process default is side-effect-free.
+        let _pinned = pin_jobs();
         specweb_core::par::set_default_jobs(2);
         let (trace, topo) = setup(240);
         let sim = SpecSim::new(&trace, &topo);
@@ -1198,20 +1192,6 @@ mod tests {
         );
         let c = cfg(0.3);
         let store = MatrixStore::precompute(&c.estimator, &trace, 14).unwrap();
-        for speculate in [true, false] {
-            let serial = sim
-                .replay_shard(
-                    &c,
-                    speculate,
-                    Some(&store),
-                    None,
-                    &mut trace.accesses.iter(),
-                )
-                .unwrap();
-            let sharded = sim.replay(&c, speculate, Some(&store), None).unwrap();
-            assert_eq!(serial.0, sharded.0, "totals diverge (spec={speculate})");
-            assert_eq!(serial.1, sharded.1, "counters diverge (spec={speculate})");
-        }
         // Under faults too: the plan is read-only, so shards see the
         // same outage windows a serial replay would.
         let plan = FaultPlan::generate(
@@ -1224,12 +1204,75 @@ mod tests {
             plan: &plan,
             retry: RetrySchedule::default(),
         };
-        let serial = sim
-            .replay_shard(&c, false, None, Some(&ctx), &mut trace.accesses.iter())
-            .unwrap();
-        let sharded = sim.replay(&c, false, None, Some(&ctx)).unwrap();
-        assert_eq!(serial.0, sharded.0);
-        assert_eq!(serial.1, sharded.1);
+        for faults in [None, Some(&ctx)] {
+            for store in [Some(&store), None] {
+                let serial = sim.replay_shard(&c, store, faults, &mut trace.accesses.iter());
+                let sharded = sim.replay(&c, store, faults).unwrap();
+                let which = (store.is_some(), faults.is_some());
+                assert_eq!(
+                    serial.0, sharded.0,
+                    "totals diverge (spec, faults) = {which:?}"
+                );
+                assert_eq!(
+                    serial.1, sharded.1,
+                    "counters diverge (spec, faults) = {which:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_equals_a_serial_replay_of_from_scratch_estimates() {
+        // The two things `run` and `run_with_faults` do on their own —
+        // precompute the store over the trace's day span, replay through
+        // the kernel — against the slow twin of each: the from-scratch
+        // estimate of every boundary, replayed in one pass.
+        let _pinned = pin_jobs();
+        let (trace, topo) = setup(243);
+        let sim = SpecSim::new(&trace, &topo);
+        let plan = FaultPlan::generate(
+            &specweb_core::rng::SeedTree::new(992),
+            &topo,
+            &specweb_netsim::FaultConfig::chaotic(specweb_core::time::Duration::from_days(14)),
+        )
+        .unwrap();
+        let ctx = FaultCtx {
+            plan: &plan,
+            retry: RetrySchedule::default(),
+        };
+        let hard = cfg(0.3);
+        let mut aged = hard;
+        aged.estimator.aging_decay = Some(0.8);
+        for c in [hard, aged] {
+            let slow = MatrixStore::from_scratch(&c.estimator, &trace, trace.days());
+            let serial = |faults| {
+                let [spec, base] = [Some(&slow), None]
+                    .map(|store| sim.replay_shard(&c, store, faults, &mut trace.accesses.iter()));
+                DegradedSpecOutcome::assemble(&c, spec, base)
+            };
+            let healthy = serde_json::to_string(&serial(None).outcome).unwrap();
+            let degraded = serde_json::to_string(&serial(Some(&ctx))).unwrap();
+            for jobs in [1, 2] {
+                specweb_core::par::set_default_jobs(jobs);
+                assert_eq!(
+                    serde_json::to_string(&sim.run(&c).unwrap()).unwrap(),
+                    healthy,
+                    "run at jobs {jobs}, {:?}",
+                    c.estimator
+                );
+                let out = sim.run_with_faults(&c, &plan, ctx.retry).unwrap();
+                assert!(
+                    out.stalled > 0 && out.retries > 0,
+                    "the plan injected nothing"
+                );
+                assert_eq!(
+                    serde_json::to_string(&out).unwrap(),
+                    degraded,
+                    "run_with_faults at jobs {jobs}, {:?}",
+                    c.estimator
+                );
+            }
+        }
     }
 
     #[test]
@@ -1242,7 +1285,9 @@ mod tests {
         let sim = SpecSim::new(&trace, &topo);
         let c = cfg(0.3);
         let store = MatrixStore::precompute(&c.estimator, &trace, 14).unwrap();
-        let inline = sim.run_with_store(&c, Some(&store)).unwrap();
+        let inline = sim
+            .run_with_store_and_baseline(&c, Some(&store), None)
+            .unwrap();
         let base = sim.baseline_totals(&c).unwrap();
         let reused = sim
             .run_with_store_and_baseline(&c, Some(&store), Some(&base))
@@ -1253,7 +1298,9 @@ mod tests {
         );
         let mut c2 = c;
         c2.policy = Policy::TopK { k: 3, floor: 0.2 };
-        let inline2 = sim.run_with_store(&c2, Some(&store)).unwrap();
+        let inline2 = sim
+            .run_with_store_and_baseline(&c2, Some(&store), None)
+            .unwrap();
         let reused2 = sim
             .run_with_store_and_baseline(&c2, Some(&store), Some(&base))
             .unwrap();
@@ -1278,10 +1325,15 @@ mod tests {
         );
         let c = cfg(0.3);
         let store = MatrixStore::precompute(&c.estimator, &trace, 14).unwrap();
+        let _pinned = pin_jobs();
         specweb_core::par::set_default_jobs(1);
-        let serial = sim.run_with_store(&c, Some(&store)).unwrap();
+        let serial = sim
+            .run_with_store_and_baseline(&c, Some(&store), None)
+            .unwrap();
         specweb_core::par::set_default_jobs(4);
-        let parallel = sim.run_with_store(&c, Some(&store)).unwrap();
+        let parallel = sim
+            .run_with_store_and_baseline(&c, Some(&store), None)
+            .unwrap();
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap(),

@@ -108,6 +108,13 @@ impl Trace {
         counts
     }
 
+    /// Whole days the trace spans. Every access falls on a day in
+    /// `0..=days()`, so estimates for the boundaries in `[0, days()]`
+    /// cover the whole replay.
+    pub fn days(&self) -> u64 {
+        self.duration.as_millis() / Duration::DAY.as_millis()
+    }
+
     /// The accesses of day `d` (zero-based) as a subslice. The trace is
     /// time-ordered, so this is a binary-search slice.
     pub fn day_slice(&self, d: u64) -> &[Access] {

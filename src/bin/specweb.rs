@@ -202,7 +202,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), CoreError> {
 
 fn cmd_analyze(opts: &Opts) -> Result<(), CoreError> {
     let trace = build_trace(opts)?;
-    let days = (trace.duration.as_millis() / 86_400_000).max(1);
+    let days = trace.days().max(1);
     println!(
         "trace: {} accesses, {} documents, {} clients, {} sessions, {days} day(s)",
         trace.len(),
@@ -241,7 +241,7 @@ fn cmd_analyze(opts: &Opts) -> Result<(), CoreError> {
 fn cmd_speculate(opts: &Opts) -> Result<(), CoreError> {
     let trace = build_trace(opts)?;
     let topo = topology();
-    let total_days = (trace.duration.as_millis() / 86_400_000).max(1);
+    let total_days = trace.days().max(1);
 
     let mut cfg = SpecConfig::baseline(opts.f64_or("tp", 0.3));
     cfg.estimator.history_days = (total_days.saturating_mul(2) / 3).max(1);
