@@ -262,6 +262,7 @@ impl SpecServer {
         spec: Option<KnowledgeSpec>,
     ) -> Result<ServerHandle> {
         config.validate()?;
+        knowledge.policy.validate()?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

@@ -614,13 +614,8 @@ mod tests {
         let spec = KnowledgeSpec::demo(77);
         let a = spec.build(1).unwrap();
         let b = spec.build(4).unwrap();
-        // DepMatrix carries no PartialEq; its serde form is id-ordered
-        // and therefore canonical, so byte equality is matrix equality.
-        let json = |m: &specweb_spec::deps::DepMatrix| {
-            serde_json::to_string_pretty(m).expect("matrices serialize")
-        };
-        assert_eq!(json(&a.closure), json(&b.closure));
-        assert_eq!(json(&a.direct), json(&b.direct));
+        assert_eq!(a.closure, b.closure);
+        assert_eq!(a.direct, b.direct);
         assert_eq!(a.catalog.len(), b.catalog.len());
     }
 

@@ -17,6 +17,7 @@ use specweb_netsim::topology::Topology;
 use specweb_serve::client::{ClientConfig, RetryConfig, SpecClient};
 use specweb_serve::overload::{OverloadPolicy, ServiceLevel};
 use specweb_serve::server::{ServerConfig, ServerHandle, ServerKnowledge, SpecServer};
+use specweb_serve::session::KnowledgeSpec;
 use specweb_spec::deps::DepMatrixBuilder;
 use specweb_spec::policy::{decide, Policy};
 use specweb_trace::generator::{TraceConfig, TraceGenerator};
@@ -89,6 +90,30 @@ fn client(handle: &ServerHandle, max_attempts: u32) -> SpecClient {
         },
     )
     .unwrap()
+}
+
+#[test]
+fn a_policy_the_simulator_refuses_is_refused_at_spawn() {
+    let whole_rows = Policy::Threshold { tp: 0.0 };
+    let hints_above_pushes = Policy::Hybrid {
+        push_tp: 0.3,
+        hint_tp: 0.9,
+    };
+    for policy in [whole_rows, hints_above_pushes] {
+        let k = ServerKnowledge {
+            policy,
+            ..knowledge()
+        };
+        let refused = SpecServer::spawn(k, ServerConfig::default());
+        assert!(
+            matches!(refused, Err(CoreError::InvalidConfig { .. })),
+            "{policy:?} spawned: {refused:?}"
+        );
+    }
+    let demo = KnowledgeSpec::demo(77);
+    let handle =
+        SpecServer::spawn_recording(demo.build(1).unwrap(), ServerConfig::default(), demo).unwrap();
+    handle.shutdown_into_trace().unwrap();
 }
 
 #[test]

@@ -14,6 +14,12 @@
 //! fixpoint of `P` over the (max, ×) semiring, keeps every entry in
 //! `[0, 1]`, dominates `P` entrywise, and equals `P^N` on the chain
 //! structures (embedding trees) the closure exists for.
+//!
+//! Both matrices are a [`DepMatrix`]: one compressed-row array whose rows
+//! are kept most-probable-first, the order the server reads them in. A
+//! request for `D_i` is answered with the `D_j` of `p*[i,j] ≥ T_p` — a
+//! prefix of row `i` — and the closure search, which relaxes along rows
+//! of `P`, stops at the first edge whose path falls below the floor.
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
@@ -24,14 +30,22 @@ use specweb_core::time::Duration;
 use specweb_core::{CoreError, Result};
 use specweb_trace::generator::Access;
 
-/// A sparse row-compressed conditional-probability matrix.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A sparse conditional-probability matrix in compressed-row form.
+///
+/// Each row is stored the way it is read, probability-descending with
+/// ids ascending on ties: the candidates of a policy threshold
+/// (`p*[i,j] ≥ T_p`) or of a `TopK` cut are a *prefix* of the row, and a
+/// closure relaxation stops at the first edge that falls below the
+/// floor. The order is total (`f64::total_cmp`, then id), so equal
+/// contents are equal matrices, and results never depend on hash
+/// iteration order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DepMatrix {
-    /// `rows[i]` = sorted `(j, p)` entries with `p > 0`. A BTreeMap so
-    /// that [`DepMatrix::entries`] and serde output are id-ordered: the
-    /// matrix is a *result* container, and results must not depend on
-    /// hash iteration order.
-    rows: BTreeMap<DocId, Vec<(DocId, f64)>>,
+    /// Row `i` is `edges[starts[i.index()]..starts[i.index() + 1]]`, for
+    /// every id up to the largest that has a row.
+    starts: Vec<usize>,
+    /// `(j, p)` entries with `p > 0`, row after row.
+    edges: Vec<(DocId, f64)>,
     /// Rows whose best-path search hit the safety valve during
     /// [`DepMatrix::closure`] — those rows may under-report `P*` reach.
     /// Zero for directly-estimated matrices. Surfaced (never silently
@@ -42,34 +56,80 @@ pub struct DepMatrix {
 impl DepMatrix {
     /// An empty matrix (speculation finds no candidates).
     pub fn empty() -> Self {
-        DepMatrix::default()
+        DepMatrix::from_entries(std::iter::empty())
+    }
+
+    /// The matrix holding `entries` (`(i, j, p)`, each pair at most
+    /// once), given in any order: the one place that establishes the
+    /// row order. The entries are walked twice and laid straight into an
+    /// `edges` of exactly their number, with no copy in between — a
+    /// `MatrixStore` holds one matrix pair per boundary for a whole run,
+    /// and its peak is the estimate being built on top of them.
+    pub(crate) fn from_entries(
+        entries: impl Iterator<Item = (DocId, DocId, f64)> + Clone,
+    ) -> DepMatrix {
+        // A counting sort by source, then each row into row order:
+        // `starts[i + 1]` counts row `i`, then becomes its end.
+        let mut starts = vec![0];
+        for (i, _, _) in entries.clone() {
+            if starts.len() < i.index() + 2 {
+                starts.resize(i.index() + 2, 0);
+            }
+            starts[i.index() + 1] += 1;
+        }
+        for d in 1..starts.len() {
+            starts[d] += starts[d - 1];
+        }
+        let mut edges = vec![(DocId::default(), 0.0); starts[starts.len() - 1]];
+        let mut next = starts.clone();
+        for (i, j, p) in entries {
+            edges[next[i.index()]] = (j, p);
+            next[i.index()] += 1;
+        }
+        for row in starts.windows(2) {
+            edges[row[0]..row[1]].sort_unstable_by(row_order);
+        }
+        DepMatrix {
+            starts,
+            edges,
+            truncated_rows: 0,
+        }
     }
 
     /// The probability `p[i,j]` (0 when absent).
     pub fn get(&self, i: DocId, j: DocId) -> f64 {
-        self.rows
-            .get(&i)
-            .and_then(|row| {
-                row.binary_search_by(|(d, _)| d.cmp(&j))
-                    .ok()
-                    .map(|k| row[k].1)
-            })
-            .unwrap_or(0.0)
+        self.row(i)
+            .iter()
+            .find(|&&(d, _)| d == j)
+            .map_or(0.0, |&(_, p)| p)
     }
 
-    /// The non-zero entries of row `i`, sorted by document id.
+    /// The non-zero entries of row `i`, most probable first (ids
+    /// ascending on ties).
     pub fn row(&self, i: DocId) -> &[(DocId, f64)] {
-        self.rows.get(&i).map_or(&[], |r| r.as_slice())
+        // Total on whatever a deserializer produced: a row that does not
+        // lie inside `edges` reads as empty.
+        let at = i.index();
+        match self.starts.get(at..at + 2) {
+            Some(&[a, b]) => self.edges.get(a..b).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+
+    /// The ids that have a row, in ascending order.
+    fn sources(&self) -> impl Iterator<Item = DocId> + '_ {
+        let ids = (0..self.starts.len().saturating_sub(1)).map(DocId::from);
+        ids.filter(|&i| !self.row(i).is_empty())
     }
 
     /// Number of non-empty rows.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.sources().count()
     }
 
     /// Total number of stored entries.
     pub fn n_entries(&self) -> usize {
-        self.rows.values().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// Rows whose closure search hit the safety valve (0 for direct
@@ -79,21 +139,10 @@ impl DepMatrix {
         self.truncated_rows
     }
 
-    /// Iterates over all `(i, j, p)` entries.
+    /// Iterates over all `(i, j, p)` entries, row by row.
     pub fn entries(&self) -> impl Iterator<Item = (DocId, DocId, f64)> + '_ {
-        self.rows
-            .iter()
-            .flat_map(|(&i, row)| row.iter().map(move |&(j, p)| (i, j, p)))
-    }
-
-    /// Replaces the matrix contents wholesale (crate-internal: the aged
-    /// estimator composes matrices outside the builder path). Rows are
-    /// re-sorted to restore the binary-search invariant.
-    pub(crate) fn replace_rows(&mut self, mut rows: BTreeMap<DocId, Vec<(DocId, f64)>>) {
-        for row in rows.values_mut() {
-            row.sort_by_key(|&(j, _)| j);
-        }
-        self.rows = rows;
+        self.sources()
+            .flat_map(|i| self.row(i).iter().map(move |&(j, p)| (i, j, p)))
     }
 
     /// Fig. 4: histogram of pair counts over `p[i,j]` ranges. Entries at
@@ -144,84 +193,66 @@ impl DepMatrix {
                 format!("document ids must stay below {}", u32::MAX),
             ));
         }
-        let csr = Csr::snapshot(self, n_docs);
-        let srcs: Vec<u32> = self.rows.keys().map(|d| d.raw()).collect();
+        let srcs: Vec<DocId> = self.sources().collect();
         let pool = specweb_core::par::Pool::new(jobs);
         // A few chunks per worker balance uneven rows; each chunk owns
         // one `Search`, so its scratch is reused across the chunk's
         // sources instead of being rebuilt per source.
-        let chunks: Vec<&[u32]> = srcs
+        let chunks: Vec<&[DocId]> = srcs
             .chunks(srcs.len().div_ceil(pool.jobs() * 4).max(1))
             .collect();
         let computed = pool.map_indexed(&chunks, |_, chunk| {
             let mut search = Search::new(n_docs);
             chunk
                 .iter()
-                .map(|&src| search.best_paths_from(&csr, src, floor, max_row))
+                .map(|&src| search.best_paths_from(self, src, floor, max_row))
                 .collect::<Vec<_>>()
         });
-        let mut out = BTreeMap::new();
-        let mut truncated_rows = 0u64;
+        // The search rows are already in row order: they are laid end to
+        // end, into an `edges` of exactly their total length.
+        let n_edges = computed.iter().flatten().map(|(row, _)| row.len()).sum();
+        let mut out = DepMatrix {
+            starts: Vec::with_capacity(self.starts.len()),
+            edges: Vec::with_capacity(n_edges),
+            truncated_rows: 0,
+        };
         for (&src, (row, truncated)) in srcs.iter().zip(computed.into_iter().flatten()) {
-            if truncated {
-                truncated_rows += 1;
-            }
+            out.truncated_rows += u64::from(truncated);
             if !row.is_empty() {
-                out.insert(DocId::new(src), row);
+                // Ids between the previous row and this one have none.
+                out.starts.resize(src.index() + 1, out.edges.len());
+                out.edges.extend(row);
             }
         }
-        Ok(DepMatrix {
-            rows: out,
-            truncated_rows,
-        })
+        out.starts.push(out.edges.len());
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 impl DepMatrix {
-    /// `(i, j, bits of p)` of every entry, in id order: what the
+    /// `(i, j, bits of p)` of every entry, in stored order: what the
     /// bit-for-bit tests of this crate compare.
     pub(crate) fn bits(&self) -> Vec<(DocId, DocId, u64)> {
         self.entries()
             .map(|(i, j, p)| (i, j, p.to_bits()))
             .collect()
     }
+
+    /// Whether every row descends in probability, ids ascending on ties.
+    pub(crate) fn rows_in_order(&self) -> bool {
+        (self.sources()).all(|i| (self.row(i).windows(2)).all(|w| row_order(&w[0], &w[1]).is_lt()))
+    }
 }
 
-/// A read-only snapshot of a [`DepMatrix`] for the closure search: rows
-/// are indexed by [`DocId::index`] and each row is ordered by
-/// probability descending (id ascending on ties), so a relaxation can
-/// stop at the first edge that falls below the floor.
-struct Csr {
-    /// Row `d` is `edges[starts[d]..starts[d + 1]]`.
-    starts: Vec<usize>,
-    /// `(target index, probability)`.
-    edges: Vec<(u32, f64)>,
-}
-
-impl Csr {
-    /// `n_docs` is one past the largest id in `m`.
-    fn snapshot(m: &DepMatrix, n_docs: usize) -> Csr {
-        let mut starts = Vec::with_capacity(n_docs + 1);
-        let mut edges = Vec::with_capacity(m.n_entries());
-        for (&i, row) in &m.rows {
-            // Ids between the previous row and this one have no row.
-            starts.resize(i.index() + 1, edges.len());
-            let at = edges.len();
-            edges.extend(row.iter().map(|&(j, p)| (j.raw(), p)));
-            edges[at..].sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        }
-        starts.resize(n_docs + 1, edges.len());
-        Csr { starts, edges }
-    }
-
-    fn row(&self, d: u32) -> &[(u32, f64)] {
-        &self.edges[self.starts[d as usize]..self.starts[d as usize + 1]]
-    }
+/// The order of a stored row: probability descending (`total_cmp`, so
+/// a NaN has its place too), ids ascending on ties.
+fn row_order(a: &(DocId, f64), b: &(DocId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 /// Max-heap entry of the best-path search: probability, then id.
-struct Item(f64, u32);
+struct Item(f64, DocId);
 
 impl PartialEq for Item {
     fn eq(&self, o: &Self) -> bool {
@@ -259,7 +290,7 @@ struct Search {
     slots: Vec<Slot>,
     heap: BinaryHeap<Item>,
     /// Settled documents of the current source, in pop order.
-    settled: Vec<(u32, f64)>,
+    settled: Vec<(DocId, f64)>,
 }
 
 impl Search {
@@ -272,16 +303,17 @@ impl Search {
     }
 
     /// Best path probability from `src` to every reachable doc ≥ floor,
-    /// plus whether the search hit the safety valve (in which case the
-    /// row may under-report reach).
+    /// as a row of the closure (in row order, cut to `max_row`), plus
+    /// whether the search hit the safety valve (in which case the row
+    /// may under-report reach).
     fn best_paths_from(
         &mut self,
-        csr: &Csr,
-        src: u32,
+        m: &DepMatrix,
+        src: DocId,
         floor: f64,
         max_row: usize,
     ) -> (Vec<(DocId, f64)>, bool) {
-        let stamp = src + 1;
+        let stamp = src.raw() + 1;
         let valve = max_row.saturating_mul(4).saturating_add(1);
         self.heap.clear();
         self.settled.clear();
@@ -289,7 +321,7 @@ impl Search {
         let mut n_settled = 0usize; // counts `src` itself, unlike `self.settled`
         let mut truncated = false;
         while let Some(Item(p, d)) = self.heap.pop() {
-            let slot = &mut self.slots[d as usize];
+            let slot = &mut self.slots[d.index()];
             if slot.settled == stamp {
                 continue;
             }
@@ -302,7 +334,7 @@ impl Search {
                 truncated = true; // safety valve for pathological graphs
                 break;
             }
-            for &(j, pj) in csr.row(d) {
+            for &(j, pj) in m.row(d) {
                 let cand = p * pj;
                 if cand < floor {
                     // The row descends in probability and `p ≥ 0`, so
@@ -312,7 +344,7 @@ impl Search {
                 if j == src {
                     continue;
                 }
-                let slot = &mut self.slots[j as usize];
+                let slot = &mut self.slots[j.index()];
                 if slot.seen != stamp {
                     slot.seen = stamp;
                     slot.best = 0.0;
@@ -323,19 +355,12 @@ impl Search {
                 }
             }
         }
-        // Keep the strongest max_row entries, then restore id order.
-        // Ties on probability break by id, so the truncation keeps the
-        // same tied subset whatever order the search settled them in.
-        self.settled
-            .sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        // Keep the strongest max_row entries. Ties on probability break
+        // by id, so the truncation keeps the same tied subset whatever
+        // order the search settled them in.
+        self.settled.sort_unstable_by(row_order);
         self.settled.truncate(max_row);
-        self.settled.sort_unstable_by_key(|&(j, _)| j);
-        let row = self
-            .settled
-            .iter()
-            .map(|&(j, p)| (DocId::new(j), p))
-            .collect();
-        (row, truncated)
+        (self.settled.clone(), truncated)
     }
 }
 
@@ -555,27 +580,15 @@ impl DepMatrixBuilder {
     /// produce wild probabilities — the paper's curves are built from
     /// >50k accesses).
     pub fn build(&self, min_support: u64) -> DepMatrix {
-        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
-        // lint:allow(G1): iteration order lands in per-id BTreeMap rows
-        // that are re-sorted (probability desc, id asc) before truncation,
-        // so the hash order cannot reach the returned matrix.
-        for (&(i, j), &n) in &self.follows {
+        // lint:allow(G1): `from_entries` puts what it is given in row
+        // order, so the hash order cannot reach the returned matrix.
+        let counted = self.follows.iter().filter_map(|(&(i, j), &n)| {
             let occ = *self.occurrences.get(&i).unwrap_or(&0);
-            if occ < min_support.max(1) {
-                continue;
-            }
             // A document can be re-requested more often than its
             // antecedent when loops exist; cap at 1.
-            let p = (n as f64 / occ as f64).min(1.0);
-            rows.entry(i).or_default().push((j, p));
-        }
-        for row in rows.values_mut() {
-            row.sort_by_key(|&(j, _)| j);
-        }
-        DepMatrix {
-            rows,
-            truncated_rows: 0,
-        }
+            (occ >= min_support.max(1)).then(|| (i, j, (n as f64 / occ as f64).min(1.0)))
+        });
+        DepMatrix::from_entries(counted)
     }
 
     /// Convenience: estimate `P` from a full access slice in one call.
@@ -791,16 +804,10 @@ mod tests {
         // `max_row * 4 + 1` nodes. With a tiny max_row the valve must
         // fire — and be *counted*, not silent.
         let n = 30u32;
-        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
-        for i in 0..n {
-            let row: Vec<(DocId, f64)> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| (DocId::new(j), 0.9))
-                .collect();
-            rows.insert(DocId::new(i), row);
-        }
-        let mut m = DepMatrix::empty();
-        m.replace_rows(rows);
+        let clique: Vec<(u32, u32, f64)> = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j, 0.9)))
+            .collect();
+        let m = matrix_of(&clique);
         assert_eq!(m.truncated_rows(), 0, "direct matrix is never truncated");
         let c = m.closure(0.01, 2).unwrap();
         assert_eq!(
@@ -843,13 +850,7 @@ mod tests {
         // subset — the lowest ids — on every call. (The search settles
         // tied candidates highest id first; without an explicit id
         // tie-break the truncation would keep those.)
-        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
-        rows.insert(
-            DocId::new(0),
-            (1..=20).map(|j| (DocId::new(j), 0.5)).collect(),
-        );
-        let mut m = DepMatrix::empty();
-        m.replace_rows(rows);
+        let m = matrix_of(&(1..=20).map(|j| (0, j, 0.5)).collect::<Vec<_>>());
         let want: Vec<DocId> = (1..=5).map(DocId::new).collect();
         for _ in 0..8 {
             let c = m.closure(0.01, 5).unwrap();
@@ -907,7 +908,7 @@ mod tests {
     }
 
     /// The closure kernel as it was before the CSR search: per-source
-    /// hash maps over the id-ordered rows, every edge scanned. Kept as
+    /// hash maps, every edge scanned whatever the row order. Kept as
     /// the reference the pruned kernel is compared against.
     fn reference_closure(m: &DepMatrix, floor: f64, max_row: usize) -> DepMatrix {
         use std::cmp::Ordering;
@@ -930,8 +931,9 @@ mod tests {
             }
         }
 
-        let mut out = DepMatrix::empty();
-        for &src in m.rows.keys() {
+        let mut entries = Vec::new();
+        let mut truncated_rows = 0;
+        for src in m.sources() {
             let mut best: HashMap<DocId, f64> = HashMap::new();
             let mut heap = BinaryHeap::new();
             heap.push(Item(1.0, src));
@@ -942,7 +944,7 @@ mod tests {
                 }
                 settled.insert(d, p);
                 if settled.len() > max_row.saturating_mul(4) + 1 {
-                    out.truncated_rows += 1;
+                    truncated_rows += 1;
                     break;
                 }
                 for &(j, pj) in m.row(d) {
@@ -961,12 +963,12 @@ mod tests {
             let mut row: Vec<(DocId, f64)> = settled.into_iter().collect();
             row.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             row.truncate(max_row);
-            row.sort_by_key(|&(j, _)| j);
-            if !row.is_empty() {
-                out.rows.insert(src, row);
-            }
+            entries.extend(row.into_iter().map(|(j, p)| (src, j, p)));
         }
-        out
+        DepMatrix {
+            truncated_rows,
+            ..DepMatrix::from_entries(entries.into_iter())
+        }
     }
 
     /// A matrix from `(i, j, p)` edges (the last of a repeated pair
@@ -979,15 +981,10 @@ mod tests {
                 .filter(|e| e.0 != e.1)
                 .map(|&(i, j, p)| ((i, j), p)),
         );
-        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
-        for ((i, j), p) in cells {
-            rows.entry(DocId::new(i))
-                .or_default()
-                .push((DocId::new(j), p));
-        }
-        let mut m = DepMatrix::empty();
-        m.replace_rows(rows);
-        m
+        let entries = cells
+            .iter()
+            .map(|(&(i, j), &p)| (DocId::new(i), DocId::new(j), p));
+        DepMatrix::from_entries(entries)
     }
 
     /// Probabilities in eighths: many ties, and products that are exact
@@ -1015,6 +1012,25 @@ mod tests {
             let got = m.closure_jobs(floor, max_row, jobs).unwrap();
             prop_assert_eq!(got.truncated_rows(), want.truncated_rows());
             prop_assert_eq!(got.bits(), want.bits());
+            prop_assert!(got.rows_in_order(), "{:?}", got);
+            // Equal contents are equal matrices, whatever built them.
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn from_entries_is_permutation_invariant(
+            tied in prop::collection::vec((0u32..12, 0u32..12, eighths()), 0..60),
+            free in prop::collection::vec((0u32..12, 0u32..12, 0.001f64..1.0), 0..60),
+            keys in prop::collection::vec(0u32..1_000, 120),
+        ) {
+            let edges: Vec<(u32, u32, f64)> = tied.into_iter().chain(free).collect();
+            let m = matrix_of(&edges);
+            let mut shuffled: Vec<_> = m.entries().zip(keys).collect();
+            shuffled.sort_by_key(|&(_, key)| key);
+            let again = DepMatrix::from_entries(shuffled.into_iter().map(|(e, _)| e));
+            prop_assert!(m.rows_in_order(), "{:?}", m);
+            prop_assert_eq!(again.bits(), m.bits());
+            prop_assert_eq!(again, m);
         }
 
         #[test]
@@ -1051,7 +1067,9 @@ mod tests {
             }
             let c = m.closure_jobs(floor, n, 1).unwrap();
             prop_assert_eq!(c.truncated_rows(), 0);
-            prop_assert_eq!(c.entries().collect::<Vec<_>>(), want);
+            let mut got: Vec<_> = c.entries().collect();
+            got.sort_by_key(|&(i, j, _)| (i, j));
+            prop_assert_eq!(got, want);
         }
     }
 
@@ -1064,6 +1082,28 @@ mod tests {
         assert_eq!(c.bits(), reference_closure(&m, 0.01, 8).bits());
         assert_eq!(c.get(DocId(0), DocId(3)), 0.25);
         assert_eq!(c.get(DocId(0), DocId(1)), 0.0);
+    }
+
+    #[test]
+    fn a_deserialized_matrix_with_rows_outside_its_edges_reads_as_empty_there() {
+        // The layout is not valid by construction once serde can write
+        // it: row 0 is sound, row 1 points past `edges`, row 2 runs
+        // backwards, and row 0 names a document past `starts`.
+        let m: DepMatrix = serde_json::from_str(
+            r#"{"starts":[0,2,9,1],"edges":[[7,0.5],[1,0.25]],"truncated_rows":0}"#,
+        )
+        .unwrap();
+        assert_eq!(m.row(DocId(0)), [(DocId(7), 0.5), (DocId(1), 0.25)]);
+        for i in [1, 2, 3, 7, u32::MAX] {
+            assert!(m.row(DocId(i)).is_empty(), "row {i}");
+        }
+        assert_eq!(m.get(DocId(0), DocId(1)), 0.25);
+        assert_eq!((m.n_rows(), m.entries().count()), (1, 2));
+        let c = m.closure_jobs(0.01, 8, 2).unwrap();
+        assert_eq!(c, matrix_of(&[(0, 7, 0.5), (0, 1, 0.25)]));
+        let none: DepMatrix =
+            serde_json::from_str(r#"{"starts":[],"edges":[],"truncated_rows":0}"#).unwrap();
+        assert_eq!(none.closure(0.5, 8).unwrap(), DepMatrix::empty());
     }
 
     /// `P` by definition, with no streaming state: for every access to
@@ -1084,16 +1124,11 @@ mod tests {
                 *follows.entry((a.doc, j)).or_insert(0) += 1;
             }
         }
-        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
-        for ((i, j), n) in follows {
-            if occurrences[&i] >= min_support.max(1) {
-                let p = (n as f64 / occurrences[&i] as f64).min(1.0);
-                rows.entry(i).or_default().push((j, p));
-            }
-        }
-        let mut m = DepMatrix::empty();
-        m.replace_rows(rows);
-        m
+        let entries = follows
+            .iter()
+            .filter(|((i, _), _)| occurrences[i] >= min_support.max(1))
+            .map(|(&(i, j), &n)| (i, j, (n as f64 / occurrences[&i] as f64).min(1.0)));
+        DepMatrix::from_entries(entries)
     }
 
     #[test]
@@ -1164,6 +1199,7 @@ mod tests {
                 })
                 .collect();
             let got = DepMatrixBuilder::estimate(&accesses, window, min_support);
+            prop_assert!(got.rows_in_order(), "{:?}", got);
             prop_assert_eq!(got.bits(), reference_estimate(&accesses, window, min_support).bits());
         }
 

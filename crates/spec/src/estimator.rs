@@ -222,8 +222,7 @@ impl<'a> RollingEstimator<'a> {
         // Weighted average of per-day direct matrices. Weight by decay^age
         // and by each day's antecedent occurrence share — approximated
         // here by equal day weights, which suffices for drift tracking.
-        // BTreeMaps keep the blend and the assembled rows id-ordered, so
-        // the composed matrix is deterministic by construction.
+        // A BTreeMap keeps the blend free of hash iteration order.
         let mut acc: BTreeMap<(DocId, DocId), f64> = BTreeMap::new();
         let mut wsum = 0.0f64;
         for (d, w) in self.aged_days(day, decay) {
@@ -232,20 +231,11 @@ impl<'a> RollingEstimator<'a> {
             }
             wsum += w;
         }
-        let mut rows: BTreeMap<DocId, Vec<(DocId, f64)>> = BTreeMap::new();
-        if wsum > 0.0 {
-            for ((i, j), v) in acc {
-                let p = (v / wsum).min(1.0);
-                if p > 0.0 {
-                    rows.entry(i).or_default().push((j, p));
-                }
-            }
-        }
-        let mut out = DepMatrixBuilder::new(self.cfg.window).build(1);
-        // DepMatrix has no public constructor from rows; rebuild through
-        // its (crate-public) internals instead.
-        out.replace_rows(rows);
-        out
+        // No day to blend leaves `wsum` 0 and `acc` empty.
+        DepMatrix::from_entries(acc.iter().filter_map(|(&(i, j), v)| {
+            let p = (v / wsum).min(1.0);
+            (p > 0.0).then_some((i, j, p))
+        }))
     }
 }
 
@@ -509,6 +499,10 @@ mod tests {
         for (kept, fresh) in store.by_boundary.iter().zip(&slow.by_boundary) {
             let day = fresh.estimated_on_day;
             assert_eq!(kept.estimated_on_day, day);
+            assert!(
+                fresh.direct.rows_in_order() && fresh.closure.rows_in_order(),
+                "row order on day {day}, {cfg:?}"
+            );
             assert_eq!(
                 kept.direct.bits(),
                 fresh.direct.bits(),

@@ -135,6 +135,10 @@ impl SpecDecision {
 /// Candidates larger than `max_size` are never pushed (they may still be
 /// hinted — hinting costs bytes of URL, not of document). `exclude`
 /// filters candidates known to be cached (cooperative clients).
+///
+/// Rows descend in probability, so every policy is a cut of a row
+/// prefix: one pass that stops at the first entry below the policy's
+/// lowest threshold, or once `TopK` has its `k`.
 pub fn decide(
     policy: &Policy,
     closure: &DepMatrix,
@@ -144,63 +148,40 @@ pub fn decide(
     max_size: Bytes,
     mut exclude: impl FnMut(DocId) -> bool,
 ) -> SpecDecision {
-    let mut decision = SpecDecision::default();
-    let fits = |d: DocId| max_size.is_infinite() || catalog.size(d) <= max_size;
-
-    match *policy {
-        Policy::Threshold { tp } => {
-            for &(j, p) in closure.row(doc) {
-                if p >= tp && fits(j) && !exclude(j) {
-                    decision.push.push((j, p));
-                }
-            }
-        }
-        Policy::DirectThreshold { tp } => {
-            for &(j, p) in direct.row(doc) {
-                if p >= tp && fits(j) && !exclude(j) {
-                    decision.push.push((j, p));
-                }
-            }
-        }
-        Policy::TopK { k, floor } => {
-            let mut cands: Vec<(DocId, f64)> = closure
-                .row(doc)
-                .iter()
-                .filter(|&&(j, p)| p >= floor && fits(j) && !exclude(j))
-                .copied()
-                .collect();
-            cands.sort_by(|a, b| b.1.total_cmp(&a.1));
-            cands.truncate(k);
-            decision.push = cands;
-        }
-        Policy::EmbeddingOnly => {
-            for &(j, p) in closure.row(doc) {
-                if p >= EMBEDDING_THRESHOLD && fits(j) && !exclude(j) {
-                    decision.push.push((j, p));
-                }
-            }
-        }
+    let (row, push_tp, hint_tp, k) = match *policy {
+        Policy::Threshold { tp } => (closure.row(doc), tp, None, usize::MAX),
+        Policy::DirectThreshold { tp } => (direct.row(doc), tp, None, usize::MAX),
+        Policy::TopK { k, floor } => (closure.row(doc), floor, None, k),
+        Policy::EmbeddingOnly => (closure.row(doc), EMBEDDING_THRESHOLD, None, usize::MAX),
         Policy::Hybrid { push_tp, hint_tp } => {
-            for &(j, p) in closure.row(doc) {
-                if exclude(j) {
-                    continue;
-                }
-                if p >= push_tp && fits(j) {
-                    decision.push.push((j, p));
-                } else if p >= hint_tp {
-                    decision.hints.push((j, p));
-                }
-            }
+            (closure.row(doc), push_tp, Some(hint_tp), usize::MAX)
+        }
+    };
+    let lowest = hint_tp.map_or(push_tp, |h| h.min(push_tp));
+    let mut decision = SpecDecision::default();
+    for &(j, p) in row {
+        if p < lowest || decision.push.len() == k {
+            break;
+        }
+        // A NaN entry (hand-made matrices only) leads its row and
+        // passes neither threshold.
+        let pushable = p >= push_tp && (max_size.is_infinite() || catalog.size(j) <= max_size);
+        if !(pushable || hint_tp.is_some_and(|h| p >= h)) || exclude(j) {
+            continue;
+        }
+        if pushable {
+            decision.push.push((j, p));
+        } else {
+            decision.hints.push((j, p));
         }
     }
-    decision.push.sort_by(|a, b| b.1.total_cmp(&a.1));
-    decision.hints.sort_by(|a, b| b.1.total_cmp(&a.1));
     decision
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use specweb_core::ids::{ClientId, ServerId};
     use specweb_core::time::{Duration, SimTime};
     use specweb_trace::clients::Locality;
@@ -414,6 +395,125 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    /// `decide` as it was over id-ordered rows: filter each arm's
+    /// candidates, then stable-sort by probability.
+    fn reference_decide(
+        policy: &Policy,
+        closure: &DepMatrix,
+        direct: &DepMatrix,
+        doc: DocId,
+        catalog: &Catalog,
+        max_size: Bytes,
+        mut exclude: impl FnMut(DocId) -> bool,
+    ) -> SpecDecision {
+        let by_id = |m: &DepMatrix| {
+            let mut row = m.row(doc).to_vec();
+            row.sort_by_key(|&(j, _)| j);
+            row
+        };
+        let mut decision = SpecDecision::default();
+        let fits = |d: DocId| max_size.is_infinite() || catalog.size(d) <= max_size;
+
+        match *policy {
+            Policy::Threshold { tp } => {
+                for (j, p) in by_id(closure) {
+                    if p >= tp && fits(j) && !exclude(j) {
+                        decision.push.push((j, p));
+                    }
+                }
+            }
+            Policy::DirectThreshold { tp } => {
+                for (j, p) in by_id(direct) {
+                    if p >= tp && fits(j) && !exclude(j) {
+                        decision.push.push((j, p));
+                    }
+                }
+            }
+            Policy::TopK { k, floor } => {
+                let mut cands: Vec<(DocId, f64)> = by_id(closure)
+                    .into_iter()
+                    .filter(|&(j, p)| p >= floor && fits(j) && !exclude(j))
+                    .collect();
+                cands.sort_by(|a, b| b.1.total_cmp(&a.1));
+                cands.truncate(k);
+                decision.push = cands;
+            }
+            Policy::EmbeddingOnly => {
+                for (j, p) in by_id(closure) {
+                    if p >= EMBEDDING_THRESHOLD && fits(j) && !exclude(j) {
+                        decision.push.push((j, p));
+                    }
+                }
+            }
+            Policy::Hybrid { push_tp, hint_tp } => {
+                for (j, p) in by_id(closure) {
+                    if exclude(j) {
+                        continue;
+                    }
+                    if p >= push_tp && fits(j) {
+                        decision.push.push((j, p));
+                    } else if p >= hint_tp {
+                        decision.hints.push((j, p));
+                    }
+                }
+            }
+        }
+        decision.push.sort_by(|a, b| b.1.total_cmp(&a.1));
+        decision.hints.sort_by(|a, b| b.1.total_cmp(&a.1));
+        decision
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decide_equals_filter_then_stable_sort(
+            cells in prop::collection::vec((0u32..24, 1u32..=8), 0..24),
+            direct_cells in prop::collection::vec((0u32..24, 1u32..=8), 0..24),
+            sizes in prop::collection::vec(1u64..3_000, 25),
+            excluded in prop::collection::vec(0u32..24, 0..8),
+            policy in prop_oneof![
+                (0u32..=9).prop_map(|t| Policy::Threshold { tp: f64::from(t) / 8.0 }),
+                (0u32..=9).prop_map(|t| Policy::DirectThreshold { tp: f64::from(t) / 8.0 }),
+                (0usize..6, 0u32..=8)
+                    .prop_map(|(k, f)| Policy::TopK { k, floor: f64::from(f) / 8.0 }),
+                Just(Policy::EmbeddingOnly),
+                // Unvalidated on purpose: `hint_tp` may exceed `push_tp`.
+                (0u32..=9, 0u32..=9).prop_map(|(a, b)| Policy::Hybrid {
+                    push_tp: f64::from(a) / 8.0,
+                    hint_tp: f64::from(b) / 8.0,
+                }),
+            ],
+            max_size in prop_oneof![Just(Bytes::INFINITE), Just(Bytes::new(1_500))],
+        ) {
+            let mut catalog = Catalog::new();
+            for &s in &sizes {
+                catalog.push(ServerId(0), Bytes::new(s), PopularityClass::Global, false, true);
+            }
+            // Probabilities in eighths tie often; the last of a repeated
+            // pair wins; one entry of the closure row is NaN or negative.
+            let matrix = |cells: Vec<(u32, f64)>| {
+                let row: std::collections::BTreeMap<u32, f64> = cells.into_iter().collect();
+                DepMatrix::from_entries(row.iter().map(|(&j, &p)| (DocId(0), DocId(j), p)))
+            };
+            let odd = [f64::NAN, -0.25];
+            let closure = matrix(
+                (cells.iter().map(|&(j, e)| (j, f64::from(e) / 8.0)))
+                    .chain([(24, odd[cells.len() % 2])])
+                    .collect(),
+            );
+            let direct = matrix(
+                direct_cells.iter().map(|&(j, e)| (j, f64::from(e) / 8.0)).collect(),
+            );
+            let exclude = |j: DocId| excluded.contains(&j.raw());
+            let got = decide(&policy, &closure, &direct, DocId(0), &catalog, max_size, exclude);
+            let want =
+                reference_decide(&policy, &closure, &direct, DocId(0), &catalog, max_size, exclude);
+            prop_assert_eq!(got.push, want.push);
+            prop_assert_eq!(got.hints, want.hints);
+        }
     }
 
     #[test]
