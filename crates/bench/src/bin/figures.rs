@@ -10,13 +10,14 @@
 //!
 //! Text and JSON land in `results/`, plus one `manifest_<id>.json` per
 //! experiment (seed, scale, metric snapshot, timing, git describe), a
-//! run-level `manifest_run.json` with the process-wide counters, and a
-//! `bench_timings.json` with per-experiment wall-clock times.
+//! run-level `manifest_run.json` with the process-wide counters, and
+//! one more entry in `perf_trajectory.json` with the run's
+//! per-experiment wall-clock times.
 //! Experiments fan out on `--jobs` workers (default: `SPECWEB_JOBS` or
 //! the core count); the result files and every manifest's
 //! `deterministic` section are byte-identical for every worker count —
-//! only `bench_timings.json` and the manifests' `nondeterministic`
-//! sections vary.
+//! only `perf_trajectory.json`, the `profile_*.txt` stacks and the
+//! manifests' `nondeterministic` sections vary.
 //!
 //! Every run also regenerates `<out>/REPORT.md`, a deterministic-only
 //! markdown summary of the manifests (no jobs/git/timing, so it joins
@@ -26,38 +27,9 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
 use specweb_bench::{ablations, cli, exps, fig1, fig2, fig3, fig4, fig5, perf, Report, Scale};
 use specweb_core::log;
 use specweb_core::obs::{self, Level, MetricSnapshot, RunManifest};
-
-/// Wall-clock accounting for one run, written to `bench_timings.json`.
-/// This file and the manifests' `nondeterministic` sections are the
-/// only outputs that are *not* deterministic.
-#[derive(Debug, Serialize)]
-struct Timings {
-    /// Worker count used.
-    jobs: usize,
-    /// `full` or `quick`, with a `-xN` suffix when `--scale N` > 1.
-    scale: String,
-    /// Population multiplier (`--scale`).
-    scale_factor: usize,
-    /// Master seed.
-    seed: u64,
-    /// End-to-end wall clock, seconds.
-    total_seconds: f64,
-    /// Per-experiment wall clock, in request order.
-    experiments: Vec<ExperimentTiming>,
-}
-
-/// One experiment's wall clock.
-#[derive(Debug, Serialize)]
-struct ExperimentTiming {
-    /// Experiment id.
-    id: String,
-    /// Wall clock, seconds.
-    seconds: f64,
-}
 
 fn main() {
     // Progress lines (level Info) print by default for the interactive
@@ -162,7 +134,7 @@ fn main() {
     if let Some(seconds) = sweep_seconds {
         // The shared sweep ran once up front, outside any single
         // experiment's clock; account for it explicitly.
-        experiments.push(ExperimentTiming {
+        experiments.push(perf::PhaseTiming {
             id: "fig5/fig6-shared-sweep".into(),
             seconds,
         });
@@ -173,7 +145,7 @@ fn main() {
             .write_to(&out_dir)
             .unwrap_or_else(|e| die(&format!("writing {id}: {e}")));
         // Collapsed-stack profile (wall-clock channel: excluded from the
-        // CI byte-diff, like bench_timings.json).
+        // CI byte-diff, like perf_trajectory.json).
         let profile_path = out_dir.join(format!("profile_{id}.txt"));
         std::fs::write(&profile_path, collapsed)
             .unwrap_or_else(|e| die(&format!("writing {}: {e}", profile_path.display())));
@@ -190,7 +162,7 @@ fn main() {
             "{id} done in {secs:.1}s (→ {}/{id}.txt)",
             out_dir.display()
         );
-        experiments.push(ExperimentTiming {
+        experiments.push(perf::PhaseTiming {
             id: id.clone(),
             seconds: *secs,
         });
@@ -218,25 +190,10 @@ fn main() {
         Err(e) => die(&e),
     }
 
-    let timings = Timings {
-        jobs: pool.jobs(),
-        scale: scale_name.into(),
-        scale_factor,
-        seed,
-        total_seconds,
-        experiments,
-    };
-    let timings_path = out_dir.join("bench_timings.json");
-    std::fs::write(
-        &timings_path,
-        serde_json::to_string_pretty(&timings).expect("timings serialize"),
-    )
-    .unwrap_or_else(|e| die(&format!("writing {}: {e}", timings_path.display())));
-
     // Perf trajectory: append this run to the committed wall-clock
     // ledger and (under --check-perf) gate on regressions against the
     // most recent comparable entry. Wall-clock channel — excluded from
-    // the determinism byte-diffs, like bench_timings.json.
+    // the determinism byte-diffs.
     let entry = perf::TrajectoryEntry {
         git: git.clone(),
         jobs: jobs as u64,
@@ -244,14 +201,7 @@ fn main() {
         scale_factor: scale_factor as u64,
         seed,
         total_seconds,
-        experiments: timings
-            .experiments
-            .iter()
-            .map(|e| perf::PhaseTiming {
-                id: e.id.clone(),
-                seconds: e.seconds,
-            })
-            .collect(),
+        experiments,
     };
     let traj_path = out_dir.join("perf_trajectory.json");
     let mut trajectory = match std::fs::read_to_string(&traj_path) {
@@ -272,7 +222,7 @@ fn main() {
         "figures",
         "all done in {total_seconds:.1}s ({} workers; timings → {})",
         pool.jobs(),
-        timings_path.display()
+        traj_path.display()
     );
     if check_perf && !regressions.is_empty() {
         die(&format!(

@@ -7,12 +7,12 @@
 //! along, so a slowdown shows up as a diff long before anyone profiles.
 //!
 //! [`check_against`] is the regression gate behind `figures
-//! --check-perf` (and the stdlib mirror `scripts/check_perf.py`): the
-//! current run is compared against the most recent *comparable* prior
-//! entry — same jobs, scale and scale factor — and a phase that got
-//! slower than `prev × (1 + ratio) + floor` seconds is flagged. The
-//! absolute floor keeps sub-second phases from tripping the gate on
-//! scheduler noise; the ratio scales the allowance with the phase cost.
+//! --check-perf`: the current run is compared against the most recent
+//! *comparable* prior entry — same jobs, scale and scale factor — and a
+//! phase that got slower than `prev × (1 + ratio) + floor` seconds is
+//! flagged. The absolute floor keeps sub-second phases from tripping
+//! the gate on scheduler noise; the ratio scales the allowance with the
+//! phase cost.
 //!
 //! Everything here is pure (no clocks, no file I/O beyond serde), so
 //! the gate logic is unit-testable; the binary owns reading, appending

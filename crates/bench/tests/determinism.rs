@@ -1,8 +1,8 @@
 //! Golden-output determinism: the `figures` binary must emit
 //! byte-identical result files whether it runs serially or on a worker
-//! pool. Only `bench_timings.json` — wall-clock accounting — and the
-//! `nondeterministic` sections of the `manifest_*.json` files may
-//! differ between the two runs; each manifest's `deterministic`
+//! pool. Only `perf_trajectory.json` and the `profile_*.txt` timings —
+//! wall-clock accounting — and the `nondeterministic` sections of the
+//! `manifest_*.json` files may differ between the two runs; each manifest's `deterministic`
 //! section (seed, scale, and the deterministic-channel metric
 //! snapshot) must match exactly.
 //!
@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
-const TIMINGS: &str = "bench_timings.json";
 const TRAJECTORY: &str = "perf_trajectory.json";
 
 fn run_figures(out: &Path, jobs: &str) {
@@ -65,19 +64,8 @@ fn serial_and_parallel_runs_are_byte_identical() {
     let mut serial = snapshot(&dir_serial);
     let mut parallel = snapshot(&dir_parallel);
 
-    // Timings are wall-clock accounting: present in both runs, valid
-    // JSON with one entry per experiment, but never byte-compared.
-    for snap in [&mut serial, &mut parallel] {
-        let raw = snap.remove(TIMINGS).expect("bench_timings.json written");
-        let raw = String::from_utf8(raw).expect("timings are utf-8");
-        let parsed: serde_json::Value = serde_json::from_str(&raw).expect("timings parse");
-        assert_eq!(parsed["experiments"].as_array().unwrap().len(), 3);
-        assert!(parsed["total_seconds"].as_f64().unwrap() >= 0.0);
-    }
-    assert_eq!(serial.get(TIMINGS), None);
-
-    // The perf-trajectory ledger is wall-clock accounting too: present
-    // in both runs, schema-checked, but never byte-compared.
+    // The perf-trajectory ledger is wall-clock accounting: present in
+    // both runs, schema-checked, but never byte-compared.
     for snap in [&mut serial, &mut parallel] {
         let raw = snap
             .remove(TRAJECTORY)
@@ -92,7 +80,9 @@ fn serial_and_parallel_runs_are_byte_identical() {
             3,
             "one phase timing per experiment"
         );
+        assert!(entries[0]["total_seconds"].as_f64().unwrap() >= 0.0);
     }
+    assert_eq!(serial.get(TRAJECTORY), None);
 
     // Flamegraph profiles are wall-clock accounting too: each frame
     // line is `path calls N wall_us T`. The frame paths and call

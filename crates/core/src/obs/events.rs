@@ -7,7 +7,7 @@
 //! with any `--jobs` setting yields the same bytes. Wall-clock events
 //! (and [`Span`]s, which time experiment phases) carry real elapsed
 //! microseconds and live in a separate ring that is never part of a
-//! golden comparison — the `bench_timings.json` carve-out generalized.
+//! golden comparison — the `perf_trajectory.json` carve-out generalized.
 //!
 //! The rings are bounded: when a channel overflows its capacity the
 //! oldest events are dropped and the drop is counted, so tracing can be

@@ -268,7 +268,7 @@ pub fn render_report_markdown(manifests: &[RunManifest]) -> String {
          `manifest_*.json` files. Regenerated by every `figures` run\n\
          (and by `figures --report` without re-running anything);\n\
          wall-clock data lives in the manifests' `nondeterministic`\n\
-         sections and `bench_timings.json`, never here.\n",
+         sections and `perf_trajectory.json`, never here.\n",
     );
 
     for m in manifests {

@@ -7,7 +7,7 @@
 //! byte-identical across `--jobs` settings and golden-tested) and a
 //! **wall-clock channel** (real time, thread scheduling, socket
 //! accounting — explicitly non-deterministic, mirroring the
-//! `bench_timings.json` carve-out). See `DESIGN.md` §7.
+//! `perf_trajectory.json` carve-out). See `DESIGN.md` §7.
 //!
 //! The pieces:
 //!

@@ -10,7 +10,7 @@
 //!   channel: the same workload yields the same counts for any `--jobs`.
 //! * **wall nanoseconds** — real elapsed time, the wall-clock channel.
 //!   Profiles are diagnostics, never inputs: `profile_<exp>.txt` files
-//!   are excluded from the CI byte-diff exactly like `bench_timings.json`.
+//!   are excluded from the CI byte-diff exactly like `perf_trajectory.json`.
 //!
 //! Frames follow the current *context*: a thread-local `(sink, stack)`
 //! pair installed by [`Profiler::install`]. [`crate::par::Pool`]

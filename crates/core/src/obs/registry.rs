@@ -10,7 +10,7 @@
 //! * [`Channel::WallClock`] — values depend on real time or thread
 //!   scheduling (worker high-water marks, server socket accounting).
 //!   These live in the explicitly non-deterministic section of run
-//!   manifests, mirroring the `bench_timings.json` carve-out.
+//!   manifests, mirroring the `perf_trajectory.json` carve-out.
 //!
 //! Handles are `Arc`-backed: counters and gauges are lock-free atomics,
 //! histograms take a short mutex on observe. Registering the same name

@@ -1,7 +1,7 @@
 //! Item / call-site extraction over the sanitized token stream.
 //!
-//! The second lint engine (DESIGN §9) needs a whole-workspace call
-//! graph, but the vendored-deps constraint rules out `syn`. This module
+//! The graph rules (DESIGN §9) need a whole-workspace call graph, but
+//! the vendored-deps constraint rules out `syn`. This module
 //! is the std-only middle ground: it tokenizes the per-line code
 //! channel produced by [`crate::lexer::sanitize`] and runs a small
 //! state machine that recognizes
@@ -64,18 +64,6 @@ impl SourceKind {
             SourceKind::HashIter => "hash_iter",
             SourceKind::ThreadSpawn => "thread_spawn",
             SourceKind::Panic => "panic",
-        }
-    }
-
-    /// The legacy line-rule class this source corresponds to, shown in
-    /// diagnostics so the G1 report reads as "D2, proven transitively".
-    pub fn legacy_rule(self) -> &'static str {
-        match self {
-            SourceKind::WallClock => "D3",
-            SourceKind::Rng => "D4",
-            SourceKind::HashIter => "D2",
-            SourceKind::ThreadSpawn => "D5",
-            SourceKind::Panic => "S2",
         }
     }
 }
@@ -736,12 +724,11 @@ struct Scope {
 /// `skip` is the test-region mask (same length as `lines`).
 pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
     let module = module_path(rel);
-    // The sanctioned-owner whitelists carry over from the line engine:
-    // the obs wall channel may read real time, and the scoped pool /
-    // server may spawn threads (DESIGN §7, §9). Sources there are
-    // policy, not hazards.
-    let wall_exempt = crate::rules::path_has_prefix(rel, crate::rules::D3_EXEMPT);
-    let thread_exempt = crate::rules::path_has_prefix(rel, crate::rules::D5_EXEMPT);
+    // The sanctioned owners: the obs wall channel may read real time,
+    // and the scoped pool / server may spawn threads (DESIGN §7, §9).
+    // Sources there are policy, not hazards.
+    let wall_exempt = crate::rules::path_has_prefix(rel, crate::rules::WALL_CLOCK_EXEMPT);
+    let thread_exempt = crate::rules::path_has_prefix(rel, crate::rules::THREAD_EXEMPT);
     let hash_names = hash_typed_names(lines, skip);
     let toks = tokenize(lines, skip);
     let mut out = FileExtract {
@@ -780,6 +767,40 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
     while i < n {
         let (tok, line) = &toks[i];
         let line = *line;
+        // Inside a pending fn header (between `fn name` and its body).
+        let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
+        // Integer `*` / `+` / `<<` arithmetic sites and their compound
+        // forms (W1).
+        if let Some((op, width)) = arith_op(&toks, i).filter(|_| impl_hdr.is_none()) {
+            let compound = toks.get(i + width).map(|(t, _)| t) == Some(&Tok::P('='));
+            if !in_sig {
+                let lhs = operand_before(&toks, i);
+                let (rhs, guarded) = if compound {
+                    idents_until_semi(&toks, i + width + 1)
+                } else {
+                    (operand_after(&toks, i + width), false)
+                };
+                if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
+                    f.arith.push(ArithSite {
+                        line,
+                        op,
+                        compound,
+                        lhs: lhs.clone(),
+                        rhs: rhs.clone(),
+                    });
+                    if compound {
+                        f.binds.push(FlowBind {
+                            line,
+                            names: lhs,
+                            rhs,
+                            guarded,
+                        });
+                    }
+                }
+            }
+            i += width + usize::from(compound);
+            continue;
+        }
         match tok {
             Tok::P('{') => {
                 depth += 1;
@@ -859,16 +880,9 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
             }
             Tok::P('[') => {
                 // Raw index expression: `x[..]` / `f(..)[..]`.
-                if i > 0 {
-                    let indexing = match &toks[i - 1].0 {
-                        Tok::I(w) => !is_keyword(w),
-                        Tok::P(')') | Tok::P(']') => true,
-                        _ => false,
-                    };
-                    if indexing {
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            f.index_sites += 1;
-                        }
+                if operand_end(&toks, i).is_some() {
+                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
+                        f.index_sites += 1;
                     }
                 }
                 i += 1;
@@ -905,7 +919,6 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                 // parameter list (generic-bound parens like `Fn(u32)`
                 // come before it only inside `<..>`, where a parameter
                 // ident is never followed by a single `:`).
-                let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
                 if in_sig && sig_parens.is_none() {
                     sig_parens = Some(paren_depth);
                 }
@@ -918,47 +931,6 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                 }
                 i += 1;
             }
-            // `<<` / `<<=` shift site (W1). A type-shaped left ident is
-            // the qualified-path sugar `Foo<<A as B>::C>` — generics,
-            // not a shift.
-            Tok::P('<')
-                if toks.get(i + 1).map(|(t, _)| t) == Some(&Tok::P('<'))
-                    && i > 0
-                    && match &toks[i - 1].0 {
-                        Tok::I(w) => !is_keyword(w) && !upper_shaped(w),
-                        Tok::P(')') | Tok::P(']') => true,
-                        _ => false,
-                    } =>
-            {
-                let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
-                let compound = toks.get(i + 2).map(|(t, _)| t) == Some(&Tok::P('='));
-                if !in_sig {
-                    let lhs = operand_before(&toks, i);
-                    let (rhs, guarded) = if compound {
-                        idents_until_semi(&toks, i + 3)
-                    } else {
-                        (operand_after(&toks, i + 2), false)
-                    };
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.arith.push(ArithSite {
-                            line,
-                            op: ArithOp::Shl,
-                            compound,
-                            lhs: lhs.clone(),
-                            rhs: rhs.clone(),
-                        });
-                        if compound {
-                            f.binds.push(FlowBind {
-                                line,
-                                names: lhs,
-                                rhs,
-                                guarded,
-                            });
-                        }
-                    }
-                }
-                i += if compound { 3 } else { 2 };
-            }
             // A comparison (`x < cap`, `limit >= n`) marks both sides
             // bounded: the branch dominates the uses W1–W3 worry about.
             // Generic brackets are mostly excluded by the type-shaped /
@@ -967,14 +939,8 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
             // never-tainted names.
             Tok::P('<') | Tok::P('>')
                 if impl_hdr.is_none()
-                    && i > 0
-                    && match &toks[i - 1].0 {
-                        Tok::I(w) => !is_keyword(w) && !upper_shaped(w) && !prim_type(w),
-                        Tok::P(')') | Tok::P(']') => true,
-                        _ => false,
-                    } =>
+                    && operand_end(&toks, i).is_some_and(|w| !upper_shaped(w) && !prim_type(w)) =>
             {
-                let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
                 if !in_sig {
                     let after = if toks.get(i + 1).map(|(t, _)| t) == Some(&Tok::P('=')) {
                         i + 2
@@ -988,61 +954,8 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                 }
                 i += 1;
             }
-            // Integer `*` / `+` (and `*=` / `+=`) arithmetic sites (W1).
-            // Binary only: a preceding operand distinguishes them from
-            // deref / unary / generic-bound positions.
-            Tok::P(c @ ('*' | '+'))
-                if impl_hdr.is_none()
-                    && i > 0
-                    && match &toks[i - 1].0 {
-                        Tok::I(w) => !is_keyword(w),
-                        Tok::P(')') | Tok::P(']') => true,
-                        _ => false,
-                    } =>
-            {
-                let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
-                if !in_sig {
-                    let compound = toks.get(i + 1).map(|(t, _)| t) == Some(&Tok::P('='));
-                    let lhs = operand_before(&toks, i);
-                    let (rhs, guarded) = if compound {
-                        idents_until_semi(&toks, i + 2)
-                    } else {
-                        (operand_after(&toks, i + 1), false)
-                    };
-                    let op = if *c == '*' {
-                        ArithOp::Mul
-                    } else {
-                        ArithOp::Add
-                    };
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.arith.push(ArithSite {
-                            line,
-                            op,
-                            compound,
-                            lhs: lhs.clone(),
-                            rhs: rhs.clone(),
-                        });
-                        if compound {
-                            f.binds.push(FlowBind {
-                                line,
-                                names: lhs,
-                                rhs,
-                                guarded,
-                            });
-                        }
-                    }
-                }
-                i += 1;
-            }
             // `x % m` bounds x below m.
-            Tok::P('%')
-                if i > 0
-                    && match &toks[i - 1].0 {
-                        Tok::I(w) => !is_keyword(w),
-                        Tok::P(')') | Tok::P(']') => true,
-                        _ => false,
-                    } =>
-            {
+            Tok::P('%') if operand_end(&toks, i).is_some() => {
                 if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
                     f.bounded.extend(operand_before(&toks, i));
                 }
@@ -1053,18 +966,13 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
             // theirs; `==`/`=>`/`<=`-family operators never have an
             // identifier immediately before their `=`.
             Tok::P('=')
-                if i > 0
-                    && match &toks[i - 1].0 {
-                        Tok::I(w) => !is_keyword(w),
-                        Tok::P(']') => true,
-                        _ => false,
-                    }
+                if operand_end(&toks, i).is_some()
+                    && toks[i - 1].0 != Tok::P(')')
                     && !matches!(
                         toks.get(i + 1).map(|(t, _)| t),
                         Some(&Tok::P('=')) | Some(&Tok::P('>'))
                     ) =>
             {
-                let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
                 if !in_sig && !binds_with_let(&toks, i) {
                     let names = operand_before(&toks, i);
                     let (rhs, guarded) = idents_until_semi(&toks, i + 1);
@@ -1119,13 +1027,11 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                 }
 
                 let next_is = |k: char| toks.get(i + 1).map(|(t, _)| t) == Some(&Tok::P(k));
-                let in_fn_sig =
-                    pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
 
                 // Trailing-expression buffer for return flow: whatever
                 // identifiers remain when the fn scope closes are the
                 // tail expression (flushed into `ret_idents` at `}`).
-                if !in_fn_sig && !is_keyword(w) {
+                if !in_sig && !is_keyword(w) {
                     if let Some(s) = stack.iter_mut().rev().find(|s| s.fn_idx.is_some()) {
                         if s.tail.len() < 24 {
                             s.tail.insert(w.clone());
@@ -1134,7 +1040,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                 }
                 // Parameter name: `name:` (single colon) at exactly the
                 // parameter-list paren depth of a pending fn header.
-                if in_fn_sig
+                if in_sig
                     && sig_parens == Some(paren_depth)
                     && next_is(':')
                     && toks.get(i + 2).map(|(t, _)| t) != Some(&Tok::P(':'))
@@ -1282,7 +1188,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                         i = j;
                         continue;
                     }
-                    "mut" if in_fn_sig && i > 0 && toks[i - 1].0 == Tok::P('&') => {
+                    "mut" if in_sig && i > 0 && toks[i - 1].0 == Tok::P('&') => {
                         if let Some(fi) = pend_fn {
                             out.fns[fi].sig_mut = true;
                         }
@@ -1293,7 +1199,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                     // a typed receiver `self: Box<Self>` (single colon).
                     // `self::Path` in a parameter type has `::` and is
                     // not a receiver.
-                    "self" if in_fn_sig => {
+                    "self" if in_sig => {
                         let next_single_colon = toks.get(i + 1).map(|(t, _)| t)
                             == Some(&Tok::P(':'))
                             && toks.get(i + 2).map(|(t, _)| t) != Some(&Tok::P(':'));
@@ -1306,7 +1212,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                         i += 1;
                         continue;
                     }
-                    "for" if !in_fn_sig => {
+                    "for" if !in_sig => {
                         for_hdr = Some(false);
                         // Flow bind: `for names in rhs {`. Ctor/type
                         // segments in the pattern are skipped; taint in
@@ -1366,7 +1272,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                         i += 1;
                         continue;
                     }
-                    "let" if !in_fn_sig => {
+                    "let" if !in_sig => {
                         // Flow bind: `let names(: ty)? = rhs;`. Pattern
                         // names are the lowercase idents (ctor segments
                         // like `Some` are type-shaped and skipped); rhs
@@ -1440,7 +1346,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                         i += 1;
                         continue;
                     }
-                    "return" if !in_fn_sig => {
+                    "return" if !in_sig => {
                         let (ids, _) = idents_until_semi(&toks, i + 1);
                         if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
                             f.ret_idents.extend(ids);
@@ -1448,7 +1354,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                         i += 1;
                         continue;
                     }
-                    "as" if !in_fn_sig => {
+                    "as" if !in_sig => {
                         // `expr as prim` cast site (W2). `use .. as`
                         // renames are consumed by parse_use; a
                         // qualified-path `<A as Trait>` has a non-
@@ -1555,7 +1461,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                 // `!` in between and fall outside this pattern).
                 if next_is('(') && !is_keyword(w) {
                     let prev_dot = i > 0 && toks[i - 1].0 == Tok::P('.');
-                    if prev_dot {
+                    let (qualifier, is_method, on_self) = if prev_dot {
                         // Method call `recv.w(..)`.
                         let recv = receiver_before(&toks, i - 1);
                         let on_self = recv.as_deref() == Some("self");
@@ -1599,28 +1505,7 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                                 });
                             }
                         }
-                        let cargs = call_args(&toks, i + 1);
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            if w == "with_capacity" {
-                                f.caps.push(CapacitySite {
-                                    line,
-                                    what: "with_capacity",
-                                    args: cargs.iter().flatten().cloned().collect(),
-                                });
-                            }
-                            if w.starts_with("checked_") || w.starts_with("saturating_") {
-                                f.checked_sites += 1;
-                            }
-                            f.calls.push(Call {
-                                name: w.clone(),
-                                qualifier: String::new(),
-                                is_method: true,
-                                on_self,
-                                in_par: !par_regions.is_empty(),
-                                line,
-                                args: cargs,
-                            });
-                        }
+                        (String::new(), true, on_self)
                     } else {
                         let qualifier = path_qualifier_before(&toks, i);
                         if !thread_exempt
@@ -1682,28 +1567,29 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
                                 });
                             }
                         }
-                        let cargs = call_args(&toks, i + 1);
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            if w == "with_capacity" {
-                                f.caps.push(CapacitySite {
-                                    line,
-                                    what: "with_capacity",
-                                    args: cargs.iter().flatten().cloned().collect(),
-                                });
-                            }
-                            if w.starts_with("checked_") || w.starts_with("saturating_") {
-                                f.checked_sites += 1;
-                            }
-                            f.calls.push(Call {
-                                name: w.clone(),
-                                qualifier,
-                                is_method: false,
-                                on_self: false,
-                                in_par: !par_regions.is_empty(),
+                        (qualifier, false, false)
+                    };
+                    let cargs = call_args(&toks, i + 1);
+                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
+                        if w == "with_capacity" {
+                            f.caps.push(CapacitySite {
                                 line,
-                                args: cargs,
+                                what: "with_capacity",
+                                args: cargs.iter().flatten().cloned().collect(),
                             });
                         }
+                        if w.starts_with("checked_") || w.starts_with("saturating_") {
+                            f.checked_sites += 1;
+                        }
+                        f.calls.push(Call {
+                            name: w.clone(),
+                            qualifier,
+                            is_method,
+                            on_self,
+                            in_par: !par_regions.is_empty(),
+                            line,
+                            args: cargs,
+                        });
                     }
                     // A `core::par` dispatch opens a worker-closure
                     // region covering its argument list.
@@ -1983,6 +1869,35 @@ fn upper_shaped(w: &str) -> bool {
 fn push_unique(v: &mut Vec<String>, w: &str) {
     if !v.iter().any(|x| x == w) {
         v.push(w.to_string());
+    }
+}
+
+/// Whether the token before `at` can end a value operand — which is
+/// what makes a `*`, `+`, `<`, `%`, `=` or `[` at `at` binary/postfix
+/// rather than unary, generic or declarative. `Some(ident)` for a
+/// non-keyword identifier, `Some("")` for a closing `)`/`]`.
+fn operand_end(toks: &[(Tok, usize)], at: usize) -> Option<&str> {
+    match &toks[at.checked_sub(1)?].0 {
+        Tok::I(w) if !is_keyword(w) => Some(w),
+        Tok::P(')') | Tok::P(']') => Some(""),
+        _ => None,
+    }
+}
+
+/// The binary arithmetic operator starting at `at`, with its width in
+/// tokens. A type-shaped ident left of `<<` is the qualified-path sugar
+/// `Foo<<A as B>::C>` — generics, not a shift.
+fn arith_op(toks: &[(Tok, usize)], at: usize) -> Option<(ArithOp, usize)> {
+    let left = operand_end(toks, at)?;
+    match toks[at].0 {
+        Tok::P('*') => Some((ArithOp::Mul, 1)),
+        Tok::P('+') => Some((ArithOp::Add, 1)),
+        Tok::P('<')
+            if toks.get(at + 1).map(|(t, _)| t) == Some(&Tok::P('<')) && !upper_shaped(left) =>
+        {
+            Some((ArithOp::Shl, 2))
+        }
+        _ => None,
     }
 }
 

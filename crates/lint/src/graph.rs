@@ -44,9 +44,8 @@
 //! hide a real path — the soundness direction the whole pass is built
 //! around. The precision rungs exist to shrink it: `--stats` reports
 //! `fallback_edges` (free/path any-name edges) and
-//! `method_fallback_edges` (opaque-method edges) separately, and the
-//! golden test asserts the former shrinks ≥ 50% versus the v1
-//! name-matching resolver on the same workspace.
+//! `method_fallback_edges` (opaque-method edges) separately, and a
+//! golden test pins the former's edge list under an audited ceiling.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,6 +53,7 @@ use crate::extract::{
     ArithSite, CapacitySite, CastSite, EffectSite, FileExtract, FlowBind, LockSite, SourceKind,
     SourceSite,
 };
+use crate::reach::Edges;
 
 /// The workspace crate-dependency DAG, used to prune infeasible edges:
 /// a fn in crate A cannot call a fn in crate B unless A (transitively)
@@ -254,8 +254,7 @@ pub const RUNGS: &[&str] = &[
 
 /// Per-build resolution telemetry: how precise the ladder was on this
 /// workspace. Serialized into the graph JSON (`resolution` section) and
-/// summarized by `--stats`; the precision acceptance test asserts
-/// `fallback_edges` shrinks when the import rungs are enabled.
+/// summarized by `--stats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResolutionStats {
     /// Total call sites resolved.
@@ -520,28 +519,10 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the graph from per-file extraction results, with
-    /// permissive (no) crate-dependency pruning.
-    pub fn build(files: &[FileExtract]) -> CallGraph {
-        CallGraph::build_with_deps(files, &CrateDeps::permissive())
-    }
-
-    /// Builds the graph, pruning candidate edges that contradict the
-    /// crate-dependency DAG (see [`CrateDeps`]).
-    pub fn build_with_deps(files: &[FileExtract], deps: &CrateDeps) -> CallGraph {
-        CallGraph::build_with_opts(files, deps, true).0
-    }
-
-    /// Full build: `use_imports` toggles every precision rung this
-    /// engine added over the v1 name-matching resolver — the import,
-    /// glob, assoc-restriction and type-unknown rungs — so the
-    /// precision test can measure the fallback shrink they buy on the
-    /// same workspace.
-    pub fn build_with_opts(
-        files: &[FileExtract],
-        deps: &CrateDeps,
-        use_imports: bool,
-    ) -> (CallGraph, ResolutionStats) {
+    /// Builds the graph from per-file extraction results, pruning
+    /// candidate edges that contradict the crate-dependency DAG (see
+    /// [`CrateDeps`]), and reports how each call site was resolved.
+    pub fn build(files: &[FileExtract], deps: &CrateDeps) -> (CallGraph, ResolutionStats) {
         // Index pass.
         let mut by_name: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
         let mut by_type_name: BTreeMap<(&str, &str), Vec<&str>> = BTreeMap::new();
@@ -616,9 +597,6 @@ impl CallGraph {
 
         // Looks up `prefix::name` fns through a named-import binding.
         let import_lookup = |module: &str, alias: &str, rest: &[&str], call_name: Option<&str>| {
-            if !use_imports {
-                return ImportHit::None;
-            }
             let Some(targets) = scopes.named.get(&(module.to_string(), alias.to_string())) else {
                 return ImportHit::None;
             };
@@ -670,9 +648,6 @@ impl CallGraph {
         // Glob-rung lookup: candidates for `q_segs::name` through any
         // glob-imported scope of `module`.
         let glob_lookup = |module: &str, q_segs: &[&str], name: &str| -> Vec<&str> {
-            if !use_imports {
-                return Vec::new();
-            }
             let Some(targets) = scopes.globs.get(module) else {
                 return Vec::new();
             };
@@ -686,6 +661,11 @@ impl CallGraph {
             }
             cands
         };
+
+        // The two conservative candidate pools: every assoc fn, and
+        // every fn at all, of a given name.
+        let assoc_named = |name: &str| assoc_by_name.get(name).cloned().unwrap_or_default();
+        let any_named = |name: &str| by_name.get(name).cloned().unwrap_or_default();
 
         let mut stats = ResolutionStats::new();
         let mut nodes: BTreeMap<String, Node> = BTreeMap::new();
@@ -710,15 +690,10 @@ impl CallGraph {
                             // trait impl, deref): every *method* named
                             // `m` (free fns can't be method targets).
                             None => (
-                                by_name
-                                    .get(c.name.as_str())
-                                    .map(|v| {
-                                        v.iter()
-                                            .filter(|q| method_qnames.contains(*q))
-                                            .copied()
-                                            .collect::<Vec<_>>()
-                                    })
-                                    .unwrap_or_default(),
+                                any_named(&c.name)
+                                    .into_iter()
+                                    .filter(|q| method_qnames.contains(q))
+                                    .collect(),
                                 "method_fallback",
                             ),
                         }
@@ -741,13 +716,7 @@ impl CallGraph {
                             // fn. It can only dispatch onward to assoc
                             // fns (a derived `default` calls the field
                             // types' `default`s), never to free fns.
-                            (
-                                assoc_by_name
-                                    .get(c.name.as_str())
-                                    .cloned()
-                                    .unwrap_or_default(),
-                                "assoc_fallback",
-                            )
+                            (assoc_named(&c.name), "assoc_fallback")
                         } else {
                             // Rung 2: named import on the first path
                             // segment.
@@ -762,13 +731,7 @@ impl CallGraph {
                                             // The type is visible but
                                             // `f` is not: a derived
                                             // assoc fn. Assoc-restrict.
-                                            None => (
-                                                assoc_by_name
-                                                    .get(c.name.as_str())
-                                                    .cloned()
-                                                    .unwrap_or_default(),
-                                                "assoc_fallback",
-                                            ),
+                                            None => (assoc_named(&c.name), "assoc_fallback"),
                                         }
                                     } else if let Some(m) =
                                         match_module(&modules, &c.qualifier, &f.module)
@@ -797,13 +760,7 @@ impl CallGraph {
                                                 // declared type or a std
                                                 // trait (UFCS) — only
                                                 // assoc fns can match.
-                                                (
-                                                    assoc_by_name
-                                                        .get(c.name.as_str())
-                                                        .cloned()
-                                                        .unwrap_or_default(),
-                                                    "assoc_fallback",
-                                                )
+                                                (assoc_named(&c.name), "assoc_fallback")
                                             } else {
                                                 // Rung 7b: a type with
                                                 // no visible decl at all
@@ -815,13 +772,7 @@ impl CallGraph {
                                             }
                                         } else {
                                             // Rung 8: any-name fallback.
-                                            (
-                                                by_name
-                                                    .get(c.name.as_str())
-                                                    .cloned()
-                                                    .unwrap_or_default(),
-                                                "fallback",
-                                            )
+                                            (any_named(&c.name), "fallback")
                                         }
                                     }
                                 }
@@ -839,33 +790,12 @@ impl CallGraph {
                                     if !g.is_empty() {
                                         (g, "glob")
                                     } else {
-                                        (
-                                            by_name
-                                                .get(c.name.as_str())
-                                                .cloned()
-                                                .unwrap_or_default(),
-                                            "fallback",
-                                        )
+                                        (any_named(&c.name), "fallback")
                                     }
                                 }
                             },
                         }
                     };
-                    // The `use_imports == false` baseline models the v1
-                    // name-matching resolver this engine replaced; the
-                    // assoc-restriction rungs are part of the same
-                    // upgrade, so they degrade to the any-name fallback
-                    // there too — that is what the shrink criterion
-                    // measures against.
-                    let (cands, rung) =
-                        if !use_imports && matches!(rung, "assoc_fallback" | "type_unknown") {
-                            (
-                                by_name.get(c.name.as_str()).cloned().unwrap_or_default(),
-                                "fallback",
-                            )
-                        } else {
-                            (cands, rung)
-                        };
                     stats.bump(rung);
                     let from_crate = crate_of(&f.qname);
                     let precise = PRECISE_RUNGS.contains(&rung);
@@ -981,6 +911,12 @@ impl CallGraph {
             float_names.extend(fx.float_names.iter().cloned());
         }
         (CallGraph { nodes, float_names }, stats)
+    }
+
+    /// The caller → callees adjacency [`crate::reach`] searches.
+    pub fn edges(&self) -> Edges {
+        let calls = |(q, n): (&String, &Node)| (q.clone(), n.calls.clone());
+        self.nodes.iter().map(calls).collect()
     }
 
     /// Serializes the graph as stable, key-sorted JSON (schema
@@ -1143,6 +1079,17 @@ fn match_module<'m>(
     hits.pop()
 }
 
+/// A counter table as a single-line JSON object, in key order — the
+/// `purity` / `width` sections of the lint report and the `counts` of
+/// the two artifacts.
+pub(crate) fn counts_json(counts: &BTreeMap<&'static str, usize>) -> String {
+    let items: Vec<String> = counts
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", items.join(", "))
+}
+
 /// Minimal JSON string escape.
 pub(crate) fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -1159,28 +1106,28 @@ pub(crate) fn esc(s: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::extract::extract;
     use crate::lexer::sanitize;
 
-    fn extracts(files: &[(&str, &str)]) -> Vec<FileExtract> {
-        files
+    /// The graph of in-memory `(rel, src)` files, with its stats.
+    fn graph_stats(files: &[(&str, &str)]) -> (CallGraph, ResolutionStats) {
+        let extracts: Vec<FileExtract> = files
             .iter()
             .map(|(rel, src)| {
                 let lines = sanitize(src);
                 let skip = vec![false; lines.len()];
                 extract(rel, &lines, &skip)
             })
-            .collect()
+            .collect();
+        CallGraph::build(&extracts, &CrateDeps::permissive())
     }
 
-    fn graph(files: &[(&str, &str)]) -> CallGraph {
-        CallGraph::build(&extracts(files))
-    }
-
-    fn graph_stats(files: &[(&str, &str)]) -> (CallGraph, ResolutionStats) {
-        CallGraph::build_with_opts(&extracts(files), &CrateDeps::permissive(), true)
+    /// [`graph_stats`] without the stats — every analysis module's unit
+    /// tests build their fixtures through this.
+    pub(crate) fn graph(files: &[(&str, &str)]) -> CallGraph {
+        graph_stats(files).0
     }
 
     #[test]
@@ -1331,8 +1278,8 @@ pub mod util { pub fn helper() {} }
 ",
         )]);
         let entry = &g.nodes["a::entry"];
-        // v1 resolved `h()` to *nothing* (a missed edge — the unsound
-        // direction); the import rung recovers the real target.
+        // Name matching alone would resolve `h()` to *nothing* (a
+        // missed edge — the unsound direction).
         assert_eq!(entry.calls.iter().collect::<Vec<_>>(), ["a::util::helper"]);
     }
 
@@ -1452,26 +1399,6 @@ pub fn entry() { go(); }
         assert!(entry.calls.contains("b::mystery"));
         assert_eq!(stats.per_rung["fallback"], 1);
         assert_eq!(stats.fallback_edges, 1);
-    }
-
-    #[test]
-    fn imports_off_reinflates_the_fallback() {
-        let files = extracts(&[
-            (
-                "crates/a/src/lib.rs",
-                "
-use crate::util::helper;
-pub fn entry() { helper(); }
-pub mod util { pub fn helper() {} }
-",
-            ),
-            ("crates/b/src/lib.rs", "pub fn helper() {}"),
-        ]);
-        let (_, on) = CallGraph::build_with_opts(&files, &CrateDeps::permissive(), true);
-        let (g_off, off) = CallGraph::build_with_opts(&files, &CrateDeps::permissive(), false);
-        assert_eq!(on.fallback_edges, 0);
-        assert_eq!(off.fallback_edges, 2);
-        assert!(g_off.nodes["a::entry"].calls.contains("b::helper"));
     }
 
     #[test]

@@ -12,31 +12,32 @@
 //! checked mechanically — so this crate walks every workspace `.rs`
 //! file and enforces the rules in [`rules::RULES`].
 //!
-//! # The two engines
+//! # One engine
 //!
 //! The vendored-deps constraint rules out `syn`, so everything is built
 //! on a small hand-rolled lexer ([`lexer`]) that strips comments and
-//! blanks literal bodies.
+//! blanks literal bodies. Every analysis — the workspace, an in-memory
+//! fixture set, a single file — runs the same pipeline:
 //!
-//! * The **line engine** runs per-line pattern rules over the sanitized
-//!   code (D1 float comparators, S1 unsafe hygiene, plus — in
-//!   standalone/fixture mode — the path-heuristic rules D2–D5/S2).
-//! * The **graph engine** ([`extract`] → [`graph`] → [`taint`])
-//!   extracts `fn` items and call sites from the same token stream,
-//!   builds a whole-workspace call graph, and proves determinism
-//!   *transitively*: a nondeterminism source is only a violation when
-//!   it is call-reachable from a deterministic root (G1/G3), and every
-//!   finding carries a root→site evidence chain. Workspace runs use
-//!   this engine in place of the D2/D3/D4/D5/S2 heuristics, so e.g. a
-//!   lookup-only `HashMap` no longer needs an allow. See DESIGN §9.
+//! * per file, the line rules over the sanitized code (D1 float
+//!   comparators, S1 unsafe hygiene) and the extractor ([`extract`]),
+//!   which recovers `fn` items, call sites and hazard sites from the
+//!   same token stream;
+//! * over all files, the call graph ([`graph`]) and the three analyses
+//!   on it: reachability ([`taint`], G1–G3 — a nondeterminism source is
+//!   only a violation when it is call-reachable from a deterministic
+//!   root, so e.g. a lookup-only `HashMap` needs no allow), purity
+//!   ([`purity`], G4–G5) and scale-taint width ([`width`], W1–W3).
+//!   Every finding carries an evidence chain. See DESIGN §9.
 //!
-//! Violations from either engine are suppressible in place with
-//! `// lint:allow(<rule>): <reason>` — the reason is mandatory, and an
-//! allow that stops matching anything is reported so suppressions
-//! cannot silently outlive the code they excused.
+//! Every rule's hits go through one suppression path: a violation is
+//! suppressible in place with `// lint:allow(<rule>): <reason>` — the
+//! reason is mandatory, and an allow that stops matching anything is
+//! reported so suppressions cannot silently outlive the code they
+//! excused.
 //!
 //! Run it as `cargo run -p specweb-lint`; the `workspace_clean`
-//! integration test runs the same engine so `cargo test` gates it.
+//! integration test runs the same analysis so `cargo test` gates it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +46,7 @@ pub mod extract;
 pub mod graph;
 pub mod lexer;
 pub mod purity;
+pub mod reach;
 pub mod rules;
 pub mod taint;
 pub mod width;
@@ -54,14 +56,13 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Classification of a `.rs` file, driving which rules apply.
+/// Classification of a `.rs` file: whether the rules apply to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code: every rule applies.
+    /// Library, binary and example code: every rule applies. (A binary
+    /// may seed from entropy or panic on bad input without an allow —
+    /// no deterministic root reaches it, so G1/G3 never see it.)
     Lib,
-    /// Binary / example targets: D4 (unseeded RNG) and S2 (unwrap) are
-    /// relaxed — a CLI may seed from entropy and panic on bad input.
-    Bin,
     /// Integration tests and benches: exempt. Tests legitimately use
     /// wall clocks, unwrap, and ad-hoc threads; golden tests are what
     /// *detect* nondeterminism rather than what must avoid it.
@@ -131,16 +132,13 @@ pub struct Report {
     pub files_scanned: usize,
     /// Line counts per crate (see [`Loc`]), keyed by crate name.
     pub loc: BTreeMap<String, Loc>,
-    /// Whether the call-graph engine ran (workspace mode) or only the
-    /// line engine (standalone / fixture mode).
-    pub graph_engine: bool,
-    /// Resolution-ladder telemetry from the graph build (workspace /
-    /// hybrid mode only) — the precision counters CI gates on.
-    pub resolution: Option<graph::ResolutionStats>,
-    /// Purity classification counts (workspace / hybrid mode only).
-    pub purity_counts: Option<BTreeMap<&'static str, usize>>,
-    /// Width/scale-taint counters (workspace / hybrid mode only).
-    pub width_counts: Option<BTreeMap<&'static str, usize>>,
+    /// Resolution-ladder telemetry from the graph build — the
+    /// precision counters CI gates on.
+    pub resolution: graph::ResolutionStats,
+    /// Purity classification counts.
+    pub purity_counts: BTreeMap<&'static str, usize>,
+    /// Width/scale-taint counters.
+    pub width_counts: BTreeMap<&'static str, usize>,
 }
 
 impl Report {
@@ -155,7 +153,6 @@ impl Report {
             sum.code += n.code;
             sum.test += n.test;
         }
-        self.graph_engine |= other.graph_engine;
     }
 
     /// Per-rule `(violations, allowed)` counts, sorted by rule id.
@@ -174,31 +171,17 @@ impl Report {
     }
 
     /// Render the JSON summary written by `--stats`. Hand-rolled (the
-    /// pass is std-only) and key-sorted, so diffs are stable. Per rule
-    /// it reports current violations/allows plus `retired`: how many of
-    /// that rule's line-engine-era allows (see [`rules::ALLOW_BASELINE`])
-    /// the reachability analysis has since proven unnecessary.
+    /// pass is std-only) and key-sorted, so diffs are stable.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"engines\": [{}],\n",
-            if self.graph_engine {
-                "\"line\", \"graph\""
-            } else {
-                "\"line\""
-            }
-        ));
         out.push_str("  \"rules\": {\n");
         let per_rule = self.per_rule();
         let total = per_rule.len();
         for (i, (rule, (viol, allowed))) in per_rule.iter().enumerate() {
             let comma = if i + 1 == total { "" } else { "," };
-            let baseline = rules::allow_baseline(rule);
-            let retired = baseline.saturating_sub(*allowed);
             out.push_str(&format!(
-                "    \"{rule}\": {{ \"violations\": {viol}, \"allowed\": {allowed}, \
-                 \"baseline_allows\": {baseline}, \"retired\": {retired} }}{comma}\n"
+                "    \"{rule}\": {{ \"violations\": {viol}, \"allowed\": {allowed} }}{comma}\n"
             ));
         }
         out.push_str("  },\n");
@@ -212,42 +195,21 @@ impl Report {
                 .join(", "),
         );
         out.push_str("},\n");
-        if let Some(stats) = &self.resolution {
-            out.push_str(&format!("  \"resolution\": {},\n", stats.to_json_obj()));
-        }
-        if let Some(counts) = &self.purity_counts {
-            out.push_str("  \"purity\": {");
-            out.push_str(
-                &counts
-                    .iter()
-                    .map(|(k, v)| format!("\"{k}\": {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-            out.push_str("},\n");
-        }
-        if let Some(counts) = &self.width_counts {
-            out.push_str("  \"width\": {");
-            out.push_str(
-                &counts
-                    .iter()
-                    .map(|(k, v)| format!("\"{k}\": {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-            out.push_str("},\n");
-        }
-        let remaining = self.allowed.len();
-        let baseline_total: usize = rules::ALLOW_BASELINE.iter().map(|&(_, n)| n).sum();
-        out.push_str(&format!("  \"allows_remaining\": {remaining},\n"));
         out.push_str(&format!(
-            "  \"allows_retired\": {},\n",
-            baseline_total.saturating_sub(
-                self.allowed
-                    .iter()
-                    .filter(|(r, _, _)| rules::allow_baseline(r) > 0)
-                    .count()
-            )
+            "  \"resolution\": {},\n",
+            self.resolution.to_json_obj()
+        ));
+        out.push_str(&format!(
+            "  \"purity\": {},\n",
+            graph::counts_json(&self.purity_counts)
+        ));
+        out.push_str(&format!(
+            "  \"width\": {},\n",
+            graph::counts_json(&self.width_counts)
+        ));
+        out.push_str(&format!(
+            "  \"allows_remaining\": {},\n",
+            self.allowed.len()
         ));
         out.push_str(&format!(
             "  \"unused_allows\": {}\n",
@@ -258,11 +220,11 @@ impl Report {
     }
 }
 
-/// A full two-engine analysis: the lint report plus the artifacts the
-/// graph engine produced (for `--graph` serialization and tests).
+/// A full analysis: the lint report plus the artifacts the graph
+/// analyses produced (for `--graph` serialization and tests).
 #[derive(Debug)]
 pub struct Analysis {
-    /// Combined report (line + graph findings, suppression applied).
+    /// The report (every rule's findings, suppression applied).
     pub report: Report,
     /// The resolved workspace call graph.
     pub graph: graph::CallGraph,
@@ -282,14 +244,9 @@ pub struct Analysis {
 pub fn classify(rel: &str) -> FileKind {
     let parts: Vec<&str> = rel.split('/').collect();
     if parts.contains(&"tests") || parts.contains(&"benches") {
-        return FileKind::Test;
-    }
-    if parts.contains(&"examples") || parts.contains(&"bin") {
-        return FileKind::Bin;
-    }
-    match parts.last() {
-        Some(&"main.rs") | Some(&"build.rs") => FileKind::Bin,
-        _ => FileKind::Lib,
+        FileKind::Test
+    } else {
+        FileKind::Lib
     }
 }
 
@@ -425,16 +382,6 @@ fn test_regions(lines: &[lexer::Line]) -> Vec<bool> {
     skip
 }
 
-/// Which engine combination a file pass runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Full legacy line-rule set, no extraction (fixtures, `lint_source`).
-    LineOnly,
-    /// Line rules minus the path heuristics, plus extraction for the
-    /// graph engine (workspace runs).
-    Hybrid,
-}
-
 /// Per-file intermediate result: everything a worker can compute
 /// without seeing other files. Pure function of `(rel, kind, src)`, so
 /// the parallel workspace pass is deterministic by construction.
@@ -444,19 +391,19 @@ struct FilePass {
     /// Malformed-allow diagnostics (always violations).
     malformed: Vec<Diag>,
     allows: Vec<Allow>,
-    /// Line-rule hits: (0-based line idx, rule, message).
-    line_hits: Vec<(usize, &'static str, String)>,
+    /// Line-rule hits, in line order.
+    line_hits: Vec<rules::Hit>,
     /// Trimmed raw source lines, for diagnostics.
     snippets: Vec<String>,
     /// This file's line counts.
     loc: Loc,
-    /// Extraction result (Hybrid mode, non-test files).
+    /// Extraction result (non-test files).
     extract: Option<extract::FileExtract>,
 }
 
-/// Run the lexer, allow collection, line rules, and (in Hybrid mode)
-/// the extractor over one file.
-fn file_pass(rel: &str, kind: FileKind, src: &str, engine: Engine) -> FilePass {
+/// Run the lexer, allow collection, line rules, and the extractor over
+/// one file.
+fn file_pass(rel: &str, kind: FileKind, src: &str) -> FilePass {
     let snippets: Vec<String> = src.lines().map(|s| s.trim().to_string()).collect();
     let mut pass = FilePass {
         rel: rel.to_string(),
@@ -516,66 +463,36 @@ fn file_pass(rel: &str, kind: FileKind, src: &str, engine: Engine) -> FilePass {
                 snippet: pass.snippets.get(idx).cloned().unwrap_or_default(),
             }),
         }
-    }
-
-    let legacy = engine == Engine::LineOnly;
-    for (idx, line) in lines.iter().enumerate() {
-        if skip[idx] {
-            continue;
-        }
         let prev_comment = if idx > 0 {
             lines[idx - 1].comment.as_str()
         } else {
             ""
         };
-        for hit in
-            rules::check_line_with(rel, kind, &line.code, &line.comment, prev_comment, legacy)
-        {
-            pass.line_hits.push((idx, hit.rule, hit.message));
-        }
+        pass.line_hits.extend(rules::check_line(
+            rel,
+            idx + 1,
+            &line.code,
+            &line.comment,
+            prev_comment,
+        ));
     }
 
-    if engine == Engine::Hybrid {
-        pass.extract = Some(extract::extract(rel, &lines, &skip));
-    }
+    pass.extract = Some(extract::extract(rel, &lines, &skip));
     pass
 }
 
-/// Apply suppression to a file's combined line + graph hits and emit
-/// its final report slice.
-fn finish_file(mut pass: FilePass, graph_hits: &[taint::GraphHit], graph_engine: bool) -> Report {
+/// Apply suppression to a file's hits — every rule's, line rules first
+/// — and emit its final report slice.
+fn finish_file(mut pass: FilePass, hits: &[rules::Hit]) -> Report {
     let mut report = Report {
         files_scanned: 1,
         loc: BTreeMap::from([(crate_of(&pass.rel).to_string(), pass.loc)]),
-        graph_engine,
         ..Report::default()
     };
     report.violations.append(&mut pass.malformed);
     let snippet = |idx: usize| pass.snippets.get(idx).cloned().unwrap_or_default();
 
-    for (idx, rule, message) in &pass.line_hits {
-        let covered = pass
-            .allows
-            .iter_mut()
-            .find(|a| a.covers == *idx && a.rules.iter().any(|r| r == rule));
-        match covered {
-            Some(a) => {
-                a.used = true;
-                report
-                    .allowed
-                    .push((rule.to_string(), pass.rel.clone(), idx + 1));
-            }
-            None => report.violations.push(Diag {
-                file: pass.rel.clone(),
-                line: idx + 1,
-                rule: rule.to_string(),
-                message: message.clone(),
-                snippet: snippet(*idx),
-            }),
-        }
-    }
-
-    for h in graph_hits {
+    for h in hits {
         let idx = h.line.saturating_sub(1);
         let covered = pass
             .allows
@@ -613,25 +530,24 @@ fn finish_file(mut pass: FilePass, graph_hits: &[taint::GraphHit], graph_engine:
     report
 }
 
-/// Lint one file's source text with the full legacy line-rule set (no
-/// call graph — a single file has no callers to prove reachability
-/// from). `rel` is the workspace-relative path (forward slashes);
-/// `kind` usually comes from [`classify`] but is a parameter so fixture
-/// tests can exercise Lib rules on arbitrary sources.
+/// Lint one file's source text: [`analyze_sources`] on a one-file set.
+/// `rel` is the workspace-relative path (forward slashes) — it decides
+/// the module path, so a fixture placed under a root module (see
+/// [`taint`]) is reachable by construction; `kind` usually comes from
+/// [`classify`].
 pub fn lint_source(rel: &str, kind: FileKind, src: &str) -> Report {
-    let pass = file_pass(rel, kind, src, Engine::LineOnly);
-    finish_file(pass, &[], false)
+    analyze_sources(&[(rel.to_string(), kind, src.to_string())]).report
 }
 
-/// Run the two-engine analysis over an in-memory file set — the
-/// multi-file counterpart of [`lint_source`], used by graph fixture
-/// tests. Files are `(rel, kind, src)`.
+/// Run the analysis over an in-memory file set (fixture tests). Files
+/// are `(rel, kind, src)`. Root specs the set does not contain are not
+/// reported: a fixture is by definition not the whole workspace.
 pub fn analyze_sources(files: &[(String, FileKind, String)]) -> Analysis {
     let passes: Vec<FilePass> = files
         .iter()
-        .map(|(rel, kind, src)| file_pass(rel, *kind, src, Engine::Hybrid))
+        .map(|(rel, kind, src)| file_pass(rel, *kind, src))
         .collect();
-    finish_analysis(passes, &graph::CrateDeps::permissive())
+    finish_analysis(passes, &graph::CrateDeps::permissive()).0
 }
 
 /// Read the workspace crate-dependency DAG from `crates/*/Cargo.toml`
@@ -673,59 +589,40 @@ pub fn load_crate_deps(root: &Path) -> graph::CrateDeps {
     graph::CrateDeps::from_pairs(&pairs)
 }
 
-/// Extract every workspace file (same pipeline as
-/// [`analyze_workspace`], minus the rules) so precision tests can
-/// rebuild the graph with the import rungs toggled and measure the
-/// fallback shrink they buy.
-pub fn workspace_extracts(root: &Path) -> Result<Vec<extract::FileExtract>, String> {
-    let mut out = Vec::new();
-    for path in collect_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let pass = file_pass(&rel, classify(&rel), &src, Engine::Hybrid);
-        if let Some(fx) = pass.extract {
-            out.push(fx);
-        }
-    }
-    Ok(out)
-}
-
 /// Shared tail of the workspace / in-memory analyses: build the graph,
-/// run the taint checks, apply suppression per file.
-fn finish_analysis(passes: Vec<FilePass>, deps: &graph::CrateDeps) -> Analysis {
+/// run the graph rules, apply suppression per file. Also returns the
+/// root specs that matched no fn, as ready diagnostics.
+fn finish_analysis(mut passes: Vec<FilePass>, deps: &graph::CrateDeps) -> (Analysis, Vec<Diag>) {
     let extracts: Vec<extract::FileExtract> =
         passes.iter().filter_map(|p| p.extract.clone()).collect();
-    let (g, stats) = graph::CallGraph::build_with_opts(&extracts, deps, true);
-    let (roots, hot_roots) = taint::resolve_roots(&g);
+    let (g, stats) = graph::CallGraph::build(&extracts, deps);
+    let (roots, hot_roots, unmatched_roots) = taint::resolve_roots(&g);
     let pm = purity::PurityMap::compute(&g);
     let wm = width::WidthMap::compute(&g);
-    let mut ghits = taint::check_reachability(&g, &roots, &hot_roots);
-    ghits.extend(taint::check_lock_order(&g));
-    ghits.extend(purity::check_effect_free(&g, &pm));
-    ghits.extend(purity::check_par_purity(&g, &pm));
-    ghits.extend(width::check_width(&wm));
+    let mut hits: Vec<rules::Hit> = Vec::new();
+    for pass in &mut passes {
+        hits.append(&mut pass.line_hits);
+    }
+    hits.extend(taint::check_reachability(&g, &roots, &hot_roots));
+    hits.extend(taint::check_lock_order(&g));
+    hits.extend(purity::check_effect_free(&g, &pm));
+    hits.extend(purity::check_par_purity(&g, &pm));
+    hits.extend(wm.findings.iter().cloned());
 
-    let mut by_file: BTreeMap<&str, Vec<&taint::GraphHit>> = BTreeMap::new();
-    for h in &ghits {
-        by_file.entry(h.file.as_str()).or_default().push(h);
+    let mut by_file: BTreeMap<String, Vec<rules::Hit>> = BTreeMap::new();
+    for h in hits {
+        by_file.entry(h.file.clone()).or_default().push(h);
     }
 
     let mut report = Report::default();
     for pass in passes {
-        let hits: Vec<taint::GraphHit> = by_file
-            .get(pass.rel.as_str())
-            .map(|v| v.iter().map(|h| (*h).clone()).collect())
-            .unwrap_or_default();
-        report.merge(finish_file(pass, &hits, true));
+        let hits = by_file.remove(&pass.rel).unwrap_or_default();
+        report.merge(finish_file(pass, &hits));
     }
-    report.resolution = Some(stats.clone());
-    report.purity_counts = Some(pm.counts());
-    report.width_counts = Some(wm.counts(&g));
-    Analysis {
+    report.resolution = stats.clone();
+    report.purity_counts = pm.counts();
+    report.width_counts = wm.counts(&g);
+    let analysis = Analysis {
         report,
         graph: g,
         roots,
@@ -733,14 +630,16 @@ fn finish_analysis(passes: Vec<FilePass>, deps: &graph::CrateDeps) -> Analysis {
         stats,
         purity: pm,
         width: wm,
-    }
+    };
+    (analysis, unmatched_roots)
 }
 
-/// Run the two-engine analysis over every `.rs` file under `root`,
-/// fanning the per-file pass over `jobs` workers. The per-file stage is
-/// a pure function and results are merged in sorted file order, so the
-/// output — including the serialized call graph — is byte-identical
-/// for any `jobs` count (golden-tested).
+/// Run the analysis over every `.rs` file under `root`, fanning the
+/// per-file pass over `jobs` workers. The per-file stage is a pure
+/// function and results are merged in sorted file order, so the output
+/// — including the serialized call graph — is byte-identical for any
+/// `jobs` count (golden-tested). A root spec that matches no fn of the
+/// whole workspace is a violation (see [`taint::resolve_roots`]).
 pub fn analyze_workspace(root: &Path, jobs: usize) -> Result<Analysis, String> {
     let mut inputs: Vec<(String, FileKind, String)> = Vec::new();
     for path in collect_files(root)? {
@@ -754,14 +653,14 @@ pub fn analyze_workspace(root: &Path, jobs: usize) -> Result<Analysis, String> {
         inputs.push((rel, kind, src));
     }
     let pool = specweb_core::par::Pool::new(jobs);
-    let passes = pool.map_indexed(&inputs, |_, (rel, kind, src)| {
-        file_pass(rel, *kind, src, Engine::Hybrid)
-    });
-    Ok(finish_analysis(passes, &load_crate_deps(root)))
+    let passes = pool.map_indexed(&inputs, |_, (rel, kind, src)| file_pass(rel, *kind, src));
+    let (mut analysis, unmatched_roots) = finish_analysis(passes, &load_crate_deps(root));
+    analysis.report.violations.extend(unmatched_roots);
+    Ok(analysis)
 }
 
-/// Lint every `.rs` file under `root` with the two-engine analysis
-/// (serial). Kept as the stable entry point for the tier-1 gates.
+/// Lint every `.rs` file under `root` (serial). Kept as the stable
+/// entry point for the tier-1 gate.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     analyze_workspace(root, 1).map(|a| a.report)
 }
@@ -770,27 +669,28 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 mod tests {
     use super::*;
 
+    /// A path no root spec matches: only the line rules can fire.
+    const COLD: &str = "crates/x/src/lib.rs";
+    /// `serve::conn` — every fn in it is a deterministic and hot root.
+    const HOT: &str = "crates/serve/src/conn.rs";
+
     #[test]
     fn classify_kinds() {
         assert_eq!(classify("crates/core/src/stats.rs"), FileKind::Lib);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
-        assert_eq!(classify("src/bin/specweb.rs"), FileKind::Bin);
-        assert_eq!(classify("crates/bench/src/bin/figures.rs"), FileKind::Bin);
-        assert_eq!(classify("examples/quickstart.rs"), FileKind::Bin);
+        assert_eq!(classify("src/bin/specweb.rs"), FileKind::Lib);
+        assert_eq!(classify("examples/quickstart.rs"), FileKind::Lib);
         assert_eq!(
             classify("crates/serve/tests/degradation.rs"),
             FileKind::Test
         );
-        assert_eq!(
-            classify("crates/bench/benches/simulators.rs"),
-            FileKind::Test
-        );
+        assert_eq!(classify("crates/lint/benches/x.rs"), FileKind::Test);
     }
 
     #[test]
     fn cfg_test_regions_are_exempt() {
         let src = "\
-use std::collections::HashMap;
+pub fn step(x: Option<u32>) -> u32 { x.unwrap() }
 
 #[cfg(test)]
 mod tests {
@@ -798,63 +698,67 @@ mod tests {
     #[test]
     fn t() {
         let _ = Instant::now();
-        let m: HashMap<u32, u32> = HashMap::new();
+        let _ = a.partial_cmp(&b);
         let _ = m.get(&1).unwrap();
     }
 }
 ";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
-        // Only the top-level HashMap import is flagged.
+        let r = lint_source(HOT, FileKind::Lib, src);
+        // Only the top-level unwrap is flagged.
         assert_eq!(r.violations.len(), 1, "{:#?}", r.violations);
-        assert_eq!(r.violations[0].rule, "D2");
+        assert_eq!(r.violations[0].rule, "G3");
         assert_eq!(r.violations[0].line, 1);
     }
 
     #[test]
     fn cfg_not_test_is_not_exempt() {
         let src = "#[cfg(not(test))]\nfn f() { x.unwrap(); }\n";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        let r = lint_source(HOT, FileKind::Lib, src);
         assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, "S2");
+        assert_eq!(r.violations[0].rule, "G3");
     }
 
     #[test]
     fn allow_on_same_line_suppresses() {
-        let src = "let m = HashMap::new(); // lint:allow(D2): lookup-only side table\n";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        let src = "let o = a.partial_cmp(&b); // lint:allow(D1): NaN is filtered upstream\n";
+        let r = lint_source(COLD, FileKind::Lib, src);
         assert!(r.violations.is_empty(), "{:#?}", r.violations);
         assert_eq!(r.allowed.len(), 1);
-        assert_eq!(r.allowed[0].0, "D2");
+        assert_eq!(r.allowed[0].0, "D1");
     }
 
     #[test]
     fn allow_on_preceding_line_suppresses() {
-        let src = "// lint:allow(S2): invariant: key inserted two lines up\nlet v = m.get(&k).unwrap();\n";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        let src = "// lint:allow(G3): invariant: key inserted two lines up\nfn f() { let v = m.get(&k).unwrap(); }\n";
+        let r = lint_source(HOT, FileKind::Lib, src);
         assert!(r.violations.is_empty(), "{:#?}", r.violations);
         assert_eq!(r.allowed.len(), 1);
     }
 
     #[test]
     fn allow_without_reason_is_a_violation() {
-        let src = "let m = HashMap::new(); // lint:allow(D2)\n";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        let src = "let o = a.partial_cmp(&b); // lint:allow(D1)\n";
+        let r = lint_source(COLD, FileKind::Lib, src);
         assert!(r.violations.iter().any(|d| d.rule == "allow"));
         // The malformed allow does not suppress the underlying hit.
-        assert!(r.violations.iter().any(|d| d.rule == "D2"));
+        assert!(r.violations.iter().any(|d| d.rule == "D1"));
     }
 
     #[test]
     fn allow_unknown_rule_is_a_violation() {
         let src = "let x = 1; // lint:allow(D9): no such rule\n";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        let r = lint_source(COLD, FileKind::Lib, src);
+        assert!(r.violations.iter().any(|d| d.rule == "allow"));
+        // The retired line-rule ids are unknown now, too.
+        let src = "let x = 1; // lint:allow(D2): side table, never iterated\n";
+        let r = lint_source(COLD, FileKind::Lib, src);
         assert!(r.violations.iter().any(|d| d.rule == "allow"));
     }
 
     #[test]
     fn unused_allow_is_reported() {
-        let src = "let x = 1; // lint:allow(D2): stale excuse\n";
-        let r = lint_source("crates/x/src/lib.rs", FileKind::Lib, src);
+        let src = "let x = 1; // lint:allow(D1): stale excuse\n";
+        let r = lint_source(COLD, FileKind::Lib, src);
         assert!(r.violations.is_empty());
         assert_eq!(r.unused_allows.len(), 1);
     }
@@ -862,18 +766,24 @@ mod tests {
     #[test]
     fn json_summary_shape() {
         let r = lint_source(
-            "crates/x/src/lib.rs",
+            COLD,
             FileKind::Lib,
-            "let m = HashMap::new(); // lint:allow(D2): side table, never iterated\n",
+            "fn f() { let o = a.partial_cmp(&b); } // lint:allow(D1): NaN is filtered upstream\n",
         );
         let json = r.to_json();
         assert!(json.contains("\"files_scanned\": 1"));
-        assert!(json.contains("\"engines\": [\"line\"]"));
-        assert!(json.contains(
-            "\"D2\": { \"violations\": 0, \"allowed\": 1, \"baseline_allows\": 11, \"retired\": 10 }"
-        ));
+        assert!(json.contains("\"D1\": { \"violations\": 0, \"allowed\": 1 }"));
+        assert!(json.contains("\"G1\": { \"violations\": 0, \"allowed\": 0 }"));
+        assert!(json.contains("\"allows_remaining\": 1"));
         assert!(json.contains("\"unused_allows\": 0"));
         assert!(json.contains("\"loc\": {\"x\": {\"code\": 1, \"test\": 0}}"));
+        // A one-file run is a full analysis: the graph sections are
+        // always there.
+        assert!(json.contains("\"resolution\": {\"calls\": 1,"), "{json}");
+        assert!(json.contains(
+            "\"purity\": {\"effect_exempt\": 0, \"effectful\": 0, \"local_mut\": 0, \"pure\": 1}"
+        ));
+        assert!(json.contains("\"width\": {\"arith_sites\": 0,"));
     }
 
     #[test]
@@ -904,9 +814,8 @@ mod tests {
 
     #[test]
     fn hybrid_analysis_accepts_lookup_only_hashmap_without_allow() {
-        // Under the line engine this file needs a lint:allow(D2); the
-        // graph engine proves the map is never iterated on any path
-        // from a root and accepts it as-is.
+        // The map is never iterated on any path from a root, so the
+        // file is accepted as-is.
         let files = vec![
             (
                 "crates/dissem/src/simulate.rs".to_string(),
@@ -922,10 +831,7 @@ mod tests {
         ];
         let a = analyze_sources(&files);
         assert!(a.report.violations.is_empty(), "{:#?}", a.report.violations);
-        assert!(a.report.graph_engine);
-        // Same source under the line engine: D2 fires.
-        let line = lint_source("crates/dissem/src/lib.rs", FileKind::Lib, &files[1].2);
-        assert!(line.violations.iter().any(|d| d.rule == "D2"));
+        assert_eq!(a.roots, ["dissem::simulate::run"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! CLI for the determinism & safety lint pass.
 //!
 //! ```text
-//! cargo run -p specweb-lint                  # lint the workspace (two engines)
+//! cargo run -p specweb-lint                  # lint the workspace
 //! cargo run -p specweb-lint -- --deny-all    # also fail on unused allows (CI mode)
 //! cargo run -p specweb-lint -- --graph       # write results/callgraph.json
 //! cargo run -p specweb-lint -- --stats       # write results/lint_report.json
@@ -134,38 +134,23 @@ fn main() -> ExitCode {
         }
     }
 
+    // The four artifacts, each behind its flag.
+    let graph = &analysis.graph;
+    let callgraph = || graph.to_json(&analysis.roots, &analysis.hot_roots, &analysis.stats);
+    let purity = || analysis.purity.to_json(graph);
+    let widthflow = || analysis.width.to_json(graph);
+    let lint_report = || report.to_json();
+    let artifacts: [(bool, &str, &dyn Fn() -> String); 4] = [
+        (opts.graph, "callgraph.json", &callgraph),
+        (opts.purity, "purity.json", &purity),
+        (opts.width, "widthflow.json", &widthflow),
+        (opts.stats, "lint_report.json", &lint_report),
+    ];
     let results = opts.root.join("results");
-    if (opts.stats || opts.graph || opts.purity || opts.width) && !results.exists() {
-        if let Err(e) = std::fs::create_dir_all(&results) {
-            eprintln!("specweb-lint: create {}: {e}", results.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if opts.graph {
-        let out = results.join("callgraph.json");
-        let json = analysis
-            .graph
-            .to_json(&analysis.roots, &analysis.hot_roots, &analysis.stats);
-        if let Err(e) = std::fs::write(&out, json) {
-            eprintln!("specweb-lint: write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", out.display());
-    }
-
-    if opts.purity {
-        let out = results.join("purity.json");
-        if let Err(e) = std::fs::write(&out, analysis.purity.to_json(&analysis.graph)) {
-            eprintln!("specweb-lint: write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", out.display());
-    }
-
-    if opts.width {
-        let out = results.join("widthflow.json");
-        if let Err(e) = std::fs::write(&out, analysis.width.to_json(&analysis.graph)) {
+    for (_, name, json) in artifacts.iter().filter(|(wanted, ..)| *wanted) {
+        let out = results.join(name);
+        let written = std::fs::create_dir_all(&results).and_then(|()| std::fs::write(&out, json()));
+        if let Err(e) = written {
             eprintln!("specweb-lint: write {}: {e}", out.display());
             return ExitCode::from(2);
         }
@@ -173,12 +158,6 @@ fn main() -> ExitCode {
     }
 
     if opts.stats {
-        let out = results.join("lint_report.json");
-        if let Err(e) = std::fs::write(&out, report.to_json()) {
-            eprintln!("specweb-lint: write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", out.display());
         let stats = &analysis.stats;
         println!(
             "resolution ladder ({} call sites; {} fallback edge(s) + {} opaque-method \
@@ -189,25 +168,12 @@ fn main() -> ExitCode {
             let n = stats.per_rung.get(rung).copied().unwrap_or(0);
             println!("  {rung:<17} {n:>5}");
         }
-        if let Some(counts) = &report.purity_counts {
-            println!(
-                "purity: {}",
-                counts
-                    .iter()
-                    .map(|(k, v)| format!("{k} {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-        }
-        if let Some(counts) = &report.width_counts {
-            println!(
-                "width: {}",
-                counts
-                    .iter()
-                    .map(|(k, v)| format!("{k} {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+        for (label, counts) in [
+            ("purity", &report.purity_counts),
+            ("width", &report.width_counts),
+        ] {
+            let counts: Vec<String> = counts.iter().map(|(k, v)| format!("{k} {v}")).collect();
+            println!("{label}: {}", counts.join(", "));
         }
         println!("lines per crate (code outside #[cfg(test)] and comments / test):");
         for (krate, n) in &report.loc {
@@ -220,17 +186,11 @@ fn main() -> ExitCode {
         for (from, to) in &stats.fallback_pairs {
             println!("  {from} -> {to}");
         }
-        let per_rule = report.per_rule();
-        println!("allows retired vs remaining (line-engine baseline -> now):");
-        for (rule, (_, allowed)) in &per_rule {
-            let baseline = rules::allow_baseline(rule);
-            if baseline == 0 && *allowed == 0 {
-                continue;
+        println!("allows in use, per rule:");
+        for (rule, (_, allowed)) in report.per_rule() {
+            if allowed > 0 {
+                println!("  {rule:<4} {allowed:>2}");
             }
-            println!(
-                "  {rule:<4} baseline {baseline:>2}  remaining {allowed:>2}  retired {:>2}",
-                baseline.saturating_sub(*allowed)
-            );
         }
     }
 

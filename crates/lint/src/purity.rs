@@ -19,18 +19,20 @@
 //!
 //! Effects propagate **bottom-up**: `effectful(f)` iff `f` has a direct
 //! effect site (IO / process-global / wall-clock read) or any resolved
-//! callee is effectful. Because the call graph over-approximates edges
+//! callee is effectful — a reverse [`crate::reach`] search from the
+//! direct sites. Because the call graph over-approximates edges
 //! (DESIGN §9), the propagation over-approximates effects — the sound
 //! direction: a spurious edge can only cause a false *effectful*
 //! classification (suppressable with `lint:allow`), never a false
 //! *pure* one. Obs-channel fns are exempt and cut propagation; they are
 //! reported honestly as `effect_exempt` when they carry direct effects.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::extract::SourceKind;
-use crate::graph::{esc, CallGraph, Node};
-use crate::taint::GraphHit;
+use crate::graph::{counts_json, esc, CallGraph, Node};
+use crate::reach::{reach, Dir, Reach};
+use crate::rules::Hit;
 
 /// Files under this prefix form the sanctioned Obs channel: effects
 /// there are policy, not hazards, and do not propagate to callers.
@@ -67,37 +69,29 @@ impl Purity {
     }
 }
 
-/// Why a fn is effectful: a direct site, or a call to an effectful fn.
-#[derive(Debug, Clone)]
-enum Why {
-    Direct {
-        line: usize,
-        kind: &'static str,
-        what: String,
-    },
-    Via(String),
-}
-
 /// The computed classification for every graph node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PurityMap {
     /// qname → class.
     pub class: BTreeMap<String, Purity>,
-    /// qname → effect witness, for every effectful fn.
-    why: BTreeMap<String, Why>,
+    /// qname → its first direct effect site `(line, kind, what)`, for
+    /// every fn outside the Obs channel that has one.
+    direct: BTreeMap<String, (usize, &'static str, String)>,
+    /// Everything that can reach a `direct` fn without passing through
+    /// the Obs channel — the effectful set, with a shortest witness
+    /// path per member.
+    effectful: Reach,
 }
 
 impl PurityMap {
-    /// Bottom-up effect fixpoint over the call graph. BFS from the
-    /// direct-effect seeds over reverse edges, so every witness chain
-    /// is a shortest path — and everything iterates in `BTreeMap`
-    /// order, so the result is deterministic.
+    /// Bottom-up effect propagation over the call graph: a reverse
+    /// search from the direct-effect fns that never enters the Obs
+    /// channel, so every witness chain is a shortest path.
     pub fn compute(g: &CallGraph) -> PurityMap {
-        let mut why: BTreeMap<String, Why> = BTreeMap::new();
-        let mut queue: VecDeque<&str> = VecDeque::new();
+        let mut direct: BTreeMap<String, (usize, &'static str, String)> = BTreeMap::new();
         let mut exempt: BTreeSet<&str> = BTreeSet::new();
         for (q, n) in &g.nodes {
-            let direct = n
+            let site = n
                 .effects
                 .first()
                 .map(|e| (e.line, e.kind.id(), e.what.clone()))
@@ -107,41 +101,22 @@ impl PurityMap {
                         .find(|s| s.kind == SourceKind::WallClock)
                         .map(|s| (s.line, "wall", s.what.clone()))
                 });
+            let Some(site) = site else { continue };
             if is_obs(n) {
-                if direct.is_some() {
-                    exempt.insert(q);
-                }
-                continue;
-            }
-            if let Some((line, kind, what)) = direct {
-                why.insert(q.clone(), Why::Direct { line, kind, what });
-                queue.push_back(q);
+                exempt.insert(q);
+            } else {
+                direct.insert(q.clone(), site);
             }
         }
-        let mut rev: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for (q, n) in &g.nodes {
-            for c in &n.calls {
-                rev.entry(c.as_str()).or_default().insert(q.as_str());
-            }
-        }
-        while let Some(q) = queue.pop_front() {
-            let Some(callers) = rev.get(q) else { continue };
-            for caller in callers {
-                if why.contains_key(*caller) {
-                    continue;
-                }
-                if g.nodes.get(*caller).is_some_and(is_obs) {
-                    continue;
-                }
-                why.insert(caller.to_string(), Why::Via(q.to_string()));
-                queue.push_back(caller);
-            }
-        }
+        let seeds: Vec<String> = direct.keys().cloned().collect();
+        let effectful = reach(&g.edges(), Dir::Reverse, &seeds, |q| {
+            g.nodes.get(q).is_some_and(is_obs)
+        });
         let mut class: BTreeMap<String, Purity> = BTreeMap::new();
         for (q, n) in &g.nodes {
             let c = if exempt.contains(q.as_str()) {
                 Purity::EffectExempt
-            } else if why.contains_key(q) {
+            } else if effectful.contains(q) {
                 Purity::Effectful
             } else if n.sig_mut {
                 Purity::LocalMut
@@ -150,7 +125,11 @@ impl PurityMap {
             };
             class.insert(q.clone(), c);
         }
-        PurityMap { class, why }
+        PurityMap {
+            class,
+            direct,
+            effectful,
+        }
     }
 
     /// Whether `q` classifies as effectful.
@@ -161,26 +140,13 @@ impl PurityMap {
     /// Renders the effect witness chain for an effectful fn:
     /// `a::f -> b::g (io `fs::write` at crates/b/src/lib.rs:12)`.
     pub fn chain(&self, g: &CallGraph, q: &str) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        let mut cur = q.to_string();
-        loop {
-            match self.why.get(&cur) {
-                Some(Why::Direct { line, kind, what }) => {
-                    let file = g.nodes.get(&cur).map(|n| n.file.as_str()).unwrap_or("?");
-                    parts.push(format!("{cur} ({kind} `{what}` at {file}:{line})"));
-                    break;
-                }
-                Some(Why::Via(callee)) => {
-                    parts.push(cur.clone());
-                    cur = callee.clone();
-                }
-                None => {
-                    parts.push(cur.clone());
-                    break;
-                }
+        self.effectful.chain(q, |hop| match self.direct.get(hop) {
+            Some((line, kind, what)) => {
+                let file = g.nodes.get(hop).map(|n| n.file.as_str()).unwrap_or("?");
+                format!("{hop} ({kind} `{what}` at {file}:{line})")
             }
-        }
-        parts.join(" -> ")
+            None => hop.to_string(),
+        })
     }
 
     /// Per-class counts, in [`Purity`] id order.
@@ -204,16 +170,10 @@ impl PurityMap {
     /// (schema `specweb-purity/v1`) — the CI artifact.
     pub fn to_json(&self, g: &CallGraph) -> String {
         let mut s = String::from("{\n  \"schema\": \"specweb-purity/v1\",\n");
-        s.push_str("  \"counts\": {");
-        s.push_str(
-            &self
-                .counts()
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        s.push_str("},\n  \"fns\": {\n");
+        s.push_str(&format!(
+            "  \"counts\": {},\n  \"fns\": {{\n",
+            counts_json(&self.counts())
+        ));
         let mut first = true;
         for (q, p) in &self.class {
             if !first {
@@ -249,66 +209,55 @@ fn g4_role(qname: &str, n: &Node) -> Option<&'static str> {
 }
 
 /// G4: the effect-free contract over merge/replay/report fns.
-pub fn check_effect_free(g: &CallGraph, pm: &PurityMap) -> Vec<GraphHit> {
-    let mut hits: Vec<GraphHit> = Vec::new();
+pub fn check_effect_free(g: &CallGraph, pm: &PurityMap) -> Vec<Hit> {
+    let mut hits: Vec<Hit> = Vec::new();
     for (q, n) in &g.nodes {
         let Some(role) = g4_role(q, n) else { continue };
         if pm.is_effectful(q) {
-            hits.push(GraphHit {
-                rule: "G4",
-                file: n.file.clone(),
-                line: n.line,
-                message: format!(
+            hits.push(Hit::new(
+                "G4",
+                &n.file,
+                n.line,
+                format!(
                     "{role} `{q}` must be effect-free but reaches an effect: {}",
                     pm.chain(g, q)
                 ),
-            });
+            ));
         }
     }
     hits
 }
 
 /// G5: no effects inside a `core::par` worker closure (outside Obs).
-pub fn check_par_purity(g: &CallGraph, pm: &PurityMap) -> Vec<GraphHit> {
-    let mut hits: Vec<GraphHit> = Vec::new();
+pub fn check_par_purity(g: &CallGraph, pm: &PurityMap) -> Vec<Hit> {
+    let mut hits: Vec<Hit> = Vec::new();
     let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
     for (q, n) in &g.nodes {
         if is_obs(n) {
             continue;
         }
-        for e in &n.effects {
-            if !e.in_par {
-                continue;
-            }
+        let direct = n.effects.iter().filter(|e| e.in_par).map(|e| {
             let msg = format!(
                 "{} effect `{}` inside a core::par worker closure in `{q}`",
                 e.kind.id(),
                 e.what
             );
-            if seen.insert((n.file.clone(), e.line, msg.clone())) {
-                hits.push(GraphHit {
-                    rule: "G5",
-                    file: n.file.clone(),
-                    line: e.line,
-                    message: msg,
-                });
-            }
-        }
-        for (callee, line) in &n.par_calls {
-            if !pm.is_effectful(callee) {
-                continue;
-            }
-            let msg = format!(
-                "effectful call inside a core::par worker closure in `{q}`: {}",
-                pm.chain(g, callee)
-            );
-            if seen.insert((n.file.clone(), *line, msg.clone())) {
-                hits.push(GraphHit {
-                    rule: "G5",
-                    file: n.file.clone(),
-                    line: *line,
-                    message: msg,
-                });
+            (e.line, msg)
+        });
+        let via_call = n
+            .par_calls
+            .iter()
+            .filter(|(callee, _)| pm.is_effectful(callee))
+            .map(|(callee, line)| {
+                let msg = format!(
+                    "effectful call inside a core::par worker closure in `{q}`: {}",
+                    pm.chain(g, callee)
+                );
+                (*line, msg)
+            });
+        for (line, msg) in direct.chain(via_call) {
+            if seen.insert((n.file.clone(), line, msg.clone())) {
+                hits.push(Hit::new("G5", &n.file, line, msg));
             }
         }
     }
@@ -318,21 +267,7 @@ pub fn check_par_purity(g: &CallGraph, pm: &PurityMap) -> Vec<GraphHit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract;
-    use crate::graph::CrateDeps;
-    use crate::lexer::sanitize;
-
-    fn graph(files: &[(&str, &str)]) -> CallGraph {
-        let fx: Vec<_> = files
-            .iter()
-            .map(|(rel, src)| {
-                let lines = sanitize(src);
-                let skip = vec![false; lines.len()];
-                extract(rel, &lines, &skip)
-            })
-            .collect();
-        CallGraph::build_with_opts(&fx, &CrateDeps::permissive(), true).0
-    }
+    use crate::graph::tests::graph;
 
     #[test]
     fn effects_propagate_bottom_up() {

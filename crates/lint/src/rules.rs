@@ -1,16 +1,16 @@
 //! The determinism & safety rule set.
 //!
-//! Each rule is a line-oriented check over sanitized code (see
-//! [`crate::lexer`]). Rules are deliberately over-approximate: they
-//! flag the *capability* for nondeterminism (e.g. any `HashMap` in a
-//! deterministic path) rather than trying to prove an actual unordered
-//! iteration, because the latter needs type information a std-only
-//! lexer cannot recover. The release valve for sound-but-unwanted
-//! flags is an in-place `// lint:allow(<rule>): <reason>` with a
-//! written justification — see `DESIGN.md` §8 for the policy.
+//! [`RULES`] names every rule the pass enforces. D1 and S1 are
+//! line-oriented checks over sanitized code (see [`crate::lexer`]) and
+//! live here ([`check_line`]); G1–G5 and W1–W3 are computed over the
+//! workspace call graph by [`crate::taint`], [`crate::purity`] and
+//! [`crate::width`]. Rules are deliberately over-approximate: they flag
+//! what a std-only lexer cannot prove safe. The release valve for
+//! sound-but-unwanted flags is an in-place
+//! `// lint:allow(<rule>): <reason>` with a written justification — see
+//! `DESIGN.md` §8 for the policy.
 
 use crate::lexer::has_ident;
-use crate::FileKind;
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
@@ -29,34 +29,9 @@ pub const RULES: &[Rule] = &[
                   (NaN-poisoned sorts are order-nondeterministic)",
     },
     Rule {
-        id: "D2",
-        summary: "no HashMap/HashSet in deterministic paths: iteration order \
-                  is randomized per process; use BTreeMap/BTreeSet or a \
-                  sorted collect",
-    },
-    Rule {
-        id: "D3",
-        summary: "no Instant::now/SystemTime outside core::obs wall-clock \
-                  channel modules",
-    },
-    Rule {
-        id: "D4",
-        summary: "no unseeded RNG (thread_rng/from_entropy) outside bin \
-                  targets",
-    },
-    Rule {
-        id: "D5",
-        summary: "no thread::spawn outside core::par and the serve crate",
-    },
-    Rule {
         id: "S1",
         summary: "unsafe only in the per-file allowlist, and each block \
                   needs a // SAFETY: comment",
-    },
-    Rule {
-        id: "S2",
-        summary: "no unwrap/expect in non-test library code; return \
-                  CoreError or justify with lint:allow",
     },
     Rule {
         id: "G1",
@@ -108,21 +83,6 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
-/// Per-rule `lint:allow` counts as of the line-engine sweep (PR 4),
-/// before the call-graph engine existed. `--stats` reports
-/// `retired = baseline - remaining` per rule, so the suppression debt
-/// the reachability analysis paid down stays visible in the report.
-pub const ALLOW_BASELINE: &[(&str, usize)] = &[("D2", 11), ("D3", 5), ("S2", 4)];
-
-/// The line-engine allow baseline for `id` (0 when unrecorded).
-pub fn allow_baseline(id: &str) -> usize {
-    ALLOW_BASELINE
-        .iter()
-        .find(|(r, _)| *r == id)
-        .map(|&(_, n)| n)
-        .unwrap_or(0)
-}
-
 /// True when `id` names a known rule.
 pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
@@ -134,169 +94,110 @@ pub fn is_known_rule(id: &str) -> bool {
 /// until a measured hot path proves otherwise.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
-/// Module prefixes exempt from D3 (and the graph engine's wall-clock
-/// source class): the wall-clock side of the observability layer is the
-/// one sanctioned consumer of real time (metrics tagged
-/// `Channel::Wall`, never the deterministic channel).
-pub const D3_EXEMPT: &[&str] = &["crates/core/src/obs/"];
+/// Module prefixes whose wall-clock reads are not G1 sources: the
+/// wall-clock side of the observability layer is the one sanctioned
+/// consumer of real time (metrics tagged `Channel::Wall`, never the
+/// deterministic channel).
+pub const WALL_CLOCK_EXEMPT: &[&str] = &["crates/core/src/obs/"];
 
-/// Module prefixes exempt from D5 (and the graph engine's thread-spawn
-/// source class): the scoped worker pool and the network server are the
-/// two sanctioned thread owners. The pool's determinism is proven
-/// separately by the serial-vs-parallel golden tests.
-pub const D5_EXEMPT: &[&str] = &["crates/core/src/par.rs", "crates/serve/src/"];
+/// Module prefixes whose thread creation is not a G1 source: the scoped
+/// worker pool and the network server are the two sanctioned thread
+/// owners. The pool's determinism is proven separately by the
+/// serial-vs-parallel golden tests.
+pub const THREAD_EXEMPT: &[&str] = &["crates/core/src/par.rs", "crates/serve/src/"];
 
 /// Whether `rel` falls under any of `prefixes`.
 pub fn path_has_prefix(rel: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p))
 }
 
-/// A single rule hit on one line, before suppression is applied.
+/// One rule hit, before suppression is applied — the single currency
+/// between every rule and the report layer's `lint:allow` matching.
 #[derive(Debug, Clone)]
 pub struct Hit {
-    /// Rule identifier (`D1` … `S2`).
+    /// Rule identifier (`D1`, `S1`, `G1`–`G5`, `W1`–`W3`).
     pub rule: &'static str,
-    /// Human-readable explanation for the diagnostic.
+    /// Workspace-relative file of the site a `lint:allow` can excuse.
+    pub file: String,
+    /// 1-based line of that site.
+    pub line: usize,
+    /// Diagnostic text, evidence chain included.
     pub message: String,
+    /// W1–W3 only: the tainted identifier that fired the rule, as
+    /// `widthflow.json` records it (empty for every other rule).
+    pub ident: String,
+    /// W1–W3 only: the seed→site evidence chain on its own, as
+    /// `widthflow.json` records it (the other rules' chains live in
+    /// `message` alone).
+    pub chain: String,
 }
 
-/// Run every applicable rule over one sanitized code line — the full
-/// line-oriented rule set, including the path-heuristic rules that the
-/// call-graph engine supersedes on workspace runs (see
-/// [`check_line_with`]).
-pub fn check_line(
-    rel: &str,
-    kind: FileKind,
-    code: &str,
-    comment: &str,
-    prev_comment: &str,
-) -> Vec<Hit> {
-    check_line_with(rel, kind, code, comment, prev_comment, true)
+impl Hit {
+    /// A hit whose evidence is all in `message`.
+    pub fn new(rule: &'static str, file: &str, line: usize, message: String) -> Hit {
+        Hit {
+            rule,
+            file: file.to_string(),
+            line,
+            message,
+            ident: String::new(),
+            chain: String::new(),
+        }
+    }
 }
 
-/// Run the line rules over one sanitized code line.
+/// Run the line rules over one sanitized code line of a non-test file.
 ///
-/// `rel` is the workspace-relative path with forward slashes; `kind`
-/// is the target classification; `comment` is the same line's comment
+/// `rel` is the workspace-relative path with forward slashes and `line`
+/// the 1-based line number; `comment` is the same line's comment
 /// channel (used by S1's `SAFETY:` requirement together with
 /// `prev_comment`, the preceding line's comment channel).
-///
-/// With `legacy_path_rules` set, the pre-graph heuristics D2–D5 and S2
-/// run too (standalone/fixture mode). Workspace runs pass `false`: the
-/// call-graph engine re-implements those rule classes as reachability
-/// checks (G1/G3), so a `HashMap` that is never iterated on any path
-/// from a deterministic root no longer needs an allow.
-pub fn check_line_with(
+pub fn check_line(
     rel: &str,
-    kind: FileKind,
+    line: usize,
     code: &str,
     comment: &str,
     prev_comment: &str,
-    legacy_path_rules: bool,
 ) -> Vec<Hit> {
     let mut hits = Vec::new();
-    if kind == FileKind::Test {
-        return hits;
-    }
 
     // D1 — `partial_cmp` as a comparator. Implementing `PartialOrd`
     // itself (a `fn partial_cmp` definition) is the one sanctioned use.
     if has_ident(code, "partial_cmp") && !code.contains("fn partial_cmp") {
-        hits.push(Hit {
-            rule: "D1",
-            message: "partial_cmp in a comparator: NaN returns None and \
-                      poisons the ordering; use f64::total_cmp (or derive \
-                      Ord on a non-float key)"
+        hits.push(Hit::new(
+            "D1",
+            rel,
+            line,
+            "partial_cmp in a comparator: NaN returns None and \
+             poisons the ordering; use f64::total_cmp (or derive \
+             Ord on a non-float key)"
                 .into(),
-        });
-    }
-
-    // D2 — hash collections in deterministic paths.
-    if legacy_path_rules && (has_ident(code, "HashMap") || has_ident(code, "HashSet")) {
-        hits.push(Hit {
-            rule: "D2",
-            message: "HashMap/HashSet iteration order is randomized per \
-                      process; use BTreeMap/BTreeSet, or justify that the \
-                      collection is never iterated on a deterministic path"
-                .into(),
-        });
-    }
-
-    // D3 — wall-clock reads outside the observability wall channel.
-    if legacy_path_rules
-        && !path_has_prefix(rel, D3_EXEMPT)
-        && (code.contains("Instant::now") || has_ident(code, "SystemTime"))
-    {
-        hits.push(Hit {
-            rule: "D3",
-            message: "wall-clock read outside core::obs: deterministic \
-                      code must consume SimTime; route timing through the \
-                      obs wall channel"
-                .into(),
-        });
-    }
-
-    // D4 — unseeded RNG construction outside bin targets.
-    if legacy_path_rules
-        && kind != FileKind::Bin
-        && (has_ident(code, "thread_rng") || has_ident(code, "from_entropy"))
-    {
-        hits.push(Hit {
-            rule: "D4",
-            message: "unseeded RNG in library code: construct from a \
-                      SeedTree stream so every run replays byte-identically"
-                .into(),
-        });
-    }
-
-    // D5 — thread creation outside the sanctioned owners.
-    if legacy_path_rules
-        && !path_has_prefix(rel, D5_EXEMPT)
-        && (code.contains("thread::spawn")
-            || code.contains("thread::Builder")
-            || code.contains("thread::scope"))
-    {
-        hits.push(Hit {
-            rule: "D5",
-            message: "thread creation outside core::par/serve: use \
-                      par::Pool so completion order cannot leak into \
-                      results"
-                .into(),
-        });
+        ));
     }
 
     // S1 — unsafe code.
     if has_ident(code, "unsafe") {
         if !UNSAFE_ALLOWLIST.contains(&rel) {
-            hits.push(Hit {
-                rule: "S1",
-                message: "unsafe outside the allowlist: every crate is \
-                          #![forbid(unsafe_code)]; extend \
-                          rules::UNSAFE_ALLOWLIST only with a measured \
-                          justification"
+            hits.push(Hit::new(
+                "S1",
+                rel,
+                line,
+                "unsafe outside the allowlist: every crate is \
+                 #![forbid(unsafe_code)]; extend \
+                 rules::UNSAFE_ALLOWLIST only with a measured \
+                 justification"
                     .into(),
-            });
+            ));
         } else if !comment.contains("SAFETY:") && !prev_comment.contains("SAFETY:") {
-            hits.push(Hit {
-                rule: "S1",
-                message: "unsafe block without a // SAFETY: comment on the \
-                          same or preceding line"
+            hits.push(Hit::new(
+                "S1",
+                rel,
+                line,
+                "unsafe block without a // SAFETY: comment on the \
+                 same or preceding line"
                     .into(),
-            });
+            ));
         }
-    }
-
-    // S2 — panicking extractors in non-test library code.
-    if legacy_path_rules
-        && kind == FileKind::Lib
-        && (code.contains(".unwrap(") || code.contains(".expect("))
-    {
-        hits.push(Hit {
-            rule: "S2",
-            message: "unwrap/expect in library code: return CoreError (or \
-                      justify the invariant with lint:allow)"
-                .into(),
-        });
     }
 
     hits

@@ -2,26 +2,28 @@
 //!
 //! * **G1** — a nondeterminism source (hash-map iteration, wall-clock
 //!   read, unseeded RNG, ad-hoc thread spawn) is call-reachable from a
-//!   deterministic root. This re-implements D2/D3/D4/D5 transitively:
-//!   a `HashMap` that is never *iterated on any path from a root* is
-//!   fine without an allow.
+//!   deterministic root. A `HashMap` that is never *iterated on any
+//!   path from a root* is fine without an allow.
 //! * **G2** — lock-order cycle: while one lock guard is held (`let`
 //!   bound), a path exists that acquires a lock in a conflicting
 //!   order (including re-acquiring the same lock → self-deadlock).
 //! * **G3** — a panic-capable op (`unwrap`/`expect`) is reachable from
-//!   a simulator hot loop. Replaces the blanket S2 on all lib code:
-//!   panics in cold paths (report serialization, CLI glue) degrade
-//!   gracefully; panics under the hot roots abort a simulation
-//!   mid-experiment.
+//!   a simulator hot loop. Panics in cold paths (report serialization,
+//!   CLI glue) degrade gracefully; panics under the hot roots abort a
+//!   simulation mid-experiment.
 //!
 //! Every violation carries an **evidence chain** — the shortest call
 //! path from the root to the offending site, one `file:line` per hop —
-//! so the report reads as a proof, not a pattern match.
+//! so the report reads as a proof, not a pattern match. The searches
+//! and the chains are [`crate::reach`]'s.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::extract::SourceKind;
 use crate::graph::CallGraph;
+use crate::reach::{reach, Dir, Edges};
+use crate::rules::Hit;
+use crate::Diag;
 
 /// Deterministic roots: fns whose output the determinism contract
 /// (DESIGN §6a) promises is byte-identical across runs and `--jobs`
@@ -78,152 +80,109 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("serve::server", "stats_entries"),
 ];
 
-/// A graph-rule finding, pre-suppression.
-#[derive(Debug, Clone)]
-pub struct GraphHit {
-    /// `G1`, `G2`, or `G3`.
-    pub rule: &'static str,
-    /// File of the *source site* (where a `lint:allow` can suppress it).
-    pub file: String,
-    /// 1-based line of the source site.
-    pub line: usize,
-    /// Diagnostic text including the rendered evidence chain.
-    pub message: String,
-}
-
-/// Resolves the root specs against the graph. Returns qnames, sorted.
-pub fn resolve_roots(g: &CallGraph) -> (Vec<String>, Vec<String>) {
-    let pick = |specs: &[(&str, &str)]| -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for (q, n) in &g.nodes {
-            for (msuf, fname) in specs {
-                let module_matches = n.module == *msuf || n.module.ends_with(&format!("::{msuf}"));
-                if module_matches && (*fname == "*" || n.name == *fname) {
-                    out.push(q.clone());
-                    break;
-                }
+/// Resolves the root specs against the graph: `(roots, hot_roots)` as
+/// sorted qnames, plus one diagnostic per spec that matches no fn. A
+/// rename would otherwise un-root a simulator and G1/G3 would go quiet
+/// under it; whole-workspace runs report these as violations.
+pub fn resolve_roots(g: &CallGraph) -> (Vec<String>, Vec<String>, Vec<Diag>) {
+    let mut unmatched: Vec<Diag> = Vec::new();
+    let mut pick = |specs: &[(&str, &str)], table: &str, rule: &str| -> Vec<String> {
+        let mut out: BTreeSet<String> = BTreeSet::new();
+        for (msuf, fname) in specs {
+            let matched: Vec<&String> = g
+                .nodes
+                .iter()
+                .filter(|(_, n)| {
+                    let module_matches =
+                        n.module == *msuf || n.module.ends_with(&format!("::{msuf}"));
+                    module_matches && (*fname == "*" || n.name == *fname)
+                })
+                .map(|(q, _)| q)
+                .collect();
+            if matched.is_empty() {
+                unmatched.push(Diag {
+                    // The spec is a row of the table above, not a
+                    // statement a `lint:allow` could sit on: no line.
+                    file: "crates/lint/src/taint.rs".into(),
+                    line: 0,
+                    rule: rule.into(),
+                    message: format!(
+                        "root spec `{msuf}::{fname}` in taint::{table} matches no fn, so \
+                         {rule} is silent under it; point the spec at the renamed fn or \
+                         delete it"
+                    ),
+                    snippet: format!("(\"{msuf}\", \"{fname}\")"),
+                });
             }
+            out.extend(matched.into_iter().cloned());
         }
-        out
+        out.into_iter().collect()
     };
-    (pick(ROOTS), pick(HOT_ROOTS))
+    let roots = pick(ROOTS, "ROOTS", "G1");
+    let hot_roots = pick(HOT_ROOTS, "HOT_ROOTS", "G3");
+    (roots, hot_roots, unmatched)
 }
 
-/// Multi-source BFS from `seeds`; returns, per reached node, the parent
-/// on a shortest path back to some seed (seeds map to themselves).
-/// Deterministic: seeds are processed in sorted order and neighbor
-/// sets are BTreeSets.
-fn bfs(g: &CallGraph, seeds: &[String]) -> BTreeMap<String, String> {
-    let mut parent: BTreeMap<String, String> = BTreeMap::new();
-    let mut queue: VecDeque<String> = VecDeque::new();
-    for s in seeds {
-        if g.nodes.contains_key(s) && !parent.contains_key(s) {
-            parent.insert(s.clone(), s.clone());
-            queue.push_back(s.clone());
-        }
-    }
-    while let Some(q) = queue.pop_front() {
-        let Some(n) = g.nodes.get(&q) else { continue };
-        for callee in &n.calls {
-            if g.nodes.contains_key(callee) && !parent.contains_key(callee) {
-                parent.insert(callee.clone(), q.clone());
-                queue.push_back(callee.clone());
-            }
-        }
-    }
-    parent
-}
-
-/// Renders the shortest root→`at` call chain as
-/// `root → … → at  (file:line per hop)`.
-fn chain(g: &CallGraph, parent: &BTreeMap<String, String>, at: &str) -> String {
-    let mut hops: Vec<String> = Vec::new();
-    let mut cur = at.to_string();
-    loop {
-        let loc = g
-            .nodes
-            .get(&cur)
-            .map(|n| format!("{}:{}", n.file, n.line))
-            .unwrap_or_default();
-        hops.push(format!("{cur} [{loc}]"));
-        let p = &parent[&cur];
-        if *p == cur {
-            break;
-        }
-        cur = p.clone();
-    }
-    hops.reverse();
-    hops.join(" -> ")
+/// One hop of a call-chain rendering: `qname [file:line]`.
+fn located(g: &CallGraph, q: &str) -> String {
+    let loc = g
+        .nodes
+        .get(q)
+        .map(|n| format!("{}:{}", n.file, n.line))
+        .unwrap_or_default();
+    format!("{q} [{loc}]")
 }
 
 /// Runs G1 and G3 over the graph. Returns hits sorted by
 /// (file, line, rule).
-pub fn check_reachability(g: &CallGraph, roots: &[String], hot_roots: &[String]) -> Vec<GraphHit> {
-    let mut hits: Vec<GraphHit> = Vec::new();
-
+pub fn check_reachability(g: &CallGraph, roots: &[String], hot_roots: &[String]) -> Vec<Hit> {
+    let edges = g.edges();
     // G1: nondeterminism sources reachable from any deterministic root.
-    let parent = bfs(g, roots);
-    for (q, n) in &g.nodes {
-        if !parent.contains_key(q) {
-            continue;
-        }
-        for s in &n.sources {
-            let kind_ok = matches!(
-                s.kind,
-                SourceKind::WallClock
-                    | SourceKind::Rng
-                    | SourceKind::HashIter
-                    | SourceKind::ThreadSpawn
-            );
-            if !kind_ok {
-                continue;
-            }
-            hits.push(GraphHit {
-                rule: "G1",
-                file: n.file.clone(),
-                line: s.line,
-                message: format!(
-                    "{} source `{}` (line-rule class {}) is call-reachable \
-                     from a deterministic root:\n      {} -> {}:{} ({})",
-                    s.kind.id(),
-                    s.what,
-                    s.kind.legacy_rule(),
-                    chain(g, &parent, q),
-                    n.file,
-                    s.line,
-                    s.what,
-                ),
-            });
-        }
-    }
-
     // G3: panic sites reachable from a hot root.
-    let hot_parent = bfs(g, hot_roots);
+    let from_roots = reach(&edges, Dir::Forward, roots, |_| false);
+    let from_hot = reach(&edges, Dir::Forward, hot_roots, |_| false);
+    let mut hits: Vec<Hit> = Vec::new();
     for (q, n) in &g.nodes {
-        if !hot_parent.contains_key(q) {
-            continue;
-        }
         for s in &n.sources {
-            if s.kind != SourceKind::Panic {
+            let (rule, reached, lead) = match s.kind {
+                SourceKind::Panic => (
+                    "G3",
+                    &from_hot,
+                    format!(
+                        "panic-capable `{}` is call-reachable from a simulator hot loop",
+                        s.what
+                    ),
+                ),
+                SourceKind::WallClock
+                | SourceKind::Rng
+                | SourceKind::HashIter
+                | SourceKind::ThreadSpawn => (
+                    "G1",
+                    &from_roots,
+                    format!(
+                        "{} source `{}` is call-reachable from a deterministic root",
+                        s.kind.id(),
+                        s.what
+                    ),
+                ),
+            };
+            if !reached.contains(q) {
                 continue;
             }
-            hits.push(GraphHit {
-                rule: "G3",
-                file: n.file.clone(),
-                line: s.line,
-                message: format!(
-                    "panic-capable `{}` is call-reachable from a simulator \
-                     hot loop:\n      {} -> {}:{} ({})",
-                    s.what,
-                    chain(g, &hot_parent, q),
+            hits.push(Hit::new(
+                rule,
+                &n.file,
+                s.line,
+                format!(
+                    "{lead}:\n      {} -> {}:{} ({})",
+                    reached.chain(q, |hop| located(g, hop)),
                     n.file,
                     s.line,
                     s.what,
                 ),
-            });
+            ));
         }
     }
-
     hits.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     hits
 }
@@ -239,32 +198,26 @@ pub fn check_reachability(g: &CallGraph, roots: &[String], hot_roots: &[String])
 /// a held lock) is a potential deadlock. Statement-temporary guards
 /// (`x.lock().apply(..)` with no `let`) drop at the `;` and generate no
 /// edges.
-pub fn check_lock_order(g: &CallGraph) -> Vec<GraphHit> {
-    // For "reachable from F" we need, per fn, the set of locks its
-    // callees can take. BFS from each fn that holds a lock (few).
-    let mut order: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+pub fn check_lock_order(g: &CallGraph) -> Vec<Hit> {
+    let edges = g.edges();
+    let mut order: Edges = Edges::new();
     // (held-lock name, acquired-lock name) → representative site.
     let mut edge_site: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
 
     for (q, n) in &g.nodes {
-        let held: Vec<_> = n.locks.iter().filter(|l| l.held).collect();
-        if held.is_empty() {
+        if !n.locks.iter().any(|l| l.held) {
             continue;
         }
-        // Locks acquired downstream of this fn.
-        let parent = bfs(g, std::slice::from_ref(q));
-        let mut downstream: Vec<(String, String, usize, String)> = Vec::new();
+        // Locks acquired downstream of this fn (few fns hold a lock, so
+        // one search per holder is cheap), each with its call chain.
+        let below = reach(&edges, Dir::Forward, std::slice::from_ref(q), |_| false);
+        let mut downstream: Vec<(&str, String)> = Vec::new();
         for (cq, cn) in &g.nodes {
-            if cq == q || !parent.contains_key(cq) {
+            if cq == q || !below.contains(cq) {
                 continue;
             }
             for l in &cn.locks {
-                downstream.push((
-                    l.name.clone(),
-                    cn.file.clone(),
-                    l.line,
-                    chain(g, &parent, cq),
-                ));
+                downstream.push((&l.name, below.chain(cq, |hop| located(g, hop))));
             }
         }
         for (hi, h) in n.locks.iter().enumerate() {
@@ -273,66 +226,46 @@ pub fn check_lock_order(g: &CallGraph) -> Vec<GraphHit> {
             }
             // (a) later acquisitions in the same body (the locks vec is
             // in source order, so position — not line number — decides
-            // "later").
-            for l in n.locks.iter().skip(hi + 1) {
-                if l.name != h.name {
-                    order
-                        .entry(h.name.clone())
-                        .or_default()
-                        .insert(l.name.clone());
-                    edge_site
-                        .entry((h.name.clone(), l.name.clone()))
-                        .or_insert((
-                            n.file.clone(),
-                            h.line,
-                            format!("{q} [{}:{}]", n.file, h.line),
-                        ));
-                }
-                // Same-name re-acquire later in the same fn is already
-                // a self-deadlock only if the guard is still live —
-                // scanning liveness is out of scope; the cross-fn case
-                // below catches the dangerous recursive shape.
-            }
+            // "later"). A same-name re-acquire later in the same fn is
+            // a self-deadlock only if the guard is still live — scanning
+            // liveness is out of scope; the cross-fn case below catches
+            // the dangerous recursive shape.
+            let own = n.locks[hi + 1..]
+                .iter()
+                .filter(|l| l.name != h.name)
+                .map(|l| (l.name.as_str(), format!("{q} [{}:{}]", n.file, h.line)));
             // (b) acquisitions anywhere downstream (same name included:
             // calling back into something that takes the held lock is
             // an immediate self-deadlock with std Mutex).
-            for (lname, _lf, _ll, ch) in &downstream {
+            for (lname, via) in own.chain(downstream.iter().cloned()) {
                 order
                     .entry(h.name.clone())
                     .or_default()
-                    .insert(lname.clone());
-                edge_site.entry((h.name.clone(), lname.clone())).or_insert((
-                    n.file.clone(),
-                    h.line,
-                    ch.clone(),
-                ));
+                    .insert(lname.to_string());
+                edge_site
+                    .entry((h.name.clone(), lname.to_string()))
+                    .or_insert((n.file.clone(), h.line, via));
             }
         }
     }
 
-    // Cycle detection over the order graph (iterative DFS, sorted).
-    let mut hits: Vec<GraphHit> = Vec::new();
-    let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
-    for (a, succs) in &order {
-        for b in succs {
-            let back = a == b
-                || order
-                    .get(b)
-                    .is_some_and(|s| reaches(&order, b, a, &mut BTreeSet::new()) || s.contains(a));
-            if back && reported.insert((a.clone(), b.clone())) {
-                let (file, line, ch) = &edge_site[&(a.clone(), b.clone())];
-                let shape = if a == b {
-                    format!("lock `{a}` can be re-acquired while held (self-deadlock)")
-                } else {
-                    format!("locks `{a}` and `{b}` are acquired in both orders")
-                };
-                hits.push(GraphHit {
-                    rule: "G2",
-                    file: file.clone(),
-                    line: *line,
-                    message: format!("{shape}:\n      via {ch}"),
-                });
-            }
+    // An order edge a → b closes a cycle when b leads back to a.
+    let mut hits: Vec<Hit> = Vec::new();
+    for ((a, b), (file, line, via)) in &edge_site {
+        let back =
+            a == b || reach(&order, Dir::Forward, std::slice::from_ref(b), |_| false).contains(a);
+        if back {
+            let shape = if a == b {
+                format!("lock `{a}` can be re-acquired while held (self-deadlock)")
+            } else {
+                format!("locks `{a}` and `{b}` are acquired in both orders")
+            };
+            hits.push(Hit::new(
+                "G2",
+                file,
+                *line,
+                format!("{shape}:\n      via {via}"),
+            ));
         }
     }
     hits.sort_by(|a, b| {
@@ -345,43 +278,10 @@ pub fn check_lock_order(g: &CallGraph) -> Vec<GraphHit> {
     hits
 }
 
-/// Whether `from` reaches `to` in the order graph.
-fn reaches(
-    order: &BTreeMap<String, BTreeSet<String>>,
-    from: &str,
-    to: &str,
-    seen: &mut BTreeSet<String>,
-) -> bool {
-    if !seen.insert(from.to_string()) {
-        return false;
-    }
-    let Some(succs) = order.get(from) else {
-        return false;
-    };
-    if succs.contains(to) {
-        return true;
-    }
-    succs.iter().any(|s| reaches(order, s, to, seen))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract;
-    use crate::graph::CallGraph;
-    use crate::lexer::sanitize;
-
-    fn build(files: &[(&str, &str)]) -> CallGraph {
-        let fx: Vec<_> = files
-            .iter()
-            .map(|(rel, src)| {
-                let lines = sanitize(src);
-                let skip = vec![false; lines.len()];
-                extract(rel, &lines, &skip)
-            })
-            .collect();
-        CallGraph::build(&fx)
-    }
+    use crate::graph::tests::graph as build;
 
     #[test]
     fn cross_function_hash_iteration_is_caught_with_a_chain() {
@@ -400,7 +300,7 @@ pub fn predict() {
 ",
             ),
         ]);
-        let (roots, hot) = resolve_roots(&g);
+        let (roots, hot, _) = resolve_roots(&g);
         assert_eq!(roots, ["dissem::simulate::run"]);
         let hits = check_reachability(&g, &roots, &hot);
         let g1: Vec<_> = hits.iter().filter(|h| h.rule == "G1").collect();
@@ -409,6 +309,29 @@ pub fn predict() {
         assert!(g1[0].message.contains("->"));
         assert!(g1[0].message.contains("hash_iter"));
         assert_eq!(g1[0].file, "crates/dissem/src/helper.rs");
+    }
+
+    #[test]
+    fn a_root_spec_that_matches_no_fn_is_reported_by_name() {
+        // `run` still resolves; `run_with_faults` was renamed away.
+        let g = build(&[(
+            "crates/dissem/src/simulate.rs",
+            "pub fn run() {}\npub fn run_degraded() {}",
+        )]);
+        let (roots, hot, unmatched) = resolve_roots(&g);
+        assert_eq!(roots, ["dissem::simulate::run"]);
+        assert_eq!(hot, ["dissem::simulate::run"]);
+        let names = |rule: &str, spec: &str| {
+            let spec = format!("root spec `{spec}` ");
+            unmatched
+                .iter()
+                .any(|d| d.rule == rule && d.message.contains(&spec))
+        };
+        assert!(names("G1", "dissem::simulate::run_with_faults"));
+        assert!(names("G3", "dissem::simulate::run_with_faults"));
+        assert!(names("G1", "dissem::alloc::*"), "{unmatched:#?}");
+        assert!(!names("G1", "dissem::simulate::run"));
+        assert_eq!(unmatched.len(), ROOTS.len() + HOT_ROOTS.len() - 2);
     }
 
     #[test]
@@ -426,7 +349,7 @@ pub fn report() {
 ",
             ),
         ]);
-        let (roots, hot) = resolve_roots(&g);
+        let (roots, hot, _) = resolve_roots(&g);
         let hits = check_reachability(&g, &roots, &hot);
         assert!(hits.is_empty(), "{hits:#?}");
     }
@@ -443,7 +366,7 @@ pub fn report() {
                 "pub fn tab1() { serde_out(); }\nfn serde_out() { y.expect( ); }",
             ),
         ]);
-        let (roots, hot) = resolve_roots(&g);
+        let (roots, hot, _) = resolve_roots(&g);
         let hits = check_reachability(&g, &roots, &hot);
         let g3: Vec<_> = hits.iter().filter(|h| h.rule == "G3").collect();
         assert_eq!(g3.len(), 1, "exps is a G1 root but not hot: {hits:#?}");

@@ -39,8 +39,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::extract::{is_width_guard, narrowing_target, ArithOp};
-use crate::graph::{esc, CallGraph};
-use crate::taint::GraphHit;
+use crate::graph::{counts_json, esc, CallGraph};
+use crate::rules::Hit;
 
 /// Scale-taint seeds: configuration fields that set run population and
 /// the per-run counters that grow with it. Matched as bare identifiers
@@ -95,24 +95,6 @@ enum Why {
     Ret { callee: String, line: usize },
 }
 
-/// One W-rule finding (pre-suppression; `lint:allow` is applied by the
-/// report layer like every other graph rule).
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// `W1` / `W2` / `W3`.
-    pub rule: &'static str,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// The tainted identifier that fired the rule.
-    pub ident: String,
-    /// Root→site evidence chain.
-    pub chain: String,
-    /// Full diagnostic.
-    pub message: String,
-}
-
 /// The computed taint state plus rule findings.
 #[derive(Debug, Clone, Default)]
 pub struct WidthMap {
@@ -124,8 +106,9 @@ pub struct WidthMap {
     /// qname → float-typed locals (bound from an rhs mentioning
     /// f32/f64): W1 skips float arithmetic.
     floats: BTreeMap<String, BTreeSet<String>>,
-    /// W1–W3 findings, sorted by (file, line, rule).
-    pub findings: Vec<Finding>,
+    /// W1–W3 findings (pre-suppression, like every other rule's hits),
+    /// sorted by (file, line, rule).
+    pub findings: Vec<Hit>,
 }
 
 impl WidthMap {
@@ -258,15 +241,8 @@ impl WidthMap {
                 wm.tainted.insert(q.clone(), env);
             }
             for (callee, p, why) in pending {
-                if callee == q {
-                    // Self-recursive arg taint: re-run this fn.
-                    let e = wm.tainted.entry(callee.clone()).or_default();
-                    if !e.contains_key(&p) && !is_seed(&p) {
-                        e.insert(p, why);
-                        work.insert(callee);
-                    }
-                    continue;
-                }
+                // (`callee == q` is self-recursive arg taint: the fn is
+                // simply re-enqueued like any other callee.)
                 let e = wm.tainted.entry(callee.clone()).or_default();
                 if !e.contains_key(&p) && !is_seed(&p) {
                     e.insert(p, why);
@@ -335,7 +311,7 @@ impl WidthMap {
     /// Scans every arithmetic / cast / capacity site against the
     /// converged taint state and fills [`Self::findings`].
     fn scan_sites(&mut self, g: &CallGraph) {
-        let mut findings: Vec<Finding> = Vec::new();
+        let mut findings: Vec<Hit> = Vec::new();
         let mut seen: BTreeSet<(&'static str, String, usize)> = BTreeSet::new();
         for (q, n) in &g.nodes {
             let fl = self.floats.get(q);
@@ -357,6 +333,25 @@ impl WidthMap {
                     .cloned()
             };
             let guarded = |ids: &[String]| ids.iter().any(|w| is_width_guard(w));
+            // One finding per (rule, file, line); `describe` renders
+            // the diagnostic from the ident and its evidence chain.
+            let mut fire = |rule: &'static str,
+                            line: usize,
+                            ident: String,
+                            describe: &dyn Fn(&str, &str) -> String| {
+                if !seen.insert((rule, n.file.clone(), line)) {
+                    return;
+                }
+                let chain = self.chain(q, &ident);
+                findings.push(Hit {
+                    rule,
+                    file: n.file.clone(),
+                    line,
+                    message: describe(&ident, &chain),
+                    ident,
+                    chain,
+                });
+            };
             for a in &n.arith {
                 if is_float(&a.lhs) || is_float(&a.rhs) {
                     continue;
@@ -380,26 +375,17 @@ impl WidthMap {
                     ArithOp::Mul | ArithOp::Shl => hot(&a.lhs).or_else(|| hot(&a.rhs)),
                 };
                 let Some(id) = id else { continue };
-                if !seen.insert(("W1", n.file.clone(), a.line)) {
-                    continue;
-                }
-                let chain = self.chain(q, &id);
                 let fix = match a.op {
                     ArithOp::Mul => "checked_mul/saturating_mul",
                     ArithOp::Add => "checked_add/saturating_add",
                     ArithOp::Shl => "checked_shl",
                 };
-                findings.push(Finding {
-                    rule: "W1",
-                    file: n.file.clone(),
-                    line: a.line,
-                    ident: id.clone(),
-                    chain: chain.clone(),
-                    message: format!(
+                fire("W1", a.line, id, &|id, chain| {
+                    format!(
                         "unchecked `{}` on scale-tainted `{id}` in `{q}` [{chain}]; \
                          use {fix}, or lint:allow(W1) with the bound that makes it safe",
                         a.op.sym()
-                    ),
+                    )
                 });
             }
             for c in &n.casts {
@@ -410,21 +396,12 @@ impl WidthMap {
                     continue;
                 }
                 let Some(id) = hot(&c.src) else { continue };
-                if !seen.insert(("W2", n.file.clone(), c.line)) {
-                    continue;
-                }
-                let chain = self.chain(q, &id);
-                findings.push(Finding {
-                    rule: "W2",
-                    file: n.file.clone(),
-                    line: c.line,
-                    ident: id.clone(),
-                    chain: chain.clone(),
-                    message: format!(
+                fire("W2", c.line, id, &|id, chain| {
+                    format!(
                         "narrowing cast `as {}` of scale-tainted `{id}` in `{q}` [{chain}]; \
                          bound the value first or use try_into, or lint:allow(W2) with the proof",
                         c.target
-                    ),
+                    )
                 });
             }
             for cap in &n.caps {
@@ -432,22 +409,13 @@ impl WidthMap {
                     continue;
                 }
                 let Some(id) = hot(&cap.args) else { continue };
-                if !seen.insert(("W3", n.file.clone(), cap.line)) {
-                    continue;
-                }
-                let chain = self.chain(q, &id);
-                findings.push(Finding {
-                    rule: "W3",
-                    file: n.file.clone(),
-                    line: cap.line,
-                    ident: id.clone(),
-                    chain: chain.clone(),
-                    message: format!(
+                fire("W3", cap.line, id, &|id, chain| {
+                    format!(
                         "capacity allocation `{}` sized by scale-tainted `{id}` in `{q}` \
                          [{chain}]; validate against an explicit cap first, or lint:allow(W3) \
                          with the bound",
                         cap.what
-                    ),
+                    )
                 });
             }
         }
@@ -499,16 +467,10 @@ impl WidthMap {
                 .collect::<Vec<_>>()
                 .join(", "),
         );
-        s.push_str("],\n  \"counts\": {");
-        s.push_str(
-            &self
-                .counts(g)
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        s.push_str("},\n  \"tainted\": {\n");
+        s.push_str(&format!(
+            "],\n  \"counts\": {},\n  \"tainted\": {{\n",
+            counts_json(&self.counts(g))
+        ));
         let mut first = true;
         let qnames: BTreeSet<&String> =
             self.tainted.keys().chain(self.ret_tainted.keys()).collect();
@@ -558,38 +520,10 @@ impl WidthMap {
     }
 }
 
-/// W1–W3 as graph hits (the report layer applies `lint:allow`
-/// suppression exactly like the G rules).
-pub fn check_width(wm: &WidthMap) -> Vec<GraphHit> {
-    wm.findings
-        .iter()
-        .map(|f| GraphHit {
-            rule: f.rule,
-            file: f.file.clone(),
-            line: f.line,
-            message: f.message.clone(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract;
-    use crate::graph::CrateDeps;
-    use crate::lexer::sanitize;
-
-    fn graph(files: &[(&str, &str)]) -> CallGraph {
-        let fx: Vec<_> = files
-            .iter()
-            .map(|(rel, src)| {
-                let lines = sanitize(src);
-                let skip = vec![false; lines.len()];
-                extract(rel, &lines, &skip)
-            })
-            .collect();
-        CallGraph::build_with_opts(&fx, &CrateDeps::permissive(), true).0
-    }
+    use crate::graph::tests::graph;
 
     #[test]
     fn tainted_multiply_is_caught_with_chain() {

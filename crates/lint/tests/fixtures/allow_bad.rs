@@ -1,7 +1,7 @@
 //! Suppression fixture: malformed allows are themselves violations.
 
-// lint:allow(D2):
-use std::collections::HashMap;
+// lint:allow(D1):
+pub fn comparable(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some() }
 
 // lint:allow(D9): no such rule exists.
-pub type Index = HashMap<u32, usize>;
+pub fn ordered(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some_and(|o| o.is_lt()) }

@@ -1,4 +1,5 @@
-//! D3 fixture: wall-clock reads in deterministic-path code.
+//! Wall-clock fixture (G1 source class `wall_clock`): a real-time read
+//! in deterministic-path code.
 
 pub fn stamp() -> std::time::Instant {
     std::time::Instant::now()

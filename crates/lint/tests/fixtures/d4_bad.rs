@@ -1,4 +1,4 @@
-//! D4 fixture: unseeded RNG construction.
+//! Unseeded-RNG fixture (G1 source class `unseeded_rng`).
 
 pub fn roll() -> f64 {
     let mut rng = rand::thread_rng();

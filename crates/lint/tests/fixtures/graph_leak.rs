@@ -1,13 +1,12 @@
-// Graph-engine fixture: a cross-function hash-order leak the line
-// engine MISSES. The one HashMap-mentioning line carries a
-// plausible-sounding (but wrong) lint:allow, and the iteration line
-// never mentions `HashMap`, so the line engine reports nothing — while
-// `predict()` pushes ids in hash order into a vec that flows back into
-// the simulator root.
+// Graph-rule fixture: a cross-function hash-order leak no per-line
+// check could see. The map's declaration carries a plausible-sounding
+// (but wrong) lint:allow, and the iteration line never mentions
+// `HashMap` — `predict()` pushes ids in hash order into a vec that
+// flows back into the simulator root.
 pub struct Profile {
-    // lint:allow(D2): keyed lookups only; never iterated. (Wrong —
-    // predict() below iterates it; exactly the claim the graph engine
-    // exists to check.)
+    // lint:allow(G1): keyed lookups only; never iterated. (Wrong —
+    // predict() below iterates it; exactly the claim the reachability
+    // analysis exists to check.)
     scores: std::collections::HashMap<u32, f64>,
 }
 

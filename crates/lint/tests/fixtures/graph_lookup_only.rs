@@ -1,6 +1,5 @@
-// Graph-engine fixture: a hash map used for keyed lookups only. The
-// line engine flags the two HashMap tokens (needing allows); the
-// reachability engine accepts the file as-is because no iteration of
+// Graph-rule fixture: a hash map used for keyed lookups only. G1
+// accepts the file as-is — no allow needed — because no iteration of
 // the map is reachable from any root.
 use std::collections::HashMap;
 

@@ -1,7 +1,6 @@
-// Graph-engine fixture: one panic-capable op reachable from a
-// simulator hot loop (G3) and one in a cold reporting path (no G3).
-// The line engine's blanket S2 flags both; reachability distinguishes
-// them.
+// Graph-rule fixture: one panic-capable op reachable from a simulator
+// hot loop (G3) and one in a cold reporting path (no G3):
+// reachability distinguishes them.
 pub fn hot_step(x: Option<u64>) -> u64 {
     x.unwrap()
 }

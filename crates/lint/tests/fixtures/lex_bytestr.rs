@@ -2,8 +2,8 @@
 // bodies must be blanked, so the rule-looking tokens inside them must
 // not produce hits.
 pub fn byte_strings() -> usize {
-    let a = b"HashMap::new() and .unwrap() live here";
-    let b = br#"thread::spawn("Instant::now") } { "#;
+    let a = b"a.partial_cmp(b) and .unwrap() live here";
+    let b = br#"unsafe { Instant::now() } } { "#;
     let c = br##"nested "# close attempt, still one literal"##;
     a.len() + b.len() + c.len()
 }

@@ -9,6 +9,6 @@ pub fn pick<'a, 'b: 'a>(x: &'a str, _y: &'b str) -> &'a str {
     x
 }
 
-// A real D2 hit after heavy lifetime use proves the lexer is still
+// A real D1 hit after heavy lifetime use proves the lexer is still
 // reading code here.
-use std::collections::HashMap;
+pub fn comparable(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some() }

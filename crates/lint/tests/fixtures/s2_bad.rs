@@ -1,4 +1,5 @@
-//! S2 fixture: panicking extractors in library code.
+//! Panic fixture (G3): panicking extractors, a violation only where a
+//! simulator hot loop reaches them.
 
 pub fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap()

@@ -1,10 +1,7 @@
-//! Graph-engine tests: fixture-driven G-rule checks and the golden
+//! Graph-rule tests: fixture-driven G-rule checks and the golden
 //! determinism test for the serialized call graph.
 
-use specweb_lint::{
-    analyze_sources, analyze_workspace, graph, lint_source, load_crate_deps, purity, taint,
-    workspace_extracts, FileKind,
-};
+use specweb_lint::{analyze_sources, analyze_workspace, purity, taint, FileKind};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -17,18 +14,12 @@ fn workspace_root() -> std::path::PathBuf {
         .join("..")
 }
 
-/// The acceptance case for "rule tightened": under the line engine this
-/// fixture needs two D2 allows; the reachability engine accepts it
-/// without any, even when the lookup IS called from a root.
+/// A hash map that is only ever looked up needs no allow, even when
+/// the lookup IS called from a root.
 #[test]
 fn lookup_only_hashmap_needs_no_allow_under_reachability() {
     let src = fixture("graph_lookup_only.rs");
-    // Line engine: the `use` and the signature each trip D2.
-    let line = lint_source("crates/dissem/src/profile.rs", FileKind::Lib, &src);
-    let d2: Vec<_> = line.violations.iter().filter(|d| d.rule == "D2").collect();
-    assert_eq!(d2.len(), 2, "{:#?}", line.violations);
-
-    // Graph engine, with the fn reachable from a deterministic root.
+    // The fn is reachable from a deterministic root.
     let files = vec![
         (
             "crates/dissem/src/profile.rs".to_string(),
@@ -56,20 +47,12 @@ fn lookup_only_hashmap_needs_no_allow_under_reachability() {
         .contains("dissem::profile::lookup"));
 }
 
-/// The acceptance case for "leak the old engine missed": the fixture's
-/// only HashMap line hides behind a wrong lint:allow, so the line
-/// engine reports nothing — the graph engine catches the iteration with
-/// a root→site evidence chain.
+/// A cross-function leak: the fixture's only HashMap line hides behind
+/// a wrong lint:allow and the iteration never names the type — the
+/// reachability analysis catches it with a root→site evidence chain.
 #[test]
 fn cross_function_hash_leak_is_caught_with_evidence_chain() {
     let src = fixture("graph_leak.rs");
-    let line = lint_source("crates/dissem/src/profile.rs", FileKind::Lib, &src);
-    assert!(
-        line.violations.is_empty(),
-        "line engine misses the leak entirely: {:#?}",
-        line.violations
-    );
-
     let files = vec![
         (
             "crates/dissem/src/profile.rs".to_string(),
@@ -95,7 +78,8 @@ fn cross_function_hash_leak_is_caught_with_evidence_chain() {
     assert!(msg.contains("dissem::profile::Profile::predict"), "{msg}");
     assert!(msg.contains(" -> "), "chain rendering: {msg}");
     assert!(msg.contains("crates/dissem/src/profile.rs:"), "{msg}");
-    // The wrong D2 allow is now dead weight and reported as unused.
+    // The wrong allow on the declaration excuses nothing and is
+    // reported as unused.
     assert_eq!(
         a.report.unused_allows.len(),
         1,
@@ -125,11 +109,6 @@ fn lock_order_cycle_fixture_is_g2() {
 #[test]
 fn panic_in_hot_loop_is_g3_cold_panic_is_not() {
     let src = fixture("graph_panic.rs");
-    // Line engine: blanket S2 on both unwrap and expect.
-    let line = lint_source("crates/spec/src/util.rs", FileKind::Lib, &src);
-    let s2 = line.violations.iter().filter(|d| d.rule == "S2").count();
-    assert_eq!(s2, 2, "{:#?}", line.violations);
-
     let files = vec![
         ("crates/spec/src/util.rs".to_string(), FileKind::Lib, src),
         (
@@ -193,38 +172,6 @@ fn committed_callgraph_matches_head() {
         "results/callgraph.json is stale — regenerate with \
          `cargo run -p specweb-lint -- --graph`"
     );
-}
-
-/// The precision acceptance criterion: on the real workspace, the
-/// import/glob rungs must shrink the any-name fallback edge set by at
-/// least half versus the same graph built name-matching-only (the v1
-/// resolver the committed artifact used to record). The opaque-method
-/// fallback is counted separately — imports cannot type a method
-/// receiver, so it is not part of this criterion.
-#[test]
-fn import_rungs_shrink_the_fallback_by_at_least_half() {
-    let root = workspace_root();
-    let extracts = workspace_extracts(&root).expect("extracts");
-    let deps = load_crate_deps(&root);
-    let (_, with) = graph::CallGraph::build_with_opts(&extracts, &deps, true);
-    let (_, without) = graph::CallGraph::build_with_opts(&extracts, &deps, false);
-    assert!(
-        with.fallback_edges * 2 <= without.fallback_edges,
-        "import rungs must halve the fallback: {} with imports vs {} without",
-        with.fallback_edges,
-        without.fallback_edges
-    );
-    // The named-import rungs decide real work: both fire. (The glob
-    // rung is pinned by unit fixtures — the workspace itself has no
-    // glob imports.)
-    for rung in ["import", "import_foreign"] {
-        assert!(
-            with.per_rung[rung] > 0,
-            "rung {rung} never fired: {:#?}",
-            with.per_rung
-        );
-    }
-    assert_eq!(with.calls, without.calls, "same call sites either way");
 }
 
 /// Workspace purity spot-checks: the G4 contract fns really are
@@ -298,5 +245,50 @@ fn workspace_roots_resolve() {
     // Hot roots are the strict subset G3 uses.
     assert!(a.hot_roots.len() < a.roots.len());
     assert!(a.hot_roots.iter().all(|h| a.roots.contains(h)));
-    let _ = taint::resolve_roots(&a.graph); // public API stays callable
+    // Every spec of both tables names a live fn.
+    let (roots, hot_roots, unmatched) = taint::resolve_roots(&a.graph);
+    assert_eq!((roots, hot_roots), (a.roots, a.hot_roots));
+    assert!(unmatched.is_empty(), "{unmatched:#?}");
+}
+
+/// A root spec that matches no fn of the whole workspace is a
+/// violation naming the spec — a rename must not quietly un-root a
+/// simulator. An in-memory fixture set is not the whole workspace, so
+/// the same graph raises nothing there.
+#[test]
+fn unmatched_root_spec_is_a_workspace_violation() {
+    let src = "pub fn run() {}\npub fn run_degraded() {}\n";
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unrooted_workspace");
+    let dir = root.join("crates/dissem/src");
+    std::fs::create_dir_all(&dir).expect("temp workspace");
+    std::fs::write(dir.join("simulate.rs"), src).expect("temp workspace file");
+
+    let a = analyze_workspace(&root, 1).expect("analysis");
+    assert_eq!(a.roots, ["dissem::simulate::run"]);
+    let named = |rule: &str, spec: &str| {
+        a.report
+            .violations
+            .iter()
+            .any(|d| d.rule == rule && d.message.contains(&format!("root spec `{spec}`")))
+    };
+    // `run_with_faults` was renamed to `run_degraded`: both tables say so.
+    assert!(named("G1", "dissem::simulate::run_with_faults"));
+    assert!(named("G3", "dissem::simulate::run_with_faults"));
+    assert!(
+        !named("G1", "dissem::simulate::run"),
+        "a matched spec is fine"
+    );
+
+    let files = [(
+        "crates/dissem/src/simulate.rs".to_string(),
+        FileKind::Lib,
+        src.to_string(),
+    )];
+    let fixture_run = analyze_sources(&files);
+    assert_eq!(fixture_run.roots, a.roots);
+    assert!(
+        fixture_run.report.violations.is_empty(),
+        "{:#?}",
+        fixture_run.report.violations
+    );
 }

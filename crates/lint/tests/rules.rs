@@ -4,14 +4,19 @@
 //! compiled — and the workspace walker skips any `fixtures/` directory,
 //! so the deliberate violations below cannot fail the tree-wide gate.
 
-use specweb_lint::{lint_source, FileKind, Report};
+use specweb_lint::{analyze_sources, lint_source, FileKind, Report};
 
-/// Reads a fixture and lints it under the given path/kind.
-fn lint_fixture(name: &str, rel: &str, kind: FileKind) -> Report {
+/// Reads a fixture.
+fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    let src =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading fixture {path}: {e}"));
-    lint_source(rel, kind, &src)
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading fixture {path}: {e}"))
+}
+
+/// Lints a fixture as the one file at `rel`. The path decides its
+/// module, so placing it under a root module (`taint::ROOTS`) makes
+/// every fn in it a root.
+fn lint_fixture(name: &str, rel: &str) -> Report {
+    lint_source(rel, FileKind::Lib, &fixture(name))
 }
 
 /// The sorted rule ids of a report's violations.
@@ -21,10 +26,31 @@ fn rules_of(report: &Report) -> Vec<String> {
     v
 }
 
-/// Lints `name` as ordinary library code (`crates/demo/src/lib.rs`).
+/// Lints `name` as ordinary library code no root reaches
+/// (`crates/demo/src/lib.rs`).
 fn as_lib(name: &str) -> Report {
-    lint_fixture(name, "crates/demo/src/lib.rs", FileKind::Lib)
+    lint_fixture(name, "crates/demo/src/lib.rs")
 }
+
+/// Lints `name` as `dissem::alloc`, where every fn is a deterministic
+/// root (G1) but not a hot one.
+fn as_root(name: &str) -> Report {
+    lint_fixture(name, "crates/dissem/src/alloc.rs")
+}
+
+/// Lints `name` as `serve::conn`, where every fn is a deterministic
+/// *and* hot root (G1 + G3). The serve crate may own threads, so the
+/// thread-spawn source class is exempt here.
+fn as_hot_root(name: &str) -> Report {
+    lint_fixture(name, "crates/serve/src/conn.rs")
+}
+
+/// Lints `name` as a binary target's file.
+fn as_bin(name: &str) -> Report {
+    lint_fixture(name, "crates/demo/src/bin/cli.rs")
+}
+
+const CLEAN: [&str; 0] = [];
 
 #[test]
 fn d1_flags_partial_cmp_comparator() {
@@ -33,53 +59,97 @@ fn d1_flags_partial_cmp_comparator() {
 
 #[test]
 fn d1_accepts_total_cmp_and_partial_ord_impls() {
-    assert_eq!(rules_of(&as_lib("d1_good.rs")), [] as [&str; 0]);
+    assert_eq!(rules_of(&as_lib("d1_good.rs")), CLEAN);
 }
 
 #[test]
 fn d2_flags_hash_collections() {
-    // The `use` line and both body mentions: one hit per line.
-    assert_eq!(rules_of(&as_lib("d2_bad.rs")), ["D2", "D2", "D2"]);
+    // The iteration under a root is the violation; naming, building
+    // and filling the map are not, and neither is the same iteration
+    // where no root reaches it.
+    let r = as_root("d2_bad.rs");
+    assert_eq!(rules_of(&r), ["G1"]);
+    assert!(r.violations[0].message.contains("hash_iter source `out`"));
+    assert_eq!(r.violations[0].line, 12);
+    assert_eq!(rules_of(&as_lib("d2_bad.rs")), CLEAN);
 }
 
 #[test]
 fn d2_ignores_btreemap_and_literals() {
-    // `HashMap` inside comments and string literals must not count.
-    assert_eq!(rules_of(&as_lib("d2_good.rs")), [] as [&str; 0]);
+    // `HashMap` inside comments and string literals must not make the
+    // iterated BTreeMap look hash-typed.
+    assert_eq!(rules_of(&as_root("d2_good.rs")), CLEAN);
 }
 
 #[test]
 fn d3_flags_wall_clock_outside_obs() {
     // Only the `Instant::now()` call trips — naming the type is fine.
-    assert_eq!(rules_of(&as_lib("d3_bad.rs")), ["D3"]);
+    let r = as_root("d3_bad.rs");
+    assert_eq!(rules_of(&r), ["G1"]);
+    assert!(r.violations[0].message.contains("wall_clock source"));
 }
 
 #[test]
 fn d3_exempts_the_obs_wall_modules() {
-    let r = lint_fixture("d3_bad.rs", "crates/core/src/obs/wall.rs", FileKind::Lib);
-    assert_eq!(rules_of(&r), [] as [&str; 0]);
+    // `core::obs::profile` is a root module *and* under the obs wall
+    // channel: reachable, yet sanctioned.
+    let r = lint_fixture("d3_bad.rs", "crates/core/src/obs/profile.rs");
+    assert_eq!(rules_of(&r), CLEAN);
 }
 
 #[test]
 fn d4_flags_unseeded_rng_in_lib() {
-    assert_eq!(rules_of(&as_lib("d4_bad.rs")), ["D4"]);
+    let r = as_root("d4_bad.rs");
+    assert_eq!(rules_of(&r), ["G1"]);
+    assert!(r.violations[0].message.contains("unseeded_rng source"));
 }
 
 #[test]
 fn d4_relaxed_for_bin_targets() {
-    let r = lint_fixture("d4_bad.rs", "crates/demo/src/bin/cli.rs", FileKind::Bin);
-    assert_eq!(rules_of(&r), [] as [&str; 0]);
+    // A CLI may seed from entropy: no deterministic root reaches a bin.
+    assert_eq!(rules_of(&as_bin("d4_bad.rs")), CLEAN);
 }
 
 #[test]
 fn d5_flags_adhoc_threads() {
-    assert_eq!(rules_of(&as_lib("d5_bad.rs")), ["D5"]);
+    let r = as_root("d5_bad.rs");
+    assert_eq!(rules_of(&r), ["G1"]);
+    assert!(r.violations[0].message.contains("thread_spawn source"));
 }
 
 #[test]
 fn d5_exempts_the_serve_crate() {
-    let r = lint_fixture("d5_bad.rs", "crates/serve/src/server.rs", FileKind::Lib);
-    assert_eq!(rules_of(&r), [] as [&str; 0]);
+    // `serve::conn` is a root module: reachable, yet a sanctioned
+    // thread owner.
+    assert_eq!(rules_of(&as_hot_root("d5_bad.rs")), CLEAN);
+}
+
+#[test]
+fn thread_exemption_covers_core_par_reached_from_a_root() {
+    // `core::par` is no root itself; a root calls into it. The same
+    // spawn one module over is a G1 violation with the call chain.
+    let reached_at = |rel: &str, module: &str| {
+        analyze_sources(&[
+            (rel.to_string(), FileKind::Lib, fixture("d5_bad.rs")),
+            (
+                "crates/dissem/src/alloc.rs".to_string(),
+                FileKind::Lib,
+                format!("pub fn optimize() {{ specweb_core::{module}::fan_out(); }}\n"),
+            ),
+        ])
+        .report
+    };
+    assert_eq!(
+        rules_of(&reached_at("crates/core/src/par.rs", "par")),
+        CLEAN
+    );
+    let r = reached_at("crates/core/src/pool.rs", "pool");
+    assert_eq!(rules_of(&r), ["G1"]);
+    let msg = &r.violations[0].message;
+    assert!(
+        msg.contains("dissem::alloc::optimize [") && msg.contains("-> core::pool::fan_out ["),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -89,65 +159,71 @@ fn s1_flags_unsafe_outside_allowlist() {
 
 #[test]
 fn s2_flags_unwrap_and_expect_in_lib() {
-    assert_eq!(rules_of(&as_lib("s2_bad.rs")), ["S2", "S2"]);
+    // Under a hot root both extractors are G3; in a cold path neither.
+    assert_eq!(rules_of(&as_hot_root("s2_bad.rs")), ["G3", "G3"]);
+    assert_eq!(rules_of(&as_root("s2_bad.rs")), CLEAN);
+    assert_eq!(rules_of(&as_lib("s2_bad.rs")), CLEAN);
 }
 
 #[test]
 fn s2_relaxed_for_bin_targets() {
-    let r = lint_fixture("s2_bad.rs", "crates/demo/src/bin/cli.rs", FileKind::Bin);
-    assert_eq!(rules_of(&r), [] as [&str; 0]);
+    // A CLI may panic on bad input: no hot root reaches a bin.
+    assert_eq!(rules_of(&as_bin("s2_bad.rs")), CLEAN);
 }
 
 #[test]
 fn well_formed_allows_suppress_and_are_counted() {
     let r = as_lib("allow_good.rs");
-    assert_eq!(rules_of(&r), [] as [&str; 0], "{:#?}", r.violations);
+    assert_eq!(rules_of(&r), CLEAN, "{:#?}", r.violations);
     assert_eq!(r.unused_allows.len(), 0, "{:#?}", r.unused_allows);
     let suppressed: Vec<&str> = r.allowed.iter().map(|(rule, _, _)| rule.as_str()).collect();
-    assert_eq!(suppressed, ["D2", "D2"]);
+    assert_eq!(suppressed, ["D1", "D1"]);
 }
 
 #[test]
 fn malformed_allows_are_violations_and_do_not_suppress() {
     let r = as_lib("allow_bad.rs");
     // Empty reason + unknown rule each produce an `allow` diagnostic,
-    // and the underlying D2 hits survive because neither allow is valid.
-    assert_eq!(rules_of(&r), ["D2", "D2", "allow", "allow"]);
+    // and the underlying D1 hits survive because neither allow is valid.
+    assert_eq!(rules_of(&r), ["D1", "D1", "allow", "allow"]);
 }
 
 #[test]
 fn stale_allows_are_reported_unused() {
     let r = as_lib("allow_unused.rs");
-    assert_eq!(rules_of(&r), [] as [&str; 0]);
+    assert_eq!(rules_of(&r), CLEAN);
     assert_eq!(r.unused_allows.len(), 1);
     assert_eq!(r.unused_allows[0].rule, "allow");
 }
 
 #[test]
 fn cfg_test_regions_are_exempt() {
-    assert_eq!(rules_of(&as_lib("cfg_test.rs")), [] as [&str; 0]);
+    assert_eq!(rules_of(&as_lib("cfg_test.rs")), CLEAN);
+    // Even under a hot root the test module's `unwrap` is not G3.
+    assert_eq!(rules_of(&as_hot_root("cfg_test.rs")), CLEAN);
 }
 
 #[test]
 fn bytestring_bodies_are_opaque_to_every_rule() {
-    // b"..." / br#"..."# bodies mention HashMap, unwrap, thread::spawn
-    // and unbalanced braces — all of it must be masked by the lexer.
-    assert_eq!(rules_of(&as_lib("lex_bytestr.rs")), [] as [&str; 0]);
+    // b"..." / br#"..."# bodies mention partial_cmp, unwrap, unsafe,
+    // Instant::now and unbalanced braces — all of it must be masked by
+    // the lexer, for the line rules and the extractor alike.
+    assert_eq!(rules_of(&as_hot_root("lex_bytestr.rs")), CLEAN);
 }
 
 #[test]
 fn char_literals_with_quotes_and_braces_do_not_derail_the_lexer() {
     // '"' must not open a string (which would swallow the rest of the
-    // file, including a real string containing "HashMap").
-    assert_eq!(rules_of(&as_lib("lex_charlit.rs")), [] as [&str; 0]);
+    // file, including a real string containing "partial_cmp").
+    assert_eq!(rules_of(&as_lib("lex_charlit.rs")), CLEAN);
 }
 
 #[test]
 fn lifetime_ticks_are_not_char_literals() {
     // If `'a` opened a char literal the lexer would blank real code;
-    // the trailing genuine `use std::collections::HashMap;` proves the
-    // lexer is still reading code after the lifetimes.
-    assert_eq!(rules_of(&as_lib("lex_lifetime.rs")), ["D2"]);
+    // the trailing genuine `partial_cmp` comparator proves the lexer is
+    // still reading code after the lifetimes.
+    assert_eq!(rules_of(&as_lib("lex_lifetime.rs")), ["D1"]);
 }
 
 #[test]

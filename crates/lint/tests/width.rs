@@ -2,9 +2,7 @@
 //! determinism gate for `widthflow.json`, the committed-artifact
 //! staleness gate, and the pinned any-name fallback-edge ceiling.
 
-use specweb_lint::{
-    analyze_sources, analyze_workspace, graph, load_crate_deps, workspace_extracts, FileKind,
-};
+use specweb_lint::{analyze_sources, analyze_workspace, FileKind};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -131,10 +129,9 @@ fn committed_widthflow_matches_head() {
 /// appeared.
 #[test]
 fn fallback_pairs_stay_under_the_audited_ceiling() {
-    let root = workspace_root();
-    let extracts = workspace_extracts(&root).expect("extracts");
-    let deps = load_crate_deps(&root);
-    let (_, stats) = graph::CallGraph::build_with_opts(&extracts, &deps, true);
+    let stats = analyze_workspace(&workspace_root(), 1)
+        .expect("analysis")
+        .stats;
     assert!(
         stats.fallback_pairs.len() <= 44,
         "any-name fallback edge list grew past the audited ceiling of 44: \

@@ -62,16 +62,16 @@ def diff_paths(a, b, prefix=""):
 # Known nondeterminism classes from the specweb-lint rule set (DESIGN
 # §8–§9), matched against the differing key path so a manifest diff
 # points straight at the rule family that typically causes it. The
-# first match wins, so the specific hints precede the catch-alls; G1 is
-# the graph-engine generalization of D2/D3/D4/D5 (a nondeterminism
-# source *reachable* from a deterministic root), so every hint below
-# also names it and the evidence-chain command that localizes the leak.
+# first match wins, so the specific hints precede the catch-alls. G1 (a
+# nondeterminism source *reachable* from a deterministic root) covers
+# every source class; the hint names the class and the evidence-chain
+# command that localizes the leak.
 LINT_RULE_HINTS = (
-    ("seed", "D4/G1", "an unseeded RNG shifts every derived stream"),
-    ("time", "D3/G1", "a wall-clock read leaked into the deterministic channel"),
-    ("thread", "D5/G1", "an ad-hoc thread raced the deterministic channel"),
-    ("metrics", "D1/D2/G1", "a partial_cmp float sort or hash-map iteration "
-                            "order leaked into deterministic results"),
+    ("seed", "G1", "an unseeded RNG shifts every derived stream"),
+    ("time", "G1", "a wall-clock read leaked into the deterministic channel"),
+    ("thread", "G1", "an ad-hoc thread raced the deterministic channel"),
+    ("metrics", "D1/G1", "a partial_cmp float sort or hash-map iteration "
+                         "order leaked into deterministic results"),
     # Overflow-shaped drift (DESIGN §14): a totals/counter field that
     # shrank or wrapped between runs points at unchecked width
     # arithmetic on a scale-tainted value, not at nondeterminism.
