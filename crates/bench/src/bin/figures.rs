@@ -10,9 +10,12 @@
 //!
 //! Text and JSON land in `results/`, plus one `manifest_<id>.json` per
 //! experiment (seed, scale, metric snapshot, timing, git describe), a
-//! run-level `manifest_run.json` with the process-wide counters, and
-//! one more entry in `perf_trajectory.json` with the run's
-//! per-experiment wall-clock times.
+//! run-level `manifest_run.json` with the process-wide counters, one
+//! `profile_<id>.txt` span profile per experiment run, and one more
+//! entry in `perf_trajectory.json` with the run's per-experiment
+//! wall-clock times. `fig5` and `fig6` are two reports of one
+//! experiment: asked for together, the one named first runs the sweep
+//! (and owns its profile and ledger phase) and writes both.
 //! Experiments fan out on `--jobs` workers (default: `SPECWEB_JOBS` or
 //! the core count); the result files and every manifest's
 //! `deterministic` section are byte-identical for every worker count —
@@ -29,7 +32,7 @@ use std::time::Instant;
 
 use specweb_bench::{ablations, cli, exps, fig1, fig2, fig3, fig4, fig5, perf, Report, Scale};
 use specweb_core::log;
-use specweb_core::obs::{self, Level, MetricSnapshot, RunManifest};
+use specweb_core::obs::{self, Level, RunManifest};
 
 fn main() {
     // Progress lines (level Info) print by default for the interactive
@@ -85,44 +88,39 @@ fn main() {
     let scale_name = scale_name.as_str();
     let git = obs::git_describe();
 
-    // fig5 and fig6 share one sweep; run it once if both are requested.
-    // (cli::parse deduplicates ids, so each appears at most once.)
-    let both_56 = wanted.iter().any(|w| w == "fig5") && wanted.iter().any(|w| w == "fig6");
-    let (shared_sweep, sweep_seconds) = if both_56 {
-        log!(Info, "figures", "running fig5/fig6 shared sweep…");
-        let started = Instant::now();
-        let sweep_obs = obs::Obs::new();
-        let sweep = fig5::sweep_replicated(scale, seed, Some(&sweep_obs))
-            .unwrap_or_else(|e| die(&format!("sweep failed: {e}")));
-        (
-            Some((sweep, sweep_obs.snapshot())),
-            Some(started.elapsed().as_secs_f64()),
-        )
-    } else {
-        (None, None)
-    };
+    // fig5 and fig6 are two reports of one experiment (`fig5::run`):
+    // the id requested first runs it, like any other, and the second
+    // rides along instead of running the sweep again. (cli::parse
+    // deduplicates ids, so each appears at most once.)
+    let rider = wanted
+        .iter()
+        .filter(|w| *w == "fig5" || *w == "fig6")
+        .nth(1);
+    let runs: Vec<&String> = wanted.iter().filter(|w| Some(*w) != rider).collect();
 
     // Experiments are independent deterministic replays: fan them out
-    // and print in request order. Workers return Result and the exit
-    // happens after the pool joins (G5: process::exit inside a worker
-    // would race the other workers' output, and which error won would
-    // depend on completion order); try_map_indexed surfaces the first
+    // and print in request order (a rider right after the id that ran
+    // it). Workers return Result and the exit happens after the pool
+    // joins (G5: process::exit inside a worker would race the other
+    // workers' output, and which error won would depend on completion
+    // order); try_map_indexed surfaces the first
     // failure in *request* order, so a failed experiment can neither be
     // silently dropped nor report nondeterministically. Each experiment
     // runs under its own span-tree profiler rooted at its id; inner
     // pools adopt the context, so simulator phases nest under it.
-    let pool = specweb_core::par::Pool::new(jobs.min(wanted.len().max(1)));
-    let results: Vec<(Report, f64, String)> = pool
-        .try_map_indexed(&wanted, |_, id| {
+    let pool = specweb_core::par::Pool::new(jobs.min(runs.len().max(1)));
+    let results: Vec<(Vec<Report>, f64, String)> = pool
+        .try_map_indexed(&runs, |_, id| {
             let started = Instant::now();
             let profiler = obs::Profiler::new();
-            let report = {
+            let mut reports = {
                 let _ctx = profiler.install();
                 let _root = obs::frame(id);
-                run_one(id, scale, seed, &shared_sweep).map_err(|e| format!("{id} failed: {e}"))?
+                run_one(id, scale, seed).map_err(|e| format!("{id} failed: {e}"))?
             };
+            reports.retain(|r| wanted.iter().any(|w| w == r.id));
             Ok((
-                report,
+                reports,
                 started.elapsed().as_secs_f64(),
                 profiler.collapsed(),
             ))
@@ -130,32 +128,27 @@ fn main() {
         .unwrap_or_else(|e: String| die(&e));
 
     // lint:allow(W3): one slot per already-collected experiment result
-    let mut experiments = Vec::with_capacity(results.len() + 1);
-    if let Some(seconds) = sweep_seconds {
-        // The shared sweep ran once up front, outside any single
-        // experiment's clock; account for it explicitly.
-        experiments.push(perf::PhaseTiming {
-            id: "fig5/fig6-shared-sweep".into(),
-            seconds,
-        });
-    }
-    for (id, (report, secs, collapsed)) in wanted.iter().zip(&results) {
-        println!("{}", report.render());
-        report
-            .write_to(&out_dir)
-            .unwrap_or_else(|e| die(&format!("writing {id}: {e}")));
+    let mut experiments = Vec::with_capacity(results.len());
+    for (id, (reports, secs, collapsed)) in runs.iter().zip(&results) {
+        for report in reports {
+            println!("{}", report.render());
+            report
+                .write_to(&out_dir)
+                .unwrap_or_else(|e| die(&format!("writing {}: {e}", report.id)));
+            // Record the process-wide --jobs value, not the fan-out
+            // pool's width (which is capped at the experiment count):
+            // closure rows and profile mining inside one experiment
+            // still parallelize.
+            let manifest = RunManifest::new(report.id, seed, scale_name, report.metrics.clone())
+                .with_run_info(jobs, &git)
+                .with_timing("run", *secs);
+            write_manifest(&out_dir, &manifest);
+        }
         // Collapsed-stack profile (wall-clock channel: excluded from the
-        // CI byte-diff, like perf_trajectory.json).
+        // CI byte-diff, like perf_trajectory.json), one per run.
         let profile_path = out_dir.join(format!("profile_{id}.txt"));
         std::fs::write(&profile_path, collapsed)
             .unwrap_or_else(|e| die(&format!("writing {}: {e}", profile_path.display())));
-        // Record the process-wide --jobs value, not the fan-out pool's
-        // width (which is capped at the experiment count): closure rows
-        // and profile mining inside one experiment still parallelize.
-        let manifest = RunManifest::new(id, seed, scale_name, report.metrics.clone())
-            .with_run_info(jobs, &git)
-            .with_timing("run", *secs);
-        write_manifest(&out_dir, &manifest);
         log!(
             Info,
             "figures",
@@ -163,7 +156,7 @@ fn main() {
             out_dir.display()
         );
         experiments.push(perf::PhaseTiming {
-            id: id.clone(),
+            id: (*id).clone(),
             seconds: *secs,
         });
     }
@@ -171,15 +164,11 @@ fn main() {
     let total_seconds = t0.elapsed().as_secs_f64();
 
     // Run-level manifest: the process-wide registry (pool task totals,
-    // trace-generation volume, allocator iterations, any serve counters)
-    // plus end-to-end timing.
-    let mut run_manifest = RunManifest::new("run", seed, scale_name, obs::global().snapshot())
+    // trace-generation volume, allocator iterations) plus end-to-end
+    // timing.
+    let run_manifest = RunManifest::new("run", seed, scale_name, obs::global().snapshot())
         .with_run_info(jobs, &git)
-        .with_dropped_events(obs::global().events.dropped())
         .with_timing("total", total_seconds);
-    if let Some(seconds) = sweep_seconds {
-        run_manifest = run_manifest.with_timing("fig5/fig6-shared-sweep", seconds);
-    }
     write_manifest(&out_dir, &run_manifest);
 
     // REPORT.md rides along with every run: re-read the full manifest
@@ -289,26 +278,15 @@ fn load_manifests(dir: &std::path::Path) -> Result<Vec<RunManifest>, String> {
     Ok(manifests)
 }
 
-/// Dispatches one experiment id.
-fn run_one(
-    id: &str,
-    scale: Scale,
-    seed: u64,
-    shared_sweep: &Option<(fig5::Replicated, MetricSnapshot)>,
-) -> specweb_core::Result<Report> {
-    match id {
+/// Dispatches one experiment id to the reports it renders: one each,
+/// except that `fig5` and `fig6` both run the sweep that renders both.
+fn run_one(id: &str, scale: Scale, seed: u64) -> specweb_core::Result<Vec<Report>> {
+    let report = match id {
+        "fig5" | "fig6" => return Ok(fig5::run(scale, seed)?.into()),
         "fig1" => fig1::run(scale, seed),
         "fig2" => fig2::run(scale, seed),
         "fig3" => fig3::run(scale, seed),
         "fig4" => fig4::run(scale, seed),
-        "fig5" => match shared_sweep {
-            Some((s, m)) => Ok(fig5::report(s).with_metrics(m.clone())),
-            None => fig5::run(scale, seed),
-        },
-        "fig6" => match shared_sweep {
-            Some((s, m)) => Ok(fig5::report_fig6(s).with_metrics(m.clone())),
-            None => fig5::run_fig6(scale, seed),
-        },
         "tab1" => exps::tab1(scale, seed),
         "exp-upd" => exps::exp_upd(scale, seed),
         "exp-size" => exps::exp_size(scale, seed),
@@ -333,7 +311,8 @@ fn run_one(
             "experiment",
             format!("unknown experiment `{other}`"),
         )),
-    }
+    }?;
+    Ok(vec![report])
 }
 
 fn die(msg: &str) -> ! {

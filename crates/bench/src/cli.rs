@@ -96,9 +96,8 @@ pub fn usage() -> String {
 /// Parses an argument list (without the program name).
 ///
 /// Repeated experiment ids are deduplicated while preserving first-use
-/// order, so `figures fig5 fig6` — whose two figures render from one
-/// shared sweep — never runs the sweep twice, and neither does
-/// `figures fig5 fig5`. `all` (or an empty list) expands to [`ALL`].
+/// order, so `figures fig5 fig5` runs the experiment once. `all` (or an
+/// empty list) expands to [`ALL`].
 pub fn parse<I>(argv: I) -> Result<Args, String>
 where
     I: IntoIterator<Item = String>,

@@ -140,7 +140,7 @@ pub struct Replicated {
 /// Runs the baseline sweep for the base seed plus [`EXTRA_REPS`]
 /// derived seeds, fanning the replications out in parallel (each inner
 /// `T_p` grid then runs serially so the fan-out does not nest).
-pub fn sweep_replicated(scale: Scale, seed: u64, obs: Option<&Obs>) -> Result<Replicated> {
+fn sweep_replicated(scale: Scale, seed: u64, obs: Option<&Obs>) -> Result<Replicated> {
     let tree = specweb_core::rng::SeedTree::new(seed);
     let mut seeds = vec![seed];
     seeds.extend((0..EXTRA_REPS as u64).map(|r| tree.child_idx("fig5-rep", r).seed()));
@@ -197,7 +197,7 @@ fn replication_appendix(r: &Replicated) -> String {
 
 /// Renders Fig. 5 from a replicated sweep (the base sweep in full, the
 /// replications as a dispersion appendix).
-pub fn report(replicated: &Replicated) -> Report {
+fn report(replicated: &Replicated) -> Report {
     let sweep = &replicated.base;
     let mut text = String::new();
     text.push_str(&format!(
@@ -301,7 +301,7 @@ pub struct Fig6 {
 }
 
 /// Renders Fig. 6 (gains vs % traffic increase) from the same sweep.
-pub fn report_fig6(replicated: &Replicated) -> Report {
+fn report_fig6(replicated: &Replicated) -> Report {
     let sweep = &replicated.base;
     let mut text = String::new();
     text.push_str("performance gains as a function of extra traffic\n\n");
@@ -366,16 +366,16 @@ pub fn report_fig6(replicated: &Replicated) -> Report {
     )
 }
 
-/// fig5 entry point.
-pub fn run(scale: Scale, seed: u64) -> Result<Report> {
+/// The entry point of both figures: one replicated sweep, rendered as
+/// `[fig5, fig6]`, each carrying the sweep's metric snapshot.
+pub fn run(scale: Scale, seed: u64) -> Result<[Report; 2]> {
     let obs = Obs::new();
-    Ok(report(&sweep_replicated(scale, seed, Some(&obs))?).with_metrics(obs.snapshot()))
-}
-
-/// fig6 entry point.
-pub fn run_fig6(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = Obs::new();
-    Ok(report_fig6(&sweep_replicated(scale, seed, Some(&obs))?).with_metrics(obs.snapshot()))
+    let sweep = sweep_replicated(scale, seed, Some(&obs))?;
+    let metrics = obs.snapshot();
+    Ok([
+        report(&sweep).with_metrics(metrics.clone()),
+        report_fig6(&sweep).with_metrics(metrics),
+    ])
 }
 
 #[cfg(test)]

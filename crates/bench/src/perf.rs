@@ -26,7 +26,7 @@ pub const PERF_SCHEMA: &str = "specweb-perf/v1";
 /// One phase's (experiment's) wall clock within a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTiming {
-    /// Experiment id (or a pseudo-phase like `fig5/fig6-shared-sweep`).
+    /// Experiment id.
     pub id: String,
     /// Wall clock, seconds.
     pub seconds: f64,

@@ -18,20 +18,11 @@ use std::process::Command;
 
 const TRAJECTORY: &str = "perf_trajectory.json";
 
-fn run_figures(out: &Path, jobs: &str) {
+fn run_figures(out: &Path, jobs: &str, ids: &[&str]) {
     let status = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args([
-            "--quick",
-            "--seed",
-            "5",
-            "--jobs",
-            jobs,
-            "--out",
-            out.to_str().unwrap(),
-            "fig4",
-            "exp-closure",
-            "exp-aging",
-        ])
+        .args(["--quick", "--seed", "5", "--jobs", jobs, "--out"])
+        .arg(out)
+        .args(ids)
         .status()
         .expect("spawn figures");
     assert!(status.success(), "figures --jobs {jobs} failed: {status}");
@@ -58,8 +49,9 @@ fn serial_and_parallel_runs_are_byte_identical() {
     let dir_parallel = base.join("parallel");
     let _ = std::fs::remove_dir_all(&base);
 
-    run_figures(&dir_serial, "1");
-    run_figures(&dir_parallel, "4");
+    let ids = ["fig4", "exp-closure", "exp-aging"];
+    run_figures(&dir_serial, "1", &ids);
+    run_figures(&dir_parallel, "4", &ids);
 
     let mut serial = snapshot(&dir_serial);
     let mut parallel = snapshot(&dir_parallel);
@@ -220,6 +212,62 @@ fn serial_and_parallel_runs_are_byte_identical() {
             "{name} differs between --jobs 1 and --jobs 4"
         );
     }
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// fig5 and fig6 are two reports of one experiment: requested together
+/// the sweep runs once, inside the pool and under the profiler root of
+/// the id requested first, and both reports equal what each id
+/// produces alone.
+#[test]
+fn fig5_and_fig6_together_equal_each_alone_and_the_sweep_is_profiled() {
+    let base = std::env::temp_dir().join(format!("specweb-fig56-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (both, only5, only6) = (base.join("both"), base.join("fig5"), base.join("fig6"));
+    run_figures(&both, "2", &["fig5", "fig6"]);
+    run_figures(&only5, "2", &["fig5"]);
+    run_figures(&only6, "2", &["fig6"]);
+
+    let together = snapshot(&both);
+    for (alone, id) in [(snapshot(&only5), "fig5"), (snapshot(&only6), "fig6")] {
+        for ext in ["txt", "json"] {
+            let name = format!("{id}.{ext}");
+            assert!(together.contains_key(&name), "{name} not written");
+            assert_eq!(
+                together[&name], alone[&name],
+                "{name} differs from `figures {id}` alone"
+            );
+        }
+        let name = format!("manifest_{id}.json");
+        let section = |snap: &BTreeMap<String, Vec<u8>>| -> serde_json::Value {
+            let parsed: serde_json::Value =
+                serde_json::from_str(std::str::from_utf8(&snap[&name]).unwrap()).unwrap();
+            parsed["deterministic"].clone()
+        };
+        assert_eq!(section(&together), section(&alone), "{name}");
+    }
+
+    let profile = String::from_utf8(together["profile_fig5.txt"].clone()).unwrap();
+    for frame in [
+        "fig5;estimator.precompute calls ",
+        "fig5;spec.replay calls ",
+    ] {
+        assert!(
+            profile.lines().any(|l| l.starts_with(frame)),
+            "no `{frame}` line in profile_fig5.txt:\n{profile}"
+        );
+    }
+
+    let ledger: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&together[TRAJECTORY]).unwrap()).unwrap();
+    let phases: Vec<&str> = ledger["entries"][0]["experiments"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|p| p["id"].as_str().unwrap())
+        .collect();
+    assert_eq!(phases, ["fig5"], "one phase: the run that did the sweep");
 
     let _ = std::fs::remove_dir_all(&base);
 }

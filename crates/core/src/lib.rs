@@ -24,10 +24,9 @@
 //!   seed-tree child);
 //! * the paper's four evaluation metrics as first-class accumulators
 //!   ([`metrics`]);
-//! * observability — a per-subsystem metrics registry, ring-buffered
-//!   event tracer, `SPECWEB_LOG`-gated [`log!`] macro, and run
-//!   manifests, all split into deterministic vs wall-clock channels
-//!   ([`obs`]);
+//! * observability — a per-subsystem metrics registry and run
+//!   manifests split into deterministic vs wall-clock channels, a
+//!   `SPECWEB_LOG`-gated [`log!`] macro and a span profiler ([`obs`]);
 //! * a common error type ([`error`]).
 //!
 //! Nothing in this crate knows about HTTP, proxies or speculation — it is

@@ -56,13 +56,6 @@ pub struct NondeterministicSection {
     pub timing: Vec<PhaseTiming>,
     /// Wall-clock-channel metrics.
     pub metrics: BTreeMap<String, MetricValue>,
-    /// Deterministic-ring events the tracer discarded at capacity.
-    /// Non-zero means the event log is *incomplete* — the metrics above
-    /// are unaffected, but `to_jsonl` exports silently miss the oldest
-    /// events (`scripts/check_manifests.py` warns on this).
-    pub dropped_events: u64,
-    /// Wall-clock-ring events the tracer discarded at capacity.
-    pub dropped_wall_events: u64,
 }
 
 /// A complete run manifest for one experiment (see module docs).
@@ -94,8 +87,6 @@ impl RunManifest {
                 git: String::from("unknown"),
                 timing: Vec::new(),
                 metrics: snapshot.wallclock,
-                dropped_events: 0,
-                dropped_wall_events: 0,
             },
         }
     }
@@ -114,16 +105,6 @@ impl RunManifest {
         self.deterministic
             .artifacts
             .insert(name.to_string(), digest.to_string());
-        self
-    }
-
-    /// Records how many ring-buffered events the run's tracer dropped
-    /// (builder-style; pass [`super::Tracer::dropped`]'s pair). Dropped
-    /// events mean the exported trace is truncated — surfaced in the
-    /// manifest so instrumentation gaps can't pass silently.
-    pub fn with_dropped_events(mut self, dropped: (u64, u64)) -> RunManifest {
-        self.nondeterministic.dropped_events = dropped.0;
-        self.nondeterministic.dropped_wall_events = dropped.1;
         self
     }
 
@@ -324,7 +305,6 @@ mod tests {
             .with_run_info(4, "abc1234")
             .with_timing("total", 1.5)
             .with_artifact("session", "00000000deadbeef")
-            .with_dropped_events((7, 2))
     }
 
     #[test]
@@ -338,14 +318,6 @@ mod tests {
         assert_eq!(
             m.deterministic.artifacts["session"], "00000000deadbeef",
             "artifact digests live in the golden-compared section"
-        );
-        assert_eq!(
-            (
-                m.nondeterministic.dropped_events,
-                m.nondeterministic.dropped_wall_events
-            ),
-            (7, 2),
-            "dropped-event tallies live in the wall-clock section"
         );
     }
 
@@ -363,6 +335,23 @@ mod tests {
         let m = sample_manifest("exp-closure");
         let back = RunManifest::from_value(&m.to_value()).expect("roundtrip");
         assert_eq!(back, m);
+    }
+
+    /// `figures --report` re-reads whatever manifests are in `--out`,
+    /// and older ones carry two `dropped_*` tallies in the wall-clock
+    /// section: an unknown field must not stop the parse.
+    #[test]
+    fn a_stale_manifest_with_dropped_event_tallies_still_parses() {
+        let m = sample_manifest("fig4");
+        let json = serde_json::to_string_pretty(&m).unwrap();
+        // One tally per ring the old tracer had.
+        let tallies: String = ["", "wall_"]
+            .iter()
+            .map(|ring| format!("\"dropped_{ring}events\": 7, "))
+            .collect();
+        let stale = json.replacen("\"jobs\": 4,", &format!("{tallies}\"jobs\": 4,"), 1);
+        assert_ne!(stale, json, "the nondeterministic section moved");
+        assert_eq!(serde_json::from_str::<RunManifest>(&stale).unwrap(), m);
     }
 
     #[test]

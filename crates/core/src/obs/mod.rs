@@ -1,5 +1,5 @@
-//! Observability: metrics registry, structured event tracing, leveled
-//! logging, and run manifests for the whole workspace.
+//! Observability: metrics registry, leveled logging, run manifests
+//! and the span profiler for the whole workspace.
 //!
 //! Everything here obeys one contract, inherited from the deterministic
 //! parallelism layer ([`crate::par`]): observable state is split into a
@@ -13,8 +13,6 @@
 //!
 //! * [`registry`] — named counters / gauges / histograms behind cheap
 //!   handles, snapshot into sorted [`MetricSnapshot`]s;
-//! * [`events`] — ring-buffered [`Tracer`] with sim-time stamps,
-//!   wall-clock spans, and JSONL export;
 //! * [`logging`] — the [`crate::log!`] macro, gated by `SPECWEB_LOG`;
 //! * [`manifest`] — [`RunManifest`] documents written per experiment
 //!   and the `figures --report` renderer;
@@ -22,12 +20,13 @@
 //!   follow work across [`crate::par`] workers, exported as
 //!   collapsed-stack (flamegraph) text per experiment.
 //!
-//! Subsystems take an [`Obs`] bundle (registry + tracer). Experiments
-//! create one per run so concurrently running experiments never
-//! interleave counts; truly process-wide series (the worker pool, the
-//! TCP server) use [`global`].
+//! Subsystems take an [`Obs`] bundle (a handle on one registry).
+//! Experiments create one per run so concurrently running experiments
+//! never interleave counts; truly process-wide series (the worker pool,
+//! the TCP client's retries) use [`global`]. The live server's own
+//! counters are not here: they live in `specweb_serve`'s `ServerStats`
+//! and are read over the wire with `STATS`.
 
-pub mod events;
 pub mod logging;
 pub mod manifest;
 pub mod profile;
@@ -35,7 +34,6 @@ pub mod registry;
 
 use std::sync::OnceLock;
 
-pub use events::{Event, Span, Tracer};
 pub use logging::{set_default_level, Level};
 pub use manifest::{
     git_describe, render_report, render_report_markdown, DeterministicSection,
@@ -46,7 +44,7 @@ pub use registry::{
     Channel, Counter, Gauge, HistogramHandle, MetricSnapshot, MetricValue, Registry,
 };
 
-/// A registry + tracer pair, the unit of instrumentation wiring.
+/// One metrics registry, the unit of instrumentation wiring.
 ///
 /// Cloning shares the underlying state, so an `Obs` can be handed to a
 /// simulator, a fault plan, and an allocator and snapshotted once.
@@ -54,12 +52,10 @@ pub use registry::{
 pub struct Obs {
     /// Named metrics.
     pub metrics: Registry,
-    /// Event rings.
-    pub events: Tracer,
 }
 
 impl Obs {
-    /// A fresh, empty bundle with default tracer capacity.
+    /// A fresh, empty bundle.
     pub fn new() -> Obs {
         Obs::default()
     }
@@ -71,7 +67,7 @@ impl Obs {
 }
 
 /// The process-wide bundle, for subsystems that outlive any single
-/// experiment: the worker pool, the TCP server, the allocator's
+/// experiment: the worker pool, the TCP client, the allocator's
 /// iteration counter. Deterministic-channel metrics recorded here are
 /// still jobs-invariant because every site records the same totals
 /// regardless of scheduling; per-experiment accounting should use a

@@ -231,12 +231,6 @@ impl Histogram {
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
     }
 
-    /// The center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let (a, b) = self.bin_edges(i);
-        0.5 * (a + b)
-    }
-
     /// Merges another histogram's counts into this one.
     ///
     /// Both histograms must have the same shape (`lo`, `hi`, bin count);
@@ -491,25 +485,6 @@ pub fn slope_through_origin(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(sxy / sxx)
 }
 
-/// Gini coefficient of a set of non-negative weights — a scalar measure
-/// of how concentrated ("popular-skewed") a popularity profile is.
-/// Returns 0 for uniform weights, → 1 as one item dominates.
-pub fn gini(weights: &[f64]) -> f64 {
-    let n = weights.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut w: Vec<f64> = weights.to_vec();
-    w.sort_by(|a, b| a.total_cmp(b));
-    let total: f64 = w.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    // Gini = (2·Σ i·w_i)/(n·Σ w) − (n+1)/n, with i 1-based over ascending w.
-    let weighted: f64 = w.iter().enumerate().map(|(i, x)| (i + 1) as f64 * x).sum();
-    (2.0 * weighted) / (n as f64 * total) - (n as f64 + 1.0) / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,7 +579,6 @@ mod tests {
         let h = Histogram::new(0.0, 1.0, 4);
         assert_eq!(h.bin_edges(0), (0.0, 0.25));
         assert_eq!(h.bin_edges(3), (0.75, 1.0));
-        assert!((h.bin_center(1) - 0.375).abs() < 1e-12);
     }
 
     #[test]
@@ -675,23 +649,6 @@ mod tests {
     fn slope_degenerate_is_none() {
         assert_eq!(slope_through_origin(&[], &[]), None);
         assert_eq!(slope_through_origin(&[0.0, 0.0], &[1.0, 2.0]), None);
-    }
-
-    #[test]
-    fn gini_extremes() {
-        assert!((gini(&[1.0, 1.0, 1.0, 1.0])).abs() < 1e-12);
-        // One item holds everything: (n-1)/n for n items.
-        let g = gini(&[0.0, 0.0, 0.0, 1.0]);
-        assert!((g - 0.75).abs() < 1e-12);
-        assert_eq!(gini(&[]), 0.0);
-        assert_eq!(gini(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn gini_is_scale_invariant() {
-        let a = gini(&[1.0, 2.0, 3.0]);
-        let b = gini(&[10.0, 20.0, 30.0]);
-        assert!((a - b).abs() < 1e-12);
     }
 
     #[test]

@@ -92,39 +92,6 @@ impl ClusterMap {
         out.dedup();
         out
     }
-
-    /// Picks the `k` interior nodes covering the most client leaves, and
-    /// builds one cluster per node fronting all of `servers`. This is the
-    /// "optimally locate the set of tree nodes to use as service proxies"
-    /// step of §2.1, using leaf coverage as the demand proxy (the
-    /// simulators refine it with actual access counts).
-    pub fn coverage_placement(
-        topo: &Topology,
-        servers: &[ServerId],
-        k: usize,
-    ) -> specweb_core::Result<ClusterMap> {
-        let counts = topo.leaf_counts();
-        let mut interior = topo.interior_nodes();
-        // Highest leaf coverage first; among equals prefer deeper nodes
-        // (closer to clients ⇒ more hops saved per intercepted byte).
-        interior.sort_by(|&a, &b| {
-            counts[b.index()]
-                .cmp(&counts[a.index()])
-                .then(topo.depth(b).cmp(&topo.depth(a)))
-                .then(a.cmp(&b))
-        });
-        let mut map = ClusterMap::new();
-        for &node in interior.iter().take(k) {
-            map.add(topo, Cluster::new(node, servers.to_vec()))?;
-        }
-        if map.clusters.is_empty() {
-            return Err(specweb_core::CoreError::invalid_config(
-                "placement.k",
-                "no interior nodes available for proxy placement",
-            ));
-        }
-        Ok(map)
-    }
 }
 
 #[cfg(test)]
@@ -176,30 +143,6 @@ mod tests {
         let mut map = ClusterMap::new();
         let err = map.add(&topo, Cluster::new(NodeId(999), servers(1)));
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn coverage_placement_prefers_big_subtrees() {
-        // Build an asymmetric tree: edge A has 10 leaves, edge B has 2.
-        let mut b = crate::topology::TopologyBuilder::new();
-        let a = b.add(Topology::ROOT, NodeKind::Interior);
-        let c = b.add(Topology::ROOT, NodeKind::Interior);
-        for _ in 0..10 {
-            b.add(a, NodeKind::Leaf);
-        }
-        for _ in 0..2 {
-            b.add(c, NodeKind::Leaf);
-        }
-        let topo = b.build();
-        let map = ClusterMap::coverage_placement(&topo, &servers(1), 1).unwrap();
-        assert_eq!(map.clusters()[0].proxy, a);
-    }
-
-    #[test]
-    fn coverage_placement_k_larger_than_interior_is_fine() {
-        let topo = Topology::two_level(2, 3);
-        let map = ClusterMap::coverage_placement(&topo, &servers(2), 10).unwrap();
-        assert_eq!(map.clusters().len(), 2);
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl LatencyModel {
         };
         self.request_overhead + self.per_hop * u64::from(hops) + Duration::from_millis(transfer_ms)
     }
-
-    /// Latency of a local cache hit — zero by definition; kept as a
-    /// method so the simulators read symmetrically.
-    pub fn cache_hit(&self) -> Duration {
-        Duration::ZERO
-    }
 }
 
 /// Accumulates traffic in both raw bytes and hop-weighted bytes.
@@ -120,12 +114,6 @@ impl TrafficAccount {
         self.byte_hops += other.byte_hops;
         self.transfers = self.transfers.saturating_add(other.transfers);
     }
-
-    /// Fraction of hop-weighted traffic saved relative to `baseline`
-    /// (positive = improvement).
-    pub fn byte_hops_saved_vs(&self, baseline: &TrafficAccount) -> f64 {
-        1.0 - self.byte_hops.ratio(baseline.byte_hops)
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +137,6 @@ mod tests {
         };
         // 50 + 3×10 + 2000 B / 1000 B/s = 50 + 30 + 2000 ms.
         assert_eq!(m.fetch(Bytes::new(2_000), 3), Duration::from_millis(2_080));
-        assert_eq!(m.cache_hit(), Duration::ZERO);
     }
 
     #[test]
@@ -198,7 +185,6 @@ mod tests {
         base.record(Bytes::new(1_000), 4); // 4000 B·hop
         let mut better = TrafficAccount::new();
         better.record(Bytes::new(1_000), 1); // 1000 B·hop
-        assert!((better.byte_hops_saved_vs(&base) - 0.75).abs() < 1e-12);
 
         let mut merged = TrafficAccount::new();
         merged.merge(&base);

@@ -603,10 +603,10 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Publishes the injected-fault log into an observability bundle:
-    /// per-class `netsim.fault_*_windows` counters, the
-    /// `netsim.faults_injected` total, and one deterministic tracer
-    /// event per window (stamped with the window's start in sim time).
+    /// Publishes the injected-fault tallies into an observability
+    /// bundle: per-class `netsim.fault_*_windows` counters (classes
+    /// with no window publish nothing) and the `netsim.faults_injected`
+    /// total.
     ///
     /// The plan is materialized up front from the seed tree, so
     /// everything recorded here sits on the deterministic channel.
@@ -628,21 +628,6 @@ impl FaultPlan {
             obs.metrics
                 .counter(&format!("netsim.fault_{class}_windows"))
                 .add(windows);
-            for (node, ws) in map {
-                for w in ws {
-                    obs.events.event(
-                        w.start,
-                        "netsim",
-                        &format!("fault.{class}"),
-                        format!(
-                            "node={} window_ms=[{}..{})",
-                            node.raw(),
-                            w.start.as_millis(),
-                            w.end.as_millis()
-                        ),
-                    );
-                }
-            }
         }
         obs.metrics
             .counter("netsim.faults_injected")
@@ -712,10 +697,17 @@ mod tests {
             }
         );
         assert!(snap.wallclock.is_empty(), "fault log is deterministic");
-        let events = obs.events.deterministic_events();
-        let (dropped, _) = obs.events.dropped();
-        assert_eq!(events.len() as u64 + dropped, plan.n_windows() as u64);
-        assert!(events.iter().all(|e| e.subsystem == "netsim"));
+        // The per-class counters partition the total.
+        let per_class: u64 = snap
+            .deterministic
+            .iter()
+            .filter(|(name, _)| name.starts_with("netsim.fault_") && name.ends_with("_windows"))
+            .map(|(_, v)| match v {
+                MetricValue::Counter { value } => *value,
+                other => panic!("fault tallies are counters, got {other:?}"),
+            })
+            .sum();
+        assert_eq!(per_class, plan.n_windows() as u64);
         // Recording the same plan twice must double the counters —
         // deterministic replays merge additively.
         plan.record_to(&obs);

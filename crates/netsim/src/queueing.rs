@@ -82,24 +82,6 @@ impl Mg1 {
         let wait = rho * (1.0 + self.scv) / (2.0 * (1.0 - rho)) * self.mean_service_secs;
         Some(wait + self.mean_service_secs)
     }
-
-    /// The arrival rate at which mean response time reaches
-    /// `target_secs` — the server's effective capacity under a latency
-    /// SLO. Solves the P-K formula for λ (closed form: the response time
-    /// is a rational function of ρ).
-    pub fn capacity_for_response(&self, target_secs: f64) -> Result<f64> {
-        let s = self.mean_service_secs;
-        if !(target_secs.is_finite() && target_secs > s) {
-            return Err(CoreError::invalid_config(
-                "mg1.target_secs",
-                format!("must exceed the service time {s}"),
-            ));
-        }
-        // T = s + ρ(1+c²)s / (2(1−ρ))  ⇒  ρ = (T−s) / ((T−s) + s(1+c²)/2)
-        let excess = target_secs - s;
-        let rho = excess / (excess + s * (1.0 + self.scv) / 2.0);
-        Ok(rho / s)
-    }
 }
 
 /// How a server-load reduction moves the operating point: response time
@@ -179,17 +161,6 @@ mod tests {
         let t98 = m.mean_response_secs(19.6).unwrap(); // ρ = 0.98
         assert!(t90 > 3.0 * t50, "t90 {t90} vs t50 {t50}");
         assert!(t98 > 4.0 * t90, "t98 {t98} vs t90 {t90}");
-    }
-
-    #[test]
-    fn capacity_inverts_response() {
-        let m = Mg1::httpd_1995();
-        for target in [0.1, 0.5, 2.0] {
-            let lambda = m.capacity_for_response(target).unwrap();
-            let t = m.mean_response_secs(lambda).unwrap();
-            assert!((t - target).abs() < 1e-9, "target {target}: got {t}");
-        }
-        assert!(m.capacity_for_response(0.01).is_err()); // below service time
     }
 
     #[test]

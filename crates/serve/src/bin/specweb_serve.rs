@@ -221,7 +221,6 @@ fn cmd_replay(opts: &Opts) -> Result<ExitCode> {
             obs::global().snapshot(),
         )
         .with_run_info(jobs, &obs::git_describe())
-        .with_dropped_events(obs::global().events.dropped())
         .with_artifact("session", &outcome.summary.digest);
         let path = std::path::Path::new(dir).join(manifest.file_name());
         std::fs::write(

@@ -318,14 +318,6 @@ pub fn run_chaos(addr: SocketAddr, cfg: &ChaosConfig) -> Result<ChaosReport> {
         .add(report.malformed as u64);
     m.counter_on("chaos.timed_out", Channel::WallClock)
         .add(report.timed_out as u64);
-    obs::global().events.wall_event(
-        "serve",
-        "chaos.done",
-        format!(
-            "clients={} completed={} refused={} malformed={} timed_out={}",
-            report.clients, report.completed, report.refused, report.malformed, report.timed_out
-        ),
-    );
     Ok(report)
 }
 

@@ -141,11 +141,6 @@ impl SpecClient {
         self.cache.contains(&doc)
     }
 
-    /// Number of cached documents.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Fetches a document, retrying transient failures (I/O errors,
     /// `BUSY` overload refusals) on the backoff schedule. Protocol
     /// errors are not retried — resending the same poison cannot help.
@@ -179,17 +174,19 @@ impl SpecClient {
                 Err(e) if e.is_transient() => {
                     // The transport (or the server's patience) is gone;
                     // reconnect on the next attempt.
-                    let obs = specweb_core::obs::global();
-                    obs.metrics
+                    specweb_core::obs::global()
+                        .metrics
                         .counter_on(
                             "serve.client_retries",
                             specweb_core::obs::Channel::WallClock,
                         )
                         .incr();
-                    obs.events.wall_event(
+                    specweb_core::log!(
+                        Debug,
                         "serve",
-                        "retry",
-                        format!("doc {} attempt {}: {e}", doc.raw(), attempt + 1),
+                        "retry doc {} attempt {}: {e}",
+                        doc.raw(),
+                        attempt + 1
                     );
                     self.conn = None;
                     last = Some(e);

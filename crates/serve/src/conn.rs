@@ -348,34 +348,6 @@ impl ConnCore {
     pub fn digest_hex(&self) -> String {
         self.digest.hex()
     }
-
-    /// A one-line summary of the requested doc ids — used only for
-    /// trace diagnostics, never for control flow.
-    pub fn describe(&self) -> String {
-        format!(
-            "conn {}: {} req, {} push, {} shed, {} err",
-            self.id,
-            self.counters.requests,
-            self.counters.pushes,
-            self.counters.shed,
-            self.counters.protocol_errors
-        )
-    }
-}
-
-/// A convenience used by tests and the replay driver: run one complete
-/// input through a fresh core in a single fragment.
-pub fn run_whole(
-    id: u64,
-    limits: ProtocolLimits,
-    input: &[u8],
-    level: ServiceLevel,
-    k: &ServerKnowledge,
-) -> ConnCore {
-    let mut core = ConnCore::new(id, limits);
-    core.on_bytes(input, level, k);
-    core.on_eof();
-    core
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use specweb_core::obs;
+use specweb_core::log;
 
 use crate::conn::{ConnCore, ConnCounters};
 use crate::overload::{ConnectionGuard, OverloadController};
@@ -122,12 +122,8 @@ impl Reactor {
                     let Some(p) = pending.pop_front() else { break };
                     let id = next_id;
                     next_id += 1;
-                    ServerStats::bump(&stats.connections, "serve.connections");
-                    obs::global().events.wall_event(
-                        "serve",
-                        "accept",
-                        format!("conn={id} active={}", ctl.active()),
-                    );
+                    ServerStats::bump(&stats.connections);
+                    log!(Debug, "serve", "accept conn={id} active={}", ctl.active());
                     if let Some(rec) = recorder.as_mut() {
                         rec.on_accept(id);
                     }
@@ -148,16 +144,7 @@ impl Reactor {
                     let Some(mut p) = pending.pop_front() else {
                         break;
                     };
-                    ServerStats::bump(&stats.refused_connections, "serve.refused_connections");
-                    obs::global().events.wall_event(
-                        "serve",
-                        "refuse",
-                        format!(
-                            "{}/{} connections",
-                            ctl.active(),
-                            ctl.policy().max_connections
-                        ),
-                    );
+                    ServerStats::bump(&stats.refused_connections);
                     if let Some(rec) = recorder.as_mut() {
                         rec.on_refused();
                     }
@@ -169,6 +156,7 @@ impl Reactor {
                         ctl.active(),
                         ctl.policy().max_connections
                     );
+                    log!(Debug, "serve", "refuse {}", busy.trim_end());
                     let _ = p.stream.write(busy.as_bytes());
                     progress = true;
                 } else {
@@ -242,10 +230,7 @@ impl Reactor {
                             if pending > 0 {
                                 let entries = stats_entries(&stats, &ctl, live_count);
                                 for _ in 0..pending {
-                                    ServerStats::bump(
-                                        &stats.stats_requests,
-                                        "serve.stats_requests",
-                                    );
+                                    ServerStats::bump(&stats.stats_requests);
                                     if let Some(rec) = recorder.as_mut() {
                                         rec.on_stats(id, &entries);
                                     }
@@ -312,32 +297,23 @@ impl Reactor {
     }
 }
 
-/// Mirrors the delta since the last mirror into the shared stats (and
-/// the wall-clock obs channel), emitting the shed trace event.
+/// Mirrors the delta since the last mirror into the shared stats.
 fn mirror(stats: &ServerStats, live: &mut Live) {
     let cur = live.core.counters();
     let prev = live.mirrored;
-    ServerStats::bump_by(
-        &stats.requests,
-        "serve.requests",
-        cur.requests - prev.requests,
-    );
-    ServerStats::bump_by(&stats.pushes, "serve.pushes", cur.pushes - prev.pushes);
-    ServerStats::bump_by(
-        &stats.shed_speculation,
-        "serve.shed_total",
-        cur.shed - prev.shed,
-    );
+    ServerStats::bump_by(&stats.requests, cur.requests - prev.requests);
+    ServerStats::bump_by(&stats.pushes, cur.pushes - prev.pushes);
+    ServerStats::bump_by(&stats.shed_speculation, cur.shed - prev.shed);
     ServerStats::bump_by(
         &stats.protocol_errors,
-        "serve.protocol_errors",
         cur.protocol_errors - prev.protocol_errors,
     );
     if cur.shed > prev.shed {
-        obs::global().events.wall_event(
+        log!(
+            Debug,
             "serve",
-            "shed",
-            format!("demand-only responses on conn {}", live.core.id()),
+            "shed: demand-only on conn {}",
+            live.core.id()
         );
     }
     live.mirrored = cur;
@@ -349,7 +325,11 @@ fn close_conn(stats: &ServerStats, recorder: &mut Option<SessionRecorder>, mut l
     if let Some(rec) = recorder.as_mut() {
         rec.on_close(&live.core);
     }
-    obs::global()
-        .events
-        .wall_event("serve", "conn.close", live.core.describe());
+    log!(
+        Debug,
+        "serve",
+        "close conn {}: {:?}",
+        live.core.id(),
+        live.core.counters()
+    );
 }

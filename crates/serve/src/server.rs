@@ -32,9 +32,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use specweb_core::obs::{self, Channel};
 use specweb_core::stats::ServiceTimeDist;
-use specweb_core::{Bytes, CoreError, Result};
+use specweb_core::{log, Bytes, CoreError, Result};
 use specweb_spec::deps::DepMatrix;
 use specweb_spec::policy::Policy;
 use specweb_trace::document::Catalog;
@@ -116,7 +115,10 @@ impl ServerConfig {
     }
 }
 
-/// Monotonic event counters, shared with the reactor thread.
+/// Monotonic event counters, shared with the reactor thread: the
+/// server's one set of counters, read by [`ServerHandle::stats`] and
+/// the `STATS` verb. They depend on real sockets and scheduling, so
+/// nothing deterministic may read them.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub(crate) connections: AtomicU64,
@@ -151,24 +153,14 @@ pub struct StatsSnapshot {
 }
 
 impl ServerStats {
-    /// Bumps the local atomic and mirrors it into the process-wide
-    /// observability registry. Server counters live on the wall-clock
-    /// channel: they depend on real sockets and thread scheduling, so
-    /// they are excluded from deterministic golden comparisons.
-    pub(crate) fn bump(counter: &AtomicU64, name: &'static str) {
-        Self::bump_by(counter, name, 1);
+    /// Counts one event.
+    pub(crate) fn bump(counter: &AtomicU64) {
+        Self::bump_by(counter, 1);
     }
 
     /// [`ServerStats::bump`], for a batch of `n` events.
-    pub(crate) fn bump_by(counter: &AtomicU64, name: &'static str, n: u64) {
-        if n == 0 {
-            return;
-        }
+    pub(crate) fn bump_by(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-        obs::global()
-            .metrics
-            .counter_on(name, Channel::WallClock)
-            .add(n);
     }
 
     /// Reads all counters.
@@ -324,11 +316,6 @@ impl ServerHandle {
         self.ctl.level()
     }
 
-    /// A token that can request shutdown from elsewhere.
-    pub fn shutdown_token(&self) -> ShutdownToken {
-        self.token.clone()
-    }
-
     /// Graceful shutdown: stop accepting, flush buffered responses
     /// (bounded by `write_timeout`), and join the reactor.
     pub fn shutdown(mut self) -> Result<()> {
@@ -352,9 +339,7 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) -> Result<()> {
-        obs::global()
-            .events
-            .wall_event("serve", "shutdown", format!("addr={}", self.addr));
+        log!(Debug, "serve", "shutdown addr={}", self.addr);
         self.token.trigger();
         // Nudge a possibly-sleeping reactor; it polls the token every
         // sweep, so this only shortens the last sleep.

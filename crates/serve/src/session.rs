@@ -20,8 +20,6 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use specweb_core::obs;
-use specweb_core::time::SimTime;
 use specweb_core::{Bytes, CoreError, Result};
 use specweb_netsim::topology::Topology;
 use specweb_spec::deps::DepMatrixBuilder;
@@ -456,7 +454,6 @@ pub fn replay(trace: &SessionTrace, jobs: usize) -> Result<ReplayOutcome> {
     let limits = trace.limits();
     limits.validate()?;
     let knowledge = trace.knowledge.build(jobs)?;
-    let tracer = &obs::global().events;
 
     let mut live: BTreeMap<u64, ConnCore> = BTreeMap::new();
     let mut conns: Vec<ConnSummary> = Vec::new();
@@ -464,15 +461,11 @@ pub fn replay(trace: &SessionTrace, jobs: usize) -> Result<ReplayOutcome> {
     let mut accepted = 0u64;
     let mut refused = 0u64;
 
-    for (idx, event) in trace.events.iter().enumerate() {
-        // Deterministic per-connection event tracing: the event index
-        // is the replay's logical clock.
-        let at = SimTime::from_millis(idx as u64);
+    for event in &trace.events {
         match event {
             SessionEvent::Level { level: code } => level = level_from_code(*code)?,
             SessionEvent::Accept { conn } => {
                 accepted += 1;
-                tracer.event(at, "serve", "replay.accept", format!("conn={conn}"));
                 live.insert(*conn, ConnCore::new(*conn, limits));
             }
             SessionEvent::Data { conn, hex } => {
@@ -501,18 +494,9 @@ pub fn replay(trace: &SessionTrace, jobs: usize) -> Result<ReplayOutcome> {
                 let core = live.remove(conn).ok_or_else(|| {
                     CoreError::protocol(format!("trace close for unknown conn {conn}"))
                 })?;
-                tracer.event(
-                    at,
-                    "serve",
-                    "replay.close",
-                    format!("conn={conn} digest={}", core.digest_hex()),
-                );
                 conns.push(summarize(&core));
             }
-            SessionEvent::Refused => {
-                refused += 1;
-                tracer.event(at, "serve", "replay.refused", String::new());
-            }
+            SessionEvent::Refused => refused += 1,
         }
     }
     // A well-formed trace closes every connection; tolerate truncated

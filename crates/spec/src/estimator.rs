@@ -364,24 +364,11 @@ impl MatrixStore {
 
     /// Publishes the safety-valve truncation count into an obs bundle
     /// as the `spec.closure_truncated_rows` counter, so every estimator
-    /// ablation surfaces silent capping through its run manifest. Emits
-    /// a warning-level event when any row was truncated.
+    /// ablation surfaces silent capping through its run manifest.
     pub fn record_truncation(&self, obs: &specweb_core::obs::Obs) {
-        let truncated = self.truncated_rows();
         obs.metrics
             .counter("spec.closure_truncated_rows")
-            .add(truncated);
-        if truncated > 0 {
-            obs.events.event(
-                specweb_core::SimTime::ZERO,
-                "spec",
-                "closure.truncated",
-                format!(
-                    "rows={truncated} max_row={} (closure probabilities are lower bounds)",
-                    self.cfg.closure_max_row
-                ),
-            );
-        }
+            .add(self.truncated_rows());
     }
 }
 

@@ -23,7 +23,6 @@ use specweb_core::dist::Zipf;
 use specweb_core::ids::{ClientId, DocId, ServerId};
 use specweb_core::rng::SeedTree;
 use specweb_core::time::{Duration, SimTime};
-use specweb_core::units::Bytes;
 use specweb_core::Result;
 use specweb_netsim::topology::Topology;
 
@@ -80,11 +79,6 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.accesses.is_empty()
-    }
-
-    /// Total bytes requested (sum of document sizes over accesses).
-    pub fn total_requested_bytes(&self) -> Bytes {
-        self.accesses.iter().map(|a| self.catalog.size(a.doc)).sum()
     }
 
     /// Per-document request counts, indexed by doc id.
@@ -890,11 +884,5 @@ mod tests {
         let t = small_trace(14);
         let n = t.active_clients();
         assert!(n > 0 && n <= t.clients.len());
-    }
-
-    #[test]
-    fn total_requested_bytes_positive() {
-        let t = small_trace(15);
-        assert!(t.total_requested_bytes() > Bytes::ZERO);
     }
 }

@@ -369,11 +369,6 @@ impl SiteGraph {
         }
     }
 
-    /// The popularity class of a page.
-    pub fn page_class(&self, idx: usize) -> PopularityClass {
-        self.classes[idx]
-    }
-
     /// The full set of documents fetched when `page_idx` is visited: the
     /// page itself followed by all its embedded objects.
     pub fn visit_docs(&self, page_idx: usize) -> impl Iterator<Item = DocId> + '_ {

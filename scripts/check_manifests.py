@@ -10,13 +10,16 @@ Two subcommands:
       metrics) is allowed to differ — that is its whole point.
 
   gate DIR
-      Quality gates over one quick-suite run:
+      Quality gates over one run:
         * no manifest reports closure safety-valve truncation
           (`spec.closure_truncated_rows` > 0) — except `exp-closure`,
           whose valve sweep truncates by design;
-        * no manifest reports shed requests (`dissem.shed_requests` or
-          `serve.shed_total` > 0) — except `exp-shed` and `exp-hier`,
-          where shedding is the subject of the experiment.
+        * no manifest reports shed requests (`dissem.shed_requests`
+          > 0) — except `exp-shed` and `exp-hier`, where shedding is
+          the subject of the experiment;
+        * every `profile_<id>.txt` whose root frame took a second or
+          more attributes at least 90 % of it to child frames, so a
+          slow experiment always says where its time went.
 
 Exit status is non-zero on any violation, with one line per finding.
 Stdlib only; runs on any python3.
@@ -28,8 +31,11 @@ from pathlib import Path
 
 TRUNCATION_METRIC = "spec.closure_truncated_rows"
 TRUNCATION_EXEMPT = {"exp-closure"}
-SHED_METRICS = ("dissem.shed_requests", "serve.shed_total")
+SHED_METRIC = "dissem.shed_requests"
 SHED_EXEMPT = {"exp-shed", "exp-hier"}
+# A profile root this slow must be this well attributed to its children.
+PROFILE_MIN_ROOT_US = 1_000_000
+PROFILE_MIN_ATTRIBUTED = 0.90
 
 
 def load_manifests(d):
@@ -115,17 +121,6 @@ def cmd_gate(d):
     failures = []
     for name, manifest in load_manifests(d).items():
         exp = manifest.get("id", name)
-        # Non-fatal: dropped tracer events mean the exported event log
-        # is truncated (the metrics are unaffected), so warn loudly but
-        # do not fail the gate on it.
-        nondet = manifest["nondeterministic"]
-        for field in ("dropped_events", "dropped_wall_events"):
-            n = nondet.get(field, 0)
-            if n > 0:
-                print(
-                    f"WARN: {name}: {field} = {n} (tracer ring overflowed; "
-                    f"the exported event log is incomplete)"
-                )
         # Both channels: a truncation or shed count is a finding no
         # matter which channel a subsystem happens to report it on.
         metrics = dict(manifest["deterministic"]["metrics"])
@@ -138,14 +133,37 @@ def cmd_gate(d):
                     f"fired outside {sorted(TRUNCATION_EXEMPT)})"
                 )
         if exp not in SHED_EXEMPT:
-            for metric in SHED_METRICS:
-                n = counter(metrics, metric)
-                if n > 0:
-                    failures.append(
-                        f"{name}: {metric} = {n} (shedding outside "
-                        f"{sorted(SHED_EXEMPT)})"
-                    )
+            n = counter(metrics, SHED_METRIC)
+            if n > 0:
+                failures.append(
+                    f"{name}: {SHED_METRIC} = {n} (shedding outside "
+                    f"{sorted(SHED_EXEMPT)})"
+                )
+    for path in sorted(Path(d).glob("profile_*.txt")):
+        failures.extend(profile_failures(path))
     return failures
+
+
+def profile_failures(path):
+    """Roots of a collapsed-stack profile (`a;b calls N wall_us T` per
+    line) that are slow and mostly unattributed to depth-1 children."""
+    roots, children = {}, {}
+    for line in path.read_text().splitlines():
+        frames = line.split(" calls ")[0].split(";")
+        wall_us = int(line.rsplit(" wall_us ", 1)[1])
+        if len(frames) == 1:
+            roots[frames[0]] = wall_us
+        elif len(frames) == 2:
+            children[frames[0]] = children.get(frames[0], 0) + wall_us
+    return [
+        f"{path.name}: root `{root}` took {wall_us / 1e6:.1f}s but its child "
+        f"frames cover only {children.get(root, 0) / wall_us:.0%} of it "
+        f"(need {PROFILE_MIN_ATTRIBUTED:.0%}: add obs::frame to the "
+        f"unprofiled phase)"
+        for root, wall_us in roots.items()
+        if wall_us >= PROFILE_MIN_ROOT_US
+        and children.get(root, 0) < PROFILE_MIN_ATTRIBUTED * wall_us
+    ]
 
 
 def main():
