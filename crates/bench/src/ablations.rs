@@ -82,17 +82,15 @@ pub struct ValveRow {
 
 /// Runs the closure-vs-direct ablation.
 pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
     cfg.warmup_days = crate::workloads::warmup_days(scale);
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-    store.record_truncation(&obs);
 
     let tps: &[f64] = match scale {
         Scale::Full => &[0.7, 0.5, 0.3, 0.15],
@@ -167,7 +165,6 @@ pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
         let mut vcfg = cfg;
         vcfg.estimator.closure_max_row = max_row;
         let vstore = MatrixStore::precompute(&vcfg.estimator, &trace, total_days)?;
-        vstore.record_truncation(&obs);
         let out = sim.run_with_store_and_baseline(&vcfg, Some(&vstore), Some(&baseline))?;
         valve.push(ValveRow {
             max_row,
@@ -204,8 +201,7 @@ pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
             truncated_rows,
             valve,
         },
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -225,10 +221,9 @@ pub struct RankRow {
 
 /// Runs the ranking ablation.
 pub fn exp_rank(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = DisseminationSim::new(&trace, &topo)?.with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = DisseminationSim::new(&trace, &topo)?;
 
     let mut rows = Vec::new();
     for fraction in [0.04, 0.10, 0.25] {
@@ -276,8 +271,7 @@ pub fn exp_rank(scale: Scale, seed: u64) -> Result<Report> {
         "ablation: dissemination ranking objective (traffic vs α)",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -297,10 +291,9 @@ pub struct TailoredRow {
 
 /// Runs the tailoring ablation.
 pub fn exp_tailored(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = DisseminationSim::new(&trace, &topo)?.with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = DisseminationSim::new(&trace, &topo)?;
 
     let mut rows = Vec::new();
     for fraction in [0.02, 0.05, 0.10] {
@@ -343,8 +336,7 @@ pub fn exp_tailored(scale: Scale, seed: u64) -> Result<Report> {
         "ablation: geographic tailoring of replicas (footnote 5)",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -366,10 +358,9 @@ pub struct ShedRow {
 
 /// Runs the shedding sweep.
 pub fn exp_shed(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = DisseminationSim::new(&trace, &topo)?.with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = DisseminationSim::new(&trace, &topo)?;
 
     let caps: &[Option<u64>] = match scale {
         Scale::Full => &[None, Some(2_000), Some(500), Some(125), Some(30)],
@@ -421,8 +412,7 @@ pub fn exp_shed(scale: Scale, seed: u64) -> Result<Report> {
         "§2.3 dynamic load shedding under proxy request caps",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -431,10 +421,9 @@ pub fn exp_shed(scale: Scale, seed: u64) -> Result<Report> {
 
 /// Runs the hierarchy comparison.
 pub fn exp_hier(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = DisseminationSim::new(&trace, &topo)?.with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = DisseminationSim::new(&trace, &topo)?;
     let cap = match scale {
         Scale::Full => 400,
         Scale::Quick => 40,
@@ -475,8 +464,7 @@ pub fn exp_hier(scale: Scale, seed: u64) -> Result<Report> {
         "§2.3 multi-level dissemination dissolves the proxy bottleneck",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -572,10 +560,9 @@ pub struct AgingRow {
 
 /// Runs the aging ablation on the drifting workload.
 pub fn exp_aging(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::drift_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::drift_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let history = match scale {
@@ -603,7 +590,6 @@ pub fn exp_aging(scale: Scale, seed: u64) -> Result<Report> {
         cfg.estimator.aging_decay = decay;
         cfg.warmup_days = crate::workloads::warmup_days(scale);
         let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-        store.record_truncation(&obs);
         let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
         rows.push(AgingRow {
             variant: label,
@@ -633,8 +619,7 @@ pub fn exp_aging(scale: Scale, seed: u64) -> Result<Report> {
         "ablation: hard history window vs exponential aging (§3.4)",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -724,17 +709,15 @@ pub struct QueueRow {
 /// at a peak-hour operating point: the paper's "−35% server load"
 /// rendered as response time.
 pub fn exp_queue(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
     cfg.warmup_days = crate::workloads::warmup_days(scale);
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-    store.record_truncation(&obs);
 
     // Peak-hour operating point: a 1995 httpd (capacity 20 req/s at
     // 50 ms mean service) running hot at ρ = 0.95.
@@ -800,8 +783,7 @@ pub fn exp_queue(scale: Scale, seed: u64) -> Result<Report> {
         "extension: server load reduction as M/G/1 response time",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 #[cfg(test)]

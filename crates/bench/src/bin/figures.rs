@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use specweb_bench::{ablations, cli, exps, fig1, fig2, fig3, fig4, fig5, perf, Report, Scale};
 use specweb_core::log;
-use specweb_core::obs::{self, Level, RunManifest};
+use specweb_core::obs::{self, Channel, Level, Obs, RunManifest};
 
 fn main() {
     // Progress lines (level Info) print by default for the interactive
@@ -106,30 +106,29 @@ fn main() {
     // order); try_map_indexed surfaces the first
     // failure in *request* order, so a failed experiment can neither be
     // silently dropped nor report nondeterministically. Each experiment
-    // runs under its own span-tree profiler rooted at its id; inner
-    // pools adopt the context, so simulator phases nest under it.
+    // runs under its own installed `Obs` — the registry every recording
+    // site below it writes to, and a span-tree profile rooted at its id;
+    // inner pools adopt the context, so simulator metrics and phases
+    // land under it.
     let pool = specweb_core::par::Pool::new(jobs.min(runs.len().max(1)));
-    let results: Vec<(Vec<Report>, f64, String)> = pool
+    let results: Vec<(Vec<Report>, f64, Obs)> = pool
         .try_map_indexed(&runs, |_, id| {
             let started = Instant::now();
-            let profiler = obs::Profiler::new();
+            let run = Obs::new();
             let mut reports = {
-                let _ctx = profiler.install();
+                let _ctx = run.install();
                 let _root = obs::frame(id);
                 run_one(id, scale, seed).map_err(|e| format!("{id} failed: {e}"))?
             };
             reports.retain(|r| wanted.iter().any(|w| w == r.id));
-            Ok((
-                reports,
-                started.elapsed().as_secs_f64(),
-                profiler.collapsed(),
-            ))
+            record_peak_rss(&run);
+            Ok((reports, started.elapsed().as_secs_f64(), run))
         })
         .unwrap_or_else(|e: String| die(&e));
 
     // lint:allow(W3): one slot per already-collected experiment result
     let mut experiments = Vec::with_capacity(results.len());
-    for (id, (reports, secs, collapsed)) in runs.iter().zip(&results) {
+    for (id, (reports, secs, run)) in runs.iter().zip(&results) {
         for report in reports {
             println!("{}", report.render());
             report
@@ -139,7 +138,7 @@ fn main() {
             // pool's width (which is capped at the experiment count):
             // closure rows and profile mining inside one experiment
             // still parallelize.
-            let manifest = RunManifest::new(report.id, seed, scale_name, report.metrics.clone())
+            let manifest = RunManifest::new(report.id, seed, scale_name, run.snapshot())
                 .with_run_info(jobs, &git)
                 .with_timing("run", *secs);
             write_manifest(&out_dir, &manifest);
@@ -147,7 +146,7 @@ fn main() {
         // Collapsed-stack profile (wall-clock channel: excluded from the
         // CI byte-diff, like perf_trajectory.json), one per run.
         let profile_path = out_dir.join(format!("profile_{id}.txt"));
-        std::fs::write(&profile_path, collapsed)
+        std::fs::write(&profile_path, run.profile.collapsed())
             .unwrap_or_else(|e| die(&format!("writing {}: {e}", profile_path.display())));
         log!(
             Info,
@@ -164,8 +163,8 @@ fn main() {
     let total_seconds = t0.elapsed().as_secs_f64();
 
     // Run-level manifest: the process-wide registry (pool task totals,
-    // trace-generation volume, allocator iterations) plus end-to-end
-    // timing.
+    // the process's peak RSS) plus end-to-end timing.
+    record_peak_rss(obs::global());
     let run_manifest = RunManifest::new("run", seed, scale_name, obs::global().snapshot())
         .with_run_info(jobs, &git)
         .with_timing("total", total_seconds);
@@ -218,6 +217,17 @@ fn main() {
             "--check-perf: {} phase(s) regressed beyond tolerance (see warnings above)",
             regressions.len()
         ));
+    }
+}
+
+/// Records the process's resident-set high-water mark so far on `obs`'s
+/// wall-clock channel (nothing off Linux). Process-wide at this
+/// instant: one experiment's own only at `--jobs 1`, in request order.
+fn record_peak_rss(obs: &Obs) {
+    if let Some(kib) = obs::peak_rss_kib() {
+        obs.metrics
+            .gauge_on("proc.peak_rss_kib", Channel::WallClock)
+            .record(kib);
     }
 }
 

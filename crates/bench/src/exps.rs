@@ -102,10 +102,9 @@ pub struct UpdRow {
 
 /// Runs the staleness experiment.
 pub fn exp_upd(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::drift_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::drift_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     // (D, D') schedules, scaled: full = the paper's {1,7,60}×60 + 1×30.
@@ -134,7 +133,6 @@ pub fn exp_upd(scale: Scale, seed: u64) -> Result<Report> {
         cfg.estimator.update_cycle_days = cycle;
         cfg.warmup_days = warmup;
         let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-        store.record_truncation(&obs);
         let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
         rows.push(UpdRow {
             update_cycle_days: cycle,
@@ -196,8 +194,7 @@ pub fn exp_upd(scale: Scale, seed: u64) -> Result<Report> {
         "stability of the P and P* relations under site drift (§3.4)",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -231,17 +228,15 @@ pub struct SizeResult {
 
 /// Runs the MaxSize experiment.
 pub fn exp_size(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
     cfg.warmup_days = crate::workloads::warmup_days(scale);
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-    store.record_truncation(&obs);
 
     let sizes: &[u64] = match scale {
         Scale::Full => &[
@@ -346,8 +341,7 @@ pub fn exp_size(scale: Scale, seed: u64) -> Result<Report> {
         "effect of document size: optimal MaxSize per traffic budget (§3.4)",
         text,
         &result,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -373,17 +367,15 @@ pub struct CacheRow {
 
 /// Runs the client-caching experiment.
 pub fn exp_cache(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.3);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
     cfg.warmup_days = crate::workloads::warmup_days(scale);
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-    store.record_truncation(&obs);
 
     let models: Vec<(String, CacheModel)> = vec![
         (
@@ -440,10 +432,12 @@ pub fn exp_cache(scale: Scale, seed: u64) -> Result<Report> {
          32/24/19 at +10% traffic) because the baseline is already good.\n",
     );
 
-    Ok(
-        Report::new("exp-cache", "effect of client caching (§3.4)", text, &rows)
-            .with_metrics(obs.snapshot()),
-    )
+    Ok(Report::new(
+        "exp-cache",
+        "effect of client caching (§3.4)",
+        text,
+        &rows,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -469,10 +463,9 @@ pub struct CoopRow {
 
 /// Runs the cooperative-clients experiment.
 pub fn exp_coop(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let mut cfg = SpecConfig::baseline(0.3);
@@ -484,7 +477,6 @@ pub fn exp_coop(scale: Scale, seed: u64) -> Result<Report> {
         timeout: Duration::from_secs(3_600),
     };
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-    store.record_truncation(&obs);
 
     let tps: &[f64] = match scale {
         Scale::Full => &[0.7, 0.5, 0.3, 0.15],
@@ -534,10 +526,12 @@ pub fn exp_coop(scale: Scale, seed: u64) -> Result<Report> {
          load savings, strictly less traffic, zero wasted pushes.\n",
     );
 
-    Ok(
-        Report::new("exp-coop", "cooperative clients (§3.4)", text, &rows)
-            .with_metrics(obs.snapshot()),
-    )
+    Ok(Report::new(
+        "exp-coop",
+        "cooperative clients (§3.4)",
+        text,
+        &rows,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -565,10 +559,9 @@ pub struct PrefRow {
 
 /// Runs the prefetching-strategy comparison.
 pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
-    let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
     let total_days = trace.days();
 
     let base = || {
@@ -581,7 +574,6 @@ pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
         c
     };
     let store = MatrixStore::precompute(&base().estimator, &trace, total_days)?;
-    store.record_truncation(&obs);
 
     // All five strategies share one baseline (same cache, same warmup).
     let baseline = sim.baseline_totals(&base())?;
@@ -656,8 +648,7 @@ pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
         "server-assisted prefetching and hybrids (§3.4)",
         text,
         &rows,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 // ---------------------------------------------------------------------

@@ -65,18 +65,10 @@ struct Curves {
 /// Runs both dissemination sweeps for one seed. The proxy-count grid
 /// fans out over `jobs` workers; every point is an independent replay
 /// of the same mined profiles, so output is identical for any `jobs`.
-fn compute(
-    scale: Scale,
-    seed: u64,
-    jobs: usize,
-    obs: Option<&specweb_core::obs::Obs>,
-) -> Result<Curves> {
+fn compute(scale: Scale, seed: u64, jobs: usize) -> Result<Curves> {
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, obs)?;
-    let mut sim = DisseminationSim::new(&trace, &topo)?;
-    if let Some(obs) = obs {
-        sim = sim.with_obs(obs);
-    }
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = DisseminationSim::new(&trace, &topo)?;
 
     let proxy_counts: &[usize] = match scale {
         Scale::Full => &[1, 2, 4, 6, 9, 12, 16, 20, 27, 33, 39],
@@ -119,11 +111,11 @@ pub fn run(scale: Scale, seed: u64) -> Result<Report> {
     let mut seeds = vec![seed];
     seeds.extend((0..crate::fig5::EXTRA_REPS as u64).map(|r| tree.child_idx("fig3-rep", r).seed()));
     // One fan-out over seeds; each seed's inner proxy grid runs serially
-    // so the parallelism does not nest. All seeds share one obs: counter
-    // merges are commutative sums, so totals are schedule-independent.
-    let obs = specweb_core::obs::Obs::new();
-    let mut curves = specweb_core::par::Pool::auto()
-        .try_map_indexed(&seeds, |_, &s| compute(scale, s, 1, Some(&obs)))?;
+    // so the parallelism does not nest. All seeds record into the one
+    // run: counter merges are commutative sums, so totals are
+    // schedule-independent.
+    let mut curves =
+        specweb_core::par::Pool::auto().try_map_indexed(&seeds, |_, &s| compute(scale, s, 1))?;
 
     let saved_at_max: Vec<f64> = curves
         .iter()
@@ -211,8 +203,7 @@ pub fn run(scale: Scale, seed: u64) -> Result<Report> {
         "bandwidth saved (bytes × hops) vs number of proxies",
         text,
         &result,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 #[cfg(test)]

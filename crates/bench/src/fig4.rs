@@ -28,8 +28,7 @@ pub struct Fig4 {
 
 /// Runs the experiment.
 pub fn run(scale: Scale, seed: u64) -> Result<Report> {
-    let obs = specweb_core::obs::Obs::new();
-    let trace = crate::workloads::bu_trace_with(scale, seed, Some(&obs))?;
+    let trace = crate::workloads::bu_trace(scale, seed)?;
     // Like the paper: one month of accesses (or everything, if less).
     let cutoff = trace.accesses.partition_point(|a| a.time.day() < 30);
     let slice = &trace.accesses[..cutoff.max(1)];
@@ -42,16 +41,18 @@ pub fn run(scale: Scale, seed: u64) -> Result<Report> {
     // Deterministic-channel accounting: everything here is a pure
     // function of (scale, seed), so manifest snapshots must match
     // byte-for-byte across worker counts.
-    obs.metrics
-        .counter("fig4.accesses_used")
-        .add(slice.len() as u64);
-    obs.metrics.counter("fig4.pairs_total").add(hist.total());
-    obs.metrics
-        .counter("fig4.embedding_pairs")
-        .add(embedding_pairs);
-    let phist = obs.metrics.histogram("fig4.probability", 0.0, 1.0, nbins);
-    for (_, _, p) in matrix.entries() {
-        phist.observe(p);
+    if let Some(obs) = specweb_core::obs::current() {
+        obs.metrics
+            .counter("fig4.accesses_used")
+            .add(slice.len() as u64);
+        obs.metrics.counter("fig4.pairs_total").add(hist.total());
+        obs.metrics
+            .counter("fig4.embedding_pairs")
+            .add(embedding_pairs);
+        let phist = obs.metrics.histogram("fig4.probability", 0.0, 1.0, nbins);
+        for (_, _, p) in matrix.entries() {
+            phist.observe(p);
+        }
     }
     let result = Fig4 {
         bins: hist.bins().to_vec(),
@@ -81,8 +82,7 @@ pub fn run(scale: Scale, seed: u64) -> Result<Report> {
         "document pairs per p[i,j] range (T_w = 5 s)",
         text,
         &result,
-    )
-    .with_metrics(obs.snapshot()))
+    ))
 }
 
 #[cfg(test)]

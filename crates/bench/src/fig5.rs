@@ -15,7 +15,6 @@
 //! reproduction target.
 
 use serde::Serialize;
-use specweb_core::obs::Obs;
 use specweb_core::Result;
 use specweb_spec::estimator::MatrixStore;
 use specweb_spec::simulate::{SpecConfig, SpecSim};
@@ -62,24 +61,20 @@ fn tp_grid(scale: Scale) -> &'static [f64] {
 
 /// Runs the baseline sweep once; both figures render from it.
 pub fn sweep(scale: Scale, seed: u64) -> Result<Sweep> {
-    sweep_jobs(scale, seed, specweb_core::par::default_jobs(), None)
+    sweep_jobs(scale, seed, specweb_core::par::default_jobs())
 }
 
 /// [`sweep`] with an explicit worker count for the `T_p` grid.
 ///
 /// Each grid point is an independent replay of the same trace against
 /// the same precomputed matrices, so the points fan out on `jobs`
-/// workers; the result is byte-identical for every `jobs` value. When
-/// `obs` is given, every replay publishes its per-policy accounting
-/// into it — counter merges are commutative sums, so the totals are
-/// byte-identical across worker counts too.
-fn sweep_jobs(scale: Scale, seed: u64, jobs: usize, obs: Option<&Obs>) -> Result<Sweep> {
+/// workers; the result is byte-identical for every `jobs` value. So
+/// is the per-policy accounting the replays publish to the run —
+/// counter merges are commutative sums.
+fn sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Result<Sweep> {
     let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace_with(scale, seed, obs)?;
-    let mut sim = SpecSim::new(&trace, &topo);
-    if let Some(obs) = obs {
-        sim = sim.with_obs(obs);
-    }
+    let trace = crate::workloads::bu_trace(scale, seed)?;
+    let sim = SpecSim::new(&trace, &topo);
 
     let mut cfg = SpecConfig::baseline(0.5);
     cfg.estimator.history_days = crate::workloads::history_days(scale);
@@ -87,9 +82,6 @@ fn sweep_jobs(scale: Scale, seed: u64, jobs: usize, obs: Option<&Obs>) -> Result
 
     let total_days = trace.days();
     let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-    if let Some(obs) = obs {
-        store.record_truncation(obs);
-    }
 
     // One baseline replay serves the whole T_p grid — the demand side
     // never reads the policy.
@@ -140,12 +132,12 @@ pub struct Replicated {
 /// Runs the baseline sweep for the base seed plus [`EXTRA_REPS`]
 /// derived seeds, fanning the replications out in parallel (each inner
 /// `T_p` grid then runs serially so the fan-out does not nest).
-fn sweep_replicated(scale: Scale, seed: u64, obs: Option<&Obs>) -> Result<Replicated> {
+fn sweep_replicated(scale: Scale, seed: u64) -> Result<Replicated> {
     let tree = specweb_core::rng::SeedTree::new(seed);
     let mut seeds = vec![seed];
     seeds.extend((0..EXTRA_REPS as u64).map(|r| tree.child_idx("fig5-rep", r).seed()));
-    let sweeps = specweb_core::par::Pool::auto()
-        .try_map_indexed(&seeds, |_, &s| sweep_jobs(scale, s, 1, obs))?;
+    let sweeps =
+        specweb_core::par::Pool::auto().try_map_indexed(&seeds, |_, &s| sweep_jobs(scale, s, 1))?;
     let mut sweeps = sweeps.into_iter();
     let Some(base) = sweeps.next() else {
         // `seeds` starts with the base seed, so the pool returns at
@@ -367,15 +359,10 @@ fn report_fig6(replicated: &Replicated) -> Report {
 }
 
 /// The entry point of both figures: one replicated sweep, rendered as
-/// `[fig5, fig6]`, each carrying the sweep's metric snapshot.
+/// `[fig5, fig6]`.
 pub fn run(scale: Scale, seed: u64) -> Result<[Report; 2]> {
-    let obs = Obs::new();
-    let sweep = sweep_replicated(scale, seed, Some(&obs))?;
-    let metrics = obs.snapshot();
-    Ok([
-        report(&sweep).with_metrics(metrics.clone()),
-        report_fig6(&sweep).with_metrics(metrics),
-    ])
+    let sweep = sweep_replicated(scale, seed)?;
+    Ok([report(&sweep), report_fig6(&sweep)])
 }
 
 #[cfg(test)]
@@ -428,11 +415,15 @@ mod tests {
         // The determinism contract at the bench layer: the T_p grid
         // fans out over workers, yet every float must match bit for bit,
         // and so must the metric snapshot the replays publish.
-        let obs_serial = Obs::new();
-        let obs_parallel = Obs::new();
-        let serial = sweep_jobs(Scale::Quick, 15, 1, Some(&obs_serial)).unwrap();
-        let parallel = sweep_jobs(Scale::Quick, 15, 4, Some(&obs_parallel)).unwrap();
-        assert_eq!(obs_serial.snapshot(), obs_parallel.snapshot());
+        let observed = |jobs: usize| {
+            let obs = specweb_core::obs::Obs::new();
+            let _run = obs.install();
+            (sweep_jobs(Scale::Quick, 15, jobs).unwrap(), obs.snapshot())
+        };
+        let (serial, serial_metrics) = observed(1);
+        let (parallel, parallel_metrics) = observed(4);
+        assert!(!serial_metrics.deterministic.is_empty());
+        assert_eq!(serial_metrics, parallel_metrics);
         assert_eq!(serial.trace_len, parallel.trace_len);
         assert_eq!(serial.points.len(), parallel.points.len());
         for (a, b) in serial.points.iter().zip(&parallel.points) {

@@ -50,6 +50,9 @@ pub enum Scale {
 }
 
 /// A rendered experiment result: human-readable text plus a JSON blob.
+/// What the run *measured about itself* is not here: experiments record
+/// through the ambient [`specweb_core::obs::current`] bundle that
+/// `figures` installs around them, and the manifest is built from that.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment id (e.g. `fig5`).
@@ -60,10 +63,6 @@ pub struct Report {
     pub text: String,
     /// Machine-readable result.
     pub json: serde_json::Value,
-    /// Observability snapshot taken at the end of the run; lands in
-    /// `results/manifest_<id>.json`. Empty for experiments that have
-    /// not been instrumented.
-    pub metrics: specweb_core::obs::MetricSnapshot,
 }
 
 impl Report {
@@ -79,16 +78,7 @@ impl Report {
             title,
             text,
             json: serde_json::to_value(value).expect("results are serializable"),
-            metrics: specweb_core::obs::MetricSnapshot::default(),
         }
-    }
-
-    /// Attaches a metric snapshot (typically `obs.snapshot()` from the
-    /// per-experiment [`specweb_core::obs::Obs`] the simulators wrote
-    /// into).
-    pub fn with_metrics(mut self, metrics: specweb_core::obs::MetricSnapshot) -> Report {
-        self.metrics = metrics;
-        self
     }
 
     /// Renders header + body.

@@ -11,7 +11,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use specweb_core::obs::Obs;
 use specweb_core::Result;
 use specweb_netsim::topology::Topology;
 use specweb_trace::generator::{Trace, TraceConfig, TraceGenerator};
@@ -45,20 +44,8 @@ pub fn topology() -> Topology {
 
 /// The `cs-www.bu.edu`-flavored workload at the requested scale.
 pub fn bu_trace(scale: Scale, seed: u64) -> Result<Trace> {
-    bu_trace_with(scale, seed, None)
-}
-
-/// Like [`bu_trace`], threading an observability bundle into the
-/// generator so `trace.*` volume counters land in the caller's
-/// per-experiment manifest (per-run accounting — nothing global).
-pub fn bu_trace_with(scale: Scale, seed: u64, obs: Option<&Obs>) -> Result<Trace> {
     let _f = specweb_core::obs::profile::frame("workload.trace");
-    let topo = topology();
-    let mut generator = TraceGenerator::new(bu_config(scale, seed))?;
-    if let Some(obs) = obs {
-        generator = generator.with_obs(obs);
-    }
-    generator.generate(&topo)
+    TraceGenerator::new(bu_config(scale, seed))?.generate(&topology())
 }
 
 /// The configuration behind [`bu_trace`], with the process-wide
@@ -92,14 +79,7 @@ fn bu_config_with_factor(scale: Scale, seed: u64, factor: usize) -> TraceConfig 
 /// pages re-target their links at a visible rate, over a longer span so
 /// a 60-day update cycle can actually go stale.
 pub fn drift_trace(scale: Scale, seed: u64) -> Result<Trace> {
-    drift_trace_with(scale, seed, None)
-}
-
-/// Like [`drift_trace`], threading an observability bundle into the
-/// generator (see [`bu_trace_with`]).
-pub fn drift_trace_with(scale: Scale, seed: u64, obs: Option<&Obs>) -> Result<Trace> {
     let _f = specweb_core::obs::profile::frame("workload.trace");
-    let topo = topology();
     let mut cfg = bu_config(scale, seed);
     match scale {
         Scale::Full => {
@@ -111,11 +91,7 @@ pub fn drift_trace_with(scale: Scale, seed: u64, obs: Option<&Obs>) -> Result<Tr
             cfg.link_churn_per_day = 0.05;
         }
     }
-    let mut generator = TraceGenerator::new(cfg)?;
-    if let Some(obs) = obs {
-        generator = generator.with_obs(obs);
-    }
-    generator.generate(&topo)
+    TraceGenerator::new(cfg)?.generate(&topology())
 }
 
 /// The days a spec-sim should treat as warm-up at each scale (history

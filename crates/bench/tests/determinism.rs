@@ -10,7 +10,8 @@
 //! `fig4` (trace → estimator → simulator), `exp-closure` (the parallel
 //! `DepMatrix::closure` and the hard-window `MatrixStore::precompute`)
 //! and `exp-aging` (the aged `precompute`: shared per-day estimates,
-//! one blend per boundary).
+//! one blend per boundary) — plus `fig1`, whose only instrumentation
+//! is what the trace generator records to the ambient context.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -49,7 +50,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
     let dir_parallel = base.join("parallel");
     let _ = std::fs::remove_dir_all(&base);
 
-    let ids = ["fig4", "exp-closure", "exp-aging"];
+    let ids = ["fig1", "fig4", "exp-closure", "exp-aging"];
     run_figures(&dir_serial, "1", &ids);
     run_figures(&dir_parallel, "4", &ids);
 
@@ -69,7 +70,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
         assert_eq!(entries.len(), 1, "fresh out dir gets exactly one entry");
         assert_eq!(
             entries[0]["experiments"].as_array().unwrap().len(),
-            3,
+            ids.len(),
             "one phase timing per experiment"
         );
         assert!(entries[0]["total_seconds"].as_f64().unwrap() >= 0.0);
@@ -114,6 +115,14 @@ fn serial_and_parallel_runs_are_byte_identical() {
             s, p,
             "{name}: frame paths/call counts differ between --jobs 1 and --jobs 4"
         );
+        // Every root carries its self-time line, whatever the worker
+        // count (a jobs-dependent path set would have failed above).
+        let root = name
+            .strip_prefix("profile_")
+            .and_then(|n| n.strip_suffix(".txt"))
+            .unwrap();
+        let unattributed = format!("{root};<unattributed> calls 1");
+        assert!(s.contains(&unattributed), "{name}: no `{unattributed}`");
         // The estimator's frames: one per precompute call, per slide or
         // per-day pass, and per boundary for blends and closures — the
         // closures run on pool workers and must still nest here.
@@ -186,15 +195,20 @@ fn serial_and_parallel_runs_are_byte_identical() {
         );
     }
     // The per-experiment manifests must actually carry metrics — an
-    // empty snapshot would mean the instrumentation came unwired.
+    // empty snapshot would mean the installed context did not reach
+    // the work: fig4's own series, and for fig1 (which names no metric
+    // itself) what the trace generator recorded on its behalf.
     for snap_dir in [&dir_serial, &dir_parallel] {
-        let raw = std::fs::read_to_string(snap_dir.join("manifest_fig4.json")).unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&raw).unwrap();
-        let metrics = parsed["deterministic"]["metrics"].as_object().unwrap();
-        assert!(
-            metrics.iter().any(|(k, _)| k.starts_with("fig4.")),
-            "manifest_fig4.json carries no fig4.* metrics"
-        );
+        for (id, series) in [("fig4", "fig4."), ("fig1", "trace.accesses_generated")] {
+            let path = snap_dir.join(format!("manifest_{id}.json"));
+            let raw = std::fs::read_to_string(path).unwrap();
+            let parsed: serde_json::Value = serde_json::from_str(&raw).unwrap();
+            let metrics = parsed["deterministic"]["metrics"].as_object().unwrap();
+            assert!(
+                metrics.iter().any(|(k, _)| k.starts_with(series)),
+                "manifest_{id}.json carries no {series}* metrics"
+            );
+        }
     }
 
     let serial_names: Vec<&String> = serial.keys().collect();

@@ -149,6 +149,17 @@ pub fn git_describe() -> String {
         .clone()
 }
 
+/// The process's resident-set high-water mark so far, in KiB (`VmHWM`
+/// of `/proc/self/status`), or `None` where there is no such file (off
+/// Linux). Wall-clock-section data: process-wide at the instant of the
+/// call, so attributable to one experiment only when experiments run
+/// one at a time.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    hwm.split_whitespace().next()?.parse().ok()
+}
+
 /// The subsystem prefix of a metric name (`spec.pushes` → `spec`).
 fn subsystem_of(name: &str) -> &str {
     name.split('.').next().unwrap_or(name)
@@ -327,6 +338,18 @@ mod tests {
         let b = git_describe();
         assert_eq!(a, b, "per-process cache must be stable");
         assert!(!a.is_empty(), "outside git the fallback is `unknown`");
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_proc_exists() {
+        let rss = peak_rss_kib();
+        assert_eq!(
+            rss.is_some(),
+            std::path::Path::new("/proc/self/status").exists()
+        );
+        assert!(rss.is_none_or(|kib| kib > 0));
+        // A high-water mark never falls.
+        assert!(peak_rss_kib() >= rss);
     }
 
     #[test]

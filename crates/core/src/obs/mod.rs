@@ -16,42 +16,51 @@
 //! * [`logging`] — the [`crate::log!`] macro, gated by `SPECWEB_LOG`;
 //! * [`manifest`] — [`RunManifest`] documents written per experiment
 //!   and the `figures --report` renderer;
-//! * [`profile`] — hierarchical span-tree profiler whose frame stacks
-//!   follow work across [`crate::par`] workers, exported as
-//!   collapsed-stack (flamegraph) text per experiment.
+//! * [`profile`] — the ambient per-run context and the hierarchical
+//!   span-tree profiler that rides it, exported as collapsed-stack
+//!   (flamegraph) text per experiment.
 //!
-//! Subsystems take an [`Obs`] bundle (a handle on one registry).
-//! Experiments create one per run so concurrently running experiments
-//! never interleave counts; truly process-wide series (the worker pool,
-//! the TCP client's retries) use [`global`]. The live server's own
-//! counters are not here: they live in `specweb_serve`'s `ServerStats`
-//! and are read over the wire with `STATS`.
+//! A run is observed through one [`Obs`] bundle (registry + profiler)
+//! that its driver installs on the thread ([`Obs::install`]; `figures`
+//! does, once per experiment) and [`crate::par`] adopts on every
+//! worker. Subsystems take no handle: a recording site asks
+//! [`current`] once per pass and records nothing when it answers
+//! `None`, exactly as [`frame`] is a no-op outside a run — so
+//! concurrently running experiments never interleave counts and
+//! nothing has to be wired to be seen. Only truly process-wide
+//! wall-clock series (the worker pool, the TCP client's retries, chaos
+//! tallies) use [`global`]. The live server's own counters are not
+//! here: they live in `specweb_serve`'s `ServerStats` and are read over
+//! the wire with `STATS`.
 
 pub mod logging;
 pub mod manifest;
 pub mod profile;
 pub mod registry;
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 pub use logging::{set_default_level, Level};
 pub use manifest::{
-    git_describe, render_report, render_report_markdown, DeterministicSection,
+    git_describe, peak_rss_kib, render_report, render_report_markdown, DeterministicSection,
     NondeterministicSection, PhaseTiming, RunManifest,
 };
-pub use profile::{frame, FrameStat, Profiler};
+pub use profile::{current, frame, FrameStat, Profiler};
 pub use registry::{
     Channel, Counter, Gauge, HistogramHandle, MetricSnapshot, MetricValue, Registry,
 };
 
-/// One metrics registry, the unit of instrumentation wiring.
+/// One run's metrics registry and span profile, the unit of
+/// instrumentation.
 ///
-/// Cloning shares the underlying state, so an `Obs` can be handed to a
-/// simulator, a fault plan, and an allocator and snapshotted once.
+/// Cloning shares the underlying state: the driver that installs a
+/// bundle keeps its handle and snapshots it when the run is done.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     /// Named metrics.
     pub metrics: Registry,
+    /// Span-tree profile of the frames closed under this bundle.
+    pub profile: Arc<Profiler>,
 }
 
 impl Obs {
@@ -66,12 +75,11 @@ impl Obs {
     }
 }
 
-/// The process-wide bundle, for subsystems that outlive any single
-/// experiment: the worker pool, the TCP client, the allocator's
-/// iteration counter. Deterministic-channel metrics recorded here are
-/// still jobs-invariant because every site records the same totals
-/// regardless of scheduling; per-experiment accounting should use a
-/// local [`Obs`] instead.
+/// The process-wide bundle, for the wall-clock series of subsystems
+/// that outlive any single run: the worker pool, the TCP client, the
+/// chaos harness. Nothing falls back to it — per-run accounting goes
+/// through [`current`] or nowhere — and it is never installed, so its
+/// profile stays empty.
 pub fn global() -> &'static Obs {
     static GLOBAL: OnceLock<Obs> = OnceLock::new();
     GLOBAL.get_or_init(Obs::new)

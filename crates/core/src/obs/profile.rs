@@ -1,4 +1,18 @@
-//! Hierarchical span-tree profiler with collapsed-stack export.
+//! The ambient per-run context, and the span-tree profiler that rides
+//! it.
+//!
+//! A run's instrumentation reaches its sink through one door: a
+//! thread-local `(bundle, stack)` pair installed by [`super::Obs::install`].
+//! [`current`] hands the bundle's registry to the metric recording
+//! sites and [`frame`] charges the bundle's [`Profiler`]; with nothing
+//! installed `current()` is `None` and a frame is a no-op (one
+//! thread-local borrow either way), so library code is instrumented
+//! unconditionally and records nothing outside a run.
+//! [`crate::par::Pool`] snapshots the caller's context before spawning
+//! workers and adopts it on each worker thread, so metrics recorded by
+//! fanned-out work land in the dispatching run's registry and its
+//! frames nest under the frame that dispatched it — the span tree
+//! crosses thread boundaries without any global registry.
 //!
 //! A [`Profiler`] aggregates *frames* — named, nested regions of work —
 //! into a map keyed by the **collapsed call path** (`"exp-size;spec.replay"`),
@@ -12,27 +26,22 @@
 //!   Profiles are diagnostics, never inputs: `profile_<exp>.txt` files
 //!   are excluded from the CI byte-diff exactly like `perf_trajectory.json`.
 //!
-//! Frames follow the current *context*: a thread-local `(sink, stack)`
-//! pair installed by [`Profiler::install`]. [`crate::par::Pool`]
-//! snapshots the caller's context before spawning workers and adopts it
-//! on each worker thread, so work fanned out by the pool nests under the
-//! frame that dispatched it — the span tree crosses thread boundaries
-//! without any global registry. Per-thread partials merge into the sink's
-//! `BTreeMap` under a poison-recovering mutex; the merge is a
-//! key-ordered, order-independent sum, hence deterministic.
-//!
-//! When no profiler is installed every [`frame`] is a no-op (one
-//! thread-local borrow), so library code can be instrumented
-//! unconditionally.
+//! Per-thread partials merge into the profiler's `BTreeMap` under a
+//! poison-recovering mutex; the merge is a key-ordered,
+//! order-independent sum, hence deterministic.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Separator between frame names in a collapsed path (the flamegraph
 /// convention).
 pub const PATH_SEPARATOR: char = ';';
+
+/// The synthetic child [`Profiler::collapsed`] gives every root: its
+/// wall time not covered by a depth-1 child frame.
+const UNATTRIBUTED: &str = "<unattributed>";
 
 /// Aggregated cost of one collapsed call path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,7 +53,8 @@ pub struct FrameStat {
     pub wall_ns: u64,
 }
 
-/// A span-tree aggregate shared by every thread working under it.
+/// A span-tree aggregate shared by every thread working under it; the
+/// `profile` half of a run's [`super::Obs`] bundle.
 #[derive(Debug, Default)]
 pub struct Profiler {
     paths: Mutex<BTreeMap<String, FrameStat>>,
@@ -54,33 +64,38 @@ thread_local! {
     static CONTEXT: RefCell<Option<Context>> = const { RefCell::new(None) };
 }
 
-/// The per-thread profiling context: where frames report, and the stack
-/// of open frame names on this thread (seeded from the parent thread
-/// when the pool propagates it).
+/// The per-thread context: the run's bundle (where metrics and frames
+/// report), and the stack of open frame names on this thread (seeded
+/// from the parent thread when the pool propagates it).
 #[derive(Debug, Clone)]
 pub struct Context {
-    sink: Arc<Profiler>,
+    obs: super::Obs,
     stack: Vec<String>,
 }
 
-impl Profiler {
-    /// A fresh, empty profiler.
-    pub fn new() -> Arc<Profiler> {
-        Arc::new(Profiler::default())
-    }
-
-    /// Installs `self` as the current thread's profiling context (empty
+impl super::Obs {
+    /// Installs `self` as the current thread's context (empty frame
     /// stack) until the guard drops; the previous context is restored.
-    pub fn install(self: &Arc<Profiler>) -> ContextGuard {
+    pub fn install(&self) -> ContextGuard {
         let prev = CONTEXT.with(|c| {
             c.borrow_mut().replace(Context {
-                sink: Arc::clone(self),
+                obs: self.clone(),
                 stack: Vec::new(),
             })
         });
         ContextGuard { prev }
     }
+}
 
+/// The bundle installed on this thread, or `None` outside a run — the
+/// recording sites' one way to a registry. Costs a thread-local borrow
+/// and two `Arc` clones, so sites call it once per pass, never per
+/// access.
+pub fn current() -> Option<super::Obs> {
+    CONTEXT.with(|c| c.borrow().as_ref().map(|ctx| ctx.obs.clone()))
+}
+
+impl Profiler {
     fn record(&self, path: String, wall_ns: u64) {
         let mut map = self
             .paths
@@ -104,9 +119,26 @@ impl Profiler {
     /// `path calls <n> wall_us <µs>` line per path, sorted by path —
     /// the `results/profile_<exp>.txt` format. Feeding the last column
     /// to a flamegraph renderer draws the span tree to scale.
+    ///
+    /// Every root also gets a `root;<unattributed> calls 1` line: the
+    /// root's wall time less its depth-1 children's, saturating at 0
+    /// (children on parallel workers can sum past the root). It is
+    /// always present, so the path set stays jobs-invariant.
     pub fn collapsed(&self) -> String {
+        let mut paths = self.snapshot();
+        // A root sorts before its children, so its line exists by the
+        // time they are subtracted from it.
+        for (path, stat) in paths.clone() {
+            let (root, child) = path.split_once(PATH_SEPARATOR).unwrap_or((&path, ""));
+            let self_time = paths.entry(format!("{root}{PATH_SEPARATOR}{UNATTRIBUTED}"));
+            if child.is_empty() {
+                self_time.or_insert(FrameStat { calls: 1, ..stat });
+            } else if !child.contains(PATH_SEPARATOR) {
+                self_time.and_modify(|s| s.wall_ns = s.wall_ns.saturating_sub(stat.wall_ns));
+            }
+        }
         let mut out = String::new();
-        for (path, stat) in self.snapshot() {
+        for (path, stat) in paths {
             out.push_str(&format!(
                 "{path} calls {} wall_us {}\n",
                 stat.calls,
@@ -132,15 +164,16 @@ impl Drop for ContextGuard {
 }
 
 /// Snapshot of the current thread's context, for handing to a worker
-/// thread (used by [`crate::par::Pool::map_indexed`]). `None` when no
-/// profiler is installed — adopting `None` is a no-op.
+/// thread (used by [`crate::par::Pool::map_indexed`]). `None` when
+/// nothing is installed — adopting `None` is a no-op.
 pub fn current_context() -> Option<Context> {
     CONTEXT.with(|c| c.borrow().clone())
 }
 
-/// Adopts a context snapshot on this thread (sink *and* open-frame
-/// stack, so frames opened on this thread nest under the frame that
-/// dispatched the work). Restores the previous context when the guard
+/// Adopts a context snapshot on this thread (bundle *and* open-frame
+/// stack, so metrics land in the dispatching run's registry and frames
+/// opened on this thread nest under the frame that dispatched the
+/// work). Restores the previous context when the guard
 /// drops.
 pub fn adopt_context(ctx: Option<&Context>) -> ContextGuard {
     let prev = CONTEXT.with(|c| match ctx {
@@ -154,7 +187,7 @@ pub fn adopt_context(ctx: Option<&Context>) -> ContextGuard {
 ///
 /// Returns a guard that closes the frame on drop, charging the elapsed
 /// wall time to the collapsed path of every frame open on this thread.
-/// No-op (and allocation-free) when no profiler is installed.
+/// No-op (and allocation-free) when nothing is installed.
 pub fn frame(name: &str) -> Frame {
     let opened = CONTEXT.with(|c| {
         let mut ctx = c.borrow_mut();
@@ -179,7 +212,7 @@ pub fn frame(name: &str) -> Frame {
 /// An open profiling frame; closes (and reports) on drop.
 #[derive(Debug)]
 pub struct Frame {
-    /// `None` when no profiler was installed at open time.
+    /// `None` when nothing was installed at open time.
     started: Option<Instant>,
 }
 
@@ -200,7 +233,7 @@ impl Drop for Frame {
             let path = ctx.stack.join(&PATH_SEPARATOR.to_string());
             ctx.stack.pop();
             if !path.is_empty() {
-                ctx.sink.record(path, wall_ns);
+                ctx.obs.profile.record(path, wall_ns);
             }
         });
     }
@@ -209,12 +242,13 @@ impl Drop for Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Obs;
 
     #[test]
     fn frames_nest_into_collapsed_paths() {
-        let p = Profiler::new();
+        let obs = Obs::new();
         {
-            let _g = p.install();
+            let _g = obs.install();
             let _outer = frame("outer");
             {
                 let _inner = frame("inner");
@@ -223,40 +257,75 @@ mod tests {
                 let _inner = frame("inner");
             }
         }
-        let snap = p.snapshot();
+        let snap = obs.profile.snapshot();
         assert_eq!(snap["outer"].calls, 1);
         assert_eq!(snap["outer;inner"].calls, 2);
-        let text = p.collapsed();
+        let text = obs.profile.collapsed();
         assert!(text.contains("outer;inner calls 2 wall_us"), "{text}");
+    }
+
+    #[test]
+    fn collapsed_gives_every_root_an_unattributed_line() {
+        let obs = Obs::new();
+        let stat = |wall_us: u64| FrameStat {
+            calls: 1,
+            wall_ns: wall_us * 1_000,
+        };
+        obs.profile.paths.lock().unwrap().extend([
+            ("bare".to_string(), stat(7)),
+            ("root".to_string(), stat(100)),
+            ("root;a".to_string(), stat(30)),
+            ("root;a;deep".to_string(), stat(25)),
+            ("root;b".to_string(), stat(50)),
+            // Children on parallel workers can sum past their root.
+            ("wide".to_string(), stat(10)),
+            ("wide;w".to_string(), stat(40)),
+        ]);
+        let text = obs.profile.collapsed();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines.is_sorted(), "sorted by path: {text}");
+        assert_eq!(lines.len(), 7 + 3);
+        for want in [
+            "bare;<unattributed> calls 1 wall_us 7",
+            "root;<unattributed> calls 1 wall_us 20",
+            "wide;<unattributed> calls 1 wall_us 0",
+        ] {
+            assert!(lines.contains(&want), "no `{want}` in {text}");
+        }
     }
 
     #[test]
     fn no_context_means_no_op() {
         // Must not panic or record anywhere.
+        assert!(current().is_none());
         let _f = frame("orphan");
     }
 
     #[test]
     fn install_restores_previous_context() {
-        let a = Profiler::new();
-        let b = Profiler::new();
+        let a = Obs::new();
+        let b = Obs::new();
         let _ga = a.install();
         {
             let _gb = b.install();
             let _f = frame("in-b");
+            current().unwrap().metrics.counter("n").incr();
         }
         let _f = frame("in-a");
         drop(_f);
-        assert!(b.snapshot().contains_key("in-b"));
-        assert!(a.snapshot().contains_key("in-a"));
-        assert!(!a.snapshot().contains_key("in-b"));
+        current().unwrap().metrics.counter("n").add(10);
+        assert!(b.profile.snapshot().contains_key("in-b"));
+        assert!(a.profile.snapshot().contains_key("in-a"));
+        assert!(!a.profile.snapshot().contains_key("in-b"));
+        assert_eq!(b.metrics.counter("n").get(), 1);
+        assert_eq!(a.metrics.counter("n").get(), 10);
     }
 
     #[test]
     fn adopted_context_nests_under_parent_stack() {
-        let p = Profiler::new();
+        let obs = Obs::new();
         let ctx = {
-            let _g = p.install();
+            let _g = obs.install();
             let _outer = frame("dispatch");
             let snap = current_context();
             // Simulate a worker thread adopting the snapshot.
@@ -271,7 +340,7 @@ mod tests {
             snap
         };
         assert!(ctx.is_some());
-        let snap = p.snapshot();
+        let snap = obs.profile.snapshot();
         assert_eq!(snap["dispatch;work"].calls, 1);
         assert_eq!(snap["dispatch"].calls, 1);
     }
@@ -281,9 +350,9 @@ mod tests {
         // N threads each close one "item" frame under the same parent:
         // the aggregate must show exactly N calls no matter how the
         // threads interleave.
-        let p = Profiler::new();
+        let obs = Obs::new();
         {
-            let _g = p.install();
+            let _g = obs.install();
             let _outer = frame("fan-out");
             let ctx = current_context();
             let handles: Vec<_> = (0..8)
@@ -299,6 +368,6 @@ mod tests {
                 h.join().expect("worker");
             }
         }
-        assert_eq!(p.snapshot()["fan-out;item"].calls, 8);
+        assert_eq!(obs.profile.snapshot()["fan-out;item"].calls, 8);
     }
 }

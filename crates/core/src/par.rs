@@ -102,6 +102,9 @@ impl Pool {
     /// Runs inline on the caller's thread when the pool has one worker
     /// or there is at most one item. If `f` panics on any item, the
     /// panic is propagated to the caller after all workers have joined.
+    /// Workers adopt the caller's observability context, so what `f`
+    /// records through [`crate::obs::current`] or [`crate::obs::frame`]
+    /// lands in the caller's run for any worker count.
     pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -132,19 +135,20 @@ impl Pool {
             "par.worker_tasks_high_water",
             crate::obs::Channel::WallClock,
         );
-        // Profiling frames opened by `f` must nest under the frame that
-        // dispatched this map: snapshot the caller's span-tree context
-        // (sink + open-frame stack) and adopt it on every worker. The
-        // per-thread partials merge order-independently, so profiler
-        // call counts stay jobs-invariant.
-        let prof_ctx = crate::obs::profile::current_context();
+        // Metrics recorded by `f` must land in the caller's run and
+        // frames it opens must nest under the frame that dispatched
+        // this map: snapshot the caller's context (bundle + open-frame
+        // stack) and adopt it on every worker. Counters sum and
+        // per-thread frame partials merge order-independently, so
+        // snapshots and profiler call counts stay jobs-invariant.
+        let obs_ctx = crate::obs::profile::current_context();
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Mutex<Option<R>>> = Vec::with_capacity(n);
         slots.resize_with(n, || Mutex::new(None));
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let _prof = crate::obs::profile::adopt_context(prof_ctx.as_ref());
+                    let _obs = crate::obs::profile::adopt_context(obs_ctx.as_ref());
                     let mut processed: u64 = 0;
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -264,16 +268,16 @@ mod tests {
         // channel contract.
         let items: Vec<u64> = (0..40).collect();
         let count_for = |jobs: usize| {
-            let p = crate::obs::profile::Profiler::new();
+            let obs = crate::obs::Obs::new();
             {
-                let _g = p.install();
+                let _g = obs.install();
                 let _dispatch = crate::obs::profile::frame("dispatch");
                 let _ = par_map_indexed(jobs, &items, |_, &x| {
                     let _f = crate::obs::profile::frame("item");
                     x * 2
                 });
             }
-            p.snapshot()
+            obs.profile.snapshot()
         };
         let serial = count_for(1);
         assert_eq!(serial["dispatch;item"].calls, 40);
@@ -290,6 +294,47 @@ mod tests {
                 "jobs={jobs} changed the path set"
             );
         }
+    }
+
+    #[test]
+    fn metrics_recorded_on_workers_land_in_the_installed_bundle() {
+        // The recording sites' contract: `obs::current()` inside a
+        // mapped closure is the dispatching thread's bundle, so a run's
+        // snapshot is the same for every worker count.
+        let items: Vec<u64> = (0..40).collect();
+        let snapshot_for = |jobs: usize| {
+            let obs = crate::obs::Obs::new();
+            {
+                let _g = obs.install();
+                let pool = Pool::new(jobs);
+                pool.map_indexed(&items, |_, &x| {
+                    let run = crate::obs::current().expect("adopted");
+                    run.metrics.counter("test.sum").add(x);
+                });
+                pool.try_map_indexed(&items, |_, _| {
+                    let run = crate::obs::current().expect("adopted");
+                    run.metrics.counter("test.items").incr();
+                    Ok::<_, ()>(())
+                })
+                .unwrap();
+            }
+            obs.snapshot().deterministic
+        };
+        let serial = snapshot_for(1);
+        assert_eq!(
+            serial["test.sum"],
+            crate::obs::MetricValue::Counter { value: 780 }
+        );
+        assert_eq!(
+            serial["test.items"],
+            crate::obs::MetricValue::Counter { value: 40 }
+        );
+        for jobs in [2, 4] {
+            assert_eq!(snapshot_for(jobs), serial, "jobs={jobs}");
+        }
+        // Workers restore their own (empty) context; the caller's is
+        // untouched by the map.
+        assert!(crate::obs::current().is_none());
     }
 
     #[test]

@@ -124,15 +124,16 @@ pub fn optimize(servers: &[ServerModel], b0: Bytes) -> Result<Allocation> {
     let mut raw = vec![0.0f64; n];
 
     // Water-filling re-solves are bounded by the server count but vary
-    // with the demand skew; the process-wide total is a cheap health
-    // signal for the allocator (deterministic: it depends only on the
-    // inputs, never on scheduling).
-    let alloc_iterations = specweb_core::obs::global()
-        .metrics
-        .counter("dissem.alloc_iterations");
+    // with the demand skew; the run's total is a cheap health signal
+    // for the allocator (deterministic: it depends only on the inputs,
+    // never on scheduling).
+    let alloc_iterations =
+        specweb_core::obs::current().map(|obs| obs.metrics.counter("dissem.alloc_iterations"));
 
     loop {
-        alloc_iterations.incr();
+        if let Some(iterations) = &alloc_iterations {
+            iterations.incr();
+        }
         // Closed form over the active set:
         //   B_j = (1/λ_j)·(ln(λ_j R_j) − c),
         //   c   = [Σ (1/λ_j)·ln(λ_j R_j) − B₀] / Σ (1/λ_j).

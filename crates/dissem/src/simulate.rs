@@ -188,10 +188,6 @@ pub struct DisseminationSim<'a> {
     trace: &'a Trace,
     topo: &'a Topology,
     profiles: Vec<ServerProfile>,
-    /// Optional observability bundle: per-replay hit/shed/push
-    /// accounting lands here (deterministic channel — the replay is a
-    /// pure function of trace + config + fault plan).
-    obs: Option<specweb_core::obs::Obs>,
     /// The replay kernel's cluster partition. [`Router::route`] stops
     /// collecting interceptions at the root, so every proxy's counters
     /// are touched by exactly one shard and the merged replay is
@@ -269,16 +265,8 @@ impl<'a> DisseminationSim<'a> {
             trace,
             topo,
             profiles,
-            obs: None,
             shards,
         })
-    }
-
-    /// Attaches an observability bundle: every subsequent replay
-    /// records `dissem.*` interception/shed/push counters into it.
-    pub fn with_obs(mut self, obs: &specweb_core::obs::Obs) -> Self {
-        self.obs = Some(obs.clone());
-        self
     }
 
     /// The mined server profiles.
@@ -380,11 +368,9 @@ impl<'a> DisseminationSim<'a> {
         updates: &[UpdateEvent],
         plan: &FaultPlan,
     ) -> Result<DegradedDisseminationOutcome> {
-        if let Some(obs) = &self.obs {
-            // One fault log per degraded run; the healthy twin replays
-            // the same plan-free path and records nothing here.
-            plan.record_to(obs);
-        }
+        // One fault log per degraded run; the healthy twin replays the
+        // same plan-free path and records nothing here.
+        plan.record_to();
         let healthy = self.run_inner(cfg, updates, None)?.0;
         let (outcome, tally) = self.run_inner(cfg, updates, Some(plan))?;
         let attempted = outcome
@@ -523,7 +509,10 @@ impl<'a> DisseminationSim<'a> {
             whole.proxy_hits as f64 / total_requests as f64
         };
 
-        if let Some(obs) = &self.obs {
+        // Per-replay accounting for the run's installed obs bundle
+        // (deterministic channel — the replay is a pure function of
+        // trace + config + fault plan).
+        if let Some(obs) = &specweb_core::obs::current() {
             let pairs = [
                 ("dissem.requests", total_requests),
                 ("dissem.proxy_hits", whole.proxy_hits),
@@ -1037,7 +1026,8 @@ mod tests {
         use specweb_core::obs::{MetricValue, Obs};
         let (trace, topo) = setup(95);
         let obs = Obs::new();
-        let sim = DisseminationSim::new(&trace, &topo).unwrap().with_obs(&obs);
+        let _run = obs.install();
+        let sim = DisseminationSim::new(&trace, &topo).unwrap();
         let out = sim
             .run(
                 &DisseminationConfig {

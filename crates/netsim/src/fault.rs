@@ -589,29 +589,9 @@ impl FaultPlan {
         self.edges_recovery(&Self::edges_between(topo, from, to), t)
     }
 
-    /// Total number of fault windows in the plan (all classes).
-    pub fn n_windows(&self) -> usize {
-        self.link_down
-            .values()
-            .chain(self.link_slow.values())
-            .chain(self.crashes.values())
-            .chain(self.capacity.values())
-            .chain(self.slow_clients.values())
-            .chain(self.partial_writes.values())
-            .chain(self.stalls.values())
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Publishes the injected-fault tallies into an observability
-    /// bundle: per-class `netsim.fault_*_windows` counters (classes
-    /// with no window publish nothing) and the `netsim.faults_injected`
-    /// total.
-    ///
-    /// The plan is materialized up front from the seed tree, so
-    /// everything recorded here sits on the deterministic channel.
-    pub fn record_to(&self, obs: &specweb_core::obs::Obs) {
-        let classes: [(&str, &BTreeMap<NodeId, Vec<FaultWindow>>); 7] = [
+    /// Every fault class, by metric label.
+    fn classes(&self) -> [(&'static str, &BTreeMap<NodeId, Vec<FaultWindow>>); 7] {
+        [
             ("link_down", &self.link_down),
             ("link_slow", &self.link_slow),
             ("crash", &self.crashes),
@@ -619,8 +599,27 @@ impl FaultPlan {
             ("slow_client", &self.slow_clients),
             ("partial_write", &self.partial_writes),
             ("stall", &self.stalls),
-        ];
-        for (class, map) in classes {
+        ]
+    }
+
+    /// Total number of fault windows in the plan (all classes).
+    pub fn n_windows(&self) -> usize {
+        let per_node = self.classes().into_iter().flat_map(|(_, map)| map.values());
+        per_node.map(Vec::len).sum()
+    }
+
+    /// Publishes the injected-fault tallies to the run's installed
+    /// observability bundle (no-op outside a run): per-class
+    /// `netsim.fault_*_windows` counters (classes with no window
+    /// publish nothing) and the `netsim.faults_injected` total.
+    ///
+    /// The plan is materialized up front from the seed tree, so
+    /// everything recorded here sits on the deterministic channel.
+    pub fn record_to(&self) {
+        let Some(obs) = specweb_core::obs::current() else {
+            return;
+        };
+        for (class, map) in self.classes() {
             let windows: u64 = map.values().map(|ws| ws.len() as u64).sum();
             if windows == 0 {
                 continue;
@@ -688,7 +687,8 @@ mod tests {
         use specweb_core::obs::{MetricValue, Obs};
         let plan = FaultPlan::generate(&SeedTree::new(5), &topo(), &cfg()).unwrap();
         let obs = Obs::new();
-        plan.record_to(&obs);
+        let _run = obs.install();
+        plan.record_to();
         let snap = obs.snapshot();
         assert_eq!(
             snap.deterministic["netsim.faults_injected"],
@@ -710,7 +710,7 @@ mod tests {
         assert_eq!(per_class, plan.n_windows() as u64);
         // Recording the same plan twice must double the counters —
         // deterministic replays merge additively.
-        plan.record_to(&obs);
+        plan.record_to();
         assert_eq!(
             obs.snapshot().deterministic["netsim.faults_injected"],
             MetricValue::Counter {

@@ -258,6 +258,12 @@ impl MatrixStore {
     /// estimation window over the trace; under aging each day's own
     /// matrix is estimated once and shared by the boundaries that blend
     /// it.
+    ///
+    /// Under an installed [`specweb_core::obs::Obs`] every store adds
+    /// its [`MatrixStore::truncated_rows`] to the run's
+    /// `spec.closure_truncated_rows` (registered even at 0), so silent
+    /// capping of `P*` shows in the run manifest whoever built the
+    /// store.
     pub fn precompute(
         cfg: &EstimatorConfig,
         trace: &Trace,
@@ -308,10 +314,16 @@ impl MatrixStore {
                 })?
             }
         };
-        Ok(MatrixStore {
+        let store = MatrixStore {
             cfg: *cfg,
             by_boundary,
-        })
+        };
+        if let Some(obs) = specweb_core::obs::current() {
+            obs.metrics
+                .counter("spec.closure_truncated_rows")
+                .add(store.truncated_rows());
+        }
+        Ok(store)
     }
 
     /// What [`MatrixStore::precompute`] must equal, built the slow way:
@@ -360,15 +372,6 @@ impl MatrixStore {
     /// Whether the store is empty (never true after `precompute`).
     pub fn is_empty(&self) -> bool {
         self.by_boundary.is_empty()
-    }
-
-    /// Publishes the safety-valve truncation count into an obs bundle
-    /// as the `spec.closure_truncated_rows` counter, so every estimator
-    /// ablation surfaces silent capping through its run manifest.
-    pub fn record_truncation(&self, obs: &specweb_core::obs::Obs) {
-        obs.metrics
-            .counter("spec.closure_truncated_rows")
-            .add(self.truncated_rows());
     }
 }
 
@@ -592,6 +595,37 @@ mod tests {
             // The trace has 12 days: the last boundaries lie past its end.
             assert_store_is_exact(&cfg, &traces[churned], total_days);
         }
+    }
+
+    #[test]
+    fn precompute_publishes_its_own_truncation_count() {
+        use specweb_core::obs::{MetricValue, Obs};
+        let t = trace(106, 0.0);
+        let truncated_under = |cfg: EstimatorConfig| {
+            let obs = Obs::new();
+            let store = {
+                let _run = obs.install();
+                MatrixStore::precompute(&cfg, &t, t.days()).unwrap()
+            };
+            match obs
+                .snapshot()
+                .deterministic
+                .get("spec.closure_truncated_rows")
+            {
+                Some(MetricValue::Counter { value }) => {
+                    assert_eq!(*value, store.truncated_rows());
+                    *value
+                }
+                other => panic!("truncation counter not registered: {other:?}"),
+            }
+        };
+        let tight = EstimatorConfig {
+            closure_max_row: 2,
+            ..EstimatorConfig::default()
+        };
+        assert!(truncated_under(tight) > 0, "a 2-entry valve must bite");
+        // The default bound truncates nothing here, and says so.
+        assert_eq!(truncated_under(EstimatorConfig::default()), 0);
     }
 
     #[test]

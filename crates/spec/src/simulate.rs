@@ -173,10 +173,6 @@ pub struct SpecSim<'a> {
     /// integer sum — so any client partition replays independently and
     /// merges *exactly*.
     shards: ClusterShards,
-    /// Optional observability bundle: per-policy push/hit/waste
-    /// accounting lands here (deterministic channel — the replay is a
-    /// pure function of trace + config).
-    obs: Option<specweb_core::obs::Obs>,
 }
 
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -346,17 +342,7 @@ impl<'a> SpecSim<'a> {
             paths,
             nodes,
             shards,
-            obs: None,
         }
-    }
-
-    /// Attaches an observability bundle: every subsequent replay
-    /// records per-policy push/hit/waste counters (and, under faults,
-    /// the injected-fault log) into it. Clones share state, so the
-    /// caller snapshots its own handle when the runs are done.
-    pub fn with_obs(mut self, obs: &specweb_core::obs::Obs) -> Self {
-        self.obs = Some(obs.clone());
-        self
     }
 
     /// Runs both replays and computes the ratios.
@@ -431,13 +417,11 @@ impl<'a> SpecSim<'a> {
         retry: RetrySchedule,
     ) -> Result<DegradedSpecOutcome> {
         cfg.policy.validate()?;
-        let store = MatrixStore::precompute(&cfg.estimator, self.trace, self.trace.days())?;
         retry.validate()?;
-        if let Some(obs) = &self.obs {
-            // One fault log per degraded run (both replays share the
-            // plan, so recording per replay would double-count).
-            plan.record_to(obs);
-        }
+        let store = MatrixStore::precompute(&cfg.estimator, self.trace, self.trace.days())?;
+        // One fault log per degraded run (both replays share the plan,
+        // so recording per replay would double-count).
+        plan.record_to();
         let ctx = FaultCtx { plan, retry };
         Ok(DegradedSpecOutcome::assemble(
             cfg,
@@ -710,9 +694,9 @@ impl<'a> SpecSim<'a> {
         (totals, counters)
     }
 
-    /// Publishes one replay's accounting into the attached obs bundle
-    /// (no-op without one). Aggregate `spec.*` counters match the
-    /// ISSUE-level names; `spec.policy.<label>.*` break the same
+    /// Publishes one replay's accounting into the run's installed obs
+    /// bundle (no-op outside a run). Aggregate `spec.*` counters match
+    /// the ISSUE-level names; `spec.policy.<label>.*` break the same
     /// numbers down per speculation policy. Everything here is a pure
     /// function of trace + config, so it all sits on the deterministic
     /// channel and merges additively across replays and sweep points.
@@ -723,7 +707,9 @@ impl<'a> SpecSim<'a> {
         totals: &RunTotals,
         counters: &ReplayCounters,
     ) {
-        let Some(obs) = &self.obs else { return };
+        let Some(obs) = &specweb_core::obs::current() else {
+            return;
+        };
         if store.is_none() {
             obs.metrics
                 .counter("spec.baseline_requests")
@@ -1059,8 +1045,11 @@ mod tests {
         use specweb_core::obs::{MetricValue, Obs};
         let (trace, topo) = setup(230);
         let obs = Obs::new();
-        let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
-        let out = sim.run(&cfg(0.3)).unwrap();
+        let sim = SpecSim::new(&trace, &topo);
+        let out = {
+            let _run = obs.install();
+            sim.run(&cfg(0.3)).unwrap()
+        };
         let snap = obs.snapshot();
         assert!(
             snap.wallclock.is_empty(),
@@ -1105,8 +1094,10 @@ mod tests {
         // The same runs against a fresh registry must reproduce the
         // snapshot byte-for-byte: the channel is deterministic.
         let obs2 = Obs::new();
-        let sim2 = SpecSim::new(&trace, &topo).with_obs(&obs2);
-        sim2.run(&cfg(0.3)).unwrap();
+        {
+            let _run = obs2.install();
+            sim.run(&cfg(0.3)).unwrap();
+        }
         assert_eq!(obs2.snapshot(), snap);
     }
 
@@ -1118,7 +1109,8 @@ mod tests {
         let plan =
             FaultPlan::generate(&specweb_core::rng::SeedTree::new(77), &topo, &fcfg).unwrap();
         let obs = Obs::new();
-        let sim = SpecSim::new(&trace, &topo).with_obs(&obs);
+        let _run = obs.install();
+        let sim = SpecSim::new(&trace, &topo);
         sim.run_with_faults(&cfg(0.3), &plan, RetrySchedule::default())
             .unwrap();
         assert_eq!(
@@ -1127,6 +1119,25 @@ mod tests {
                 value: plan.n_windows() as u64
             },
             "one fault log per run, not per replay"
+        );
+    }
+
+    #[test]
+    fn an_invalid_retry_schedule_fails_before_the_estimation() {
+        let (trace, topo) = setup(232);
+        let obs = specweb_core::obs::Obs::new();
+        let _run = obs.install();
+        let retry = RetrySchedule {
+            base: specweb_core::time::Duration::ZERO,
+            ..RetrySchedule::default()
+        };
+        let err = SpecSim::new(&trace, &topo)
+            .run_with_faults(&cfg(0.3), &FaultPlan::none(), retry)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
+        assert!(
+            !obs.profile.snapshot().contains_key("estimator.precompute"),
+            "the schedule must be rejected before any matrix is estimated"
         );
     }
 

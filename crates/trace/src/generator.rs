@@ -283,11 +283,6 @@ pub const MAX_DURATION_DAYS: u64 = 1 << 20;
 #[derive(Debug)]
 pub struct TraceGenerator {
     cfg: TraceConfig,
-    /// Optional observability bundle: generation volume counters land
-    /// here, per run — a process-global counter would double-count when
-    /// one process generates several traces (every multi-config sweep
-    /// does).
-    obs: Option<specweb_core::obs::Obs>,
 }
 
 impl TraceGenerator {
@@ -330,7 +325,7 @@ impl TraceGenerator {
                 ));
             }
         }
-        Ok(TraceGenerator { cfg, obs: None })
+        Ok(TraceGenerator { cfg })
     }
 
     /// The configuration.
@@ -338,18 +333,12 @@ impl TraceGenerator {
         &self.cfg
     }
 
-    /// Attaches an observability bundle: each [`TraceGenerator::generate`]
-    /// records its own `trace.accesses_generated` /
-    /// `trace.sessions_generated` into it (deterministic channel).
-    /// Clones share state, so the caller snapshots its own handle.
-    pub fn with_obs(mut self, obs: &specweb_core::obs::Obs) -> Self {
-        self.obs = Some(obs.clone());
-        self
-    }
-
     /// Generates the trace over the given topology (clients attach to
     /// its leaves), fanning days out over the process-default worker
-    /// count. Byte-identical for any worker count.
+    /// count. Byte-identical for any worker count. Under an installed
+    /// [`specweb_core::obs::Obs`] each generation adds its volume to the
+    /// run's `trace.accesses_generated` / `trace.sessions_generated`
+    /// (deterministic channel).
     pub fn generate(&self, topo: &Topology) -> Result<Trace> {
         self.generate_with_jobs(topo, specweb_core::par::default_jobs())
     }
@@ -460,8 +449,10 @@ impl TraceGenerator {
         let n_sessions = cfg.duration_days.saturating_mul(spd);
 
         // Per-run totals (deterministic channel): a pure function of the
-        // configuration, merged from the day shards in day order.
-        if let Some(obs) = &self.obs {
+        // configuration, merged from the day shards in day order. Per
+        // run, not per process: a global counter would double-count
+        // when one process generates several traces.
+        if let Some(obs) = specweb_core::obs::current() {
             obs.metrics
                 .counter("trace.accesses_generated")
                 .add(n_accesses);
@@ -774,9 +765,8 @@ mod tests {
         use specweb_core::obs::{MetricValue, Obs};
         let topo = Topology::balanced(2, 3, 4);
         let obs = Obs::new();
-        let generator = TraceGenerator::new(TraceConfig::small(23))
-            .unwrap()
-            .with_obs(&obs);
+        let run = obs.install();
+        let generator = TraceGenerator::new(TraceConfig::small(23)).unwrap();
         let t = generator.generate(&topo).unwrap();
         let counter = |snap: &specweb_core::obs::MetricSnapshot, name: &str| match snap
             .deterministic
@@ -788,30 +778,27 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(counter(&snap, "trace.accesses_generated"), t.len() as u64);
         assert_eq!(counter(&snap, "trace.sessions_generated"), t.n_sessions);
-        // A second generation against the same bundle adds — the caller
-        // owns the bundle's scope, so multi-trace sweeps that want
-        // per-trace numbers attach a fresh bundle per run.
+        // A second generation under the same bundle adds — whoever
+        // installs the bundle owns its scope, so multi-trace sweeps that
+        // want per-trace numbers install a fresh bundle per run.
         generator.generate(&topo).unwrap();
         let snap2 = obs.snapshot();
         assert_eq!(
             counter(&snap2, "trace.accesses_generated"),
             2 * t.len() as u64
         );
-        // Without a bundle nothing global accumulates: two different
-        // traces in one process can no longer double-count.
-        let unobserved = TraceGenerator::new(TraceConfig::small(23)).unwrap();
-        let before = specweb_core::obs::global()
-            .snapshot()
-            .deterministic
-            .get("trace.accesses_generated")
-            .cloned();
-        unobserved.generate(&topo).unwrap();
-        let after = specweb_core::obs::global()
-            .snapshot()
-            .deterministic
-            .get("trace.accesses_generated")
-            .cloned();
-        assert_eq!(before, after);
+        // With nothing installed nothing is recorded, here or globally:
+        // two different traces in one process cannot double-count.
+        drop(run);
+        generator.generate(&topo).unwrap();
+        assert_eq!(obs.snapshot(), snap2);
+        assert_eq!(
+            specweb_core::obs::global()
+                .snapshot()
+                .deterministic
+                .get("trace.accesses_generated"),
+            None
+        );
     }
 
     #[test]

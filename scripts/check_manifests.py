@@ -17,9 +17,21 @@ Two subcommands:
         * no manifest reports shed requests (`dissem.shed_requests`
           > 0) — except `exp-shed` and `exp-hier`, where shedding is
           the subject of the experiment;
+        * every experiment manifest carries deterministic metrics —
+          except the four closed-form experiments that generate no
+          trace (`tab1`, `fig2`, `exp-sizing`, `exp-digest`); the
+          process-wide `manifest_run.json` holds wall-clock series
+          only and is not checked;
         * every `profile_<id>.txt` whose root frame took a second or
-          more attributes at least 90 % of it to child frames, so a
-          slow experiment always says where its time went.
+          more attributes at least 90 % of it to child frames (the
+          synthetic `<unattributed>` child is what is left over, not
+          attribution), so a slow experiment always says where its
+          time went.
+
+The metric gates see every run, not only the wired ones: the generator,
+`MatrixStore::precompute`, the simulators and the allocator publish to
+the one `Obs` context `figures` installs around each experiment, so an
+empty snapshot means that context did not reach the work.
 
 Exit status is non-zero on any violation, with one line per finding.
 Stdlib only; runs on any python3.
@@ -33,6 +45,11 @@ TRUNCATION_METRIC = "spec.closure_truncated_rows"
 TRUNCATION_EXEMPT = {"exp-closure"}
 SHED_METRIC = "dissem.shed_requests"
 SHED_EXEMPT = {"exp-shed", "exp-hier"}
+# Closed-form experiments: no trace, no replay, nothing to record.
+NO_METRICS_EXEMPT = {"tab1", "fig2", "exp-sizing", "exp-digest"}
+RUN_MANIFEST = "run"
+# The self-time line `Profiler::collapsed` gives every root.
+UNATTRIBUTED = "<unattributed>"
 # A profile root this slow must be this well attributed to its children.
 PROFILE_MIN_ROOT_US = 1_000_000
 PROFILE_MIN_ATTRIBUTED = 0.90
@@ -139,6 +156,13 @@ def cmd_gate(d):
                     f"{name}: {SHED_METRIC} = {n} (shedding outside "
                     f"{sorted(SHED_EXEMPT)})"
                 )
+        if (exp != RUN_MANIFEST and exp not in NO_METRICS_EXEMPT
+                and not manifest["deterministic"]["metrics"]):
+            failures.append(
+                f"{name}: no deterministic metrics (only "
+                f"{sorted(NO_METRICS_EXEMPT)} record nothing: the installed "
+                f"obs context did not reach this experiment's work)"
+            )
     for path in sorted(Path(d).glob("profile_*.txt")):
         failures.extend(profile_failures(path))
     return failures
@@ -153,7 +177,7 @@ def profile_failures(path):
         wall_us = int(line.rsplit(" wall_us ", 1)[1])
         if len(frames) == 1:
             roots[frames[0]] = wall_us
-        elif len(frames) == 2:
+        elif len(frames) == 2 and frames[1] != UNATTRIBUTED:
             children[frames[0]] = children.get(frames[0], 0) + wall_us
     return [
         f"{path.name}: root `{root}` took {wall_us / 1e6:.1f}s but its child "
