@@ -9,6 +9,14 @@
 //!
 //! Pushed documents land in the client's cache; a later fetch of a
 //! cached id never touches the wire, which is the protocol's point.
+//!
+//! A fetch that does reach the wire costs one round trip and no timer:
+//! the request line is encoded whole into one buffer and handed to the
+//! socket in a single write, with `TCP_NODELAY` set, so it leaves as
+//! one segment and the reactor reads it in one piece. (Written fragment
+//! by fragment — as `write!` on a bare socket does — every piece after
+//! the first waited ~40 ms for the server's delayed ACK.) The `HAVE`
+//! digest is cut where the line would pass the cap.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
@@ -153,48 +161,7 @@ impl SpecClient {
                 from_cache: true,
             });
         }
-        let mut last: Option<CoreError> = None;
-        for attempt in 0..=self.config.retry.max_attempts {
-            if attempt > 0 {
-                let pause = self.backoff(attempt - 1);
-                // Backoff time is real service-time cost the retry
-                // policy imposes on the user; account it next to the
-                // retry count so sweeps can weigh delay against load.
-                specweb_core::obs::global()
-                    .metrics
-                    .counter_on(
-                        "serve.client_backoff_ms",
-                        specweb_core::obs::Channel::WallClock,
-                    )
-                    .add(pause.as_millis() as u64);
-                thread::sleep(pause);
-            }
-            match self.try_fetch(doc) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_transient() => {
-                    // The transport (or the server's patience) is gone;
-                    // reconnect on the next attempt.
-                    specweb_core::obs::global()
-                        .metrics
-                        .counter_on(
-                            "serve.client_retries",
-                            specweb_core::obs::Channel::WallClock,
-                        )
-                        .incr();
-                    specweb_core::log!(
-                        Debug,
-                        "serve",
-                        "retry doc {} attempt {}: {e}",
-                        doc.raw(),
-                        attempt + 1
-                    );
-                    self.conn = None;
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| CoreError::Io("retries exhausted".into())))
+        self.with_retries(format_args!("doc {}", doc.raw()), |c| c.try_fetch(doc))
     }
 
     /// Asks the server for a live metrics snapshot (`STATS` →
@@ -203,15 +170,38 @@ impl SpecClient {
     /// probe can interleave with fetches on one connection, or run on
     /// its own connection while the server is under load.
     pub fn stats(&mut self) -> Result<Vec<StatEntry>> {
+        self.with_retries(Request::Stats, |c| c.try_stats())
+    }
+
+    /// Runs `op` until it succeeds, fails for good, or the backoff
+    /// schedule is spent; returns the last transient error then.
+    fn with_retries<T>(
+        &mut self,
+        what: impl std::fmt::Display,
+        mut op: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let wall = |name| {
+            specweb_core::obs::global()
+                .metrics
+                .counter_on(name, specweb_core::obs::Channel::WallClock)
+        };
         let mut last: Option<CoreError> = None;
         for attempt in 0..=self.config.retry.max_attempts {
             if attempt > 0 {
                 let pause = self.backoff(attempt - 1);
+                // Backoff time is real service-time cost the retry
+                // policy imposes on the user; account it next to the
+                // retry count so sweeps can weigh delay against load.
+                wall("serve.client_backoff_ms").add(pause.as_millis() as u64);
                 thread::sleep(pause);
             }
-            match self.try_stats() {
-                Ok(entries) => return Ok(entries),
+            match op(self) {
+                Ok(r) => return Ok(r),
                 Err(e) if e.is_transient() => {
+                    // The transport (or the server's patience) is gone;
+                    // reconnect on the next attempt.
+                    wall("serve.client_retries").incr();
+                    specweb_core::log!(Debug, "serve", "retry {what} attempt {}: {e}", attempt + 1);
                     self.conn = None;
                     last = Some(e);
                 }
@@ -224,7 +214,8 @@ impl SpecClient {
     fn try_stats(&mut self) -> Result<Vec<StatEntry>> {
         let max_line = self.config.limits.max_line_bytes;
         let conn = self.ensure_conn()?;
-        writeln!(conn.out, "{}", Request::Stats).map_err(CoreError::from)?;
+        conn.out
+            .write_all(format!("{}\n", Request::Stats).as_bytes())?;
         let mut entries = Vec::new();
         loop {
             let line = read_bounded_line(&mut conn.reader, max_line)?
@@ -251,7 +242,8 @@ impl SpecClient {
     /// Ends the session politely and drops the connection.
     pub fn quit(mut self) -> Result<()> {
         if let Some(conn) = self.conn.as_mut() {
-            writeln!(conn.out, "{}", Request::Quit).map_err(CoreError::from)?;
+            conn.out
+                .write_all(format!("{}\n", Request::Quit).as_bytes())?;
         }
         Ok(())
     }
@@ -272,6 +264,9 @@ impl SpecClient {
             return Ok(self.conn.insert(conn));
         }
         let stream = TcpStream::connect(self.addr)?;
+        // A request is a whole message in one write: nothing is gained
+        // by holding it back for an ACK.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.config.read_timeout))?;
         stream.set_write_timeout(Some(self.config.write_timeout))?;
         Ok(self.conn.insert(Conn {
@@ -281,17 +276,17 @@ impl SpecClient {
     }
 
     fn try_fetch(&mut self, doc: DocId) -> Result<FetchResult> {
-        // Piggyback a digest of (up to the cap) cached ids, §3.4-style.
-        let have: Vec<DocId> = self
-            .cache
-            .iter()
-            .take(self.config.limits.max_have_ids)
-            .copied()
-            .collect();
-        let max_line = self.config.limits.max_line_bytes;
+        let limits = self.config.limits;
+        let max_line = limits.max_line_bytes;
+        // Piggyback a digest of cached ids, §3.4-style: in id order, as
+        // many as both caps (ids, line length) admit.
+        let mut line = String::new();
+        Request::write_get(&mut line, doc, self.cache.iter().copied(), Some(&limits))
+            .map_err(|e| CoreError::protocol(e.to_string()))?;
+        line.push('\n');
         let conn = self.ensure_conn()?;
-        let req = Request::Get { doc, have };
-        writeln!(conn.out, "{req}").map_err(CoreError::from)?;
+        // One write of the whole line: one segment, one reactor read.
+        conn.out.write_all(line.as_bytes())?;
 
         let mut size = 0u64;
         let mut received = Vec::new();
@@ -398,7 +393,24 @@ mod tests {
             },
         )
         .unwrap();
+        // The counter is process-wide: other tests move it too, so the
+        // assertions are on what each call added at least.
+        let retries = || {
+            specweb_core::obs::global()
+                .metrics
+                .counter_on(
+                    "serve.client_retries",
+                    specweb_core::obs::Channel::WallClock,
+                )
+                .get()
+        };
+        let before = retries();
         let e = c.fetch(DocId::new(0)).unwrap_err();
         assert!(e.is_transient(), "expected transient I/O, got {e:?}");
+        assert!(retries() >= before + 2, "fetch: both attempts count");
+        let before = retries();
+        let e = c.stats().unwrap_err();
+        assert!(e.is_transient(), "expected transient I/O, got {e:?}");
+        assert!(retries() >= before + 2, "stats: both attempts count");
     }
 }

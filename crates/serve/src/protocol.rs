@@ -23,7 +23,8 @@
 //! buffer more than [`ProtocolLimits::max_line_bytes`], and the `HAVE`
 //! digest is capped at [`ProtocolLimits::max_have_ids`] entries. A peer
 //! that exceeds either cap gets a typed [`CoreError::Protocol`] — never
-//! an unbounded allocation.
+//! an unbounded allocation. The sending side honours the same caps:
+//! `SpecClient` ends its digest where either would be passed.
 
 use std::fmt;
 use std::io::BufRead;
@@ -144,21 +145,51 @@ impl Request {
         }
         Ok(Request::Get { doc, have })
     }
+
+    /// Writes `GET <doc> [HAVE <id>,…]` (no `\n`) to `out`. The digest
+    /// is the longest prefix of `have` a server under `limits` accepts:
+    /// at most `max_have_ids` ids on a line of at most `max_line_bytes`;
+    /// all of `have` when there are no limits.
+    ///
+    /// At the default limits the line cap never cuts: the longest line
+    /// is 4 + 10 + 6 + 256 × 10 + 255 = 2 835 bytes of 4 096, so the
+    /// digest there is the first 256 ids. `benchmark/`'s
+    /// `CacheMirror::digest` mirrors exactly that.
+    pub(crate) fn write_get<W: fmt::Write>(
+        out: &mut W,
+        doc: DocId,
+        have: impl IntoIterator<Item = DocId>,
+        limits: Option<&ProtocolLimits>,
+    ) -> fmt::Result {
+        let (max_ids, max_line) = limits.map_or((usize::MAX, usize::MAX), |l| {
+            (l.max_have_ids, l.max_line_bytes)
+        });
+        write!(out, "GET {}", doc.raw())?;
+        let mut len = "GET ".len() + decimal_len(doc);
+        let mut sep = " HAVE ";
+        for id in have.into_iter().take(max_ids) {
+            len += sep.len() + decimal_len(id);
+            if len > max_line {
+                break;
+            }
+            write!(out, "{sep}{}", id.raw())?;
+            sep = ",";
+        }
+        Ok(())
+    }
+}
+
+/// Bytes `id` takes on the wire, in decimal.
+fn decimal_len(id: DocId) -> usize {
+    id.raw().checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 impl fmt::Display for Request {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Request::Get { doc, have } => {
-                write!(f, "GET {}", doc.raw())?;
-                for (i, id) in have.iter().enumerate() {
-                    if i == 0 {
-                        write!(f, " HAVE {}", id.raw())?;
-                    } else {
-                        write!(f, ",{}", id.raw())?;
-                    }
-                }
-                Ok(())
+                // A `Request` value is spelled whole, whatever its size.
+                Request::write_get(f, *doc, have.iter().copied(), None)
             }
             Request::Quit => write!(f, "QUIT"),
             Request::Stats => write!(f, "STATS"),
@@ -422,6 +453,31 @@ mod tests {
         let bad = format!("GET 0 HAVE {}", ["1"; 5].join(","));
         let e = Request::parse(&bad, &l).unwrap_err();
         assert!(e.to_string().contains("exceeds 4 ids"));
+    }
+
+    #[test]
+    fn get_line_is_cut_to_both_caps() {
+        let widest = (0..300).map(|i| DocId::new(u32::MAX - i));
+        let mut line = String::new();
+        Request::write_get(
+            &mut line,
+            DocId::new(u32::MAX),
+            widest.clone(),
+            Some(&limits()),
+        )
+        .unwrap();
+        // The longest line the default limits admit: the id cap cuts,
+        // the line cap has room to spare.
+        assert_eq!(line.len(), 2835);
+        assert_eq!(line.matches(',').count() + 1, 256);
+
+        let narrow = ProtocolLimits {
+            max_line_bytes: 40,
+            ..limits()
+        };
+        let mut line = String::new();
+        Request::write_get(&mut line, DocId::new(7), widest, Some(&narrow)).unwrap();
+        assert_eq!(line, "GET 7 HAVE 4294967295,4294967294");
     }
 
     #[test]
