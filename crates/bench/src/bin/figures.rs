@@ -126,7 +126,6 @@ fn main() {
         })
         .unwrap_or_else(|e: String| die(&e));
 
-    // lint:allow(W3): one slot per already-collected experiment result
     let mut experiments = Vec::with_capacity(results.len());
     for (id, (reports, secs, run)) in runs.iter().zip(&results) {
         for report in reports {
@@ -276,7 +275,6 @@ fn load_manifests(dir: &std::path::Path) -> Result<Vec<RunManifest>, String> {
             dir.display()
         ));
     }
-    // lint:allow(W3): one slot per manifest path already listed from disk
     let mut manifests = Vec::with_capacity(paths.len());
     for path in &paths {
         let text = std::fs::read_to_string(path)

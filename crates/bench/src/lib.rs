@@ -21,7 +21,6 @@
 //! comparable to the paper's 205,925-access log; minutes of runtime)
 //! and `Scale::Quick` (seconds; used by the test suite and CI).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

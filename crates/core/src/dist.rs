@@ -358,9 +358,7 @@ impl HitCurve {
             let db = b.1 as f64 / b.0 as f64;
             db.total_cmp(&da).then(a.0.cmp(&b.0))
         });
-        // lint:allow(W3): capacity equals ranked.len(), a vec already materialized above
         let mut bytes = Vec::with_capacity(ranked.len());
-        // lint:allow(W3): capacity equals ranked.len(), a vec already materialized above
         let mut hits = Vec::with_capacity(ranked.len());
         let mut cum_b = 0u64;
         let mut cum_r = 0u64;

@@ -33,7 +33,6 @@
 //! the arithmetic bedrock on which `specweb-trace`, `specweb-netsim`,
 //! `specweb-dissem` and `specweb-spec` are built.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

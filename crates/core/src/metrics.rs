@@ -50,12 +50,12 @@ impl RunTotals {
     /// Saturating throughout: at `--scale 100` the byte totals are a
     /// few orders below u64::MAX, but a shard-merge must never wrap.
     pub fn merge(&mut self, other: &RunTotals) {
-        self.bytes_sent += other.bytes_sent; // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
+        self.bytes_sent += other.bytes_sent;
         self.server_requests = self.server_requests.saturating_add(other.server_requests);
         self.latency_ms = self.latency_ms.saturating_add(other.latency_ms);
         self.accesses = self.accesses.saturating_add(other.accesses);
-        self.miss_bytes += other.miss_bytes; // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
-        self.accessed_bytes += other.accessed_bytes; // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
+        self.miss_bytes += other.miss_bytes;
+        self.accessed_bytes += other.accessed_bytes;
     }
 
     /// Mean client-perceived latency, in milliseconds.

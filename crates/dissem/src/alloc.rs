@@ -120,7 +120,6 @@ pub fn optimize(servers: &[ServerModel], b0: Bytes) -> Result<Allocation> {
 
     // Active set: servers that may receive a positive quota.
     let mut active: Vec<bool> = servers.iter().map(|s| s.demand > 0.0).collect();
-    // lint:allow(W3): one slot per already-materialized server model
     let mut raw = vec![0.0f64; n];
 
     // Water-filling re-solves are bounded by the server count but vary
@@ -344,9 +343,7 @@ pub fn optimize_empirical(
     });
 
     let mut remaining = b0.get();
-    // lint:allow(W3): one slot per already-materialized server profile
     let mut quotas = vec![0u64; profiles.len()];
-    // lint:allow(W3): one slot per already-materialized server profile
     let mut picked: Vec<Vec<specweb_core::ids::DocId>> = vec![Vec::new(); profiles.len()];
     for c in cands {
         if c.size <= remaining {

@@ -25,7 +25,6 @@
 //! 5. [`hierarchy`] — multi-level deployments (proxies feeding proxies),
 //!    §2.3's answer to the proxy-bottleneck objection.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

@@ -382,9 +382,7 @@ impl<'a> DisseminationSim<'a> {
         } else {
             (attempted - tally.unavailable) as f64 / attempted as f64
         };
-        // lint:allow(W1): ByteHops Add saturates (units::unit_arith!)
         let faulted_total = outcome.with_dissemination.byte_hops + outcome.push_traffic;
-        // lint:allow(W1): ByteHops Add saturates (units::unit_arith!)
         let healthy_total = healthy.with_dissemination.byte_hops + healthy.push_traffic;
         let byte_hops_inflation = faulted_total.ratio(healthy_total);
         Ok(DegradedDisseminationOutcome {
@@ -460,7 +458,6 @@ impl<'a> DisseminationSim<'a> {
                 for (doc, size) in docs {
                     store.install(profile.server, doc, size)?;
                     if cfg.count_dissemination_traffic {
-                        // lint:allow(W1): ByteHops AddAssign saturates (units::unit_arith!)
                         push_traffic += size.over_hops(hops_from_origin);
                     }
                 }
@@ -478,7 +475,6 @@ impl<'a> DisseminationSim<'a> {
                 let server = self.trace.catalog.get(u.doc).server;
                 for (&node, store) in &stores {
                     if store.contains(server, u.doc) {
-                        // lint:allow(W1): ByteHops AddAssign saturates (units::unit_arith!)
                         push_traffic += size.over_hops(self.topo.depth(node));
                     }
                 }
@@ -499,7 +495,6 @@ impl<'a> DisseminationSim<'a> {
             |whole: &mut ReplayPart, part| whole.merge(&part),
         )?;
 
-        // lint:allow(W1): ByteHops Add saturates (units::unit_arith!)
         let total_with = whole.with_d.byte_hops + push_traffic;
         let reduction = 1.0 - total_with.ratio(whole.baseline.byte_hops);
         let total_requests = whole.proxy_hits.saturating_add(whole.origin_hits);

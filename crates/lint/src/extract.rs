@@ -37,6 +37,8 @@
 
 use std::collections::BTreeSet;
 
+use serde::{Serialize, Value};
+
 use crate::lexer::Line;
 
 /// The nondeterminism / hazard source classes the taint pass tracks.
@@ -68,8 +70,15 @@ impl SourceKind {
     }
 }
 
-/// One detected source site inside a function.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+impl Serialize for SourceKind {
+    fn to_value(&self) -> Value {
+        self.id().to_value()
+    }
+}
+
+/// One detected source site inside a function (a `sources` row of
+/// `callgraph.json` as it stands).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct SourceSite {
     /// 1-based line number.
     pub line: usize,
@@ -105,8 +114,15 @@ impl EffectKind {
     }
 }
 
-/// One detected effect site inside a function.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+impl Serialize for EffectKind {
+    fn to_value(&self) -> Value {
+        self.id().to_value()
+    }
+}
+
+/// One detected effect site inside a function (an `effects` row of
+/// `callgraph.json` as it stands).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct EffectSite {
     /// 1-based line number.
     pub line: usize,
@@ -120,8 +136,8 @@ pub struct EffectSite {
 }
 
 /// One `use` declaration binding, flattened from the use tree:
-/// `use a::b::{c, d as e, f::*};` yields three imports. Globs carry an
-/// empty `alias`.
+/// `use a::b::{c, d as e, f::*};` yields two imports. A glob binds no
+/// name the resolver could look up, so it yields none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UseImport {
     /// Module path whose scope the `use` appears in (inline `mod`
@@ -133,10 +149,8 @@ pub struct UseImport {
     /// normalizes them against `module`.
     pub path: Vec<String>,
     /// The name this import binds in the module's scope: the last path
-    /// segment, or the `as` rename. Empty for glob imports.
+    /// segment, or the `as` rename.
     pub alias: String,
-    /// True for `use a::b::*;`.
-    pub glob: bool,
     /// 1-based line of the binding.
     pub line: usize,
 }
@@ -198,6 +212,11 @@ pub struct ArithSite {
     pub op: ArithOp,
     /// True for the compound-assignment form (`+=`, `*=`, `<<=`).
     pub compound: bool,
+    /// The identifier the left operand ends in (`bytes_sent` for
+    /// `totals.bytes_sent += ..`): the value the operator is applied
+    /// to. Empty when it ends in a call or index group — `x.get() * k`
+    /// works on what `get` returned, not on `x`.
+    pub left: String,
     /// Identifier roots of the left operand.
     pub lhs: Vec<String>,
     /// Identifier roots of the right operand.
@@ -228,6 +247,12 @@ pub struct CapacitySite {
     pub what: &'static str,
     /// Identifier roots of the size expression.
     pub args: Vec<String>,
+    /// True when the size is literally `<ident>.len()`, or an immutable
+    /// local bound as `let n = <ident>.len();`: the collection being
+    /// measured already exists, so the allocation at most doubles
+    /// memory that is already spent. W3 skips these. (`len()` is *not*
+    /// a width guard: `v.len() as u32` and `v.len() * k` stay checked.)
+    pub len_sized: bool,
 }
 
 /// One dataflow binding edge: `let names = rhs;`, a `for pat in rhs`
@@ -255,6 +280,15 @@ pub fn is_width_guard(name: &str) -> bool {
         || matches!(name, "try_into" | "try_from" | "min" | "clamp")
 }
 
+/// The workspace's unit types. Every `Add`/`AddAssign`/`Sub`/`Mul<u64>`
+/// they implement saturates — `Bytes` and `ByteHops` through
+/// `units::unit_arith!` (crates/core/src/units.rs), `SimTime` and
+/// `Duration` through the operator impls of crates/core/src/time.rs —
+/// so arithmetic *on* one cannot wrap, whatever scale it carries. (A
+/// std `Duration` sharing the name panics on overflow in every build:
+/// not a silent wrap either.)
+const UNIT_TYPES: &[&str] = &["Bytes", "ByteHops", "SimTime", "Duration"];
+
 /// Primitive numeric type names (cast targets worth recording).
 const NUM_PRIMS: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
@@ -277,8 +311,9 @@ pub fn narrowing_target(t: &str) -> bool {
     )
 }
 
-/// One lock acquisition (`recv.lock()`).
-#[derive(Debug, Clone)]
+/// One lock acquisition (`recv.lock()`; a `locks` row of
+/// `callgraph.json` as it stands).
+#[derive(Debug, Clone, Serialize)]
 pub struct LockSite {
     /// The receiver's base identifier (`inner` for
     /// `self.inner.lock()`), the lock's identity for the G2 check.
@@ -292,7 +327,7 @@ pub struct LockSite {
 }
 
 /// One extracted function item.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FnItem {
     /// Fully qualified name: module path + enclosing type/fn names +
     /// the function name, `::`-joined.
@@ -339,7 +374,7 @@ pub struct FnItem {
     /// Capacity allocations (W3), in source order.
     pub caps: Vec<CapacitySite>,
     /// Count of `checked_*` / `saturating_*` call sites — the safe
-    /// forms W1 migrates arithmetic toward, surfaced in `--stats`.
+    /// forms W1 migrates arithmetic toward, surfaced in `--write`.
     pub checked_sites: usize,
     /// Identifiers that may flow into the return value: operands of
     /// `return` statements plus the trailing-expression idents of the
@@ -375,6 +410,12 @@ pub struct FileExtract {
     /// skips W1 on float arithmetic, and the lexer can't see types —
     /// this name-global set is the approximation that stands in.
     pub float_names: BTreeSet<String>,
+    /// Identifiers declared with one of the [`UNIT_TYPES`]
+    /// (`bytes_sent: Bytes`), by the same declaration scan.
+    pub unit_names: BTreeSet<String>,
+    /// Identifiers declared with an integer primitive (`n: u64`). A
+    /// name in both sets is not a unit name (`CallGraph::unit_names`).
+    pub int_names: BTreeSet<String>,
 }
 
 /// Maps a workspace-relative path to a module path: `crates/spec/src/
@@ -697,15 +738,16 @@ fn ends_ident(s: &str) -> bool {
         .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum ScopeKind {
+    #[default]
     Mod,
     /// `impl` block or `trait` definition.
     Type,
     Fn,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Scope {
     kind: ScopeKind,
     name: String,
@@ -717,219 +759,378 @@ struct Scope {
     /// scope's own depth. Whatever remains when the scope closes is the
     /// trailing expression — flushed into `FnItem::ret_idents`.
     tail: BTreeSet<String>,
+    /// For `Fn` scopes: immutable locals currently bound as
+    /// `let n = <ident>.len();` (see [`CapacitySite::len_sized`]).
+    len_bound: BTreeSet<String>,
+}
+
+/// An `impl` header between its keyword and its `{`.
+#[derive(Debug, Default)]
+struct ImplHdr {
+    name: Option<String>,
+    after_for: bool,
+    angle: i32,
+    in_where: bool,
+}
+
+/// The extractor's cursor: the token stream, the position in it, and
+/// everything the item state machine remembers between tokens.
+/// Recording a site is one call on it; it lands in the innermost
+/// enclosing fn ([`Cursor::cur_fn`]).
+#[derive(Default)]
+struct Cursor<'a> {
+    toks: &'a [(Tok, usize)],
+    /// Index of the token under the cursor.
+    i: usize,
+    /// Identifiers this file declares with a hash-collection type.
+    hash_names: BTreeSet<String>,
+    /// The sanctioned owners: the obs wall channel may read real time,
+    /// and the scoped pool / server may spawn threads (DESIGN §7, §9).
+    /// Sources there are policy, not hazards.
+    wall_exempt: bool,
+    thread_exempt: bool,
+    stack: Vec<Scope>,
+    depth: usize,
+    /// Pending item headers between their keyword and their `{` / `;`.
+    pend_fn: Option<usize>, // index into out.fns
+    pend_named: Option<(ScopeKind, String)>, // mod / trait
+    impl_hdr: Option<ImplHdr>,
+    /// For-loop header capture: Some(seen_in) while inside one.
+    for_hdr: Option<bool>,
+    /// Paren nesting, and the depths at which a `core::par` dispatch's
+    /// argument list opened: while the innermost entry is active, call
+    /// sites run inside a worker closure (G5's scope).
+    paren_depth: usize,
+    par_regions: Vec<usize>,
+    /// Paren depth of a pending fn's parameter list: idents followed by
+    /// a single `:` at exactly this depth are parameter names.
+    sig_parens: Option<usize>,
+    out: FileExtract,
 }
 
 /// Extracts items, calls, and sources from one sanitized file.
 ///
 /// `skip` is the test-region mask (same length as `lines`).
 pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
-    let module = module_path(rel);
-    // The sanctioned owners: the obs wall channel may read real time,
-    // and the scoped pool / server may spawn threads (DESIGN §7, §9).
-    // Sources there are policy, not hazards.
-    let wall_exempt = crate::rules::path_has_prefix(rel, crate::rules::WALL_CLOCK_EXEMPT);
-    let thread_exempt = crate::rules::path_has_prefix(rel, crate::rules::THREAD_EXEMPT);
-    let hash_names = hash_typed_names(lines, skip);
     let toks = tokenize(lines, skip);
-    let mut out = FileExtract {
-        rel: rel.to_string(),
-        module: module.clone(),
-        ..FileExtract::default()
+    let mut c = Cursor {
+        toks: &toks,
+        hash_names: hash_typed_names(lines, skip),
+        wall_exempt: crate::rules::path_has_prefix(rel, crate::rules::WALL_CLOCK_EXEMPT),
+        thread_exempt: crate::rules::path_has_prefix(rel, crate::rules::THREAD_EXEMPT),
+        out: FileExtract {
+            rel: rel.to_string(),
+            module: module_path(rel),
+            ..FileExtract::default()
+        },
+        ..Cursor::default()
     };
+    while c.i < toks.len() {
+        c.step();
+    }
+    c.out
+}
 
-    let mut stack: Vec<Scope> = Vec::new();
-    let mut depth: usize = 0;
-    // Pending item headers between their keyword and their `{` / `;`.
-    let mut pend_fn: Option<usize> = None; // index into out.fns
-    let mut pend_named: Option<(ScopeKind, String)> = None; // mod / trait
-    let mut impl_hdr: Option<ImplHdr> = None;
-    // For-loop header capture: Some(seen_in) while inside one.
-    let mut for_hdr: Option<bool> = None;
-    // Paren nesting, and the depths at which a `core::par` dispatch's
-    // argument list opened: while the innermost entry is active, call
-    // sites run inside a worker closure (G5's scope).
-    let mut paren_depth: usize = 0;
-    let mut par_regions: Vec<usize> = Vec::new();
-    // Paren depth of a pending fn's parameter list: idents followed by
-    // a single `:` at exactly this depth are parameter names.
-    let mut sig_parens: Option<usize> = None;
-
-    #[derive(Debug, Default)]
-    struct ImplHdr {
-        name: Option<String>,
-        after_for: bool,
-        angle: i32,
-        in_where: bool,
+impl<'a> Cursor<'a> {
+    /// The token `k` places ahead of the cursor.
+    fn peek(&self, k: usize) -> Option<&'a Tok> {
+        self.toks.get(self.i + k).map(|(t, _)| t)
     }
 
-    let n = toks.len();
-    let mut i = 0;
-    while i < n {
-        let (tok, line) = &toks[i];
-        let line = *line;
-        // Inside a pending fn header (between `fn name` and its body).
-        let in_sig = pend_fn.is_some() && stack.last().is_none_or(|s| s.fn_idx != pend_fn);
-        // Integer `*` / `+` / `<<` arithmetic sites and their compound
-        // forms (W1).
-        if let Some((op, width)) = arith_op(&toks, i).filter(|_| impl_hdr.is_none()) {
-            let compound = toks.get(i + width).map(|(t, _)| t) == Some(&Tok::P('='));
-            if !in_sig {
-                let lhs = operand_before(&toks, i);
-                let (rhs, guarded) = if compound {
-                    idents_until_semi(&toks, i + width + 1)
-                } else {
-                    (operand_after(&toks, i + width), false)
-                };
-                if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                    f.arith.push(ArithSite {
-                        line,
-                        op,
-                        compound,
-                        lhs: lhs.clone(),
-                        rhs: rhs.clone(),
-                    });
-                    if compound {
-                        f.binds.push(FlowBind {
-                            line,
-                            names: lhs,
-                            rhs,
-                            guarded,
-                        });
-                    }
-                }
-            }
-            i += width + usize::from(compound);
-            continue;
+    fn next_is(&self, c: char) -> bool {
+        self.peek(1) == Some(&Tok::P(c))
+    }
+
+    /// The identifier right after the cursor (an item's name).
+    fn next_ident(&self) -> Option<&'a String> {
+        match self.peek(1) {
+            Some(Tok::I(name)) => Some(name),
+            _ => None,
         }
-        match tok {
-            Tok::P('{') => {
-                depth += 1;
-                if let Some(fi) = pend_fn.take() {
-                    stack.push(Scope {
-                        kind: ScopeKind::Fn,
-                        name: out.fns[fi].name.clone(),
-                        depth,
-                        fn_idx: Some(fi),
-                        tail: BTreeSet::new(),
-                    });
-                    sig_parens = None;
-                } else if let Some(hdr) = impl_hdr.take() {
+    }
+
+    /// The token before the cursor is `c`.
+    fn prev_is(&self, c: char) -> bool {
+        self.i > 0 && self.toks[self.i - 1].0 == Tok::P(c)
+    }
+
+    /// 1-based line of the token under the cursor.
+    fn line(&self) -> usize {
+        self.toks[self.i].1
+    }
+
+    /// Inside a pending fn header (between `fn name` and its body).
+    fn in_sig(&self) -> bool {
+        self.pend_fn.is_some() && self.stack.last().is_none_or(|s| s.fn_idx != self.pend_fn)
+    }
+
+    /// Inside a `core::par` worker closure.
+    fn in_par(&self) -> bool {
+        !self.par_regions.is_empty()
+    }
+
+    /// The innermost enclosing function, if any (a pending fn header
+    /// counts so signature-level sources attribute correctly).
+    fn cur_fn(&mut self) -> Option<&mut FnItem> {
+        let enclosing = || self.stack.iter().rev().find_map(|s| s.fn_idx);
+        let fi = self.pend_fn.or_else(enclosing)?;
+        self.out.fns.get_mut(fi)
+    }
+
+    /// The innermost enclosing fn *scope* (a pending header has none).
+    fn fn_scope(&mut self) -> Option<&mut Scope> {
+        self.stack.iter_mut().rev().find(|s| s.fn_idx.is_some())
+    }
+
+    /// Full scope prefix (module + mods + type + enclosing fns) and the
+    /// innermost type name.
+    fn scope_context(&self) -> (String, Option<String>) {
+        let mut parts = vec![self.out.module.clone()];
+        let mut self_type = None;
+        for s in &self.stack {
+            parts.push(s.name.clone());
+            if s.kind == ScopeKind::Type {
+                self_type = Some(s.name.clone());
+            }
+        }
+        (parts.join("::"), self_type)
+    }
+
+    /// Module path including inline `mod` scopes (but not type/fn
+    /// scopes).
+    fn module_of(&self) -> String {
+        let mods = self.stack.iter().filter(|s| s.kind == ScopeKind::Mod);
+        let parts: Vec<&str> = std::iter::once(self.out.module.as_str())
+            .chain(mods.map(|s| s.name.as_str()))
+            .collect();
+        parts.join("::")
+    }
+
+    // ---- recording: each lands in the current fn, on the cursor's line
+
+    fn source(&mut self, kind: SourceKind, what: &str) {
+        let (line, what) = (self.line(), what.to_string());
+        if let Some(f) = self.cur_fn() {
+            f.sources.push(SourceSite { line, kind, what });
+        }
+    }
+
+    fn effect(&mut self, kind: EffectKind, what: String) {
+        let (line, in_par) = (self.line(), self.in_par());
+        if let Some(f) = self.cur_fn() {
+            f.effects.push(EffectSite {
+                line,
+                kind,
+                what,
+                in_par,
+            });
+        }
+    }
+
+    fn call(&mut self, name: &str, line: usize, shape: (String, bool, bool), open: usize) {
+        let (qualifier, is_method, on_self) = shape;
+        let call = Call {
+            name: name.to_string(),
+            qualifier,
+            is_method,
+            on_self,
+            in_par: self.in_par(),
+            line,
+            args: call_args(self.toks, open),
+        };
+        if let Some(f) = self.cur_fn() {
+            f.calls.push(call);
+        }
+    }
+
+    /// A dataflow edge `names ← rhs` (`let` / `for` / assignment).
+    fn bind(&mut self, names: Vec<String>, rhs: Vec<String>, guarded: bool) {
+        let line = self.line();
+        if let Some(f) = self.cur_fn() {
+            f.binds.push(FlowBind {
+                line,
+                names,
+                rhs,
+                guarded,
+            });
+        }
+    }
+
+    /// Identifiers with a visible dominating bound.
+    fn bounded(&mut self, ids: Vec<String>) {
+        if let Some(f) = self.cur_fn() {
+            f.bounded.extend(ids);
+        }
+    }
+
+    /// A capacity allocation whose size expression starts at token `at`
+    /// and is closed by `close`.
+    fn cap(&mut self, what: &'static str, args: Vec<String>, at: usize, close: char) {
+        let toks = self.toks;
+        let closed_at = |k: usize| toks.get(k).map(|(t, _)| t) == Some(&Tok::P(close));
+        let len_sized = match toks.get(at) {
+            Some((Tok::I(n), _)) if closed_at(at + 1) => {
+                self.fn_scope().is_some_and(|s| s.len_bound.contains(n))
+            }
+            _ => is_len_call(toks, at) && closed_at(at + 5),
+        };
+        let line = self.line();
+        if let Some(f) = self.cur_fn() {
+            f.caps.push(CapacitySite {
+                line,
+                what,
+                args,
+                len_sized,
+            });
+        }
+    }
+
+    // ---- the token loop: item structure, plus calls to the collectors
+
+    fn step(&mut self) {
+        if self.arith_site() {
+            return;
+        }
+        match &self.toks[self.i].0 {
+            Tok::P(c) => self.punct(*c),
+            Tok::I(w) => self.ident(w),
+        }
+    }
+
+    /// Integer `*` / `+` / `<<` arithmetic sites and their compound
+    /// forms (W1). Returns whether the cursor stood on one (and moved
+    /// past it).
+    fn arith_site(&mut self) -> bool {
+        let (toks, i) = (self.toks, self.i);
+        let Some((op, width)) = arith_op(toks, i).filter(|_| self.impl_hdr.is_none()) else {
+            return false;
+        };
+        let compound = toks.get(i + width).map(|(t, _)| t) == Some(&Tok::P('='));
+        if !self.in_sig() {
+            let lhs = operand_before(toks, i);
+            let (rhs, guarded) = if compound {
+                idents_until_semi(toks, i + width + 1)
+            } else {
+                (operand_after(toks, i + width), false)
+            };
+            let site = ArithSite {
+                line: self.line(),
+                op,
+                compound,
+                left: operand_end(toks, i).unwrap_or_default().to_string(),
+                lhs: lhs.clone(),
+                rhs: rhs.clone(),
+            };
+            if let Some(f) = self.cur_fn() {
+                f.arith.push(site);
+            }
+            if compound {
+                self.bind(lhs, rhs, guarded);
+            }
+        }
+        self.i += width + usize::from(compound);
+        true
+    }
+
+    fn punct(&mut self, c: char) {
+        let (toks, i) = (self.toks, self.i);
+        let in_sig = self.in_sig();
+        match c {
+            '{' => {
+                self.depth += 1;
+                let opened = if let Some(fi) = self.pend_fn.take() {
+                    self.sig_parens = None;
+                    Some((ScopeKind::Fn, self.out.fns[fi].name.clone(), Some(fi)))
+                } else if let Some(hdr) = self.impl_hdr.take() {
                     let name = hdr.name.unwrap_or_else(|| "?".to_string());
-                    out.impl_types.insert(name.clone());
-                    stack.push(Scope {
-                        kind: ScopeKind::Type,
-                        name,
-                        depth,
-                        fn_idx: None,
-                        tail: BTreeSet::new(),
-                    });
-                } else if let Some((kind, name)) = pend_named.take() {
+                    Some((ScopeKind::Type, name, None))
+                } else {
+                    let named = self.pend_named.take();
+                    named.map(|(kind, name)| (kind, name, None))
+                };
+                if let Some((kind, name, fn_idx)) = opened {
                     if kind == ScopeKind::Type {
-                        out.impl_types.insert(name.clone());
+                        self.out.impl_types.insert(name.clone());
                     }
-                    stack.push(Scope {
+                    self.stack.push(Scope {
                         kind,
                         name,
-                        depth,
-                        fn_idx: None,
-                        tail: BTreeSet::new(),
+                        depth: self.depth,
+                        fn_idx,
+                        ..Scope::default()
                     });
                 }
-                for_hdr = None;
-                i += 1;
+                self.for_hdr = None;
             }
-            Tok::P('}') => {
-                depth = depth.saturating_sub(1);
-                while stack.last().is_some_and(|s| s.depth > depth) {
+            '}' => {
+                self.depth = self.depth.saturating_sub(1);
+                while self.stack.last().is_some_and(|s| s.depth > self.depth) {
                     // A closing fn scope flushes its trailing-expression
                     // buffer into the return-flow set (over-approximate:
                     // any ident after the body's last top-level `;`).
-                    if let Some(s) = stack.pop() {
+                    if let Some(s) = self.stack.pop() {
                         if let Some(fi) = s.fn_idx {
-                            out.fns[fi].ret_idents.extend(s.tail);
+                            self.out.fns[fi].ret_idents.extend(s.tail);
                         }
                     }
                 }
-                i += 1;
             }
-            Tok::P(';') => {
-                pend_fn = None;
-                pend_named = None;
-                impl_hdr = None;
-                sig_parens = None;
+            ';' => {
+                self.pend_fn = None;
+                self.pend_named = None;
+                self.impl_hdr = None;
+                self.sig_parens = None;
                 // A statement boundary at the innermost fn's own depth
                 // resets its trailing-expression buffer.
-                if let Some(s) = stack.iter_mut().rev().find(|s| s.fn_idx.is_some()) {
-                    if s.depth == depth {
-                        s.tail.clear();
-                    }
+                let depth = self.depth;
+                if let Some(s) = self.fn_scope().filter(|s| s.depth == depth) {
+                    s.tail.clear();
                 }
-                i += 1;
             }
-            Tok::P('<') if impl_hdr.is_some() => {
-                if let Some(h) = impl_hdr.as_mut() {
-                    h.angle += 1;
+            '<' | '>' if self.impl_hdr.is_some() => {
+                if let Some(h) = self.impl_hdr.as_mut() {
+                    h.angle = (h.angle + if c == '<' { 1 } else { -1 }).max(0);
                 }
-                i += 1;
             }
-            Tok::P('>') if impl_hdr.is_some() => {
-                if let Some(h) = impl_hdr.as_mut() {
-                    h.angle = (h.angle - 1).max(0);
+            // Raw index expression: `x[..]` / `f(..)[..]`.
+            '[' if operand_end(toks, i).is_some() => {
+                if let Some(f) = self.cur_fn() {
+                    f.index_sites += 1;
                 }
-                i += 1;
             }
-            Tok::P('[') => {
-                // Raw index expression: `x[..]` / `f(..)[..]`.
-                if operand_end(&toks, i).is_some() {
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.index_sites += 1;
-                    }
-                }
-                i += 1;
-            }
-            Tok::P('(') => {
+            '(' => {
                 // Turbofish call (`helper::<u64>(..)` / `x.collect::<V>(..)`):
                 // the name token is not adjacent to the `(`, so the
-                // identifier arm below misses it.
-                if let Some(ni) = turbofish_call_before(&toks, i) {
-                    if let Tok::I(name) = toks[ni].0.clone() {
-                        let cline = toks[ni].1;
-                        let prev_dot = ni > 0 && toks[ni - 1].0 == Tok::P('.');
-                        let (is_method, on_self, qualifier) = if prev_dot {
-                            let recv = receiver_before(&toks, ni - 1);
-                            (true, recv.as_deref() == Some("self"), String::new())
+                // identifier arm misses it.
+                if let Some(ni) = turbofish_call_before(toks, i) {
+                    if let (Tok::I(name), cline) = &toks[ni] {
+                        let shape = if ni > 0 && toks[ni - 1].0 == Tok::P('.') {
+                            let recv = receiver_before(toks, ni - 1);
+                            (String::new(), true, recv.as_deref() == Some("self"))
                         } else {
-                            (false, false, path_qualifier_before(&toks, ni))
+                            (path_qualifier_before(toks, ni), false, false)
                         };
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            f.calls.push(Call {
-                                name,
-                                qualifier,
-                                is_method,
-                                on_self,
-                                in_par: !par_regions.is_empty(),
-                                line: cline,
-                                args: call_args(&toks, i),
-                            });
-                        }
+                        self.call(name, *cline, shape, i);
                     }
                 }
-                paren_depth += 1;
+                self.paren_depth += 1;
                 // First paren of a pending fn header opens the
                 // parameter list (generic-bound parens like `Fn(u32)`
                 // come before it only inside `<..>`, where a parameter
                 // ident is never followed by a single `:`).
-                if in_sig && sig_parens.is_none() {
-                    sig_parens = Some(paren_depth);
+                if in_sig && self.sig_parens.is_none() {
+                    self.sig_parens = Some(self.paren_depth);
                 }
-                i += 1;
             }
-            Tok::P(')') => {
-                paren_depth = paren_depth.saturating_sub(1);
-                while par_regions.last().is_some_and(|d| *d > paren_depth) {
-                    par_regions.pop();
+            ')' => {
+                self.paren_depth = self.paren_depth.saturating_sub(1);
+                while self
+                    .par_regions
+                    .last()
+                    .is_some_and(|d| *d > self.paren_depth)
+                {
+                    self.par_regions.pop();
                 }
-                i += 1;
             }
             // A comparison (`x < cap`, `limit >= n`) marks both sides
             // bounded: the branch dominates the uses W1–W3 worry about.
@@ -937,723 +1138,547 @@ pub fn extract(rel: &str, lines: &[Line], skip: &[bool]) -> FileExtract {
             // keyword / primitive checks (`Vec<usize> = ..` would
             // otherwise read as `usize >= ..`); survivors only add
             // never-tainted names.
-            Tok::P('<') | Tok::P('>')
-                if impl_hdr.is_none()
-                    && operand_end(&toks, i).is_some_and(|w| !upper_shaped(w) && !prim_type(w)) =>
+            '<' | '>'
+                if !in_sig
+                    && operand_end(toks, i).is_some_and(|w| !upper_shaped(w) && !prim_type(w)) =>
             {
-                if !in_sig {
-                    let after = if toks.get(i + 1).map(|(t, _)| t) == Some(&Tok::P('=')) {
-                        i + 2
-                    } else {
-                        i + 1
-                    };
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.bounded.extend(operand_before(&toks, i));
-                        f.bounded.extend(operand_after(&toks, after));
-                    }
-                }
-                i += 1;
+                let after = i + 1 + usize::from(self.next_is('='));
+                self.bounded(operand_before(toks, i));
+                self.bounded(operand_after(toks, after));
             }
             // `x % m` bounds x below m.
-            Tok::P('%') if operand_end(&toks, i).is_some() => {
-                if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                    f.bounded.extend(operand_before(&toks, i));
-                }
-                i += 1;
-            }
+            '%' if operand_end(toks, i).is_some() => self.bounded(operand_before(toks, i)),
             // Plain assignment `target = rhs;` is a flow bind. `let`
             // statements are recorded by the `let` arm; compound ops by
             // theirs; `==`/`=>`/`<=`-family operators never have an
             // identifier immediately before their `=`.
-            Tok::P('=')
-                if operand_end(&toks, i).is_some()
-                    && toks[i - 1].0 != Tok::P(')')
-                    && !matches!(
-                        toks.get(i + 1).map(|(t, _)| t),
-                        Some(&Tok::P('=')) | Some(&Tok::P('>'))
-                    ) =>
+            '=' if !in_sig
+                && operand_end(toks, i).is_some()
+                && !self.prev_is(')')
+                && !self.next_is('=')
+                && !self.next_is('>')
+                && !binds_with_let(toks, i) =>
             {
-                if !in_sig && !binds_with_let(&toks, i) {
-                    let names = operand_before(&toks, i);
-                    let (rhs, guarded) = idents_until_semi(&toks, i + 1);
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.binds.push(FlowBind {
+                let (rhs, guarded) = idents_until_semi(toks, i + 1);
+                self.bind(operand_before(toks, i), rhs, guarded);
+            }
+            _ => {}
+        }
+        self.i += 1;
+    }
+
+    fn ident(&mut self, w: &'a String) {
+        // Impl-header capture consumes idents until `{`.
+        if let Some(h) = self.impl_hdr.as_mut() {
+            if w == "for" {
+                h.after_for = true;
+                h.name = None;
+            } else if w == "where" {
+                h.in_where = true;
+            } else if h.angle == 0 && !h.in_where && (h.name.is_none() || !h.after_for) {
+                h.name = Some(w.clone());
+            }
+            self.i += 1;
+            return;
+        }
+        // For-loop header: record iterated hash names.
+        if let Some(seen_in) = self.for_hdr {
+            if w == "in" {
+                self.for_hdr = Some(true);
+                self.i += 1;
+                return;
+            }
+            if seen_in && self.hash_names.contains(w) && !self.next_is('(') {
+                self.source(SourceKind::HashIter, w);
+            }
+            // fall through: calls inside the header still count.
+        }
+        let in_sig = self.in_sig();
+        // Trailing-expression buffer for return flow: whatever
+        // identifiers remain when the fn scope closes are the tail
+        // expression (flushed into `ret_idents` at `}`).
+        if !in_sig && !is_keyword(w) {
+            if let Some(s) = self.fn_scope().filter(|s| s.tail.len() < 24) {
+                s.tail.insert(w.clone());
+            }
+        }
+        // A declaration `name: <type>` (single colon): a parameter name
+        // when it sits at exactly the parameter-list paren depth of a
+        // pending fn header, and always a candidate for the name-global
+        // type sets.
+        if self.next_is(':')
+            && self.peek(2) != Some(&Tok::P(':'))
+            && !self.prev_is(':')
+            && !is_keyword(w)
+            && !upper_shaped(w)
+        {
+            if let Some(fi) = self.pend_fn.filter(|_| in_sig) {
+                if self.sig_parens == Some(self.paren_depth) {
+                    self.out.fns[fi].params.push(w.clone());
+                }
+            }
+            self.annotation(w);
+        }
+        if self.keyword(w, in_sig) {
+            return;
+        }
+        // Source patterns on bare identifiers.
+        match w.as_str() {
+            "SystemTime" if !self.wall_exempt => self.source(SourceKind::WallClock, w),
+            "thread_rng" | "from_entropy" => self.source(SourceKind::Rng, w),
+            _ => {}
+        }
+        // Std-stream printing macros are IO effects. (`log!` is
+        // deliberately absent: leveled obs logging is the sanctioned
+        // observability channel, DESIGN §6.)
+        if IO_MACROS.contains(&w.as_str()) && self.next_is('!') {
+            self.effect(EffectKind::Io, format!("{w}!"));
+        }
+        // Call site: identifier followed by `(` (macros have a `!` in
+        // between and fall outside this pattern).
+        if self.next_is('(') && !is_keyword(w) {
+            self.call_site(w);
+        }
+        // `thread::Builder` (no call parens on the path tail).
+        if w == "Builder"
+            && !self.thread_exempt
+            && path_qualifier_before(self.toks, self.i).ends_with("thread")
+        {
+            self.source(SourceKind::ThreadSpawn, "thread::Builder");
+        }
+        self.i += 1;
+    }
+
+    /// The `<type>` of a `name: <type>` declaration (field, param or
+    /// let ascription) decides which name-global set the name joins;
+    /// the lexer can't see types, so these sets stand in for them. A
+    /// float primitive anywhere in a short window of the annotation
+    /// makes a float name. A type that *is* one of [`UNIT_TYPES`] or an
+    /// integer primitive — behind `&`/`mut` at most, and not a path
+    /// head such as the `Bytes::new(..)` of a struct literal — makes a
+    /// unit or an integer name.
+    fn annotation(&mut self, w: &str) {
+        let toks = self.toks;
+        let mut k = self.i + 2;
+        while matches!(toks.get(k), Some((Tok::P('&'), _)))
+            || matches!(toks.get(k), Some((Tok::I(m), _)) if m == "mut")
+        {
+            k += 1;
+        }
+        let path_head = toks.get(k + 1).map(|(t, _)| t) == Some(&Tok::P(':'));
+        match toks.get(k) {
+            Some((Tok::I(ty), _)) if !path_head && UNIT_TYPES.contains(&ty.as_str()) => {
+                self.out.unit_names.insert(w.to_string());
+            }
+            Some((Tok::I(ty), _))
+                if !path_head && NUM_PRIMS.contains(&ty.as_str()) && !ty.starts_with('f') =>
+            {
+                self.out.int_names.insert(w.to_string());
+            }
+            _ => {}
+        }
+        let mut d: i64 = 0;
+        for (t, _) in toks.iter().skip(self.i + 2).take(10) {
+            match t {
+                Tok::P('<') | Tok::P('(') | Tok::P('[') => d += 1,
+                Tok::P('>') | Tok::P(')') | Tok::P(']') => {
+                    if d == 0 {
+                        break;
+                    }
+                    d -= 1;
+                }
+                Tok::P(',') | Tok::P(';') | Tok::P('{') | Tok::P('=') if d == 0 => break,
+                Tok::I(t) if t == "f64" || t == "f32" => {
+                    self.out.float_names.insert(w.to_string());
+                    break;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Item and statement keywords. Returns whether `w` was one (and
+    /// the cursor moved past what it introduces).
+    fn keyword(&mut self, w: &str, in_sig: bool) -> bool {
+        let (toks, i) = (self.toks, self.i);
+        let line = self.line();
+        let advance = match w {
+            "fn" => match self.next_ident() {
+                Some(name) => {
+                    if self.pend_fn.is_none() {
+                        let (module_full, self_type) = self.scope_context();
+                        self.out.fns.push(FnItem {
+                            qname: format!("{module_full}::{name}"),
+                            name: name.clone(),
+                            module: self.module_of(),
+                            self_type,
                             line,
-                            names,
-                            rhs,
-                            guarded,
+                            ..FnItem::default()
                         });
+                        self.pend_fn = Some(self.out.fns.len() - 1);
                     }
+                    2 // `fn` and the name
                 }
-                i += 1;
+                // `fn(..)` pointer type — not an item.
+                None => 1,
+            },
+            "mod" | "trait" | "struct" | "enum" if self.pend_fn.is_none() => {
+                match self.next_ident() {
+                    Some(name) => {
+                        match w {
+                            "mod" => self.pend_named = Some((ScopeKind::Mod, name.clone())),
+                            "trait" => self.pend_named = Some((ScopeKind::Type, name.clone())),
+                            _ => {
+                                self.out.decl_types.insert(name.clone());
+                            }
+                        }
+                        2
+                    }
+                    None => 1,
+                }
             }
-            Tok::P(_) => {
-                i += 1;
+            "impl" if self.pend_fn.is_none() => {
+                self.impl_hdr = Some(ImplHdr::default());
+                1
             }
-            Tok::I(w) => {
-                // Impl-header capture consumes idents until `{`.
-                if let Some(h) = impl_hdr.as_mut() {
-                    if w == "for" {
-                        h.after_for = true;
-                        h.name = None;
-                    } else if w == "where" {
-                        h.in_where = true;
-                    } else if h.angle == 0 && !h.in_where && (h.name.is_none() || !h.after_for) {
-                        h.name = Some(w.clone());
-                    }
-                    i += 1;
-                    continue;
+            "use" => {
+                // Parse the whole use tree here so its `{`/`}` never
+                // reach the scope tracker.
+                let module = self.module_of();
+                self.i = parse_use(toks, i + 1, &module, &mut self.out.imports);
+                0
+            }
+            "macro_rules" if self.next_is('!') => {
+                // A macro_rules! body is a template, not items:
+                // extracting its fns would mint phantom nodes with
+                // metavariable-mangled qnames (`$name` → `name`) that
+                // the fallback rung then wires into real call chains.
+                // Skip the balanced body; the expanded code is analyzed
+                // where it is visible.
+                let mut j = i + 2;
+                while j < toks.len() && toks[j].0 != Tok::P('{') {
+                    j += 1;
                 }
-                // For-loop header: record iterated hash names.
-                if let Some(seen_in) = for_hdr.as_mut() {
-                    if w == "in" {
-                        *seen_in = true;
-                        i += 1;
-                        continue;
+                let mut bal = 0usize;
+                while j < toks.len() {
+                    match toks[j].0 {
+                        Tok::P('{') => bal += 1,
+                        Tok::P('}') => bal -= 1,
+                        _ => {}
                     }
-                    if *seen_in
-                        && hash_names.contains(w.as_str())
-                        && toks.get(i + 1).map(|(t, _)| t) != Some(&Tok::P('('))
-                    {
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            f.sources.push(SourceSite {
-                                line,
-                                kind: SourceKind::HashIter,
-                                what: w.clone(),
-                            });
-                        }
+                    j += 1;
+                    if bal == 0 {
+                        break;
                     }
-                    // fall through: calls inside the header still count.
                 }
+                self.i = j;
+                0
+            }
+            "mut" if in_sig && self.prev_is('&') => {
+                if let Some(fi) = self.pend_fn {
+                    self.out.fns[fi].sig_mut = true;
+                }
+                1
+            }
+            // A `self` receiver: `self` followed by `,` / `)`, or a
+            // typed receiver `self: Box<Self>` (single colon).
+            // `self::Path` in a parameter type has `::` and is not a
+            // receiver.
+            "self" if in_sig => {
+                let single_colon = self.next_is(':') && self.peek(2) != Some(&Tok::P(':'));
+                if self.next_is(',') || self.next_is(')') || single_colon {
+                    if let Some(fi) = self.pend_fn {
+                        self.out.fns[fi].has_self = true;
+                    }
+                }
+                1
+            }
+            "for" if !in_sig => {
+                self.for_hdr = Some(false);
+                self.for_bind();
+                1
+            }
+            "let" if !in_sig => {
+                self.let_bind();
+                1
+            }
+            "return" if !in_sig => {
+                let (ids, _) = idents_until_semi(toks, i + 1);
+                if let Some(f) = self.cur_fn() {
+                    f.ret_idents.extend(ids);
+                }
+                1
+            }
+            "as" if !in_sig => {
+                // `expr as prim` cast site (W2). `use .. as` renames
+                // are consumed by parse_use; a qualified-path
+                // `<A as Trait>` has a non-primitive target and falls
+                // through.
+                let prim = |t: &&String| NUM_PRIMS.contains(&t.as_str());
+                let src = operand_before(toks, i);
+                if let Some(target) = self.next_ident().filter(prim).cloned() {
+                    if let Some(f) = self.cur_fn().filter(|_| !src.is_empty()) {
+                        f.casts.push(CastSite { line, target, src });
+                    }
+                }
+                1
+            }
+            "vec" if self.next_is('!') && self.peek(2) == Some(&Tok::P('[')) => {
+                self.vec_cap();
+                1
+            }
+            "assert" | "debug_assert"
+                if self.next_is('!') && self.peek(2) == Some(&Tok::P('(')) =>
+            {
+                // Asserted identifiers count as bounded: the assert
+                // dominates every later use in the fn.
+                self.bounded(call_args(toks, i + 2).into_iter().flatten().collect());
+                1
+            }
+            _ => return false,
+        };
+        self.i += advance;
+        true
+    }
 
-                let next_is = |k: char| toks.get(i + 1).map(|(t, _)| t) == Some(&Tok::P(k));
+    /// Flow bind `for names in rhs {`. Ctor/type segments in the
+    /// pattern are skipped; taint in the iterated expression flows to
+    /// the names.
+    fn for_bind(&mut self) {
+        let toks = self.toks;
+        let mut names = Vec::new();
+        let mut j = self.i + 1;
+        let mut budget = 40usize;
+        while let Some((t, _)) = toks.get(j) {
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
+            match t {
+                Tok::I(w2) if w2 == "in" => break,
+                Tok::P('{') | Tok::P(';') => {
+                    names.clear();
+                    break;
+                }
+                Tok::I(w2) if !is_keyword(w2) && !upper_shaped(w2) && names.len() < 6 => {
+                    push_unique(&mut names, w2);
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        if names.is_empty() {
+            return;
+        }
+        let mut rhs = Vec::new();
+        let mut guarded = false;
+        let mut k = j + 1;
+        let mut budget = 60usize;
+        while let Some((t, _)) = toks.get(k) {
+            if budget == 0 || matches!(t, Tok::P('{') | Tok::P(';')) {
+                break;
+            }
+            budget -= 1;
+            if let Tok::I(w2) = t {
+                if !is_keyword(w2) {
+                    guarded |= is_width_guard(w2);
+                    if rhs.len() < 12 {
+                        push_unique(&mut rhs, w2);
+                    }
+                }
+            }
+            k += 1;
+        }
+        self.bind(names, rhs, guarded);
+    }
 
-                // Trailing-expression buffer for return flow: whatever
-                // identifiers remain when the fn scope closes are the
-                // tail expression (flushed into `ret_idents` at `}`).
-                if !in_sig && !is_keyword(w) {
-                    if let Some(s) = stack.iter_mut().rev().find(|s| s.fn_idx.is_some()) {
-                        if s.tail.len() < 24 {
-                            s.tail.insert(w.clone());
-                        }
-                    }
+    /// Flow bind `let names(: ty)? = rhs;`. Pattern names are the
+    /// lowercase idents (ctor segments like `Some` are type-shaped and
+    /// skipped); rhs collection runs to the statement's `;`, over-
+    /// approximating through struct literals and `if let` bodies (extra
+    /// taint is the sound direction, DESIGN §14).
+    fn let_bind(&mut self) {
+        let (toks, i) = (self.toks, self.i);
+        let mut names = Vec::new();
+        let mut j = i + 1;
+        let mut eq = None;
+        let mut budget = 40usize;
+        while let Some((t, _)) = toks.get(j) {
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
+            match t {
+                Tok::P(':') | Tok::P(';') | Tok::P('{') => break,
+                Tok::P('=') => {
+                    eq = Some(j);
+                    break;
                 }
-                // Parameter name: `name:` (single colon) at exactly the
-                // parameter-list paren depth of a pending fn header.
-                if in_sig
-                    && sig_parens == Some(paren_depth)
-                    && next_is(':')
-                    && toks.get(i + 2).map(|(t, _)| t) != Some(&Tok::P(':'))
-                    && (i == 0 || toks[i - 1].0 != Tok::P(':'))
-                    && !is_keyword(w)
-                    && !upper_shaped(w)
-                {
-                    if let Some(fi) = pend_fn {
-                        out.fns[fi].params.push(w.clone());
-                    }
+                Tok::I(w2) if !is_keyword(w2) && !upper_shaped(w2) && names.len() < 6 => {
+                    push_unique(&mut names, w2);
                 }
-                // Float-typed declaration: `name: f64` (field, param or
-                // let ascription). Scan a short window of the annotation
-                // for a float primitive; the name joins the name-global
-                // float set the width engine consults.
-                if next_is(':')
-                    && toks.get(i + 2).map(|(t, _)| t) != Some(&Tok::P(':'))
-                    && (i == 0 || toks[i - 1].0 != Tok::P(':'))
-                    && !is_keyword(w)
-                    && !upper_shaped(w)
-                {
-                    let mut d: i64 = 0;
-                    for (t, _) in toks.iter().skip(i + 2).take(10) {
-                        match t {
-                            Tok::P('<') | Tok::P('(') | Tok::P('[') => d += 1,
-                            Tok::P('>') | Tok::P(')') | Tok::P(']') => {
-                                if d == 0 {
-                                    break;
-                                }
-                                d -= 1;
-                            }
-                            Tok::P(',') | Tok::P(';') | Tok::P('{') | Tok::P('=') if d == 0 => {
-                                break;
-                            }
-                            Tok::I(t) if t == "f64" || t == "f32" => {
-                                out.float_names.insert(w.clone());
-                                break;
-                            }
-                            _ => {}
-                        }
-                    }
+                _ => {}
+            }
+            j += 1;
+        }
+        if eq.is_none() {
+            // Type ascription: skip the `: ty` to the binder `=`
+            // (assoc bindings `Bar = Baz` sit inside `<..>` and are
+            // bracket-nested; `->` arrows must not close a bracket).
+            let mut d = 0i32;
+            let mut budget = 60usize;
+            while let Some((t, _)) = toks.get(j) {
+                if budget == 0 {
+                    break;
                 }
-
-                match w.as_str() {
-                    "fn" => {
-                        if let Some((Tok::I(name), _)) = toks.get(i + 1) {
-                            if pend_fn.is_none() {
-                                let (module_full, self_type) = scope_context(&module, &stack);
-                                let qname = format!("{module_full}::{name}");
-                                out.fns.push(FnItem {
-                                    qname,
-                                    name: name.clone(),
-                                    module: module_of(&module, &stack),
-                                    self_type,
-                                    line,
-                                    sig_mut: false,
-                                    has_self: false,
-                                    calls: Vec::new(),
-                                    sources: Vec::new(),
-                                    effects: Vec::new(),
-                                    index_sites: 0,
-                                    locks: Vec::new(),
-                                    params: Vec::new(),
-                                    binds: Vec::new(),
-                                    arith: Vec::new(),
-                                    casts: Vec::new(),
-                                    caps: Vec::new(),
-                                    checked_sites: 0,
-                                    ret_idents: BTreeSet::new(),
-                                    bounded: BTreeSet::new(),
-                                });
-                                pend_fn = Some(out.fns.len() - 1);
-                            }
-                            i += 2; // consume `fn` and the name
-                            continue;
-                        }
-                        // `fn(..)` pointer type — not an item.
-                        i += 1;
-                        continue;
+                budget -= 1;
+                match t {
+                    Tok::P('<') | Tok::P('(') | Tok::P('[') => d += 1,
+                    Tok::P('>') if j > 0 && toks[j - 1].0 != Tok::P('-') => d -= 1,
+                    Tok::P(')') | Tok::P(']') => d -= 1,
+                    Tok::P('=') if d <= 0 => {
+                        eq = Some(j);
+                        break;
                     }
-                    "mod" if pend_fn.is_none() => {
-                        if let Some((Tok::I(name), _)) = toks.get(i + 1) {
-                            pend_named = Some((ScopeKind::Mod, name.clone()));
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "trait" if pend_fn.is_none() => {
-                        if let Some((Tok::I(name), _)) = toks.get(i + 1) {
-                            pend_named = Some((ScopeKind::Type, name.clone()));
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "struct" | "enum" if pend_fn.is_none() => {
-                        if let Some((Tok::I(name), _)) = toks.get(i + 1) {
-                            out.decl_types.insert(name.clone());
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "impl" if pend_fn.is_none() => {
-                        impl_hdr = Some(ImplHdr::default());
-                        i += 1;
-                        continue;
-                    }
-                    "use" => {
-                        // Parse the whole use tree here so its `{`/`}`
-                        // never reach the scope tracker.
-                        i = parse_use(&toks, i + 1, &module_of(&module, &stack), &mut out.imports);
-                        continue;
-                    }
-                    "macro_rules" if next_is('!') => {
-                        // A macro_rules! body is a template, not items:
-                        // extracting its fns would mint phantom nodes
-                        // with metavariable-mangled qnames (`$name` →
-                        // `name`) that the fallback rung then wires into
-                        // real call chains. Skip the balanced body; the
-                        // expanded code is analyzed where it is visible.
-                        let mut j = i + 2;
-                        while j < n && toks[j].0 != Tok::P('{') {
-                            j += 1;
-                        }
-                        let mut bal = 0usize;
-                        while j < n {
-                            match toks[j].0 {
-                                Tok::P('{') => bal += 1,
-                                Tok::P('}') => {
-                                    bal -= 1;
-                                    if bal == 0 {
-                                        j += 1;
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        i = j;
-                        continue;
-                    }
-                    "mut" if in_sig && i > 0 && toks[i - 1].0 == Tok::P('&') => {
-                        if let Some(fi) = pend_fn {
-                            out.fns[fi].sig_mut = true;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    // A `self` receiver: `self` followed by `,` / `)`, or
-                    // a typed receiver `self: Box<Self>` (single colon).
-                    // `self::Path` in a parameter type has `::` and is
-                    // not a receiver.
-                    "self" if in_sig => {
-                        let next_single_colon = toks.get(i + 1).map(|(t, _)| t)
-                            == Some(&Tok::P(':'))
-                            && toks.get(i + 2).map(|(t, _)| t) != Some(&Tok::P(':'));
-                        if (next_is(',') || next_is(')') || next_single_colon) && pend_fn.is_some()
-                        {
-                            if let Some(fi) = pend_fn {
-                                out.fns[fi].has_self = true;
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "for" if !in_sig => {
-                        for_hdr = Some(false);
-                        // Flow bind: `for names in rhs {`. Ctor/type
-                        // segments in the pattern are skipped; taint in
-                        // the iterated expression flows to the names.
-                        let mut names = Vec::new();
-                        let mut j = i + 1;
-                        let mut budget = 40usize;
-                        while let Some((t, _)) = toks.get(j) {
-                            if budget == 0 {
-                                break;
-                            }
-                            budget -= 1;
-                            match t {
-                                Tok::I(w2) if w2 == "in" => break,
-                                Tok::P('{') | Tok::P(';') => {
-                                    names.clear();
-                                    break;
-                                }
-                                Tok::I(w2)
-                                    if !is_keyword(w2) && !upper_shaped(w2) && names.len() < 6 =>
-                                {
-                                    push_unique(&mut names, w2);
-                                }
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        if !names.is_empty() {
-                            let mut rhs = Vec::new();
-                            let mut guarded = false;
-                            let mut k = j + 1;
-                            let mut budget = 60usize;
-                            while let Some((t, _)) = toks.get(k) {
-                                if budget == 0 || matches!(t, Tok::P('{') | Tok::P(';')) {
-                                    break;
-                                }
-                                budget -= 1;
-                                if let Tok::I(w2) = t {
-                                    if !is_keyword(w2) {
-                                        guarded |= is_width_guard(w2);
-                                        if rhs.len() < 12 {
-                                            push_unique(&mut rhs, w2);
-                                        }
-                                    }
-                                }
-                                k += 1;
-                            }
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.binds.push(FlowBind {
-                                    line,
-                                    names,
-                                    rhs,
-                                    guarded,
-                                });
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "let" if !in_sig => {
-                        // Flow bind: `let names(: ty)? = rhs;`. Pattern
-                        // names are the lowercase idents (ctor segments
-                        // like `Some` are type-shaped and skipped); rhs
-                        // collection runs to the statement's `;`, over-
-                        // approximating through struct literals and
-                        // `if let` bodies (extra taint is the sound
-                        // direction, DESIGN §14).
-                        let mut names = Vec::new();
-                        let mut j = i + 1;
-                        let mut eq = None;
-                        let mut budget = 40usize;
-                        while let Some((t, _)) = toks.get(j) {
-                            if budget == 0 {
-                                break;
-                            }
-                            budget -= 1;
-                            match t {
-                                Tok::P(':') | Tok::P(';') | Tok::P('{') => break,
-                                Tok::P('=') => {
-                                    eq = Some(j);
-                                    break;
-                                }
-                                Tok::I(w2)
-                                    if !is_keyword(w2) && !upper_shaped(w2) && names.len() < 6 =>
-                                {
-                                    push_unique(&mut names, w2);
-                                }
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        if eq.is_none() {
-                            // Type ascription: skip the `: ty` to the
-                            // binder `=` (assoc bindings `Bar = Baz`
-                            // sit inside `<..>` and are bracket-nested;
-                            // `->` arrows must not close a bracket).
-                            let mut d = 0i32;
-                            let mut budget = 60usize;
-                            while let Some((t, _)) = toks.get(j) {
-                                if budget == 0 {
-                                    break;
-                                }
-                                budget -= 1;
-                                match t {
-                                    Tok::P('<') | Tok::P('(') | Tok::P('[') => d += 1,
-                                    Tok::P('>') if j > 0 && toks[j - 1].0 != Tok::P('-') => d -= 1,
-                                    Tok::P(')') | Tok::P(']') => d -= 1,
-                                    Tok::P('=') if d <= 0 => {
-                                        eq = Some(j);
-                                        break;
-                                    }
-                                    Tok::P(';') | Tok::P('{') if d <= 0 => break,
-                                    _ => {}
-                                }
-                                j += 1;
-                            }
-                        }
-                        if let Some(e) = eq {
-                            if !names.is_empty() {
-                                let (rhs, guarded) = idents_until_semi(&toks, e + 1);
-                                if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                    f.binds.push(FlowBind {
-                                        line,
-                                        names,
-                                        rhs,
-                                        guarded,
-                                    });
-                                }
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "return" if !in_sig => {
-                        let (ids, _) = idents_until_semi(&toks, i + 1);
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            f.ret_idents.extend(ids);
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "as" if !in_sig => {
-                        // `expr as prim` cast site (W2). `use .. as`
-                        // renames are consumed by parse_use; a
-                        // qualified-path `<A as Trait>` has a non-
-                        // primitive target and falls through.
-                        if let Some((Tok::I(t), _)) = toks.get(i + 1) {
-                            if NUM_PRIMS.contains(&t.as_str()) {
-                                let src = operand_before(&toks, i);
-                                if !src.is_empty() {
-                                    let target = t.clone();
-                                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                        f.casts.push(CastSite { line, target, src });
-                                    }
-                                }
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "vec"
-                        if next_is('!')
-                            && toks.get(i + 2).map(|(t, _)| t) == Some(&Tok::P('[')) =>
-                    {
-                        // `vec![elem; n]` capacity site (W3): the idents
-                        // after the top-level `;` size the allocation.
-                        let mut d = 1i32;
-                        let mut j = i + 3;
-                        let mut semi = None;
-                        let mut budget = 200usize;
-                        while j < n && d > 0 && budget > 0 {
-                            budget -= 1;
-                            match &toks[j].0 {
-                                Tok::P('[') | Tok::P('(') | Tok::P('{') => d += 1,
-                                Tok::P(']') | Tok::P(')') | Tok::P('}') => d -= 1,
-                                Tok::P(';') if d == 1 => semi = Some(j),
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        if let Some(s) = semi {
-                            let mut args = Vec::new();
-                            for (t, _) in &toks[s + 1..j.saturating_sub(1).max(s + 1)] {
-                                if let Tok::I(w2) = t {
-                                    if !is_keyword(w2) && args.len() < 12 {
-                                        push_unique(&mut args, w2);
-                                    }
-                                }
-                            }
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.caps.push(CapacitySite {
-                                    line,
-                                    what: "vec![_; n]",
-                                    args,
-                                });
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    "assert" | "debug_assert"
-                        if next_is('!')
-                            && toks.get(i + 2).map(|(t, _)| t) == Some(&Tok::P('(')) =>
-                    {
-                        // Asserted identifiers count as bounded: the
-                        // assert dominates every later use in the fn.
-                        let ids: Vec<String> =
-                            call_args(&toks, i + 2).into_iter().flatten().collect();
-                        if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                            f.bounded.extend(ids);
-                        }
-                        i += 1;
-                        continue;
-                    }
+                    Tok::P(';') | Tok::P('{') if d <= 0 => break,
                     _ => {}
                 }
-
-                // Source patterns on bare identifiers.
-                let kind_hit = match w.as_str() {
-                    "SystemTime" if !wall_exempt => Some((SourceKind::WallClock, w.clone())),
-                    "thread_rng" | "from_entropy" => Some((SourceKind::Rng, w.clone())),
-                    _ => None,
-                };
-                if let Some((kind, what)) = kind_hit {
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.sources.push(SourceSite { line, kind, what });
-                    }
-                }
-
-                // Std-stream printing macros are IO effects. (`log!` is
-                // deliberately absent: leveled obs logging is the
-                // sanctioned observability channel, DESIGN §6.)
-                if IO_MACROS.contains(&w.as_str()) && next_is('!') {
-                    let in_par = !par_regions.is_empty();
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.effects.push(EffectSite {
-                            line,
-                            kind: EffectKind::Io,
-                            what: format!("{w}!"),
-                            in_par,
-                        });
-                    }
-                }
-
-                // Call site: identifier followed by `(` (macros have a
-                // `!` in between and fall outside this pattern).
-                if next_is('(') && !is_keyword(w) {
-                    let prev_dot = i > 0 && toks[i - 1].0 == Tok::P('.');
-                    let (qualifier, is_method, on_self) = if prev_dot {
-                        // Method call `recv.w(..)`.
-                        let recv = receiver_before(&toks, i - 1);
-                        let on_self = recv.as_deref() == Some("self");
-                        if ITER_METHODS.contains(&w.as_str()) {
-                            if let Some(r) = recv.as_deref() {
-                                if hash_names.contains(r) {
-                                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                        f.sources.push(SourceSite {
-                                            line,
-                                            kind: SourceKind::HashIter,
-                                            what: r.to_string(),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        if w == "unwrap" || w == "expect" {
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.sources.push(SourceSite {
-                                    line,
-                                    kind: SourceKind::Panic,
-                                    what: w.clone(),
-                                });
-                            }
-                        }
-                        if w == "lock" {
-                            let name = recv.clone().unwrap_or_else(|| "?".to_string());
-                            let held = binds_with_let(&toks, i);
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.locks.push(LockSite { name, line, held });
-                            }
-                        }
-                        if IO_METHODS.contains(&w.as_str()) {
-                            let in_par = !par_regions.is_empty();
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.effects.push(EffectSite {
-                                    line,
-                                    kind: EffectKind::Io,
-                                    what: w.clone(),
-                                    in_par,
-                                });
-                            }
-                        }
-                        (String::new(), true, on_self)
-                    } else {
-                        let qualifier = path_qualifier_before(&toks, i);
-                        if !thread_exempt
-                            && (qualifier == "thread" || qualifier.ends_with("::thread"))
-                            && matches!(w.as_str(), "spawn" | "scope")
-                        {
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.sources.push(SourceSite {
-                                    line,
-                                    kind: SourceKind::ThreadSpawn,
-                                    what: format!("thread::{w}"),
-                                });
-                            }
-                        }
-                        if w == "now"
-                            && !wall_exempt
-                            && (qualifier == "Instant" || qualifier.ends_with("::Instant"))
-                        {
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.sources.push(SourceSite {
-                                    line,
-                                    kind: SourceKind::WallClock,
-                                    what: "Instant::now".to_string(),
-                                });
-                            }
-                        }
-                        // Effectful std paths: file/socket IO and
-                        // process-global reads, by qualifier tail.
-                        let qlast = qualifier.rsplit("::").next().unwrap_or("");
-                        let effect = if qlast == "fs" {
-                            Some((EffectKind::Io, format!("fs::{w}")))
-                        } else if IO_TYPES.contains(&qlast) {
-                            Some((EffectKind::Io, format!("{qlast}::{w}")))
-                        } else if qlast == "io"
-                            && matches!(w.as_str(), "stdin" | "stdout" | "stderr" | "copy")
-                        {
-                            Some((EffectKind::Io, format!("io::{w}")))
-                        } else if qlast == "env" && matches!(w.as_str(), "set_var" | "remove_var") {
-                            // Env *reads* (`env::var`) are deliberately not
-                            // effects: the environment is constant for the
-                            // life of the process, so a read returns the
-                            // same value in every shard and every worker —
-                            // it is configuration, like a CLI flag. Only
-                            // mutation is a process-global effect.
-                            Some((EffectKind::Global, format!("env::{w}")))
-                        } else if qlast == "process" {
-                            Some((EffectKind::Global, format!("process::{w}")))
-                        } else {
-                            None
-                        };
-                        if let Some((kind, what)) = effect {
-                            let in_par = !par_regions.is_empty();
-                            if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                                f.effects.push(EffectSite {
-                                    line,
-                                    kind,
-                                    what,
-                                    in_par,
-                                });
-                            }
-                        }
-                        (qualifier, false, false)
-                    };
-                    let cargs = call_args(&toks, i + 1);
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        if w == "with_capacity" {
-                            f.caps.push(CapacitySite {
-                                line,
-                                what: "with_capacity",
-                                args: cargs.iter().flatten().cloned().collect(),
-                            });
-                        }
-                        if w.starts_with("checked_") || w.starts_with("saturating_") {
-                            f.checked_sites += 1;
-                        }
-                        f.calls.push(Call {
-                            name: w.clone(),
-                            qualifier,
-                            is_method,
-                            on_self,
-                            in_par: !par_regions.is_empty(),
-                            line,
-                            args: cargs,
-                        });
-                    }
-                    // A `core::par` dispatch opens a worker-closure
-                    // region covering its argument list.
-                    if PAR_ENTRIES.contains(&w.as_str()) {
-                        par_regions.push(paren_depth + 1);
-                    }
-                }
-                // `thread::Builder` (no call parens on the path tail).
-                if w == "Builder"
-                    && !thread_exempt
-                    && path_qualifier_before(&toks, i).ends_with("thread")
-                {
-                    if let Some(f) = current_fn(&stack, pend_fn, &mut out) {
-                        f.sources.push(SourceSite {
-                            line,
-                            kind: SourceKind::ThreadSpawn,
-                            what: "thread::Builder".to_string(),
-                        });
-                    }
-                }
-                i += 1;
+                j += 1;
             }
         }
+        let Some(e) = eq.filter(|_| !names.is_empty()) else {
+            return;
+        };
+        // `let n = v.len();` names a length until `n` is bound again
+        // (no `mut`, no pattern: the `=` is the third token).
+        let semi = toks.get(e + 6).map(|(t, _)| t) == Some(&Tok::P(';'));
+        let names_len = e == i + 2 && is_len_call(toks, e + 1) && semi;
+        if let Some(s) = self.fn_scope() {
+            s.len_bound.retain(|n| !names.contains(n));
+            if names_len {
+                s.len_bound.insert(names[0].clone());
+            }
+        }
+        let (rhs, guarded) = idents_until_semi(toks, e + 1);
+        self.bind(names, rhs, guarded);
     }
-    out
-}
 
-/// The innermost enclosing function, if any (a pending fn header counts
-/// so signature-level sources attribute correctly).
-fn current_fn<'a>(
-    stack: &[Scope],
-    pend_fn: Option<usize>,
-    out: &'a mut FileExtract,
-) -> Option<&'a mut FnItem> {
-    if let Some(fi) = pend_fn {
-        return out.fns.get_mut(fi);
+    /// `vec![elem; n]` capacity site (W3): the idents after the
+    /// top-level `;` size the allocation.
+    fn vec_cap(&mut self) {
+        let toks = self.toks;
+        let mut d = 1i32;
+        let mut j = self.i + 3;
+        let mut semi = None;
+        let mut budget = 200usize;
+        while j < toks.len() && d > 0 && budget > 0 {
+            budget -= 1;
+            match &toks[j].0 {
+                Tok::P('[') | Tok::P('(') | Tok::P('{') => d += 1,
+                Tok::P(']') | Tok::P(')') | Tok::P('}') => d -= 1,
+                Tok::P(';') if d == 1 => semi = Some(j),
+                _ => {}
+            }
+            j += 1;
+        }
+        let Some(s) = semi else { return };
+        let mut args = Vec::new();
+        for (t, _) in &toks[s + 1..j.saturating_sub(1).max(s + 1)] {
+            if let Tok::I(w2) = t {
+                if !is_keyword(w2) && args.len() < 12 {
+                    push_unique(&mut args, w2);
+                }
+            }
+        }
+        self.cap("vec![_; n]", args, s + 1, ']');
     }
-    let fi = stack.iter().rev().find_map(|s| s.fn_idx)?;
-    out.fns.get_mut(fi)
-}
 
-/// Full scope prefix (module + mods + type + enclosing fns) and the
-/// innermost type name.
-fn scope_context(module: &str, stack: &[Scope]) -> (String, Option<String>) {
-    let mut parts = vec![module.to_string()];
-    let mut self_type = None;
-    for s in stack {
-        parts.push(s.name.clone());
-        if s.kind == ScopeKind::Type {
-            self_type = Some(s.name.clone());
+    /// The call site `w(` under the cursor: the hazard, effect and
+    /// capacity patterns its shape can match, then the call itself.
+    fn call_site(&mut self, w: &'a String) {
+        let (toks, i) = (self.toks, self.i);
+        let shape = if self.prev_is('.') {
+            // Method call `recv.w(..)`.
+            let recv = receiver_before(toks, i - 1);
+            if ITER_METHODS.contains(&w.as_str()) {
+                if let Some(r) = recv.as_deref().filter(|r| self.hash_names.contains(*r)) {
+                    self.source(SourceKind::HashIter, r);
+                }
+            }
+            if w == "unwrap" || w == "expect" {
+                self.source(SourceKind::Panic, w);
+            }
+            if w == "lock" {
+                let site = LockSite {
+                    name: recv.clone().unwrap_or_else(|| "?".to_string()),
+                    line: self.line(),
+                    held: binds_with_let(toks, i),
+                };
+                if let Some(f) = self.cur_fn() {
+                    f.locks.push(site);
+                }
+            }
+            if IO_METHODS.contains(&w.as_str()) {
+                self.effect(EffectKind::Io, w.clone());
+            }
+            (String::new(), true, recv.as_deref() == Some("self"))
+        } else {
+            let qualifier = path_qualifier_before(toks, i);
+            let qlast = qualifier.rsplit("::").next().unwrap_or("");
+            if !self.thread_exempt && qlast == "thread" && matches!(w.as_str(), "spawn" | "scope") {
+                self.source(SourceKind::ThreadSpawn, &format!("thread::{w}"));
+            }
+            if w == "now" && !self.wall_exempt && qlast == "Instant" {
+                self.source(SourceKind::WallClock, "Instant::now");
+            }
+            // Effectful std paths: file/socket IO and process-global
+            // reads, by qualifier tail.
+            let io = qlast == "fs"
+                || IO_TYPES.contains(&qlast)
+                || (qlast == "io" && matches!(w.as_str(), "stdin" | "stdout" | "stderr" | "copy"));
+            // Env *reads* (`env::var`) are deliberately not effects:
+            // the environment is constant for the life of the process,
+            // so a read returns the same value in every shard and every
+            // worker — it is configuration, like a CLI flag. Only
+            // mutation is a process-global effect.
+            let global = qlast == "process"
+                || (qlast == "env" && matches!(w.as_str(), "set_var" | "remove_var"));
+            if io || global {
+                let kind = if io {
+                    EffectKind::Io
+                } else {
+                    EffectKind::Global
+                };
+                self.effect(kind, format!("{qlast}::{w}"));
+            }
+            (qualifier, false, false)
+        };
+        if w == "with_capacity" {
+            let args = call_args(toks, i + 1).into_iter().flatten().collect();
+            self.cap("with_capacity", args, i + 2, ')');
+        }
+        if w.starts_with("checked_") || w.starts_with("saturating_") {
+            if let Some(f) = self.cur_fn() {
+                f.checked_sites += 1;
+            }
+        }
+        self.call(w, self.line(), shape, i + 1);
+        // A `core::par` dispatch opens a worker-closure region covering
+        // its argument list.
+        if PAR_ENTRIES.contains(&w.as_str()) {
+            self.par_regions.push(self.paren_depth + 1);
         }
     }
-    (parts.join("::"), self_type)
 }
 
-/// Module path including inline `mod` scopes (but not type/fn scopes).
-fn module_of(module: &str, stack: &[Scope]) -> String {
-    let mut parts = vec![module.to_string()];
-    for s in stack {
-        if s.kind == ScopeKind::Mod {
-            parts.push(s.name.clone());
-        }
-    }
-    parts.join("::")
+/// Whether the five tokens from `at` spell `<ident>.len()`; the caller
+/// checks what closes the expression at `at + 5`.
+fn is_len_call(toks: &[(Tok, usize)], at: usize) -> bool {
+    use Tok::{I, P};
+    matches!(
+        toks.get(at..at + 5),
+        Some([(I(_), _), (P('.'), _), (I(m), _), (P('('), _), (P(')'), _)]) if m == "len"
+    )
 }
 
 /// The receiver identifier for the method call whose `.` is at `dot`:
@@ -1760,8 +1785,8 @@ fn turbofish_call_before(toks: &[(Tok, usize)], open: usize) -> Option<usize> {
 }
 
 /// Parses the use tree following a `use` keyword (`i` points just past
-/// it), flattening groups, renames, and globs into [`UseImport`]s for
-/// `module`'s scope. Returns the token index just past the terminating
+/// it), flattening groups and renames into [`UseImport`]s for
+/// `module`'s scope (globs are skipped). Returns the token index just past the terminating
 /// `;` (error recovery: end of stream).
 fn parse_use(toks: &[(Tok, usize)], mut i: usize, module: &str, out: &mut Vec<UseImport>) -> usize {
     let n = toks.len();
@@ -1804,16 +1829,7 @@ fn parse_use_tree(
         if i + 2 < n && toks[i + 1].0 == Tok::P(':') && toks[i + 2].0 == Tok::P(':') {
             i += 3;
             match toks.get(i) {
-                Some((Tok::P('*'), _)) => {
-                    out.push(UseImport {
-                        module: module.to_string(),
-                        path,
-                        alias: String::new(),
-                        glob: true,
-                        line,
-                    });
-                    return i + 1;
-                }
+                Some((Tok::P('*'), _)) => return i + 1,
                 Some((Tok::P('{'), _)) => {
                     i += 1;
                     loop {
@@ -1849,7 +1865,6 @@ fn parse_use_tree(
                 module: module.to_string(),
                 path,
                 alias,
-                glob: false,
                 line,
             });
         }
@@ -2389,26 +2404,25 @@ mod inner {
 fn f() {}
 ";
         let fx = ex("crates/x/src/lib.rs", src);
-        let got: Vec<(String, String, String, bool)> = fx
+        let got: Vec<(String, String, String)> = fx
             .imports
             .iter()
-            .map(|u| (u.module.clone(), u.path.join("::"), u.alias.clone(), u.glob))
+            .map(|u| (u.module.clone(), u.path.join("::"), u.alias.clone()))
             .collect();
-        let x = |p: &str, a: &str, g: bool| ("x".to_string(), p.to_string(), a.to_string(), g);
+        let x = |p: &str, a: &str| ("x".to_string(), p.to_string(), a.to_string());
         assert_eq!(
             got,
             [
-                x("std::collections::HashMap", "HashMap", false),
-                x("std::collections::BTreeMap", "Sorted", false),
-                x("specweb_core::par", "", true),
-                x("crate::deps::DepMatrix", "DepMatrix", false),
-                x("a::b", "b", false),
-                x("a::b::c", "c", false),
+                x("std::collections::HashMap", "HashMap"),
+                x("std::collections::BTreeMap", "Sorted"),
+                // The glob `specweb_core::par::*` binds no name.
+                x("crate::deps::DepMatrix", "DepMatrix"),
+                x("a::b", "b"),
+                x("a::b::c", "c"),
                 (
                     "x::inner".to_string(),
                     "super::helper".to_string(),
                     "helper".to_string(),
-                    false
                 ),
             ],
             "{fx:#?}"

@@ -1,4 +1,4 @@
-//! `specweb-lint` — a std-only static-analysis pass that mechanically
+//! `specweb-lint` — a token-level static-analysis pass that mechanically
 //! enforces the workspace's determinism & safety contract.
 //!
 //! # Why this exists
@@ -19,10 +19,9 @@
 //! blanks literal bodies. Every analysis — the workspace, an in-memory
 //! fixture set, a single file — runs the same pipeline:
 //!
-//! * per file, the line rules over the sanitized code (D1 float
-//!   comparators, S1 unsafe hygiene) and the extractor ([`extract`]),
-//!   which recovers `fn` items, call sites and hazard sites from the
-//!   same token stream;
+//! * per file, the line rule over the sanitized code (D1 float
+//!   comparators) and the extractor ([`extract`]), which recovers `fn`
+//!   items, call sites and hazard sites from the same token stream;
 //! * over all files, the call graph ([`graph`]) and the three analyses
 //!   on it: reachability ([`taint`], G1–G3 — a nondeterminism source is
 //!   only a violation when it is call-reachable from a deterministic
@@ -39,7 +38,6 @@
 //! Run it as `cargo run -p specweb-lint`; the `workspace_clean`
 //! integration test runs the same analysis so `cargo test` gates it.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod extract;
@@ -55,6 +53,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+use serde::{Serialize, Value};
+use serde_json::json;
 
 /// Classification of a `.rs` file: whether the rules apply to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +98,7 @@ impl fmt::Display for Diag {
 /// Line counts of one crate (or one file of it): non-blank lines that
 /// carry code after the lexer stripped comments. ROADMAP aim 2 tracks
 /// these per crate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Loc {
     /// Lines of library/binary code outside `#[cfg(test)]` regions.
     pub code: usize,
@@ -132,13 +133,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Line counts per crate (see [`Loc`]), keyed by crate name.
     pub loc: BTreeMap<String, Loc>,
-    /// Resolution-ladder telemetry from the graph build — the
-    /// precision counters CI gates on.
-    pub resolution: graph::ResolutionStats,
-    /// Purity classification counts.
-    pub purity_counts: BTreeMap<&'static str, usize>,
-    /// Width/scale-taint counters.
-    pub width_counts: BTreeMap<&'static str, usize>,
 }
 
 impl Report {
@@ -169,59 +163,10 @@ impl Report {
         }
         m
     }
-
-    /// Render the JSON summary written by `--stats`. Hand-rolled (the
-    /// pass is std-only) and key-sorted, so diffs are stable.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str("  \"rules\": {\n");
-        let per_rule = self.per_rule();
-        let total = per_rule.len();
-        for (i, (rule, (viol, allowed))) in per_rule.iter().enumerate() {
-            let comma = if i + 1 == total { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{rule}\": {{ \"violations\": {viol}, \"allowed\": {allowed} }}{comma}\n"
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"loc\": {");
-        out.push_str(
-            &self
-                .loc
-                .iter()
-                .map(|(k, n)| format!("\"{k}\": {{\"code\": {}, \"test\": {}}}", n.code, n.test))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"resolution\": {},\n",
-            self.resolution.to_json_obj()
-        ));
-        out.push_str(&format!(
-            "  \"purity\": {},\n",
-            graph::counts_json(&self.purity_counts)
-        ));
-        out.push_str(&format!(
-            "  \"width\": {},\n",
-            graph::counts_json(&self.width_counts)
-        ));
-        out.push_str(&format!(
-            "  \"allows_remaining\": {},\n",
-            self.allowed.len()
-        ));
-        out.push_str(&format!(
-            "  \"unused_allows\": {}\n",
-            self.unused_allows.len()
-        ));
-        out.push_str("}\n");
-        out
-    }
 }
 
-/// A full analysis: the lint report plus the artifacts the graph
-/// analyses produced (for `--graph` serialization and tests).
+/// A full analysis: the lint report plus what the graph analyses
+/// produced — everything the four `--write` artifacts are views of.
 #[derive(Debug)]
 pub struct Analysis {
     /// The report (every rule's findings, suppression applied).
@@ -232,12 +177,80 @@ pub struct Analysis {
     pub roots: Vec<String>,
     /// Simulator hot-loop roots (G3), subset of `roots`.
     pub hot_roots: Vec<String>,
-    /// Resolution-ladder telemetry from the graph build.
+    /// Resolution-ladder telemetry from the graph build — the
+    /// precision counters CI gates on.
     pub stats: graph::ResolutionStats,
-    /// The interprocedural purity classification (for `--purity`).
+    /// The interprocedural purity classification.
     pub purity: purity::PurityMap,
-    /// The interprocedural scale-taint width analysis (for `--width`).
+    /// The interprocedural scale-taint width analysis.
     pub width: width::WidthMap,
+}
+
+impl Analysis {
+    /// The `lint_report.json` artifact: per-rule counts, lines per
+    /// crate, and the counters of the three graph analyses.
+    pub fn lint_report(&self) -> Value {
+        let rule = |(id, (violations, allowed)): (String, (usize, usize))| {
+            (id, json!({"violations": violations, "allowed": allowed}))
+        };
+        json!({
+            "files_scanned": self.report.files_scanned,
+            "rules": Value::Obj(self.report.per_rule().into_iter().map(rule).collect()),
+            "loc": self.report.loc,
+            "resolution": self.stats.to_value(),
+            "purity": self.purity.counts(),
+            "width": self.width.counts(&self.graph),
+            "allows_remaining": self.report.allowed.len(),
+            "unused_allows": self.report.unused_allows.len(),
+        })
+    }
+
+    /// The four committed artifacts as `(file name, value)`, each built
+    /// once; [`render`] is their one writer and `--write`'s table reads
+    /// the same values.
+    pub fn artifacts(&self) -> [(&'static str, Value); 4] {
+        let callgraph = self
+            .graph
+            .to_value(&self.roots, &self.hot_roots, &self.stats);
+        [
+            ("callgraph.json", callgraph),
+            ("purity.json", self.purity.to_value(&self.graph)),
+            ("widthflow.json", self.width.to_value(&self.graph)),
+            ("lint_report.json", self.lint_report()),
+        ]
+    }
+}
+
+/// The sections whose entries [`render`] writes one per line, so a PR's
+/// artifact diff is one line per fn, finding or pinned edge.
+const ROW_SECTIONS: &[&str] = &["nodes", "fns", "tainted", "findings", "fallback_pairs"];
+
+/// Writes an artifact: one top-level key per line, and the entries of
+/// the [`ROW_SECTIONS`] one per line under theirs.
+pub fn render(artifact: &Value) -> String {
+    let key = |k: &str| Value::Str(k.to_string());
+    let section = |(k, v): &(String, Value)| {
+        let (open, rows, close): (_, Vec<String>, _) = match v {
+            Value::Obj(rows) if ROW_SECTIONS.contains(&k.as_str()) && !rows.is_empty() => {
+                let row = |(rk, rv): &(String, Value)| format!("    {}: {rv}", key(rk));
+                ('{', rows.iter().map(row).collect(), '}')
+            }
+            Value::Arr(rows) if ROW_SECTIONS.contains(&k.as_str()) && !rows.is_empty() => (
+                '[',
+                rows.iter().map(|rv| format!("    {rv}")).collect(),
+                ']',
+            ),
+            _ => return format!("  {}: {v}", key(k)),
+        };
+        format!("  {}: {open}\n{}\n  {close}", key(k), rows.join(",\n"))
+    };
+    let sections: Vec<String> = artifact
+        .as_object()
+        .unwrap_or_default()
+        .iter()
+        .map(section)
+        .collect();
+    format!("{{\n{}\n}}\n", sections.join(",\n"))
 }
 
 /// Classify a workspace-relative path (forward slashes).
@@ -463,18 +476,8 @@ fn file_pass(rel: &str, kind: FileKind, src: &str) -> FilePass {
                 snippet: pass.snippets.get(idx).cloned().unwrap_or_default(),
             }),
         }
-        let prev_comment = if idx > 0 {
-            lines[idx - 1].comment.as_str()
-        } else {
-            ""
-        };
-        pass.line_hits.extend(rules::check_line(
-            rel,
-            idx + 1,
-            &line.code,
-            &line.comment,
-            prev_comment,
-        ));
+        pass.line_hits
+            .extend(rules::check_line(rel, idx + 1, &line.code));
     }
 
     pass.extract = Some(extract::extract(rel, &lines, &skip));
@@ -619,9 +622,6 @@ fn finish_analysis(mut passes: Vec<FilePass>, deps: &graph::CrateDeps) -> (Analy
         let hits = by_file.remove(&pass.rel).unwrap_or_default();
         report.merge(finish_file(pass, &hits));
     }
-    report.resolution = stats.clone();
-    report.purity_counts = pm.counts();
-    report.width_counts = wm.counts(&g);
     let analysis = Analysis {
         report,
         graph: g,
@@ -765,25 +765,47 @@ mod tests {
 
     #[test]
     fn json_summary_shape() {
-        let r = lint_source(
-            COLD,
+        let a = analyze_sources(&[(
+            COLD.to_string(),
             FileKind::Lib,
-            "fn f() { let o = a.partial_cmp(&b); } // lint:allow(D1): NaN is filtered upstream\n",
-        );
-        let json = r.to_json();
-        assert!(json.contains("\"files_scanned\": 1"));
-        assert!(json.contains("\"D1\": { \"violations\": 0, \"allowed\": 1 }"));
-        assert!(json.contains("\"G1\": { \"violations\": 0, \"allowed\": 0 }"));
-        assert!(json.contains("\"allows_remaining\": 1"));
-        assert!(json.contains("\"unused_allows\": 0"));
-        assert!(json.contains("\"loc\": {\"x\": {\"code\": 1, \"test\": 0}}"));
+            "fn f() { let o = a.partial_cmp(&b); } // lint:allow(D1): NaN is filtered upstream\n"
+                .to_string(),
+        )]);
+        let v = a.lint_report();
+        assert_eq!(v["files_scanned"], 1);
+        assert_eq!(v["rules"]["D1"], json!({"violations": 0, "allowed": 1}));
+        assert_eq!(v["rules"]["G1"], json!({"violations": 0, "allowed": 0}));
+        assert_eq!(v["allows_remaining"], 1);
+        assert_eq!(v["unused_allows"], 0);
+        assert_eq!(v["loc"], json!({"x": {"code": 1, "test": 0}}));
         // A one-file run is a full analysis: the graph sections are
         // always there.
-        assert!(json.contains("\"resolution\": {\"calls\": 1,"), "{json}");
-        assert!(json.contains(
-            "\"purity\": {\"effect_exempt\": 0, \"effectful\": 0, \"local_mut\": 0, \"pure\": 1}"
-        ));
-        assert!(json.contains("\"width\": {\"arith_sites\": 0,"));
+        assert_eq!(v["resolution"]["calls"], 1);
+        assert_eq!(
+            v["purity"],
+            json!({"effect_exempt": 0, "effectful": 0, "local_mut": 0, "pure": 1})
+        );
+        assert_eq!(v["width"]["arith_sites"], 0);
+    }
+
+    #[test]
+    fn render_puts_row_sections_one_entry_per_line_and_parses_back() {
+        let a = analyze_sources(&[(
+            COLD.to_string(),
+            FileKind::Lib,
+            "fn f() { g(); }\nfn g() { println!(\"a \\\"quoted\\\" word\"); }\n".to_string(),
+        )]);
+        for (name, value) in a.artifacts() {
+            let text = render(&value);
+            assert_eq!(serde_json::parse(&text).expect(name), value, "{name}");
+        }
+        let [(_, callgraph), (_, purity), ..] = a.artifacts();
+        let text = render(&callgraph);
+        assert!(text.starts_with("{\n  \"schema\": \"specweb-callgraph/v2\",\n"));
+        assert!(text.contains("\n    \"x::f\": {\"file\":"), "{text}");
+        assert!(text.contains("},\n    \"x::g\": {\"file\":"), "{text}");
+        assert!(text.contains("\n  \"fallback_pairs\": [],\n"), "{text}");
+        assert!(render(&purity).contains("\n    \"x::g\": {\"class\":\"effectful\","));
     }
 
     #[test]

@@ -3,10 +3,7 @@
 //! ```text
 //! cargo run -p specweb-lint                  # lint the workspace
 //! cargo run -p specweb-lint -- --deny-all    # also fail on unused allows (CI mode)
-//! cargo run -p specweb-lint -- --graph       # write results/callgraph.json
-//! cargo run -p specweb-lint -- --stats       # write results/lint_report.json
-//! cargo run -p specweb-lint -- --purity      # write results/purity.json
-//! cargo run -p specweb-lint -- --width       # write results/widthflow.json
+//! cargo run -p specweb-lint -- --write       # write the four results/ artifacts
 //! cargo run -p specweb-lint -- --jobs 4      # parallel per-file pass
 //! cargo run -p specweb-lint -- --list-rules  # print the rule table
 //! ```
@@ -17,32 +14,28 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use specweb_lint::{analyze_workspace, rules};
+use serde::Value;
+use specweb_lint::{analyze_workspace, render, rules};
 
 struct Options {
     root: PathBuf,
     deny_all: bool,
-    stats: bool,
-    graph: bool,
-    purity: bool,
-    width: bool,
+    write: bool,
     jobs: usize,
     list_rules: bool,
     quiet: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: specweb-lint [--root PATH] [--deny-all] [--stats] [--graph] [--purity] \
-     [--width] [--jobs N] [--list-rules] [--quiet]\n\
+    "usage: specweb-lint [--root PATH] [--deny-all] [--write] [--jobs N] [--list-rules] \
+     [--quiet]\n\
      \n\
      --root PATH    workspace root to lint (default: this workspace)\n\
      --deny-all     treat unused lint:allow suppressions as errors (CI mode)\n\
-     --stats        write <root>/results/lint_report.json and print a summary\n\
-     --graph        write <root>/results/callgraph.json (the resolved call graph)\n\
-     --purity       write <root>/results/purity.json (per-fn purity classes)\n\
-     --width        write <root>/results/widthflow.json (scale-taint width analysis)\n\
+     --write        write <root>/results/{callgraph,purity,widthflow,lint_report}.json\n\
+     \x20              and print their counters as a table\n\
      --jobs N       fan the per-file pass over N workers (output is byte-identical\n\
-                    for any N; default 1)\n\
+     \x20              for any N; default 1)\n\
      --list-rules   print the rule table and exit\n\
      --quiet        suppress per-violation diagnostics (summary only)"
 }
@@ -55,10 +48,7 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: default_root,
         deny_all: false,
-        stats: false,
-        graph: false,
-        purity: false,
-        width: false,
+        write: false,
         jobs: 1,
         list_rules: false,
         quiet: false,
@@ -71,10 +61,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.root = PathBuf::from(v);
             }
             "--deny-all" => opts.deny_all = true,
-            "--stats" => opts.stats = true,
-            "--graph" => opts.graph = true,
-            "--purity" => opts.purity = true,
-            "--width" => opts.width = true,
+            "--write" => opts.write = true,
             "--jobs" => {
                 let v = args.next().ok_or("--jobs requires a count")?;
                 opts.jobs = v
@@ -89,6 +76,52 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// Prints the `--write` table by walking the values just written, so
+/// the table and the artifacts cannot disagree.
+fn print_table(callgraph: &Value, report: &Value) {
+    fn entries(v: &Value) -> &[(String, Value)] {
+        v.as_object().unwrap_or_default()
+    }
+    let num = |v: &Value| v.as_u64().unwrap_or_default();
+    let res = &report["resolution"];
+    println!(
+        "resolution ladder ({} call sites; {} fallback edge(s) + {} opaque-method \
+         fallback edge(s)):",
+        res["calls"], res["fallback_edges"], res["method_fallback_edges"]
+    );
+    for (rung, n) in entries(&res["rungs"]) {
+        println!("  {rung:<17} {:>5}", num(n));
+    }
+    for label in ["purity", "width"] {
+        let count = |(k, v): &(String, Value)| format!("{k} {v}");
+        let counts: Vec<String> = entries(&report[label]).iter().map(count).collect();
+        println!("{label}: {}", counts.join(", "));
+    }
+    println!("lines per crate (code outside #[cfg(test)] and comments / test):");
+    for (krate, n) in entries(&report["loc"]) {
+        println!(
+            "  {krate:<10} {:>6} {:>6}",
+            num(&n["code"]),
+            num(&n["test"])
+        );
+    }
+    let pairs = callgraph["fallback_pairs"].as_array().unwrap_or_default();
+    println!(
+        "fallback pairs pinned: {} (golden-tested ceiling; see results/callgraph.json)",
+        pairs.len()
+    );
+    for pair in pairs {
+        let (from, to) = (pair["from"].as_str(), pair["to"].as_str());
+        println!("  {} -> {}", from.unwrap_or("?"), to.unwrap_or("?"));
+    }
+    println!("allows in use, per rule:");
+    for (rule, counts) in entries(&report["rules"]) {
+        if counts["allowed"] != 0 {
+            println!("  {rule:<4} {:>2}", num(&counts["allowed"]));
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -134,64 +167,21 @@ fn main() -> ExitCode {
         }
     }
 
-    // The four artifacts, each behind its flag.
-    let graph = &analysis.graph;
-    let callgraph = || graph.to_json(&analysis.roots, &analysis.hot_roots, &analysis.stats);
-    let purity = || analysis.purity.to_json(graph);
-    let widthflow = || analysis.width.to_json(graph);
-    let lint_report = || report.to_json();
-    let artifacts: [(bool, &str, &dyn Fn() -> String); 4] = [
-        (opts.graph, "callgraph.json", &callgraph),
-        (opts.purity, "purity.json", &purity),
-        (opts.width, "widthflow.json", &widthflow),
-        (opts.stats, "lint_report.json", &lint_report),
-    ];
-    let results = opts.root.join("results");
-    for (_, name, json) in artifacts.iter().filter(|(wanted, ..)| *wanted) {
-        let out = results.join(name);
-        let written = std::fs::create_dir_all(&results).and_then(|()| std::fs::write(&out, json()));
-        if let Err(e) = written {
-            eprintln!("specweb-lint: write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", out.display());
-    }
-
-    if opts.stats {
-        let stats = &analysis.stats;
-        println!(
-            "resolution ladder ({} call sites; {} fallback edge(s) + {} opaque-method \
-             fallback edge(s)):",
-            stats.calls, stats.fallback_edges, stats.method_fallback_edges
-        );
-        for rung in specweb_lint::graph::RUNGS {
-            let n = stats.per_rung.get(rung).copied().unwrap_or(0);
-            println!("  {rung:<17} {n:>5}");
-        }
-        for (label, counts) in [
-            ("purity", &report.purity_counts),
-            ("width", &report.width_counts),
-        ] {
-            let counts: Vec<String> = counts.iter().map(|(k, v)| format!("{k} {v}")).collect();
-            println!("{label}: {}", counts.join(", "));
-        }
-        println!("lines per crate (code outside #[cfg(test)] and comments / test):");
-        for (krate, n) in &report.loc {
-            println!("  {krate:<10} {:>6} {:>6}", n.code, n.test);
-        }
-        println!(
-            "fallback pairs pinned: {} (golden-tested ceiling; see results/callgraph.json)",
-            stats.fallback_pairs.len()
-        );
-        for (from, to) in &stats.fallback_pairs {
-            println!("  {from} -> {to}");
-        }
-        println!("allows in use, per rule:");
-        for (rule, (_, allowed)) in report.per_rule() {
-            if allowed > 0 {
-                println!("  {rule:<4} {allowed:>2}");
+    if opts.write {
+        let artifacts = analysis.artifacts();
+        let results = opts.root.join("results");
+        for (name, value) in &artifacts {
+            let out = results.join(name);
+            let written = std::fs::create_dir_all(&results)
+                .and_then(|()| std::fs::write(&out, render(value)));
+            if let Err(e) = written {
+                eprintln!("specweb-lint: write {}: {e}", out.display());
+                return ExitCode::from(2);
             }
+            println!("wrote {}", out.display());
         }
+        let [(_, callgraph), _, _, (_, lint_report)] = &artifacts;
+        print_table(callgraph, lint_report);
     }
 
     println!(

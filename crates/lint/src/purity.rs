@@ -30,9 +30,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::extract::SourceKind;
-use crate::graph::{counts_json, esc, CallGraph, Node};
+use crate::graph::{CallGraph, Node};
 use crate::reach::{reach, Dir, Reach};
 use crate::rules::Hit;
+use serde::{Serialize, Value};
+use serde_json::json;
 
 /// Files under this prefix form the sanctioned Obs channel: effects
 /// there are policy, not hazards, and do not propagate to callers.
@@ -166,28 +168,21 @@ impl PurityMap {
         m
     }
 
-    /// Serializes the classification as stable, key-sorted JSON
-    /// (schema `specweb-purity/v1`) — the CI artifact.
-    pub fn to_json(&self, g: &CallGraph) -> String {
-        let mut s = String::from("{\n  \"schema\": \"specweb-purity/v1\",\n");
-        s.push_str(&format!(
-            "  \"counts\": {},\n  \"fns\": {{\n",
-            counts_json(&self.counts())
-        ));
-        let mut first = true;
-        for (q, p) in &self.class {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            s.push_str(&format!("    \"{}\": {{\"class\": \"{}\"", esc(q), p.id()));
+    /// The `purity.json` artifact (schema `specweb-purity/v1`): every
+    /// fn's class, and for an effectful one its witness chain.
+    pub fn to_value(&self, g: &CallGraph) -> Value {
+        let row = |(q, p): (&String, &Purity)| {
+            let mut row = vec![("class".to_string(), p.id().to_value())];
             if *p == Purity::Effectful {
-                s.push_str(&format!(", \"why\": \"{}\"", esc(&self.chain(g, q))));
+                row.push(("why".to_string(), self.chain(g, q).to_value()));
             }
-            s.push('}');
-        }
-        s.push_str("\n  }\n}\n");
-        s
+            (q.clone(), Value::Obj(row))
+        };
+        json!({
+            "schema": "specweb-purity/v1",
+            "counts": self.counts(),
+            "fns": Value::Obj(self.class.iter().map(row).collect()),
+        })
     }
 }
 
@@ -416,14 +411,16 @@ fn replay_shard(accs: Accesses) -> u32 { eprintln!( ); 0 }
             "pub fn f() { println!( ); }\npub fn g(x: u32) -> u32 { x }\n",
         )]);
         let pm = PurityMap::compute(&g);
-        let json = pm.to_json(&g);
-        assert!(json.contains("\"schema\": \"specweb-purity/v1\""));
-        assert!(
-            json.contains("\"effect_exempt\": 0, \"effectful\": 1, \"local_mut\": 0, \"pure\": 1")
+        let v = pm.to_value(&g);
+        assert_eq!(v["schema"], "specweb-purity/v1");
+        assert_eq!(
+            v["counts"],
+            json!({"effect_exempt": 0, "effectful": 1, "local_mut": 0, "pure": 1})
         );
-        assert!(
-            json.contains("\"a::f\": {\"class\": \"effectful\", \"why\": \"a::f (io `println!`")
-        );
-        assert_eq!(json, pm.to_json(&g), "stable rendering");
+        assert_eq!(v["fns"]["a::f"]["class"], "effectful");
+        let why = v["fns"]["a::f"]["why"].as_str().expect("witness chain");
+        assert!(why.starts_with("a::f (io `println!`"), "{why}");
+        assert_eq!(v["fns"]["a::g"], json!({"class": "pure"}));
+        assert_eq!(v, pm.to_value(&g), "stable value");
     }
 }

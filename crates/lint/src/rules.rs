@@ -1,11 +1,13 @@
 //! The determinism & safety rule set.
 //!
-//! [`RULES`] names every rule the pass enforces. D1 and S1 are
-//! line-oriented checks over sanitized code (see [`crate::lexer`]) and
-//! live here ([`check_line`]); G1–G5 and W1–W3 are computed over the
-//! workspace call graph by [`crate::taint`], [`crate::purity`] and
-//! [`crate::width`]. Rules are deliberately over-approximate: they flag
-//! what a std-only lexer cannot prove safe. The release valve for
+//! [`RULES`] names every rule the pass enforces. D1 is a line-oriented
+//! check over sanitized code (see [`crate::lexer`]) and lives here
+//! ([`check_line`]); G1–G5 and W1–W3 are computed over the workspace
+//! call graph by [`crate::taint`], [`crate::purity`] and
+//! [`crate::width`]. (`unsafe` is not a rule: `unsafe_code = "forbid"`
+//! in the workspace lint table makes it a compile error in every
+//! target.) Rules are deliberately over-approximate: they flag what a
+//! token-level pass cannot prove safe. The release valve for
 //! sound-but-unwanted flags is an in-place
 //! `// lint:allow(<rule>): <reason>` with a written justification — see
 //! `DESIGN.md` §8 for the policy.
@@ -27,11 +29,6 @@ pub const RULES: &[Rule] = &[
         id: "D1",
         summary: "float comparators must use total_cmp, not partial_cmp \
                   (NaN-poisoned sorts are order-nondeterministic)",
-    },
-    Rule {
-        id: "S1",
-        summary: "unsafe only in the per-file allowlist, and each block \
-                  needs a // SAFETY: comment",
     },
     Rule {
         id: "G1",
@@ -88,12 +85,6 @@ pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-/// Files where `unsafe` is tolerated (S1), provided every block carries
-/// a `// SAFETY:` comment. Currently empty: every workspace crate
-/// carries `#![forbid(unsafe_code)]` and this list should stay empty
-/// until a measured hot path proves otherwise.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
-
 /// Module prefixes whose wall-clock reads are not G1 sources: the
 /// wall-clock side of the observability layer is the one sanctioned
 /// consumer of real time (metrics tagged `Channel::Wall`, never the
@@ -115,7 +106,7 @@ pub fn path_has_prefix(rel: &str, prefixes: &[&str]) -> bool {
 /// between every rule and the report layer's `lint:allow` matching.
 #[derive(Debug, Clone)]
 pub struct Hit {
-    /// Rule identifier (`D1`, `S1`, `G1`–`G5`, `W1`–`W3`).
+    /// Rule identifier (`D1`, `G1`–`G5`, `W1`–`W3`).
     pub rule: &'static str,
     /// Workspace-relative file of the site a `lint:allow` can excuse.
     pub file: String,
@@ -146,25 +137,14 @@ impl Hit {
     }
 }
 
-/// Run the line rules over one sanitized code line of a non-test file.
-///
-/// `rel` is the workspace-relative path with forward slashes and `line`
-/// the 1-based line number; `comment` is the same line's comment
-/// channel (used by S1's `SAFETY:` requirement together with
-/// `prev_comment`, the preceding line's comment channel).
-pub fn check_line(
-    rel: &str,
-    line: usize,
-    code: &str,
-    comment: &str,
-    prev_comment: &str,
-) -> Vec<Hit> {
-    let mut hits = Vec::new();
-
-    // D1 — `partial_cmp` as a comparator. Implementing `PartialOrd`
-    // itself (a `fn partial_cmp` definition) is the one sanctioned use.
-    if has_ident(code, "partial_cmp") && !code.contains("fn partial_cmp") {
-        hits.push(Hit::new(
+/// Run the line rule (D1) over one sanitized code line of a non-test
+/// file. `rel` is the workspace-relative path with forward slashes and
+/// `line` the 1-based line number.
+pub fn check_line(rel: &str, line: usize, code: &str) -> Option<Hit> {
+    // `partial_cmp` as a comparator. Implementing `PartialOrd` itself
+    // (a `fn partial_cmp` definition) is the one sanctioned use.
+    (has_ident(code, "partial_cmp") && !code.contains("fn partial_cmp")).then(|| {
+        Hit::new(
             "D1",
             rel,
             line,
@@ -172,33 +152,6 @@ pub fn check_line(
              poisons the ordering; use f64::total_cmp (or derive \
              Ord on a non-float key)"
                 .into(),
-        ));
-    }
-
-    // S1 — unsafe code.
-    if has_ident(code, "unsafe") {
-        if !UNSAFE_ALLOWLIST.contains(&rel) {
-            hits.push(Hit::new(
-                "S1",
-                rel,
-                line,
-                "unsafe outside the allowlist: every crate is \
-                 #![forbid(unsafe_code)]; extend \
-                 rules::UNSAFE_ALLOWLIST only with a measured \
-                 justification"
-                    .into(),
-            ));
-        } else if !comment.contains("SAFETY:") && !prev_comment.contains("SAFETY:") {
-            hits.push(Hit::new(
-                "S1",
-                rel,
-                line,
-                "unsafe block without a // SAFETY: comment on the \
-                 same or preceding line"
-                    .into(),
-            ));
-        }
-    }
-
-    hits
+        )
+    })
 }

@@ -27,100 +27,99 @@ use crate::Diag;
 
 /// Deterministic roots: fns whose output the determinism contract
 /// (DESIGN §6a) promises is byte-identical across runs and `--jobs`
-/// counts. Matched as (module suffix, fn name); a `*` name matches
-/// every fn in the module.
-const ROOTS: &[(&str, &str)] = &[
-    ("dissem::simulate", "run"),
-    ("dissem::simulate", "run_with_faults"),
-    ("spec::simulate", "run"),
-    ("spec::simulate", "run_with_store_and_baseline"),
-    ("spec::simulate", "baseline_totals"),
-    ("spec::simulate", "run_with_faults"),
-    ("trace::generator", "generate"),
-    ("spec::deps", "closure"),
-    ("spec::deps", "closure_jobs"),
-    ("dissem::alloc", "*"),
-    ("bench::exps", "*"),
+/// counts — G1's roots. Rows are `(module suffix, fn name, hot)`; a `*`
+/// name matches every fn in the module. A `hot` row is also a G3 root:
+/// a per-access simulation loop, where a panic kills an experiment
+/// mid-run. Experiment drivers, result writers and allocation solvers
+/// are *not* hot — they run once per figure and a panic there surfaces
+/// immediately.
+const ROOTS: &[(&str, &str, bool)] = &[
+    ("dissem::simulate", "run", true),
+    ("dissem::simulate", "run_with_faults", true),
+    ("spec::simulate", "run", true),
+    ("spec::simulate", "run_with_store_and_baseline", true),
+    ("spec::simulate", "baseline_totals", true),
+    ("spec::simulate", "run_with_faults", true),
+    ("trace::generator", "generate", true),
+    ("spec::deps", "closure", true),
+    ("spec::deps", "closure_jobs", true),
+    ("dissem::alloc", "*", false),
+    // Every fn that turns outcomes into a result file CI byte-diffs:
+    // the experiment drivers, their report and plot code, and the
+    // REPORT.md renderer.
+    ("bench::exps", "*", false),
+    ("bench::ablations", "*", false),
+    ("bench::fig1", "*", false),
+    ("bench::fig2", "*", false),
+    ("bench::fig3", "*", false),
+    ("bench::fig4", "*", false),
+    ("bench::fig5", "*", false),
+    ("bench::plot", "*", false),
+    ("bench", "*", false),
+    ("core::obs::manifest", "render_report_markdown", false),
     // The event-loop server's purity split (DESIGN §11): the
     // per-connection state machine and the trace replayer must be
-    // clock/rng-free so a recorded session replays byte-identically.
-    ("serve::conn", "*"),
-    ("serve::session", "replay"),
+    // clock/rng-free so a recorded session replays byte-identically,
+    // and the reactor drives ConnCore once per readiness sweep per
+    // connection — a panic there drops every live session at once.
+    ("serve::conn", "*", true),
+    ("serve::session", "replay", true),
     // Tail-latency observability (DESIGN §13): the profiler's frame
     // paths and call counts are jobs-invariant and golden-compared
     // (its one wall-clock read is lint:allow'd at the source), and a
     // STATS reply must be built clock-free so a recorded snapshot
-    // replays byte-identically.
-    ("core::obs::profile", "*"),
-    ("serve::server", "stats_entries"),
+    // replays byte-identically. Frames open and close inside the
+    // per-access loops and STATS replies are built mid-sweep, so both
+    // are hot.
+    ("core::obs::profile", "*", true),
+    ("serve::server", "stats_entries", true),
 ];
 
-/// Hot-loop roots for G3: the per-access simulation loops where a panic
-/// kills an experiment mid-run. Experiment drivers and allocation
-/// solvers are *not* hot — they run once per figure and a panic there
-/// surfaces immediately.
-const HOT_ROOTS: &[(&str, &str)] = &[
-    ("dissem::simulate", "run"),
-    ("dissem::simulate", "run_with_faults"),
-    ("spec::simulate", "run"),
-    ("spec::simulate", "run_with_store_and_baseline"),
-    ("spec::simulate", "baseline_totals"),
-    ("spec::simulate", "run_with_faults"),
-    ("trace::generator", "generate"),
-    ("spec::deps", "closure"),
-    ("spec::deps", "closure_jobs"),
-    // The reactor drives ConnCore once per readiness sweep per
-    // connection; a panic there drops every live session at once.
-    ("serve::conn", "*"),
-    ("serve::session", "replay"),
-    // Profiler frames open and close inside the per-access simulation
-    // loops, and STATS replies are built mid-sweep: a panic in either
-    // takes the run (or every live session) down with it.
-    ("core::obs::profile", "*"),
-    ("serve::server", "stats_entries"),
-];
-
-/// Resolves the root specs against the graph: `(roots, hot_roots)` as
-/// sorted qnames, plus one diagnostic per spec that matches no fn. A
-/// rename would otherwise un-root a simulator and G1/G3 would go quiet
-/// under it; whole-workspace runs report these as violations.
+/// Resolves the root table against the graph: `(roots, hot_roots)` as
+/// sorted qnames, plus diagnostics for every row that matches no fn —
+/// one under G1 and, for a hot row, one under G3. A rename would
+/// otherwise un-root a simulator and the rule would go quiet under it;
+/// whole-workspace runs report these as violations.
 pub fn resolve_roots(g: &CallGraph) -> (Vec<String>, Vec<String>, Vec<Diag>) {
     let mut unmatched: Vec<Diag> = Vec::new();
-    let mut pick = |specs: &[(&str, &str)], table: &str, rule: &str| -> Vec<String> {
-        let mut out: BTreeSet<String> = BTreeSet::new();
-        for (msuf, fname) in specs {
-            let matched: Vec<&String> = g
-                .nodes
-                .iter()
-                .filter(|(_, n)| {
-                    let module_matches =
-                        n.module == *msuf || n.module.ends_with(&format!("::{msuf}"));
-                    module_matches && (*fname == "*" || n.name == *fname)
-                })
-                .map(|(q, _)| q)
-                .collect();
-            if matched.is_empty() {
-                unmatched.push(Diag {
-                    // The spec is a row of the table above, not a
-                    // statement a `lint:allow` could sit on: no line.
-                    file: "crates/lint/src/taint.rs".into(),
-                    line: 0,
-                    rule: rule.into(),
-                    message: format!(
-                        "root spec `{msuf}::{fname}` in taint::{table} matches no fn, so \
-                         {rule} is silent under it; point the spec at the renamed fn or \
-                         delete it"
-                    ),
-                    snippet: format!("(\"{msuf}\", \"{fname}\")"),
-                });
-            }
-            out.extend(matched.into_iter().cloned());
+    let mut roots: BTreeSet<String> = BTreeSet::new();
+    let mut hot_roots: BTreeSet<String> = BTreeSet::new();
+    for &(msuf, fname, hot) in ROOTS {
+        // The rules this row feeds; each goes silent if it matches nothing.
+        let fed: &[&str] = if hot { &["G1", "G3"] } else { &["G1"] };
+        let matched: Vec<&String> = g
+            .nodes
+            .iter()
+            .filter(|(_, n)| {
+                let module_matches = n.module == msuf || n.module.ends_with(&format!("::{msuf}"));
+                module_matches && (fname == "*" || n.name == fname)
+            })
+            .map(|(q, _)| q)
+            .collect();
+        for rule in fed.iter().filter(|_| matched.is_empty()) {
+            unmatched.push(Diag {
+                // The spec is a row of the table above, not a statement
+                // a `lint:allow` could sit on: no line.
+                file: "crates/lint/src/taint.rs".into(),
+                line: 0,
+                rule: rule.to_string(),
+                message: format!(
+                    "root spec `{msuf}::{fname}` in taint::ROOTS matches no fn, so {rule} \
+                     is silent under it; point the spec at the renamed fn or delete it"
+                ),
+                snippet: format!("(\"{msuf}\", \"{fname}\", {hot})"),
+            });
         }
-        out.into_iter().collect()
-    };
-    let roots = pick(ROOTS, "ROOTS", "G1");
-    let hot_roots = pick(HOT_ROOTS, "HOT_ROOTS", "G3");
-    (roots, hot_roots, unmatched)
+        roots.extend(matched.iter().copied().cloned());
+        if hot {
+            hot_roots.extend(matched.into_iter().cloned());
+        }
+    }
+    (
+        roots.into_iter().collect(),
+        hot_roots.into_iter().collect(),
+        unmatched,
+    )
 }
 
 /// One hop of a call-chain rendering: `qname [file:line]`.
@@ -331,7 +330,8 @@ pub fn predict() {
         assert!(names("G3", "dissem::simulate::run_with_faults"));
         assert!(names("G1", "dissem::alloc::*"), "{unmatched:#?}");
         assert!(!names("G1", "dissem::simulate::run"));
-        assert_eq!(unmatched.len(), ROOTS.len() + HOT_ROOTS.len() - 2);
+        let hot_rows = ROOTS.iter().filter(|r| r.2).count();
+        assert_eq!(unmatched.len(), ROOTS.len() + hot_rows - 2);
     }
 
     #[test]

@@ -31,7 +31,12 @@
 //! Taint dies at width guards (`checked_*` / `saturating_*` /
 //! `try_into` / `try_from` / `min` / `clamp`) and rule sites are
 //! additionally silenced when the tainted identifier carries a visible
-//! dominating bound (comparison, `assert!`, `%`). Identifier-level
+//! dominating bound (comparison, `assert!`, `%`). Two facts about the
+//! workspace are held here rather than restated in a `lint:allow` per
+//! site: W1 skips arithmetic whose left operand ends in a name declared
+//! with a saturating unit type ([`CallGraph::unit_names`]), and W3
+//! skips a capacity that is the `len()` of an existing collection
+//! ([`crate::extract::CapacitySite::len_sized`]). Identifier-level
 //! matching means field taint is name-global (`self.accesses` and a
 //! local `accesses` alias); that over-approximation is the sound
 //! direction and is what makes the engine std-only cheap.
@@ -39,8 +44,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::extract::{is_width_guard, narrowing_target, ArithOp};
-use crate::graph::{counts_json, esc, CallGraph};
+use crate::graph::CallGraph;
 use crate::rules::Hit;
+use serde::Value;
+use serde_json::json;
 
 /// Scale-taint seeds: configuration fields that set run population and
 /// the per-run counters that grow with it. Matched as bare identifiers
@@ -356,6 +363,10 @@ impl WidthMap {
                 if is_float(&a.lhs) || is_float(&a.rhs) {
                     continue;
                 }
+                // The operator is a unit type's saturating impl.
+                if g.unit_names.contains(&a.left) {
+                    continue;
+                }
                 if guarded(&a.lhs) || guarded(&a.rhs) {
                     continue;
                 }
@@ -405,7 +416,8 @@ impl WidthMap {
                 });
             }
             for cap in &n.caps {
-                if guarded(&cap.args) {
+                // A `len()` is memory already spent, however it scaled.
+                if cap.len_sized || guarded(&cap.args) {
                     continue;
                 }
                 let Some(id) = hot(&cap.args) else { continue };
@@ -423,7 +435,7 @@ impl WidthMap {
         self.findings = findings;
     }
 
-    /// Aggregate counters for `--stats` and the JSON artifact, in key
+    /// Aggregate counters for `--write` and the JSON artifact, in key
     /// order.
     pub fn counts(&self, g: &CallGraph) -> BTreeMap<&'static str, usize> {
         let mut m: BTreeMap<&'static str, usize> = BTreeMap::new();
@@ -455,68 +467,37 @@ impl WidthMap {
         m
     }
 
-    /// Serializes the taint state and findings as stable, key-sorted
-    /// JSON (schema `specweb-widthflow/v1`) — the CI artifact.
-    pub fn to_json(&self, g: &CallGraph) -> String {
-        let mut s = String::from("{\n  \"schema\": \"specweb-widthflow/v1\",\n");
-        s.push_str("  \"seeds\": [");
-        s.push_str(
-            &SEEDS
-                .iter()
-                .map(|w| format!("\"{w}\""))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        s.push_str(&format!(
-            "],\n  \"counts\": {},\n  \"tainted\": {{\n",
-            counts_json(&self.counts(g))
-        ));
-        let mut first = true;
+    /// The `widthflow.json` artifact (schema `specweb-widthflow/v1`):
+    /// seeds, counters, the per-fn taint map and the W1–W3 findings.
+    pub fn to_value(&self, g: &CallGraph) -> Value {
         let qnames: BTreeSet<&String> =
             self.tainted.keys().chain(self.ret_tainted.keys()).collect();
-        for q in qnames {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            let locals = self
+        let tainted = |q: &String| {
+            let locals: Vec<&String> = self
                 .tainted
                 .get(q)
-                .map(|e| {
-                    e.keys()
-                        .map(|k| format!("\"{}\"", esc(k)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                })
-                .unwrap_or_default();
-            let ret = match self.ret_tainted.get(q) {
-                Some(r) => format!("\"{}\"", esc(r)),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    \"{}\": {{\"locals\": [{locals}], \"ret\": {ret}}}",
-                esc(q)
-            ));
-        }
-        s.push_str("\n  },\n  \"findings\": [\n");
-        let mut first = true;
-        for f in &self.findings {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            s.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"ident\": \"{}\", \
-                 \"chain\": \"{}\"}}",
-                f.rule,
-                esc(&f.file),
-                f.line,
-                esc(&f.ident),
-                esc(&f.chain)
-            ));
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+                .into_iter()
+                .flat_map(|e| e.keys())
+                .collect();
+            let row = json!({"locals": locals, "ret": self.ret_tainted.get(q)});
+            (q.clone(), row)
+        };
+        let finding = |f: &Hit| {
+            json!({
+                "rule": f.rule,
+                "file": f.file,
+                "line": f.line,
+                "ident": f.ident,
+                "chain": f.chain,
+            })
+        };
+        json!({
+            "schema": "specweb-widthflow/v1",
+            "seeds": SEEDS,
+            "counts": self.counts(g),
+            "tainted": Value::Obj(qnames.into_iter().map(tainted).collect()),
+            "findings": self.findings.iter().map(finding).collect::<Vec<_>>(),
+        })
     }
 }
 
@@ -667,9 +648,10 @@ pub fn run(cfg: &Config) -> u64 {
             "pub fn f(cfg: &Config) -> u64 { cfg.n_clients * 2 }\n",
         )]);
         let wm = WidthMap::compute(&g);
-        let json = wm.to_json(&g);
-        assert!(json.contains("\"schema\": \"specweb-widthflow/v1\""));
-        assert!(json.contains("\"w1\": 1"), "{json}");
-        assert_eq!(json, wm.to_json(&g), "stable rendering");
+        let v = wm.to_value(&g);
+        assert_eq!(v["schema"], "specweb-widthflow/v1");
+        assert_eq!(v["counts"]["w1"], 1, "{v}");
+        assert_eq!(v["findings"][0]["ident"], "n_clients", "{v}");
+        assert_eq!(v, wm.to_value(&g), "stable value");
     }
 }

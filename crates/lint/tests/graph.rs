@@ -1,7 +1,7 @@
 //! Graph-rule tests: fixture-driven G-rule checks and the golden
 //! determinism test for the serialized call graph.
 
-use specweb_lint::{analyze_sources, analyze_workspace, purity, taint, FileKind};
+use specweb_lint::{analyze_sources, analyze_workspace, purity, render, taint, FileKind};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -141,17 +141,11 @@ fn callgraph_json_is_byte_identical_across_jobs() {
     let root = workspace_root();
     let a1 = analyze_workspace(&root, 1).expect("serial analysis");
     let a4 = analyze_workspace(&root, 4).expect("parallel analysis");
-    let json1 = a1.graph.to_json(&a1.roots, &a1.hot_roots, &a1.stats);
-    let json4 = a4.graph.to_json(&a4.roots, &a4.hot_roots, &a4.stats);
-    assert_eq!(json1, json4, "callgraph.json must not depend on --jobs");
+    for ((name, v1), (_, v4)) in a1.artifacts().iter().zip(&a4.artifacts()) {
+        assert_eq!(render(v1), render(v4), "{name} must not depend on --jobs");
+    }
     assert_eq!(a1.report.violations.len(), a4.report.violations.len());
     assert_eq!(a1.report.allowed.len(), a4.report.allowed.len());
-    assert_eq!(a1.report.to_json(), a4.report.to_json());
-    assert_eq!(
-        a1.purity.to_json(&a1.graph),
-        a4.purity.to_json(&a4.graph),
-        "purity.json must not depend on --jobs"
-    );
 }
 
 /// The committed artifact must match what the engine produces at HEAD —
@@ -166,11 +160,11 @@ fn committed_callgraph_matches_head() {
         Err(_) => return,
     };
     let a = analyze_workspace(&root, 1).expect("analysis");
-    let fresh = a.graph.to_json(&a.roots, &a.hot_roots, &a.stats);
+    let fresh = render(&a.graph.to_value(&a.roots, &a.hot_roots, &a.stats));
     assert_eq!(
         committed, fresh,
         "results/callgraph.json is stale — regenerate with \
-         `cargo run -p specweb-lint -- --graph`"
+         `cargo run -p specweb-lint -- --write`"
     );
 }
 
@@ -245,7 +239,7 @@ fn workspace_roots_resolve() {
     // Hot roots are the strict subset G3 uses.
     assert!(a.hot_roots.len() < a.roots.len());
     assert!(a.hot_roots.iter().all(|h| a.roots.contains(h)));
-    // Every spec of both tables names a live fn.
+    // Every row of the root table names a live fn.
     let (roots, hot_roots, unmatched) = taint::resolve_roots(&a.graph);
     assert_eq!((roots, hot_roots), (a.roots, a.hot_roots));
     assert!(unmatched.is_empty(), "{unmatched:#?}");
@@ -271,7 +265,8 @@ fn unmatched_root_spec_is_a_workspace_violation() {
             .iter()
             .any(|d| d.rule == rule && d.message.contains(&format!("root spec `{spec}`")))
     };
-    // `run_with_faults` was renamed to `run_degraded`: both tables say so.
+    // `run_with_faults` was renamed to `run_degraded`: a hot row says so
+    // under both rules it feeds.
     assert!(named("G1", "dissem::simulate::run_with_faults"));
     assert!(named("G3", "dissem::simulate::run_with_faults"));
     assert!(

@@ -153,11 +153,6 @@ fn thread_exemption_covers_core_par_reached_from_a_root() {
 }
 
 #[test]
-fn s1_flags_unsafe_outside_allowlist() {
-    assert_eq!(rules_of(&as_lib("s1_bad.rs")), ["S1"]);
-}
-
-#[test]
 fn s2_flags_unwrap_and_expect_in_lib() {
     // Under a hot root both extractors are G3; in a cold path neither.
     assert_eq!(rules_of(&as_hot_root("s2_bad.rs")), ["G3", "G3"]);
@@ -205,9 +200,9 @@ fn cfg_test_regions_are_exempt() {
 
 #[test]
 fn bytestring_bodies_are_opaque_to_every_rule() {
-    // b"..." / br#"..."# bodies mention partial_cmp, unwrap, unsafe,
+    // b"..." / br#"..."# bodies mention partial_cmp, unwrap,
     // Instant::now and unbalanced braces — all of it must be masked by
-    // the lexer, for the line rules and the extractor alike.
+    // the lexer, for the line rule and the extractor alike.
     assert_eq!(rules_of(&as_hot_root("lex_bytestr.rs")), CLEAN);
 }
 
@@ -250,7 +245,6 @@ fn fixtures_all_have_a_test() {
         "lex_bytestr.rs",
         "lex_charlit.rs",
         "lex_lifetime.rs",
-        "s1_bad.rs",
         "s2_bad.rs",
         "width_bounded_cast.rs",
         "width_helper_chain.rs",

@@ -2,7 +2,7 @@
 //! determinism gate for `widthflow.json`, the committed-artifact
 //! staleness gate, and the pinned any-name fallback-edge ceiling.
 
-use specweb_lint::{analyze_sources, analyze_workspace, FileKind};
+use specweb_lint::{analyze_sources, analyze_workspace, render, Analysis, FileKind};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -15,7 +15,12 @@ fn workspace_root() -> std::path::PathBuf {
         .join("..")
 }
 
-fn analyze_fixture(name: &str) -> specweb_lint::Analysis {
+/// `results/widthflow.json` as `--write` would write it.
+fn widthflow(a: &Analysis) -> String {
+    render(&a.width.to_value(&a.graph))
+}
+
+fn analyze_fixture(name: &str) -> Analysis {
     analyze_sources(&[(
         "crates/core/src/widthfix.rs".to_string(),
         FileKind::Lib,
@@ -88,6 +93,77 @@ fn taint_crosses_the_call_into_a_helper() {
     assert!(msg.contains("scale seed"), "{msg}");
 }
 
+/// The `(rule, line)` of every W violation in one in-memory file.
+fn w_hits(src: &str) -> Vec<(String, usize)> {
+    let file = "crates/core/src/widthfix.rs".to_string();
+    let a = analyze_sources(&[(file, FileKind::Lib, src.to_string())]);
+    let hits = a.report.violations.iter();
+    hits.map(|d| (d.rule.clone(), d.line)).collect()
+}
+
+/// W1 knows that unit types saturate — and nothing wider than that.
+#[test]
+fn unit_typed_names_saturate_and_only_those() {
+    // `u64` fields are what W1 is for.
+    let raw = "\
+pub struct TraceConfig { pub duration_days: u64, pub sessions_per_day: u64 }
+pub fn total(cfg: &TraceConfig) -> u64 {
+    cfg.duration_days * cfg.sessions_per_day
+}
+";
+    assert_eq!(w_hits(raw), [("W1".to_string(), 3)]);
+
+    // Declared `Bytes`: `+=` is the saturating impl. The raw `u64`
+    // taken out of the unit is an integer again.
+    let unit = "\
+pub struct RunTotals { pub bytes_sent: Bytes }
+pub fn add(totals: &mut RunTotals, size: Bytes, k: u64) -> u64 {
+    totals.bytes_sent += size;
+    totals.bytes_sent.get() * k
+}
+";
+    assert_eq!(w_hits(unit), [("W1".to_string(), 4)]);
+
+    // Declared both ways: the name alone no longer says which one an
+    // operand is, so it stays checked. A struct literal's
+    // `bytes_sent: Bytes::new(..)` is a value, not a declaration.
+    let both = "\
+pub struct RunTotals { pub bytes_sent: Bytes }
+pub struct WireStats { pub bytes_sent: u64 }
+pub fn add(totals: &mut RunTotals, wire: &WireStats) -> RunTotals {
+    totals.bytes_sent += Bytes::new(wire.bytes_sent);
+    RunTotals { bytes_sent: Bytes::new(0) }
+}
+";
+    assert_eq!(w_hits(both), [("W1".to_string(), 4)]);
+}
+
+/// W3 knows that a `len()` is memory already spent — for W3 only, and
+/// only while the name still means the length.
+#[test]
+fn len_is_a_safe_capacity_and_not_a_width_guard() {
+    let src = "\
+pub fn build(cfg: &Config) -> u32 {
+    let v = filled(cfg.n_clients);
+    let a: Vec<u64> = Vec::with_capacity(cfg.n_clients);
+    let b: Vec<u64> = Vec::with_capacity(v.len());
+    let n = v.len();
+    let c = vec![0u64; n];
+    let n = cfg.n_clients;
+    let d = vec![0u64; n];
+    v.len() as u32
+}
+";
+    // `v` is tainted: its `len()` is fine as a capacity (lines 4, 6)
+    // and still a W2 as a cast (line 9). Once `n` is bound again it no
+    // longer names a length (line 8).
+    let hits = [("W3", 3), ("W3", 8), ("W2", 9)];
+    assert_eq!(
+        w_hits(src),
+        hits.map(|(rule, line)| (rule.to_string(), line))
+    );
+}
+
 /// DESIGN §6a applied to the width artifact: `widthflow.json` for the
 /// real workspace must be byte-identical whether the per-file pass ran
 /// serially or on four workers.
@@ -97,8 +173,8 @@ fn widthflow_json_is_byte_identical_across_jobs() {
     let a1 = analyze_workspace(&root, 1).expect("serial analysis");
     let a4 = analyze_workspace(&root, 4).expect("parallel analysis");
     assert_eq!(
-        a1.width.to_json(&a1.graph),
-        a4.width.to_json(&a4.graph),
+        widthflow(&a1),
+        widthflow(&a4),
         "widthflow.json must not depend on --jobs"
     );
 }
@@ -117,9 +193,9 @@ fn committed_widthflow_matches_head() {
     let a = analyze_workspace(&root, 1).expect("analysis");
     assert_eq!(
         committed,
-        a.width.to_json(&a.graph),
+        widthflow(&a),
         "results/widthflow.json is stale — regenerate with \
-         `cargo run -p specweb-lint -- --width`"
+         `cargo run -p specweb-lint -- --write`"
     );
 }
 

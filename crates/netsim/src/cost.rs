@@ -110,7 +110,6 @@ impl TrafficAccount {
     /// Merges another account.
     pub fn merge(&mut self, other: &TrafficAccount) {
         self.bytes += other.bytes;
-        // lint:allow(W1): ByteHops AddAssign saturates (units::unit_arith!)
         self.byte_hops += other.byte_hops;
         self.transfers = self.transfers.saturating_add(other.transfers);
     }

@@ -30,7 +30,6 @@
 //! paper's evaluation needs hop-weighted byte counts and a
 //! request-latency model, not TCP dynamics.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -27,7 +27,6 @@
 //!   seeded jitter on transient failures (`BUSY`, I/O), a speculative
 //!   cache, and §3.4 cooperative `HAVE` digests.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;

@@ -26,7 +26,6 @@
 //! * [`simulate`] — the trace-driven simulator producing the paper's
 //!   four ratios (bandwidth, server load, service time, miss rate).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

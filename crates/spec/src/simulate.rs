@@ -153,6 +153,30 @@ pub struct BaselineRun {
     pub totals: RunTotals,
     /// Exact service-time quantiles of that replay.
     pub service_times: ServiceQuantiles,
+    /// What it was replayed under — the three configuration values a
+    /// baseline replay reads. A point under any other value must not
+    /// be measured against it.
+    cache: CacheModel,
+    warmup_days: u64,
+    latency: LatencyModel,
+}
+
+impl BaselineRun {
+    /// The baseline replay `(totals, counters)` ran under `cfg`.
+    fn under(cfg: &SpecConfig, totals: RunTotals, counters: &ReplayCounters) -> BaselineRun {
+        BaselineRun {
+            totals,
+            service_times: counters.service.quantiles(),
+            cache: cfg.cache,
+            warmup_days: cfg.warmup_days,
+            latency: cfg.latency,
+        }
+    }
+
+    /// Whether a replay under `cfg` would reproduce this one.
+    fn holds_for(&self, cfg: &SpecConfig) -> bool {
+        (self.cache, self.warmup_days, self.latency) == (cfg.cache, cfg.warmup_days, cfg.latency)
+    }
 }
 
 /// The simulator.
@@ -290,10 +314,7 @@ impl DegradedSpecOutcome {
         (speculative, counters): (RunTotals, ReplayCounters),
         (baseline, base_counters): (RunTotals, ReplayCounters),
     ) -> DegradedSpecOutcome {
-        let base = BaselineRun {
-            totals: baseline,
-            service_times: base_counters.service.quantiles(),
-        };
+        let base = BaselineRun::under(cfg, baseline, &base_counters);
         let outcome = SpecOutcome::assemble(cfg, speculative, &counters, base);
         let attempted = outcome.speculative.accesses.max(1);
         DegradedSpecOutcome {
@@ -351,17 +372,14 @@ impl<'a> SpecSim<'a> {
     }
 
     /// The baseline (no-speculation) replay alone. The baseline depends
-    /// only on the trace, the cache model and `warmup_days` — not on
-    /// policy, `max_size`, cooperation, hints or the estimator — so
-    /// parameter sweeps over those knobs can compute it **once** and
+    /// only on the trace and on `cache`, `warmup_days` and `latency` —
+    /// not on policy, `max_size`, cooperation, hints or the estimator —
+    /// so parameter sweeps over those knobs can compute it **once** and
     /// hand it to [`SpecSim::run_with_store_and_baseline`] instead of
     /// re-replaying an identical baseline at every sweep point.
     pub fn baseline_totals(&self, cfg: &SpecConfig) -> Result<BaselineRun> {
         let (totals, counters) = self.replay(cfg, None, None)?;
-        Ok(BaselineRun {
-            totals,
-            service_times: counters.service.quantiles(),
-        })
+        Ok(BaselineRun::under(cfg, totals, &counters))
     }
 
     /// Like [`SpecSim::run`], but reuses what a parameter sweep shares
@@ -370,8 +388,9 @@ impl<'a> SpecSim<'a> {
     /// `P`/`P*` are not re-estimated for every policy point; `None`
     /// precomputes one here over the trace's own day span. `baseline` is
     /// a replay computed by [`SpecSim::baseline_totals`] under the same
-    /// `cache` model and `warmup_days` — the only configuration the
-    /// baseline replay reads; `None` replays the baseline here.
+    /// `cache` model, `warmup_days` and `latency` model — the only
+    /// configuration the baseline replay reads, and one computed under
+    /// other values is rejected; `None` replays the baseline here.
     pub fn run_with_store_and_baseline(
         &self,
         cfg: &SpecConfig,
@@ -379,6 +398,12 @@ impl<'a> SpecSim<'a> {
         baseline: Option<&BaselineRun>,
     ) -> Result<SpecOutcome> {
         cfg.policy.validate()?;
+        if baseline.is_some_and(|b| !b.holds_for(cfg)) {
+            return Err(CoreError::invalid_config(
+                "spec.baseline",
+                "baseline was replayed under a different cache, warmup_days or latency",
+            ));
+        }
         let own;
         let store = match store {
             Some(s) if *s.config() != cfg.estimator => {
@@ -499,7 +524,6 @@ impl<'a> SpecSim<'a> {
             caches[ci].on_request(a.time);
             if measured {
                 totals.accesses += 1;
-                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
                 totals.accessed_bytes += size;
             }
 
@@ -594,10 +618,8 @@ impl<'a> SpecSim<'a> {
                 }
             }
             if measured {
-                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
                 totals.miss_bytes += size;
                 totals.server_requests += 1;
-                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
                 totals.bytes_sent += size;
                 let fetch_ms = cfg.latency.fetch(size, hops).as_millis();
                 let served_ms =
@@ -639,7 +661,6 @@ impl<'a> SpecSim<'a> {
                             counters.wasted_push_bytes.saturating_add(jsize.get());
                     }
                     if measured {
-                        // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
                         totals.bytes_sent += jsize;
                     }
                     if let Some(f) = faults {
@@ -649,7 +670,6 @@ impl<'a> SpecSim<'a> {
                             // wasted first copy still crossed the wire.
                             counters.partial_write_pushes += 1;
                             if measured {
-                                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
                                 totals.bytes_sent += jsize;
                             }
                         }
@@ -768,7 +788,6 @@ impl<'a> SpecSim<'a> {
             counters.prefetches += 1;
             if measured {
                 totals.server_requests += 1;
-                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
                 totals.bytes_sent += jsize;
             }
             cache.insert(j, jsize);
@@ -1319,6 +1338,20 @@ mod tests {
             serde_json::to_string(&inline2).unwrap(),
             serde_json::to_string(&reused2).unwrap()
         );
+        // What the baseline replay does read must match: a baseline
+        // replayed under another value would silently skew every ratio.
+        let mut other_cache = c;
+        other_cache.cache = CacheModel::None;
+        let mut other_warmup = c;
+        other_warmup.warmup_days += 1;
+        let mut other_latency = c;
+        other_latency.latency.bytes_per_sec *= 2;
+        for other in [other_cache, other_warmup, other_latency] {
+            let err = sim
+                .run_with_store_and_baseline(&other, Some(&store), Some(&base))
+                .unwrap_err();
+            assert!(err.to_string().contains("spec.baseline"), "{err}");
+        }
     }
 
     #[test]

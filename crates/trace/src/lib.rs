@@ -42,7 +42,6 @@
 //! * [`logfmt`] — a Common-Log-Format-style reader/writer;
 //! * [`cleaning`] — the paper's log preprocessing (footnote 6).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cleaning;

@@ -113,7 +113,7 @@ def lint_hint(path):
     for fragment, rules, why in LINT_RULE_HINTS:
         if fragment in path.lower():
             return (f" [lint rule {rules}: {why}; run "
-                    f"`cargo run -p specweb-lint -- --graph --width` for "
+                    f"`cargo run -p specweb-lint -- --write` for "
                     f"the root-to-seed evidence chain]")
     return ""
 

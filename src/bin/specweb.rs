@@ -29,7 +29,14 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     };
-    let opts = Opts::parse(&args[1..]);
+    let opts = match Opts::parse(&args[1..]) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("specweb: {msg}\n");
+            usage();
+            return ExitCode::from(2);
+        }
+    };
     let result = match cmd.as_str() {
         "generate" => cmd_generate(&opts),
         "analyze" => cmd_analyze(&opts),
@@ -78,62 +85,83 @@ fn usage() {
     );
 }
 
-/// Minimal flag parser (no clap in the offline dependency set).
+/// Every option, checked where it enters (no clap in the offline
+/// dependency set): commands read fields, never raw text.
 struct Opts {
-    kv: Vec<(String, String)>,
-    flags: Vec<String>,
+    preset: String,
+    seed: u64,
+    log: Option<String>,
+    out: Option<String>,
+    days: Option<u64>,
+    tp: f64,
+    max_size: Option<Bytes>,
+    session_timeout: Option<u64>,
+    cooperative: bool,
+    fraction: f64,
+    proxies: usize,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
-        let mut kv = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        kv.push((name.to_string(), it.next().expect("peeked").clone()));
-                    }
-                    _ => flags.push(name.to_string()),
-                }
+    /// Parses the options after the command. An unknown or repeated
+    /// flag, a missing value and a value that does not parse are all
+    /// errors: a typo must not run with a default in its place.
+    fn parse(args: &[String]) -> Result<Opts, String> {
+        let mut opts = Opts {
+            preset: "bu".to_string(),
+            seed: 1996,
+            log: None,
+            out: None,
+            days: None,
+            tp: 0.3,
+            max_size: None,
+            session_timeout: None,
+            cooperative: false,
+            fraction: 0.10,
+            proxies: 4,
+        };
+        let mut seen: Vec<&str> = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            if seen.contains(&flag.as_str()) {
+                return Err(format!("`{flag}` given twice"));
+            }
+            seen.push(flag);
+            let mut value = || it.next().ok_or(format!("`{flag}` needs a value"));
+            match flag.as_str() {
+                "--preset" => opts.preset = value()?.clone(),
+                "--seed" => opts.seed = number(flag, value()?)?,
+                "--log" => opts.log = Some(value()?.clone()),
+                "--out" => opts.out = Some(value()?.clone()),
+                "--days" => opts.days = Some(number(flag, value()?)?),
+                "--tp" => opts.tp = number(flag, value()?)?,
+                "--max-size" => opts.max_size = Some(bytes(flag, value()?)?),
+                "--session-timeout" => opts.session_timeout = Some(number(flag, value()?)?),
+                "--cooperative" => opts.cooperative = true,
+                "--fraction" => opts.fraction = number(flag, value()?)?,
+                "--proxies" => opts.proxies = number(flag, value()?)?,
+                _ => return Err(format!("unknown option `{flag}`")),
             }
         }
-        Opts { kv, flags }
+        Ok(opts)
     }
+}
 
-    fn get(&self, name: &str) -> Option<&str> {
-        self.kv
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("`{flag} {raw}`: not a valid value"))
+}
 
-    fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
-
-    fn seed(&self) -> u64 {
-        self.get("seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1996)
-    }
-
-    fn f64_or(&self, name: &str, default: f64) -> f64 {
-        self.get(name)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn bytes(&self, name: &str) -> Option<Bytes> {
-        let raw = self.get(name)?;
-        let (num, mult) = match raw.chars().last() {
-            Some('K') | Some('k') => (&raw[..raw.len() - 1], 1024u64),
-            Some('M') | Some('m') => (&raw[..raw.len() - 1], 1024 * 1024),
-            _ => (raw, 1),
-        };
-        num.parse::<u64>().ok().map(|n| Bytes::new(n * mult))
-    }
+/// `BYTES[K|M]`, overflow included in what does not parse.
+fn bytes(flag: &str, raw: &str) -> Result<Bytes, String> {
+    let (num, mult) = match raw.chars().last() {
+        Some('K') | Some('k') => (&raw[..raw.len() - 1], 1024u64),
+        Some('M') | Some('m') => (&raw[..raw.len() - 1], 1024 * 1024),
+        _ => (raw, 1),
+    };
+    number::<u64>(flag, num)?
+        .checked_mul(mult)
+        .map(Bytes::new)
+        .ok_or(format!("`{flag} {raw}`: too large"))
 }
 
 fn topology() -> Topology {
@@ -141,7 +169,7 @@ fn topology() -> Topology {
 }
 
 fn build_trace(opts: &Opts) -> Result<Trace, CoreError> {
-    if let Some(path) = opts.get("log") {
+    if let Some(path) = &opts.log {
         let text = std::fs::read_to_string(path)?;
         let (records, bad) = logfmt::parse_log(&text);
         if !bad.is_empty() {
@@ -161,11 +189,10 @@ fn build_trace(opts: &Opts) -> Result<Trace, CoreError> {
         // campus predicate via future flags if needed.
         trace_from_records(&records, &topology(), &ImportConfig::default(), |_| false)
     } else {
-        let preset = opts.get("preset").unwrap_or("bu");
-        let mut cfg = match preset {
-            "bu" => TraceConfig::bu_www(opts.seed()),
-            "media" => TraceConfig::media_site(opts.seed()),
-            "cluster" => TraceConfig::cluster(opts.seed(), 8),
+        let mut cfg = match opts.preset.as_str() {
+            "bu" => TraceConfig::bu_www(opts.seed),
+            "media" => TraceConfig::media_site(opts.seed),
+            "cluster" => TraceConfig::cluster(opts.seed, 8),
             other => {
                 return Err(CoreError::invalid_config(
                     "preset",
@@ -173,7 +200,7 @@ fn build_trace(opts: &Opts) -> Result<Trace, CoreError> {
                 ))
             }
         };
-        if let Some(days) = opts.get("days").and_then(|s| s.parse().ok()) {
+        if let Some(days) = opts.days {
             cfg.duration_days = days;
         }
         TraceGenerator::new(cfg)?.generate(&topology())
@@ -183,7 +210,7 @@ fn build_trace(opts: &Opts) -> Result<Trace, CoreError> {
 fn cmd_generate(opts: &Opts) -> Result<(), CoreError> {
     let trace = build_trace(opts)?;
     let text = logfmt::write_log(&trace);
-    match opts.get("out") {
+    match &opts.out {
         Some(path) => {
             std::fs::write(path, &text)?;
             specweb::core::log!(
@@ -243,21 +270,21 @@ fn cmd_speculate(opts: &Opts) -> Result<(), CoreError> {
     let topo = topology();
     let total_days = trace.days().max(1);
 
-    let mut cfg = SpecConfig::baseline(opts.f64_or("tp", 0.3));
+    let mut cfg = SpecConfig::baseline(opts.tp);
     cfg.estimator.history_days = (total_days.saturating_mul(2) / 3).max(1);
     cfg.warmup_days = (total_days / 3).min(30);
-    if let Some(ms) = opts.bytes("max-size") {
+    if let Some(ms) = opts.max_size {
         cfg.max_size = ms;
     }
-    if let Some(secs) = opts.get("session-timeout").and_then(|s| s.parse().ok()) {
+    if let Some(secs) = opts.session_timeout {
         cfg.cache = CacheModel::Session {
             timeout: Duration::from_secs(secs),
         };
     }
-    cfg.cooperative = opts.flag("cooperative");
+    cfg.cooperative = opts.cooperative;
 
     let out = SpecSim::new(&trace, &topo).run(&cfg)?;
-    println!("speculative service (T_p = {:.2}):", opts.f64_or("tp", 0.3));
+    println!("speculative service (T_p = {:.2}):", opts.tp);
     println!("  traffic     : {:+.1}%", out.ratios.traffic_increase_pct());
     println!(
         "  server load : -{:.1}%",
@@ -287,8 +314,8 @@ fn cmd_disseminate(opts: &Opts) -> Result<(), CoreError> {
     let topo = topology();
     let sim = DisseminationSim::new(&trace, &topo)?;
     let cfg = DisseminationConfig {
-        fraction: opts.f64_or("fraction", 0.10),
-        n_proxies: opts.f64_or("proxies", 4.0) as usize,
+        fraction: opts.fraction,
+        n_proxies: opts.proxies,
         ..DisseminationConfig::default()
     };
     let out = sim.run(&cfg, &[])?;

@@ -333,3 +333,47 @@ fn zero_budget_allocation_is_all_zero() {
     assert!(a.bytes.iter().all(|&b| b == Bytes::ZERO));
     assert_eq!(a.alpha, 0.0);
 }
+
+/// The `specweb` CLI rejects what it does not understand — exit 2 and
+/// the usage text — where it used to run with a default in place of
+/// the typo. One well-formed run shows the same flags are accepted.
+#[test]
+fn cli_rejects_unknown_flags_bad_values_and_overflow() {
+    let specweb = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_specweb"))
+            .args(args)
+            .output()
+            .expect("spawn specweb");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    // (arguments, what the error names)
+    let rejected: [(&[&str], &str); 8] = [
+        (&["disseminate", "--fracton", "0.2"], "`--fracton`"),
+        (
+            &["generate", "--seed", "1", "--seed", "2"],
+            "`--seed` given",
+        ),
+        (&["generate", "stray"], "`stray`"),
+        (&["generate", "--seed", "abc"], "`--seed abc`"),
+        (&["speculate", "--tp", "x"], "`--tp x`"),
+        (&["generate", "--days", "q"], "`--days q`"),
+        (&["speculate", "--max-size", "29G"], "`--max-size 29G`"),
+        (
+            &["speculate", "--max-size", "99999999999999999M"],
+            "too large",
+        ),
+    ];
+    for (args, named) in rejected {
+        let (code, stderr) = specweb(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: specweb"), "{args:?}: {stderr}");
+    }
+    let (code, stderr) = specweb(&[
+        "analyze", "--preset", "cluster", "--seed", "3", "--days", "2",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
