@@ -5,8 +5,10 @@
 //! recent comparable ledger entry.
 //!
 //! The regression is *injected*: the test pre-seeds the ledger with a
-//! comparable entry whose timings are impossibly fast (1 ms), so the
-//! real run is guaranteed to blow the `prev × 1.25 + 0.5s` limit.
+//! comparable entry whose timings are impossible (−1 s), which puts the
+//! `prev × 1.25 + 0.5s` limit below zero: the real run blows it however
+//! fast it is. (A 1 ms baseline left a 0.5 s limit, which a debug
+//! `exp-closure --quick` came in under once the estimator got faster.)
 
 use std::path::Path;
 use std::process::Command;
@@ -38,8 +40,8 @@ fn ledger(out: &Path) -> serde_json::Value {
 }
 
 /// A ledger with one prior entry comparable to the test invocation
-/// (same jobs/scale/scale_factor) but absurdly fast, so any real run
-/// regresses past tolerance.
+/// (same jobs/scale/scale_factor) but faster than any run can be, so
+/// every real run regresses past tolerance.
 fn impossible_baseline() -> String {
     serde_json::to_string_pretty(&serde_json::json!({
         "schema": "specweb-perf/v1",
@@ -49,8 +51,8 @@ fn impossible_baseline() -> String {
             "scale": "quick",
             "scale_factor": 1,
             "seed": 5,
-            "total_seconds": 0.001,
-            "experiments": [{ "id": "exp-closure", "seconds": 0.001 }]
+            "total_seconds": -1.0,
+            "experiments": [{ "id": "exp-closure", "seconds": -1.0 }]
         }]
     }))
     .unwrap()
@@ -70,8 +72,8 @@ fn check_perf_gates_on_an_injected_regression() {
     let entries = ledger(&fresh)["entries"].as_array().unwrap().len();
     assert_eq!(entries, 1, "the run must append itself to the ledger");
 
-    // Injected regression: a comparable 1 ms baseline makes the real
-    // run (orders of magnitude slower) a guaranteed regression.
+    // Injected regression: a comparable −1 s baseline makes the real
+    // run a guaranteed regression.
     let rigged = base.join("rigged");
     std::fs::create_dir_all(&rigged).unwrap();
     std::fs::write(rigged.join("perf_trajectory.json"), impossible_baseline()).unwrap();

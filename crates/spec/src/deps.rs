@@ -96,6 +96,58 @@ impl DepMatrix {
         }
     }
 
+    /// The weighted mean of `parts`, `Σ w·p[i,j] / Σ w` capped at 1, each
+    /// pair summed in the order the parts are given (a pair absent from
+    /// a part adds nothing). Equal to [`DepMatrix::from_entries`] of
+    /// those sums: rows are blended one at a time, in a table indexed by
+    /// `j`, and laid straight into the result.
+    pub(crate) fn blend(parts: &[(f64, &DepMatrix)]) -> Self {
+        let wsum = parts.iter().fold(0.0, |sum, (w, _)| sum + w);
+        let n_rows = parts.iter().map(|(_, m)| m.starts.len().saturating_sub(1));
+        let mut out = DepMatrix {
+            starts: Vec::new(),
+            edges: Vec::new(),
+            truncated_rows: 0,
+        };
+        // `slots[j]` is `(i + 1, where row i holds j)`: the stamp of the
+        // row that last touched it, so a new row starts every sum afresh
+        // (at `0.0 + w * p`) without clearing the table.
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        for i in 0..n_rows.max().unwrap_or(0) {
+            let row_start = out.edges.len();
+            for &(w, m) in parts {
+                for &(j, p) in m.row(DocId::from(i)) {
+                    if slots.len() <= j.index() {
+                        slots.resize(j.index() + 1, (0, 0));
+                    }
+                    let slot = &mut slots[j.index()];
+                    if slot.0 != i + 1 {
+                        *slot = (i + 1, out.edges.len());
+                        out.edges.push((j, 0.0));
+                    }
+                    out.edges[slot.1].1 += w * p;
+                }
+            }
+            let mut kept = row_start;
+            for at in row_start..out.edges.len() {
+                let (j, sum) = out.edges[at];
+                let p = (sum / wsum).min(1.0);
+                if p > 0.0 {
+                    out.edges[kept] = (j, p);
+                    kept += 1;
+                }
+            }
+            out.edges.truncate(kept);
+            if kept > row_start {
+                // Ids between the previous row and this one have none.
+                out.starts.resize(i + 1, row_start);
+                out.edges[row_start..].sort_unstable_by(row_order);
+            }
+        }
+        out.starts.push(out.edges.len());
+        out
+    }
+
     /// The probability `p[i,j]` (0 when absent).
     pub fn get(&self, i: DocId, j: DocId) -> f64 {
         self.row(i)
@@ -394,14 +446,15 @@ impl Search {
 #[derive(Debug, Clone)]
 pub struct DepMatrixBuilder {
     window: Duration,
-    /// Per-client recent accesses still inside the window. Each pending
-    /// occurrence of `i` remembers which followers it has already
-    /// counted, so `p[i,j]` is the fraction of `i`-occurrences followed
-    /// by **at least one** `j` — not a raw pair count. Ordered, so the
-    /// daily sweep walks it in an order that is the same on every run.
+    /// Per-client recent accesses still inside the window, oldest
+    /// first. An occurrence of `i` counts a follower `j` once however
+    /// often `j` recurs, so `p[i,j]` is the fraction of `i`-occurrences
+    /// followed by **at least one** `j` — not a raw pair count. Ordered,
+    /// so the daily sweep walks it in an order that is the same on every
+    /// run.
     pending: BTreeMap<ClientId, Vec<PendingAccess>>,
-    occurrences: HashMap<DocId, u64>,
-    follows: HashMap<(DocId, DocId), u64>,
+    occurrences: HashMap<DocId, u64, IdHashes>,
+    follows: HashMap<(DocId, DocId), u64, IdHashes>,
     /// The latest day an access was pushed for: crossing into a later
     /// day triggers the once-a-day housekeeping.
     today: u64,
@@ -416,14 +469,31 @@ pub struct DepMatrixBuilder {
 }
 
 /// One not-yet-expired access of the streaming estimator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingAccess {
     time: specweb_core::time::SimTime,
     doc: DocId,
-    /// Followers already counted for this occurrence (windows hold a
-    /// handful of accesses, so linear scans beat a hash set here).
-    counted: Vec<DocId>,
 }
+
+/// The hasher of the builder's count maps: one multiply-rotate round
+/// per id. The keys are a trace's own dense ids, not outside input, and
+/// nothing is seeded, so a map iterates in the same order on every run.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+type IdHashes = std::hash::BuildHasherDefault<IdHasher>;
 
 /// What one day's antecedents added to the counts, as sorted
 /// `(key, count)` runs once [`DayDelta::coalesce`] has run; events
@@ -460,7 +530,7 @@ impl DayDelta {
 
 /// Subtracts `n` from `counts[key]`; a count that returns to 0 leaves
 /// the map, as if the key had never been counted.
-fn uncount<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, u64>, key: K, n: u64) {
+fn uncount<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, u64, IdHashes>, key: K, n: u64) {
     if let std::collections::hash_map::Entry::Occupied(mut e) = counts.entry(key) {
         *e.get_mut() -= n;
         if *e.get() == 0 {
@@ -520,19 +590,20 @@ impl DepMatrixBuilder {
         let q = self.pending.entry(access.client).or_default();
         // Retire accesses that fell out of the window, then record the
         // i→j pairs the new access completes (once per i-occurrence).
+        // The queue holds every access newer than its oldest member, so
+        // a pending `p` was already followed by this document iff a
+        // request for it sits after `p`: the occurrences it newly
+        // follows are those past the client's last request for it.
         let window = self.window;
         q.retain(|p| window.is_infinite() || access.time.since(p.time) < window);
-        for p in q.iter_mut() {
-            if p.doc != access.doc && !p.counted.contains(&access.doc) {
-                p.counted.push(access.doc);
-                let from = p.time.day();
-                if from >= self.window_start {
-                    *self.follows.entry((p.doc, access.doc)).or_insert(0) += 1;
-                    if from < self.retire_before {
-                        let delta = self.deltas.entry(from).or_default();
-                        delta.pairs.push(((p.doc, access.doc), 1));
-                        delta.dirty = true;
-                    }
+        for p in q.iter().rev().take_while(|p| p.doc != access.doc) {
+            let from = p.time.day();
+            if from >= self.window_start {
+                *self.follows.entry((p.doc, access.doc)).or_insert(0) += 1;
+                if from < self.retire_before {
+                    let delta = self.deltas.entry(from).or_default();
+                    delta.pairs.push(((p.doc, access.doc), 1));
+                    delta.dirty = true;
                 }
             }
         }
@@ -547,7 +618,6 @@ impl DepMatrixBuilder {
         q.push(PendingAccess {
             time: access.time,
             doc: access.doc,
-            counted: Vec::new(),
         });
     }
 
@@ -682,6 +752,38 @@ mod tests {
         ];
         let m = DepMatrixBuilder::estimate(&accesses, W, 1);
         assert!((m.get(DocId(1), DocId(2)) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_repeated_antecedent_counts_only_the_followers_after_it() {
+        // A B A C B on one client, inside one window.
+        let (a, b, c) = (DocId(1), DocId(2), DocId(3));
+        let mut builder = DepMatrixBuilder::new(W);
+        builder.push_all(&[
+            acc(0, 1, 0),
+            acc(0, 2, 100),
+            acc(0, 1, 200),
+            acc(0, 3, 300),
+            acc(0, 2, 400),
+        ]);
+        // The first A is followed by B and C, the second by C and the
+        // last B; the first B by A and C (its own repeat is not a
+        // follower); C by the last B, which nothing follows.
+        let mut follows: Vec<_> = builder.follows.iter().map(|(&k, &n)| (k, n)).collect();
+        follows.sort_unstable();
+        assert_eq!(
+            follows,
+            [
+                ((a, b), 2),
+                ((a, c), 2),
+                ((b, a), 1),
+                ((b, c), 1),
+                ((c, b), 1)
+            ]
+        );
+        let mut occurrences: Vec<_> = builder.occurrences.iter().map(|(&k, &n)| (k, n)).collect();
+        occurrences.sort_unstable();
+        assert_eq!(occurrences, [(a, 2), (b, 2), (c, 1)]);
     }
 
     #[test]
@@ -987,6 +1089,24 @@ mod tests {
         DepMatrix::from_entries(entries)
     }
 
+    /// The aged blend as it was before the row table: every part's
+    /// entries added into one ordered map, part after part. Kept as the
+    /// reference [`DepMatrix::blend`] is compared against.
+    fn reference_blend(parts: &[(f64, DepMatrix)]) -> DepMatrix {
+        let mut acc: BTreeMap<(DocId, DocId), f64> = BTreeMap::new();
+        let mut wsum = 0.0f64;
+        for (w, m) in parts {
+            for (i, j, p) in m.entries() {
+                *acc.entry((i, j)).or_insert(0.0) += w * p;
+            }
+            wsum += w;
+        }
+        DepMatrix::from_entries(acc.iter().filter_map(|(&(i, j), v)| {
+            let p = (v / wsum).min(1.0);
+            (p > 0.0).then_some((i, j, p))
+        }))
+    }
+
     /// Probabilities in eighths: many ties, and products that are exact
     /// in binary floating point whatever the order of multiplication.
     fn eighths() -> impl Strategy<Value = f64> {
@@ -1031,6 +1151,42 @@ mod tests {
             prop_assert!(m.rows_in_order(), "{:?}", m);
             prop_assert_eq!(again.bits(), m.bits());
             prop_assert_eq!(again, m);
+        }
+
+        #[test]
+        fn blend_equals_the_btree_definition_bit_for_bit(
+            raw in prop::collection::vec(
+                (
+                    prop_oneof![
+                        Just(1.0),
+                        (1i32..40).prop_map(|k| 0.95f64.powi(k)),
+                        Just(1e-4),
+                        Just(1e-300),
+                    ],
+                    // `1e-30` under a `1e-300` weight blends to nothing
+                    // beside a heavier part; ids 12.. are rows and
+                    // targets only such entries reach.
+                    prop::collection::vec(
+                        prop_oneof![
+                            (0u32..12, 0u32..12, eighths()),
+                            (0u32..12, 0u32..12, 0.001f64..1.0),
+                            (0u32..16, 0u32..16, Just(1e-30)),
+                        ],
+                        0..40,
+                    ),
+                ),
+                0..=6,
+            ),
+        ) {
+            let parts: Vec<(f64, DepMatrix)> =
+                raw.iter().map(|(w, edges)| (*w, matrix_of(edges))).collect();
+            let want = reference_blend(&parts);
+            let borrowed: Vec<(f64, &DepMatrix)> = parts.iter().map(|(w, m)| (*w, m)).collect();
+            let got = DepMatrix::blend(&borrowed);
+            prop_assert_eq!(got.bits(), want.bits());
+            prop_assert!(got.rows_in_order(), "{:?}", got);
+            // No trailing empty rows: equal contents are equal matrices.
+            prop_assert_eq!(got, want);
         }
 
         #[test]
@@ -1184,7 +1340,12 @@ mod tests {
 
         #[test]
         fn estimate_matches_the_definition(
-            raw in prop::collection::vec((0u32..5, 0u32..9, 0u64..40_000_000), 0..120),
+            raw in prop_oneof![
+                prop::collection::vec((0u32..5, 0u32..9, 0u64..40_000_000), 0..120),
+                // Dense repeats: a re-request inside the window is the
+                // common case, ties in time included.
+                prop::collection::vec((0u32..2, 0u32..3, 0u64..3_000), 0..120),
+            ],
             window in prop_oneof![
                 Just(W), Just(Duration::from_days(2)), Just(Duration::INFINITE)
             ],

@@ -20,7 +20,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use specweb_core::ids::DocId;
 use specweb_core::time::Duration;
 use specweb_core::{CoreError, Result};
 use specweb_trace::generator::Trace;
@@ -106,6 +105,9 @@ pub struct MatrixPair {
     pub estimated_on_day: u64,
 }
 
+/// Each blended day's own direct matrix, by day.
+type DayMatrices = BTreeMap<u64, DepMatrix>;
+
 /// The estimator of one boundary at a time over a trace: the
 /// from-scratch twin of [`MatrixStore::precompute`], which also borrows
 /// its per-boundary steps.
@@ -145,7 +147,11 @@ impl<'a> RollingEstimator<'a> {
                 }
                 b.build(self.cfg.min_support)
             }
-            Some(decay) => self.estimate_aged(day, decay, |d| self.day_entries(d)),
+            Some(decay) => {
+                let days = self.aged_days(day, decay);
+                let per_day = days.map(|(d, _)| (d, self.day_matrix(d))).collect();
+                self.estimate_aged(day, decay, &per_day)
+            }
         };
         self.pair(day, direct, jobs)
     }
@@ -192,50 +198,34 @@ impl<'a> RollingEstimator<'a> {
     /// The days [`RollingEstimator::estimate_aged`] blends into the
     /// estimate of `day`, oldest first, each with its weight.
     fn aged_days(&self, day: u64, decay: f64) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let horizon = (self.cfg.history_days * 3).min(day); // old days ≈ 0 weight
+        let horizon = self.cfg.history_days.saturating_mul(3).min(day); // old days ≈ 0 weight
         (day - horizon..day).filter_map(move |d| {
             let age = day - 1 - d;
-            let w = decay.powi(age as i32);
+            let w = decay.powi(i32::try_from(age).unwrap_or(i32::MAX));
             (w >= 1e-4 && !self.trace.day_slice(d).is_empty()).then_some((d, w))
         })
     }
 
-    /// The entries of day `d`'s own direct matrix, the unit the aged
-    /// blend is made of (flat: a precompute holds one per trace day).
-    fn day_entries(&self, d: u64) -> Vec<(DocId, DocId, f64)> {
+    /// Day `d`'s own direct matrix, the unit the aged blend is made of
+    /// (a precompute holds one per blended day, shared by its
+    /// boundaries).
+    fn day_matrix(&self, d: u64) -> DepMatrix {
         DepMatrixBuilder::estimate(self.trace.day_slice(d), self.cfg.window, 1)
-            .entries()
-            .collect()
     }
 
     /// Aged estimation: every past day contributes, weighted by
     /// `decay^age`. Implemented by blending per-day matrices, which
-    /// `day_entries` supplies by day — counts would be more precise, but
-    /// matrices compose adequately for the drift experiment.
-    fn estimate_aged<M: std::borrow::Borrow<[(DocId, DocId, f64)]>>(
-        &self,
-        day: u64,
-        decay: f64,
-        mut day_entries: impl FnMut(u64) -> M,
-    ) -> DepMatrix {
+    /// `per_day` holds by day — counts would be more precise, but
+    /// matrices compose adequately for the drift experiment. The weight
+    /// is `decay^age` alone: each day's antecedent occurrence share is
+    /// approximated by equal day weights, which suffices for drift
+    /// tracking.
+    fn estimate_aged(&self, day: u64, decay: f64, per_day: &DayMatrices) -> DepMatrix {
         let _f = specweb_core::obs::profile::frame("estimator.aged_blend");
-        // Weighted average of per-day direct matrices. Weight by decay^age
-        // and by each day's antecedent occurrence share — approximated
-        // here by equal day weights, which suffices for drift tracking.
-        // A BTreeMap keeps the blend free of hash iteration order.
-        let mut acc: BTreeMap<(DocId, DocId), f64> = BTreeMap::new();
-        let mut wsum = 0.0f64;
-        for (d, w) in self.aged_days(day, decay) {
-            for &(i, j, p) in day_entries(d).borrow() {
-                *acc.entry((i, j)).or_insert(0.0) += w * p;
-            }
-            wsum += w;
-        }
-        // No day to blend leaves `wsum` 0 and `acc` empty.
-        DepMatrix::from_entries(acc.iter().filter_map(|(&(i, j), v)| {
-            let p = (v / wsum).min(1.0);
-            (p > 0.0).then_some((i, j, p))
-        }))
+        let parts: Vec<(f64, &DepMatrix)> = (self.aged_days(day, decay))
+            .map(|(d, w)| (w, &per_day[&d]))
+            .collect();
+        DepMatrix::blend(&parts)
     }
 }
 
@@ -295,22 +285,18 @@ impl MatrixStore {
                     .collect()
             }
             Some(decay) => {
-                let per_day = {
+                let per_day: DayMatrices = {
                     let _f = specweb_core::obs::profile::frame("estimator.day_matrices");
                     let blended: BTreeSet<u64> = days
                         .iter()
                         .flat_map(|&day| est.aged_days(day, decay).map(|(d, _)| d))
                         .collect();
                     let blended: Vec<u64> = blended.into_iter().collect();
-                    let entries = pool.map_indexed(&blended, |_, &d| est.day_entries(d));
-                    blended.into_iter().zip(entries).collect::<BTreeMap<_, _>>()
+                    let matrices = pool.map_indexed(&blended, |_, &d| est.day_matrix(d));
+                    blended.into_iter().zip(matrices).collect()
                 };
                 pool.try_map_indexed(&days, |_, &day| {
-                    est.pair(
-                        day,
-                        est.estimate_aged(day, decay, |d| per_day[&d].as_slice()),
-                        1,
-                    )
+                    est.pair(day, est.estimate_aged(day, decay, &per_day), 1)
                 })?
             }
         };
@@ -528,6 +514,28 @@ mod tests {
         }
         // Days past the horizon clamp to the last boundary.
         assert_eq!(store.for_day(99).estimated_on_day, 10);
+    }
+
+    #[test]
+    fn a_history_longer_than_any_trace_is_the_whole_trace() {
+        // `history_days * 3` and `decay.powi(age as i32)` used to wrap.
+        let t = trace(106, 0.2);
+        for aging_decay in [None, Some(0.9)] {
+            let stores = [u64::MAX, t.days()].map(|history_days| {
+                let cfg = EstimatorConfig {
+                    history_days,
+                    aging_decay,
+                    ..EstimatorConfig::default()
+                };
+                MatrixStore::precompute(&cfg, &t, t.days()).unwrap()
+            });
+            assert_eq!(stores[0].len(), stores[1].len());
+            for (all, whole) in stores[0].by_boundary.iter().zip(&stores[1].by_boundary) {
+                assert!(whole.estimated_on_day == 0 || whole.direct.n_entries() > 0);
+                assert_eq!(all.direct.bits(), whole.direct.bits(), "{aging_decay:?}");
+                assert_eq!(all.closure.bits(), whole.closure.bits(), "{aging_decay:?}");
+            }
+        }
     }
 
     #[test]
