@@ -33,11 +33,9 @@ use specweb_dissem::hierarchy;
 use specweb_dissem::simulate::{DisseminationConfig, DisseminationSim};
 use specweb_netsim::queueing::{load_relief, Mg1};
 use specweb_spec::cooperative::{BloomDigest, Digest, ExactDigest};
-use specweb_spec::estimator::MatrixStore;
 use specweb_spec::policy::Policy;
-use specweb_spec::simulate::{SpecConfig, SpecSim};
 
-use crate::{pct, Report, Scale};
+use crate::{pct, Inputs, Report, Scale};
 
 // ---------------------------------------------------------------------
 // EXP-CLOSURE — P* vs P
@@ -81,18 +79,12 @@ pub struct ValveRow {
 }
 
 /// Runs the closure-vs-direct ablation.
-pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
+pub fn exp_closure(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let (sim, store) = (bench.sim(), bench.store()?);
+    let mut cfg = bench.cfg(0.5);
 
-    let mut cfg = SpecConfig::baseline(0.5);
-    cfg.estimator.history_days = crate::workloads::history_days(scale);
-    cfg.warmup_days = crate::workloads::warmup_days(scale);
-    let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-
-    let tps: &[f64] = match scale {
+    let tps: &[f64] = match inputs.scale {
         Scale::Full => &[0.7, 0.5, 0.3, 0.15],
         Scale::Quick => &[0.5, 0.15],
     };
@@ -103,9 +95,9 @@ pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
     let mut rows = Vec::new();
     for &tp in tps {
         cfg.policy = Policy::Threshold { tp };
-        let c = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+        let c = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
         cfg.policy = Policy::DirectThreshold { tp };
-        let d = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+        let d = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
         rows.push(ClosureRow {
             tp,
             closure: (
@@ -155,17 +147,22 @@ pub fn exp_closure(scale: Scale, seed: u64) -> Result<Report> {
     // probe threshold. This quantifies how much headroom the default
     // bound leaves before approximation starts eating load reduction.
     let probe_tp = 0.3;
-    let bounds: &[usize] = match scale {
+    let bounds: &[usize] = match inputs.scale {
         Scale::Full => &[2, 4, 8, 16, 32, 64, 128],
         Scale::Quick => &[2, 8, 32, 128],
     };
     let mut valve = Vec::with_capacity(bounds.len());
     cfg.policy = Policy::Threshold { tp: probe_tp };
     for &max_row in bounds {
+        // The same P under each bound; the default bound's store is the
+        // shared one itself.
+        let reclosed = (max_row != cfg.estimator.closure_max_row)
+            .then(|| store.reclose(cfg.estimator.closure_floor, max_row))
+            .transpose()?;
+        let vstore = reclosed.as_ref().unwrap_or(store);
         let mut vcfg = cfg;
         vcfg.estimator.closure_max_row = max_row;
-        let vstore = MatrixStore::precompute(&vcfg.estimator, &trace, total_days)?;
-        let out = sim.run_with_store_and_baseline(&vcfg, Some(&vstore), Some(&baseline))?;
+        let out = sim.run_with_store_and_baseline(&vcfg, Some(vstore), Some(&baseline))?;
         valve.push(ValveRow {
             max_row,
             truncated_rows: vstore.truncated_rows(),
@@ -220,10 +217,9 @@ pub struct RankRow {
 }
 
 /// Runs the ranking ablation.
-pub fn exp_rank(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = DisseminationSim::new(&trace, &topo)?;
+pub fn exp_rank(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let sim = DisseminationSim::new(&bench.trace, &bench.topo)?;
 
     let mut rows = Vec::new();
     for fraction in [0.04, 0.10, 0.25] {
@@ -290,10 +286,9 @@ pub struct TailoredRow {
 }
 
 /// Runs the tailoring ablation.
-pub fn exp_tailored(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = DisseminationSim::new(&trace, &topo)?;
+pub fn exp_tailored(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let sim = DisseminationSim::new(&bench.trace, &bench.topo)?;
 
     let mut rows = Vec::new();
     for fraction in [0.02, 0.05, 0.10] {
@@ -357,12 +352,11 @@ pub struct ShedRow {
 }
 
 /// Runs the shedding sweep.
-pub fn exp_shed(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = DisseminationSim::new(&trace, &topo)?;
+pub fn exp_shed(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let sim = DisseminationSim::new(&bench.trace, &bench.topo)?;
 
-    let caps: &[Option<u64>] = match scale {
+    let caps: &[Option<u64>] = match inputs.scale {
         Scale::Full => &[None, Some(2_000), Some(500), Some(125), Some(30)],
         Scale::Quick => &[None, Some(200), Some(20)],
     };
@@ -420,17 +414,16 @@ pub fn exp_shed(scale: Scale, seed: u64) -> Result<Report> {
 // ---------------------------------------------------------------------
 
 /// Runs the hierarchy comparison.
-pub fn exp_hier(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = DisseminationSim::new(&trace, &topo)?;
-    let cap = match scale {
+pub fn exp_hier(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let sim = DisseminationSim::new(&bench.trace, &bench.topo)?;
+    let cap = match inputs.scale {
         Scale::Full => 400,
         Scale::Quick => 40,
     };
     let rows = hierarchy::compare_levels(
         &sim,
-        &topo,
+        &bench.topo,
         &DisseminationConfig {
             fraction: 0.10,
             ..DisseminationConfig::default()
@@ -480,12 +473,12 @@ pub struct AllocResult {
 
 /// Runs the allocation comparison on profiles mined from a multi-server
 /// cluster trace.
-pub fn exp_alloc(scale: Scale, seed: u64) -> Result<Report> {
+pub fn exp_alloc(inputs: &Inputs) -> Result<Report> {
     use specweb_trace::generator::{TraceConfig, TraceGenerator};
     let topo = crate::workloads::topology();
     let n_servers = 8usize;
-    let mut tc = TraceConfig::cluster(seed, n_servers);
-    if scale == Scale::Quick {
+    let mut tc = TraceConfig::cluster(inputs.seed, n_servers);
+    if inputs.scale == Scale::Quick {
         tc.duration_days = 10;
         tc.sessions_per_day = 80;
         tc.site.n_pages = 60;
@@ -559,13 +552,11 @@ pub struct AgingRow {
 }
 
 /// Runs the aging ablation on the drifting workload.
-pub fn exp_aging(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::drift_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
+pub fn exp_aging(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.drift()?;
+    let sim = bench.sim();
 
-    let history = match scale {
+    let history = match inputs.scale {
         Scale::Full => 30,
         Scale::Quick => 8,
     };
@@ -577,19 +568,14 @@ pub fn exp_aging(scale: Scale, seed: u64) -> Result<Report> {
 
     // One baseline for all estimator variants (the demand replay never
     // reads the estimator).
-    let baseline = {
-        let mut c = SpecConfig::baseline(0.3);
-        c.warmup_days = crate::workloads::warmup_days(scale);
-        sim.baseline_totals(&c)?
-    };
+    let mut cfg = bench.cfg(0.3);
+    cfg.estimator.history_days = history;
+    let baseline = sim.baseline_totals(&cfg)?;
 
     let mut rows = Vec::new();
     for (label, decay) in variants {
-        let mut cfg = SpecConfig::baseline(0.3);
-        cfg.estimator.history_days = history;
         cfg.estimator.aging_decay = decay;
-        cfg.warmup_days = crate::workloads::warmup_days(scale);
-        let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
+        let store = bench.store_for(&cfg.estimator)?;
         let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
         rows.push(AgingRow {
             variant: label,
@@ -640,7 +626,7 @@ pub struct DigestRow {
 }
 
 /// Runs the digest comparison (analytic; no simulation needed).
-pub fn exp_digest(_scale: Scale, _seed: u64) -> Result<Report> {
+pub fn exp_digest(_inputs: &Inputs) -> Result<Report> {
     use specweb_core::ids::DocId;
     let mut rows = Vec::new();
     for cached in [50usize, 500, 5_000, 50_000] {
@@ -708,23 +694,17 @@ pub struct QueueRow {
 /// Couples the simulator's measured load reductions to an M/G/1 server
 /// at a peak-hour operating point: the paper's "−35% server load"
 /// rendered as response time.
-pub fn exp_queue(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
-
-    let mut cfg = SpecConfig::baseline(0.5);
-    cfg.estimator.history_days = crate::workloads::history_days(scale);
-    cfg.warmup_days = crate::workloads::warmup_days(scale);
-    let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
+pub fn exp_queue(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let (sim, store) = (bench.sim(), bench.store()?);
+    let mut cfg = bench.cfg(0.5);
 
     // Peak-hour operating point: a 1995 httpd (capacity 20 req/s at
     // 50 ms mean service) running hot at ρ = 0.95.
     let server = Mg1::httpd_1995();
     let lambda = 0.95 / server.mean_service_secs;
 
-    let tps: &[f64] = match scale {
+    let tps: &[f64] = match inputs.scale {
         Scale::Full => &[0.9, 0.5, 0.3, 0.15],
         Scale::Quick => &[0.5, 0.15],
     };
@@ -734,7 +714,7 @@ pub fn exp_queue(scale: Scale, seed: u64) -> Result<Report> {
     let mut rows = Vec::new();
     for &tp in tps {
         cfg.policy = Policy::Threshold { tp };
-        let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+        let out = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
         let reduction = out.ratios.server_load_reduction_pct();
         let relief = load_relief(&server, lambda, reduction / 100.0)?;
         rows.push(QueueRow {
@@ -790,11 +770,13 @@ pub fn exp_queue(scale: Scale, seed: u64) -> Result<Report> {
 mod tests {
     use super::*;
 
-    const S: Scale = Scale::Quick;
+    fn quick(seed: u64) -> Inputs {
+        Inputs::new(Scale::Quick, 1, seed)
+    }
 
     #[test]
     fn closure_reaches_further_than_direct() {
-        let r = exp_closure(S, 30).unwrap();
+        let r = exp_closure(&quick(30)).unwrap();
         // The safety-valve count is always reported, even when zero.
         assert!(r.json["truncated_rows"].as_u64().is_some());
         assert!(r.text.contains("safety valve") || r.text.contains("truncated"));
@@ -813,7 +795,7 @@ mod tests {
 
     #[test]
     fn ranking_objectives_split_as_predicted() {
-        let r = exp_rank(S, 31).unwrap();
+        let r = exp_rank(&quick(31)).unwrap();
         let rows = r.json.as_array().unwrap();
         // Density ranking never intercepts fewer requests; traffic
         // ranking never saves fewer bytes×hops (within noise).
@@ -842,7 +824,7 @@ mod tests {
         // At Quick scale a proxy subtree sees few accesses per
         // server, so tailored rankings carry sampling noise; assert
         // ties-within-noise rather than strict improvement.
-        let r = exp_tailored(S, 32).unwrap();
+        let r = exp_tailored(&quick(32)).unwrap();
         for row in r.json.as_array().unwrap() {
             let shared = row["shared"].as_f64().unwrap();
             let tailored = row["tailored"].as_f64().unwrap();
@@ -855,7 +837,7 @@ mod tests {
 
     #[test]
     fn shedding_degrades_gracefully() {
-        let r = exp_shed(S, 33).unwrap();
+        let r = exp_shed(&quick(33)).unwrap();
         let rows = r.json.as_array().unwrap();
         // Tighter caps shed more and save less, but never negative.
         let mut prev_shed = 0u64;
@@ -875,7 +857,7 @@ mod tests {
 
     #[test]
     fn hierarchy_absorbs_load() {
-        let r = exp_hier(S, 34).unwrap();
+        let r = exp_hier(&quick(34)).unwrap();
         let rows = r.json.as_array().unwrap();
         assert_eq!(rows.len(), 3);
         let shed1 = rows[0]["shed_requests"].as_u64().unwrap();
@@ -888,7 +870,7 @@ mod tests {
 
     #[test]
     fn optimizer_beats_baselines_on_mined_profiles() {
-        let r = exp_alloc(S, 35).unwrap();
+        let r = exp_alloc(&quick(35)).unwrap();
         for row in r.json["rows"].as_array().unwrap() {
             let opt = row[1].as_f64().unwrap();
             let pro = row[2].as_f64().unwrap();
@@ -907,7 +889,7 @@ mod tests {
 
     #[test]
     fn aging_variants_all_work() {
-        let r = exp_aging(S, 36).unwrap();
+        let r = exp_aging(&quick(36)).unwrap();
         let rows = r.json.as_array().unwrap();
         assert_eq!(rows.len(), 3);
         for row in rows {
@@ -918,7 +900,7 @@ mod tests {
 
     #[test]
     fn queue_relief_improves_response_time() {
-        let r = exp_queue(S, 37).unwrap();
+        let r = exp_queue(&quick(37)).unwrap();
         let rows = r.json.as_array().unwrap();
         assert!(!rows.is_empty());
         for row in rows {
@@ -938,7 +920,7 @@ mod tests {
 
     #[test]
     fn bloom_digest_is_compact_and_accurate() {
-        let r = exp_digest(S, 0).unwrap();
+        let r = exp_digest(&quick(0)).unwrap();
         for row in r.json.as_array().unwrap() {
             let exact = row["exact_bytes"].as_u64().unwrap();
             let bloom = row["bloom_bytes"].as_u64().unwrap();

@@ -13,9 +13,14 @@
 //! run-level `manifest_run.json` with the process-wide counters, one
 //! `profile_<id>.txt` span profile per experiment run, and one more
 //! entry in `perf_trajectory.json` with the run's per-experiment
-//! wall-clock times. `fig5` and `fig6` are two reports of one
-//! experiment: asked for together, the one named first runs the sweep
-//! (and owns its profile and ledger phase) and writes both.
+//! wall-clock times. What the requested experiments share — the
+//! calibrated traces and the baseline `P`/`P*` store — is built once,
+//! before they start, under its own `inputs` root: `profile_inputs.txt`
+//! and an `inputs` phase in the ledger, so an experiment's own profile
+//! shows a build only for what is private to it. `fig5` and `fig6` are
+//! two reports of one experiment: asked for together, the one named
+//! first runs the sweep (and owns its profile and ledger phase) and
+//! writes both.
 //! Experiments fan out on `--jobs` workers (default: `SPECWEB_JOBS` or
 //! the core count); the result files and every manifest's
 //! `deterministic` section are byte-identical for every worker count —
@@ -30,7 +35,7 @@
 
 use std::time::Instant;
 
-use specweb_bench::{ablations, cli, exps, fig1, fig2, fig3, fig4, fig5, perf, Report, Scale};
+use specweb_bench::{cli, perf, Experiment, Inputs, Report, Scale, EXPERIMENTS};
 use specweb_core::log;
 use specweb_core::obs::{self, Channel, Level, Obs, RunManifest};
 
@@ -70,8 +75,6 @@ fn main() {
     // honors --jobs. `--jobs 1` makes the entire process serial.
     let jobs = jobs.unwrap_or_else(specweb_core::par::default_jobs);
     specweb_core::par::set_default_jobs(jobs);
-    // Pin the population multiplier before any workload is built.
-    specweb_bench::workloads::set_scale_factor(scale_factor);
 
     let t0 = Instant::now();
     let scale_name: String = {
@@ -96,7 +99,33 @@ fn main() {
         .iter()
         .filter(|w| *w == "fig5" || *w == "fig6")
         .nth(1);
-    let runs: Vec<&String> = wanted.iter().filter(|w| Some(*w) != rider).collect();
+    // (cli::parse has checked every id against the same table.)
+    let runs: Vec<&Experiment> = wanted
+        .iter()
+        .filter(|w| Some(*w) != rider)
+        .filter_map(|w| EXPERIMENTS.iter().find(|e| e.id == w))
+        .collect();
+
+    // The run's plan: what the requested experiments declare is built
+    // here, once, before the fan-out — so which profile shows a build
+    // never depends on which worker asked first, and the workers only
+    // read. Its time is the `inputs` root and ledger phase.
+    let inputs = Inputs::new(scale, scale_factor, seed);
+    let plan = Obs::new();
+    let plan_secs = {
+        let started = Instant::now();
+        let _ctx = plan.install();
+        let _root = obs::frame("inputs");
+        inputs
+            .prepare(runs.iter().map(|e| e.needs))
+            .unwrap_or_else(|e| die(&format!("inputs failed: {e}")));
+        started.elapsed().as_secs_f64()
+    };
+    write_profile(&out_dir, "inputs", &plan);
+    let mut experiments = vec![perf::PhaseTiming {
+        id: "inputs".into(),
+        seconds: plan_secs,
+    }];
 
     // Experiments are independent deterministic replays: fan them out
     // and print in request order (a rider right after the id that ran
@@ -112,13 +141,14 @@ fn main() {
     // land under it.
     let pool = specweb_core::par::Pool::new(jobs.min(runs.len().max(1)));
     let results: Vec<(Vec<Report>, f64, Obs)> = pool
-        .try_map_indexed(&runs, |_, id| {
+        .try_map_indexed(&runs, |_, exp| {
             let started = Instant::now();
             let run = Obs::new();
             let mut reports = {
                 let _ctx = run.install();
-                let _root = obs::frame(id);
-                run_one(id, scale, seed).map_err(|e| format!("{id} failed: {e}"))?
+                let _root = obs::frame(exp.id);
+                exp.run(&inputs)
+                    .map_err(|e| format!("{} failed: {e}", exp.id))?
             };
             reports.retain(|r| wanted.iter().any(|w| w == r.id));
             record_peak_rss(&run);
@@ -126,8 +156,7 @@ fn main() {
         })
         .unwrap_or_else(|e: String| die(&e));
 
-    let mut experiments = Vec::with_capacity(results.len());
-    for (id, (reports, secs, run)) in runs.iter().zip(&results) {
+    for (exp, (reports, secs, run)) in runs.iter().zip(&results) {
         for report in reports {
             println!("{}", report.render());
             report
@@ -142,19 +171,16 @@ fn main() {
                 .with_timing("run", *secs);
             write_manifest(&out_dir, &manifest);
         }
-        // Collapsed-stack profile (wall-clock channel: excluded from the
-        // CI byte-diff, like perf_trajectory.json), one per run.
-        let profile_path = out_dir.join(format!("profile_{id}.txt"));
-        std::fs::write(&profile_path, run.profile.collapsed())
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", profile_path.display())));
+        write_profile(&out_dir, exp.id, run);
         log!(
             Info,
             "figures",
-            "{id} done in {secs:.1}s (→ {}/{id}.txt)",
+            "{0} done in {secs:.1}s (→ {1}/{0}.txt)",
+            exp.id,
             out_dir.display()
         );
         experiments.push(perf::PhaseTiming {
-            id: (*id).clone(),
+            id: exp.id.into(),
             seconds: *secs,
         });
     }
@@ -230,25 +256,35 @@ fn record_peak_rss(obs: &Obs) {
     }
 }
 
+/// Writes `dir/name`, creating `dir`; exits on failure.
+fn write_out(dir: &std::path::Path, name: &str, contents: &str) {
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+}
+
+/// Writes `profile_<root>.txt` under `dir`: `run`'s collapsed stacks
+/// (wall-clock channel: excluded from the CI byte-diff, like
+/// `perf_trajectory.json`).
+fn write_profile(dir: &std::path::Path, root: &str, run: &Obs) {
+    write_out(
+        dir,
+        &format!("profile_{root}.txt"),
+        &run.profile.collapsed(),
+    );
+}
+
 /// Writes `manifest_<id>.json` under `dir`.
 fn write_manifest(dir: &std::path::Path, manifest: &RunManifest) {
-    let path = dir.join(manifest.file_name());
-    std::fs::create_dir_all(dir)
-        .and_then(|()| {
-            std::fs::write(
-                &path,
-                serde_json::to_string_pretty(manifest).expect("manifests serialize"),
-            )
-        })
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+    let json = serde_json::to_string_pretty(manifest).expect("manifests serialize");
+    write_out(dir, &manifest.file_name(), &json);
 }
 
 /// Writes the deterministic-only markdown report to `<dir>/REPORT.md`.
 fn write_markdown_report(dir: &std::path::Path, manifests: &[RunManifest]) {
-    let path = dir.join("REPORT.md");
-    std::fs::write(&path, obs::render_report_markdown(manifests))
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-    log!(Info, "figures", "report → {}", path.display());
+    write_out(dir, "REPORT.md", &obs::render_report_markdown(manifests));
+    log!(Info, "figures", "report → {}/REPORT.md", dir.display());
 }
 
 /// Loads every `manifest_*.json` in `dir`, sorted by file name so the
@@ -284,43 +320,6 @@ fn load_manifests(dir: &std::path::Path) -> Result<Vec<RunManifest>, String> {
         manifests.push(manifest);
     }
     Ok(manifests)
-}
-
-/// Dispatches one experiment id to the reports it renders: one each,
-/// except that `fig5` and `fig6` both run the sweep that renders both.
-fn run_one(id: &str, scale: Scale, seed: u64) -> specweb_core::Result<Vec<Report>> {
-    let report = match id {
-        "fig5" | "fig6" => return Ok(fig5::run(scale, seed)?.into()),
-        "fig1" => fig1::run(scale, seed),
-        "fig2" => fig2::run(scale, seed),
-        "fig3" => fig3::run(scale, seed),
-        "fig4" => fig4::run(scale, seed),
-        "tab1" => exps::tab1(scale, seed),
-        "exp-upd" => exps::exp_upd(scale, seed),
-        "exp-size" => exps::exp_size(scale, seed),
-        "exp-cache" => exps::exp_cache(scale, seed),
-        "exp-coop" => exps::exp_coop(scale, seed),
-        "exp-pref" => exps::exp_pref(scale, seed),
-        "exp-class" => exps::exp_class(scale, seed),
-        "exp-sizing" => exps::exp_sizing(scale, seed),
-        "exp-closure" => ablations::exp_closure(scale, seed),
-        "exp-rank" => ablations::exp_rank(scale, seed),
-        "exp-tailored" => ablations::exp_tailored(scale, seed),
-        "exp-shed" => ablations::exp_shed(scale, seed),
-        "exp-hier" => ablations::exp_hier(scale, seed),
-        "exp-alloc" => ablations::exp_alloc(scale, seed),
-        "exp-aging" => ablations::exp_aging(scale, seed),
-        "exp-digest" => ablations::exp_digest(scale, seed),
-        "exp-queue" => ablations::exp_queue(scale, seed),
-        // cli::parse validates ids against the same list, so this is
-        // unreachable from the command line; an Err (not die()) keeps
-        // this fn effect-free for the worker-closure fan-out (G5).
-        other => Err(specweb_core::CoreError::invalid_config(
-            "experiment",
-            format!("unknown experiment `{other}`"),
-        )),
-    }?;
-    Ok(vec![report])
 }
 
 fn die(msg: &str) -> ! {

@@ -8,32 +8,11 @@ use std::path::PathBuf;
 
 use crate::Scale;
 
-/// Every experiment id the harness knows, in canonical run order.
-pub const ALL: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "tab1",
-    "exp-upd",
-    "exp-size",
-    "exp-cache",
-    "exp-coop",
-    "exp-pref",
-    "exp-class",
-    "exp-sizing",
-    "exp-closure",
-    "exp-rank",
-    "exp-tailored",
-    "exp-shed",
-    "exp-hier",
-    "exp-alloc",
-    "exp-aging",
-    "exp-digest",
-    "exp-queue",
-];
+/// Every experiment id the harness knows, in canonical run order: the
+/// id column of [`crate::EXPERIMENTS`].
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    crate::EXPERIMENTS.iter().map(|e| e.id)
+}
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,7 +68,7 @@ pub fn usage() -> String {
          --check-perf: exit nonzero if this run regressed beyond tolerance\n\
          \x20             against the last comparable perf_trajectory.json entry\n\
          ids: {}",
-        ALL.join(" ")
+        ids().collect::<Vec<_>>().join(" ")
     )
 }
 
@@ -97,7 +76,7 @@ pub fn usage() -> String {
 ///
 /// Repeated experiment ids are deduplicated while preserving first-use
 /// order, so `figures fig5 fig5` runs the experiment once. `all` (or an
-/// empty list) expands to [`ALL`].
+/// empty list) expands to [`ids`].
 pub fn parse<I>(argv: I) -> Result<Args, String>
 where
     I: IntoIterator<Item = String>,
@@ -143,7 +122,7 @@ where
                 return Err(format!("unknown flag `{other}`\n{}", usage()));
             }
             other => {
-                if other != "all" && !ALL.contains(&other) {
+                if other != "all" && !ids().any(|id| id == other) {
                     return Err(format!("unknown experiment `{other}`\n{}", usage()));
                 }
                 out.wanted.push(other.to_string());
@@ -151,7 +130,7 @@ where
         }
     }
     if out.wanted.is_empty() || out.wanted.iter().any(|w| w == "all") {
-        out.wanted = ALL.iter().map(|s| s.to_string()).collect();
+        out.wanted = ids().map(str::to_string).collect();
     } else {
         let mut seen = std::collections::BTreeSet::new();
         out.wanted.retain(|w| seen.insert(w.clone()));
@@ -173,7 +152,7 @@ mod tests {
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.seed, 1996);
         assert_eq!(a.jobs, None);
-        assert_eq!(a.wanted.len(), ALL.len());
+        assert_eq!(a.wanted.len(), ids().count());
         assert!(!a.help);
     }
 
@@ -203,9 +182,9 @@ mod tests {
     #[test]
     fn all_expands_to_the_canonical_list_exactly_once() {
         let a = p(&["fig5", "all", "fig5"]).unwrap();
-        assert_eq!(a.wanted.len(), ALL.len());
+        assert_eq!(a.wanted.len(), ids().count());
         let uniq: std::collections::HashSet<&String> = a.wanted.iter().collect();
-        assert_eq!(uniq.len(), ALL.len());
+        assert_eq!(uniq.len(), ids().count());
     }
 
     #[test]

@@ -9,14 +9,13 @@ use specweb_core::Result;
 use specweb_dissem::alloc;
 use specweb_dissem::classify::Classifier;
 use specweb_spec::cache::CacheModel;
-use specweb_spec::estimator::MatrixStore;
 use specweb_spec::policy::Policy;
 use specweb_spec::prefetch::HintPolicy;
-use specweb_spec::simulate::{SpecConfig, SpecSim};
+use specweb_spec::simulate::SpecConfig;
 use specweb_trace::document::PopularityClass;
 use specweb_trace::updates::UpdateProcess;
 
-use crate::{pct, Report, Scale};
+use crate::{pct, Inputs, Report, Scale};
 
 // ---------------------------------------------------------------------
 // TAB1 — the §3.2 baseline parameter table
@@ -24,7 +23,7 @@ use crate::{pct, Report, Scale};
 
 /// Renders the paper's baseline parameter table next to this
 /// implementation's defaults (which must match).
-pub fn tab1(_scale: Scale, _seed: u64) -> Result<Report> {
+pub fn tab1(_inputs: &Inputs) -> Result<Report> {
     let cfg = SpecConfig::baseline(0.5);
     #[derive(Serialize)]
     struct Tab1 {
@@ -101,14 +100,13 @@ pub struct UpdRow {
 }
 
 /// Runs the staleness experiment.
-pub fn exp_upd(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::drift_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
+pub fn exp_upd(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.drift()?;
+    let (trace, sim) = (&bench.trace, bench.sim());
     let total_days = trace.days();
 
     // (D, D') schedules, scaled: full = the paper's {1,7,60}×60 + 1×30.
-    let schedules: &[(u64, u64)] = match scale {
+    let schedules: &[(u64, u64)] = match inputs.scale {
         Scale::Full => &[(1, 60), (7, 60), (60, 60), (1, 30)],
         Scale::Quick => &[(1, 12), (4, 12), (12, 12), (1, 6)],
     };
@@ -116,23 +114,18 @@ pub fn exp_upd(scale: Scale, seed: u64) -> Result<Report> {
     // All schedules must measure the same days, or the comparison is
     // meaningless: warm up past the *longest* history in the sweep.
     let max_history = schedules.iter().map(|&(_, h)| h).max().unwrap_or(1);
-    let warmup = crate::workloads::warmup_days(scale).max(max_history.min(total_days / 2));
+    let mut cfg = bench.cfg(0.3);
+    cfg.warmup_days = cfg.warmup_days.max(max_history.min(total_days / 2));
 
     // One baseline serves every schedule: the demand replay reads only
     // the cache model and warmup days, which the sweep holds fixed.
-    let baseline = {
-        let mut c = SpecConfig::baseline(0.3);
-        c.warmup_days = warmup;
-        sim.baseline_totals(&c)?
-    };
+    let baseline = sim.baseline_totals(&cfg)?;
 
     let mut rows: Vec<UpdRow> = Vec::new();
     for &(cycle, history) in schedules {
-        let mut cfg = SpecConfig::baseline(0.3);
         cfg.estimator.history_days = history;
         cfg.estimator.update_cycle_days = cycle;
-        cfg.warmup_days = warmup;
-        let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
+        let store = bench.store_for(&cfg.estimator)?;
         let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
         rows.push(UpdRow {
             update_cycle_days: cycle,
@@ -227,18 +220,12 @@ pub struct SizeResult {
 }
 
 /// Runs the MaxSize experiment.
-pub fn exp_size(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
+pub fn exp_size(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let (trace, sim, store) = (&bench.trace, bench.sim(), bench.store()?);
+    let mut cfg = bench.cfg(0.5);
 
-    let mut cfg = SpecConfig::baseline(0.5);
-    cfg.estimator.history_days = crate::workloads::history_days(scale);
-    cfg.warmup_days = crate::workloads::warmup_days(scale);
-    let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
-
-    let sizes: &[u64] = match scale {
+    let sizes: &[u64] = match inputs.scale {
         Scale::Full => &[
             4 << 10,
             8 << 10,
@@ -250,7 +237,7 @@ pub fn exp_size(scale: Scale, seed: u64) -> Result<Report> {
         ],
         Scale::Quick => &[4 << 10, 15 << 10, 64 << 10, u64::MAX],
     };
-    let tps: &[f64] = match scale {
+    let tps: &[f64] = match inputs.scale {
         // Fine grid: the MaxSize tradeoff is about how much *lower* a
         // threshold the cap lets you afford within a traffic budget.
         Scale::Full => &[
@@ -268,7 +255,7 @@ pub fn exp_size(scale: Scale, seed: u64) -> Result<Report> {
         for &tp in tps {
             cfg.policy = Policy::Threshold { tp };
             cfg.max_size = Bytes::new(ms);
-            let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+            let out = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
             grid.push(SizeCell {
                 max_size: ms,
                 tp,
@@ -366,16 +353,10 @@ pub struct CacheRow {
 }
 
 /// Runs the client-caching experiment.
-pub fn exp_cache(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
-
-    let mut cfg = SpecConfig::baseline(0.3);
-    cfg.estimator.history_days = crate::workloads::history_days(scale);
-    cfg.warmup_days = crate::workloads::warmup_days(scale);
-    let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
+pub fn exp_cache(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let (sim, store) = (bench.sim(), bench.store()?);
+    let mut cfg = bench.cfg(0.3);
 
     let models: Vec<(String, CacheModel)> = vec![
         (
@@ -402,7 +383,7 @@ pub fn exp_cache(scale: Scale, seed: u64) -> Result<Report> {
     let mut rows = Vec::new();
     for (label, model) in &models {
         cfg.cache = *model;
-        let out = sim.run_with_store_and_baseline(&cfg, Some(&store), None)?;
+        let out = sim.run_with_store_and_baseline(&cfg, Some(store), None)?;
         rows.push(CacheRow {
             cache: label.clone(),
             tp: 0.3,
@@ -462,23 +443,17 @@ pub struct CoopRow {
 }
 
 /// Runs the cooperative-clients experiment.
-pub fn exp_coop(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
-
-    let mut cfg = SpecConfig::baseline(0.3);
-    cfg.estimator.history_days = crate::workloads::history_days(scale);
-    cfg.warmup_days = crate::workloads::warmup_days(scale);
+pub fn exp_coop(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let (sim, store) = (bench.sim(), bench.store()?);
+    let mut cfg = bench.cfg(0.3);
     // Session caches create re-push opportunities (the waste that
     // cooperation eliminates).
     cfg.cache = CacheModel::Session {
         timeout: Duration::from_secs(3_600),
     };
-    let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
 
-    let tps: &[f64] = match scale {
+    let tps: &[f64] = match inputs.scale {
         Scale::Full => &[0.7, 0.5, 0.3, 0.15],
         Scale::Quick => &[0.5, 0.15],
     };
@@ -490,9 +465,9 @@ pub fn exp_coop(scale: Scale, seed: u64) -> Result<Report> {
     for &tp in tps {
         cfg.policy = Policy::Threshold { tp };
         cfg.cooperative = false;
-        let plain = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+        let plain = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
         cfg.cooperative = true;
-        let coop = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+        let coop = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
         rows.push(CoopRow {
             tp,
             plain_traffic_pct: plain.ratios.traffic_increase_pct(),
@@ -558,29 +533,24 @@ pub struct PrefRow {
 }
 
 /// Runs the prefetching-strategy comparison.
-pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-    let total_days = trace.days();
+pub fn exp_pref(inputs: &Inputs) -> Result<Report> {
+    let bench = inputs.bu()?;
+    let (sim, store) = (bench.sim(), bench.store()?);
 
     let base = || {
-        let mut c = SpecConfig::baseline(0.3);
-        c.estimator.history_days = crate::workloads::history_days(scale);
-        c.warmup_days = crate::workloads::warmup_days(scale);
+        let mut c = bench.cfg(0.3);
         c.cache = CacheModel::Session {
             timeout: Duration::from_secs(3_600),
         };
         c
     };
-    let store = MatrixStore::precompute(&base().estimator, &trace, total_days)?;
 
     // All five strategies share one baseline (same cache, same warmup).
     let baseline = sim.baseline_totals(&base())?;
 
     let mut rows = Vec::new();
-    let mut run = |label: &str, cfg: &SpecConfig| -> Result<()> {
-        let out = sim.run_with_store_and_baseline(cfg, Some(&store), Some(&baseline))?;
+    let mut measure = |label: &str, cfg: &SpecConfig| -> Result<()> {
+        let out = sim.run_with_store_and_baseline(cfg, Some(store), Some(&baseline))?;
         rows.push(PrefRow {
             strategy: label.to_string(),
             traffic_pct: out.ratios.traffic_increase_pct(),
@@ -593,11 +563,11 @@ pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
         Ok(())
     };
 
-    run("server push (T_p = 0.3)", &base())?;
+    measure("server push (T_p = 0.3)", &base())?;
 
     let mut c = base();
     c.policy = Policy::EmbeddingOnly;
-    run("embedding-only push", &c)?;
+    measure("embedding-only push", &c)?;
 
     let mut c = base();
     c.policy = Policy::Hybrid {
@@ -605,7 +575,7 @@ pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
         hint_tp: 0.2,
     };
     c.hint_policy = HintPolicy::Threshold { tp: 0.3 };
-    run("hybrid: push certain, hint rest", &c)?;
+    measure("hybrid: push certain, hint rest", &c)?;
 
     let mut c = base();
     c.policy = Policy::Hybrid {
@@ -616,12 +586,12 @@ pub fn exp_pref(scale: Scale, seed: u64) -> Result<Report> {
         tp: 0.25,
         own_tp: 0.4,
     };
-    run("hybrid, profile-gated hints", &c)?;
+    measure("hybrid, profile-gated hints", &c)?;
 
     let mut c = base();
     c.policy = Policy::TopK { k: 0, floor: 1.0 };
     c.client_profile_prefetch = Some(0.4);
-    run("client profile prefetch only", &c)?;
+    measure("client profile prefetch only", &c)?;
 
     let mut text = String::new();
     text.push_str("strategy                            traffic     load     time     miss   pushes  prefetch\n");
@@ -673,14 +643,15 @@ pub struct ClassResult {
 }
 
 /// Runs the classification experiment.
-pub fn exp_class(scale: Scale, seed: u64) -> Result<Report> {
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let days = match scale {
+pub fn exp_class(inputs: &Inputs) -> Result<Report> {
+    let trace = &inputs.bu()?.trace;
+    let days = match inputs.scale {
         Scale::Full => 186, // the paper's monitoring span
         Scale::Quick => 30,
     };
-    let updates = UpdateProcess::default().generate(&SeedTree::new(seed), &trace.catalog, days);
-    let classified = Classifier::default().classify(&trace, &updates, days);
+    let updates =
+        UpdateProcess::default().generate(&SeedTree::new(inputs.seed), &trace.catalog, days);
+    let classified = Classifier::default().classify(trace, &updates, days);
     let (r, l, g, u) = Classifier::class_summary(&classified);
 
     // Measured update rates per *ground-truth* class.
@@ -770,7 +741,7 @@ pub struct SizingRow {
 }
 
 /// Runs the sizing table.
-pub fn exp_sizing(_scale: Scale, _seed: u64) -> Result<Report> {
+pub fn exp_sizing(_inputs: &Inputs) -> Result<Report> {
     let lambda = specweb_core::dist::ExponentialPopularity::BU_WWW_LAMBDA;
     let mut rows = Vec::new();
     let mut text = String::new();
@@ -821,11 +792,14 @@ pub fn exp_sizing(_scale: Scale, _seed: u64) -> Result<Report> {
 mod tests {
     use super::*;
 
-    const S: Scale = Scale::Quick;
+    /// A fresh quick-scale world per test, as private as before.
+    fn quick(seed: u64) -> Inputs {
+        Inputs::new(Scale::Quick, 1, seed)
+    }
 
     #[test]
     fn tab1_matches_paper_defaults() {
-        let r = tab1(S, 0).unwrap();
+        let r = tab1(&quick(0)).unwrap();
         assert_eq!(r.json["comm_cost"], 1.0);
         assert_eq!(r.json["serv_cost"], 10_000.0);
         assert_eq!(r.json["stride_timeout_s"], 5);
@@ -835,7 +809,7 @@ mod tests {
 
     #[test]
     fn exp_upd_shows_staleness_cost() {
-        let r = exp_upd(S, 21).unwrap();
+        let r = exp_upd(&quick(21)).unwrap();
         let rows = r.json.as_array().unwrap();
         // Row 0 is the freshest schedule; the longest cycle (row 2) must
         // degrade at least as much as the short cycle (row 1).
@@ -856,7 +830,7 @@ mod tests {
 
     #[test]
     fn exp_size_reports_budget_respecting_optima() {
-        let r = exp_size(S, 22).unwrap();
+        let r = exp_size(&quick(22)).unwrap();
         let optima = r.json["optima"].as_array().unwrap();
         assert!(!optima.is_empty(), "no budget was reachable at all");
         // Every reported optimum respects its budget: some grid cell
@@ -877,7 +851,7 @@ mod tests {
 
     #[test]
     fn exp_cache_runs_all_models() {
-        let r = exp_cache(S, 23).unwrap();
+        let r = exp_cache(&quick(23)).unwrap();
         let rows = r.json.as_array().unwrap();
         assert_eq!(rows.len(), 4);
         for row in rows {
@@ -888,7 +862,7 @@ mod tests {
 
     #[test]
     fn exp_coop_eliminates_waste() {
-        let r = exp_coop(S, 24).unwrap();
+        let r = exp_coop(&quick(24)).unwrap();
         for row in r.json.as_array().unwrap() {
             assert_eq!(row["coop_wasted"], 0);
             let plain = row["plain_traffic_pct"].as_f64().unwrap();
@@ -899,7 +873,7 @@ mod tests {
 
     #[test]
     fn exp_pref_compares_strategies() {
-        let r = exp_pref(S, 25).unwrap();
+        let r = exp_pref(&quick(25)).unwrap();
         let rows = r.json.as_array().unwrap();
         assert_eq!(rows.len(), 5);
         // Client-only prefetching issues prefetches but no pushes.
@@ -910,7 +884,7 @@ mod tests {
 
     #[test]
     fn exp_class_finds_all_classes() {
-        let r = exp_class(S, 26).unwrap();
+        let r = exp_class(&quick(26)).unwrap();
         assert!(r.json["remote"].as_u64().unwrap() > 0);
         assert!(r.json["local"].as_u64().unwrap() > 0);
         assert!(r.json["global"].as_u64().unwrap() > 0);
@@ -925,7 +899,7 @@ mod tests {
 
     #[test]
     fn exp_sizing_reproduces_paper_numbers() {
-        let r = exp_sizing(S, 0).unwrap();
+        let r = exp_sizing(&quick(0)).unwrap();
         let rows = r.json.as_array().unwrap();
         // 10 servers at 90% ⇒ ≈36–37 MB.
         let row = rows

@@ -12,7 +12,7 @@ use specweb_core::units::Bytes;
 use specweb_core::Result;
 use specweb_dissem::analysis::{BlockPopularity, ServerProfile};
 
-use crate::{Report, Scale};
+use crate::{Inputs, Report};
 
 /// Machine-readable result.
 #[derive(Debug, Serialize)]
@@ -33,10 +33,10 @@ pub struct Fig1 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale, seed: u64) -> Result<Report> {
-    let trace = crate::workloads::bu_trace(scale, seed)?;
+pub fn run(inputs: &Inputs) -> Result<Report> {
+    let trace = &inputs.bu()?.trace;
     let days = trace.days();
-    let profile = ServerProfile::from_trace(&trace, ServerId::new(0), days)?;
+    let profile = ServerProfile::from_trace(trace, ServerId::new(0), days)?;
 
     // The paper's 256 KB blocks split its ~36 MB of remotely-accessed
     // bytes into ~140 blocks; scale the block size to produce a similar
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn fig1_quick_reproduces_concentration() {
-        let r = run(Scale::Quick, 11).unwrap();
+        let r = run(&Inputs::new(crate::Scale::Quick, 1, 11)).unwrap();
         let head10 = r.json["head_share_10"].as_f64().unwrap();
         assert!(
             head10 > 0.5,

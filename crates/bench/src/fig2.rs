@@ -17,7 +17,7 @@ use specweb_core::units::Bytes;
 use specweb_core::Result;
 use specweb_dissem::alloc::allocate_equal_demand;
 
-use crate::{Report, Scale};
+use crate::{Inputs, Report};
 
 /// One sweep point.
 #[derive(Debug, Serialize)]
@@ -39,8 +39,8 @@ pub struct Fig2 {
     pub points: Vec<Fig2Point>,
 }
 
-/// Runs the experiment (purely analytic; scale is ignored).
-pub fn run(_scale: Scale, _seed: u64) -> Result<Report> {
+/// Runs the experiment (purely analytic; the inputs are ignored).
+pub fn run(_inputs: &Inputs) -> Result<Report> {
     let lambda_i = 1e-6;
     let n = 10usize;
     let tight = Bytes::new((1.0 / lambda_i) as u64);
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn fig2_reproduces_both_regimes() {
-        let r = run(Scale::Quick, 0).unwrap();
+        let r = run(&Inputs::new(crate::Scale::Quick, 1, 0)).unwrap();
         let pts: Vec<(f64, f64, f64)> = r.json["points"]
             .as_array()
             .unwrap()

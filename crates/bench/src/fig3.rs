@@ -10,7 +10,8 @@ use serde::Serialize;
 use specweb_core::Result;
 use specweb_dissem::simulate::{DisseminationConfig, DisseminationSim};
 
-use crate::{Report, Scale};
+use crate::workloads::Workbench;
+use crate::{Inputs, Report, Scale};
 
 /// One point of one curve.
 #[derive(Debug, Serialize)]
@@ -44,7 +45,7 @@ pub struct Fig3 {
 }
 
 /// Dispersion of the top-10% saved fraction at the largest proxy count,
-/// across the base seed plus [`crate::fig5::EXTRA_REPS`] derived seeds.
+/// across the base seed plus [`crate::workloads::REPLICAS`] derived seeds.
 #[derive(Debug, Serialize)]
 pub struct Fig3Replication {
     /// All seeds, base first.
@@ -55,22 +56,20 @@ pub struct Fig3Replication {
     pub saved_at_max_sd: f64,
 }
 
-/// One seed's pair of curves plus the trace length that produced them.
+/// One seed's pair of curves.
 struct Curves {
     top10: Vec<Fig3Point>,
     top4: Vec<Fig3Point>,
-    trace_len: usize,
 }
 
-/// Runs both dissemination sweeps for one seed. The proxy-count grid
-/// fans out over `jobs` workers; every point is an independent replay
-/// of the same mined profiles, so output is identical for any `jobs`.
-fn compute(scale: Scale, seed: u64, jobs: usize) -> Result<Curves> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = DisseminationSim::new(&trace, &topo)?;
+/// Runs both dissemination sweeps on one seed's workload. The
+/// proxy-count grid fans out over `jobs` workers; every point is an
+/// independent replay of the same mined profiles, so output is
+/// identical for any `jobs`.
+fn compute(bench: &Workbench, jobs: usize) -> Result<Curves> {
+    let sim = DisseminationSim::new(&bench.trace, &bench.topo)?;
 
-    let proxy_counts: &[usize] = match scale {
+    let proxy_counts: &[usize] = match bench.scale {
         Scale::Full => &[1, 2, 4, 6, 9, 12, 16, 20, 27, 33, 39],
         Scale::Quick => &[1, 2, 4, 9, 16, 27],
     };
@@ -100,22 +99,18 @@ fn compute(scale: Scale, seed: u64, jobs: usize) -> Result<Curves> {
     Ok(Curves {
         top10: sweep(0.10)?,
         top4: sweep(0.04)?,
-        trace_len: trace.len(),
     })
 }
 
-/// Runs the experiment: the base seed's curves, replicated across
-/// [`crate::fig5::EXTRA_REPS`] extra derived seeds run in parallel.
-pub fn run(scale: Scale, seed: u64) -> Result<Report> {
-    let tree = specweb_core::rng::SeedTree::new(seed);
-    let mut seeds = vec![seed];
-    seeds.extend((0..crate::fig5::EXTRA_REPS as u64).map(|r| tree.child_idx("fig3-rep", r).seed()));
+/// Runs the experiment: the base seed's curves on the shared bu
+/// workload, replicated across [`crate::workloads::REPLICAS`] extra
+/// derived seeds (a private workload each) run in parallel.
+pub fn run(inputs: &Inputs) -> Result<Report> {
     // One fan-out over seeds; each seed's inner proxy grid runs serially
     // so the parallelism does not nest. All seeds record into the one
     // run: counter merges are commutative sums, so totals are
     // schedule-independent.
-    let mut curves =
-        specweb_core::par::Pool::auto().try_map_indexed(&seeds, |_, &s| compute(scale, s, 1))?;
+    let (seeds, mut curves) = inputs.replicated("fig3-rep", |bench| compute(bench, 1))?;
 
     let saved_at_max: Vec<f64> = curves
         .iter()
@@ -138,7 +133,7 @@ pub fn run(scale: Scale, seed: u64) -> Result<Report> {
     let mut text = String::new();
     text.push_str(&format!(
         "workload: {} accesses; same data disseminated to all proxies\n\n",
-        base.trace_len
+        inputs.bu()?.trace.len()
     ));
     text.push_str("            -------- top 10% of data --------      ---- top 4% of data ----\n");
     text.push_str(
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn fig3_quick_has_the_right_shape() {
-        let r = run(Scale::Quick, 13).unwrap();
+        let r = run(&Inputs::new(Scale::Quick, 1, 13)).unwrap();
         let curve = |name: &str| -> Vec<(usize, f64)> {
             r.json[name]
                 .as_array()
@@ -246,7 +241,7 @@ mod tests {
         let rep = &r.json["replication"];
         assert_eq!(
             rep["seeds"].as_array().unwrap().len(),
-            1 + crate::fig5::EXTRA_REPS
+            1 + crate::workloads::REPLICAS as usize
         );
         assert!(rep["saved_at_max_mean"].as_f64().unwrap() > 0.0);
         assert!(rep["saved_at_max_sd"].as_f64().unwrap() >= 0.0);

@@ -11,7 +11,7 @@ use specweb_core::time::Duration;
 use specweb_core::Result;
 use specweb_spec::deps::DepMatrixBuilder;
 
-use crate::{Report, Scale};
+use crate::{Inputs, Report};
 
 /// Machine-readable result.
 #[derive(Debug, Serialize)]
@@ -27,8 +27,8 @@ pub struct Fig4 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale, seed: u64) -> Result<Report> {
-    let trace = crate::workloads::bu_trace(scale, seed)?;
+pub fn run(inputs: &Inputs) -> Result<Report> {
+    let trace = &inputs.bu()?.trace;
     // Like the paper: one month of accesses (or everything, if less).
     let cutoff = trace.accesses.partition_point(|a| a.time.day() < 30);
     let slice = &trace.accesses[..cutoff.max(1)];
@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn fig4_quick_shows_embedding_peak_and_spread() {
-        let r = run(Scale::Quick, 14).unwrap();
+        let r = run(&Inputs::new(crate::Scale::Quick, 1, 14)).unwrap();
         let bins: Vec<u64> = r.json["bins"]
             .as_array()
             .unwrap()

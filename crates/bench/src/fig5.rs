@@ -16,10 +16,9 @@
 
 use serde::Serialize;
 use specweb_core::Result;
-use specweb_spec::estimator::MatrixStore;
-use specweb_spec::simulate::{SpecConfig, SpecSim};
 
-use crate::{pct, Report, Scale};
+use crate::workloads::Workbench;
+use crate::{pct, Inputs, Report, Scale};
 
 /// One sweep point.
 #[derive(Debug, Clone, Serialize)]
@@ -59,40 +58,28 @@ fn tp_grid(scale: Scale) -> &'static [f64] {
     }
 }
 
-/// Runs the baseline sweep once; both figures render from it.
-pub fn sweep(scale: Scale, seed: u64) -> Result<Sweep> {
-    sweep_jobs(scale, seed, specweb_core::par::default_jobs())
-}
-
-/// [`sweep`] with an explicit worker count for the `T_p` grid.
+/// Runs the baseline sweep on `bench` with `jobs` workers on the `T_p`
+/// grid.
 ///
 /// Each grid point is an independent replay of the same trace against
 /// the same precomputed matrices, so the points fan out on `jobs`
 /// workers; the result is byte-identical for every `jobs` value. So
 /// is the per-policy accounting the replays publish to the run —
 /// counter merges are commutative sums.
-fn sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Result<Sweep> {
-    let topo = crate::workloads::topology();
-    let trace = crate::workloads::bu_trace(scale, seed)?;
-    let sim = SpecSim::new(&trace, &topo);
-
-    let mut cfg = SpecConfig::baseline(0.5);
-    cfg.estimator.history_days = crate::workloads::history_days(scale);
-    cfg.warmup_days = crate::workloads::warmup_days(scale);
-
-    let total_days = trace.days();
-    let store = MatrixStore::precompute(&cfg.estimator, &trace, total_days)?;
+fn sweep(bench: &Workbench, jobs: usize) -> Result<Sweep> {
+    let (sim, store) = (bench.sim(), bench.store()?);
+    let cfg = bench.cfg(0.5);
 
     // One baseline replay serves the whole T_p grid — the demand side
     // never reads the policy.
     let baseline = sim.baseline_totals(&cfg)?;
 
     let points = specweb_core::par::Pool::new(jobs).try_map_indexed(
-        tp_grid(scale),
+        tp_grid(bench.scale),
         |_, &tp| -> Result<SweepPoint> {
             let mut cfg = cfg;
             cfg.policy = specweb_spec::policy::Policy::Threshold { tp };
-            let out = sim.run_with_store_and_baseline(&cfg, Some(&store), Some(&baseline))?;
+            let out = sim.run_with_store_and_baseline(&cfg, Some(store), Some(&baseline))?;
             Ok(SweepPoint {
                 tp,
                 traffic_pct: out.ratios.traffic_increase_pct(),
@@ -106,18 +93,14 @@ fn sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Result<Sweep> {
     )?;
     Ok(Sweep {
         points,
-        trace_len: trace.len(),
+        trace_len: bench.trace.len(),
     })
 }
 
-/// Extra independent replications run besides the base seed.
-pub const EXTRA_REPS: usize = 2;
-
 /// The baseline sweep replicated across independent seeds.
 ///
-/// `seeds[0]` is the caller's seed and `base` its sweep — so the base
-/// numbers are exactly what [`sweep`] would have produced — and the
-/// extra replication seeds are derived with
+/// `seeds[0]` is the run's seed and `base` its sweep, on the shared bu
+/// workbench; the extra replication seeds are derived with
 /// `SeedTree::child_idx("fig5-rep", r)`, one independent trace each.
 #[derive(Debug, Clone, Serialize)]
 pub struct Replicated {
@@ -129,28 +112,15 @@ pub struct Replicated {
     pub seeds: Vec<u64>,
 }
 
-/// Runs the baseline sweep for the base seed plus [`EXTRA_REPS`]
-/// derived seeds, fanning the replications out in parallel (each inner
-/// `T_p` grid then runs serially so the fan-out does not nest).
-fn sweep_replicated(scale: Scale, seed: u64) -> Result<Replicated> {
-    let tree = specweb_core::rng::SeedTree::new(seed);
-    let mut seeds = vec![seed];
-    seeds.extend((0..EXTRA_REPS as u64).map(|r| tree.child_idx("fig5-rep", r).seed()));
-    let sweeps =
-        specweb_core::par::Pool::auto().try_map_indexed(&seeds, |_, &s| sweep_jobs(scale, s, 1))?;
-    let mut sweeps = sweeps.into_iter();
-    let Some(base) = sweeps.next() else {
-        // `seeds` starts with the base seed, so the pool returns at
-        // least one sweep; keep a structured error anyway.
-        return Err(specweb_core::CoreError::Estimation(
-            "replicated sweep produced no base run".into(),
-        ));
-    };
-    Ok(Replicated {
-        base,
-        reps: sweeps.collect(),
-        seeds,
-    })
+/// Runs the baseline sweep for the base seed plus
+/// [`crate::workloads::REPLICAS`] derived seeds, fanning the
+/// replications out in parallel (each inner `T_p` grid then runs
+/// serially so the fan-out does not nest).
+fn sweep_replicated(inputs: &Inputs) -> Result<Replicated> {
+    let (seeds, mut reps) = inputs.replicated("fig5-rep", |bench| sweep(bench, 1))?;
+    // `seeds[0]` is the run's own seed: there is always a first sweep.
+    let base = reps.remove(0);
+    Ok(Replicated { base, reps, seeds })
 }
 
 /// Mean and sample standard deviation.
@@ -360,8 +330,8 @@ fn report_fig6(replicated: &Replicated) -> Report {
 
 /// The entry point of both figures: one replicated sweep, rendered as
 /// `[fig5, fig6]`.
-pub fn run(scale: Scale, seed: u64) -> Result<[Report; 2]> {
-    let sweep = sweep_replicated(scale, seed)?;
+pub fn run(inputs: &Inputs) -> Result<[Report; 2]> {
+    let sweep = sweep_replicated(inputs)?;
     Ok([report(&sweep), report_fig6(&sweep)])
 }
 
@@ -369,9 +339,14 @@ pub fn run(scale: Scale, seed: u64) -> Result<[Report; 2]> {
 mod tests {
     use super::*;
 
+    /// The sweep of a fresh quick-scale world.
+    fn quick_sweep(seed: u64, jobs: usize) -> Sweep {
+        sweep(Inputs::new(Scale::Quick, 1, seed).bu().unwrap(), jobs).unwrap()
+    }
+
     #[test]
     fn sweep_has_the_paper_shape() {
-        let s = sweep(Scale::Quick, 15).unwrap();
+        let s = quick_sweep(15, 2);
         assert_eq!(s.points.len(), tp_grid(Scale::Quick).len());
         // Traffic grows as T_p falls.
         for w in s.points.windows(2) {
@@ -396,7 +371,7 @@ mod tests {
 
     #[test]
     fn fig6_interpolation_is_sane() {
-        let s = sweep(Scale::Quick, 16).unwrap();
+        let s = quick_sweep(16, 2);
         let r = report_fig6(&Replicated {
             base: s.clone(),
             reps: Vec::new(),
@@ -418,7 +393,7 @@ mod tests {
         let observed = |jobs: usize| {
             let obs = specweb_core::obs::Obs::new();
             let _run = obs.install();
-            (sweep_jobs(Scale::Quick, 15, jobs).unwrap(), obs.snapshot())
+            (quick_sweep(15, jobs), obs.snapshot())
         };
         let (serial, serial_metrics) = observed(1);
         let (parallel, parallel_metrics) = observed(4);
@@ -450,7 +425,7 @@ mod tests {
 
     #[test]
     fn diminishing_returns_visible_in_sweep() {
-        let s = sweep(Scale::Quick, 17).unwrap();
+        let s = quick_sweep(17, 2);
         let mut pts: Vec<&SweepPoint> = s.points.iter().collect();
         pts.sort_by(|a, b| a.traffic_pct.total_cmp(&b.traffic_pct));
         // Efficiency (load reduction per unit traffic) at the cheap end

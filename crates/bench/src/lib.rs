@@ -1,8 +1,9 @@
 //! # specweb-bench
 //!
 //! The experiment harness: one module per figure/table of the paper's
-//! evaluation, each regenerating its artifact from scratch (workload
-//! generation → estimation → simulation → rendered table + JSON).
+//! evaluation, each rendering its artifact (table + JSON) from the
+//! run's shared [`Inputs`] — the calibrated workloads and the baseline
+//! `P`/`P*` store, built once per run — and whatever it sweeps itself.
 //!
 //! Run everything with:
 //!
@@ -10,12 +11,8 @@
 //! cargo run --release -p specweb-bench --bin figures -- all
 //! ```
 //!
-//! or a single experiment (`fig1` … `fig6`, `tab1`, `exp-upd`,
-//! `exp-size`, `exp-cache`, `exp-coop`, `exp-pref`, `exp-class`,
-//! `exp-sizing`), or one of the ablation studies (`exp-closure`,
-//! `exp-rank`, `exp-tailored`, `exp-shed`, `exp-hier`, `exp-alloc`,
-//! `exp-aging`, `exp-digest`, `exp-queue`). Results land in `results/` as text and
-//! JSON.
+//! or any of the ids in [`EXPERIMENTS`] (`figures --help` lists them).
+//! Results land in `results/` as text and JSON.
 //!
 //! Every experiment supports two scales: `Scale::Full` (trace sizes
 //! comparable to the paper's 205,925-access log; minutes of runtime)
@@ -38,6 +35,9 @@ pub mod workloads;
 use std::fmt::Write as _;
 
 use serde::Serialize;
+use specweb_core::Result;
+
+pub use workloads::{Inputs, Need};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +47,69 @@ pub enum Scale {
     /// Small traces for tests and smoke runs (seconds).
     Quick,
 }
+
+/// One row of [`EXPERIMENTS`]: an id, what it reads of the run's shared
+/// [`Inputs`], and the function that renders its report(s).
+#[derive(Debug)]
+pub struct Experiment {
+    /// The id `figures` takes and the report file stem.
+    pub id: &'static str,
+    /// The shared input this experiment reads. What a row does not
+    /// declare it would build itself, inside a worker — and which
+    /// worker built first would then depend on scheduling.
+    pub needs: Need,
+    run: fn(&Inputs) -> Result<Vec<Report>>,
+}
+
+impl Experiment {
+    /// Runs the experiment on `inputs`, [`Inputs::prepare`]d for it
+    /// first: the installed `Obs` gets the counters of the declared
+    /// inputs whether they are built now or were held already.
+    pub fn run(&self, inputs: &Inputs) -> Result<Vec<Report>> {
+        inputs.prepare([self.needs])?;
+        (self.run)(inputs)
+    }
+}
+
+/// A row; `$run` renders one [`Report`] or an array of them.
+macro_rules! row {
+    ($id:literal, $needs:ident, $run:path) => {
+        Experiment {
+            id: $id,
+            needs: Need::$needs,
+            run: |inputs| Ok($run(inputs)?.into()),
+        }
+    };
+}
+
+/// Every experiment the harness knows, in canonical run order. `fig5`
+/// and `fig6` are two reports of one sweep: either row runs it and
+/// renders both.
+pub const EXPERIMENTS: &[Experiment] = &[
+    row!("fig1", BuTrace, fig1::run),
+    row!("fig2", Nothing, fig2::run),
+    row!("fig3", BuTrace, fig3::run),
+    row!("fig4", BuTrace, fig4::run),
+    row!("fig5", BuStore, fig5::run),
+    row!("fig6", BuStore, fig5::run),
+    row!("tab1", Nothing, exps::tab1),
+    row!("exp-upd", DriftTrace, exps::exp_upd),
+    row!("exp-size", BuStore, exps::exp_size),
+    row!("exp-cache", BuStore, exps::exp_cache),
+    row!("exp-coop", BuStore, exps::exp_coop),
+    row!("exp-pref", BuStore, exps::exp_pref),
+    row!("exp-class", BuTrace, exps::exp_class),
+    row!("exp-sizing", Nothing, exps::exp_sizing),
+    row!("exp-closure", BuStore, ablations::exp_closure),
+    row!("exp-rank", BuTrace, ablations::exp_rank),
+    row!("exp-tailored", BuTrace, ablations::exp_tailored),
+    row!("exp-shed", BuTrace, ablations::exp_shed),
+    row!("exp-hier", BuTrace, ablations::exp_hier),
+    row!("exp-alloc", Nothing, ablations::exp_alloc),
+    row!("exp-aging", DriftTrace, ablations::exp_aging),
+    row!("exp-digest", Nothing, ablations::exp_digest),
+    row!("exp-queue", BuStore, ablations::exp_queue),
+];
 
 /// A rendered experiment result: human-readable text plus a JSON blob.
 /// What the run *measured about itself* is not here: experiments record
@@ -103,6 +166,12 @@ impl Report {
             serde_json::to_string_pretty(&self.json).expect("valid json"),
         )?;
         Ok(())
+    }
+}
+
+impl From<Report> for Vec<Report> {
+    fn from(report: Report) -> Vec<Report> {
+        vec![report]
     }
 }
 

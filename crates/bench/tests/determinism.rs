@@ -7,11 +7,13 @@
 //! snapshot) must match exactly.
 //!
 //! The experiment set exercises every parallel site in the stack:
-//! `fig4` (trace → estimator → simulator), `exp-closure` (the parallel
-//! `DepMatrix::closure` and the hard-window `MatrixStore::precompute`)
-//! and `exp-aging` (the aged `precompute`: shared per-day estimates,
-//! one blend per boundary) — plus `fig1`, whose only instrumentation
-//! is what the trace generator records to the ambient context.
+//! `fig4` (trace → estimator → simulator), `exp-closure` (the shared
+//! hard-window `MatrixStore::precompute`, built under the `inputs`
+//! root before the fan-out, and the parallel `DepMatrix::closure` of
+//! its `reclose`d variants) and `exp-aging` (the aged `precompute`:
+//! shared per-day estimates, one blend per boundary) — plus `fig1`,
+//! whose only instrumentation is what the trace generator recorded,
+//! republished to it from the shared trace.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -70,8 +72,8 @@ fn serial_and_parallel_runs_are_byte_identical() {
         assert_eq!(entries.len(), 1, "fresh out dir gets exactly one entry");
         assert_eq!(
             entries[0]["experiments"].as_array().unwrap().len(),
-            ids.len(),
-            "one phase timing per experiment"
+            1 + ids.len(),
+            "the `inputs` phase, then one phase timing per experiment"
         );
         assert!(entries[0]["total_seconds"].as_f64().unwrap() >= 0.0);
     }
@@ -87,7 +89,11 @@ fn serial_and_parallel_runs_are_byte_identical() {
         .filter(|n| n.starts_with("profile_") && n.ends_with(".txt"))
         .cloned()
         .collect();
-    for want in ["profile_fig4.txt", "profile_exp-closure.txt"] {
+    for want in [
+        "profile_inputs.txt",
+        "profile_fig4.txt",
+        "profile_exp-closure.txt",
+    ] {
         assert!(
             profile_names.iter().any(|n| n == want),
             "{want} missing from run output ({profile_names:?})"
@@ -125,12 +131,19 @@ fn serial_and_parallel_runs_are_byte_identical() {
         assert!(s.contains(&unattributed), "{name}: no `{unattributed}`");
         // The estimator's frames: one per precompute call, per slide or
         // per-day pass, and per boundary for blends and closures — the
-        // closures run on pool workers and must still nest here.
+        // closures run on pool workers and must still nest here. The
+        // shared store is built once, under `inputs`; exp-closure only
+        // re-closes it.
         let wanted: &[&str] = match name.as_str() {
+            "profile_inputs.txt" => &[
+                "inputs;workload.trace calls 2",
+                "inputs;estimator.precompute calls 1",
+                "inputs;estimator.precompute;estimator.slide calls 1",
+                "inputs;estimator.precompute;deps.closure calls ",
+            ],
             "profile_exp-closure.txt" => &[
-                "exp-closure;estimator.precompute calls ",
-                "exp-closure;estimator.precompute;estimator.slide calls ",
-                "exp-closure;estimator.precompute;deps.closure calls ",
+                "exp-closure;estimator.reclose calls ",
+                "exp-closure;estimator.reclose;deps.closure calls ",
             ],
             "profile_exp-aging.txt" => &[
                 "exp-aging;estimator.precompute;estimator.slide calls ",
@@ -197,7 +210,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
     // The per-experiment manifests must actually carry metrics — an
     // empty snapshot would mean the installed context did not reach
     // the work: fig4's own series, and for fig1 (which names no metric
-    // itself) what the trace generator recorded on its behalf.
+    // itself) the counters of the shared trace it declared.
     for snap_dir in [&dir_serial, &dir_parallel] {
         for (id, series) in [("fig4", "fig4."), ("fig1", "trace.accesses_generated")] {
             let path = snap_dir.join(format!("manifest_{id}.json"));
@@ -281,7 +294,42 @@ fn fig5_and_fig6_together_equal_each_alone_and_the_sweep_is_profiled() {
         .iter()
         .map(|p| p["id"].as_str().unwrap())
         .collect();
-    assert_eq!(phases, ["fig5"], "one phase: the run that did the sweep");
+    assert_eq!(
+        phases,
+        ["inputs", "fig5"],
+        "the shared inputs, then one phase: the run that did the sweep"
+    );
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// An experiment's files do not depend on what else the run was asked
+/// for: the inputs it shares with the rest of `all` are the ones it
+/// would have built alone, and its manifest carries their counters
+/// either way.
+#[test]
+fn one_experiment_alone_equals_its_files_from_a_full_run() {
+    let base = std::env::temp_dir().join(format!("specweb-subset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (all, alone) = (base.join("all"), base.join("alone"));
+    run_figures(&all, "2", &["all"]);
+    run_figures(&alone, "2", &["exp-coop"]);
+
+    let (all, alone) = (snapshot(&all), snapshot(&alone));
+    for name in ["exp-coop.txt", "exp-coop.json"] {
+        assert_eq!(all[name], alone[name], "{name} differs from the full run's");
+    }
+    let section = |snap: &BTreeMap<String, Vec<u8>>| -> serde_json::Value {
+        let raw = std::str::from_utf8(&snap["manifest_exp-coop.json"]).unwrap();
+        serde_json::from_str::<serde_json::Value>(raw).unwrap()["deterministic"].clone()
+    };
+    assert_eq!(section(&all), section(&alone), "manifest_exp-coop.json");
+    assert!(
+        section(&alone)["metrics"]["trace.accesses_generated"]
+            .as_object()
+            .is_some(),
+        "the shared trace's counters reach a sharer's manifest"
+    );
 
     let _ = std::fs::remove_dir_all(&base);
 }

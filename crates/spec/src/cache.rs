@@ -49,12 +49,11 @@ impl CacheModel {
 #[derive(Debug, Clone)]
 pub struct ClientCache {
     model: CacheModel,
-    /// Resident documents → last-touch counter (for LRU). A BTreeMap:
+    /// Resident documents → (last-touch counter, size), for LRU victim
+    /// choice and eviction accounting. A BTreeMap:
     /// [`ClientCache::resident_docs`] feeds cooperative digests, so the
     /// enumeration order must not depend on hash iteration order.
-    resident: BTreeMap<DocId, u64>,
-    /// Sizes of resident documents (needed for LRU eviction accounting).
-    doc_sizes: BTreeMap<DocId, Bytes>,
+    resident: BTreeMap<DocId, (u64, Bytes)>,
     used: Bytes,
     /// Monotonic touch counter.
     clock: u64,
@@ -68,7 +67,6 @@ impl ClientCache {
         ClientCache {
             model,
             resident: BTreeMap::new(),
-            doc_sizes: BTreeMap::new(),
             used: Bytes::ZERO,
             clock: 0,
             last_request: None,
@@ -107,7 +105,6 @@ impl ClientCache {
         };
         if purge {
             self.resident.clear();
-            self.doc_sizes.clear();
             self.used = Bytes::ZERO;
         }
         self.last_request = Some(now);
@@ -119,7 +116,7 @@ impl ClientCache {
         self.clock += 1;
         let clock = self.clock;
         match self.resident.get_mut(&doc) {
-            Some(touch) => {
+            Some((touch, _)) => {
                 *touch = clock;
                 true
             }
@@ -143,20 +140,19 @@ impl ClientCache {
                     return; // cannot ever fit
                 }
                 self.clock += 1;
-                if let Some(touch) = self.resident.get_mut(&doc) {
+                if let Some((touch, _)) = self.resident.get_mut(&doc) {
                     *touch = self.clock;
                     return;
                 }
-                self.resident.insert(doc, self.clock);
+                self.resident.insert(doc, (self.clock, size));
                 self.used += size;
-                self.sizes_insert(doc, size);
                 while self.used > capacity {
                     // used > 0 implies resident docs; an empty map would
                     // simply end the loop.
-                    let Some((&lru, _)) = self.resident.iter().min_by_key(|(_, &t)| t) else {
+                    let Some((&lru, &(_, sz))) = self.resident.iter().min_by_key(|(_, &(t, _))| t)
+                    else {
                         break;
                     };
-                    let sz = self.sizes_remove(lru);
                     self.resident.remove(&lru);
                     self.used -= sz;
                 }
@@ -166,8 +162,7 @@ impl ClientCache {
                     self.used += size;
                 }
                 self.clock += 1;
-                self.resident.insert(doc, self.clock);
-                self.sizes_insert(doc, size);
+                self.resident.insert(doc, (self.clock, size));
             }
         }
     }
@@ -175,16 +170,6 @@ impl ClientCache {
     /// All resident documents (for cooperative digests).
     pub fn resident_docs(&self) -> impl Iterator<Item = DocId> + '_ {
         self.resident.keys().copied()
-    }
-
-    // -- internal size bookkeeping ------------------------------------
-
-    fn sizes_insert(&mut self, doc: DocId, size: Bytes) {
-        self.doc_sizes.insert(doc, size);
-    }
-
-    fn sizes_remove(&mut self, doc: DocId) -> Bytes {
-        self.doc_sizes.remove(&doc).unwrap_or(Bytes::ZERO)
     }
 }
 

@@ -271,19 +271,7 @@ impl MatrixStore {
         // level is enough, and it avoids quadratic thread fan-out.
         let pool = specweb_core::par::Pool::auto();
         let by_boundary = match cfg.aging_decay {
-            None => {
-                let directs = est.slide(&days);
-                let closures = pool.try_map_indexed(&directs, |_, direct| {
-                    direct.closure_jobs(cfg.closure_floor, cfg.closure_max_row, 1)
-                })?;
-                (days.iter().zip(directs).zip(closures))
-                    .map(|((&day, direct), closure)| MatrixPair {
-                        direct,
-                        closure,
-                        estimated_on_day: day,
-                    })
-                    .collect()
-            }
+            None => Self::closed(cfg, &days, est.slide(&days))?,
             Some(decay) => {
                 let per_day: DayMatrices = {
                     let _f = specweb_core::obs::profile::frame("estimator.day_matrices");
@@ -300,16 +288,62 @@ impl MatrixStore {
                 })?
             }
         };
-        let store = MatrixStore {
+        Ok(MatrixStore {
             cfg: *cfg,
             by_boundary,
+        }
+        .published())
+    }
+
+    /// The estimates of `days` from their `directs`: one closure each,
+    /// fanned out on the process-default pool.
+    fn closed(
+        cfg: &EstimatorConfig,
+        days: &[u64],
+        directs: Vec<DepMatrix>,
+    ) -> Result<Vec<MatrixPair>> {
+        let closures = specweb_core::par::Pool::auto().try_map_indexed(&directs, |_, direct| {
+            direct.closure_jobs(cfg.closure_floor, cfg.closure_max_row, 1)
+        })?;
+        Ok((days.iter().zip(directs).zip(closures))
+            .map(|((&estimated_on_day, direct), closure)| MatrixPair {
+                direct,
+                closure,
+                estimated_on_day,
+            })
+            .collect())
+    }
+
+    /// The same `direct` matrices under another closure bound: what
+    /// [`MatrixStore::precompute`] builds under this store's
+    /// configuration with `closure_floor` and `closure_max_row`
+    /// replaced, bit for bit, without estimating `P` again. Closures
+    /// fan out and `spec.closure_truncated_rows` is published as in
+    /// `precompute`.
+    pub fn reclose(&self, floor: f64, max_row: usize) -> Result<MatrixStore> {
+        let _f = specweb_core::obs::profile::frame("estimator.reclose");
+        let cfg = EstimatorConfig {
+            closure_floor: floor,
+            closure_max_row: max_row,
+            ..self.cfg
         };
+        cfg.validate()?;
+        let boundaries = self.by_boundary.iter();
+        let days: Vec<u64> = boundaries.clone().map(|b| b.estimated_on_day).collect();
+        let directs = boundaries.map(|b| b.direct.clone()).collect();
+        let by_boundary = Self::closed(&cfg, &days, directs)?;
+        Ok(MatrixStore { cfg, by_boundary }.published())
+    }
+
+    /// Adds this store's truncation count to the installed run's
+    /// `spec.closure_truncated_rows`, once per store built.
+    fn published(self) -> MatrixStore {
         if let Some(obs) = specweb_core::obs::current() {
             obs.metrics
                 .counter("spec.closure_truncated_rows")
-                .add(store.truncated_rows());
+                .add(self.truncated_rows());
         }
-        Ok(store)
+        self
     }
 
     /// What [`MatrixStore::precompute`] must equal, built the slow way:
@@ -467,12 +501,12 @@ mod tests {
         }
     }
 
-    /// Every boundary of the store equals the from-scratch estimate.
-    fn assert_store_is_exact(cfg: &EstimatorConfig, t: &Trace, total_days: u64) {
-        let store = MatrixStore::precompute(cfg, t, total_days).unwrap();
-        let slow = MatrixStore::from_scratch(cfg, t, total_days);
-        assert_eq!(store.len(), slow.len());
-        for (kept, fresh) in store.by_boundary.iter().zip(&slow.by_boundary) {
+    /// Two stores hold the same estimate at every boundary, bit for bit.
+    fn assert_same_stores(kept: &MatrixStore, fresh: &MatrixStore) {
+        let cfg = &fresh.cfg;
+        assert_eq!(kept.cfg, fresh.cfg);
+        assert_eq!(kept.len(), fresh.len());
+        for (kept, fresh) in kept.by_boundary.iter().zip(&fresh.by_boundary) {
             let day = fresh.estimated_on_day;
             assert_eq!(kept.estimated_on_day, day);
             assert!(
@@ -493,6 +527,47 @@ mod tests {
                 kept.closure.truncated_rows(),
                 fresh.closure.truncated_rows()
             );
+        }
+    }
+
+    /// Every boundary of the store equals the from-scratch estimate.
+    fn assert_store_is_exact(cfg: &EstimatorConfig, t: &Trace, total_days: u64) {
+        let store = MatrixStore::precompute(cfg, t, total_days).unwrap();
+        assert_same_stores(&store, &MatrixStore::from_scratch(cfg, t, total_days));
+    }
+
+    #[test]
+    fn reclose_equals_precompute_under_the_new_bound() {
+        let t = trace(106, 0.2);
+        for aging_decay in [None, Some(0.9)] {
+            let cfg = EstimatorConfig {
+                history_days: 5,
+                aging_decay,
+                ..EstimatorConfig::default()
+            };
+            let store = MatrixStore::precompute(&cfg, &t, t.days()).unwrap();
+            for closure_max_row in [2, 8, 128] {
+                let obs = specweb_core::obs::Obs::new();
+                let reclosed = {
+                    let _run = obs.install();
+                    store.reclose(0.05, closure_max_row).unwrap()
+                };
+                let bound = EstimatorConfig {
+                    closure_floor: 0.05,
+                    closure_max_row,
+                    ..cfg
+                };
+                let fresh = MatrixStore::precompute(&bound, &t, t.days()).unwrap();
+                assert_same_stores(&reclosed, &fresh);
+                // …and it says what it truncated, like a precompute.
+                assert_eq!(
+                    obs.snapshot().deterministic["spec.closure_truncated_rows"],
+                    specweb_core::obs::MetricValue::Counter {
+                        value: fresh.truncated_rows()
+                    }
+                );
+            }
+            assert!(store.reclose(0.0, 8).is_err(), "floor is validated");
         }
     }
 

@@ -412,6 +412,18 @@ impl<'a> SpecSim<'a> {
                     "store was precomputed with a different estimator configuration",
                 ));
             }
+            // `for_day` clamps to the last boundary: a store that ends
+            // before the trace does would serve its last matrices for
+            // every later day.
+            Some(s)
+                if self.trace.days()
+                    > (s.len() as u64).saturating_mul(cfg.estimator.update_cycle_days) =>
+            {
+                return Err(CoreError::invalid_config(
+                    "spec.matrix_store",
+                    "store was precomputed over fewer days than the trace spans",
+                ));
+            }
             Some(s) => s,
             None => {
                 own = MatrixStore::precompute(&cfg.estimator, self.trace, self.trace.days())?;
@@ -1193,11 +1205,19 @@ mod tests {
         let (trace, topo) = setup(214);
         let sim = SpecSim::new(&trace, &topo);
         let cfg_a = cfg(0.3);
+        assert_eq!(trace.days(), 14);
         let store = MatrixStore::precompute(&cfg_a.estimator, &trace, 14).unwrap();
-        // Same config works…
+        // Same config over exactly the trace's span works…
         assert!(sim
             .run_with_store_and_baseline(&cfg_a, Some(&store), None)
             .is_ok());
+        // …a store that ends before the trace does is rejected, not
+        // replayed on its last boundary's matrices…
+        let short = MatrixStore::precompute(&cfg_a.estimator, &trace, 5).unwrap();
+        let err = sim
+            .run_with_store_and_baseline(&cfg_a, Some(&short), None)
+            .unwrap_err();
+        assert!(err.to_string().contains("spec.matrix_store"), "{err}");
         // …a different estimator config is rejected.
         let mut cfg_b = cfg_a;
         cfg_b.estimator.history_days += 1;

@@ -26,7 +26,19 @@ Two subcommands:
           more attributes at least 90 % of it to child frames (the
           synthetic `<unattributed>` child is what is left over, not
           attribution), so a slow experiment always says where its
-          time went.
+          time went — `profile_inputs.txt`, the shared inputs `figures`
+          builds before it fans out, is a root like any other;
+        * over all `profile_*.txt` together, at most 10
+          `estimator.precompute` and 6 `workload.trace` calls: what a
+          full `all` run makes when each shared input is built once
+          (the bu trace, its baseline store and the drift trace, under
+          `inputs`) and only the private ones on top — 2 replica seeds
+          each for fig3 (traces) and fig5 (traces and stores), the 4
+          estimator schedules of exp-upd and the 3 variants of
+          exp-aging. A subset of ids makes fewer. An experiment that
+          quietly rebuilds the shared world fails here; one with a
+          legitimately private input raises the bound, and says why in
+          this list, in the change that adds it.
 
 The metric gates see every run, not only the wired ones: the generator,
 `MatrixStore::precompute`, the simulators and the allocator publish to
@@ -53,6 +65,8 @@ UNATTRIBUTED = "<unattributed>"
 # A profile root this slow must be this well attributed to its children.
 PROFILE_MIN_ROOT_US = 1_000_000
 PROFILE_MIN_ATTRIBUTED = 0.90
+# Frame → most calls one run may make of it, over all its profiles.
+BUILD_CALL_BOUNDS = {"estimator.precompute": 10, "workload.trace": 6}
 
 
 def load_manifests(d):
@@ -163,8 +177,22 @@ def cmd_gate(d):
                 f"{sorted(NO_METRICS_EXEMPT)} record nothing: the installed "
                 f"obs context did not reach this experiment's work)"
             )
+    build_calls = dict.fromkeys(BUILD_CALL_BOUNDS, 0)
     for path in sorted(Path(d).glob("profile_*.txt")):
         failures.extend(profile_failures(path))
+        for line in path.read_text().splitlines():
+            frames, rest = line.split(" calls ")
+            leaf = frames.split(";")[-1]
+            if leaf in build_calls:
+                build_calls[leaf] += int(rest.split()[0])
+    failures.extend(
+        f"{frame}: {n} calls over profile_*.txt (at most "
+        f"{BUILD_CALL_BOUNDS[frame]}: an experiment rebuilds an input the "
+        f"run shares — declare it in bench::EXPERIMENTS and read it from "
+        f"Inputs)"
+        for frame, n in build_calls.items()
+        if n > BUILD_CALL_BOUNDS[frame]
+    )
     return failures
 
 
