@@ -280,21 +280,32 @@ impl Histogram {
 /// starts at ~24 days — far beyond any simulated service time.
 pub const SERVICE_TIME_LOG2_BINS: usize = 32;
 
+/// Milliseconds below this are counted in [`ServiceTimeDist`]'s dense
+/// table (at most 128 KiB of it); a 2 MiB document over four hops under
+/// the default `LatencyModel` sits just above, so only fault waits and
+/// pathological transfers spill into the map.
+const DENSE_CAP_MS: u64 = 1 << 14;
+
 /// Per-access service-time samples with **exact** tail quantiles.
 ///
-/// The distribution keeps the full sample **multiset** as a sorted
-/// `ms → count` map, so the reported p50/p90/p99/p999 are true order
-/// statistics (type-7 interpolated via [`quantile`]), not bucket
-/// approximations. Storing a multiset rather than an append-order vector
-/// makes the determinism contract structural (DESIGN §13): two replays
-/// that serve the same accesses compare **equal** no matter what order
-/// the samples arrived in, so a serial replay and a shard-merged replay
-/// produce identical distributions — and identical quantiles — for any
-/// `--jobs` count.
+/// The distribution keeps the full sample **multiset** as `ms → count`
+/// — a dense table below [`DENSE_CAP_MS`], a sorted map above it — so
+/// the reported p50/p90/p99/p999 are true order statistics (type-7
+/// interpolated via [`quantile`]), not bucket approximations, and
+/// recording a sample is one indexed add. Storing a multiset rather
+/// than an append-order vector makes the determinism contract
+/// structural (DESIGN §13): two replays that serve the same accesses
+/// compare **equal** no matter what order the samples arrived in, so a
+/// serial replay and a shard-merged replay produce identical
+/// distributions — and identical quantiles — for any `--jobs` count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceTimeDist {
-    /// Milliseconds → occurrences.
-    counts: std::collections::BTreeMap<u64, u64>,
+    /// `dense[ms]` = occurrences of `ms < DENSE_CAP_MS`. A slot exists
+    /// only once a sample at or above it was counted, so the table never
+    /// ends in a zero and equal multisets have equal tables.
+    dense: Vec<u64>,
+    /// Milliseconds at or above the cap → occurrences.
+    spill: std::collections::BTreeMap<u64, u64>,
     /// Total samples (Σ counts).
     total: u64,
 }
@@ -308,7 +319,15 @@ impl ServiceTimeDist {
     /// Records one access served in `ms` milliseconds (0 for cache hits).
     #[inline]
     pub fn record(&mut self, ms: u64) {
-        *self.counts.entry(ms).or_insert(0) += 1;
+        if ms < DENSE_CAP_MS {
+            let i = ms as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, 0);
+            }
+            self.dense[i] += 1;
+        } else {
+            *self.spill.entry(ms).or_insert(0) += 1;
+        }
         self.total += 1;
     }
 
@@ -316,8 +335,14 @@ impl ServiceTimeDist {
     /// union by count addition, commutative and associative, so merge
     /// order never changes the result).
     pub fn merge(&mut self, other: &ServiceTimeDist) {
-        for (&ms, &n) in &other.counts {
-            *self.counts.entry(ms).or_insert(0) += n;
+        if other.dense.len() > self.dense.len() {
+            self.dense.resize(other.dense.len(), 0);
+        }
+        for (mine, theirs) in self.dense.iter_mut().zip(&other.dense) {
+            *mine += theirs;
+        }
+        for (&ms, &n) in &other.spill {
+            *self.spill.entry(ms).or_insert(0) += n;
         }
         self.total += other.total;
     }
@@ -334,13 +359,21 @@ impl ServiceTimeDist {
         self.total == 0
     }
 
+    /// The distinct sample values with their counts, ascending.
+    fn counts(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
+        let dense = self.dense.iter().enumerate().map(|(ms, &n)| (ms as u64, n));
+        dense
+            .filter(|&(_, n)| n > 0)
+            .chain(self.spill.iter().map(|(&ms, &n)| (ms, n)))
+    }
+
     /// Collapses the samples into [`SERVICE_TIME_LOG2_BINS`] log₂-spaced
     /// buckets (bucket `i` ⇔ `(ms + 1).ilog2() == i`) for the metrics
     /// registry: tails stay visible at millisecond resolution near zero
     /// without retaining samples in the manifest.
     pub fn log2_bins(&self) -> [u64; SERVICE_TIME_LOG2_BINS] {
         let mut bins = [0u64; SERVICE_TIME_LOG2_BINS];
-        for (&ms, &n) in &self.counts {
+        for (ms, n) in self.counts() {
             let b = ((ms + 1).ilog2() as usize).min(SERVICE_TIME_LOG2_BINS - 1);
             bins[b] += n;
         }
@@ -367,16 +400,21 @@ impl ServiceTimeDist {
         }
     }
 
+    /// The largest sample (0 when empty).
+    fn max(&self) -> u64 {
+        self.counts().next_back().map_or(0, |(ms, _)| ms)
+    }
+
     /// The `rank`-th smallest sample (0-based; saturates at the max).
     fn value_at(&self, rank: u64) -> u64 {
         let mut seen = 0u64;
-        for (&ms, &n) in &self.counts {
+        for (ms, n) in self.counts() {
             seen += n;
             if seen > rank {
                 return ms;
             }
         }
-        self.counts.keys().next_back().copied().unwrap_or(0)
+        self.max()
     }
 
     /// Type-7 quantile over the multiset: interpolates between the two
@@ -398,7 +436,7 @@ impl ServiceTimeDist {
         if self.total == 0 {
             return ServiceQuantiles::default();
         }
-        let sum: u64 = self.counts.iter().map(|(&ms, &n)| ms * n).sum();
+        let sum: u64 = self.counts().map(|(ms, n)| ms * n).sum();
         ServiceQuantiles {
             count: self.total,
             mean_ms: sum as f64 / self.total as f64,
@@ -406,7 +444,7 @@ impl ServiceTimeDist {
             p90_ms: self.q(0.90),
             p99_ms: self.q(0.99),
             p999_ms: self.q(0.999),
-            max_ms: self.counts.keys().next_back().copied().unwrap_or(0),
+            max_ms: self.max(),
         }
     }
 }
@@ -721,6 +759,19 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Service times on both sides of the dense cap and right at it.
+        fn sample_ms() -> impl Strategy<Value = u64> {
+            prop_oneof![0u64..64, DENSE_CAP_MS - 4..DENSE_CAP_MS + 4, 0u64..100_000,]
+        }
+
+        fn dist_of(xs: &[u64]) -> ServiceTimeDist {
+            let mut d = ServiceTimeDist::new();
+            for &x in xs {
+                d.record(x);
+            }
+            d
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -742,38 +793,63 @@ mod tests {
 
             #[test]
             fn service_time_merge_is_exact_across_shard_counts(
-                xs in prop::collection::vec(0u64..100_000, 0..256),
+                xs in prop::collection::vec(sample_ms(), 0..256),
                 shards in 1usize..8,
             ) {
                 // One distribution over everything vs. shard partials
                 // merged in order: the quantile summary must be *bitwise*
                 // equal, not approximately — this is the property the
                 // simulators' --jobs invariance rests on.
-                let mut whole = ServiceTimeDist::new();
-                for &x in &xs {
-                    whole.record(x);
-                }
-                let mut merged = ServiceTimeDist::new();
+                let whole = dist_of(&xs);
                 let per = xs.len().div_ceil(shards).max(1);
-                for chunk in xs.chunks(per) {
-                    let mut part = ServiceTimeDist::new();
-                    for &x in chunk {
-                        part.record(x);
-                    }
-                    merged.merge(&part);
+                let parts: Vec<ServiceTimeDist> = xs.chunks(per).map(dist_of).collect();
+                let mut merged = ServiceTimeDist::new();
+                for part in &parts {
+                    merged.merge(part);
                 }
                 prop_assert_eq!(merged.quantiles(), whole.quantiles());
                 prop_assert_eq!(merged.log2_bins(), whole.log2_bins());
                 prop_assert_eq!(&merged, &whole);
+                // Another merge tree over the same parts: right to left,
+                // each step merging the accumulated tail *into* the part.
+                let mut tree = ServiceTimeDist::new();
+                for part in parts.iter().rev() {
+                    let mut left = part.clone();
+                    left.merge(&tree);
+                    tree = left;
+                }
+                prop_assert_eq!(&tree, &whole);
                 // Multiset semantics: arrival order is invisible, so a
                 // replay that serves the same accesses in *any* order
                 // (serial trace order vs. cluster-shard order) compares
                 // equal structurally, not just quantile-wise.
-                let mut reversed = ServiceTimeDist::new();
-                for &x in xs.iter().rev() {
-                    reversed.record(x);
+                let reversed: Vec<u64> = xs.iter().rev().copied().collect();
+                prop_assert_eq!(&dist_of(&reversed), &whole);
+            }
+
+            #[test]
+            fn service_time_dist_equals_the_sorted_samples(
+                xs in prop::collection::vec(sample_ms(), 1..256),
+            ) {
+                let d = dist_of(&xs);
+                let mut sorted: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+                sorted.sort_by(f64::total_cmp);
+                prop_assert_eq!(d.len(), xs.len());
+                let want = ServiceQuantiles {
+                    count: xs.len() as u64,
+                    mean_ms: xs.iter().sum::<u64>() as f64 / xs.len() as f64,
+                    p50_ms: quantile(&sorted, 0.50).unwrap(),
+                    p90_ms: quantile(&sorted, 0.90).unwrap(),
+                    p99_ms: quantile(&sorted, 0.99).unwrap(),
+                    p999_ms: quantile(&sorted, 0.999).unwrap(),
+                    max_ms: xs.iter().copied().max().unwrap(),
+                };
+                prop_assert_eq!(d.quantiles(), want);
+                let mut bins = [0u64; SERVICE_TIME_LOG2_BINS];
+                for &x in &xs {
+                    bins[(x + 1).ilog2() as usize] += 1;
                 }
-                prop_assert_eq!(&reversed, &whole);
+                prop_assert_eq!(d.log2_bins(), bins);
             }
 
             #[test]

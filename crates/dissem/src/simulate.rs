@@ -489,7 +489,8 @@ impl<'a> DisseminationSim<'a> {
         let _replay_frame = specweb_core::obs::profile::frame("replay");
         let whole = self.shards.replay_sharded(
             &self.trace.accesses,
-            |accesses| {
+            // No per-client state here, so nothing to size by the part's clients.
+            |_, accesses| {
                 Ok::<_, CoreError>(self.replay_shard(cfg, faults, &router, &stores, accesses))
             },
             |whole: &mut ReplayPart, part| whole.merge(&part),

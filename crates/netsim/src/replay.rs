@@ -9,6 +9,9 @@
 //!    access indices by the root-child subtree
 //!    ([`Topology::root_child`]) the requesting client lives under.
 //!    Shards are ordered by cluster node id and each keeps trace order.
+//!    Each client also gets a slot among the clients of its cluster, so
+//!    a part holds per-client state for the clients it owns
+//!    ([`ShardClients`]), not for the whole population once per shard.
 //! 2. **Gate.** [`ClusterShards::replay_sharded`] shards only when that
 //!    can pay: more than one shard *and* more than one worker in the
 //!    process-default pool. The index gather costs locality, so with one
@@ -32,6 +35,39 @@ use crate::topology::Topology;
 #[derive(Debug, Clone)]
 pub struct ClusterShards {
     shards: Vec<Vec<usize>>,
+    /// `slot_of[c]`: client `c`'s rank among the clients of its shard.
+    slot_of: Vec<usize>,
+    /// Clients per shard.
+    shard_clients: Vec<usize>,
+}
+
+/// The clients whose accesses one `part` call receives, and where each
+/// keeps its state: a part allocates `len()` per-client states and
+/// finds client `c`'s at `slot(c)`.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardClients<'s> {
+    len: usize,
+    /// `None` on the single-pass path: every client, at its own index.
+    slot_of: Option<&'s [usize]>,
+}
+
+impl ShardClients<'_> {
+    /// Number of clients this part owns.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether this part owns no client.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Where client `client` (an index into the partition's
+    /// `client_nodes`) keeps its state, below [`ShardClients::len`].
+    #[inline]
+    pub fn slot(&self, client: usize) -> usize {
+        self.slot_of.map_or(client, |slots| slots[client])
+    }
 }
 
 impl ClusterShards {
@@ -51,11 +87,32 @@ impl ClusterShards {
             .iter()
             .map(|c| clusters.partition_point(|x| x < c))
             .collect();
+        let mut shard_clients = vec![0usize; clusters.len()];
+        let slot_of = shard_of
+            .iter()
+            .map(|&s| {
+                shard_clients[s] += 1;
+                shard_clients[s] - 1
+            })
+            .collect();
         let mut shards: Vec<Vec<usize>> = clusters.iter().map(|_| Vec::new()).collect();
         for (i, c) in access_clients.enumerate() {
             shards[shard_of[c]].push(i);
         }
-        ClusterShards { shards }
+        ClusterShards {
+            shards,
+            slot_of,
+            shard_clients,
+        }
+    }
+
+    /// Every client at its own index: what `part` receives when the
+    /// whole trace goes through it in one pass.
+    pub fn all_clients(&self) -> ShardClients<'_> {
+        ShardClients {
+            len: self.slot_of.len(),
+            slot_of: None,
+        }
     }
 
     /// Number of shards (distinct clusters with a client in them).
@@ -64,14 +121,15 @@ impl ClusterShards {
     }
 
     /// Replays `accesses` through `part`, which receives them in trace
-    /// order — everything in one call, or one call per shard's gathered
-    /// subsequence on `core::par` with the results combined by `fold`
-    /// in shard order (see the module docs for the gate). A failing
-    /// shard surfaces as the first error in shard order.
+    /// order together with the clients they belong to — everything in
+    /// one call, or one call per shard's gathered subsequence on
+    /// `core::par` with the results combined by `fold` in shard order
+    /// (see the module docs for the gate). A failing shard surfaces as
+    /// the first error in shard order.
     pub fn replay_sharded<A, T, E>(
         &self,
         accesses: &[A],
-        part: impl Fn(&mut dyn Iterator<Item = &A>) -> Result<T, E> + Sync,
+        part: impl Fn(ShardClients<'_>, &mut dyn Iterator<Item = &A>) -> Result<T, E> + Sync,
         mut fold: impl FnMut(&mut T, T),
     ) -> Result<T, E>
     where
@@ -81,8 +139,12 @@ impl ClusterShards {
     {
         let pool = Pool::auto();
         if self.shards.len() > 1 && pool.jobs() > 1 {
-            let parts = pool.try_map_indexed(&self.shards, |_, idxs| {
-                part(&mut idxs.iter().map(|&i| &accesses[i]))
+            let parts = pool.try_map_indexed(&self.shards, |shard, idxs| {
+                let clients = ShardClients {
+                    len: self.shard_clients[shard],
+                    slot_of: Some(&self.slot_of),
+                };
+                part(clients, &mut idxs.iter().map(|&i| &accesses[i]))
             })?;
             let mut whole = T::default();
             for p in parts {
@@ -90,7 +152,7 @@ impl ClusterShards {
             }
             Ok(whole)
         } else {
-            part(&mut accesses.iter())
+            part(self.all_clients(), &mut accesses.iter())
         }
     }
 }
@@ -123,11 +185,14 @@ mod tests {
     /// is weighted by how many accesses that client made before it, and
     /// counted when it repeats the client's previous document — so the
     /// result depends on every client seeing its accesses in trace order.
-    fn toy(n_clients: usize, accesses: &mut dyn Iterator<Item = &(usize, u64)>) -> Toy {
-        let mut seen = vec![0u64; n_clients];
-        let mut last = vec![u64::MAX; n_clients];
+    /// It holds state for the clients it is handed and no others, so a
+    /// slot shared by two clients of a shard, or one past `len()`, shows.
+    fn toy(clients: ShardClients<'_>, accesses: &mut dyn Iterator<Item = &(usize, u64)>) -> Toy {
+        let mut seen = vec![0u64; clients.len()];
+        let mut last = vec![u64::MAX; clients.len()];
         let mut out = Toy::default();
         for &(c, doc) in accesses {
+            let c = clients.slot(c);
             seen[c] += 1;
             out.weighted += doc * seen[c];
             out.repeats += u64::from(last[c] == doc);
@@ -157,7 +222,19 @@ mod tests {
             assert!(shard.iter().all(|&i| cluster_of(i) == cluster));
         }
 
-        let serial = toy(nodes.len(), &mut accesses.iter());
+        // The slots: each shard's clients fill `0..its count`, and the
+        // counts add up to the population.
+        assert_eq!(shards.shard_clients.iter().sum::<usize>(), nodes.len());
+        for (s, &cluster) in clusters.iter().enumerate() {
+            let mut slots: Vec<usize> = (0..nodes.len())
+                .filter(|&c| topo.root_child(nodes[c]) == cluster)
+                .map(|c| shards.slot_of[c])
+                .collect();
+            slots.sort_unstable();
+            assert_eq!(slots, (0..shards.shard_clients[s]).collect::<Vec<_>>());
+        }
+
+        let serial = toy(shards.all_clients(), &mut accesses.iter());
         let _pinned = pin_jobs();
         for jobs in [1, 2, 4] {
             specweb_core::par::set_default_jobs(jobs);
@@ -165,9 +242,9 @@ mod tests {
             let folded = shards
                 .replay_sharded(
                     accesses,
-                    |accs| {
+                    |clients, accs| {
                         calls.fetch_add(1, Ordering::Relaxed);
-                        Ok::<_, ()>(toy(nodes.len(), accs))
+                        Ok::<_, ()>(toy(clients, accs))
                     },
                     |whole: &mut Toy, part| {
                         whole.weighted += part.weighted;
@@ -203,7 +280,7 @@ mod tests {
         let shards = ClusterShards::partition(&topo, &nodes, [2usize, 1, 0].into_iter());
         let failed = shards.replay_sharded(
             &[2usize, 1, 0],
-            |accs| match accs.next() {
+            |_, accs| match accs.next() {
                 Some(&c) if c > 0 => Err(c),
                 _ => Ok(0u64),
             },

@@ -10,8 +10,14 @@
 //!   baseline, equivalent to the LAN cache of the paper's reference \[4\]).
 //!
 //! We add a finite-capacity LRU as the obvious engineering extension.
+//!
+//! A replay asks "is this document resident?" on every access, so
+//! [`ClientCache`] answers from a `DocId`-indexed bitset under every
+//! model — one word test, `catalog.len() / 8` bytes for a client that
+//! has seen the whole catalog and nothing for one that never appears —
+//! and only `Lru` keeps more: the resident documents in recency order.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use specweb_core::ids::DocId;
@@ -49,16 +55,20 @@ impl CacheModel {
 #[derive(Debug, Clone)]
 pub struct ClientCache {
     model: CacheModel,
-    /// Resident documents → (last-touch counter, size), for LRU victim
-    /// choice and eviction accounting. A BTreeMap:
-    /// [`ClientCache::resident_docs`] feeds cooperative digests, so the
-    /// enumeration order must not depend on hash iteration order.
-    resident: BTreeMap<DocId, (u64, Bytes)>,
+    /// Membership: bit `d` is set iff document `d` is resident. Grown to
+    /// the largest id inserted, emptied by a session purge.
+    resident: Vec<u64>,
+    /// `Lru` only: the resident documents and their sizes, least
+    /// recently used first — the front is the next victim.
+    recency: VecDeque<(DocId, Bytes)>,
     used: Bytes,
-    /// Monotonic touch counter.
-    clock: u64,
     /// Time of this client's previous request (session tracking).
     last_request: Option<SimTime>,
+}
+
+/// The word and bit of `doc` in a membership bitset.
+fn slot(doc: DocId) -> (usize, u64) {
+    (doc.index() / 64, 1 << (doc.index() % 64))
 }
 
 impl ClientCache {
@@ -66,16 +76,11 @@ impl ClientCache {
     pub fn new(model: CacheModel) -> Self {
         ClientCache {
             model,
-            resident: BTreeMap::new(),
+            resident: Vec::new(),
+            recency: VecDeque::new(),
             used: Bytes::ZERO,
-            clock: 0,
             last_request: None,
         }
-    }
-
-    /// The model this cache runs.
-    pub fn model(&self) -> CacheModel {
-        self.model
     }
 
     /// Bytes currently resident.
@@ -85,12 +90,12 @@ impl ClientCache {
 
     /// Number of resident documents.
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.resident.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.resident.iter().all(|&w| w == 0)
     }
 
     /// Called at the start of every client request *before* the lookup:
@@ -113,69 +118,71 @@ impl ClientCache {
 
     /// Whether `doc` is resident (touches it for LRU recency).
     pub fn contains(&mut self, doc: DocId) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.resident.get_mut(&doc) {
-            Some((touch, _)) => {
-                *touch = clock;
-                true
-            }
-            None => false,
+        let hit = self.peek(doc);
+        if hit {
+            self.touch(doc);
         }
+        hit
     }
 
-    /// Whether `doc` is resident, without touching recency — used for
-    /// cooperative digests (peeking must not distort LRU order).
+    /// Whether `doc` is resident, without touching recency — what a
+    /// cooperative digest or a prefetching client asks (peeking must not
+    /// distort LRU order).
     pub fn peek(&self, doc: DocId) -> bool {
-        self.resident.contains_key(&doc)
+        let (word, bit) = slot(doc);
+        self.resident.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Makes a resident `doc` the most recently used (only `Lru` keeps
+    /// an order to move it in).
+    fn touch(&mut self, doc: DocId) {
+        // Recently used documents are the likely hits: search from the back.
+        if let Some(at) = self.recency.iter().rposition(|&(d, _)| d == doc) {
+            if let Some(entry) = self.recency.remove(at) {
+                self.recency.push_back(entry);
+            }
+        }
     }
 
     /// Inserts a document (by client fetch or server push).
     pub fn insert(&mut self, doc: DocId, size: Bytes) {
         match self.model {
-            CacheModel::None => {}
-            CacheModel::Session { timeout } if timeout == Duration::ZERO => {}
-            CacheModel::Lru { capacity } => {
-                if size > capacity {
-                    return; // cannot ever fit
-                }
-                self.clock += 1;
-                if let Some((touch, _)) = self.resident.get_mut(&doc) {
-                    *touch = self.clock;
-                    return;
-                }
-                self.resident.insert(doc, (self.clock, size));
-                self.used += size;
-                while self.used > capacity {
-                    // used > 0 implies resident docs; an empty map would
-                    // simply end the loop.
-                    let Some((&lru, &(_, sz))) = self.resident.iter().min_by_key(|(_, &(t, _))| t)
-                    else {
-                        break;
-                    };
-                    self.resident.remove(&lru);
-                    self.used -= sz;
-                }
-            }
-            _ => {
-                if !self.resident.contains_key(&doc) {
-                    self.used += size;
-                }
-                self.clock += 1;
-                self.resident.insert(doc, (self.clock, size));
+            CacheModel::None => return,
+            CacheModel::Session { timeout } if timeout == Duration::ZERO => return,
+            CacheModel::Lru { capacity } if size > capacity => return, // cannot ever fit
+            _ => {}
+        }
+        if self.peek(doc) {
+            self.touch(doc);
+            return;
+        }
+        let (word, bit) = slot(doc);
+        if word >= self.resident.len() {
+            self.resident.resize(word + 1, 0);
+        }
+        self.resident[word] |= bit;
+        self.used += size;
+        if let CacheModel::Lru { capacity } = self.model {
+            self.recency.push_back((doc, size));
+            while self.used > capacity {
+                // `size <= capacity`, so the loop ends before it reaches
+                // the document just pushed.
+                let Some((victim, freed)) = self.recency.pop_front() else {
+                    break;
+                };
+                let (word, bit) = slot(victim);
+                self.resident[word] &= !bit;
+                self.used -= freed;
             }
         }
-    }
-
-    /// All resident documents (for cooperative digests).
-    pub fn resident_docs(&self) -> impl Iterator<Item = DocId> + '_ {
-        self.resident.keys().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn kb(n: u64) -> Bytes {
         Bytes::from_kib(n)
@@ -293,13 +300,187 @@ mod tests {
         assert!(c.peek(DocId(2)));
     }
 
-    #[test]
-    fn resident_docs_enumerates() {
-        let mut c = ClientCache::new(CacheModel::Infinite);
-        c.insert(DocId(1), kb(1));
-        c.insert(DocId(2), kb(1));
-        let mut docs: Vec<u32> = c.resident_docs().map(|d| d.raw()).collect();
-        docs.sort_unstable();
-        assert_eq!(docs, vec![1, 2]);
+    /// The cache as it was before the bitset: one `BTreeMap` of resident
+    /// documents → (last-touch counter, size), every lookup a tree walk
+    /// and every eviction a `min_by_key` over it. Kept as the reference
+    /// the differential test below replays against.
+    struct Oracle {
+        model: CacheModel,
+        resident: BTreeMap<DocId, (u64, Bytes)>,
+        used: Bytes,
+        clock: u64,
+        last_request: Option<SimTime>,
+    }
+
+    impl Oracle {
+        fn new(model: CacheModel) -> Self {
+            Oracle {
+                model,
+                resident: BTreeMap::new(),
+                used: Bytes::ZERO,
+                clock: 0,
+                last_request: None,
+            }
+        }
+
+        fn on_request(&mut self, now: SimTime) -> bool {
+            let purge = match (self.model, self.last_request) {
+                (CacheModel::Session { timeout }, Some(prev)) => {
+                    !timeout.is_infinite() && now.since(prev) >= timeout
+                }
+                _ => false,
+            };
+            if purge {
+                self.resident.clear();
+                self.used = Bytes::ZERO;
+            }
+            self.last_request = Some(now);
+            purge
+        }
+
+        fn contains(&mut self, doc: DocId) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            match self.resident.get_mut(&doc) {
+                Some((touch, _)) => {
+                    *touch = clock;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn peek(&self, doc: DocId) -> bool {
+            self.resident.contains_key(&doc)
+        }
+
+        fn insert(&mut self, doc: DocId, size: Bytes) {
+            match self.model {
+                CacheModel::None => {}
+                CacheModel::Session { timeout } if timeout == Duration::ZERO => {}
+                CacheModel::Lru { capacity } => {
+                    if size > capacity {
+                        return;
+                    }
+                    self.clock += 1;
+                    if let Some((touch, _)) = self.resident.get_mut(&doc) {
+                        *touch = self.clock;
+                        return;
+                    }
+                    self.resident.insert(doc, (self.clock, size));
+                    self.used += size;
+                    while self.used > capacity {
+                        let Some((&lru, &(_, sz))) =
+                            self.resident.iter().min_by_key(|(_, &(t, _))| t)
+                        else {
+                            break;
+                        };
+                        self.resident.remove(&lru);
+                        self.used -= sz;
+                    }
+                }
+                _ => {
+                    if !self.resident.contains_key(&doc) {
+                        self.used += size;
+                    }
+                    self.clock += 1;
+                    self.resident.insert(doc, (self.clock, size));
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A request `gap` seconds after the previous one.
+        Request(u64),
+        Contains(DocId),
+        Peek(DocId),
+        Insert(DocId),
+    }
+
+    /// Session timeout of the differential test, in seconds.
+    const TIMEOUT_S: u64 = 60;
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let raw = (0u8..8, 0u32..10, 0u32..100_000, 0u64..TIMEOUT_S);
+        prop::collection::vec(raw, 0..200).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(kind, pick, wide, short)| {
+                    // Mostly a small universe so documents collide, hit
+                    // and get evicted; now and then a second bitset word
+                    // or an id far beyond the bitset's length.
+                    let doc = DocId::new(match pick {
+                        0..=7 => wide % 24,
+                        8 => 60 + wide % 10,
+                        _ => 1_000 + wide,
+                    });
+                    match kind {
+                        // Gaps below, one either side of, at, and far
+                        // above the timeout.
+                        0 => Op::Request(match pick {
+                            0..=5 => short,
+                            6..=8 => TIMEOUT_S + u64::from(pick) - 7,
+                            _ => 10 * TIMEOUT_S,
+                        }),
+                        1..=3 => Op::Contains(doc),
+                        4 => Op::Peek(doc),
+                        _ => Op::Insert(doc),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// A document's size is a function of its id, as in a catalog:
+    /// 1–8 KiB, except that every seventh is larger than the LRU below.
+    fn size_of(doc: DocId) -> Bytes {
+        match doc.raw() % 7 {
+            0 => kb(64),
+            r => kb(u64::from(r) + 1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn bitset_cache_equals_the_btreemap_cache(ops in ops()) {
+            let models = [
+                CacheModel::None,
+                CacheModel::Infinite,
+                CacheModel::Lru { capacity: kb(20) },
+                CacheModel::Session { timeout: Duration::from_secs(TIMEOUT_S) },
+                CacheModel::Session { timeout: Duration::ZERO },
+                CacheModel::Session { timeout: Duration::INFINITE },
+            ];
+            for model in models {
+                let (mut cache, mut oracle) = (ClientCache::new(model), Oracle::new(model));
+                let mut now = 0;
+                for op in &ops {
+                    match *op {
+                        Op::Request(gap) => {
+                            now += gap;
+                            let t = SimTime::from_secs(now);
+                            prop_assert_eq!(cache.on_request(t), oracle.on_request(t));
+                        }
+                        Op::Contains(d) => prop_assert_eq!(cache.contains(d), oracle.contains(d)),
+                        Op::Peek(d) => prop_assert_eq!(cache.peek(d), oracle.peek(d)),
+                        Op::Insert(d) => {
+                            cache.insert(d, size_of(d));
+                            oracle.insert(d, size_of(d));
+                        }
+                    }
+                    // Same residents (so every LRU victim so far was the
+                    // oracle's), same accounting.
+                    prop_assert_eq!(cache.used(), oracle.used, "{:?} after {:?}", model, op);
+                    prop_assert_eq!(cache.len(), oracle.resident.len());
+                    prop_assert_eq!(cache.is_empty(), oracle.resident.is_empty());
+                    for &d in oracle.resident.keys() {
+                        prop_assert!(cache.peek(d), "{:?} lost {:?} after {:?}", model, d, op);
+                    }
+                }
+            }
+        }
     }
 }

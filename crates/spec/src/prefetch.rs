@@ -13,7 +13,11 @@
 //!   documents the user has never visited.
 //!
 //! [`UserProfile`] is the per-client transition model; [`HintPolicy`]
-//! decides which server hints a client acts on.
+//! decides which server hints a client acts on. A profile records two
+//! `BTreeMap` updates per access, so the replay builds one per client
+//! only for a configuration that reads it (`client_profile_prefetch`,
+//! [`HintPolicy::ProfileGated`]); [`HintPolicy::Threshold`] selects
+//! from the hints alone.
 
 use std::collections::BTreeMap;
 
@@ -94,13 +98,6 @@ impl UserProfile {
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
-
-    /// Whether the client has ever seen `doc` (predictions only exist
-    /// for previously traversed documents — the paper's key limitation
-    /// of client-side prefetching).
-    pub fn has_seen(&self, doc: DocId) -> bool {
-        self.occurrences.contains_key(&doc)
-    }
 }
 
 /// How a client reacts to server-attached hints.
@@ -125,13 +122,15 @@ pub enum HintPolicy {
 }
 
 impl HintPolicy {
-    /// Which hints the client will prefetch.
-    pub fn select(
-        &self,
-        current: DocId,
-        hints: &[(DocId, f64)],
-        profile: &UserProfile,
-    ) -> Vec<DocId> {
+    /// Whether [`HintPolicy::select`] consults the client's own profile.
+    pub fn reads_profile(&self) -> bool {
+        matches!(self, HintPolicy::ProfileGated { .. })
+    }
+
+    /// Which hints the client will prefetch. `own(j)` is the client's
+    /// own estimate of `p[current → j]` ([`UserProfile::probability`]),
+    /// asked only by a policy that [`HintPolicy::reads_profile`].
+    pub fn select(&self, hints: &[(DocId, f64)], own: impl Fn(DocId) -> f64) -> Vec<DocId> {
         match *self {
             HintPolicy::Ignore => Vec::new(),
             HintPolicy::Threshold { tp } => hints
@@ -141,7 +140,7 @@ impl HintPolicy {
                 .collect(),
             HintPolicy::ProfileGated { tp, own_tp } => hints
                 .iter()
-                .filter(|&&(j, p)| p >= tp && profile.probability(current, j) >= own_tp)
+                .filter(|&&(j, p)| p >= tp && own(j) >= own_tp)
                 .map(|&(j, _)| j)
                 .collect(),
         }
@@ -167,8 +166,6 @@ mod tests {
         }
         assert!((p.probability(DocId(1), DocId(2)) - 1.0).abs() < 1e-12);
         assert_eq!(p.probability(DocId(2), DocId(1)), 0.0);
-        assert!(p.has_seen(DocId(1)));
-        assert!(!p.has_seen(DocId(9)));
     }
 
     #[test]
@@ -207,18 +204,19 @@ mod tests {
             profile.record(t(k * 1_000_000 + 100), DocId(2));
         }
 
-        assert!(HintPolicy::Ignore
-            .select(DocId(1), &hints, &profile)
-            .is_empty());
+        let own = |j| profile.probability(DocId(1), j);
+        assert!(HintPolicy::Ignore.select(&hints, own).is_empty());
 
-        let th = HintPolicy::Threshold { tp: 0.5 }.select(DocId(1), &hints, &profile);
+        // A threshold never asks the profile.
+        let th = HintPolicy::Threshold { tp: 0.5 }.select(&hints, |_| unreachable!());
         assert_eq!(th, vec![DocId(2)]);
 
         let gated = HintPolicy::ProfileGated {
             tp: 0.3,
             own_tp: 0.5,
-        }
-        .select(DocId(1), &hints, &profile);
+        };
+        assert!(gated.reads_profile());
+        let gated = gated.select(&hints, own);
         // Doc 3 passes the server hint bar but fails the own-profile bar.
         assert_eq!(gated, vec![DocId(2)]);
     }

@@ -32,7 +32,7 @@ use specweb_core::units::Bytes;
 use specweb_core::{CoreError, Result};
 use specweb_netsim::cost::LatencyModel;
 use specweb_netsim::fault::{FaultPlan, RetrySchedule};
-use specweb_netsim::replay::ClusterShards;
+use specweb_netsim::replay::{ClusterShards, ShardClients};
 use specweb_netsim::topology::Topology;
 use specweb_trace::generator::Trace;
 
@@ -487,7 +487,9 @@ impl<'a> SpecSim<'a> {
         });
         let (totals, counters) = self.shards.replay_sharded(
             &self.trace.accesses,
-            |accesses| Ok::<_, CoreError>(self.replay_shard(cfg, store, faults, accesses)),
+            |clients, accesses| {
+                Ok::<_, CoreError>(self.replay_shard(cfg, store, faults, clients, accesses))
+            },
             |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
                 whole.0.merge(&totals);
                 whole.1.merge(&counters);
@@ -498,30 +500,25 @@ impl<'a> SpecSim<'a> {
     }
 
     /// Replays one shard of accesses (or, on the serial path, all of
-    /// them). Accesses must arrive in trace order within the shard.
+    /// them) of the clients `owned`, holding a cache — and a profile, if
+    /// the configuration reads one — for each of those and no other.
+    /// Accesses must arrive in trace order within the shard.
     fn replay_shard(
         &self,
         cfg: &SpecConfig,
         store: Option<&MatrixStore>,
         faults: Option<&FaultCtx<'_>>,
+        owned: ShardClients<'_>,
         accesses: &mut dyn Iterator<Item = &specweb_trace::generator::Access>,
     ) -> (RunTotals, ReplayCounters) {
         let trace = self.trace;
         let catalog = &trace.catalog;
-        let n_clients = trace.clients.len();
 
-        let mut caches: Vec<ClientCache> = (0..n_clients)
-            .map(|_| ClientCache::new(cfg.cache))
-            .collect();
+        let mut caches = vec![ClientCache::new(cfg.cache); owned.len()];
         let needs_profiles =
-            cfg.client_profile_prefetch.is_some() || !matches!(cfg.hint_policy, HintPolicy::Ignore);
-        let mut profiles: Vec<UserProfile> = if needs_profiles {
-            (0..n_clients)
-                .map(|_| UserProfile::new(cfg.estimator.window))
-                .collect()
-        } else {
-            Vec::new()
-        };
+            cfg.client_profile_prefetch.is_some() || cfg.hint_policy.reads_profile();
+        let n_profiles = if needs_profiles { owned.len() } else { 0 };
+        let mut profiles = vec![UserProfile::new(cfg.estimator.window); n_profiles];
 
         let mut totals = RunTotals::new();
         let mut counters = ReplayCounters::default();
@@ -530,16 +527,17 @@ impl<'a> SpecSim<'a> {
             let day = a.time.day();
             let measured = day >= cfg.warmup_days;
             let ci = a.client.index();
+            let slot = owned.slot(ci);
             let size = catalog.size(a.doc);
             let hops = self.hops[ci];
 
-            caches[ci].on_request(a.time);
+            caches[slot].on_request(a.time);
             if measured {
                 totals.accesses += 1;
                 totals.accessed_bytes += size;
             }
 
-            let hit = caches[ci].contains(a.doc);
+            let hit = caches[slot].contains(a.doc);
             if hit {
                 if measured {
                     counters.cache_hits += 1;
@@ -553,16 +551,19 @@ impl<'a> SpecSim<'a> {
                 if store.is_some() {
                     if let Some(tp) = cfg.client_profile_prefetch {
                         self.prefetch(
-                            profiles[ci].predict(a.doc, tp).into_iter().map(|(j, _)| j),
+                            profiles[slot]
+                                .predict(a.doc, tp)
+                                .into_iter()
+                                .map(|(j, _)| j),
                             measured,
-                            &mut caches[ci],
+                            &mut caches[slot],
                             &mut totals,
                             &mut counters,
                         );
                     }
                 }
                 if needs_profiles {
-                    profiles[ci].record(a.time, a.doc);
+                    profiles[slot].record(a.time, a.doc);
                 }
                 continue;
             }
@@ -607,7 +608,7 @@ impl<'a> SpecSim<'a> {
                             counters.unavailable += 1;
                         }
                         if needs_profiles {
-                            profiles[ci].record(a.time, a.doc);
+                            profiles[slot].record(a.time, a.doc);
                         }
                         continue;
                     }
@@ -645,11 +646,11 @@ impl<'a> SpecSim<'a> {
                     counters.slow_service.record(served_ms);
                 }
             }
-            caches[ci].insert(a.doc, size);
+            caches[slot].insert(a.doc, size);
 
             // The server sees this request — speculation may ride along.
             if let Some(matrices) = store.map(|s| s.for_day(day)) {
-                let cache = &mut caches[ci];
+                let cache = &mut caches[slot];
                 // Only cooperative clients tell the server what they hold.
                 let decision = decide(
                     &cfg.policy,
@@ -689,14 +690,14 @@ impl<'a> SpecSim<'a> {
                     cache.insert(j, jsize);
                 }
                 // Hints → client-initiated prefetches (cost a request).
-                if !decision.hints.is_empty() && needs_profiles {
+                if !decision.hints.is_empty() {
                     let chosen = cfg
                         .hint_policy
-                        .select(a.doc, &decision.hints, &profiles[ci]);
+                        .select(&decision.hints, |j| profiles[slot].probability(a.doc, j));
                     self.prefetch(
                         chosen,
                         measured,
-                        &mut caches[ci],
+                        &mut caches[slot],
                         &mut totals,
                         &mut counters,
                     );
@@ -710,9 +711,12 @@ impl<'a> SpecSim<'a> {
             if store.is_some() {
                 if let Some(tp) = cfg.client_profile_prefetch {
                     self.prefetch(
-                        profiles[ci].predict(a.doc, tp).into_iter().map(|(j, _)| j),
+                        profiles[slot]
+                            .predict(a.doc, tp)
+                            .into_iter()
+                            .map(|(j, _)| j),
                         measured,
-                        &mut caches[ci],
+                        &mut caches[slot],
                         &mut totals,
                         &mut counters,
                     );
@@ -720,7 +724,7 @@ impl<'a> SpecSim<'a> {
             }
 
             if needs_profiles {
-                profiles[ci].record(a.time, a.doc);
+                profiles[slot].record(a.time, a.doc);
             }
         }
         (totals, counters)
@@ -1045,9 +1049,21 @@ mod tests {
         let out = sim.run(&c).unwrap();
         assert!(out.prefetches > 0, "hints should trigger prefetches");
         // Prefetches count as server requests, so load reduction is
-        // smaller than for pure pushes at the same coverage — but the
-        // run must stay internally consistent.
-        assert!(out.speculative.server_requests > 0);
+        // smaller than for pure pushes at the same coverage. A threshold
+        // reads the hints alone: the replay used to record a
+        // `UserProfile` per client beside it that nothing looked up, and
+        // these are the numbers it produced then (commit ef83d7b).
+        let s = &out.speculative;
+        assert_eq!(
+            (out.pushes, out.wasted_pushes, out.prefetches),
+            (259, 44, 1_030),
+            "pushes, wasted, prefetches"
+        );
+        assert_eq!(
+            (s.server_requests, s.bytes_sent.get(), s.latency_ms),
+            (1_065, 1_371_103, 54_470),
+            "requests, bytes, latency"
+        );
     }
 
     #[test]
@@ -1226,22 +1242,74 @@ mod tests {
             .is_err());
     }
 
+    /// The replay paths that keep different per-client state: the
+    /// bitset alone, the LRU's recency list, hints taken without a
+    /// profile, hints gated by one, and profile-driven prefetching.
+    fn state_variants() -> Vec<(&'static str, SpecConfig)> {
+        let hybrid = Policy::Hybrid {
+            push_tp: 0.9,
+            hint_tp: 0.2,
+        };
+        let base = cfg(0.3);
+        vec![
+            ("infinite", base),
+            (
+                "lru",
+                SpecConfig {
+                    cache: CacheModel::Lru {
+                        capacity: Bytes::from_kib(256),
+                    },
+                    ..base
+                },
+            ),
+            (
+                "hybrid + threshold hints",
+                SpecConfig {
+                    policy: hybrid,
+                    hint_policy: HintPolicy::Threshold { tp: 0.2 },
+                    ..base
+                },
+            ),
+            (
+                "hybrid + profile-gated hints",
+                SpecConfig {
+                    policy: hybrid,
+                    hint_policy: HintPolicy::ProfileGated {
+                        tp: 0.2,
+                        own_tp: 0.3,
+                    },
+                    ..base
+                },
+            ),
+            (
+                "client profile prefetch",
+                SpecConfig {
+                    cache: CacheModel::Session {
+                        timeout: specweb_core::time::Duration::from_secs(3_600),
+                    },
+                    client_profile_prefetch: Some(0.5),
+                    ..base
+                },
+            ),
+        ]
+    }
+
     #[test]
     fn sharded_replay_equals_serial_replay() {
-        // The per-cluster shards must merge to exactly what a single
-        // full-order pass produces — speculative, baseline, and faulted.
+        // The per-cluster shards — each holding caches and profiles for
+        // its own clients only — must merge to exactly what a single
+        // full-order pass over the whole population produces:
+        // speculative, baseline, and faulted, on every replay path.
         // Sharding only engages with >1 worker; output is identical at
         // any width, so pinning the process default is side-effect-free.
         let _pinned = pin_jobs();
-        specweb_core::par::set_default_jobs(2);
         let (trace, topo) = setup(240);
         let sim = SpecSim::new(&trace, &topo);
         assert!(
             sim.shards.n_shards() > 1,
             "topology must yield several shards"
         );
-        let c = cfg(0.3);
-        let store = MatrixStore::precompute(&c.estimator, &trace, 14).unwrap();
+        let store = MatrixStore::precompute(&cfg(0.3).estimator, &trace, 14).unwrap();
         // Under faults too: the plan is read-only, so shards see the
         // same outage windows a serial replay would.
         let plan = FaultPlan::generate(
@@ -1254,19 +1322,30 @@ mod tests {
             plan: &plan,
             retry: RetrySchedule::default(),
         };
-        for faults in [None, Some(&ctx)] {
-            for store in [Some(&store), None] {
-                let serial = sim.replay_shard(&c, store, faults, &mut trace.accesses.iter());
-                let sharded = sim.replay(&c, store, faults).unwrap();
-                let which = (store.is_some(), faults.is_some());
-                assert_eq!(
-                    serial.0, sharded.0,
-                    "totals diverge (spec, faults) = {which:?}"
-                );
-                assert_eq!(
-                    serial.1, sharded.1,
-                    "counters diverge (spec, faults) = {which:?}"
-                );
+        for (label, c) in state_variants() {
+            for faults in [None, Some(&ctx)] {
+                for store in [Some(&store), None] {
+                    let serial = sim.replay_shard(
+                        &c,
+                        store,
+                        faults,
+                        sim.shards.all_clients(),
+                        &mut trace.accesses.iter(),
+                    );
+                    for jobs in [1, 2, 4] {
+                        specweb_core::par::set_default_jobs(jobs);
+                        let sharded = sim.replay(&c, store, faults).unwrap();
+                        let which = (label, store.is_some(), faults.is_some(), jobs);
+                        assert_eq!(
+                            serial.0, sharded.0,
+                            "totals diverge (path, spec, faults, jobs) = {which:?}"
+                        );
+                        assert_eq!(
+                            serial.1, sharded.1,
+                            "counters diverge (path, spec, faults, jobs) = {which:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1296,8 +1375,10 @@ mod tests {
         for c in [hard, aged] {
             let slow = MatrixStore::from_scratch(&c.estimator, &trace, trace.days());
             let serial = |faults| {
-                let [spec, base] = [Some(&slow), None]
-                    .map(|store| sim.replay_shard(&c, store, faults, &mut trace.accesses.iter()));
+                let [spec, base] = [Some(&slow), None].map(|store| {
+                    let all = sim.shards.all_clients();
+                    sim.replay_shard(&c, store, faults, all, &mut trace.accesses.iter())
+                });
                 DegradedSpecOutcome::assemble(&c, spec, base)
             };
             let healthy = serde_json::to_string(&serial(None).outcome).unwrap();

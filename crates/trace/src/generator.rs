@@ -407,20 +407,29 @@ impl TraceGenerator {
             .sessions_per_day
             .checked_mul(12)
             .map_or(1 << 20, |n| n.min(1 << 20));
+        // One contiguous run of days per worker, appended into one
+        // vector: a serial generation fills the trace's own vector and
+        // the merge below moves it, so the accesses are written (and
+        // their pages first touched) once, not once per day shard and
+        // once more merged.
         let days: Vec<u64> = (0..cfg.duration_days).collect();
-        let day_shards: Vec<Vec<Access>> =
-            specweb_core::par::par_map_indexed(jobs, &days, |_, &day| {
+        let runs: Vec<&[u64]> = days
+            .chunks(days.len().div_ceil(jobs.max(1)).max(1))
+            .collect();
+        let shards: Vec<Vec<Access>> = specweb_core::par::par_map_indexed(jobs, &runs, |_, run| {
+            let mut out: Vec<Access> =
+                Vec::with_capacity(day_capacity.saturating_mul(run.len()).min(1 << 22));
+            for &day in *run {
                 let day_idx = usize::try_from(day).unwrap_or(usize::MAX);
                 let graphs_today: &[SiteGraph] = day_graphs
                     .as_ref()
                     .map_or(&graphs[..], |snaps| &snaps[day_idx][..]);
                 let mut rng = seed.child_idx("day-sessions", day).rng();
-                let mut out: Vec<Access> = Vec::with_capacity(day_capacity);
                 let day_start = SimTime::from_days(day);
                 for i in 0..spd {
                     let start = day_start
-                        // lint:allow(W1): SimTime + Duration saturates (time.rs Add impl)
-                        + Duration::from_millis(rng.gen_range(0..Duration::DAY.as_millis()));
+                            // lint:allow(W1): SimTime + Duration saturates (time.rs Add impl)
+                            + Duration::from_millis(rng.gen_range(0..Duration::DAY.as_millis()));
                     let client_id = clients.sample_client(&mut rng);
                     let client = *clients.get(client_id);
                     let server_idx = server_zipf.sample(&mut rng);
@@ -435,17 +444,22 @@ impl TraceGenerator {
                         &mut out,
                     );
                 }
-                out
-            });
+            }
+            out
+        });
 
-        // Deterministic per-shard merge, in day order.
-        let n_accesses: u64 = day_shards.iter().map(|s| s.len() as u64).sum();
-        let mut accesses: Vec<Access> =
-            Vec::with_capacity(usize::try_from(n_accesses).unwrap_or(0));
-        for shard in day_shards {
+        // Deterministic merge, in day order. The sort key ends in the
+        // session id — ascending in generation order, so ties fall as a
+        // stable sort on the first three fields left them, and accesses
+        // equal on all four are equal outright — which lets the sort
+        // run in place.
+        let mut shards = shards.into_iter();
+        let mut accesses = shards.next().unwrap_or_default();
+        for shard in shards {
             accesses.extend(shard);
         }
-        accesses.sort_by_key(|a| (a.time, a.client, a.doc));
+        let n_accesses = accesses.len() as u64;
+        accesses.sort_unstable_by_key(|a| (a.time, a.client, a.doc, a.session));
         let n_sessions = cfg.duration_days.saturating_mul(spd);
 
         // Per-run totals (deterministic channel): a pure function of the
