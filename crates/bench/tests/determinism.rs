@@ -10,8 +10,9 @@
 //! `fig4` (trace → estimator → simulator), `exp-closure` (the shared
 //! hard-window `MatrixStore::precompute`, built under the `inputs`
 //! root before the fan-out, and the parallel `DepMatrix::closure` of
-//! its `reclose`d variants) and `exp-aging` (the aged `precompute`:
-//! shared per-day estimates, one blend per boundary) — plus `fig1`,
+//! its `reclose`d variants), `exp-aging` (the aged `precompute`:
+//! shared per-day estimates, one blend per boundary) and `exp-tailored`
+//! (dissemination runs, replayed sharded at `--jobs 4`) — plus `fig1`,
 //! whose only instrumentation is what the trace generator recorded,
 //! republished to it from the shared trace.
 
@@ -52,7 +53,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
     let dir_parallel = base.join("parallel");
     let _ = std::fs::remove_dir_all(&base);
 
-    let ids = ["fig1", "fig4", "exp-closure", "exp-aging"];
+    let ids = ["fig1", "fig4", "exp-closure", "exp-aging", "exp-tailored"];
     run_figures(&dir_serial, "1", &ids);
     run_figures(&dir_parallel, "4", &ids);
 
@@ -133,7 +134,8 @@ fn serial_and_parallel_runs_are_byte_identical() {
         // per-day pass, and per boundary for blends and closures — the
         // closures run on pool workers and must still nest here. The
         // shared store is built once, under `inputs`; exp-closure only
-        // re-closes it.
+        // re-closes it. A dissemination run's three phases, once each
+        // per run: six runs (shared and tailored at three fractions).
         let wanted: &[&str] = match name.as_str() {
             "profile_inputs.txt" => &[
                 "inputs;workload.trace calls 2",
@@ -150,6 +152,12 @@ fn serial_and_parallel_runs_are_byte_identical() {
                 "exp-aging;estimator.precompute;estimator.day_matrices calls ",
                 "exp-aging;estimator.precompute;estimator.aged_blend calls ",
                 "exp-aging;estimator.precompute;deps.closure calls ",
+            ],
+            "profile_exp-tailored.txt" => &[
+                "exp-tailored;dissem.run calls 6",
+                "exp-tailored;dissem.run;placement calls 6",
+                "exp-tailored;dissem.run;stores calls 6",
+                "exp-tailored;dissem.run;replay calls 6",
             ],
             _ => &[],
         };

@@ -5,13 +5,18 @@
 //! over documents ranked by popularity, the 256 KB *block* popularity
 //! view, per-server remote demand `R_i` (bytes/day served outside the
 //! cluster) and the fitted exponential rate `λ_i`.
+//!
+//! Mining is one pass over the trace, whatever the number of servers:
+//! the pass counts each document's remote and local requests into a
+//! `DocId`-indexed table, and every profile is a fold over that table
+//! ([`ServerProfile::from_counts`]).
 
 use serde::{Deserialize, Serialize};
 use specweb_core::dist::{ExponentialPopularity, HitCurve};
 use specweb_core::ids::{DocId, ServerId};
 use specweb_core::units::Bytes;
 use specweb_core::{CoreError, Result};
-use specweb_trace::clients::Locality;
+use specweb_trace::document::Catalog;
 use specweb_trace::generator::Trace;
 
 /// The paper's block size for Fig. 1.
@@ -36,18 +41,61 @@ pub struct ServerProfile {
 }
 
 impl ServerProfile {
-    /// Mines the profile of `server` from a trace spanning `days` days.
+    /// Mines the profile of `server` from a trace spanning `days` days:
+    /// [`ServerProfile::from_trace_many`] for one server.
     pub fn from_trace(trace: &Trace, server: ServerId, days: u64) -> Result<ServerProfile> {
+        let mut one = ServerProfile::from_trace_many(trace, &[server], days)?;
+        Ok(one.remove(0))
+    }
+
+    /// Mines the profiles of several servers from one trace: one pass
+    /// counts every document's `(remote, local)` requests, and each
+    /// profile is [`ServerProfile::from_counts`] over those counts. The
+    /// first error, if any, is reported in input order.
+    pub fn from_trace_many(
+        trace: &Trace,
+        servers: &[ServerId],
+        days: u64,
+    ) -> Result<Vec<ServerProfile>> {
+        let counts = trace.remote_local_counts();
+        ServerProfile::from_counts(&trace.catalog, &counts, servers, days)
+    }
+
+    /// Builds the profiles of `servers` from per-document `(remote,
+    /// local)` request counts (`counts[doc]`, over a trace spanning
+    /// `days` days), fanning the per-server fold out on the
+    /// process-default pool. Output is in input order, and the first
+    /// error in input order is the one reported.
+    pub fn from_counts(
+        catalog: &Catalog,
+        counts: &[(u64, u64)],
+        servers: &[ServerId],
+        days: u64,
+    ) -> Result<Vec<ServerProfile>> {
         if days == 0 {
             return Err(CoreError::invalid_config(
                 "analysis.days",
                 "must be positive",
             ));
         }
-        let mut per_doc: Vec<(DocId, Bytes, u64, u64)> = trace
-            .catalog
+        specweb_core::par::Pool::auto().try_map_indexed(servers, |_, &server| {
+            ServerProfile::fold(catalog, counts, server, days)
+        })
+    }
+
+    /// One server's profile from the dense counts.
+    fn fold(
+        catalog: &Catalog,
+        counts: &[(u64, u64)],
+        server: ServerId,
+        days: u64,
+    ) -> Result<ServerProfile> {
+        let mut per_doc: Vec<(DocId, Bytes, u64, u64)> = catalog
             .of_server(server)
-            .map(|d| (d.id, d.size, 0u64, 0u64))
+            .map(|d| {
+                let (remote, local) = counts[d.id.index()];
+                (d.id, d.size, remote, local)
+            })
             .collect();
         if per_doc.is_empty() {
             return Err(CoreError::UnknownId {
@@ -55,25 +103,9 @@ impl ServerProfile {
                 id: server.raw(),
             });
         }
-        // Dense doc-id → local index map for this server.
-        let mut index = std::collections::HashMap::with_capacity(per_doc.len());
-        for (i, &(doc, ..)) in per_doc.iter().enumerate() {
-            index.insert(doc, i);
-        }
-        let mut remote_bytes = 0u64;
-        for a in &trace.accesses {
-            if a.server != server {
-                continue;
-            }
-            let i = index[&a.doc];
-            match a.locality {
-                Locality::Remote => {
-                    per_doc[i].2 += 1;
-                    remote_bytes = remote_bytes.saturating_add(per_doc[i].1.get());
-                }
-                Locality::Local => per_doc[i].3 += 1,
-            }
-        }
+        let remote_bytes = per_doc.iter().fold(0u64, |acc, &(_, size, remote, _)| {
+            acc.saturating_add(remote.saturating_mul(size.get()))
+        });
         // Rank by remote request density (remote requests per byte).
         // total_cmp, not partial_cmp: a NaN density (degenerate input)
         // must sort deterministically instead of aborting a whole sweep.
@@ -97,21 +129,6 @@ impl ServerProfile {
             hit_curve,
             lambda,
         })
-    }
-
-    /// Mines the profiles of several servers from one trace, fanning
-    /// the per-server analysis out on the process-default pool.
-    ///
-    /// Output is identical to calling [`ServerProfile::from_trace`] for
-    /// each server in order (profiles are pure per-server functions of
-    /// the trace); the first error, if any, is reported in input order.
-    pub fn from_trace_many(
-        trace: &Trace,
-        servers: &[ServerId],
-        days: u64,
-    ) -> Result<Vec<ServerProfile>> {
-        specweb_core::par::Pool::auto()
-            .try_map_indexed(servers, |_, &s| ServerProfile::from_trace(trace, s, days))
     }
 
     /// The fitted exponential popularity model.

@@ -19,8 +19,15 @@
 //! * optional accounting of the dissemination pushes themselves and of
 //!   re-dissemination on document updates;
 //! * optional per-proxy load cap implementing §2.3's dynamic shedding.
-
-use std::collections::BTreeMap;
+//!
+//! A run reads tables, not the trace. [`DisseminationSim::new`] makes one
+//! pass that counts every document's remote and local requests (the
+//! profiles are folds over those counts) and the bytes requested at each
+//! node (what placement weighs). A run then places its proxies, resolves
+//! every (node, server) route once into a [`RouteTable`], builds each
+//! proxy's [`ProxyStore`] into a node-indexed slice — counting the
+//! tailored replicas' subtree demand in one walk over the remote accesses
+//! when asked — and replays. The per-access loop does index lookups only.
 
 use serde::{Deserialize, Serialize};
 use specweb_core::ids::{NodeId, ServerId};
@@ -32,8 +39,9 @@ use specweb_netsim::cost::{LatencyModel, TrafficAccount};
 use specweb_netsim::fault::FaultPlan;
 use specweb_netsim::proxystore::ProxyStore;
 use specweb_netsim::replay::ClusterShards;
-use specweb_netsim::routing::Router;
+use specweb_netsim::routing::{RouteTable, Router};
 use specweb_netsim::topology::Topology;
+use specweb_trace::clients::Locality;
 use specweb_trace::generator::{Access, Trace};
 use specweb_trace::updates::UpdateEvent;
 
@@ -69,6 +77,7 @@ pub struct DisseminationConfig {
     pub remote_only: bool,
     /// Explicit proxy locations, overriding demand-based placement —
     /// used by the hierarchy experiments to place whole tree levels.
+    /// Each node may appear once.
     pub explicit_proxies: Option<Vec<NodeId>>,
     /// Latency model for the per-request service-time distribution
     /// (same defaults as the spec simulator's, so the two report
@@ -188,10 +197,16 @@ pub struct DisseminationSim<'a> {
     trace: &'a Trace,
     topo: &'a Topology,
     profiles: Vec<ServerProfile>,
-    /// The replay kernel's cluster partition. [`Router::route`] stops
-    /// collecting interceptions at the root, so every proxy's counters
-    /// are touched by exactly one shard and the merged replay is
-    /// bit-identical to a serial pass (DESIGN §12).
+    /// Bytes of remote requests from the clients attached at each node,
+    /// indexed by `NodeId` — the demand
+    /// [`DisseminationSim::place_proxies_for`] weighs under `remote_only`.
+    remote_node_bytes: Vec<u64>,
+    /// The same over all requests.
+    node_bytes: Vec<u64>,
+    /// The replay kernel's cluster partition. A route's interceptions
+    /// stop at the root, so every proxy's counters are touched by exactly
+    /// one shard and the merged replay is bit-identical to a serial pass
+    /// (DESIGN §12).
     shards: ClusterShards,
 }
 
@@ -243,8 +258,10 @@ impl FaultTally {
 }
 
 impl<'a> DisseminationSim<'a> {
-    /// Builds the simulator, mining one profile per server from the
-    /// trace (the paper's off-line log analysis step).
+    /// Builds the simulator from one pass over the trace (the paper's
+    /// off-line log analysis step): every document's `(remote, local)`
+    /// request counts, which one profile per server folds, and the bytes
+    /// requested at each node.
     pub fn new(trace: &'a Trace, topo: &'a Topology) -> Result<Self> {
         let days = trace.days().max(1);
         let n_servers = trace
@@ -253,8 +270,24 @@ impl<'a> DisseminationSim<'a> {
             .map(|d| d.server.index() + 1)
             .max()
             .unwrap_or(0);
+        let catalog = &trace.catalog;
+        let mut doc_counts = vec![(0u64, 0u64); catalog.len()];
+        let mut remote_node_bytes = vec![0u64; topo.len()];
+        let mut node_bytes = vec![0u64; topo.len()];
+        for a in &trace.accesses {
+            let count = &mut doc_counts[a.doc.index()];
+            let node = trace.clients.get(a.client).node.index();
+            let size = catalog.size(a.doc).get();
+            if a.locality == Locality::Remote {
+                count.0 += 1;
+                remote_node_bytes[node] = remote_node_bytes[node].saturating_add(size);
+            } else {
+                count.1 += 1;
+            }
+            node_bytes[node] = node_bytes[node].saturating_add(size);
+        }
         let servers: Vec<ServerId> = (0..n_servers).map(ServerId::from).collect();
-        let profiles = ServerProfile::from_trace_many(trace, &servers, days)?;
+        let profiles = ServerProfile::from_counts(catalog, &doc_counts, &servers, days)?;
         let nodes: Vec<NodeId> = trace.clients.iter().map(|c| c.node).collect();
         let shards = ClusterShards::partition(
             topo,
@@ -265,6 +298,8 @@ impl<'a> DisseminationSim<'a> {
             trace,
             topo,
             profiles,
+            remote_node_bytes,
+            node_bytes,
             shards,
         })
     }
@@ -287,57 +322,58 @@ impl<'a> DisseminationSim<'a> {
 
     /// Like [`DisseminationSim::place_proxies`], weighting demand by
     /// remote traffic only (`remote_only`) or by all traffic.
+    ///
+    /// Each round credits every demand node's bytes to the ancestors it
+    /// would gain from (walking up only while an ancestor is deeper than
+    /// what the node already saves) and takes the unplaced candidate with
+    /// the largest gain, the lower node id on a tie.
     pub fn place_proxies_for(&self, k: usize, remote_only: bool) -> Vec<NodeId> {
-        // Demand per leaf, in bytes (traffic-weighted).
-        let mut leaf_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for a in &self.trace.accesses {
-            if remote_only && a.locality == specweb_trace::clients::Locality::Local {
-                continue;
-            }
-            let node = self.trace.clients.get(a.client).node;
-            let sz = self.trace.catalog.size(a.doc).get();
-            let e = leaf_bytes.entry(node).or_insert(0);
-            *e = e.saturating_add(sz);
-        }
-        let leaves: Vec<(NodeId, u64)> = leaf_bytes.into_iter().collect();
+        let bytes = if remote_only {
+            &self.remote_node_bytes
+        } else {
+            &self.node_bytes
+        };
+        let demand: Vec<(NodeId, u64)> = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b > 0)
+            .map(|(n, &b)| (NodeId::from(n), b))
+            .collect();
         let candidates = self.topo.interior_nodes();
-        let mut best_saved: BTreeMap<NodeId, u32> = BTreeMap::new();
+        let mut best_saved = vec![0u32; self.topo.len()];
+        let mut gain = vec![0u64; self.topo.len()];
+        let mut is_placed = vec![false; self.topo.len()];
         let mut placed = Vec::with_capacity(k.min(candidates.len()));
-        let mut available: Vec<NodeId> = candidates;
 
-        while placed.len() < k && !available.is_empty() {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, &v) in available.iter().enumerate() {
-                let dv = self.topo.depth(v);
-                let mut gain = 0u64;
-                for &(leaf, bytes) in &leaves {
-                    if !self.topo.is_ancestor(v, leaf) {
-                        continue;
-                    }
-                    let cur = best_saved.get(&leaf).copied().unwrap_or(0);
-                    if dv > cur {
-                        gain = gain.saturating_add(bytes.saturating_mul(u64::from(dv - cur)));
-                    }
-                }
-                // Ties broken by lower node id for determinism.
-                if best.is_none_or(|(g, bi)| gain > g || (gain == g && v < available[bi])) {
-                    best = Some((gain, i));
+        while placed.len() < k.min(candidates.len()) {
+            gain.fill(0);
+            for &(leaf, b) in &demand {
+                let cur = best_saved[leaf.index()];
+                let mut v = leaf;
+                while self.topo.depth(v) > cur {
+                    let g = &mut gain[v.index()];
+                    *g = g.saturating_add(b.saturating_mul(u64::from(self.topo.depth(v) - cur)));
+                    v = self.topo.parent(v);
                 }
             }
             // A zero gain means no residual demand anywhere; the caller
             // asked for k, so keep filling — interception (not traffic)
             // can still grow.
-            let Some((_, idx)) = best else { break };
-            let v = available.swap_remove(idx);
+            let Some(&v) = candidates
+                .iter()
+                .filter(|v| !is_placed[v.index()])
+                .max_by(|a, b| gain[a.index()].cmp(&gain[b.index()]).then(b.cmp(a)))
+            else {
+                break;
+            };
             let dv = self.topo.depth(v);
-            for &(leaf, _) in &leaves {
+            for &(leaf, _) in &demand {
                 if self.topo.is_ancestor(v, leaf) {
-                    let e = best_saved.entry(leaf).or_insert(0);
-                    if dv > *e {
-                        *e = dv;
-                    }
+                    let saved = &mut best_saved[leaf.index()];
+                    *saved = (*saved).max(dv);
                 }
             }
+            is_placed[v.index()] = true;
             placed.push(v);
         }
         placed
@@ -423,7 +459,6 @@ impl<'a> DisseminationSim<'a> {
         // Phase frames: one per run_inner call, independent of --jobs
         // (the shard gate below changes scheduling, never call counts).
         let _run_frame = specweb_core::obs::profile::frame("dissem.run");
-        let all_servers: Vec<ServerId> = (0..self.profiles.len()).map(ServerId::from).collect();
         let proxy_nodes = {
             let _f = specweb_core::obs::profile::frame("placement");
             match &cfg.explicit_proxies {
@@ -431,55 +466,78 @@ impl<'a> DisseminationSim<'a> {
                 None => self.place_proxies_for(cfg.n_proxies, cfg.remote_only),
             }
         };
-        let mut clusters = ClusterMap::new();
-        for &node in &proxy_nodes {
-            clusters.add(self.topo, Cluster::new(node, all_servers.clone()))?;
-        }
-        let router = Router::new(self.topo, &clusters);
 
-        // Build each proxy's store.
-        let mut stores: BTreeMap<NodeId, ProxyStore> = BTreeMap::new();
-        let mut push_traffic = ByteHops::ZERO;
-        let mut total_storage = Bytes::ZERO;
-        for &node in &proxy_nodes {
-            let hops_from_origin = self.topo.depth(node);
-            let mut store = ProxyStore::new(Bytes::new(u64::MAX / 2));
-            for profile in &self.profiles {
-                let budget =
-                    Bytes::new((profile.remotely_accessed_bytes().as_f64() * cfg.fraction) as u64);
-                store.set_quota(profile.server, budget);
-                let docs = if cfg.tailored {
-                    self.tailored_top_docs(profile, node, budget, cfg.rank_for_traffic)
-                } else if cfg.rank_for_traffic {
-                    profile.top_docs_for_traffic(budget)
-                } else {
-                    profile.top_docs_within(budget)
-                };
-                for (doc, size) in docs {
-                    store.install(profile.server, doc, size)?;
-                    if cfg.count_dissemination_traffic {
-                        push_traffic += size.over_hops(hops_from_origin);
-                    }
-                }
-                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
-                total_storage += store.used_by(profile.server);
+        // The run's tables: routes, replicas and what pushing them costs.
+        let (routes, stores, push_traffic, total_storage) = {
+            let _f = specweb_core::obs::profile::frame("stores");
+            let all_servers: Vec<ServerId> = (0..self.profiles.len()).map(ServerId::from).collect();
+            let mut clusters = ClusterMap::new();
+            for &node in &proxy_nodes {
+                clusters.add(self.topo, Cluster::new(node, all_servers.clone()))?;
             }
-            stores.insert(node, store);
-        }
-
-        // Update pushes: every update of a disseminated doc re-sends it
-        // to each proxy holding it.
-        if cfg.count_update_traffic {
-            for u in updates {
-                let size = self.trace.catalog.size(u.doc);
-                let server = self.trace.catalog.get(u.doc).server;
-                for (&node, store) in &stores {
-                    if store.contains(server, u.doc) {
-                        push_traffic += size.over_hops(self.topo.depth(node));
-                    }
+            // `ClusterMap::add` checked every node is a topology node.
+            let mut is_proxy = vec![false; self.topo.len()];
+            for &node in &proxy_nodes {
+                if std::mem::replace(&mut is_proxy[node.index()], true) {
+                    return Err(CoreError::invalid_config(
+                        "dissem.explicit_proxies",
+                        format!("{node} is listed more than once"),
+                    ));
                 }
             }
-        }
+            let routes = Router::new(self.topo, &clusters).table(self.profiles.len());
+            let subtree = if cfg.tailored {
+                self.subtree_counts(&proxy_nodes)
+            } else {
+                Vec::new()
+            };
+
+            // Build each proxy's store.
+            let mut stores = vec![ProxyStore::default(); self.topo.len()];
+            let mut push_traffic = ByteHops::ZERO;
+            let mut total_storage = Bytes::ZERO;
+            for (slot, &node) in proxy_nodes.iter().enumerate() {
+                let hops_from_origin = self.topo.depth(node);
+                let mut store = ProxyStore::new(Bytes::new(u64::MAX / 2));
+                for profile in &self.profiles {
+                    let budget = Bytes::new(
+                        (profile.remotely_accessed_bytes().as_f64() * cfg.fraction) as u64,
+                    );
+                    store.set_quota(profile.server, budget);
+                    let docs = if cfg.tailored {
+                        tailored_top_docs(profile, &subtree[slot], budget, cfg.rank_for_traffic)
+                    } else if cfg.rank_for_traffic {
+                        profile.top_docs_for_traffic(budget)
+                    } else {
+                        profile.top_docs_within(budget)
+                    };
+                    for (doc, size) in docs {
+                        store.install(profile.server, doc, size)?;
+                        if cfg.count_dissemination_traffic {
+                            push_traffic += size.over_hops(hops_from_origin);
+                        }
+                    }
+                    // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
+                    total_storage += store.used_by(profile.server);
+                }
+                stores[node.index()] = store;
+            }
+
+            // Update pushes: every update of a disseminated doc re-sends it
+            // to each proxy holding it.
+            if cfg.count_update_traffic {
+                for u in updates {
+                    let size = self.trace.catalog.size(u.doc);
+                    let server = self.trace.catalog.get(u.doc).server;
+                    for &node in &proxy_nodes {
+                        if stores[node.index()].contains(server, u.doc) {
+                            push_traffic += size.over_hops(self.topo.depth(node));
+                        }
+                    }
+                }
+            }
+            (routes, stores, push_traffic, total_storage)
+        };
 
         // Replay through the kernel: every interception proxy lies
         // strictly below the root on its client's path, so per-proxy
@@ -491,7 +549,7 @@ impl<'a> DisseminationSim<'a> {
             &self.trace.accesses,
             // No per-client state here, so nothing to size by the part's clients.
             |_, accesses| {
-                Ok::<_, CoreError>(self.replay_shard(cfg, faults, &router, &stores, accesses))
+                Ok::<_, CoreError>(self.replay_shard(cfg, faults, &routes, &stores, accesses))
             },
             |whole: &mut ReplayPart, part| whole.merge(&part),
         )?;
@@ -564,35 +622,35 @@ impl<'a> DisseminationSim<'a> {
         &self,
         cfg: &DisseminationConfig,
         faults: Option<&FaultPlan>,
-        router: &Router<'_>,
-        stores: &BTreeMap<NodeId, ProxyStore>,
+        routes: &RouteTable,
+        stores: &[ProxyStore],
         accesses: &mut dyn Iterator<Item = &Access>,
     ) -> ReplayPart {
         let mut part = ReplayPart::default();
-        // Per-proxy request counters, reset daily (for shedding).
-        let mut day_counters: BTreeMap<NodeId, u64> = BTreeMap::new();
+        // Per-proxy request counters, reset daily (for shedding), by node.
+        let mut day_counters = vec![0u64; self.topo.len()];
         let mut current_day = u64::MAX;
         // Deterministic thinning at capacity-degraded proxies:
-        // (seen, served) per proxy, counted inside fault windows only.
-        let mut cap_counters: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
+        // (seen, served) per proxy node, counted inside fault windows only.
+        let mut cap_counters = vec![(0u64, 0u64); self.topo.len()];
 
         for a in accesses {
-            if cfg.remote_only && a.locality == specweb_trace::clients::Locality::Local {
+            if cfg.remote_only && a.locality == Locality::Local {
                 continue;
             }
             if a.time.day() != current_day {
                 current_day = a.time.day();
-                day_counters.clear();
+                day_counters.fill(0);
             }
             let size = self.trace.catalog.size(a.doc);
             let client_node = self.trace.clients.get(a.client).node;
-            let route = router.route(client_node, a.server);
-            part.baseline.record(size, route.origin_hops);
+            let origin_hops = self.topo.depth(client_node);
+            part.baseline.record(size, origin_hops);
             // The baseline pays the full origin path, fault-free by
             // construction (faults degrade the treatment, not the
             // reference point).
             part.baseline_service
-                .record(cfg.latency.fetch(size, route.origin_hops).as_millis());
+                .record(cfg.latency.fetch(size, origin_hops).as_millis());
 
             // A stalled client defers its request to the end of the
             // window; every later fault lookup sees the deferred
@@ -616,11 +674,8 @@ impl<'a> DisseminationSim<'a> {
             }
 
             let mut served = None;
-            for (i, itc) in route.interceptions.iter().enumerate() {
-                let holds = stores
-                    .get(&itc.proxy)
-                    .is_some_and(|s| s.contains(a.server, a.doc));
-                if !holds {
+            for itc in routes.interceptions(client_node, a.server) {
+                if !stores[itc.proxy.index()].contains(a.server, a.doc) {
                     continue;
                 }
                 if let Some(plan) = faults {
@@ -633,7 +688,7 @@ impl<'a> DisseminationSim<'a> {
                     }
                     let f: f64 = plan.capacity_factor(itc.proxy, t);
                     if f < 1.0 {
-                        let c = cap_counters.entry(itc.proxy).or_insert((0u64, 0u64));
+                        let c = &mut cap_counters[itc.proxy.index()];
                         c.0 += 1;
                         if (c.1 + 1) as f64 > f * c.0 as f64 {
                             part.tally.fault_denied += 1;
@@ -644,20 +699,20 @@ impl<'a> DisseminationSim<'a> {
                     }
                 }
                 if let Some(cap) = cfg.proxy_daily_request_cap {
-                    let ctr = day_counters.entry(itc.proxy).or_insert(0);
+                    let ctr = &mut day_counters[itc.proxy.index()];
                     if *ctr >= cap {
                         part.shed += 1;
                         continue; // overloaded: try the next proxy upstream
                     }
                     *ctr += 1;
                 }
-                served = Some(i);
+                served = Some(itc.hops_from_client);
                 break;
             }
             let served_hops = match served {
-                Some(i) => {
+                Some(hops) => {
                     part.proxy_hits += 1;
-                    route.served_hops(Some(i))
+                    hops
                 }
                 None => {
                     if let Some(plan) = faults {
@@ -676,7 +731,7 @@ impl<'a> DisseminationSim<'a> {
                         }
                     }
                     part.origin_hits += 1;
-                    route.origin_hops
+                    origin_hops
                 }
             };
             part.with_d.record(size, served_hops);
@@ -708,67 +763,77 @@ impl<'a> DisseminationSim<'a> {
         part
     }
 
-    /// The tailored replica for a proxy: rank the server's documents by
-    /// the demand of clients in *this proxy's subtree*, smoothed with
-    /// the server-wide counts (a subtree sees only a slice of the trace,
-    /// so its raw counts are noisy; the global profile acts as a prior).
-    fn tailored_top_docs(
-        &self,
-        profile: &ServerProfile,
-        proxy: NodeId,
-        budget: Bytes,
-        rank_for_traffic: bool,
-    ) -> Vec<(specweb_core::ids::DocId, Bytes)> {
-        const GLOBAL_PRIOR_WEIGHT: f64 = 0.25;
-        let mut counts: BTreeMap<specweb_core::ids::DocId, f64> = BTreeMap::new();
+    /// Remote requests per (proxy, document) from the clients in each
+    /// proxy's subtree: row `slot`, indexed by `DocId`, counts for
+    /// `proxies[slot]`. One walk over the remote accesses, each climbing
+    /// its client's path through a node → slot table, counts for every
+    /// proxy at once. Only remote demand counts: proxies never see an
+    /// organization's local requests, so counting them would spend
+    /// replica budget on documents a proxy cannot serve.
+    fn subtree_counts(&self, proxies: &[NodeId]) -> Vec<Vec<u64>> {
+        let catalog = &self.trace.catalog;
+        let mut slot_of = vec![None; self.topo.len()];
+        for (slot, &node) in proxies.iter().enumerate() {
+            slot_of[node.index()] = Some(slot);
+        }
+        let mut counts: Vec<Vec<u64>> = proxies.iter().map(|_| vec![0; catalog.len()]).collect();
         for a in &self.trace.accesses {
-            if a.server != profile.server {
+            if a.locality == Locality::Local {
                 continue;
             }
-            // Only remote demand matters: proxies never see an
-            // organization's local requests, so counting them would
-            // spend replica budget on documents the proxy cannot serve.
-            if a.locality == specweb_trace::clients::Locality::Local {
-                continue;
-            }
-            let node = self.trace.clients.get(a.client).node;
-            if self.topo.is_ancestor(proxy, node) {
-                *counts.entry(a.doc).or_insert(0.0) += 1.0;
+            let mut node = self.trace.clients.get(a.client).node;
+            while node != Topology::ROOT {
+                if let Some(slot) = slot_of[node.index()] {
+                    counts[slot][a.doc.index()] += 1;
+                }
+                node = self.topo.parent(node);
             }
         }
-        // Blend in the global remote popularity as a prior.
-        for &(doc, _, remote, _) in &profile.docs {
-            let global = remote as f64;
-            if global > 0.0 {
-                *counts.entry(doc).or_insert(0.0) += GLOBAL_PRIOR_WEIGHT * global;
-            }
-        }
-        let mut ranked: Vec<(specweb_core::ids::DocId, Bytes, f64)> = counts
-            .into_iter()
-            .map(|(doc, c)| {
-                let size = self.trace.catalog.size(doc);
-                let score = if rank_for_traffic {
-                    c // value/byte for traffic = request count
-                } else {
-                    c / size.get().max(1) as f64
-                };
-                (doc, size, score)
-            })
-            .collect();
-        // total_cmp keeps a degenerate (NaN-gain) entry from aborting
-        // the whole simulation; it simply sorts last deterministically.
-        ranked.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-        let mut out = Vec::new();
-        let mut used = Bytes::ZERO;
-        for (doc, size, _) in ranked {
-            if used + size > budget {
-                continue;
-            }
-            used += size;
-            out.push((doc, size));
-        }
-        out
+        counts
     }
+}
+
+/// The tailored replica for a proxy: rank the server's documents by the
+/// demand of clients in *this proxy's subtree* (`subtree[doc]`, from
+/// [`DisseminationSim::subtree_counts`]), smoothed with the server-wide
+/// counts (a subtree sees only a slice of the trace, so its raw counts are
+/// noisy; the global profile acts as a prior). The candidates are the
+/// server's documents with any remote demand: a subtree's remote access
+/// is a remote access of the server's too.
+fn tailored_top_docs(
+    profile: &ServerProfile,
+    subtree: &[u64],
+    budget: Bytes,
+    rank_for_traffic: bool,
+) -> Vec<(specweb_core::ids::DocId, Bytes)> {
+    const GLOBAL_PRIOR_WEIGHT: f64 = 0.25;
+    let mut ranked: Vec<(specweb_core::ids::DocId, Bytes, f64)> = profile
+        .docs
+        .iter()
+        .filter(|d| d.2 > 0)
+        .map(|&(doc, size, remote, _)| {
+            let c = subtree[doc.index()] as f64 + GLOBAL_PRIOR_WEIGHT * remote as f64;
+            let score = if rank_for_traffic {
+                c // value/byte for traffic = request count
+            } else {
+                c / size.get().max(1) as f64
+            };
+            (doc, size, score)
+        })
+        .collect();
+    // total_cmp keeps a degenerate (NaN-gain) entry from aborting
+    // the whole simulation; it simply sorts last deterministically.
+    ranked.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+    let mut out = Vec::new();
+    let mut used = Bytes::ZERO;
+    for (doc, size, _) in ranked {
+        if used + size > budget {
+            continue;
+        }
+        used += size;
+        out.push((doc, size));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -776,6 +841,7 @@ mod tests {
     use super::*;
     use specweb_netsim::fault::FaultWindow;
     use specweb_trace::generator::{TraceConfig, TraceGenerator};
+    use std::collections::BTreeMap;
 
     fn setup(seed: u64) -> (Trace, Topology) {
         let topo = Topology::balanced(2, 3, 4);
@@ -1121,6 +1187,193 @@ mod tests {
             serde_json::to_string(&sharded).unwrap(),
             serde_json::to_string(&serial).unwrap()
         );
+    }
+
+    #[test]
+    fn a_proxy_listed_twice_is_rejected() {
+        let (trace, topo) = setup(94);
+        let sim = DisseminationSim::new(&trace, &topo).unwrap();
+        let level = crate::hierarchy::proxies_at_depth(&topo, 1);
+        let twice = DisseminationConfig {
+            explicit_proxies: Some(vec![level[0], level[1], level[0]]),
+            count_dissemination_traffic: true,
+            ..DisseminationConfig::default()
+        };
+        let err = sim.run(&twice, &[]).unwrap_err().to_string();
+        assert!(err.contains("dissem.explicit_proxies"), "{err}");
+        // Listed once each, the same nodes run.
+        let once = DisseminationConfig {
+            explicit_proxies: Some(vec![level[0], level[1]]),
+            ..twice
+        };
+        assert!(sim.run(&once, &[]).is_ok());
+    }
+
+    /// Greedy placement as it was before the node-indexed demand: each
+    /// call re-scans the trace into a `BTreeMap` of leaf bytes and scores
+    /// every candidate against every leaf through `is_ancestor`.
+    fn btreemap_placement(sim: &DisseminationSim<'_>, k: usize, remote_only: bool) -> Vec<NodeId> {
+        let mut leaf_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
+        for a in &sim.trace.accesses {
+            if remote_only && a.locality == Locality::Local {
+                continue;
+            }
+            let node = sim.trace.clients.get(a.client).node;
+            let sz = sim.trace.catalog.size(a.doc).get();
+            let e = leaf_bytes.entry(node).or_insert(0);
+            *e = e.saturating_add(sz);
+        }
+        let leaves: Vec<(NodeId, u64)> = leaf_bytes.into_iter().collect();
+        let candidates = sim.topo.interior_nodes();
+        let mut best_saved: BTreeMap<NodeId, u32> = BTreeMap::new();
+        let mut placed = Vec::with_capacity(k.min(candidates.len()));
+        let mut available: Vec<NodeId> = candidates;
+        while placed.len() < k && !available.is_empty() {
+            let mut best: Option<(u64, usize)> = None;
+            for (i, &v) in available.iter().enumerate() {
+                let dv = sim.topo.depth(v);
+                let mut gain = 0u64;
+                for &(leaf, bytes) in &leaves {
+                    if !sim.topo.is_ancestor(v, leaf) {
+                        continue;
+                    }
+                    let cur = best_saved.get(&leaf).copied().unwrap_or(0);
+                    if dv > cur {
+                        gain = gain.saturating_add(bytes.saturating_mul(u64::from(dv - cur)));
+                    }
+                }
+                if best.is_none_or(|(g, bi)| gain > g || (gain == g && v < available[bi])) {
+                    best = Some((gain, i));
+                }
+            }
+            let Some((_, idx)) = best else { break };
+            let v = available.swap_remove(idx);
+            let dv = sim.topo.depth(v);
+            for &(leaf, _) in &leaves {
+                if sim.topo.is_ancestor(v, leaf) {
+                    let e = best_saved.entry(leaf).or_insert(0);
+                    if dv > *e {
+                        *e = dv;
+                    }
+                }
+            }
+            placed.push(v);
+        }
+        placed
+    }
+
+    #[test]
+    fn placement_equals_the_btreemap_greedy() {
+        // A balanced tree and an irregular one whose clients sit at
+        // several depths, some of them directly at interior nodes.
+        let (trace, topo) = setup(96);
+        let random = Topology::random(&specweb_core::rng::SeedTree::new(96), 14, 30, 3);
+        let random_trace = TraceGenerator::new(TraceConfig::small(96))
+            .unwrap()
+            .generate(&random)
+            .unwrap();
+        for (trace, topo) in [(&trace, &topo), (&random_trace, &random)] {
+            let sim = DisseminationSim::new(trace, topo).unwrap();
+            let all = topo.interior_nodes().len();
+            for remote_only in [true, false] {
+                for k in 0..=all + 1 {
+                    assert_eq!(
+                        sim.place_proxies_for(k, remote_only),
+                        btreemap_placement(&sim, k, remote_only),
+                        "k = {k}, remote_only = {remote_only}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The tailored replica as it was before the one-walk count: one
+    /// scan of the whole trace per (proxy, server), counting into a
+    /// `BTreeMap` of `f64`s.
+    fn scanning_tailored_top_docs(
+        sim: &DisseminationSim<'_>,
+        profile: &ServerProfile,
+        proxy: NodeId,
+        budget: Bytes,
+        rank_for_traffic: bool,
+    ) -> Vec<(specweb_core::ids::DocId, Bytes)> {
+        const GLOBAL_PRIOR_WEIGHT: f64 = 0.25;
+        let mut counts: BTreeMap<specweb_core::ids::DocId, f64> = BTreeMap::new();
+        for a in &sim.trace.accesses {
+            if a.server != profile.server || a.locality == Locality::Local {
+                continue;
+            }
+            let node = sim.trace.clients.get(a.client).node;
+            if sim.topo.is_ancestor(proxy, node) {
+                *counts.entry(a.doc).or_insert(0.0) += 1.0;
+            }
+        }
+        for &(doc, _, remote, _) in &profile.docs {
+            let global = remote as f64;
+            if global > 0.0 {
+                *counts.entry(doc).or_insert(0.0) += GLOBAL_PRIOR_WEIGHT * global;
+            }
+        }
+        let mut ranked: Vec<(specweb_core::ids::DocId, Bytes, f64)> = counts
+            .into_iter()
+            .map(|(doc, c)| {
+                let size = sim.trace.catalog.size(doc);
+                let score = if rank_for_traffic {
+                    c
+                } else {
+                    c / size.get().max(1) as f64
+                };
+                (doc, size, score)
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+        let mut out = Vec::new();
+        let mut used = Bytes::ZERO;
+        for (doc, size, _) in ranked {
+            if used + size > budget {
+                continue;
+            }
+            used += size;
+            out.push((doc, size));
+        }
+        out
+    }
+
+    #[test]
+    fn tailored_replicas_equal_the_trace_scanning_ones() {
+        let topo = Topology::balanced(2, 3, 4);
+        let trace = TraceGenerator::new(TraceConfig::cluster(97, 3))
+            .unwrap()
+            .generate(&topo)
+            .unwrap();
+        let sim = DisseminationSim::new(&trace, &topo).unwrap();
+        assert_eq!(sim.profiles().len(), 3);
+        // Every interior node, so subtrees nest and clients count for
+        // several proxies at once.
+        let proxies = topo.interior_nodes();
+        let counts = sim.subtree_counts(&proxies);
+        for (&proxy, row) in proxies.iter().zip(&counts) {
+            for profile in sim.profiles() {
+                let remote = profile.remotely_accessed_bytes().get();
+                for budget in [0, remote / 25, remote / 10, remote / 2, remote] {
+                    for rank_for_traffic in [true, false] {
+                        let budget = Bytes::new(budget);
+                        assert_eq!(
+                            tailored_top_docs(profile, row, budget, rank_for_traffic),
+                            scanning_tailored_top_docs(
+                                &sim,
+                                profile,
+                                proxy,
+                                budget,
+                                rank_for_traffic
+                            ),
+                            "proxy {proxy}, {}, budget {budget}, traffic {rank_for_traffic}",
+                            profile.server
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

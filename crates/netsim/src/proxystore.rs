@@ -10,8 +10,12 @@
 //! so the eviction order for §2.3's dynamic load shedding ("when the
 //! proxy becomes overloaded, B₀ is reduced, thus forcing more of the
 //! requests back to the servers") is simply the reverse of installation.
-
-use std::collections::BTreeMap;
+//!
+//! A dissemination replay asks "does this proxy hold that document?" on
+//! every interception opportunity, so [`ProxyStore::contains`] is two
+//! index operations: the replicas are indexed by `ServerId` and each
+//! replica's membership is a `DocId`-indexed bitset, grown to the largest
+//! id installed.
 
 use serde::{Deserialize, Serialize};
 use specweb_core::ids::{DocId, ServerId};
@@ -25,9 +29,28 @@ struct ServerReplica {
     used: Bytes,
     /// Installed documents in popularity order (most popular first).
     docs: Vec<(DocId, Bytes)>,
-    /// Membership index for hit checks (a BTreeMap: the store derives
-    /// Serialize, so its layout must not follow hash iteration order).
-    member: BTreeMap<DocId, Bytes>,
+    /// Membership: bit `d` is set iff document `d` is installed.
+    member: Vec<u64>,
+}
+
+/// The word and bit of `doc` in a membership bitset.
+fn slot(doc: DocId) -> (usize, u64) {
+    (doc.index() / 64, 1 << (doc.index() % 64))
+}
+
+impl ServerReplica {
+    fn holds(&self, doc: DocId) -> bool {
+        let (word, bit) = slot(doc);
+        self.member.get(word).is_some_and(|w| w & bit != 0)
+    }
+}
+
+/// `server`'s replica in `replicas`, created empty if it is not there.
+fn replica_mut(replicas: &mut Vec<ServerReplica>, server: ServerId) -> &mut ServerReplica {
+    if server.index() >= replicas.len() {
+        replicas.resize_with(server.index() + 1, ServerReplica::default);
+    }
+    &mut replicas[server.index()]
 }
 
 /// A proxy's document store with per-server quotas.
@@ -35,7 +58,9 @@ struct ServerReplica {
 pub struct ProxyStore {
     capacity: Bytes,
     used: Bytes,
-    replicas: BTreeMap<ServerId, ServerReplica>,
+    /// Indexed by `ServerId`; a server never given a quota or a document
+    /// reads as an empty replica with a zero quota.
+    replicas: Vec<ServerReplica>,
 }
 
 impl ProxyStore {
@@ -44,7 +69,7 @@ impl ProxyStore {
         ProxyStore {
             capacity,
             used: Bytes::ZERO,
-            replicas: BTreeMap::new(),
+            replicas: Vec::new(),
         }
     }
 
@@ -58,17 +83,22 @@ impl ProxyStore {
         self.used
     }
 
+    fn replica(&self, server: ServerId) -> Option<&ServerReplica> {
+        self.replicas.get(server.index())
+    }
+
     /// Sets the quota `B_i` for `server`. Shrinking a quota below the
     /// replica's current usage evicts least-popular documents to fit.
     pub fn set_quota(&mut self, server: ServerId, quota: Bytes) {
-        let rep = self.replicas.entry(server).or_default();
+        let rep = replica_mut(&mut self.replicas, server);
         rep.quota = quota;
         while rep.used > rep.quota {
             // used > 0 implies docs; an empty replica just ends the loop.
             let Some((doc, size)) = rep.docs.pop() else {
                 break;
             };
-            rep.member.remove(&doc);
+            let (word, bit) = slot(doc);
+            rep.member[word] &= !bit;
             rep.used -= size;
             self.used -= size;
         }
@@ -76,18 +106,12 @@ impl ProxyStore {
 
     /// The quota currently assigned to `server` (zero if unknown).
     pub fn quota(&self, server: ServerId) -> Bytes {
-        self.replicas
-            .get(&server)
-            .map(|r| r.quota)
-            .unwrap_or(Bytes::ZERO)
+        self.replica(server).map_or(Bytes::ZERO, |r| r.quota)
     }
 
     /// Bytes used by `server`'s replica.
     pub fn used_by(&self, server: ServerId) -> Bytes {
-        self.replicas
-            .get(&server)
-            .map(|r| r.used)
-            .unwrap_or(Bytes::ZERO)
+        self.replica(server).map_or(Bytes::ZERO, |r| r.used)
     }
 
     /// Installs a document into `server`'s replica. Call in decreasing
@@ -95,8 +119,8 @@ impl ProxyStore {
     /// would exceed the server quota or the proxy capacity; the caller
     /// simply stops disseminating at that point.
     pub fn install(&mut self, server: ServerId, doc: DocId, size: Bytes) -> Result<()> {
-        let rep = self.replicas.entry(server).or_default();
-        if rep.member.contains_key(&doc) {
+        let rep = replica_mut(&mut self.replicas, server);
+        if rep.holds(doc) {
             return Ok(()); // idempotent: re-dissemination of a held doc
         }
         if rep.used + size > rep.quota {
@@ -111,23 +135,26 @@ impl ProxyStore {
                 format!("{doc} ({size}) exceeds proxy capacity"),
             ));
         }
+        let (word, bit) = slot(doc);
+        if word >= rep.member.len() {
+            rep.member.resize(word + 1, 0);
+        }
+        rep.member[word] |= bit;
         rep.docs.push((doc, size));
-        rep.member.insert(doc, size);
         rep.used += size;
         self.used += size;
         Ok(())
     }
 
     /// Whether the proxy can serve `doc` on behalf of `server`.
+    #[inline]
     pub fn contains(&self, server: ServerId, doc: DocId) -> bool {
-        self.replicas
-            .get(&server)
-            .is_some_and(|r| r.member.contains_key(&doc))
+        self.replica(server).is_some_and(|r| r.holds(doc))
     }
 
     /// Number of documents held for `server`.
     pub fn doc_count(&self, server: ServerId) -> usize {
-        self.replicas.get(&server).map_or(0, |r| r.docs.len())
+        self.replica(server).map_or(0, |r| r.docs.len())
     }
 
     /// §2.3 dynamic load shedding: scales every server quota by `factor`
@@ -140,10 +167,9 @@ impl ProxyStore {
                 format!("must be in [0, 1], got {factor}"),
             ));
         }
-        let servers: Vec<ServerId> = self.replicas.keys().copied().collect();
-        for s in servers {
-            let new_quota = Bytes::new((self.replicas[&s].quota.as_f64() * factor).floor() as u64);
-            self.set_quota(s, new_quota);
+        for s in 0..self.replicas.len() {
+            let new_quota = Bytes::new((self.replicas[s].quota.as_f64() * factor).floor() as u64);
+            self.set_quota(ServerId::from(s), new_quota);
         }
         Ok(())
     }

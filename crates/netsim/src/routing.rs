@@ -6,6 +6,11 @@
 //! is an interception opportunity; the one closest to the client that
 //! holds the requested document serves it, shortening the path and
 //! saving `bytes × hops_saved` of traffic.
+//!
+//! A replay asks for the same few routes millions of times, so it does
+//! not call [`Router::route`] per request: [`Router::table`] resolves
+//! every (node, server) route once into a [`RouteTable`], and the
+//! per-request lookup is two index operations into it.
 
 use serde::{Deserialize, Serialize};
 use specweb_core::ids::{NodeId, ServerId};
@@ -92,6 +97,49 @@ impl<'a> Router<'a> {
             interceptions,
             origin_hops: self.topo.depth(client),
         }
+    }
+
+    /// Resolves the route from every node of the topology to each of
+    /// servers `0..n_servers`, once.
+    pub fn table(&self, n_servers: usize) -> RouteTable {
+        let n_nodes = self.topo.len();
+        let mut spans = Vec::with_capacity(n_nodes * n_servers);
+        let mut interceptions = Vec::new();
+        for node in (0..n_nodes).map(NodeId::from) {
+            for server in (0..n_servers).map(ServerId::from) {
+                let start = interceptions.len();
+                interceptions.extend(self.route(node, server).interceptions);
+                spans.push((start, interceptions.len()));
+            }
+        }
+        RouteTable {
+            n_servers,
+            spans,
+            interceptions,
+        }
+    }
+}
+
+/// Every (node, server) route of one topology and cluster map, resolved
+/// once by [`Router::table`]. A route's origin distance is the node's
+/// depth, which the topology already answers.
+#[derive(Debug, Clone)]
+pub struct RouteTable {
+    n_servers: usize,
+    /// `spans[node × n_servers + server]`: where that route's
+    /// interceptions sit in `interceptions`.
+    spans: Vec<(usize, usize)>,
+    interceptions: Vec<Interception>,
+}
+
+impl RouteTable {
+    /// The proxies fronting `server` on `node`'s path to the root,
+    /// nearest first — [`Route::interceptions`] of `Router::route(node,
+    /// server)`.
+    #[inline]
+    pub fn interceptions(&self, node: NodeId, server: ServerId) -> &[Interception] {
+        let (start, end) = self.spans[node.index() * self.n_servers + server.index()];
+        &self.interceptions[start..end]
     }
 }
 

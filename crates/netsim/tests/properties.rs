@@ -114,4 +114,35 @@ proptest! {
             prev = itc.hops_from_client;
         }
     }
+
+    #[test]
+    fn route_table_equals_route_for_every_node_and_server(
+        seed in 0u64..200,
+        fronts in prop::collection::vec((0usize..64, prop::collection::vec(0u32..4, 0..4)), 0..8),
+    ) {
+        let topo = random_topology(seed, 12, 24);
+        // Clusters anywhere in the interior, fronting any subset of four
+        // servers (possibly none, possibly a server the table does not
+        // cover), several at one node, some nodes fronted for one server
+        // only.
+        let interior = topo.interior_nodes();
+        let mut map = ClusterMap::new();
+        for (at, servers) in &fronts {
+            let servers = servers.iter().map(|&s| ServerId::new(s)).collect();
+            map.add(&topo, Cluster::new(interior[at % interior.len()], servers)).unwrap();
+        }
+        let router = Router::new(&topo, &map);
+        let n_servers = 3;
+        let table = router.table(n_servers);
+        for node in (0..topo.len()).map(NodeId::from) {
+            for server in (0..n_servers).map(ServerId::from) {
+                let route = router.route(node, server);
+                prop_assert_eq!(
+                    table.interceptions(node, server),
+                    &route.interceptions[..],
+                    "node {} server {}", node, server
+                );
+            }
+        }
+    }
 }
