@@ -21,7 +21,7 @@
 //! prefix of row `i` — and the closure search, which relaxes along rows
 //! of `P`, stops at the first edge whose path falls below the floor.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use specweb_core::ids::{ClientId, DocId};
@@ -211,13 +211,19 @@ impl DepMatrix {
     /// `floor` are dropped (they can never pass a policy threshold
     /// `T_p ≥ floor`) and each row keeps at most `max_row` entries.
     ///
-    /// Implemented as a best-path search (Dijkstra over `−ln p`) from
-    /// each source row. Source rows are independent, so they are mapped
-    /// in parallel on the process-default pool; path probabilities only
-    /// decay, so the floor bounds the explored frontier tightly.
+    /// Each source row is the fixpoint `best[j] = max_d best[d]·p[d,j]`
+    /// from `best[src] = 1`, relaxed from a worklist. Path probabilities
+    /// only decay, so the floor bounds the explored frontier tightly.
+    /// A row that reaches more than `4 · max_row` documents hits the
+    /// safety valve: it is searched in probability order instead, and
+    /// keeps the `max_row` best of the first `4 · max_row + 1` documents
+    /// it settles. So does a row that meets an edge above 1, which only
+    /// a hand-made or deserialized matrix holds. Source rows are
+    /// independent, so they are mapped in parallel on the
+    /// process-default pool.
     ///
-    /// Rows that hit the search's safety valve are **counted** in the
-    /// result's [`DepMatrix::truncated_rows`] — the cap is never silent.
+    /// Rows that hit the safety valve are **counted** in the result's
+    /// [`DepMatrix::truncated_rows`] — the cap is never silent.
     pub fn closure(&self, floor: f64, max_row: usize) -> Result<DepMatrix> {
         self.closure_jobs(floor, max_row, specweb_core::par::default_jobs())
     }
@@ -325,39 +331,50 @@ impl Ord for Item {
     }
 }
 
-/// What the search from the current source knows about one document.
+/// What the passes from the current source know about one document.
 /// The stamps hold `source + 1` (0 = never touched), so moving to the
 /// next source invalidates every slot without clearing any.
 #[derive(Clone, Copy, Default)]
 struct Slot {
-    /// Best candidate probability pushed so far; valid iff `seen` is
-    /// the current stamp.
+    /// Best path probability found so far; valid iff `seen` is the
+    /// current stamp.
     best: f64,
     seen: u32,
-    settled: u32,
+    /// The fixpoint: the document waits in the worklist. The ordered
+    /// search: the document is settled.
+    mark: u32,
 }
 
 /// One worker's reusable state for [`Search::best_paths_from`].
 struct Search {
     slots: Vec<Slot>,
+    /// The documents the fixpoint reached from the current source, in
+    /// the order it first reached them.
+    reached: Vec<DocId>,
+    /// The fixpoint's worklist.
+    queue: VecDeque<DocId>,
+    /// The ordered search's frontier.
     heap: BinaryHeap<Item>,
-    /// Settled documents of the current source, in pop order.
-    settled: Vec<(DocId, f64)>,
+    /// The row of the current source.
+    row: Vec<(DocId, f64)>,
 }
 
 impl Search {
     fn new(n_docs: usize) -> Search {
         Search {
             slots: vec![Slot::default(); n_docs],
+            reached: Vec::new(),
+            queue: VecDeque::new(),
             heap: BinaryHeap::new(),
-            settled: Vec::new(),
+            row: Vec::new(),
         }
     }
 
-    /// Best path probability from `src` to every reachable doc ≥ floor,
-    /// as a row of the closure (in row order, cut to `max_row`), plus
-    /// whether the search hit the safety valve (in which case the row
-    /// may under-report reach).
+    /// Best path probability from `src` to every doc it reaches at or
+    /// above `floor`, as a row of the closure (in row order, cut to
+    /// `max_row`), plus whether the safety valve cut it (in which case
+    /// the row may under-report reach). The fixpoint answers unless it
+    /// gives up; then the ordered search does.
     fn best_paths_from(
         &mut self,
         m: &DepMatrix,
@@ -365,26 +382,107 @@ impl Search {
         floor: f64,
         max_row: usize,
     ) -> (Vec<(DocId, f64)>, bool) {
-        let stamp = src.raw() + 1;
         let valve = max_row.saturating_mul(4).saturating_add(1);
+        self.row.clear();
+        let truncated = if self.fixpoint(m, src, floor, valve) {
+            let slots = &self.slots;
+            let reached = self.reached.iter().map(|&j| (j, slots[j.index()].best));
+            self.row.extend(reached);
+            false
+        } else {
+            // Forget the pass, so that the ordered search, stamping with
+            // the same source, meets none of its values or marks.
+            for &j in &self.reached {
+                self.slots[j.index()] = Slot::default();
+            }
+            self.ordered(m, src, floor, valve)
+        };
+        // Keep the strongest max_row entries. Ties on probability break
+        // by id, so the truncation keeps the same tied subset whatever
+        // order the pass reached them in.
+        self.row.sort_unstable_by(row_order);
+        self.row.truncate(max_row);
+        (self.row.clone(), truncated)
+    }
+
+    /// The best paths from `src` as the fixpoint `best[j] = max_d
+    /// best[d]·p[d,j]`, left in the slots of `self.reached`: a FIFO
+    /// worklist re-relaxes a document whenever its value rises, and every
+    /// rise is strict, so the pass ends. `false` when it gives up, which
+    /// it does on reaching `valve` documents — the ordered search cuts
+    /// that row, and which of its ties it keeps then depends on its pop
+    /// order — or on meeting an edge above 1, under which relaxing is not
+    /// monotone.
+    fn fixpoint(&mut self, m: &DepMatrix, src: DocId, floor: f64, valve: usize) -> bool {
+        let stamp = src.raw() + 1;
+        self.reached.clear();
+        self.queue.clear();
+        let (mut d, mut p) = (src, 1.0);
+        loop {
+            for &(j, pj) in m.row(d) {
+                if pj > 1.0 {
+                    return false;
+                }
+                let cand = p * pj;
+                if cand < floor {
+                    // The row descends in probability and `p ≥ 0`, so
+                    // every later candidate is below the floor too.
+                    break;
+                }
+                if j == src {
+                    continue;
+                }
+                let slot = &mut self.slots[j.index()];
+                if slot.seen != stamp {
+                    slot.seen = stamp;
+                    slot.best = 0.0;
+                }
+                if cand > slot.best {
+                    if slot.best == 0.0 {
+                        // Reached for the first time: `cand ≥ floor > 0`
+                        // (a NaN candidate never gets here).
+                        self.reached.push(j);
+                        if self.reached.len() >= valve {
+                            return false;
+                        }
+                    }
+                    slot.best = cand;
+                    if slot.mark != stamp {
+                        slot.mark = stamp;
+                        self.queue.push_back(j);
+                    }
+                }
+            }
+            let Some(next) = self.queue.pop_front() else {
+                return true;
+            };
+            let slot = &mut self.slots[next.index()];
+            slot.mark = 0;
+            (d, p) = (next, slot.best);
+        }
+    }
+
+    /// The ordered search from `src` (best path first, ids descending on
+    /// ties), appending each document to `self.row` as it settles.
+    /// Returns whether the safety valve stopped it: it stops right after
+    /// the settle that takes the count, `src` included, past `valve`.
+    fn ordered(&mut self, m: &DepMatrix, src: DocId, floor: f64, valve: usize) -> bool {
+        let stamp = src.raw() + 1;
         self.heap.clear();
-        self.settled.clear();
         self.heap.push(Item(1.0, src));
-        let mut n_settled = 0usize; // counts `src` itself, unlike `self.settled`
-        let mut truncated = false;
+        let mut n_settled = 0usize; // counts `src` itself, unlike `self.row`
         while let Some(Item(p, d)) = self.heap.pop() {
             let slot = &mut self.slots[d.index()];
-            if slot.settled == stamp {
+            if slot.mark == stamp {
                 continue;
             }
-            slot.settled = stamp;
+            slot.mark = stamp;
             n_settled += 1;
             if d != src {
-                self.settled.push((d, p));
+                self.row.push((d, p));
             }
             if n_settled > valve {
-                truncated = true; // safety valve for pathological graphs
-                break;
+                return true; // safety valve for pathological graphs
             }
             for &(j, pj) in m.row(d) {
                 let cand = p * pj;
@@ -407,12 +505,7 @@ impl Search {
                 }
             }
         }
-        // Keep the strongest max_row entries. Ties on probability break
-        // by id, so the truncation keeps the same tied subset whatever
-        // order the search settled them in.
-        self.settled.sort_unstable_by(row_order);
-        self.settled.truncate(max_row);
-        (self.settled.clone(), truncated)
+        false
     }
 }
 
@@ -962,6 +1055,50 @@ mod tests {
     }
 
     #[test]
+    fn the_fixpoint_gives_way_exactly_where_the_valve_cuts() {
+        // A star of embedding edges: row 0 reaches `r` documents, all
+        // tied at 1.0. The ordered search cuts the row iff `r ≥ 4k + 1`,
+        // and the fixpoint leaves exactly those rows to it. Past the
+        // valve the cut keeps what the heap settled first, highest ids
+        // first, so the row is not the `k` lowest ids the fixpoint
+        // would keep.
+        for k in [1, 2, 5] {
+            let valve = 4 * k + 1;
+            for r in [valve - 1, valve, valve + 1] {
+                let star = (1..=r).map(|j| (DocId(0), DocId::from(j), 1.0));
+                let m = DepMatrix::from_entries(star);
+                let answered = Search::new(r + 1).fixpoint(&m, DocId(0), 0.5, valve);
+                assert_eq!(answered, r < valve, "k = {k}, r = {r}");
+                let c = m.closure_jobs(0.5, k, 1).unwrap();
+                assert_eq!(
+                    c.truncated_rows(),
+                    u64::from(r >= valve),
+                    "k = {k}, r = {r}"
+                );
+                assert_eq!(c.bits(), reference_closure(&m, 0.5, k).bits());
+                let first = c.row(DocId(0))[0].0;
+                assert_eq!(first, DocId::from(1 + r - valve.min(r)), "k = {k}, r = {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_edge_above_one_is_left_to_the_ordered_search() {
+        // Only a hand-made or deserialized matrix holds one. This one sits
+        // on the cycle 1 → 2 → 1: relaxing round it would raise both
+        // without bound, while the ordered search settles 1 at 0.5 before
+        // it meets the edge.
+        let m: DepMatrix = serde_json::from_str(
+            r#"{"starts":[0,1,2,3],"edges":[[1,0.5],[2,2.0],[1,1.0]],"truncated_rows":0}"#,
+        )
+        .unwrap();
+        assert!(!Search::new(3).fixpoint(&m, DocId(0), 0.01, 33));
+        let c = m.closure_jobs(0.01, 8, 1).unwrap();
+        assert_eq!(c.bits(), reference_closure(&m, 0.01, 8).bits());
+        assert_eq!(c.row(DocId(0)), [(DocId(2), 1.0), (DocId(1), 0.5)]);
+    }
+
+    #[test]
     fn closure_rejects_bad_floor() {
         let m = DepMatrix::empty();
         assert!(m.closure(0.0, 8).is_err());
@@ -1135,6 +1272,34 @@ mod tests {
             prop_assert!(got.rows_in_order(), "{:?}", got);
             // Equal contents are equal matrices, whatever built them.
             prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn closure_equals_the_hash_map_kernel_where_the_valve_cuts_a_tie_group(
+            n in 6u32..40,
+            chains in prop::collection::vec(
+                (0u32..40, 2u32..16, prop_oneof![Just(true), Just(false)]),
+                1..6,
+            ),
+            entries in prop::collection::vec((0u32..40, 0u32..40, eighths()), 0..30),
+            floor in prop_oneof![Just(1.0), Just(0.3), Just(1e-6)],
+            max_row in prop_oneof![Just(1usize), Just(2), Just(5)],
+            jobs in 1usize..4,
+        ) {
+            // Embedding edges (`p = 1.0`) along each chain, its ids rising
+            // or falling: a row that enters a chain reaches a tie group,
+            // and the heap settles a tie group ids descending.
+            let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+            for &(first, len, rising) in &chains {
+                let at = |k: u32| if rising { (first + k) % n } else { (first + 16 * n - k) % n };
+                edges.extend((0..len - 1).map(|k| (at(k), at(k + 1), 1.0)));
+            }
+            edges.extend(entries.iter().map(|&(i, j, p)| (i % n, j % n, p)));
+            let m = matrix_of(&edges);
+            let want = reference_closure(&m, floor, max_row);
+            let got = m.closure_jobs(floor, max_row, jobs).unwrap();
+            prop_assert_eq!(got.truncated_rows(), want.truncated_rows());
+            prop_assert_eq!(got.bits(), want.bits());
         }
 
         #[test]

@@ -153,3 +153,67 @@ fn lint_flags_in_docs_are_in_its_usage_text() {
         unknown.join("\n")
     );
 }
+
+/// Every CI job and step a doc names is one `.github/workflows/ci.yml`
+/// defines: a backticked name right after "CI", "CI's" or "job", or
+/// right before "job", is a job key, and a quoted name right before or
+/// after "step" is a step's `name:`. ROADMAP is read too: its open items
+/// name the steps they would change.
+#[test]
+fn ci_jobs_and_steps_named_in_docs_exist() {
+    let ci = read(".github/workflows/ci.yml");
+    let (_, job_section) = ci.split_once("\njobs:\n").expect("a jobs: section");
+    let jobs: Vec<&str> = job_section
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ")?.strip_suffix(':'))
+        .filter(|key| !key.starts_with(' '))
+        .collect();
+    let steps: Vec<&str> = (ci.lines())
+        .filter_map(|l| l.trim_start().strip_prefix("- name: "))
+        .collect();
+    assert!(jobs.contains(&"benchmark") && steps.contains(&"Harness self-tests"));
+
+    fn backticked_word(w: &str) -> Option<&str> {
+        let spans = backticked(w);
+        (w.trim_start_matches('(').starts_with('`') && spans.len() == 1).then(|| spans[0])
+    }
+    let mut unknown: Vec<String> = Vec::new();
+    let (mut job_refs, mut step_refs) = (0, 0);
+    for doc in DOCS.iter().chain(&["ROADMAP.md"]) {
+        let text = read(doc).split_whitespace().collect::<Vec<_>>().join(" ");
+        let words: Vec<&str> = text.split(' ').collect();
+        for w in words.windows(2) {
+            let before = ["CI", "CI's", "job", "(job"].contains(&w[0]);
+            let name = match (backticked_word(w[0]), backticked_word(w[1])) {
+                (_, Some(name)) if before => name,
+                (Some(name), _) if w[1].starts_with("job") && !w[1].starts_with("jobs") => name,
+                _ => continue,
+            };
+            job_refs += 1;
+            let problem = format!("{doc}: CI job `{name}`");
+            // "CI `x` job" is one name, met from both sides.
+            if !jobs.contains(&name) && unknown.last() != Some(&problem) {
+                unknown.push(problem);
+            }
+        }
+        let quoted_before = text.match_indices("\" step").map(|(at, _)| {
+            let name_start = text[..at].rfind('"').map_or(at, |q| q + 1);
+            &text[name_start..at]
+        });
+        let quoted_after = text.match_indices("step \"").map(|(at, m)| {
+            let rest = &text[at + m.len()..];
+            &rest[..rest.find('"').unwrap_or(0)]
+        });
+        for name in quoted_before.chain(quoted_after) {
+            step_refs += 1;
+            if !steps.contains(&name) {
+                unknown.push(format!("{doc}: CI step \"{name}\""));
+            }
+        }
+    }
+    assert!(
+        job_refs > 5 && step_refs > 0,
+        "only {job_refs} job and {step_refs} step names found: wrong extraction?"
+    );
+    assert!(unknown.is_empty(), "not in ci.yml:\n{}", unknown.join("\n"));
+}
