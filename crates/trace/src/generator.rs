@@ -12,10 +12,12 @@
 //! Generation is **day-sharded** (DESIGN.md §12): each day draws its
 //! randomness from its own `SeedTree` child (`child_idx("day-sessions",
 //! day)`), session ids are derived arithmetically (`day ×
-//! sessions_per_day + i`), and site-graph churn is folded into per-day
-//! graph snapshots *before* the days fan out — so days are independent
-//! work items and the merged trace is byte-identical for any worker
-//! count.
+//! sessions_per_day + i`), and site-graph churn is folded by each worker
+//! on its own copy of the graphs — the rounds of the days before its run
+//! first, then each day's round right after that day's sessions, every
+//! round from its own `child_idx("churn", day)` stream — so days are
+//! independent work items, no graph is copied per day, and the merged
+//! trace is byte-identical for any worker count.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -274,10 +276,28 @@ pub const MAX_TOTAL_SESSIONS: u64 = 1 << 40;
 
 /// Upper bound on the simulated duration alone: almost three millennia.
 /// `MAX_TOTAL_SESSIONS` caps the *product*, but with
-/// `sessions_per_day == 0` the product check passes vacuously while
-/// per-day structures (churn snapshots, day shards) still allocate one
-/// slot per day — so the day count needs its own ceiling.
+/// `sessions_per_day == 0` the product check passes vacuously while the
+/// generator still walks every day (the day list its runs are cut from,
+/// one churn round per day) — so the day count needs its own ceiling.
 pub const MAX_DURATION_DAYS: u64 = 1 << 20;
+
+/// What every day of a generation reads, built once before the days fan
+/// out. `graphs` is the site before any churn round.
+struct World {
+    catalog: Catalog,
+    graphs: Vec<SiteGraph>,
+    clients: ClientPopulation,
+    server_zipf: Zipf,
+}
+
+/// Day `day`'s link-churn round over every server's graph, drawn from
+/// its own `child_idx("churn", day)` stream.
+fn churn_round(seed: &SeedTree, day: u64, graphs: &mut [SiteGraph], churn: f64) {
+    let mut rng = seed.child_idx("churn", day).rng();
+    for g in graphs {
+        g.churn_links(&mut rng, churn);
+    }
+}
 
 /// The trace generator.
 #[derive(Debug)]
@@ -346,59 +366,19 @@ impl TraceGenerator {
     /// [`TraceGenerator::generate`] with an explicit worker count.
     ///
     /// Each day is an independent work item: its sessions draw from
-    /// `seed.child_idx("day-sessions", day)`, its session ids are `day ×
-    /// sessions_per_day + i`, and it reads the site-graph snapshot the
-    /// sequential churn fold produced for that day. The per-day shards
-    /// are merged in day order, so the result does not depend on `jobs`.
+    /// `seed.child_idx("day-sessions", day)` and its session ids are `day
+    /// × sessions_per_day + i`. A worker takes one contiguous run of days
+    /// and, under link churn, one copy of the base graphs, which it brings
+    /// to its first day by replaying the earlier days' churn rounds and
+    /// then advances by day `d`'s round right after day `d`'s sessions;
+    /// the trace's graphs are the last run's, after all
+    /// `duration_days` rounds. The runs are merged in day order, so the
+    /// result does not depend on `jobs`.
     pub fn generate_with_jobs(&self, topo: &Topology, jobs: usize) -> Result<Trace> {
         let cfg = &self.cfg;
         let seed = SeedTree::new(cfg.seed);
-        let sizes = if cfg.media_sizes {
-            SizeModel::media_1995()?
-        } else {
-            SizeModel::web_1995()?
-        };
-
-        // Catalog + site graphs.
-        let mut catalog = Catalog::new();
-        let mut graphs = Vec::with_capacity(cfg.n_servers);
-        for s in 0..cfg.n_servers {
-            graphs.push(SiteGraph::generate(
-                &seed,
-                ServerId::from(s),
-                &cfg.site,
-                &sizes,
-                &mut catalog,
-            )?);
-        }
-
-        // Clients.
-        let clients = ClientPopulation::generate(&seed, topo, &cfg.clients)?;
-
-        // Which server a session lands on.
-        let server_zipf = Zipf::new(cfg.n_servers, cfg.server_theta)?;
-
-        // Site evolution is a *sequential* fold over day boundaries:
-        // day d's sessions must see the graph after exactly d churn
-        // rounds. Snapshot the pre-churn state per day, then hand the
-        // snapshots to the sharded days; the fold's end state is the
-        // trace's final graph. Without churn every day shares the base
-        // graphs and nothing is cloned.
-        let day_graphs: Option<Vec<Vec<SiteGraph>>> = if cfg.link_churn_per_day > 0.0 {
-            let mut snapshots = Vec::with_capacity(usize::try_from(cfg.duration_days).unwrap_or(0));
-            for day in 0..cfg.duration_days {
-                snapshots.push(graphs.clone());
-                let mut churn_rng = seed.child_idx("churn", day).rng();
-                for g in &mut graphs {
-                    g.churn_links(&mut churn_rng, cfg.link_churn_per_day, cfg.site.zipf_theta);
-                }
-            }
-            Some(snapshots)
-        } else {
-            None
-        };
-
-        let spd = cfg.sessions_per_day as u64;
+        let world = self.world(&seed, topo)?;
+        let churn = cfg.link_churn_per_day;
         // Per-day preallocation: checked (satellite of the unchecked
         // `days × sessions × 12` multiply) and capped, so a huge
         // configuration degrades to amortized growth instead of a
@@ -416,51 +396,47 @@ impl TraceGenerator {
         let runs: Vec<&[u64]> = days
             .chunks(days.len().div_ceil(jobs.max(1)).max(1))
             .collect();
-        let shards: Vec<Vec<Access>> = specweb_core::par::par_map_indexed(jobs, &runs, |_, run| {
+        let shards = specweb_core::par::par_map_indexed(jobs, &runs, |_, run| {
             let mut out: Vec<Access> =
                 Vec::with_capacity(day_capacity.saturating_mul(run.len()).min(1 << 22));
-            for &day in *run {
-                let day_idx = usize::try_from(day).unwrap_or(usize::MAX);
-                let graphs_today: &[SiteGraph] = day_graphs
-                    .as_ref()
-                    .map_or(&graphs[..], |snaps| &snaps[day_idx][..]);
-                let mut rng = seed.child_idx("day-sessions", day).rng();
-                let day_start = SimTime::from_days(day);
-                for i in 0..spd {
-                    let start = day_start
-                            // lint:allow(W1): SimTime + Duration saturates (time.rs Add impl)
-                            + Duration::from_millis(rng.gen_range(0..Duration::DAY.as_millis()));
-                    let client_id = clients.sample_client(&mut rng);
-                    let client = *clients.get(client_id);
-                    let server_idx = server_zipf.sample(&mut rng);
-                    self.run_session(
-                        &mut rng,
-                        &graphs_today[server_idx],
-                        &catalog,
-                        client_id,
-                        client.locality,
-                        start,
-                        day.saturating_mul(spd).saturating_add(i),
-                        &mut out,
-                    );
+            // Site evolution is the one sequential process: day d's
+            // sessions must see the graphs after exactly d churn rounds.
+            // The run folds them on its own copy — the rounds before its
+            // first day, then each day's round after its sessions. Without
+            // churn every run reads the base graphs and nothing is cloned.
+            let mut folded = (churn > 0.0).then(|| world.graphs.clone());
+            if let Some(graphs) = folded.as_mut() {
+                for day in 0..run.first().copied().unwrap_or(0) {
+                    churn_round(&seed, day, graphs, churn);
                 }
             }
-            out
+            for &day in *run {
+                let today = folded.as_deref().unwrap_or(&world.graphs);
+                self.day_sessions(&seed, &world, today, day, &mut out);
+                if let Some(graphs) = folded.as_mut() {
+                    churn_round(&seed, day, graphs, churn);
+                }
+            }
+            (out, folded)
         });
 
         // Deterministic merge, in day order. The sort key ends in the
         // session id — ascending in generation order, so ties fall as a
         // stable sort on the first three fields left them, and accesses
         // equal on all four are equal outright — which lets the sort
-        // run in place.
+        // run in place. The last run's graphs have been through all
+        // `duration_days` churn rounds: the trace's final site.
         let mut shards = shards.into_iter();
-        let mut accesses = shards.next().unwrap_or_default();
-        for shard in shards {
+        let (mut accesses, mut folded) = shards.next().unwrap_or_default();
+        for (shard, graphs) in shards {
             accesses.extend(shard);
+            folded = graphs;
         }
         let n_accesses = accesses.len() as u64;
         accesses.sort_unstable_by_key(|a| (a.time, a.client, a.doc, a.session));
-        let n_sessions = cfg.duration_days.saturating_mul(spd);
+        let n_sessions = cfg
+            .duration_days
+            .saturating_mul(cfg.sessions_per_day as u64);
 
         // Per-run totals (deterministic channel): a pure function of the
         // configuration, merged from the day shards in day order. Per
@@ -475,14 +451,79 @@ impl TraceGenerator {
                 .add(n_sessions);
         }
 
+        let World {
+            catalog,
+            graphs,
+            clients,
+            ..
+        } = world;
         Ok(Trace {
             accesses,
             catalog,
-            graphs,
+            graphs: folded.unwrap_or(graphs),
             clients,
             duration: Duration::from_days(cfg.duration_days),
             n_sessions,
         })
+    }
+
+    /// Builds what every day reads: the catalog and the base site graphs,
+    /// the client population and the server popularity.
+    fn world(&self, seed: &SeedTree, topo: &Topology) -> Result<World> {
+        let cfg = &self.cfg;
+        let sizes = if cfg.media_sizes {
+            SizeModel::media_1995()?
+        } else {
+            SizeModel::web_1995()?
+        };
+        let mut catalog = Catalog::new();
+        let mut graphs = Vec::with_capacity(cfg.n_servers);
+        for s in 0..cfg.n_servers {
+            graphs.push(SiteGraph::generate(
+                seed,
+                ServerId::from(s),
+                &cfg.site,
+                &sizes,
+                &mut catalog,
+            )?);
+        }
+        Ok(World {
+            catalog,
+            graphs,
+            clients: ClientPopulation::generate(seed, topo, &cfg.clients)?,
+            server_zipf: Zipf::new(cfg.n_servers, cfg.server_theta)?,
+        })
+    }
+
+    /// Appends day `day`'s sessions, browsed over `graphs` (the site as
+    /// it stands that day), to `out`.
+    fn day_sessions(
+        &self,
+        seed: &SeedTree,
+        world: &World,
+        graphs: &[SiteGraph],
+        day: u64,
+        out: &mut Vec<Access>,
+    ) {
+        let spd = self.cfg.sessions_per_day as u64;
+        let mut rng = seed.child_idx("day-sessions", day).rng();
+        let day_start = SimTime::from_days(day);
+        for i in 0..spd {
+            let start =
+                day_start + Duration::from_millis(rng.gen_range(0..Duration::DAY.as_millis()));
+            let client_id = world.clients.sample_client(&mut rng);
+            let client = *world.clients.get(client_id);
+            let server_idx = world.server_zipf.sample(&mut rng);
+            self.run_session(
+                &mut rng,
+                &graphs[server_idx],
+                client_id,
+                client.locality,
+                start,
+                day.saturating_mul(spd).saturating_add(i),
+                out,
+            );
+        }
     }
 
     /// Simulates one browsing session: strides of page visits connected
@@ -493,7 +534,6 @@ impl TraceGenerator {
         &self,
         rng: &mut R,
         graph: &SiteGraph,
-        catalog: &Catalog,
         client: ClientId,
         locality: Locality,
         start: SimTime,
@@ -503,7 +543,7 @@ impl TraceGenerator {
         let timing = &self.cfg.timing;
         let server = graph.server();
         let mut t = start;
-        let mut page = graph.sample_entry(rng, catalog, |c| locality.class_bias(c));
+        let mut page = graph.sample_entry(rng, |c| locality.class_bias(c));
         let n_strides = timing.sample_session_strides(rng);
         // The browser's in-session memory cache (every 1995 browser had
         // one): an embedded object is requested — and thus appears in
@@ -545,15 +585,14 @@ impl TraceGenerator {
                 // off to a fresh entry point. Dead ends also restart.
                 page = match graph.follow_link(rng, page) {
                     Some(next) => {
-                        let cls = catalog.get(graph.page(next).doc).class;
-                        let stick = locality.class_bias(cls).sqrt();
+                        let stick = locality.class_bias(graph.class(next)).sqrt();
                         if rng.gen::<f64>() <= stick {
                             next
                         } else {
-                            graph.sample_entry(rng, catalog, |c| locality.class_bias(c))
+                            graph.sample_entry(rng, |c| locality.class_bias(c))
                         }
                     }
-                    None => graph.sample_entry(rng, catalog, |c| locality.class_bias(c)),
+                    None => graph.sample_entry(rng, |c| locality.class_bias(c)),
                 };
             }
         }
@@ -707,25 +746,106 @@ mod tests {
         );
     }
 
+    /// Every final page's `(links, embedded)`, server by server.
+    fn final_pages(t: &Trace) -> Vec<Vec<(Vec<u32>, Vec<DocId>)>> {
+        t.graphs
+            .iter()
+            .map(|g| {
+                g.pages()
+                    .iter()
+                    .map(|p| (p.links.clone(), p.embedded.clone()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The slow twin of `generate_with_jobs`: generation as it was before
+    /// churn folded into the workers. Every day gets its own copy of the
+    /// graphs after exactly `d` rounds, all made before any session runs;
+    /// the days then run serially and the trace is stable-sorted on
+    /// `(time, client, doc)`.
+    fn snapshot_reference(generator: &TraceGenerator, topo: &Topology) -> Trace {
+        let cfg = generator.config();
+        let seed = SeedTree::new(cfg.seed);
+        let world = generator.world(&seed, topo).unwrap();
+        let mut graphs = world.graphs.clone();
+        let mut snapshots = Vec::new();
+        for day in 0..cfg.duration_days {
+            snapshots.push(graphs.clone());
+            if cfg.link_churn_per_day > 0.0 {
+                churn_round(&seed, day, &mut graphs, cfg.link_churn_per_day);
+            }
+        }
+        let mut accesses = Vec::new();
+        for (day, today) in (0..).zip(&snapshots) {
+            generator.day_sessions(&seed, &world, today, day, &mut accesses);
+        }
+        accesses.sort_by_key(|a| (a.time, a.client, a.doc));
+        Trace {
+            accesses,
+            catalog: world.catalog,
+            graphs,
+            clients: world.clients,
+            duration: Duration::from_days(cfg.duration_days),
+            n_sessions: cfg.duration_days * cfg.sessions_per_day as u64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The per-worker churn fold equals the per-day snapshots, on
+        /// accesses, session count and every final page — for more
+        /// workers than days, a single day, no churn and full churn.
+        #[test]
+        fn churn_fold_equals_per_day_snapshots(seed in 0u64..1_000_000) {
+            let topo = Topology::balanced(2, 3, 4);
+            for days in [1u64, 2, 9] {
+                for churn in [0.0, 0.002, 0.3, 1.0] {
+                    for n_servers in [1usize, 3] {
+                        let mut cfg = TraceConfig::small(seed);
+                        cfg.duration_days = days;
+                        cfg.sessions_per_day = 12;
+                        cfg.link_churn_per_day = churn;
+                        cfg.n_servers = n_servers;
+                        let generator = TraceGenerator::new(cfg).unwrap();
+                        let reference = snapshot_reference(&generator, &topo);
+                        for jobs in [1, 2, 3, 7] {
+                            let fast = generator.generate_with_jobs(&topo, jobs).unwrap();
+                            let at = format!("days={days} churn={churn} servers={n_servers} jobs={jobs}");
+                            proptest::prop_assert_eq!(&fast.accesses, &reference.accesses, "{}", at);
+                            proptest::prop_assert_eq!(fast.n_sessions, reference.n_sessions, "{}", at);
+                            proptest::prop_assert_eq!(final_pages(&fast), final_pages(&reference), "{}", at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sharded_generation_is_byte_identical_across_jobs() {
         // The tentpole contract: per-day seed children + the churn fold
-        // make days independent work items, so the merged trace cannot
-        // depend on the worker count — with or without churn.
+        // make days independent work items, so the merged trace and the
+        // final site cannot depend on the worker count — with or without
+        // churn, for a one-day trace, and with more workers than days.
         let topo = Topology::balanced(2, 3, 4);
-        for churn in [0.0, 0.3] {
-            let mut cfg = TraceConfig::small(77);
-            cfg.link_churn_per_day = churn;
-            let generator = TraceGenerator::new(cfg).unwrap();
-            let serial = generator.generate_with_jobs(&topo, 1).unwrap();
-            for jobs in [2, 4, 7] {
-                let sharded = generator.generate_with_jobs(&topo, jobs).unwrap();
-                assert_eq!(
-                    serial.accesses, sharded.accesses,
-                    "jobs={jobs} churn={churn}"
-                );
-                assert_eq!(serial.n_sessions, sharded.n_sessions);
-                assert_eq!(serial.graphs.len(), sharded.graphs.len());
+        for days in [1, 10] {
+            for churn in [0.0, 0.3] {
+                let mut cfg = TraceConfig::small(77);
+                cfg.duration_days = days;
+                cfg.link_churn_per_day = churn;
+                let generator = TraceGenerator::new(cfg).unwrap();
+                let serial = generator.generate_with_jobs(&topo, 1).unwrap();
+                for jobs in [2, 4, 7, 12] {
+                    let sharded = generator.generate_with_jobs(&topo, jobs).unwrap();
+                    assert_eq!(
+                        serial.accesses, sharded.accesses,
+                        "days={days} jobs={jobs} churn={churn}"
+                    );
+                    assert_eq!(serial.n_sessions, sharded.n_sessions);
+                    assert_eq!(final_pages(&serial), final_pages(&sharded));
+                }
             }
         }
     }
@@ -836,8 +956,8 @@ mod tests {
 
     /// Regression for the day-count ceiling: `sessions_per_day == 0`
     /// makes the session-volume product check pass vacuously, but the
-    /// per-day structures (churn snapshots, day shards) still allocate
-    /// one slot per day — the day count needs its own bound.
+    /// generator still walks every day (the day list, one churn round
+    /// per day) — the day count needs its own bound.
     #[test]
     fn rejects_absurd_day_count_even_with_zero_sessions() {
         let mut cfg = TraceConfig::small(1);

@@ -43,14 +43,14 @@ pub struct Page {
 pub struct SiteGraph {
     server: ServerId,
     pages: Vec<Page>,
-    /// Per-page popularity class (cached from the catalog so link churn
-    /// can stay class-assortative without a catalog reference).
+    /// Per-page popularity class: `classes[i]` is the catalog class of
+    /// page `i`'s document (both are pushed from one draw), so link churn
+    /// and the class-biased walk never need the catalog.
     classes: Vec<PopularityClass>,
-    /// Per-page entry-point weights (probability a session starts here),
-    /// normalized.
-    entry_weights: Vec<f64>,
-    /// Cumulative entry weights for sampling.
-    entry_cdf: Vec<f64>,
+    /// Zipf over page ranks: rank `r` is the `r`-th most popular session
+    /// entry point and the `r`-th most preferred link target. Built once
+    /// with the graph; link churn rewires from it.
+    zipf: Zipf,
     /// The structural parameters the graph was generated with.
     cfg: SiteGraphConfig,
 }
@@ -238,25 +238,11 @@ impl SiteGraph {
             page.links = wire_links(&mut rng, i, k, &zipf, &classes, cfg.assortativity);
         }
 
-        // Entry weights: Zipf over pages — rank r page is the r-th most
-        // popular session entry point.
-        let entry_weights: Vec<f64> = (0..cfg.n_pages).map(|r| zipf.weight(r)).collect();
-        let mut entry_cdf = Vec::with_capacity(cfg.n_pages);
-        let mut acc = 0.0;
-        for &w in &entry_weights {
-            acc += w;
-            entry_cdf.push(acc);
-        }
-        if let Some(last) = entry_cdf.last_mut() {
-            *last = 1.0;
-        }
-
         Ok(SiteGraph {
             server,
             pages,
             classes,
-            entry_weights,
-            entry_cdf,
+            zipf,
             cfg: *cfg,
         })
     }
@@ -286,18 +272,18 @@ impl SiteGraph {
         &self.pages
     }
 
-    /// Per-page entry weights (normalized, index-aligned with pages).
-    pub fn entry_weights(&self) -> &[f64] {
-        &self.entry_weights
+    /// The popularity class of page `idx` — its document's catalog class.
+    pub(crate) fn class(&self, idx: usize) -> PopularityClass {
+        self.classes[idx]
     }
 
     /// Samples a session entry page, optionally re-weighting each page by
     /// `bias(class)` (used to give local clients a taste for locally
-    /// popular pages and remote clients the opposite).
+    /// popular pages and remote clients the opposite). Classes are read
+    /// from the graph's own per-page table, not the catalog.
     pub fn sample_entry<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        catalog: &Catalog,
         bias: impl Fn(PopularityClass) -> f64,
     ) -> usize {
         // Rejection sampling against the biased weights: draw from the
@@ -316,8 +302,7 @@ impl SiteGraph {
         }
         for _ in 0..64 {
             let idx = self.sample_entry_unbiased(rng);
-            let class = catalog.get(self.pages[idx].doc).class;
-            if rng.gen::<f64>() * bias_max <= bias(class) {
+            if rng.gen::<f64>() * bias_max <= bias(self.classes[idx]) {
                 return idx;
             }
         }
@@ -326,10 +311,7 @@ impl SiteGraph {
 
     /// Samples an entry page from the base Zipf weights.
     pub fn sample_entry_unbiased<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        self.entry_cdf
-            .partition_point(|&c| c <= u)
-            .min(self.pages.len() - 1)
+        self.zipf.sample(rng)
     }
 
     /// Follows a uniformly-chosen out-link from `page_idx` — the 1/k
@@ -347,25 +329,22 @@ impl SiteGraph {
     /// Site evolution: each page independently has its out-links
     /// re-targeted with probability `churn`. This slowly invalidates
     /// previously learned traversal dependencies — the mechanism behind
-    /// the §3.4 update-cycle staleness experiment.
-    pub fn churn_links<R: Rng + ?Sized>(&mut self, rng: &mut R, churn: f64, zipf_theta: f64) {
+    /// the §3.4 update-cycle staleness experiment. New targets come from
+    /// the Zipf the graph was wired with; a round builds nothing, it
+    /// rewires in place. The trace generator applies one round per day,
+    /// after that day's sessions.
+    pub fn churn_links<R: Rng + ?Sized>(&mut self, rng: &mut R, churn: f64) {
         let n = self.pages.len();
         if n < 2 {
             return;
         }
-        let Ok(zipf) = Zipf::new(n, zipf_theta) else {
-            // n >= 2 is checked above and theta was validated when the
-            // graph was built, so this is unreachable; churning nothing
-            // beats panicking in library code.
-            return;
-        };
         for i in 0..n {
             if rng.gen::<f64>() >= churn {
                 continue;
             }
             let k = self.pages[i].links.len().max(1);
             self.pages[i].links =
-                wire_links(rng, i, k, &zipf, &self.classes, self.cfg.assortativity);
+                wire_links(rng, i, k, &self.zipf, &self.classes, self.cfg.assortativity);
         }
     }
 
@@ -417,6 +396,11 @@ mod tests {
             cat.len(),
             cfg.shared_object_pool + cfg.n_pages + unique_objects
         );
+        // The graph's class table is the catalog's, page for page: what
+        // lets the walk and churn read classes without the catalog.
+        for (i, p) in g.pages().iter().enumerate() {
+            assert_eq!(g.class(i), cat.get(p.doc).class);
+        }
         let emb_total: usize = g.pages().iter().map(|p| p.embedded.len()).sum();
         // With mean 1.0 over 100 pages we expect a decent number of
         // embedded slots…
@@ -497,7 +481,7 @@ mod tests {
         let mut local_hits = 0;
         let n = 5_000;
         for _ in 0..n {
-            let idx = g.sample_entry(&mut rng, &cat, |c| match c {
+            let idx = g.sample_entry(&mut rng, |c| match c {
                 PopularityClass::Local => 10.0,
                 _ => 0.5,
             });
@@ -548,7 +532,7 @@ mod tests {
         let (mut g, _cat) = build(8, &cfg);
         let before: Vec<Vec<u32>> = g.pages().iter().map(|p| p.links.clone()).collect();
         let mut rng = SeedTree::new(9).child("churn").rng();
-        g.churn_links(&mut rng, 1.0, cfg.zipf_theta);
+        g.churn_links(&mut rng, 1.0);
         let changed = g
             .pages()
             .iter()
@@ -572,7 +556,7 @@ mod tests {
         let (mut g, _cat) = build(10, &cfg);
         let before: Vec<Vec<u32>> = g.pages().iter().map(|p| p.links.clone()).collect();
         let mut rng = SeedTree::new(11).child("churn0").rng();
-        g.churn_links(&mut rng, 0.0, cfg.zipf_theta);
+        g.churn_links(&mut rng, 0.0);
         for (p, b) in g.pages().iter().zip(&before) {
             assert_eq!(&p.links, b);
         }
