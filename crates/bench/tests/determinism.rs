@@ -132,7 +132,10 @@ fn serial_and_parallel_runs_are_byte_identical() {
         assert!(s.contains(&unattributed), "{name}: no `{unattributed}`");
         // The estimator's frames: one per precompute call, per slide or
         // per-day pass, and per boundary for blends and closures — the
-        // closures run on pool workers and must still nest here. The
+        // closures run on pool workers and must still nest here. A
+        // slide and the per-day pass split into the builder's push and
+        // build halves (`deps.push` per pushed day, `deps.build` per
+        // matrix), the per-day ones on pool workers too. The
         // shared store is built once, under `inputs`; exp-closure only
         // re-closes it. A dissemination run's three phases, once each
         // per run: six runs (shared and tailored at three fractions).
@@ -141,6 +144,8 @@ fn serial_and_parallel_runs_are_byte_identical() {
                 "inputs;workload.trace calls 2",
                 "inputs;estimator.precompute calls 1",
                 "inputs;estimator.precompute;estimator.slide calls 1",
+                "inputs;estimator.precompute;estimator.slide;deps.push calls ",
+                "inputs;estimator.precompute;estimator.slide;deps.build calls ",
                 "inputs;estimator.precompute;deps.closure calls ",
             ],
             "profile_exp-closure.txt" => &[
@@ -150,6 +155,8 @@ fn serial_and_parallel_runs_are_byte_identical() {
             "profile_exp-aging.txt" => &[
                 "exp-aging;estimator.precompute;estimator.slide calls ",
                 "exp-aging;estimator.precompute;estimator.day_matrices calls ",
+                "exp-aging;estimator.precompute;estimator.day_matrices;deps.push calls ",
+                "exp-aging;estimator.precompute;estimator.day_matrices;deps.build calls ",
                 "exp-aging;estimator.precompute;estimator.aged_blend calls ",
                 "exp-aging;estimator.precompute;deps.closure calls ",
             ],

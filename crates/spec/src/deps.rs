@@ -38,7 +38,10 @@ use specweb_trace::generator::Access;
 /// closure relaxation stops at the first edge that falls below the
 /// floor. The order is total (`f64::total_cmp`, then id), so equal
 /// contents are equal matrices, and results never depend on hash
-/// iteration order.
+/// iteration order. The estimators reach it by sorting integer keys —
+/// counts for `P` ([`DepMatrixBuilder::build`]), the high half of `p`'s
+/// bits for `P*` and the aged blend, with ties on it sorted again —
+/// which order a row exactly as the comparator does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DepMatrix {
     /// Row `i` is `edges[starts[i.index()]..starts[i.index() + 1]]`, for
@@ -60,32 +63,19 @@ impl DepMatrix {
     }
 
     /// The matrix holding `entries` (`(i, j, p)`, each pair at most
-    /// once), given in any order: the one place that establishes the
-    /// row order. The entries are walked twice and laid straight into an
-    /// `edges` of exactly their number, with no copy in between — a
+    /// once), given in any order, each row put in row order by the
+    /// comparator. [`DepMatrixBuilder::build`], [`DepMatrix::blend`] and
+    /// the closure order their rows by integer keys instead, into the
+    /// same order. The entries are walked twice and laid straight into
+    /// an `edges` of exactly their number, with no copy in between — a
     /// `MatrixStore` holds one matrix pair per boundary for a whole run,
     /// and its peak is the estimate being built on top of them.
     pub(crate) fn from_entries(
         entries: impl Iterator<Item = (DocId, DocId, f64)> + Clone,
     ) -> DepMatrix {
-        // A counting sort by source, then each row into row order:
-        // `starts[i + 1]` counts row `i`, then becomes its end.
-        let mut starts = vec![0];
-        for (i, _, _) in entries.clone() {
-            if starts.len() < i.index() + 2 {
-                starts.resize(i.index() + 2, 0);
-            }
-            starts[i.index() + 1] += 1;
-        }
-        for d in 1..starts.len() {
-            starts[d] += starts[d - 1];
-        }
-        let mut edges = vec![(DocId::default(), 0.0); starts[starts.len() - 1]];
-        let mut next = starts.clone();
-        for (i, j, p) in entries {
-            edges[next[i.index()]] = (j, p);
-            next[i.index()] += 1;
-        }
+        let starts = row_starts(entries.clone().map(|(i, _, _)| i));
+        let placed = entries.map(|(i, j, p)| (i, (j, p)));
+        let mut edges = by_row(&starts, placed);
         for row in starts.windows(2) {
             edges[row[0]..row[1]].sort_unstable_by(row_order);
         }
@@ -100,7 +90,7 @@ impl DepMatrix {
     /// pair summed in the order the parts are given (a pair absent from
     /// a part adds nothing). Equal to [`DepMatrix::from_entries`] of
     /// those sums: rows are blended one at a time, in a table indexed by
-    /// `j`, and laid straight into the result.
+    /// `j`, ordered by [`coarse_key`] and laid straight into the result.
     pub(crate) fn blend(parts: &[(f64, &DepMatrix)]) -> Self {
         let wsum = parts.iter().fold(0.0, |sum, (w, _)| sum + w);
         let n_rows = parts.iter().map(|(_, m)| m.starts.len().saturating_sub(1));
@@ -109,42 +99,44 @@ impl DepMatrix {
             edges: Vec::new(),
             truncated_rows: 0,
         };
-        // `slots[j]` is `(i + 1, where row i holds j)`: the stamp of the
-        // row that last touched it, so a new row starts every sum afresh
-        // (at `0.0 + w * p`) without clearing the table.
-        let mut slots: Vec<(usize, usize)> = Vec::new();
+        // `sums[j]` is `(i + 1, Σ w·p[i,j])`: the stamp of the row that
+        // last touched it, so a new row starts every sum afresh (at
+        // `0.0 + w * p`) without clearing the table. Once row `i` is
+        // summed, the slot holds `p[i,j]`.
+        let mut sums: Vec<(usize, f64)> = Vec::new();
+        let (mut touched, mut keys) = (Vec::new(), Vec::new());
         for i in 0..n_rows.max().unwrap_or(0) {
-            let row_start = out.edges.len();
+            touched.clear();
             for &(w, m) in parts {
                 for &(j, p) in m.row(DocId::from(i)) {
-                    if slots.len() <= j.index() {
-                        slots.resize(j.index() + 1, (0, 0));
+                    if sums.len() <= j.index() {
+                        sums.resize(j.index() + 1, (0, 0.0));
                     }
-                    let slot = &mut slots[j.index()];
-                    if slot.0 != i + 1 {
-                        *slot = (i + 1, out.edges.len());
-                        out.edges.push((j, 0.0));
+                    let sum = &mut sums[j.index()];
+                    if sum.0 != i + 1 {
+                        *sum = (i + 1, 0.0);
+                        touched.push(j);
                     }
-                    out.edges[slot.1].1 += w * p;
+                    sum.1 += w * p;
                 }
             }
-            let mut kept = row_start;
-            for at in row_start..out.edges.len() {
-                let (j, sum) = out.edges[at];
-                let p = (sum / wsum).min(1.0);
-                if p > 0.0 {
-                    out.edges[kept] = (j, p);
-                    kept += 1;
+            keys.clear();
+            for &j in &touched {
+                let p = &mut sums[j.index()].1;
+                *p = (*p / wsum).min(1.0);
+                if *p > 0.0 {
+                    keys.push(coarse_key(j, *p));
                 }
             }
-            out.edges.truncate(kept);
-            if kept > row_start {
+            if !keys.is_empty() {
                 // Ids between the previous row and this one have none.
-                out.starts.resize(i + 1, row_start);
-                out.edges[row_start..].sort_unstable_by(row_order);
+                out.starts.resize(i + 1, out.edges.len());
+                push_row_by_coarse_key(&mut out.edges, &mut keys, |j| sums[j.index()].1);
             }
         }
         out.starts.push(out.edges.len());
+        // A store holds the blend for the whole run.
+        out.edges.shrink_to_fit();
         out
     }
 
@@ -212,8 +204,9 @@ impl DepMatrix {
     /// `T_p ≥ floor`) and each row keeps at most `max_row` entries.
     ///
     /// Each source row is the fixpoint `best[j] = max_d best[d]·p[d,j]`
-    /// from `best[src] = 1`, relaxed from a worklist. Path probabilities
-    /// only decay, so the floor bounds the explored frontier tightly.
+    /// from `best[src] = 1`, relaxed from a worklist, and put in row
+    /// order by its coarse keys. Path probabilities only decay, so the
+    /// floor bounds the explored frontier tightly.
     /// A row that reaches more than `4 · max_row` documents hits the
     /// safety valve: it is searched in probability order instead, and
     /// keeps the `max_row` best of the first `4 · max_row + 1` documents
@@ -309,6 +302,79 @@ fn row_order(a: &(DocId, f64), b: &(DocId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
+/// The coarse key of a row entry: the high half of `p`'s bits,
+/// inverted, above the id. On values with the sign bit clear the bits
+/// rise as `total_cmp` does, so ascending keys are row order except
+/// among entries whose `p`s differ only in their low 32 bits, which
+/// [`push_row_by_coarse_key`] puts right.
+fn coarse_key(j: DocId, p: f64) -> u64 {
+    debug_assert!(p.is_sign_positive(), "no coarse key for p = {p}");
+    (!(p.to_bits() >> 32)) << 32 | u64::from(j.raw())
+}
+
+/// The id a row key ([`coarse_key`], or the count key of
+/// [`DepMatrixBuilder::build`]) holds in its low half.
+fn key_id(key: u64) -> DocId {
+    DocId::new(key as u32)
+}
+
+/// Appends to `out` the row of `keys`, the [`coarse_key`]s of its
+/// entries in any order, reading each entry's `p` from `p_of`.
+/// Ascending keys order the row by the high half of `p`, ids ascending
+/// within a tie: row order, unless two entries whose `p`s share the
+/// high half differ in the low one. Those sit next to each other, and a
+/// row that holds such a pair is sorted again by [`row_order`]. The
+/// order is total, so the row comes out as [`DepMatrix::from_entries`]
+/// lays it, bit for bit.
+fn push_row_by_coarse_key(
+    out: &mut Vec<(DocId, f64)>,
+    keys: &mut [u64],
+    p_of: impl Fn(DocId) -> f64,
+) {
+    keys.sort_unstable();
+    let start = out.len();
+    out.extend(keys.iter().map(|&k| (key_id(k), p_of(key_id(k)))));
+    let row = &mut out[start..];
+    let (high, bits) = (|p: f64| p.to_bits() >> 32, f64::to_bits);
+    if (row.windows(2)).any(|w| high(w[0].1) == high(w[1].1) && bits(w[0].1) != bits(w[1].1)) {
+        row.sort_unstable_by(row_order);
+    }
+}
+
+/// The bounds of rows holding entries from `sources`, given in any
+/// order: row `i` is `starts[i]..starts[i + 1]`. The first half of a
+/// counting sort by source; [`by_row`] is the second.
+fn row_starts(sources: impl Iterator<Item = DocId>) -> Vec<usize> {
+    // `starts[i + 1]` counts row `i`, then becomes its end.
+    let mut starts = vec![0];
+    for i in sources {
+        if starts.len() < i.index() + 2 {
+            starts.resize(i.index() + 2, 0);
+        }
+        starts[i.index() + 1] += 1;
+    }
+    for d in 1..starts.len() {
+        starts[d] += starts[d - 1];
+    }
+    starts
+}
+
+/// The `(j, value)` of `entries` laid out row by row within `starts`
+/// (which [`row_starts`] counted from the same sources), each row in
+/// the order given.
+fn by_row(
+    starts: &[usize],
+    entries: impl Iterator<Item = (DocId, (DocId, f64))>,
+) -> Vec<(DocId, f64)> {
+    let mut out = vec![(DocId::default(), 0.0); starts[starts.len() - 1]];
+    let mut next = starts.to_vec();
+    for (i, x) in entries {
+        out[next[i.index()]] = x;
+        next[i.index()] += 1;
+    }
+    out
+}
+
 /// Max-heap entry of the best-path search: probability, then id.
 struct Item(f64, DocId);
 
@@ -353,6 +419,9 @@ struct Search {
     reached: Vec<DocId>,
     /// The fixpoint's worklist.
     queue: VecDeque<DocId>,
+    /// The [`coarse_key`]s of the fixpoint's row: one per document at
+    /// most, so sized once, like `slots`.
+    keys: Vec<u64>,
     /// The ordered search's frontier.
     heap: BinaryHeap<Item>,
     /// The row of the current source.
@@ -365,6 +434,7 @@ impl Search {
             slots: vec![Slot::default(); n_docs],
             reached: Vec::new(),
             queue: VecDeque::new(),
+            keys: Vec::with_capacity(n_docs),
             heap: BinaryHeap::new(),
             row: Vec::new(),
         }
@@ -372,9 +442,14 @@ impl Search {
 
     /// Best path probability from `src` to every doc it reaches at or
     /// above `floor`, as a row of the closure (in row order, cut to
-    /// `max_row`), plus whether the safety valve cut it (in which case
-    /// the row may under-report reach). The fixpoint answers unless it
-    /// gives up; then the ordered search does.
+    /// `max_row`, in a vector of exactly its length), plus whether the
+    /// safety valve cut it (in which case the row may under-report
+    /// reach). The fixpoint answers unless it gives up; then the ordered
+    /// search does.
+    ///
+    /// Either way the row keeps its strongest `max_row` entries. Ties on
+    /// probability break by id, so the cut keeps the same tied subset
+    /// whatever order the pass reached them in.
     fn best_paths_from(
         &mut self,
         m: &DepMatrix,
@@ -385,9 +460,12 @@ impl Search {
         let valve = max_row.saturating_mul(4).saturating_add(1);
         self.row.clear();
         let truncated = if self.fixpoint(m, src, floor, valve) {
+            // Every value lies in `[floor, 1]`, so it has a coarse key.
             let slots = &self.slots;
-            let reached = self.reached.iter().map(|&j| (j, slots[j.index()].best));
-            self.row.extend(reached);
+            let p_of = |j: DocId| slots[j.index()].best;
+            self.keys.clear();
+            (self.keys).extend(self.reached.iter().map(|&j| coarse_key(j, p_of(j))));
+            push_row_by_coarse_key(&mut self.row, &mut self.keys, p_of);
             false
         } else {
             // Forget the pass, so that the ordered search, stamping with
@@ -395,12 +473,10 @@ impl Search {
             for &j in &self.reached {
                 self.slots[j.index()] = Slot::default();
             }
-            self.ordered(m, src, floor, valve)
+            let truncated = self.ordered(m, src, floor, valve);
+            self.row.sort_unstable_by(row_order);
+            truncated
         };
-        // Keep the strongest max_row entries. Ties on probability break
-        // by id, so the truncation keeps the same tied subset whatever
-        // order the pass reached them in.
-        self.row.sort_unstable_by(row_order);
         self.row.truncate(max_row);
         (self.row.clone(), truncated)
     }
@@ -540,13 +616,17 @@ impl Search {
 pub struct DepMatrixBuilder {
     window: Duration,
     /// Per-client recent accesses still inside the window, oldest
-    /// first. An occurrence of `i` counts a follower `j` once however
-    /// often `j` recurs, so `p[i,j]` is the fraction of `i`-occurrences
-    /// followed by **at least one** `j` — not a raw pair count. Ordered,
-    /// so the daily sweep walks it in an order that is the same on every
-    /// run.
-    pending: BTreeMap<ClientId, Vec<PendingAccess>>,
-    occurrences: HashMap<DocId, u64, IdHashes>,
+    /// first, indexed by client id (a trace's client ids are dense). An
+    /// occurrence of `i` counts a follower `j` once however often `j`
+    /// recurs, so `p[i,j]` is the fraction of `i`-occurrences followed
+    /// by **at least one** `j` — not a raw pair count.
+    pending: Vec<Vec<PendingAccess>>,
+    /// The clients whose queue is not empty, for the daily sweep: it
+    /// drops a queue it finds idle, and the queue's memory with it.
+    active: Vec<ClientId>,
+    /// Occurrences of each document, indexed by id (a trace's document
+    /// ids are dense).
+    occurrences: Vec<u64>,
     follows: HashMap<(DocId, DocId), u64, IdHashes>,
     /// The latest day an access was pushed for: crossing into a later
     /// day triggers the once-a-day housekeeping.
@@ -568,7 +648,7 @@ struct PendingAccess {
     doc: DocId,
 }
 
-/// The hasher of the builder's count maps: one multiply-rotate round
+/// The hasher of the builder's follow counts: one multiply-rotate round
 /// per id. The keys are a trace's own dense ids, not outside input, and
 /// nothing is seeded, so a map iterates in the same order on every run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -623,7 +703,7 @@ impl DayDelta {
 
 /// Subtracts `n` from `counts[key]`; a count that returns to 0 leaves
 /// the map, as if the key had never been counted.
-fn uncount<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, u64, IdHashes>, key: K, n: u64) {
+fn uncount(counts: &mut HashMap<(DocId, DocId), u64, IdHashes>, key: (DocId, DocId), n: u64) {
     if let std::collections::hash_map::Entry::Occupied(mut e) = counts.entry(key) {
         *e.get_mut() -= n;
         if *e.get() == 0 {
@@ -637,8 +717,9 @@ impl DepMatrixBuilder {
     pub fn new(window: Duration) -> Self {
         DepMatrixBuilder {
             window,
-            pending: Default::default(),
-            occurrences: Default::default(),
+            pending: Vec::new(),
+            active: Vec::new(),
+            occurrences: Vec::new(),
             follows: Default::default(),
             today: 0,
             window_start: 0,
@@ -665,7 +746,7 @@ impl DepMatrixBuilder {
             return;
         };
         for (doc, n) in delta.docs {
-            uncount(&mut self.occurrences, doc, n);
+            self.occurrences[doc.index()] -= n;
         }
         for (pair, n) in delta.pairs {
             uncount(&mut self.follows, pair, n);
@@ -680,7 +761,14 @@ impl DepMatrixBuilder {
             self.today = day;
             self.close_day(access.time);
         }
-        let q = self.pending.entry(access.client).or_default();
+        let c = access.client.index();
+        if self.pending.len() <= c {
+            self.pending.resize_with(c + 1, Vec::new);
+        }
+        let q = &mut self.pending[c];
+        if q.is_empty() {
+            self.active.push(access.client);
+        }
         // Retire accesses that fell out of the window, then record the
         // i→j pairs the new access completes (once per i-occurrence).
         // The queue holds every access newer than its oldest member, so
@@ -701,7 +789,11 @@ impl DepMatrixBuilder {
             }
         }
         if day >= self.window_start {
-            *self.occurrences.entry(access.doc).or_insert(0) += 1;
+            let d = access.doc.index();
+            if self.occurrences.len() <= d {
+                self.occurrences.resize(d + 1, 0);
+            }
+            self.occurrences[d] += 1;
             if day < self.retire_before {
                 let delta = self.deltas.entry(day).or_default();
                 delta.docs.push((access.doc, 1));
@@ -717,14 +809,21 @@ impl DepMatrixBuilder {
     /// Once per pushed day, before the first access at `now`: drops the
     /// queues of clients idle for a whole window — the client's next
     /// access would empty such a queue anyway, so the counts cannot
-    /// tell, and the map stays bounded by the clients active within a
-    /// window rather than by every client ever seen — and packs the
-    /// deltas the closed days have grown.
+    /// tell, and the queues held stay bounded by the clients active
+    /// within a window rather than by every client ever seen — and
+    /// packs the deltas the closed days have grown.
     fn close_day(&mut self, now: specweb_core::time::SimTime) {
         let window = self.window;
         if !window.is_infinite() {
-            self.pending
-                .retain(|_, q| q.last().is_some_and(|p| now.since(p.time) < window));
+            let pending = &mut self.pending;
+            self.active.retain(|c| {
+                let q = &mut pending[c.index()];
+                let live = q.last().is_some_and(|p| now.since(p.time) < window);
+                if !live {
+                    *q = Vec::new();
+                }
+                live
+            });
         }
         for delta in self.deltas.values_mut() {
             delta.coalesce();
@@ -733,6 +832,7 @@ impl DepMatrixBuilder {
 
     /// Feeds a whole slice of accesses.
     pub fn push_all(&mut self, accesses: &[Access]) {
+        let _f = specweb_core::obs::profile::frame("deps.push");
         for a in accesses {
             self.push(a);
         }
@@ -742,16 +842,73 @@ impl DepMatrixBuilder {
     /// antecedent was seen fewer than that many times (tiny samples
     /// produce wild probabilities — the paper's curves are built from
     /// >50k accesses).
+    ///
+    /// `p[i,j] = min(n, occ) / occ` for the `n` follows of the pair and
+    /// the `occ` occurrences of `i`, which a row shares (the cap keeps
+    /// `p ≤ 1` whatever the counts). So within a row, `p` descends
+    /// exactly as `occ − min(n, occ)` ascends, and a row is put in row
+    /// order by sorting the integer keys `(occ − min(n, occ)) << 32 | j`,
+    /// from which `p` is then computed, bit for bit the quotient of the
+    /// counts. A count at or past `2³²` does not fit the key: the matrix
+    /// is then sorted by the comparator.
     pub fn build(&self, min_support: u64) -> DepMatrix {
-        // lint:allow(G1): `from_entries` puts what it is given in row
+        let _f = specweb_core::obs::profile::frame("deps.build");
+        let occurrences = |i: DocId| self.occurrences.get(i.index()).copied().unwrap_or(0);
+        // lint:allow(G1): each row is put in row order below, a total
         // order, so the hash order cannot reach the returned matrix.
         let counted = self.follows.iter().filter_map(|(&(i, j), &n)| {
-            let occ = *self.occurrences.get(&i).unwrap_or(&0);
-            // A document can be re-requested more often than its
-            // antecedent when loops exist; cap at 1.
+            let occ = occurrences(i);
+            (occ >= min_support.max(1)).then_some((i, j, n.min(occ), occ))
+        });
+        if self.occurrences.iter().any(|&occ| occ >> 32 != 0) {
+            let shares = counted.map(|(i, j, n, occ)| (i, j, n as f64 / occ as f64));
+            return DepMatrix::from_entries(shares);
+        }
+        // Each row is laid out holding its follow counts (below 2³², so
+        // exact), then ordered by its keys and given its shares.
+        let starts = row_starts(counted.clone().map(|(i, ..)| i));
+        let counts = counted.map(|(i, j, n, _)| (i, (j, n as f64)));
+        let mut edges = by_row(&starts, counts);
+        let mut keys = Vec::new();
+        for (i, row) in starts.windows(2).enumerate() {
+            let occ = occurrences(DocId::from(i));
+            let row = &mut edges[row[0]..row[1]];
+            keys.clear();
+            keys.extend(
+                row.iter()
+                    .map(|&(j, n)| (occ - n as u64) << 32 | u64::from(j.raw())),
+            );
+            keys.sort_unstable();
+            for (entry, &k) in row.iter_mut().zip(&keys) {
+                *entry = (key_id(k), (occ - (k >> 32)) as f64 / occ as f64);
+            }
+        }
+        DepMatrix {
+            starts,
+            edges,
+            truncated_rows: 0,
+        }
+    }
+
+    /// [`DepMatrixBuilder::build`] with every row sorted by the
+    /// comparator: what it must equal, bit for bit.
+    #[cfg(test)]
+    fn build_reference(&self, min_support: u64) -> DepMatrix {
+        let counted = self.follows.iter().filter_map(|(&(i, j), &n)| {
+            let occ = self.occurrences.get(i.index()).copied().unwrap_or(0);
             (occ >= min_support.max(1)).then(|| (i, j, (n as f64 / occ as f64).min(1.0)))
         });
         DepMatrix::from_entries(counted)
+    }
+
+    /// The documents counted, each with its count, ascending by id.
+    #[cfg(test)]
+    fn occurrence_counts(&self) -> Vec<(DocId, u64)> {
+        let counts = self.occurrences.iter().enumerate();
+        counts
+            .filter(|&(_, &n)| n > 0)
+            .map(|(d, &n)| (DocId::from(d), n))
+            .collect()
     }
 
     /// Convenience: estimate `P` from a full access slice in one call.
@@ -874,9 +1031,7 @@ mod tests {
                 ((c, b), 1)
             ]
         );
-        let mut occurrences: Vec<_> = builder.occurrences.iter().map(|(&k, &n)| (k, n)).collect();
-        occurrences.sort_unstable();
-        assert_eq!(occurrences, [(a, 2), (b, 2), (c, 1)]);
+        assert_eq!(builder.occurrence_counts(), [(a, 2), (b, 2), (c, 1)]);
     }
 
     #[test]
@@ -1250,6 +1405,16 @@ mod tests {
         (1u32..=8).prop_map(|k| f64::from(k) / 8.0)
     }
 
+    /// Probabilities in `(0, 1]` that tie or nearly tie: a few bases
+    /// (`1.0` among them) moved down by 0, 1 or 2 ulps, or by an amount
+    /// that still leaves the high half of the bits alone or just changes
+    /// it — the entries a coarse key alone would misorder.
+    fn near_ties() -> impl Strategy<Value = f64> {
+        let base = prop_oneof![Just(1.0f64), eighths(), Just(0.3), Just(0.01)];
+        let ulps = prop_oneof![0u64..3, Just(1 << 31), Just(1 << 32), 0u64..1 << 33];
+        (base, ulps).prop_map(|(p, d)| f64::from_bits(p.to_bits() - d))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1319,6 +1484,40 @@ mod tests {
         }
 
         #[test]
+        fn coarse_keys_sort_a_row_as_the_comparator_does(
+            row in prop::collection::vec((0u32..48, near_ties()), 0..96),
+        ) {
+            let p_of: BTreeMap<DocId, f64> = row.iter().map(|&(j, p)| (DocId(j), p)).collect();
+            let mut want: Vec<(DocId, f64)> = p_of.iter().map(|(&j, &p)| (j, p)).collect();
+            want.sort_unstable_by(row_order);
+            // Keys in descending id order, the reverse of a sorted run.
+            let mut keys: Vec<u64> = p_of.iter().rev().map(|(&j, &p)| coarse_key(j, p)).collect();
+            let mut got = vec![(DocId(99), 0.5)];
+            push_row_by_coarse_key(&mut got, &mut keys, |j| p_of[&j]);
+            let bits = |row: &[(DocId, f64)]| row.iter().map(|&(j, p)| (j, p.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got[1..]), bits(&want));
+            prop_assert_eq!(got[0], (DocId(99), 0.5), "what `out` held stays");
+        }
+
+        #[test]
+        fn closure_rows_of_near_ties_equal_the_hash_map_kernel(
+            edges in prop::collection::vec((0u32..24, 0u32..24, near_ties()), 0..120),
+            star in prop::collection::vec(near_ties(), 0..23),
+            floor in prop_oneof![Just(0.3), Just(1e-6)],
+            max_row in prop_oneof![Just(1usize), Just(3), Just(8), Just(64)],
+        ) {
+            // Row 0 reaches up to 23 documents directly: longer than
+            // `max_row`, so the cut keeps a subset of near ties.
+            let mut all: Vec<(u32, u32, f64)> = (1..).zip(star).map(|(j, p)| (0, j, p)).collect();
+            all.extend(edges);
+            let m = matrix_of(&all);
+            let got = m.closure_jobs(floor, max_row, 1).unwrap();
+            let want = reference_closure(&m, floor, max_row);
+            prop_assert_eq!(got.truncated_rows(), want.truncated_rows());
+            prop_assert_eq!(got.bits(), want.bits());
+        }
+
+        #[test]
         fn blend_equals_the_btree_definition_bit_for_bit(
             raw in prop::collection::vec(
                 (
@@ -1327,6 +1526,8 @@ mod tests {
                         (1i32..40).prop_map(|k| 0.95f64.powi(k)),
                         Just(1e-4),
                         Just(1e-300),
+                        // Sums a few ulps apart.
+                        (0u64..3).prop_map(|d| f64::from_bits(0.5f64.to_bits() + d)),
                     ],
                     // `1e-30` under a `1e-300` weight blends to nothing
                     // beside a heavier part; ids 12.. are rows and
@@ -1335,6 +1536,7 @@ mod tests {
                         prop_oneof![
                             (0u32..12, 0u32..12, eighths()),
                             (0u32..12, 0u32..12, 0.001f64..1.0),
+                            (0u32..12, 0u32..12, near_ties()),
                             (0u32..16, 0u32..16, Just(1e-30)),
                         ],
                         0..40,
@@ -1476,18 +1678,22 @@ mod tests {
         }
         accesses.sort_by_key(|a| a.time);
 
+        // A queue is held iff its client is active, and an idle one
+        // gives its memory back.
+        let held = |b: &DepMatrixBuilder| b.pending.iter().filter(|q| q.capacity() > 0).count();
         let mut b = DepMatrixBuilder::new(W);
         let mut peak = 0;
         for a in &accesses {
             b.push(a);
-            peak = peak.max(b.pending.len());
+            peak = peak.max(b.active.len());
         }
         assert_eq!(peak, CLIENTS as usize, "day 0 holds every client");
         assert!(
-            b.pending.len() <= 21,
+            b.active.len() <= 21,
             "{} queues left for 20 active clients",
-            b.pending.len()
+            b.active.len()
         );
+        assert_eq!(held(&b), b.active.len());
         assert_eq!(
             b.build(2).bits(),
             reference_estimate(&accesses, W, 2).bits()
@@ -1497,11 +1703,73 @@ mod tests {
         let mut b = DepMatrixBuilder::new(Duration::INFINITE);
         b.push_all(&accesses[..4_000]);
         b.push(accesses.last().unwrap());
-        assert_eq!(b.pending.len(), 2_000);
+        assert_eq!((b.active.len(), held(&b)), (2_000, 2_000));
+    }
+
+    /// A builder fed `raw` (`(client, doc, gap in ms)`), then with the
+    /// follows of every pair multiplied by `scale(pair)`. A pushed trace
+    /// never counts more follows than occurrences; a scaled one does,
+    /// which is where `build` caps `p` at 1.
+    fn builder_of(
+        raw: &[(u32, u32, u64)],
+        scale: impl Fn(DocId, DocId) -> u64,
+    ) -> DepMatrixBuilder {
+        let mut b = DepMatrixBuilder::new(W);
+        let mut t = 0;
+        for &(c, d, gap) in raw {
+            t += gap;
+            b.push(&acc(c, d, t));
+        }
+        for (&(i, j), n) in b.follows.iter_mut() {
+            *n *= scale(i, j);
+        }
+        b
+    }
+
+    #[test]
+    fn counts_past_the_key_width_are_sorted_by_the_comparator() {
+        // Doc 1 occurs 2³² + 5 times, and its followers' counts differ:
+        // `occ − n` does not fit the key's 32 bits.
+        let raw = [
+            (0, 1, 0),
+            (0, 2, 10),
+            (0, 3, 20),
+            (0, 1, 30),
+            (0, 3, 40),
+            (0, 4, 50),
+        ];
+        let mut b = builder_of(
+            &raw,
+            |i, j| if i == DocId(1) { u64::from(j.raw()) } else { 1 },
+        );
+        b.occurrences[1] += 1 << 32;
+        let m = b.build(1);
+        assert_eq!(m, b.build_reference(1));
+        let row: Vec<DocId> = m.row(DocId(1)).iter().map(|&(j, _)| j).collect();
+        assert_eq!(row, [DocId(4), DocId(3), DocId(2)]);
+        assert!(m.rows_in_order());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn build_equals_the_comparator_build_bit_for_bit(
+            raw in prop_oneof![
+                prop::collection::vec((0u32..4, 0u32..14, 0u64..4_000), 0..300),
+                prop::collection::vec((0u32..2, 0u32..4, 0u64..2_000), 0..300),
+            ],
+            loops in prop::collection::vec(1u64..4, 16),
+            min_support in 1u64..=5,
+        ) {
+            // Some pairs followed more often than their source occurs.
+            let scale = |i: DocId, j: DocId| loops[(i.index() * 3 + j.index()) % 16];
+            let b = builder_of(&raw, scale);
+            let (got, want) = (b.build(min_support), b.build_reference(min_support));
+            prop_assert_eq!(got.bits(), want.bits());
+            // `starts` included.
+            prop_assert_eq!(got, want);
+        }
 
         #[test]
         fn estimate_matches_the_definition(
@@ -1561,7 +1829,7 @@ mod tests {
             for a in accesses.iter().filter(|a| a.time.day() >= retired) {
                 fresh.push(a);
             }
-            prop_assert_eq!(&slid.occurrences, &fresh.occurrences);
+            prop_assert_eq!(slid.occurrence_counts(), fresh.occurrence_counts());
             prop_assert_eq!(&slid.follows, &fresh.follows);
             prop_assert!(slid.deltas.is_empty(), "retired days keep no delta");
         }
