@@ -135,13 +135,18 @@ fn serial_and_parallel_runs_are_byte_identical() {
         // closures run on pool workers and must still nest here. A
         // slide and the per-day pass split into the builder's push and
         // build halves (`deps.push` per pushed day, `deps.build` per
-        // matrix), the per-day ones on pool workers too. The
+        // matrix), the per-day ones on pool workers too. A trace
+        // generation's three phases (world, session walk, ordering),
+        // once each per trace. The
         // shared store is built once, under `inputs`; exp-closure only
         // re-closes it. A dissemination run's three phases, once each
         // per run: six runs (shared and tailored at three fractions).
         let wanted: &[&str] = match name.as_str() {
             "profile_inputs.txt" => &[
                 "inputs;workload.trace calls 2",
+                "inputs;workload.trace;trace.world calls 2",
+                "inputs;workload.trace;trace.sessions calls 2",
+                "inputs;workload.trace;trace.order calls 2",
                 "inputs;estimator.precompute calls 1",
                 "inputs;estimator.precompute;estimator.slide calls 1",
                 "inputs;estimator.precompute;estimator.slide;deps.push calls ",

@@ -17,7 +17,8 @@
 //! first, then each day's round right after that day's sessions, every
 //! round from its own `child_idx("churn", day)` stream — so days are
 //! independent work items, no graph is copied per day, and the merged
-//! trace is byte-identical for any worker count.
+//! trace is byte-identical for any worker count. The merged day blocks
+//! are then ordered one day at a time in linear time ([`order_days`]).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -281,6 +282,135 @@ pub const MAX_TOTAL_SESSIONS: u64 = 1 << 40;
 /// one churn round per day) — so the day count needs its own ceiling.
 pub const MAX_DURATION_DAYS: u64 = 1 << 20;
 
+/// Accesses reserved per session in a run's buffer. `bu_www` worlds
+/// generate 13.4–14.4 per session (nine page visits and the embedded
+/// objects the session's memory cache lets through), so a run's buffer
+/// is filled once and never regrown; unwritten capacity costs address
+/// space, not resident memory.
+const ACCESSES_PER_SESSION: usize = 16;
+
+/// Width of a day sort's buckets: one minute of simulated time. A day
+/// of `bu_www` sessions spreads its accesses over ≈ 1 440 buckets of a
+/// few entries each.
+const BUCKET_MS: u64 = 60_000;
+
+/// Buckets (and slices) at most this long are finished by insertion
+/// sort; longer ones by `sort_unstable_by_key`, so a dense day cannot
+/// take a quadratic path.
+const INSERTION_MAX: usize = 24;
+
+/// The trace's total order. Two accesses equal on all four fields are
+/// equal outright (`server` follows from `doc`, `locality` from
+/// `client`), so every correct sort on this key yields the same bytes.
+fn order_key(a: &Access) -> (SimTime, ClientId, DocId, u64) {
+    (a.time, a.client, a.doc, a.session)
+}
+
+/// Sorts a short slice on [`order_key`] by insertion.
+fn insertion_sort(v: &mut [Access]) {
+    for i in 1..v.len() {
+        let mut j = i;
+        while j > 0 && order_key(&v[j]) < order_key(&v[j - 1]) {
+            v.swap(j, j - 1);
+            j -= 1;
+        }
+    }
+}
+
+/// A bucket sort on [`order_key`] whose buffers are reused from one
+/// slice to the next.
+#[derive(Debug, Default)]
+struct BucketSort {
+    /// A copy of the slice, scattered back into it bucket by bucket.
+    scratch: Vec<Access>,
+    /// Per bucket: its start, then (after the scatter) its end.
+    ends: Vec<usize>,
+}
+
+impl BucketSort {
+    /// Sorts `slice` on [`order_key`]: scatters it into buckets of
+    /// [`BUCKET_MS`] (widened so that there are never more buckets than
+    /// entries) counted from its earliest time, then finishes each
+    /// bucket on the full key. The scatter is stable, so a session's
+    /// accesses keep their ascending generation order inside a bucket
+    /// and the insertion sort has little to move; an in-place
+    /// (swapping) scatter loses that and took twice as long.
+    fn sort(&mut self, slice: &mut [Access]) {
+        if slice.len() <= INSERTION_MAX {
+            insertion_sort(slice);
+            return;
+        }
+        let lo = slice.iter().map(|a| a.time).min().unwrap_or(SimTime::ZERO);
+        let hi = slice.iter().map(|a| a.time).max().unwrap_or(SimTime::ZERO);
+        let span = hi.as_millis() - lo.as_millis();
+        // `span / width < len`, so the bucket count is bounded by the
+        // slice, however far forward a tail reaches.
+        let width = (span / slice.len() as u64 + 1).max(BUCKET_MS);
+        let bucket = |t: SimTime| ((t.as_millis() - lo.as_millis()) / width) as usize;
+        self.ends.clear();
+        self.ends.resize(bucket(hi) + 1, 0);
+        for a in slice.iter() {
+            self.ends[bucket(a.time)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut self.ends {
+            let n = *slot;
+            *slot = start;
+            start += n;
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(slice);
+        for a in &self.scratch {
+            let slot = &mut self.ends[bucket(a.time)];
+            slice[*slot] = *a;
+            *slot += 1;
+        }
+        let mut from = 0;
+        for &to in &self.ends {
+            let run = &mut slice[from..to];
+            if run.len() <= INSERTION_MAX {
+                insertion_sort(run);
+            } else {
+                run.sort_unstable_by_key(order_key);
+            }
+            from = to;
+        }
+    }
+}
+
+/// Orders `out` on [`order_key`], given that `out[..start]` is already
+/// ordered and that no access of `out[start..]` is before `midnight`.
+/// Only the tail of the ordered prefix at or after `midnight` can
+/// interleave with the new block, so that tail and the block are sorted
+/// together; everything before the tail is below both.
+fn order_day(out: &mut [Access], start: usize, midnight: SimTime, sorter: &mut BucketSort) {
+    let tail = out[..start].partition_point(|a| a.time < midnight);
+    sorter.sort(&mut out[tail..]);
+}
+
+/// Orders a trace laid out as consecutive day blocks — block `d`
+/// holding day `d`'s sessions in generation order, `day_lens[d]` long —
+/// one day at a time. Every access of day `d`'s sessions is at
+/// or after day `d`'s midnight, so by induction `accesses[..end]` is
+/// ordered after each day's [`order_day`]; the key is total, so the
+/// bytes are those of a global sort, in time linear in the trace (plus
+/// the short midnight tails, sorted again with the next day).
+fn order_days(accesses: &mut [Access], day_lens: &[usize]) {
+    let mut sorter = BucketSort::default();
+    let mut end = 0usize;
+    for (day, &len) in (0..).zip(day_lens) {
+        // The block lengths sum to `accesses.len()`, so this never saturates.
+        let start = end;
+        end = start.saturating_add(len);
+        order_day(
+            &mut accesses[..end],
+            start,
+            SimTime::from_days(day),
+            &mut sorter,
+        );
+    }
+}
+
 /// What every day of a generation reads, built once before the days fan
 /// out. `graphs` is the site before any churn round.
 struct World {
@@ -372,12 +502,19 @@ impl TraceGenerator {
     /// to its first day by replaying the earlier days' churn rounds and
     /// then advances by day `d`'s round right after day `d`'s sessions;
     /// the trace's graphs are the last run's, after all
-    /// `duration_days` rounds. The runs are merged in day order, so the
-    /// result does not depend on `jobs`.
+    /// `duration_days` rounds. The runs are concatenated in day order,
+    /// each day's sessions one block in generation order, and the
+    /// blocks are ordered one day at a time ([`order_days`]), so the
+    /// result does not depend on `jobs`. Under an installed profiler the
+    /// three phases are the frames `trace.world`, `trace.sessions` and
+    /// `trace.order`, once per call.
     pub fn generate_with_jobs(&self, topo: &Topology, jobs: usize) -> Result<Trace> {
         let cfg = &self.cfg;
         let seed = SeedTree::new(cfg.seed);
-        let world = self.world(&seed, topo)?;
+        let world = {
+            let _f = specweb_core::obs::profile::frame("trace.world");
+            self.world(&seed, topo)?
+        };
         let churn = cfg.link_churn_per_day;
         // Per-day preallocation: checked (satellite of the unchecked
         // `days × sessions × 12` multiply) and capped, so a huge
@@ -385,7 +522,7 @@ impl TraceGenerator {
         // gigabyte up-front reservation.
         let day_capacity = cfg
             .sessions_per_day
-            .checked_mul(12)
+            .checked_mul(ACCESSES_PER_SESSION)
             .map_or(1 << 20, |n| n.min(1 << 20));
         // One contiguous run of days per worker, appended into one
         // vector: a serial generation fills the trace's own vector and
@@ -396,9 +533,11 @@ impl TraceGenerator {
         let runs: Vec<&[u64]> = days
             .chunks(days.len().div_ceil(jobs.max(1)).max(1))
             .collect();
+        let sessions_frame = specweb_core::obs::profile::frame("trace.sessions");
         let shards = specweb_core::par::par_map_indexed(jobs, &runs, |_, run| {
             let mut out: Vec<Access> =
                 Vec::with_capacity(day_capacity.saturating_mul(run.len()).min(1 << 22));
+            let mut day_lens = Vec::with_capacity(run.len());
             // Site evolution is the one sequential process: day d's
             // sessions must see the graphs after exactly d churn rounds.
             // The run folds them on its own copy — the rounds before its
@@ -412,28 +551,35 @@ impl TraceGenerator {
             }
             for &day in *run {
                 let today = folded.as_deref().unwrap_or(&world.graphs);
+                let before = out.len();
                 self.day_sessions(&seed, &world, today, day, &mut out);
+                day_lens.push(out.len() - before);
                 if let Some(graphs) = folded.as_mut() {
                     churn_round(&seed, day, graphs, churn);
                 }
             }
-            (out, folded)
+            (out, day_lens, folded)
         });
 
-        // Deterministic merge, in day order. The sort key ends in the
-        // session id — ascending in generation order, so ties fall as a
-        // stable sort on the first three fields left them, and accesses
-        // equal on all four are equal outright — which lets the sort
-        // run in place. The last run's graphs have been through all
-        // `duration_days` churn rounds: the trace's final site.
+        // Deterministic merge: the runs' day blocks concatenated in day
+        // order (a serial generation's one run is moved, not copied).
+        // The last run's graphs have been through all `duration_days`
+        // churn rounds: the trace's final site.
+        let total: usize = shards.iter().map(|(out, _, _)| out.len()).sum();
         let mut shards = shards.into_iter();
-        let (mut accesses, mut folded) = shards.next().unwrap_or_default();
-        for (shard, graphs) in shards {
+        let (mut accesses, mut day_lens, mut folded) = shards.next().unwrap_or_default();
+        accesses.reserve_exact(total - accesses.len());
+        for (shard, lens, graphs) in shards {
             accesses.extend(shard);
+            day_lens.extend(lens);
             folded = graphs;
         }
+        std::mem::drop(sessions_frame);
+        {
+            let _f = specweb_core::obs::profile::frame("trace.order");
+            order_days(&mut accesses, &day_lens);
+        }
         let n_accesses = accesses.len() as u64;
-        accesses.sort_unstable_by_key(|a| (a.time, a.client, a.doc, a.session));
         let n_sessions = cfg
             .duration_days
             .saturating_mul(cfg.sessions_per_day as u64);
@@ -508,6 +654,7 @@ impl TraceGenerator {
         let spd = self.cfg.sessions_per_day as u64;
         let mut rng = seed.child_idx("day-sessions", day).rng();
         let day_start = SimTime::from_days(day);
+        let mut fetched = Vec::new();
         for i in 0..spd {
             let start =
                 day_start + Duration::from_millis(rng.gen_range(0..Duration::DAY.as_millis()));
@@ -521,6 +668,7 @@ impl TraceGenerator {
                 client.locality,
                 start,
                 day.saturating_mul(spd).saturating_add(i),
+                &mut fetched,
                 out,
             );
         }
@@ -528,7 +676,8 @@ impl TraceGenerator {
 
     /// Simulates one browsing session: strides of page visits connected
     /// by link follows, with embedded objects fetched right after each
-    /// page.
+    /// page. `fetched` is the session's memory cache, a buffer the
+    /// caller reuses from session to session.
     #[allow(clippy::too_many_arguments)]
     fn run_session<R: Rng + ?Sized>(
         &self,
@@ -538,6 +687,7 @@ impl TraceGenerator {
         locality: Locality,
         start: SimTime,
         session: u64,
+        fetched: &mut Vec<DocId>,
         out: &mut Vec<Access>,
     ) {
         let timing = &self.cfg.timing;
@@ -549,9 +699,9 @@ impl TraceGenerator {
         // one): an embedded object is requested — and thus appears in
         // the server log — at most once per session. This is what keeps
         // a *shared* icon's measured p[page → icon] well below 1, while
-        // page-unique embeddings stay certain.
-        let mut session_fetched: std::collections::BTreeSet<DocId> =
-            std::collections::BTreeSet::new();
+        // page-unique embeddings stay certain. A session fetches a
+        // handful of embedded objects, so a list scan is the set.
+        fetched.clear();
 
         for stride in 0..n_strides {
             if stride > 0 {
@@ -566,8 +716,11 @@ impl TraceGenerator {
                 // objects in quick succession (well inside the 5 s
                 // window, so the analyzer sees them as dependencies).
                 for (k, doc) in graph.visit_docs(page).enumerate() {
-                    if k > 0 && !session_fetched.insert(doc) {
-                        continue; // browser memory cache hit
+                    if k > 0 {
+                        if fetched.contains(&doc) {
+                            continue; // browser memory cache hit
+                        }
+                        fetched.push(doc);
                     }
                     out.push(Access {
                         time: t + Duration::from_millis(50 * k as u64),
@@ -617,7 +770,10 @@ mod tests {
         assert!(!t.is_empty());
         assert!(t.n_sessions > 0);
         for w in t.accesses.windows(2) {
-            assert!(w[0].time <= w[1].time, "trace must be time-ordered");
+            assert!(
+                order_key(&w[0]) <= order_key(&w[1]),
+                "trace must be ordered on (time, client, doc, session): {w:?}"
+            );
         }
         // All ids are valid.
         for a in &t.accesses {
@@ -821,6 +977,153 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Sessions that cross midnight and outlive whole days: every
+    /// reading pause sits at its 30-minute clamp and a session runs
+    /// ≈ 100 strides, i.e. two days on average; strides of ≈ 25 quick
+    /// visits crowd more than [`INSERTION_MAX`] accesses into one bucket.
+    fn day_spanning_timing() -> SessionTiming {
+        SessionTiming {
+            intra_stride_mean: Duration::from_millis(200),
+            inter_stride_mean: Duration::from_days(1),
+            mean_stride_len: 25.0,
+            mean_strides_per_session: 100.0,
+        }
+    }
+
+    /// An access whose `server` and `locality` follow from its `doc`
+    /// and `client`, as in a generated trace, so [`order_key`] is total.
+    fn access(ms: u64, client: u32, doc: u32, session: u64) -> Access {
+        Access {
+            time: SimTime::from_millis(ms),
+            client: ClientId::new(client),
+            doc: DocId::new(doc),
+            server: ServerId::new(doc % 2),
+            locality: if client.is_multiple_of(2) {
+                Locality::Local
+            } else {
+                Locality::Remote
+            },
+            session,
+        }
+    }
+
+    /// Accesses at `base` plus an offset in `[0, span]`, with few
+    /// enough clients, docs and sessions that equal times with different
+    /// keys (and exact duplicates) are common.
+    fn accesses_after(
+        base: u64,
+        span: u64,
+        len: std::ops::Range<usize>,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<Access>> {
+        use proptest::prelude::*;
+        // A third of the offsets are exactly `base` (the midnight the
+        // tail boundary is taken at); the rest fall anywhere in the span.
+        let offset = prop_oneof![Just(0u64), 0..=span, 0..=span];
+        proptest::prop::collection::vec((offset, 0u32..3, 0u32..3, 0u64..3), len).prop_map(
+            move |v| {
+                v.into_iter()
+                    .map(|(ms, c, d, s)| access(base + ms, c, d, s))
+                    .collect()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// The day ordering equals the global sort of the slow twin when
+        /// sessions cross midnight and run for days: one-day traces,
+        /// more workers than days, dense buckets, with and without churn.
+        #[test]
+        fn day_order_equals_a_global_sort_across_midnight(seed in 0u64..1_000_000) {
+            let topo = Topology::balanced(2, 3, 4);
+            let mut outlived_a_day = false;
+            for days in [1u64, 3] {
+                for churn in [0.0, 0.3] {
+                    let mut cfg = TraceConfig::small(seed);
+                    cfg.duration_days = days;
+                    cfg.sessions_per_day = 3;
+                    cfg.timing = day_spanning_timing();
+                    cfg.link_churn_per_day = churn;
+                    let generator = TraceGenerator::new(cfg).unwrap();
+                    let reference = snapshot_reference(&generator, &topo);
+                    // A session of day d still browsing on day d + 2.
+                    outlived_a_day |= reference.accesses.iter().any(|a| a.time.day() >= a.session / 3 + 2);
+                    for jobs in [1, 2, 4] {
+                        let fast = generator.generate_with_jobs(&topo, jobs).unwrap();
+                        let at = format!("days={days} churn={churn} jobs={jobs}");
+                        proptest::prop_assert_eq!(&fast.accesses, &reference.accesses, "{}", at);
+                    }
+                }
+            }
+            proptest::prop_assert!(outlived_a_day, "no session outlived a whole day");
+        }
+    }
+
+    proptest::proptest! {
+        /// The bucket sort equals `sort_unstable_by_key` on the full key:
+        /// empty and insertion-sized slices, everything in one bucket or
+        /// at one instant, and spans of weeks (buckets widened to the
+        /// slice length). One sorter serves every slice, as in a
+        /// generation.
+        #[test]
+        fn bucket_sort_equals_a_comparison_sort(
+            slices in proptest::prop::collection::vec(
+                proptest::prop_oneof![
+                    accesses_after(5 * Duration::DAY.as_millis(), 0, 0..300),
+                    accesses_after(0, BUCKET_MS - 1, 0..300),
+                    accesses_after(Duration::DAY.as_millis(), 4 * BUCKET_MS, 0..300),
+                    accesses_after(0, Duration::DAY.as_millis(), 0..300),
+                    accesses_after(0, 40 * Duration::DAY.as_millis(), 0..300),
+                ],
+                1..4,
+            )
+        ) {
+            let mut sorter = BucketSort::default();
+            for mut slice in slices {
+                let mut want = slice.clone();
+                want.sort_unstable_by_key(order_key);
+                sorter.sort(&mut slice);
+                proptest::prop_assert_eq!(slice, want);
+            }
+        }
+
+        /// One day's ordering step equals a full sort, given an ordered
+        /// prefix and a block at or after midnight: the prefix's tail
+        /// starts before, at and after midnight and reaches days past
+        /// it, and many accesses sit exactly at midnight.
+        #[test]
+        fn order_day_equals_a_full_sort(
+            before in accesses_after(3 * Duration::DAY.as_millis() - 2 * BUCKET_MS, 2 * BUCKET_MS, 0..60),
+            tail in accesses_after(3 * Duration::DAY.as_millis(), 3 * Duration::DAY.as_millis(), 0..60),
+            block in accesses_after(3 * Duration::DAY.as_millis(), Duration::DAY.as_millis() + 1, 0..120),
+        ) {
+            let midnight = SimTime::from_days(3);
+            let mut out = before;
+            out.extend(tail);
+            out.sort_unstable_by_key(order_key);
+            let start = out.len();
+            out.extend(block);
+            let mut want = out.clone();
+            want.sort_unstable_by_key(order_key);
+            order_day(&mut out, start, midnight, &mut BucketSort::default());
+            proptest::prop_assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn a_world_without_sessions_generates_an_empty_trace() {
+        // Every day block is empty, in every run; ordering walks them all.
+        let mut cfg = TraceConfig::small(5);
+        cfg.sessions_per_day = 0;
+        let t = TraceGenerator::new(cfg)
+            .unwrap()
+            .generate_with_jobs(&Topology::balanced(2, 3, 4), 3)
+            .unwrap();
+        assert!(t.is_empty());
+        assert_eq!(t.n_sessions, 0);
     }
 
     #[test]
