@@ -238,8 +238,12 @@ impl Inputs {
             republish(held, "trace.sessions_generated", bench.trace.n_sessions);
             if need == Need::BuStore {
                 let held = bench.store.get().is_some();
-                let rows = bench.store()?.truncated_rows();
-                republish(held, "spec.closure_truncated_rows", rows);
+                let store = bench.store()?;
+                republish(held, "spec.closure_truncated_rows", store.truncated_rows());
+                republish(held, "spec.closure_rows", store.closure_rows());
+                if let (true, Some(obs)) = (held, &obs) {
+                    (obs.metrics.gauge("mem.store_bytes")).record(store.heap_bytes().get());
+                }
             }
         }
         Ok(())
@@ -305,7 +309,9 @@ mod tests {
         // Built inside the run, built before it, or half of each: the
         // run's counters are the same.
         let native = counters_of(&[]);
-        assert_eq!(native.len(), 3, "{native:?}");
+        // Two trace counters, and the store's truncated and closed rows
+        // and its heap.
+        assert_eq!(native.len(), 5, "{native:?}");
         assert_eq!(native, counters_of(&[Need::BuStore, Need::DriftTrace]));
         assert_eq!(native, counters_of(&[Need::BuTrace]));
     }

@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use specweb_core::ids::{ClientId, DocId};
 use specweb_core::stats::Histogram;
 use specweb_core::time::Duration;
+use specweb_core::units::Bytes;
 use specweb_core::{CoreError, Result};
 use specweb_trace::generator::Access;
 
@@ -42,18 +43,96 @@ use specweb_trace::generator::Access;
 /// counts for `P` ([`DepMatrixBuilder::build`]), the high half of `p`'s
 /// bits for `P*` and the aged blend, with ties on it sorted again —
 /// which order a row exactly as the comparator does.
+///
+/// The entries are held split, their ids in one array and their
+/// probabilities in another: 12 bytes an entry, where a `(DocId, f64)`
+/// pair takes 16 with its padding. [`DepMatrix::row`] reads a row of
+/// both as a [`Row`]. Serialized, the entries are `[id, p]` pairs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(from = "WireMatrix", into = "WireMatrix")]
 pub struct DepMatrix {
-    /// Row `i` is `edges[starts[i.index()]..starts[i.index() + 1]]`, for
-    /// every id up to the largest that has a row.
+    /// Row `i` is `starts[i.index()]..starts[i.index() + 1]` of `ids`
+    /// and `ps`, for every id up to the largest that has a row.
     starts: Vec<usize>,
-    /// `(j, p)` entries with `p > 0`, row after row.
-    edges: Vec<(DocId, f64)>,
+    /// The target `j` of every entry (`p > 0`), row after row.
+    ids: Vec<DocId>,
+    /// The `p` of every entry, at its `j`'s index in `ids`.
+    ps: Vec<f64>,
     /// Rows whose best-path search hit the safety valve during
     /// [`DepMatrix::closure`] — those rows may under-report `P*` reach.
     /// Zero for directly-estimated matrices. Surfaced (never silently
     /// dropped) so sweeps can tell a pruned closure from a complete one.
     truncated_rows: u64,
+}
+
+/// The serialized shape of a [`DepMatrix`]: its entries as `(j, p)`
+/// pairs, row after row.
+#[derive(Serialize, Deserialize)]
+struct WireMatrix {
+    starts: Vec<usize>,
+    edges: Vec<(DocId, f64)>,
+    truncated_rows: u64,
+}
+
+impl From<DepMatrix> for WireMatrix {
+    fn from(m: DepMatrix) -> WireMatrix {
+        WireMatrix {
+            edges: m.ids.into_iter().zip(m.ps).collect(),
+            starts: m.starts,
+            truncated_rows: m.truncated_rows,
+        }
+    }
+}
+
+impl From<WireMatrix> for DepMatrix {
+    fn from(w: WireMatrix) -> DepMatrix {
+        let (ids, ps) = w.edges.into_iter().unzip();
+        DepMatrix {
+            starts: w.starts,
+            ids,
+            ps,
+            truncated_rows: w.truncated_rows,
+        }
+    }
+}
+
+/// One row of a [`DepMatrix`]: its `(j, p)` entries, most probable
+/// first, ids ascending on ties.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    ids: &'a [DocId],
+    ps: &'a [f64],
+}
+
+type RowIter<'a> = std::iter::Zip<
+    std::iter::Copied<std::slice::Iter<'a, DocId>>,
+    std::iter::Copied<std::slice::Iter<'a, f64>>,
+>;
+
+impl<'a> Row<'a> {
+    /// The entries in row order.
+    pub fn iter(&self) -> RowIter<'a> {
+        self.ids.iter().copied().zip(self.ps.iter().copied())
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the row has no entry.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
+impl<'a> IntoIterator for Row<'a> {
+    type Item = (DocId, f64);
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
 }
 
 impl DepMatrix {
@@ -62,26 +141,67 @@ impl DepMatrix {
         DepMatrix::from_entries(std::iter::empty())
     }
 
+    /// A matrix with no row yet, for rows to be appended in ascending
+    /// id order.
+    fn no_rows() -> DepMatrix {
+        DepMatrix {
+            starts: Vec::new(),
+            ids: Vec::new(),
+            ps: Vec::new(),
+            truncated_rows: 0,
+        }
+    }
+
+    /// Makes the entries from `start` to the end row `i`, the row after
+    /// the last one appended: ids in between have none.
+    fn seal_row(&mut self, i: DocId, start: usize) {
+        self.starts.resize(i.index() + 1, start);
+    }
+
+    /// Ends the last row. A store holds the matrix for a whole run, so
+    /// the arrays give back what they grew past their length.
+    fn finished(mut self) -> DepMatrix {
+        self.starts.push(self.ids.len());
+        self.starts.shrink_to_fit();
+        self.ids.shrink_to_fit();
+        self.ps.shrink_to_fit();
+        self
+    }
+
+    /// Appends the rows of `part`, all of them past this one's, as
+    /// another matrix under construction (its last row not ended) holds
+    /// them.
+    fn append(&mut self, part: DepMatrix) {
+        let offset = self.ids.len();
+        // `part.starts` is 0 up to its first row: those ids start where
+        // this matrix's last row ends.
+        let below = self.starts.len().min(part.starts.len());
+        (self.starts).extend(part.starts[below..].iter().map(|&s| offset + s));
+        self.ids.extend(part.ids);
+        self.ps.extend(part.ps);
+        self.truncated_rows += part.truncated_rows;
+    }
+
     /// The matrix holding `entries` (`(i, j, p)`, each pair at most
     /// once), given in any order, each row put in row order by the
     /// comparator. [`DepMatrixBuilder::build`], [`DepMatrix::blend`] and
     /// the closure order their rows by integer keys instead, into the
     /// same order. The entries are walked twice and laid straight into
-    /// an `edges` of exactly their number, with no copy in between — a
+    /// arrays of exactly their number, with no copy in between — a
     /// `MatrixStore` holds one matrix pair per boundary for a whole run,
     /// and its peak is the estimate being built on top of them.
     pub(crate) fn from_entries(
         entries: impl Iterator<Item = (DocId, DocId, f64)> + Clone,
     ) -> DepMatrix {
         let starts = row_starts(entries.clone().map(|(i, _, _)| i));
-        let placed = entries.map(|(i, j, p)| (i, (j, p)));
-        let mut edges = by_row(&starts, placed);
+        let (mut ids, mut ps) = by_row(&starts, entries);
         for row in starts.windows(2) {
-            edges[row[0]..row[1]].sort_unstable_by(row_order);
+            sort_row(&mut ids[row[0]..row[1]], &mut ps[row[0]..row[1]]);
         }
         DepMatrix {
             starts,
-            edges,
+            ids,
+            ps,
             truncated_rows: 0,
         }
     }
@@ -94,11 +214,7 @@ impl DepMatrix {
     pub(crate) fn blend(parts: &[(f64, &DepMatrix)]) -> Self {
         let wsum = parts.iter().fold(0.0, |sum, (w, _)| sum + w);
         let n_rows = parts.iter().map(|(_, m)| m.starts.len().saturating_sub(1));
-        let mut out = DepMatrix {
-            starts: Vec::new(),
-            edges: Vec::new(),
-            truncated_rows: 0,
-        };
+        let mut out = DepMatrix::no_rows();
         // `sums[j]` is `(i + 1, Σ w·p[i,j])`: the stamp of the row that
         // last touched it, so a new row starts every sum afresh (at
         // `0.0 + w * p`) without clearing the table. Once row `i` is
@@ -108,7 +224,7 @@ impl DepMatrix {
         for i in 0..n_rows.max().unwrap_or(0) {
             touched.clear();
             for &(w, m) in parts {
-                for &(j, p) in m.row(DocId::from(i)) {
+                for (j, p) in m.row(DocId::from(i)) {
                     if sums.len() <= j.index() {
                         sums.resize(j.index() + 1, (0, 0.0));
                     }
@@ -129,39 +245,41 @@ impl DepMatrix {
                 }
             }
             if !keys.is_empty() {
-                // Ids between the previous row and this one have none.
-                out.starts.resize(i + 1, out.edges.len());
-                push_row_by_coarse_key(&mut out.edges, &mut keys, |j| sums[j.index()].1);
+                let start = out.ids.len();
+                push_row_by_coarse_key(&mut out, &mut keys, |j| sums[j.index()].1);
+                out.seal_row(DocId::from(i), start);
             }
         }
-        out.starts.push(out.edges.len());
-        // A store holds the blend for the whole run.
-        out.edges.shrink_to_fit();
-        out
+        out.finished()
     }
 
     /// The probability `p[i,j]` (0 when absent).
     pub fn get(&self, i: DocId, j: DocId) -> f64 {
-        self.row(i)
+        let row = self.row(i);
+        row.ids
             .iter()
-            .find(|&&(d, _)| d == j)
-            .map_or(0.0, |&(_, p)| p)
+            .position(|&d| d == j)
+            .map_or(0.0, |k| row.ps[k])
     }
 
     /// The non-zero entries of row `i`, most probable first (ids
     /// ascending on ties).
-    pub fn row(&self, i: DocId) -> &[(DocId, f64)] {
+    pub fn row(&self, i: DocId) -> Row<'_> {
         // Total on whatever a deserializer produced: a row that does not
-        // lie inside `edges` reads as empty.
+        // lie inside the entries reads as empty.
         let at = i.index();
-        match self.starts.get(at..at + 2) {
-            Some(&[a, b]) => self.edges.get(a..b).unwrap_or(&[]),
-            _ => &[],
+        let span = match self.starts.get(at..at + 2) {
+            Some(&[a, b]) => a..b,
+            _ => 0..0,
+        };
+        match (self.ids.get(span.clone()), self.ps.get(span)) {
+            (Some(ids), Some(ps)) => Row { ids, ps },
+            _ => Row { ids: &[], ps: &[] },
         }
     }
 
     /// The ids that have a row, in ascending order.
-    fn sources(&self) -> impl Iterator<Item = DocId> + '_ {
+    pub(crate) fn sources(&self) -> impl Iterator<Item = DocId> + '_ {
         let ids = (0..self.starts.len().saturating_sub(1)).map(DocId::from);
         ids.filter(|&i| !self.row(i).is_empty())
     }
@@ -173,7 +291,12 @@ impl DepMatrix {
 
     /// Total number of stored entries.
     pub fn n_entries(&self) -> usize {
-        self.edges.len()
+        self.ids.len()
+    }
+
+    /// The heap the matrix holds: its three arrays at their capacity.
+    pub fn heap_bytes(&self) -> Bytes {
+        vec_bytes(&self.starts) + vec_bytes(&self.ids) + vec_bytes(&self.ps)
     }
 
     /// Rows whose closure search hit the safety valve (0 for direct
@@ -186,7 +309,7 @@ impl DepMatrix {
     /// Iterates over all `(i, j, p)` entries, row by row.
     pub fn entries(&self) -> impl Iterator<Item = (DocId, DocId, f64)> + '_ {
         self.sources()
-            .flat_map(|i| self.row(i).iter().map(move |&(j, p)| (i, j, p)))
+            .flat_map(|i| self.row(i).iter().map(move |(j, p)| (i, j, p)))
     }
 
     /// Fig. 4: histogram of pair counts over `p[i,j]` ranges. Entries at
@@ -226,6 +349,21 @@ impl DepMatrix {
     /// pure function of the matrix, and rows are assembled in source
     /// order.
     pub fn closure_jobs(&self, floor: f64, max_row: usize, jobs: usize) -> Result<DepMatrix> {
+        self.closure_of(|_| true, floor, max_row, jobs)
+    }
+
+    /// The rows of [`DepMatrix::closure_jobs`] whose source is `wanted`,
+    /// and no other: each one bit for bit as the full closure holds it,
+    /// since the search from a source still walks every row of `P` it
+    /// reaches. [`DepMatrix::truncated_rows`] counts the valve rows
+    /// among them.
+    pub(crate) fn closure_of(
+        &self,
+        wanted: impl Fn(DocId) -> bool,
+        floor: f64,
+        max_row: usize,
+        jobs: usize,
+    ) -> Result<DepMatrix> {
         if !(0.0 < floor && floor <= 1.0) {
             return Err(CoreError::invalid_config(
                 "closure.floor",
@@ -235,48 +373,46 @@ impl DepMatrix {
         let _f = specweb_core::obs::profile::frame("deps.closure");
         // The search keeps one slot per id up to the largest and stamps
         // slots with `source + 1` in a `u32`.
-        let n_docs = (self.entries().map(|(i, j, _)| i.max(j).index() + 1))
-            .max()
-            .unwrap_or(0);
+        let largest = self.ids.iter().map(|j| j.index() + 1).max();
+        let n_docs = largest
+            .unwrap_or(0)
+            .max(self.starts.len().saturating_sub(1));
         if u32::try_from(n_docs).is_err() {
             return Err(CoreError::invalid_config(
                 "closure.matrix",
                 format!("document ids must stay below {}", u32::MAX),
             ));
         }
-        let srcs: Vec<DocId> = self.sources().collect();
+        let srcs: Vec<DocId> = self.sources().filter(|&i| wanted(i)).collect();
         let pool = specweb_core::par::Pool::new(jobs);
         // A few chunks per worker balance uneven rows; each chunk owns
         // one `Search`, so its scratch is reused across the chunk's
-        // sources instead of being rebuilt per source.
-        let chunks: Vec<&[DocId]> = srcs
-            .chunks(srcs.len().div_ceil(pool.jobs() * 4).max(1))
-            .collect();
-        let computed = pool.map_indexed(&chunks, |_, chunk| {
-            let mut search = Search::new(n_docs);
-            chunk
-                .iter()
-                .map(|&src| search.best_paths_from(self, src, floor, max_row))
-                .collect::<Vec<_>>()
-        });
-        // The search rows are already in row order: they are laid end to
-        // end, into an `edges` of exactly their total length.
-        let n_edges = computed.iter().flatten().map(|(row, _)| row.len()).sum();
-        let mut out = DepMatrix {
-            starts: Vec::with_capacity(self.starts.len()),
-            edges: Vec::with_capacity(n_edges),
-            truncated_rows: 0,
+        // sources instead of being rebuilt per source. A single worker
+        // takes one chunk, whose rows then are the result as laid.
+        let per_chunk = match pool.jobs() {
+            1 => srcs.len(),
+            jobs => srcs.len().div_ceil(jobs * 4),
         };
-        for (&src, (row, truncated)) in srcs.iter().zip(computed.into_iter().flatten()) {
-            out.truncated_rows += u64::from(truncated);
-            if !row.is_empty() {
-                // Ids between the previous row and this one have none.
-                out.starts.resize(src.index() + 1, out.edges.len());
-                out.edges.extend(row);
+        let chunks: Vec<&[DocId]> = srcs.chunks(per_chunk.max(1)).collect();
+        let parts = pool.map_indexed(&chunks, |_, chunk| {
+            let mut search = Search::new(n_docs);
+            let mut part = DepMatrix::no_rows();
+            for &src in chunk.iter() {
+                let start = part.ids.len();
+                part.truncated_rows +=
+                    u64::from(search.best_paths_from(self, src, floor, max_row, &mut part));
+                if part.ids.len() > start {
+                    part.seal_row(src, start);
+                }
             }
+            part
+        });
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_else(DepMatrix::no_rows);
+        for part in parts {
+            out.append(part);
         }
-        out.starts.push(out.edges.len());
-        Ok(out)
+        Ok(out.finished())
     }
 }
 
@@ -292,14 +428,36 @@ impl DepMatrix {
 
     /// Whether every row descends in probability, ids ascending on ties.
     pub(crate) fn rows_in_order(&self) -> bool {
-        (self.sources()).all(|i| (self.row(i).windows(2)).all(|w| row_order(&w[0], &w[1]).is_lt()))
+        (self.sources()).all(|i| {
+            let row: Vec<(DocId, f64)> = self.row(i).iter().collect();
+            (row.windows(2)).all(|w| row_order(&w[0], &w[1]).is_lt())
+        })
     }
+}
+
+/// The heap a vector holds at its capacity.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> Bytes {
+    let bytes = v.capacity().saturating_mul(std::mem::size_of::<T>());
+    Bytes::new(u64::try_from(bytes).unwrap_or(u64::MAX))
 }
 
 /// The order of a stored row: probability descending (`total_cmp`, so
 /// a NaN has its place too), ids ascending on ties.
 fn row_order(a: &(DocId, f64), b: &(DocId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Puts the row `ids`/`ps` (of one length) in row order by the
+/// comparator.
+fn sort_row(ids: &mut [DocId], ps: &mut [f64]) {
+    if ids.len() < 2 {
+        return;
+    }
+    let mut row: Vec<(DocId, f64)> = ids.iter().copied().zip(ps.iter().copied()).collect();
+    row.sort_unstable_by(row_order);
+    for ((id, p), (j, q)) in ids.iter_mut().zip(ps.iter_mut()).zip(row) {
+        (*id, *p) = (j, q);
+    }
 }
 
 /// The coarse key of a row entry: the high half of `p`'s bits,
@@ -318,26 +476,23 @@ fn key_id(key: u64) -> DocId {
     DocId::new(key as u32)
 }
 
-/// Appends to `out` the row of `keys`, the [`coarse_key`]s of its
-/// entries in any order, reading each entry's `p` from `p_of`.
-/// Ascending keys order the row by the high half of `p`, ids ascending
-/// within a tie: row order, unless two entries whose `p`s share the
-/// high half differ in the low one. Those sit next to each other, and a
-/// row that holds such a pair is sorted again by [`row_order`]. The
-/// order is total, so the row comes out as [`DepMatrix::from_entries`]
-/// lays it, bit for bit.
-fn push_row_by_coarse_key(
-    out: &mut Vec<(DocId, f64)>,
-    keys: &mut [u64],
-    p_of: impl Fn(DocId) -> f64,
-) {
+/// Appends to the entries of `out` the row of `keys`, the
+/// [`coarse_key`]s of its entries in any order, reading each entry's `p`
+/// from `p_of`. Ascending keys order the row by the high half of `p`,
+/// ids ascending within a tie: row order, unless two entries whose `p`s
+/// share the high half differ in the low one. Those sit next to each
+/// other, and a row that holds such a pair is sorted again by
+/// [`row_order`]. The order is total, so the row comes out as
+/// [`DepMatrix::from_entries`] lays it, bit for bit.
+fn push_row_by_coarse_key(out: &mut DepMatrix, keys: &mut [u64], p_of: impl Fn(DocId) -> f64) {
     keys.sort_unstable();
-    let start = out.len();
-    out.extend(keys.iter().map(|&k| (key_id(k), p_of(key_id(k)))));
-    let row = &mut out[start..];
+    let start = out.ids.len();
+    out.ids.extend(keys.iter().map(|&k| key_id(k)));
+    out.ps.extend(keys.iter().map(|&k| p_of(key_id(k))));
+    let (ids, ps) = (&mut out.ids[start..], &mut out.ps[start..]);
     let (high, bits) = (|p: f64| p.to_bits() >> 32, f64::to_bits);
-    if (row.windows(2)).any(|w| high(w[0].1) == high(w[1].1) && bits(w[0].1) != bits(w[1].1)) {
-        row.sort_unstable_by(row_order);
+    if (ps.windows(2)).any(|w| high(w[0]) == high(w[1]) && bits(w[0]) != bits(w[1])) {
+        sort_row(ids, ps);
     }
 }
 
@@ -356,23 +511,26 @@ fn row_starts(sources: impl Iterator<Item = DocId>) -> Vec<usize> {
     for d in 1..starts.len() {
         starts[d] += starts[d - 1];
     }
+    starts.shrink_to_fit();
     starts
 }
 
-/// The `(j, value)` of `entries` laid out row by row within `starts`
-/// (which [`row_starts`] counted from the same sources), each row in
-/// the order given.
+/// The `j`s and values of `entries` (`(i, j, value)`) laid out row by
+/// row within `starts` (which [`row_starts`] counted from the same
+/// sources), each row in the order given.
 fn by_row(
     starts: &[usize],
-    entries: impl Iterator<Item = (DocId, (DocId, f64))>,
-) -> Vec<(DocId, f64)> {
-    let mut out = vec![(DocId::default(), 0.0); starts[starts.len() - 1]];
+    entries: impl Iterator<Item = (DocId, DocId, f64)>,
+) -> (Vec<DocId>, Vec<f64>) {
+    let n = starts[starts.len() - 1];
+    let (mut ids, mut ps) = (vec![DocId::default(); n], vec![0.0; n]);
     let mut next = starts.to_vec();
-    for (i, x) in entries {
-        out[next[i.index()]] = x;
-        next[i.index()] += 1;
+    for (i, j, p) in entries {
+        let at = &mut next[i.index()];
+        (ids[*at], ps[*at]) = (j, p);
+        *at += 1;
     }
-    out
+    (ids, ps)
 }
 
 /// Max-heap entry of the best-path search: probability, then id.
@@ -424,8 +582,8 @@ struct Search {
     keys: Vec<u64>,
     /// The ordered search's frontier.
     heap: BinaryHeap<Item>,
-    /// The row of the current source.
-    row: Vec<(DocId, f64)>,
+    /// The documents the ordered search settled, with their paths.
+    settled: Vec<(DocId, f64)>,
 }
 
 impl Search {
@@ -436,13 +594,13 @@ impl Search {
             queue: VecDeque::new(),
             keys: Vec::with_capacity(n_docs),
             heap: BinaryHeap::new(),
-            row: Vec::new(),
+            settled: Vec::new(),
         }
     }
 
-    /// Best path probability from `src` to every doc it reaches at or
-    /// above `floor`, as a row of the closure (in row order, cut to
-    /// `max_row`, in a vector of exactly its length), plus whether the
+    /// Appends to the entries of `out` the best path probability from
+    /// `src` to every doc it reaches at or above `floor`, as a row of the
+    /// closure (in row order, cut to `max_row`), and returns whether the
     /// safety valve cut it (in which case the row may under-report
     /// reach). The fixpoint answers unless it gives up; then the ordered
     /// search does.
@@ -456,16 +614,17 @@ impl Search {
         src: DocId,
         floor: f64,
         max_row: usize,
-    ) -> (Vec<(DocId, f64)>, bool) {
+        out: &mut DepMatrix,
+    ) -> bool {
         let valve = max_row.saturating_mul(4).saturating_add(1);
-        self.row.clear();
+        let start = out.ids.len();
         let truncated = if self.fixpoint(m, src, floor, valve) {
             // Every value lies in `[floor, 1]`, so it has a coarse key.
             let slots = &self.slots;
             let p_of = |j: DocId| slots[j.index()].best;
             self.keys.clear();
             (self.keys).extend(self.reached.iter().map(|&j| coarse_key(j, p_of(j))));
-            push_row_by_coarse_key(&mut self.row, &mut self.keys, p_of);
+            push_row_by_coarse_key(out, &mut self.keys, p_of);
             false
         } else {
             // Forget the pass, so that the ordered search, stamping with
@@ -473,12 +632,17 @@ impl Search {
             for &j in &self.reached {
                 self.slots[j.index()] = Slot::default();
             }
+            self.settled.clear();
             let truncated = self.ordered(m, src, floor, valve);
-            self.row.sort_unstable_by(row_order);
+            self.settled.sort_unstable_by(row_order);
+            out.ids.extend(self.settled.iter().map(|&(j, _)| j));
+            out.ps.extend(self.settled.iter().map(|&(_, p)| p));
             truncated
         };
-        self.row.truncate(max_row);
-        (self.row.clone(), truncated)
+        let end = start + max_row.min(out.ids.len() - start);
+        out.ids.truncate(end);
+        out.ps.truncate(end);
+        truncated
     }
 
     /// The best paths from `src` as the fixpoint `best[j] = max_d
@@ -495,7 +659,7 @@ impl Search {
         self.queue.clear();
         let (mut d, mut p) = (src, 1.0);
         loop {
-            for &(j, pj) in m.row(d) {
+            for (j, pj) in m.row(d) {
                 if pj > 1.0 {
                     return false;
                 }
@@ -539,14 +703,14 @@ impl Search {
     }
 
     /// The ordered search from `src` (best path first, ids descending on
-    /// ties), appending each document to `self.row` as it settles.
+    /// ties), appending each document to `self.settled` as it settles.
     /// Returns whether the safety valve stopped it: it stops right after
     /// the settle that takes the count, `src` included, past `valve`.
     fn ordered(&mut self, m: &DepMatrix, src: DocId, floor: f64, valve: usize) -> bool {
         let stamp = src.raw() + 1;
         self.heap.clear();
         self.heap.push(Item(1.0, src));
-        let mut n_settled = 0usize; // counts `src` itself, unlike `self.row`
+        let mut n_settled = 0usize; // counts `src` itself, unlike `self.settled`
         while let Some(Item(p, d)) = self.heap.pop() {
             let slot = &mut self.slots[d.index()];
             if slot.mark == stamp {
@@ -555,12 +719,12 @@ impl Search {
             slot.mark = stamp;
             n_settled += 1;
             if d != src {
-                self.row.push((d, p));
+                self.settled.push((d, p));
             }
             if n_settled > valve {
                 return true; // safety valve for pathological graphs
             }
-            for &(j, pj) in m.row(d) {
+            for (j, pj) in m.row(d) {
                 let cand = p * pj;
                 if cand < floor {
                     // The row descends in probability and `p ≥ 0`, so
@@ -865,27 +1029,28 @@ impl DepMatrixBuilder {
             return DepMatrix::from_entries(shares);
         }
         // Each row is laid out holding its follow counts (below 2³², so
-        // exact), then ordered by its keys and given its shares.
+        // exact) in place of its shares, then ordered by its keys and
+        // given its shares.
         let starts = row_starts(counted.clone().map(|(i, ..)| i));
-        let counts = counted.map(|(i, j, n, _)| (i, (j, n as f64)));
-        let mut edges = by_row(&starts, counts);
+        let (mut ids, mut ps) = by_row(&starts, counted.map(|(i, j, n, _)| (i, j, n as f64)));
         let mut keys = Vec::new();
         for (i, row) in starts.windows(2).enumerate() {
             let occ = occurrences(DocId::from(i));
-            let row = &mut edges[row[0]..row[1]];
+            let (ids, ps) = (&mut ids[row[0]..row[1]], &mut ps[row[0]..row[1]]);
             keys.clear();
             keys.extend(
-                row.iter()
-                    .map(|&(j, n)| (occ - n as u64) << 32 | u64::from(j.raw())),
+                (ids.iter().zip(ps.iter()))
+                    .map(|(&j, &n)| (occ - n as u64) << 32 | u64::from(j.raw())),
             );
             keys.sort_unstable();
-            for (entry, &k) in row.iter_mut().zip(&keys) {
-                *entry = (key_id(k), (occ - (k >> 32)) as f64 / occ as f64);
+            for ((j, p), &k) in ids.iter_mut().zip(ps.iter_mut()).zip(&keys) {
+                (*j, *p) = (key_id(k), (occ - (k >> 32)) as f64 / occ as f64);
             }
         }
         DepMatrix {
             starts,
-            edges,
+            ids,
+            ps,
             truncated_rows: 0,
         }
     }
@@ -1204,7 +1369,7 @@ mod tests {
         let want: Vec<DocId> = (1..=5).map(DocId::new).collect();
         for _ in 0..8 {
             let c = m.closure(0.01, 5).unwrap();
-            let kept: Vec<DocId> = c.row(DocId(0)).iter().map(|&(j, _)| j).collect();
+            let kept: Vec<DocId> = c.row(DocId(0)).iter().map(|(j, _)| j).collect();
             assert_eq!(kept, want, "tied entries must truncate id-low-first");
         }
     }
@@ -1231,7 +1396,7 @@ mod tests {
                     "k = {k}, r = {r}"
                 );
                 assert_eq!(c.bits(), reference_closure(&m, 0.5, k).bits());
-                let first = c.row(DocId(0))[0].0;
+                let first = c.row(DocId(0)).iter().next().unwrap().0;
                 assert_eq!(first, DocId::from(1 + r - valve.min(r)), "k = {k}, r = {r}");
             }
         }
@@ -1250,7 +1415,20 @@ mod tests {
         assert!(!Search::new(3).fixpoint(&m, DocId(0), 0.01, 33));
         let c = m.closure_jobs(0.01, 8, 1).unwrap();
         assert_eq!(c.bits(), reference_closure(&m, 0.01, 8).bits());
-        assert_eq!(c.row(DocId(0)), [(DocId(2), 1.0), (DocId(1), 0.5)]);
+        assert_eq!(row_of(&c, 0), [(DocId(2), 1.0), (DocId(1), 0.5)]);
+    }
+
+    #[test]
+    fn an_entry_is_held_in_twelve_bytes_and_serialized_as_a_pair() {
+        let m = matrix_of(&[(0, 1, 0.5), (0, 2, 0.25), (3, 1, 1.0)]);
+        let starts = std::mem::size_of::<usize>() * 5;
+        assert_eq!(m.heap_bytes(), Bytes::new((starts + 3 * 12) as u64));
+        let json = r#"{"starts":[0,2,2,2,3],"edges":[[1,0.5],[2,0.25],[1,1]],"truncated_rows":0}"#;
+        assert_eq!(serde_json::to_string(&m).unwrap(), json);
+        assert_eq!(serde_json::from_str::<DepMatrix>(json).unwrap(), m);
+        // A closure laid at several workers holds its rows as tightly.
+        let c = m.closure_jobs(0.01, 8, 3).unwrap();
+        assert_eq!(c.heap_bytes(), Bytes::new((starts + 3 * 12) as u64));
     }
 
     #[test]
@@ -1305,6 +1483,16 @@ mod tests {
     /// hash maps, every edge scanned whatever the row order. Kept as
     /// the reference the pruned kernel is compared against.
     fn reference_closure(m: &DepMatrix, floor: f64, max_row: usize) -> DepMatrix {
+        reference_closure_of(m, |_| true, floor, max_row)
+    }
+
+    /// [`reference_closure`]'s rows of the sources in `wanted`.
+    fn reference_closure_of(
+        m: &DepMatrix,
+        wanted: impl Fn(DocId) -> bool,
+        floor: f64,
+        max_row: usize,
+    ) -> DepMatrix {
         use std::cmp::Ordering;
 
         struct Item(f64, DocId);
@@ -1327,7 +1515,7 @@ mod tests {
 
         let mut entries = Vec::new();
         let mut truncated_rows = 0;
-        for src in m.sources() {
+        for src in m.sources().filter(|&i| wanted(i)) {
             let mut best: HashMap<DocId, f64> = HashMap::new();
             let mut heap = BinaryHeap::new();
             heap.push(Item(1.0, src));
@@ -1341,7 +1529,7 @@ mod tests {
                     truncated_rows += 1;
                     break;
                 }
-                for &(j, pj) in m.row(d) {
+                for (j, pj) in m.row(d) {
                     let cand = p * pj;
                     if cand < floor || j == src {
                         continue;
@@ -1363,6 +1551,11 @@ mod tests {
             truncated_rows,
             ..DepMatrix::from_entries(entries.into_iter())
         }
+    }
+
+    /// Row `i` of `m`, as pairs.
+    fn row_of(m: &DepMatrix, i: u32) -> Vec<(DocId, f64)> {
+        m.row(DocId(i)).iter().collect()
     }
 
     /// A matrix from `(i, j, p)` edges (the last of a repeated pair
@@ -1468,6 +1661,34 @@ mod tests {
         }
 
         #[test]
+        fn the_closure_of_a_demand_is_the_full_closures_rows_of_it(
+            n in 2u32..40,
+            raw in (
+                prop::collection::vec((0u32..40, 0u32..40, eighths()), 0..160),
+                prop::collection::vec((0u32..40, 0u32..40, 0.001f64..1.0), 0..160),
+            ),
+            demand in prop::collection::vec(0u32..40, 0..20),
+            floor in prop_oneof![Just(0.3), Just(0.01), Just(1e-6)],
+            max_row in prop_oneof![Just(1usize), Just(2), Just(5), Just(64)],
+            jobs in 1usize..4,
+        ) {
+            let (tied, free) = raw;
+            let edges: Vec<(u32, u32, f64)> =
+                tied.iter().chain(&free).map(|&(i, j, p)| (i % n, j % n, p)).collect();
+            let m = matrix_of(&edges);
+            let wanted = |i: DocId| demand.contains(&i.raw());
+            let got = m.closure_of(wanted, floor, max_row, jobs).unwrap();
+            // Each source's row is what the full closure holds for it…
+            let full = m.closure_jobs(floor, max_row, jobs).unwrap();
+            let kept: Vec<_> = full.bits().into_iter().filter(|&(i, ..)| wanted(i)).collect();
+            prop_assert_eq!(got.bits(), kept);
+            // …and the valve rows counted are those among the demand.
+            let want = reference_closure_of(&m, wanted, floor, max_row);
+            prop_assert_eq!(got.truncated_rows(), want.truncated_rows());
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
         fn from_entries_is_permutation_invariant(
             tied in prop::collection::vec((0u32..12, 0u32..12, eighths()), 0..60),
             free in prop::collection::vec((0u32..12, 0u32..12, 0.001f64..1.0), 0..60),
@@ -1492,8 +1713,9 @@ mod tests {
             want.sort_unstable_by(row_order);
             // Keys in descending id order, the reverse of a sorted run.
             let mut keys: Vec<u64> = p_of.iter().rev().map(|(&j, &p)| coarse_key(j, p)).collect();
-            let mut got = vec![(DocId(99), 0.5)];
+            let mut got = DepMatrix { ids: vec![DocId(99)], ps: vec![0.5], ..DepMatrix::no_rows() };
             push_row_by_coarse_key(&mut got, &mut keys, |j| p_of[&j]);
+            let got: Vec<(DocId, f64)> = got.ids.into_iter().zip(got.ps).collect();
             let bits = |row: &[(DocId, f64)]| row.iter().map(|&(j, p)| (j, p.to_bits())).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got[1..]), bits(&want));
             prop_assert_eq!(got[0], (DocId(99), 0.5), "what `out` held stays");
@@ -1616,7 +1838,7 @@ mod tests {
             r#"{"starts":[0,2,9,1],"edges":[[7,0.5],[1,0.25]],"truncated_rows":0}"#,
         )
         .unwrap();
-        assert_eq!(m.row(DocId(0)), [(DocId(7), 0.5), (DocId(1), 0.25)]);
+        assert_eq!(row_of(&m, 0), [(DocId(7), 0.5), (DocId(1), 0.25)]);
         for i in [1, 2, 3, 7, u32::MAX] {
             assert!(m.row(DocId(i)).is_empty(), "row {i}");
         }
@@ -1745,7 +1967,7 @@ mod tests {
         b.occurrences[1] += 1 << 32;
         let m = b.build(1);
         assert_eq!(m, b.build_reference(1));
-        let row: Vec<DocId> = m.row(DocId(1)).iter().map(|&(j, _)| j).collect();
+        let row: Vec<DocId> = m.row(DocId(1)).iter().map(|(j, _)| j).collect();
         assert_eq!(row, [DocId(4), DocId(3), DocId(2)]);
         assert!(m.rows_in_order());
     }

@@ -10,8 +10,11 @@
 //! [`MatrixStore::precompute`] runs exactly that schedule over a trace
 //! ahead of the replay — the estimate of every update-cycle boundary,
 //! held for the whole run — and is the simulator's only source of
-//! matrices. [`RollingEstimator`] is the estimate of one boundary from
-//! scratch, the reference the store is checked against. Both implement
+//! matrices. A server reads row `i` of `P*` only when `D_i` is requested
+//! (§3.1), so a boundary closes only the rows of the documents requested
+//! on the days it serves: its *demand*. [`RollingEstimator`] is the
+//! estimate of one boundary from scratch, the reference the store is
+//! checked against. Both implement
 //! the exponential *aging* refinement the paper envisions ("an aging
 //! mechanism to phase-out dependencies exhibited in older traces"):
 //! instead of a hard history window, each day's counts can be decayed
@@ -20,11 +23,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
+use specweb_core::ids::DocId;
 use specweb_core::time::Duration;
+use specweb_core::units::Bytes;
 use specweb_core::{CoreError, Result};
 use specweb_trace::generator::Trace;
 
-use crate::deps::{DepMatrix, DepMatrixBuilder};
+use crate::deps::{vec_bytes, DepMatrix, DepMatrixBuilder};
 
 /// Schedule and estimation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,6 +113,82 @@ pub struct MatrixPair {
 /// Each blended day's own direct matrix, by day.
 type DayMatrices = BTreeMap<u64, DepMatrix>;
 
+/// The documents whose `P*` rows an estimate closes.
+#[derive(Debug, Clone, PartialEq)]
+enum Demand {
+    /// Every row: the estimate of a boundary whose days all lie past
+    /// the trace's end, the one a server would deploy next.
+    All,
+    /// Bit `d` is set iff document `d` is requested on a day the
+    /// boundary serves.
+    Docs(Vec<u64>),
+}
+
+impl Demand {
+    /// The demand of the estimate of `day` before any request is added:
+    /// every document once the days it serves all lie past the trace's
+    /// end, none otherwise.
+    fn at(trace: &Trace, day: u64) -> Demand {
+        match Duration::from_days(day) >= trace.duration {
+            true => Demand::All,
+            false => Demand::Docs(Vec::new()),
+        }
+    }
+
+    /// The demand of the estimate of `day`, which serves the days
+    /// `[day, day + cycle)`: the documents `trace` requests on them, or
+    /// every document once those days all lie past the trace's end.
+    fn served(trace: &Trace, day: u64, cycle: u64) -> Demand {
+        let from = trace.accesses.partition_point(|a| a.time.day() < day);
+        let served = trace.accesses[from..]
+            .iter()
+            .take_while(|a| a.time.day() - day < cycle);
+        let mut docs = Demand::at(trace, day);
+        served.for_each(|a| docs.insert(a.doc));
+        docs
+    }
+
+    /// [`Demand::served`] of every boundary in `days`, `cycle` apart
+    /// from day 0, in one pass over the trace.
+    fn of_boundaries(trace: &Trace, days: &[u64], cycle: u64) -> Vec<Demand> {
+        let mut demands: Vec<Demand> = days.iter().map(|&day| Demand::at(trace, day)).collect();
+        for a in &trace.accesses {
+            let boundary = usize::try_from(a.time.day() / cycle).unwrap_or(usize::MAX);
+            if let Some(demand) = demands.get_mut(boundary) {
+                demand.insert(a.doc);
+            }
+        }
+        demands
+    }
+
+    /// Adds `doc` (nothing to add to every document).
+    fn insert(&mut self, doc: DocId) {
+        if let Demand::Docs(words) = self {
+            let word = doc.index() / 64;
+            if words.len() <= word {
+                words.resize(word + 1, 0);
+            }
+            words[word] |= 1 << (doc.index() % 64);
+        }
+    }
+
+    fn contains(&self, doc: DocId) -> bool {
+        match self {
+            Demand::All => true,
+            Demand::Docs(words) => {
+                (words.get(doc.index() / 64)).is_some_and(|&w| w >> (doc.index() % 64) & 1 == 1)
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> Bytes {
+        match self {
+            Demand::All => Bytes::ZERO,
+            Demand::Docs(words) => vec_bytes(words),
+        }
+    }
+}
+
 /// The estimator of one boundary at a time over a trace: the
 /// from-scratch twin of [`MatrixStore::precompute`], which also borrows
 /// its per-boundary steps.
@@ -136,7 +217,9 @@ impl<'a> RollingEstimator<'a> {
     /// This is the from-scratch estimate: a fresh builder fed the
     /// history window and nothing else. [`MatrixStore::precompute`]
     /// reaches the same matrices incrementally and is checked against
-    /// this one, bit for bit.
+    /// this one, bit for bit. Like a stored boundary, it closes only the
+    /// rows of the documents requested on the days `[day, day + cycle)`
+    /// it serves, and every row once those days lie past the trace's end.
     pub fn estimate_at_jobs(&self, day: u64, jobs: usize) -> Result<MatrixPair> {
         let start = day.saturating_sub(self.cfg.history_days);
         let direct = match self.cfg.aging_decay {
@@ -153,12 +236,18 @@ impl<'a> RollingEstimator<'a> {
                 self.estimate_aged(day, decay, &per_day)
             }
         };
-        self.pair(day, direct, jobs)
+        let demand = Demand::served(self.trace, day, self.cfg.update_cycle_days);
+        self.pair(day, direct, &demand, jobs)
     }
 
-    fn pair(&self, day: u64, direct: DepMatrix, jobs: usize) -> Result<MatrixPair> {
-        let closure =
-            direct.closure_jobs(self.cfg.closure_floor, self.cfg.closure_max_row, jobs)?;
+    fn pair(
+        &self,
+        day: u64,
+        direct: DepMatrix,
+        demand: &Demand,
+        jobs: usize,
+    ) -> Result<MatrixPair> {
+        let closure = closure_over(&self.cfg, &direct, demand, jobs)?;
         Ok(MatrixPair {
             direct,
             closure,
@@ -229,15 +318,34 @@ impl<'a> RollingEstimator<'a> {
     }
 }
 
+/// The closure of `direct` under `cfg`'s bound, holding the rows of the
+/// documents in `demand`.
+fn closure_over(
+    cfg: &EstimatorConfig,
+    direct: &DepMatrix,
+    demand: &Demand,
+    jobs: usize,
+) -> Result<DepMatrix> {
+    let wanted = |i: DocId| demand.contains(i);
+    direct.closure_of(wanted, cfg.closure_floor, cfg.closure_max_row, jobs)
+}
+
 /// A precomputed set of matrix estimates for every update-cycle
 /// boundary of a trace: what every speculative replay reads, read-only,
 /// so its shards can share it. A single run builds its own; parameter
 /// sweeps build one and share the (expensive) estimation across all
 /// simulator runs with the same estimator configuration.
+///
+/// A boundary holds all of `P` and the `P*` rows of its demand, the
+/// documents the trace requests on the days it serves, so a store
+/// belongs to the trace it was built over: [`MatrixStore::demands`]
+/// says whether a row a replay is about to read was closed.
 #[derive(Debug)]
 pub struct MatrixStore {
     cfg: EstimatorConfig,
     by_boundary: Vec<MatrixPair>,
+    /// Each boundary's demand, beside it.
+    demand: Vec<Demand>,
 }
 
 impl MatrixStore {
@@ -249,29 +357,54 @@ impl MatrixStore {
     /// matrix is estimated once and shared by the boundaries that blend
     /// it.
     ///
+    /// Each boundary closes the `P*` rows of its demand: the documents
+    /// requested on the days it serves, `[b, b + cycle)`. A boundary
+    /// whose days all lie past the trace's end closes every row:
+    /// [`MatrixStore::for_day`] clamps later days to it, and it is the
+    /// estimate a server would deploy next.
+    ///
     /// Under an installed [`specweb_core::obs::Obs`] every store adds
     /// its [`MatrixStore::truncated_rows`] to the run's
     /// `spec.closure_truncated_rows` (registered even at 0), so silent
     /// capping of `P*` shows in the run manifest whoever built the
-    /// store.
+    /// store, and likewise its [`MatrixStore::closure_rows`] to
+    /// `spec.closure_rows`; it raises the gauge `mem.store_bytes` to its
+    /// [`MatrixStore::heap_bytes`].
     pub fn precompute(
         cfg: &EstimatorConfig,
         trace: &Trace,
         total_days: u64,
     ) -> Result<MatrixStore> {
         let _f = specweb_core::obs::profile::frame("estimator.precompute");
-        let est = RollingEstimator::new(*cfg, trace)?;
+        let days = Self::boundaries(cfg, total_days)?;
+        let demand = Demand::of_boundaries(trace, &days, cfg.update_cycle_days);
+        Self::estimated(cfg, trace, &days, demand)
+    }
+
+    /// The boundaries of `[0, total_days]` under `cfg`'s cycle.
+    fn boundaries(cfg: &EstimatorConfig, total_days: u64) -> Result<Vec<u64>> {
+        cfg.validate()?;
         let cycle = usize::try_from(cfg.update_cycle_days).map_err(|_| {
             CoreError::invalid_config("estimator.update_cycle_days", "must fit a usize")
         })?;
-        let days: Vec<u64> = (0..=total_days).step_by(cycle).collect();
+        Ok((0..=total_days).step_by(cycle).collect())
+    }
+
+    /// The store of `days` whose boundaries close the rows of `demand`.
+    fn estimated(
+        cfg: &EstimatorConfig,
+        trace: &Trace,
+        days: &[u64],
+        demand: Vec<Demand>,
+    ) -> Result<MatrixStore> {
+        let est = RollingEstimator::new(*cfg, trace)?;
         // Boundaries fan out on the process-default pool; assembling
         // them in day order keeps the store byte-identical to a serial
         // build. The inner closure runs serially here — one parallel
         // level is enough, and it avoids quadratic thread fan-out.
         let pool = specweb_core::par::Pool::auto();
         let by_boundary = match cfg.aging_decay {
-            None => Self::closed(cfg, &days, est.slide(&days))?,
+            None => Self::closed(cfg, days, est.slide(days), &demand)?,
             Some(decay) => {
                 let per_day: DayMatrices = {
                     let _f = specweb_core::obs::profile::frame("estimator.day_matrices");
@@ -283,27 +416,30 @@ impl MatrixStore {
                     let matrices = pool.map_indexed(&blended, |_, &d| est.day_matrix(d));
                     blended.into_iter().zip(matrices).collect()
                 };
-                pool.try_map_indexed(&days, |_, &day| {
-                    est.pair(day, est.estimate_aged(day, decay, &per_day), 1)
+                pool.try_map_indexed(days, |k, &day| {
+                    est.pair(day, est.estimate_aged(day, decay, &per_day), &demand[k], 1)
                 })?
             }
         };
         Ok(MatrixStore {
             cfg: *cfg,
             by_boundary,
+            demand,
         }
         .published())
     }
 
-    /// The estimates of `days` from their `directs`: one closure each,
-    /// fanned out on the process-default pool.
+    /// The estimates of `days` from their `directs`, each closed over
+    /// its `demand`: one closure each, fanned out on the process-default
+    /// pool.
     fn closed(
         cfg: &EstimatorConfig,
         days: &[u64],
         directs: Vec<DepMatrix>,
+        demand: &[Demand],
     ) -> Result<Vec<MatrixPair>> {
-        let closures = specweb_core::par::Pool::auto().try_map_indexed(&directs, |_, direct| {
-            direct.closure_jobs(cfg.closure_floor, cfg.closure_max_row, 1)
+        let closures = specweb_core::par::Pool::auto().try_map_indexed(&directs, |k, direct| {
+            closure_over(cfg, direct, &demand[k], 1)
         })?;
         Ok((days.iter().zip(directs).zip(closures))
             .map(|((&estimated_on_day, direct), closure)| MatrixPair {
@@ -317,9 +453,9 @@ impl MatrixStore {
     /// The same `direct` matrices under another closure bound: what
     /// [`MatrixStore::precompute`] builds under this store's
     /// configuration with `closure_floor` and `closure_max_row`
-    /// replaced, bit for bit, without estimating `P` again. Closures
-    /// fan out and `spec.closure_truncated_rows` is published as in
-    /// `precompute`.
+    /// replaced, bit for bit, without estimating `P` again. Each
+    /// boundary keeps its demand. Closures fan out and the store is
+    /// published as in `precompute`.
     pub fn reclose(&self, floor: f64, max_row: usize) -> Result<MatrixStore> {
         let _f = specweb_core::obs::profile::frame("estimator.reclose");
         let cfg = EstimatorConfig {
@@ -331,17 +467,31 @@ impl MatrixStore {
         let boundaries = self.by_boundary.iter();
         let days: Vec<u64> = boundaries.clone().map(|b| b.estimated_on_day).collect();
         let directs = boundaries.map(|b| b.direct.clone()).collect();
-        let by_boundary = Self::closed(&cfg, &days, directs)?;
-        Ok(MatrixStore { cfg, by_boundary }.published())
+        let by_boundary = Self::closed(&cfg, &days, directs, &self.demand)?;
+        let demand = self.demand.clone();
+        Ok(MatrixStore {
+            cfg,
+            by_boundary,
+            demand,
+        }
+        .published())
     }
 
     /// Adds this store's truncation count to the installed run's
-    /// `spec.closure_truncated_rows`, once per store built.
-    fn published(self) -> MatrixStore {
+    /// `spec.closure_truncated_rows` and its closed rows to
+    /// `spec.closure_rows`, once per store built, and raises
+    /// `mem.store_bytes` to its heap. The boundaries are collected on
+    /// the pool, whose spare capacity depends on the worker count: it
+    /// is given back first, so the heap reads the same at any count.
+    fn published(mut self) -> MatrixStore {
+        self.by_boundary.shrink_to_fit();
+        self.demand.shrink_to_fit();
         if let Some(obs) = specweb_core::obs::current() {
             obs.metrics
                 .counter("spec.closure_truncated_rows")
                 .add(self.truncated_rows());
+            (obs.metrics.counter("spec.closure_rows")).add(self.closure_rows());
+            (obs.metrics.gauge("mem.store_bytes")).record(self.heap_bytes().get());
         }
         self
     }
@@ -351,14 +501,25 @@ impl MatrixStore {
     #[cfg(test)]
     pub(crate) fn from_scratch(cfg: &EstimatorConfig, trace: &Trace, total_days: u64) -> Self {
         let est = RollingEstimator::new(*cfg, trace).unwrap();
-        let by_boundary = (0..=total_days)
-            .step_by(usize::try_from(cfg.update_cycle_days).unwrap())
-            .map(|day| est.estimate_at_jobs(day, 1).unwrap())
-            .collect();
+        let days = Self::boundaries(cfg, total_days).unwrap();
+        let by_boundary = days
+            .iter()
+            .map(|&day| est.estimate_at_jobs(day, 1).unwrap());
         MatrixStore {
             cfg: *cfg,
-            by_boundary,
+            by_boundary: by_boundary.collect(),
+            demand: Demand::of_boundaries(trace, &days, cfg.update_cycle_days),
         }
+    }
+
+    /// [`MatrixStore::precompute`] with every row closed at every
+    /// boundary, as the store was before it closed only what a replay
+    /// can read: the twin a demand store is checked against.
+    #[cfg(test)]
+    pub(crate) fn precompute_full(cfg: &EstimatorConfig, trace: &Trace, total_days: u64) -> Self {
+        let days = Self::boundaries(cfg, total_days).unwrap();
+        let demand = vec![Demand::All; days.len()];
+        Self::estimated(cfg, trace, &days, demand).unwrap()
     }
 
     /// The estimator configuration this store was built with. Simulators
@@ -368,15 +529,48 @@ impl MatrixStore {
         &self.cfg
     }
 
+    /// The index of the boundary in force on `day`.
+    fn boundary_of(&self, day: u64) -> usize {
+        let boundary = usize::try_from(day / self.cfg.update_cycle_days).unwrap_or(usize::MAX);
+        boundary.min(self.by_boundary.len() - 1)
+    }
+
     /// The matrices in force on `day`.
     pub fn for_day(&self, day: u64) -> &MatrixPair {
-        let idx = ((day / self.cfg.update_cycle_days) as usize).min(self.by_boundary.len() - 1);
-        &self.by_boundary[idx]
+        &self.by_boundary[self.boundary_of(day)]
+    }
+
+    /// Whether the `P*` in force on `day` holds the row of `doc`: always
+    /// for a document the store's trace requests on that day, and for
+    /// every document past the trace's end. A replay that finds `false`
+    /// is replaying another trace.
+    pub fn demands(&self, day: u64, doc: DocId) -> bool {
+        self.demand[self.boundary_of(day)].contains(doc)
     }
 
     /// Number of precomputed boundaries.
     pub fn len(&self) -> usize {
         self.by_boundary.len()
+    }
+
+    /// The `P*` rows the store closed, over all boundaries: the
+    /// demanded documents that have a row of `P`.
+    pub fn closure_rows(&self) -> u64 {
+        let boundaries = self.by_boundary.iter().zip(&self.demand);
+        let closed = boundaries.map(|(pair, demand)| {
+            let rows = pair.direct.sources().filter(|&i| demand.contains(i));
+            u64::try_from(rows.count()).unwrap_or(u64::MAX)
+        });
+        closed.sum()
+    }
+
+    /// The heap the store holds: every boundary's two matrices and
+    /// demand, and the arrays that hold them.
+    pub fn heap_bytes(&self) -> Bytes {
+        let pairs = self.by_boundary.iter();
+        let matrices = pairs.map(|m| m.direct.heap_bytes() + m.closure.heap_bytes());
+        let demands = self.demand.iter().map(Demand::heap_bytes);
+        vec_bytes(&self.by_boundary) + vec_bytes(&self.demand) + matrices.sum() + demands.sum()
     }
 
     /// Total closure rows truncated by the safety valve across all
@@ -435,8 +629,15 @@ mod tests {
         let est = RollingEstimator::new(cfg, &t).unwrap();
         let m = est.estimate_at_jobs(10, 1).unwrap();
         assert_eq!(m.closure.truncated_rows(), 0);
+        // The estimate of day 10 serves day 10: it closes the rows of
+        // the documents requested then, and no other.
+        let served: BTreeSet<DocId> = t.day_slice(10).iter().map(|a| a.doc).collect();
         let mut checked = 0;
         for (i, j, p) in m.direct.entries() {
+            if !served.contains(&i) {
+                assert!(m.closure.row(i).is_empty(), "row {i} is not demanded");
+                continue;
+            }
             // A row cut to `closure_max_row` may have dropped its weakest
             // entries; any other row keeps every direct edge at or above
             // the floor, at no less than its direct probability.
@@ -559,6 +760,9 @@ mod tests {
                 };
                 let fresh = MatrixStore::precompute(&bound, &t, t.days()).unwrap();
                 assert_same_stores(&reclosed, &fresh);
+                // It closes what the store it came from demands.
+                assert_eq!(reclosed.demand, store.demand);
+                assert_eq!(reclosed.closure_rows(), store.closure_rows());
                 // …and it says what it truncated, like a precompute.
                 assert_eq!(
                     obs.snapshot().deterministic["spec.closure_truncated_rows"],
@@ -644,6 +848,91 @@ mod tests {
                 store.for_day(last_day).estimated_on_day,
                 last_day - last_day % update_cycle_days
             );
+        }
+    }
+
+    /// The documents `t` requests on the days `[day, day + cycle)`, by
+    /// definition, or `None` (every document) once those days all lie
+    /// past the trace's end.
+    fn served_by_definition(t: &Trace, day: u64, cycle: u64) -> Option<BTreeSet<DocId>> {
+        let past_the_end = day
+            .checked_mul(86_400_000)
+            .is_none_or(|ms| ms >= t.duration.as_millis());
+        let served = t
+            .accesses
+            .iter()
+            .filter(|a| (day..day.saturating_add(cycle)).contains(&a.time.day()));
+        (!past_the_end).then(|| served.map(|a| a.doc).collect())
+    }
+
+    #[test]
+    fn the_boundary_past_the_end_closes_every_row_and_for_day_clamps_to_it() {
+        let t = trace(109, 0.0);
+        let cfg = EstimatorConfig {
+            history_days: 4,
+            ..EstimatorConfig::default()
+        };
+        let store = MatrixStore::precompute(&cfg, &t, t.days()).unwrap();
+        let full = MatrixStore::precompute_full(&cfg, &t, t.days());
+        let last = t.days();
+        assert_eq!(store.for_day(last + 30).estimated_on_day, last);
+        assert_eq!(
+            store.for_day(last).closure.bits(),
+            full.for_day(last).closure.bits()
+        );
+        assert!(store.for_day(last).closure.n_rows() > store.for_day(last - 1).closure.n_rows());
+        // Every earlier boundary closes fewer rows than the full store.
+        assert!(store.closure_rows() < full.closure_rows());
+        assert!(store.heap_bytes() < full.heap_bytes());
+        let requested = t.day_slice(5).first().unwrap().doc;
+        assert!(store.demands(5, requested) && store.demands(last + 30, DocId::new(u32::MAX)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn demanded_rows_equal_the_full_closure_bit_for_bit(
+            seed in 0u64..1_000,
+            update_cycle_days in 1u64..=7,
+            history_days in 1u64..=8,
+            aging_decay in prop::option::of(Just(0.7)),
+            closure_max_row in prop_oneof![Just(3usize), Just(128)],
+            extra_days in 0u64..10,
+        ) {
+            let mut tc = TraceConfig::small(seed);
+            tc.duration_days = 9;
+            tc.sessions_per_day = 30;
+            let t = TraceGenerator::new(tc).unwrap().generate(&Topology::balanced(2, 3, 4)).unwrap();
+            let cfg = EstimatorConfig {
+                history_days,
+                update_cycle_days,
+                min_support: 1,
+                closure_max_row,
+                aging_decay,
+                ..EstimatorConfig::default()
+            };
+            // Some stores run on past the trace, with several boundaries
+            // past its end.
+            let total_days = t.days() + extra_days;
+            let store = MatrixStore::precompute(&cfg, &t, total_days).unwrap();
+            let full = MatrixStore::precompute_full(&cfg, &t, total_days);
+            prop_assert_eq!(store.len(), full.len());
+            for (kept, all) in store.by_boundary.iter().zip(&full.by_boundary) {
+                let day = all.estimated_on_day;
+                prop_assert_eq!(kept.direct.bits(), all.direct.bits(), "P on day {}", day);
+                let want: Vec<_> = match served_by_definition(&t, day, update_cycle_days) {
+                    None => all.closure.bits(),
+                    Some(served) => {
+                        let rows = all.closure.bits().into_iter();
+                        rows.filter(|(i, ..)| served.contains(i)).collect()
+                    }
+                };
+                prop_assert_eq!(kept.closure.bits(), want, "P* on day {}", day);
+                for a in t.accesses.iter().filter(|a| a.time.day() / update_cycle_days == day / update_cycle_days) {
+                    prop_assert!(store.demands(a.time.day(), a.doc));
+                }
+            }
         }
     }
 

@@ -69,6 +69,12 @@ impl Policy {
         }
     }
 
+    /// Whether [`decide`] reads the closure `P*` under this policy
+    /// (every policy but `DirectThreshold`, which reads `P`).
+    pub fn reads_closure(&self) -> bool {
+        !matches!(self, Policy::DirectThreshold { .. })
+    }
+
     /// Validates the policy parameters.
     pub fn validate(&self) -> Result<()> {
         let check = |name: &'static str, p: f64| {
@@ -159,7 +165,7 @@ pub fn decide(
     };
     let lowest = hint_tp.map_or(push_tp, |h| h.min(push_tp));
     let mut decision = SpecDecision::default();
-    for &(j, p) in row {
+    for (j, p) in row {
         if p < lowest || decision.push.len() == k {
             break;
         }
@@ -409,7 +415,7 @@ mod tests {
         mut exclude: impl FnMut(DocId) -> bool,
     ) -> SpecDecision {
         let by_id = |m: &DepMatrix| {
-            let mut row = m.row(doc).to_vec();
+            let mut row: Vec<(DocId, f64)> = m.row(doc).iter().collect();
             row.sort_by_key(|&(j, _)| j);
             row
         };

@@ -487,9 +487,7 @@ impl<'a> SpecSim<'a> {
         });
         let (totals, counters) = self.shards.replay_sharded(
             &self.trace.accesses,
-            |clients, accesses| {
-                Ok::<_, CoreError>(self.replay_shard(cfg, store, faults, clients, accesses))
-            },
+            |clients, accesses| self.replay_shard(cfg, store, faults, clients, accesses),
             |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
                 whole.0.merge(&totals);
                 whole.1.merge(&counters);
@@ -502,7 +500,9 @@ impl<'a> SpecSim<'a> {
     /// Replays one shard of accesses (or, on the serial path, all of
     /// them) of the clients `owned`, holding a cache — and a profile, if
     /// the configuration reads one — for each of those and no other.
-    /// Accesses must arrive in trace order within the shard.
+    /// Accesses must arrive in trace order within the shard. A request
+    /// whose `P*` row the store never closed means the store was built
+    /// over another trace: the replay stops with `invalid_config`.
     fn replay_shard(
         &self,
         cfg: &SpecConfig,
@@ -510,7 +510,7 @@ impl<'a> SpecSim<'a> {
         faults: Option<&FaultCtx<'_>>,
         owned: ShardClients<'_>,
         accesses: &mut dyn Iterator<Item = &specweb_trace::generator::Access>,
-    ) -> (RunTotals, ReplayCounters) {
+    ) -> Result<(RunTotals, ReplayCounters)> {
         let trace = self.trace;
         let catalog = &trace.catalog;
 
@@ -649,7 +649,18 @@ impl<'a> SpecSim<'a> {
             caches[slot].insert(a.doc, size);
 
             // The server sees this request — speculation may ride along.
-            if let Some(matrices) = store.map(|s| s.for_day(day)) {
+            if let Some(store) = store {
+                if cfg.policy.reads_closure() && !store.demands(day, a.doc) {
+                    return Err(CoreError::invalid_config(
+                        "spec.matrix_store",
+                        format!(
+                            "store was precomputed over another trace: it holds no P* row \
+                             of document {} on day {day}",
+                            a.doc
+                        ),
+                    ));
+                }
+                let matrices = store.for_day(day);
                 let cache = &mut caches[slot];
                 // Only cooperative clients tell the server what they hold.
                 let decision = decide(
@@ -727,7 +738,7 @@ impl<'a> SpecSim<'a> {
                 profiles[slot].record(a.time, a.doc);
             }
         }
-        (totals, counters)
+        Ok((totals, counters))
     }
 
     /// Publishes one replay's accounting into the run's installed obs
@@ -1242,6 +1253,87 @@ mod tests {
             .is_err());
     }
 
+    #[test]
+    fn a_store_over_another_trace_is_refused() {
+        // A store closes the `P*` rows its own trace requests: a replay
+        // of another trace of the same span asks for rows it never
+        // closed, and is refused rather than served empty rows.
+        use crate::estimator::MatrixStore;
+        let (trace, topo) = setup(215);
+        let (other, _) = setup(216);
+        let c = cfg(0.3);
+        let store = MatrixStore::precompute(&c.estimator, &other, other.days()).unwrap();
+        let err = SpecSim::new(&trace, &topo)
+            .run_with_store_and_baseline(&c, Some(&store), None)
+            .unwrap_err();
+        let err = err.to_string();
+        assert!(
+            err.contains("spec.matrix_store") && err.contains("another trace"),
+            "{err}"
+        );
+        // Its own trace replays on it…
+        let own = SpecSim::new(&other, &topo);
+        assert!(own
+            .run_with_store_and_baseline(&c, Some(&store), None)
+            .is_ok());
+        // …and a policy that reads `P` alone reads nothing it lacks.
+        let direct = SpecConfig {
+            policy: Policy::DirectThreshold { tp: 0.3 },
+            ..c
+        };
+        let sim = SpecSim::new(&trace, &topo);
+        assert!(sim
+            .run_with_store_and_baseline(&direct, Some(&store), None)
+            .is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn outcomes_are_equal_under_the_demand_store_and_the_full_twin(
+            seed in 300u64..400,
+            update_cycle_days in 1u64..=7,
+            history_days in 1u64..=8,
+            aging_decay in proptest::prop_oneof![
+                proptest::prelude::Just(None),
+                proptest::prelude::Just(Some(0.8)),
+            ],
+        ) {
+            use crate::estimator::MatrixStore;
+            let (trace, topo) = setup(seed);
+            let sim = SpecSim::new(&trace, &topo);
+            let mut base = cfg(0.3);
+            base.estimator.update_cycle_days = update_cycle_days;
+            base.estimator.history_days = history_days;
+            base.estimator.aging_decay = aging_decay;
+            let est = &base.estimator;
+            let demand = MatrixStore::precompute(est, &trace, trace.days()).unwrap();
+            let full = MatrixStore::precompute_full(est, &trace, trace.days());
+            let baseline = sim.baseline_totals(&base).unwrap();
+            let policies = [
+                (Policy::Threshold { tp: 0.2 }, HintPolicy::Ignore),
+                (Policy::DirectThreshold { tp: 0.2 }, HintPolicy::Ignore),
+                (Policy::TopK { k: 3, floor: 0.05 }, HintPolicy::Ignore),
+                (Policy::EmbeddingOnly, HintPolicy::Ignore),
+                (
+                    Policy::Hybrid { push_tp: 0.8, hint_tp: 0.2 },
+                    HintPolicy::Threshold { tp: 0.3 },
+                ),
+            ];
+            for (policy, hint_policy) in policies {
+                for cooperative in [false, true] {
+                    let c = SpecConfig { policy, hint_policy, cooperative, ..base };
+                    let [got, want] = [&demand, &full].map(|store| {
+                        let out = sim.run_with_store_and_baseline(&c, Some(store), Some(&baseline));
+                        serde_json::to_string(&out.unwrap()).unwrap()
+                    });
+                    proptest::prop_assert_eq!(got, want, "{:?}, cooperative {}", policy, cooperative);
+                }
+            }
+        }
+    }
+
     /// The replay paths that keep different per-client state: the
     /// bitset alone, the LRU's recency list, hints taken without a
     /// profile, hints gated by one, and profile-driven prefetching.
@@ -1325,13 +1417,15 @@ mod tests {
         for (label, c) in state_variants() {
             for faults in [None, Some(&ctx)] {
                 for store in [Some(&store), None] {
-                    let serial = sim.replay_shard(
-                        &c,
-                        store,
-                        faults,
-                        sim.shards.all_clients(),
-                        &mut trace.accesses.iter(),
-                    );
+                    let serial = sim
+                        .replay_shard(
+                            &c,
+                            store,
+                            faults,
+                            sim.shards.all_clients(),
+                            &mut trace.accesses.iter(),
+                        )
+                        .unwrap();
                     for jobs in [1, 2, 4] {
                         specweb_core::par::set_default_jobs(jobs);
                         let sharded = sim.replay(&c, store, faults).unwrap();
@@ -1377,7 +1471,7 @@ mod tests {
             let serial = |faults| {
                 let [spec, base] = [Some(&slow), None].map(|store| {
                     let all = sim.shards.all_clients();
-                    sim.replay_shard(&c, store, faults, all, &mut trace.accesses.iter())
+                    (sim.replay_shard(&c, store, faults, all, &mut trace.accesses.iter())).unwrap()
                 });
                 DegradedSpecOutcome::assemble(&c, spec, base)
             };
