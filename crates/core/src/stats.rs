@@ -319,16 +319,26 @@ impl ServiceTimeDist {
     /// Records one access served in `ms` milliseconds (0 for cache hits).
     #[inline]
     pub fn record(&mut self, ms: u64) {
+        self.record_n(ms, 1);
+    }
+
+    /// Records `n` accesses served in `ms` milliseconds each: the same
+    /// multiset as `n` calls of [`ServiceTimeDist::record`].
+    #[inline]
+    pub fn record_n(&mut self, ms: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if ms < DENSE_CAP_MS {
             let i = ms as usize;
             if i >= self.dense.len() {
                 self.dense.resize(i + 1, 0);
             }
-            self.dense[i] += 1;
+            self.dense[i] += n;
         } else {
-            *self.spill.entry(ms).or_insert(0) += 1;
+            *self.spill.entry(ms).or_insert(0) += n;
         }
-        self.total += 1;
+        self.total += n;
     }
 
     /// Adds another distribution's samples (exact shard merge: multiset
@@ -789,6 +799,23 @@ mod tests {
                 prop_assert!(p50 <= p90 && p90 <= p99 && p99 <= p999);
                 prop_assert!(quantile(&f, 0.0).unwrap() <= p50);
                 prop_assert!(p999 <= quantile(&f, 1.0).unwrap());
+            }
+
+            #[test]
+            fn record_n_equals_repeated_record(
+                counted in prop::collection::vec((sample_ms(), 0u64..40), 0..64),
+            ) {
+                // Always one sample above the dense cap, and one zero count.
+                let fixed = [(DENSE_CAP_MS + 7, 3), (5, 0)];
+                let mut d = ServiceTimeDist::new();
+                let mut expanded = Vec::new();
+                for &(ms, n) in fixed.iter().chain(&counted) {
+                    d.record_n(ms, n);
+                    expanded.extend(std::iter::repeat_n(ms, n as usize));
+                }
+                let repeated = dist_of(&expanded);
+                prop_assert_eq!(&d, &repeated);
+                prop_assert_eq!(d.quantiles(), repeated.quantiles());
             }
 
             #[test]

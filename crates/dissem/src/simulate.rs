@@ -21,16 +21,30 @@
 //! * optional per-proxy load cap implementing §2.3's dynamic shedding.
 //!
 //! A run reads tables, not the trace. [`DisseminationSim::new`] makes one
-//! pass that counts every document's remote and local requests (the
-//! profiles are folds over those counts) and the bytes requested at each
-//! node (what placement weighs). A run then places its proxies, resolves
-//! every (node, server) route once into a [`RouteTable`], builds each
-//! proxy's [`ProxyStore`] into a node-indexed slice — counting the
-//! tailored replicas' subtree demand in one walk over the remote accesses
-//! when asked — and replays. The per-access loop does index lookups only.
+//! pass that builds the **demand table**: for each client node, every
+//! distinct document requested there, split by requester locality, with
+//! its request count. Every document's remote and local counts (the
+//! profiles are folds over those) and the bytes requested at each node
+//! (what placement weighs) are sums over that table. A run then places
+//! its proxies, resolves every (node, server) route once into a
+//! [`RouteTable`], builds each proxy's [`ProxyStore`] into a node-indexed
+//! slice — ranking an untailored replica once per server, or counting
+//! the tailored replicas' subtree demand from the table's remote entries
+//! — and replays.
+//!
+//! Without a daily cap and without faults, every request of one (node,
+//! document) pair takes the same path, so the outcome depends only on
+//! the counts: such a run replays the demand table, one interception
+//! lookup per entry with its count added to every account. A cap sheds
+//! by the order of requests within a day and a fault by their time, so
+//! capped and faulted runs replay the trace in order through the replay
+//! kernel; the in-order replay is also the count replay's slow twin.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
-use specweb_core::ids::{NodeId, ServerId};
+use specweb_core::ids::{DocId, NodeId, ServerId};
 use specweb_core::stats::{ServiceQuantiles, ServiceTimeDist};
 use specweb_core::units::{ByteHops, Bytes};
 use specweb_core::{CoreError, Result};
@@ -191,22 +205,91 @@ pub struct DegradedDisseminationOutcome {
     pub slow_service_times: ServiceQuantiles,
 }
 
+/// Each client node's demand: every distinct document requested there,
+/// split by requester locality, with its request count — 12 bytes an
+/// entry, one entry per (node, locality, document) the trace requests.
+#[derive(Debug, Default)]
+struct DemandTable {
+    /// `spans[n][side(l)]`: where node `n`'s entries of locality `l` sit
+    /// in `docs` and `counts`, as `(start, end)`.
+    spans: Vec<[(usize, usize); 2]>,
+    docs: Vec<DocId>,
+    counts: Vec<u64>,
+}
+
+/// A locality's index in a [`DemandTable`] span pair.
+fn side(locality: Locality) -> usize {
+    usize::from(locality == Locality::Local)
+}
+
+impl DemandTable {
+    /// One walk over the trace buckets each request's document by
+    /// (node, locality); each bucket then folds into distinct documents
+    /// with counts through a `DocId`-indexed tally (branch-free: a
+    /// document's first request in the bucket is one more of `seen`).
+    fn build(trace: &Trace, n_nodes: usize) -> DemandTable {
+        let mut buckets: Vec<[Vec<DocId>; 2]> = vec![[Vec::new(), Vec::new()]; n_nodes];
+        for a in &trace.accesses {
+            let node = trace.clients.get(a.client).node.index();
+            buckets[node][side(a.locality)].push(a.doc);
+        }
+        let catalog = &trace.catalog;
+        let mut table = DemandTable {
+            spans: Vec::with_capacity(n_nodes),
+            ..DemandTable::default()
+        };
+        // `tally[doc]`: the document's requests in the current bucket;
+        // `seen[..n]`: the bucket's distinct documents, first request first.
+        let mut tally = vec![0u64; catalog.len()];
+        let mut seen = Vec::new();
+        for pair in buckets {
+            let spans = pair.map(|bucket| {
+                let start = table.docs.len();
+                seen.resize(bucket.len(), DocId::new(0));
+                let mut n = 0;
+                for doc in bucket {
+                    let t = &mut tally[doc.index()];
+                    seen[n] = doc;
+                    n += usize::from(*t == 0);
+                    *t += 1;
+                }
+                for &doc in &seen[..n] {
+                    table.docs.push(doc);
+                    table.counts.push(std::mem::take(&mut tally[doc.index()]));
+                }
+                (start, table.docs.len())
+            });
+            table.spans.push(spans);
+        }
+        table
+    }
+
+    /// Node `node`'s `(document, requests)` entries of `locality`.
+    fn entries(&self, node: usize, locality: Locality) -> impl Iterator<Item = (DocId, u64)> + '_ {
+        let (start, end) = self.spans[node][side(locality)];
+        let docs = self.docs[start..end].iter().copied();
+        docs.zip(self.counts[start..end].iter().copied())
+    }
+}
+
 /// The dissemination simulator.
 #[derive(Debug)]
 pub struct DisseminationSim<'a> {
     trace: &'a Trace,
     topo: &'a Topology,
     profiles: Vec<ServerProfile>,
+    /// What a run without a cap or faults replays.
+    demand: DemandTable,
     /// Bytes of remote requests from the clients attached at each node,
     /// indexed by `NodeId` — the demand
     /// [`DisseminationSim::place_proxies_for`] weighs under `remote_only`.
     remote_node_bytes: Vec<u64>,
     /// The same over all requests.
     node_bytes: Vec<u64>,
-    /// The replay kernel's cluster partition. A route's interceptions
-    /// stop at the root, so every proxy's counters are touched by exactly
-    /// one shard and the merged replay is bit-identical to a serial pass
-    /// (DESIGN §12).
+    /// The replay kernel's cluster partition, for the in-order replay of
+    /// capped and faulted runs. A route's interceptions stop at the root,
+    /// so every proxy's counters are touched by exactly one shard and the
+    /// merged replay is bit-identical to a serial pass (DESIGN §12).
     shards: ClusterShards,
 }
 
@@ -228,6 +311,22 @@ struct ReplayPart {
 }
 
 impl ReplayPart {
+    /// Records `n` requests of `size` bytes from `origin_hops` below the
+    /// root in the no-dissemination baseline, which pays the full origin
+    /// path, fault-free by construction (faults degrade the treatment,
+    /// not the reference point).
+    fn record_baseline(
+        &mut self,
+        cfg: &DisseminationConfig,
+        size: Bytes,
+        origin_hops: u32,
+        n: u64,
+    ) {
+        self.baseline.record_n(size, origin_hops, n);
+        self.baseline_service
+            .record_n(cfg.latency.fetch(size, origin_hops).as_millis(), n);
+    }
+
     /// Adds another shard's partial outcome (saturating sums and
     /// multiset unions: exact and order-independent).
     fn merge(&mut self, other: &ReplayPart) {
@@ -259,9 +358,9 @@ impl FaultTally {
 
 impl<'a> DisseminationSim<'a> {
     /// Builds the simulator from one pass over the trace (the paper's
-    /// off-line log analysis step): every document's `(remote, local)`
-    /// request counts, which one profile per server folds, and the bytes
-    /// requested at each node.
+    /// off-line log analysis step): the demand table, and from it every
+    /// document's `(remote, local)` request counts, which one profile per
+    /// server folds, and the bytes requested at each node.
     pub fn new(trace: &'a Trace, topo: &'a Topology) -> Result<Self> {
         let days = trace.days().max(1);
         let n_servers = trace
@@ -274,30 +373,35 @@ impl<'a> DisseminationSim<'a> {
         let mut doc_counts = vec![(0u64, 0u64); catalog.len()];
         let mut remote_node_bytes = vec![0u64; topo.len()];
         let mut node_bytes = vec![0u64; topo.len()];
-        for a in &trace.accesses {
-            let count = &mut doc_counts[a.doc.index()];
-            let node = trace.clients.get(a.client).node.index();
-            let size = catalog.size(a.doc).get();
-            if a.locality == Locality::Remote {
-                count.0 += 1;
-                remote_node_bytes[node] = remote_node_bytes[node].saturating_add(size);
-            } else {
-                count.1 += 1;
+        let demand = {
+            let _f = specweb_core::obs::profile::frame("dissem.demand");
+            let demand = DemandTable::build(trace, topo.len());
+            for node in 0..topo.len() {
+                for locality in [Locality::Remote, Locality::Local] {
+                    for (doc, n) in demand.entries(node, locality) {
+                        let bytes = catalog.size(doc).get().saturating_mul(n);
+                        let count = &mut doc_counts[doc.index()];
+                        if locality == Locality::Remote {
+                            count.0 += n;
+                            remote_node_bytes[node] = remote_node_bytes[node].saturating_add(bytes);
+                        } else {
+                            count.1 += n;
+                        }
+                        node_bytes[node] = node_bytes[node].saturating_add(bytes);
+                    }
+                }
             }
-            node_bytes[node] = node_bytes[node].saturating_add(size);
-        }
+            demand
+        };
         let servers: Vec<ServerId> = (0..n_servers).map(ServerId::from).collect();
         let profiles = ServerProfile::from_counts(catalog, &doc_counts, &servers, days)?;
         let nodes: Vec<NodeId> = trace.clients.iter().map(|c| c.node).collect();
-        let shards = ClusterShards::partition(
-            topo,
-            &nodes,
-            trace.accesses.iter().map(|a| a.client.index()),
-        );
+        let shards = ClusterShards::partition(topo, &nodes);
         Ok(DisseminationSim {
             trace,
             topo,
             profiles,
+            demand,
             remote_node_bytes,
             node_bytes,
             shards,
@@ -492,6 +596,28 @@ impl<'a> DisseminationSim<'a> {
                 Vec::new()
             };
 
+            let budgets: Vec<Bytes> = self
+                .profiles
+                .iter()
+                .map(|p| Bytes::new((p.remotely_accessed_bytes().as_f64() * cfg.fraction) as u64))
+                .collect();
+            // Untailored, every proxy holds the same replica of a server.
+            let shared: Vec<Vec<(DocId, Bytes)>> = if cfg.tailored {
+                Vec::new()
+            } else {
+                self.profiles
+                    .iter()
+                    .zip(&budgets)
+                    .map(|(profile, &budget)| {
+                        if cfg.rank_for_traffic {
+                            profile.top_docs_for_traffic(budget)
+                        } else {
+                            profile.top_docs_within(budget)
+                        }
+                    })
+                    .collect()
+            };
+
             // Build each proxy's store.
             let mut stores = vec![ProxyStore::default(); self.topo.len()];
             let mut push_traffic = ByteHops::ZERO;
@@ -499,19 +625,21 @@ impl<'a> DisseminationSim<'a> {
             for (slot, &node) in proxy_nodes.iter().enumerate() {
                 let hops_from_origin = self.topo.depth(node);
                 let mut store = ProxyStore::new(Bytes::new(u64::MAX / 2));
-                for profile in &self.profiles {
-                    let budget = Bytes::new(
-                        (profile.remotely_accessed_bytes().as_f64() * cfg.fraction) as u64,
-                    );
+                for (i, (profile, &budget)) in self.profiles.iter().zip(&budgets).enumerate() {
                     store.set_quota(profile.server, budget);
+                    let tailored;
                     let docs = if cfg.tailored {
-                        tailored_top_docs(profile, &subtree[slot], budget, cfg.rank_for_traffic)
-                    } else if cfg.rank_for_traffic {
-                        profile.top_docs_for_traffic(budget)
+                        tailored = tailored_top_docs(
+                            profile,
+                            &subtree[slot],
+                            budget,
+                            cfg.rank_for_traffic,
+                        );
+                        &tailored
                     } else {
-                        profile.top_docs_within(budget)
+                        &shared[i]
                     };
-                    for (doc, size) in docs {
+                    for &(doc, size) in docs {
                         store.install(profile.server, doc, size)?;
                         if cfg.count_dissemination_traffic {
                             push_traffic += size.over_hops(hops_from_origin);
@@ -539,20 +667,25 @@ impl<'a> DisseminationSim<'a> {
             (routes, stores, push_traffic, total_storage)
         };
 
-        // Replay through the kernel: every interception proxy lies
-        // strictly below the root on its client's path, so per-proxy
-        // counters (daily shedding, capacity thinning) are shard-local
-        // and the kernel's fold reproduces a serial pass bit for bit
-        // (DESIGN §12).
         let _replay_frame = specweb_core::obs::profile::frame("replay");
-        let whole = self.shards.replay_sharded(
-            &self.trace.accesses,
-            // No per-client state here, so nothing to size by the part's clients.
-            |_, accesses| {
-                Ok::<_, CoreError>(self.replay_shard(cfg, faults, &routes, &stores, accesses))
-            },
-            |whole: &mut ReplayPart, part| whole.merge(&part),
-        )?;
+        let whole = if faults.is_none() && cfg.proxy_daily_request_cap.is_none() {
+            self.replay_demand(cfg, &routes, &stores)
+        } else {
+            // In order through the kernel: every interception proxy lies
+            // strictly below the root on its client's path, so per-proxy
+            // counters (daily shedding, capacity thinning) are shard-local
+            // and the kernel's fold reproduces a serial pass bit for bit
+            // (DESIGN §12).
+            self.shards.replay_sharded(
+                &self.trace.accesses,
+                |a| a.client.index(),
+                // No per-client state here, so nothing to size by the part's clients.
+                |_, accesses| {
+                    Ok::<_, CoreError>(self.replay_shard(cfg, faults, &routes, &stores, accesses))
+                },
+                |whole: &mut ReplayPart, part| whole.merge(&part),
+            )?
+        };
 
         let total_with = whole.with_d.byte_hops + push_traffic;
         let reduction = 1.0 - total_with.ratio(whole.baseline.byte_hops);
@@ -613,6 +746,53 @@ impl<'a> DisseminationSim<'a> {
         ))
     }
 
+    /// Replays the demand table: the outcome of a run without a cap or
+    /// faults, where every request of one (node, document) pair takes
+    /// the same path. One interception lookup per entry; its count goes
+    /// into every account at once.
+    fn replay_demand(
+        &self,
+        cfg: &DisseminationConfig,
+        routes: &RouteTable,
+        stores: &[ProxyStore],
+    ) -> ReplayPart {
+        let catalog = &self.trace.catalog;
+        let localities: &[Locality] = if cfg.remote_only {
+            &[Locality::Remote]
+        } else {
+            &[Locality::Remote, Locality::Local]
+        };
+        let mut part = ReplayPart::default();
+        for node in (0..self.topo.len()).map(NodeId::from) {
+            let origin_hops = self.topo.depth(node);
+            for &locality in localities {
+                for (doc, n) in self.demand.entries(node.index(), locality) {
+                    let size = catalog.size(doc);
+                    let server = catalog.get(doc).server;
+                    part.record_baseline(cfg, size, origin_hops, n);
+                    let served = routes
+                        .interceptions(node, server)
+                        .iter()
+                        .find(|itc| stores[itc.proxy.index()].contains(server, doc));
+                    let hops = match served {
+                        Some(itc) => {
+                            part.proxy_hits += n;
+                            itc.hops_from_client
+                        }
+                        None => {
+                            part.origin_hits += n;
+                            origin_hops
+                        }
+                    };
+                    part.with_d.record_n(size, hops, n);
+                    part.service
+                        .record_n(cfg.latency.fetch(size, hops).as_millis(), n);
+                }
+            }
+        }
+        part
+    }
+
     /// Replays one shard of the trace (an in-order subsequence of
     /// accesses) into a partial outcome. Per-proxy state — the daily
     /// shedding counters and the capacity-fault thinning counters —
@@ -645,12 +825,7 @@ impl<'a> DisseminationSim<'a> {
             let size = self.trace.catalog.size(a.doc);
             let client_node = self.trace.clients.get(a.client).node;
             let origin_hops = self.topo.depth(client_node);
-            part.baseline.record(size, origin_hops);
-            // The baseline pays the full origin path, fault-free by
-            // construction (faults degrade the treatment, not the
-            // reference point).
-            part.baseline_service
-                .record(cfg.latency.fetch(size, origin_hops).as_millis());
+            part.record_baseline(cfg, size, origin_hops, 1);
 
             // A stalled client defers its request to the end of the
             // window; every later fault lookup sees the deferred
@@ -765,10 +940,10 @@ impl<'a> DisseminationSim<'a> {
 
     /// Remote requests per (proxy, document) from the clients in each
     /// proxy's subtree: row `slot`, indexed by `DocId`, counts for
-    /// `proxies[slot]`. One walk over the remote accesses, each climbing
-    /// its client's path through a node → slot table, counts for every
-    /// proxy at once. Only remote demand counts: proxies never see an
-    /// organization's local requests, so counting them would spend
+    /// `proxies[slot]`. Each node climbs its path once through a node →
+    /// slot table and adds its remote table entries to every proxy above
+    /// it. Only remote demand counts: proxies never see
+    /// an organization's local requests, so counting them would spend
     /// replica budget on documents a proxy cannot serve.
     fn subtree_counts(&self, proxies: &[NodeId]) -> Vec<Vec<u64>> {
         let catalog = &self.trace.catalog;
@@ -777,16 +952,18 @@ impl<'a> DisseminationSim<'a> {
             slot_of[node.index()] = Some(slot);
         }
         let mut counts: Vec<Vec<u64>> = proxies.iter().map(|_| vec![0; catalog.len()]).collect();
-        for a in &self.trace.accesses {
-            if a.locality == Locality::Local {
-                continue;
+        let mut above = Vec::new();
+        for node in (0..self.topo.len()).map(NodeId::from) {
+            above.clear();
+            let mut v = node;
+            while v != Topology::ROOT {
+                above.extend(slot_of[v.index()]);
+                v = self.topo.parent(v);
             }
-            let mut node = self.trace.clients.get(a.client).node;
-            while node != Topology::ROOT {
-                if let Some(slot) = slot_of[node.index()] {
-                    counts[slot][a.doc.index()] += 1;
+            for &slot in &above {
+                for (doc, n) in self.demand.entries(node.index(), Locality::Remote) {
+                    counts[slot][doc.index()] += n;
                 }
-                node = self.topo.parent(node);
             }
         }
         counts
@@ -800,33 +977,43 @@ impl<'a> DisseminationSim<'a> {
 /// noisy; the global profile acts as a prior). The candidates are the
 /// server's documents with any remote demand: a subtree's remote access
 /// is a remote access of the server's too.
+///
+/// The smoothed count is `c = subtree + ¼·remote`, ranked as the exact
+/// integer `4c`. Ranking for α divides `c` by the size; that density is
+/// non-negative, so its `f64` bits order as the number does. Document
+/// ids break ties, so the order is total. The greedy fill pops that
+/// order off a heap and stops once not even the smallest candidate
+/// fits, so a small budget ranks only the head of the list.
 fn tailored_top_docs(
     profile: &ServerProfile,
     subtree: &[u64],
     budget: Bytes,
     rank_for_traffic: bool,
-) -> Vec<(specweb_core::ids::DocId, Bytes)> {
-    const GLOBAL_PRIOR_WEIGHT: f64 = 0.25;
-    let mut ranked: Vec<(specweb_core::ids::DocId, Bytes, f64)> = profile
+) -> Vec<(DocId, Bytes)> {
+    let ranked: Vec<(u64, Reverse<DocId>, Bytes)> = profile
         .docs
         .iter()
         .filter(|d| d.2 > 0)
         .map(|&(doc, size, remote, _)| {
-            let c = subtree[doc.index()] as f64 + GLOBAL_PRIOR_WEIGHT * remote as f64;
-            let score = if rank_for_traffic {
-                c // value/byte for traffic = request count
+            let c4 = 4 * subtree[doc.index()] + remote;
+            let key = if rank_for_traffic {
+                c4 // value/byte for traffic = request count
             } else {
-                c / size.get().max(1) as f64
+                (c4 as f64 * 0.25 / size.get().max(1) as f64).to_bits()
             };
-            (doc, size, score)
+            (key, Reverse(doc), size)
         })
         .collect();
-    // total_cmp keeps a degenerate (NaN-gain) entry from aborting
-    // the whole simulation; it simply sorts last deterministically.
-    ranked.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+    let Some(smallest) = ranked.iter().map(|r| r.2).min() else {
+        return Vec::new();
+    };
+    let mut heap = BinaryHeap::from(ranked);
     let mut out = Vec::new();
     let mut used = Bytes::ZERO;
-    for (doc, size, _) in ranked {
+    while let Some((_, Reverse(doc), size)) = heap.pop() {
+        if used + smallest > budget {
+            break;
+        }
         if used + size > budget {
             continue;
         }
@@ -839,9 +1026,22 @@ fn tailored_top_docs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specweb_netsim::fault::FaultWindow;
+    use proptest::prelude::*;
+    use specweb_core::obs::{MetricValue, Obs};
+    use specweb_netsim::fault::{FaultConfig, FaultWindow};
     use specweb_trace::generator::{TraceConfig, TraceGenerator};
+    use specweb_trace::updates::UpdateProcess;
     use std::collections::BTreeMap;
+    use std::sync::Mutex;
+
+    /// The worker count is process-wide and some tests here need a given
+    /// value to hold for a while, so whoever pins it holds this lock.
+    static JOBS: Mutex<()> = Mutex::new(());
+
+    fn pin_jobs() -> std::sync::MutexGuard<'static, ()> {
+        JOBS.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn setup(seed: u64) -> (Trace, Topology) {
         let topo = Topology::balanced(2, 3, 4);
@@ -1145,10 +1345,11 @@ mod tests {
     fn sharded_replay_equals_serial_replay() {
         // Forcing everything into one shard must reproduce the sharded
         // merge bit for bit — with a daily cap (per-proxy day counters),
-        // under faults (capacity thinning), and in the healthy case.
-        // Sharding only engages with >1 worker; output is identical at
-        // any width, so pinning the process default is side-effect-free.
-        specweb_core::par::set_default_jobs(2);
+        // under faults (capacity thinning, client stalls), and in the
+        // healthy case. Sharding, and the per-shard gather, only engage
+        // with >1 worker, and the single-shard twin never shards, so a
+        // capped or faulted run must read the same at every width.
+        let _pinned = pin_jobs();
         let (trace, topo) = setup(93);
         let sim = DisseminationSim::new(&trace, &topo).unwrap();
         assert!(
@@ -1158,35 +1359,125 @@ mod tests {
         // The serial twin pretends every client sits at the root: one
         // cluster, hence one full-order pass.
         let mut serial_sim = DisseminationSim::new(&trace, &topo).unwrap();
-        serial_sim.shards = ClusterShards::partition(
-            &topo,
-            &vec![Topology::ROOT; trace.clients.len()],
-            trace.accesses.iter().map(|a| a.client.index()),
-        );
+        serial_sim.shards =
+            ClusterShards::partition(&topo, &vec![Topology::ROOT; trace.clients.len()]);
         assert_eq!(serial_sim.shards.n_shards(), 1);
 
         let capped = DisseminationConfig {
             proxy_daily_request_cap: Some(5),
             ..DisseminationConfig::default()
         };
-        for cfg in [&DisseminationConfig::default(), &capped] {
-            let sharded = sim.run(cfg, &[]).unwrap();
-            let serial = serial_sim.run(cfg, &[]).unwrap();
-            assert_eq!(
-                serde_json::to_string(&sharded).unwrap(),
-                serde_json::to_string(&serial).unwrap()
-            );
+        let plans = [
+            FaultConfig::light(trace.duration),
+            FaultConfig::chaotic(trace.duration),
+        ]
+        .map(|f| FaultPlan::generate(&specweb_core::rng::SeedTree::new(933), &topo, &f).unwrap());
+        for jobs in [1, 2, 3, 4] {
+            specweb_core::par::set_default_jobs(jobs);
+            for cfg in [&DisseminationConfig::default(), &capped] {
+                let sharded = sim.run(cfg, &[]).unwrap();
+                let serial = serial_sim.run(cfg, &[]).unwrap();
+                assert_eq!(
+                    serde_json::to_string(&sharded).unwrap(),
+                    serde_json::to_string(&serial).unwrap(),
+                    "jobs {jobs}"
+                );
+            }
+            for plan in &plans {
+                let sharded = sim.run_with_faults(&capped, &[], plan).unwrap();
+                let serial = serial_sim.run_with_faults(&capped, &[], plan).unwrap();
+                assert!(sharded.outcome.shed_requests > 0 && sharded.retries > 0);
+                assert_eq!(
+                    serde_json::to_string(&sharded).unwrap(),
+                    serde_json::to_string(&serial).unwrap(),
+                    "jobs {jobs}"
+                );
+            }
         }
+    }
 
-        let fcfg = specweb_netsim::fault::FaultConfig::light(trace.duration);
-        let plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(933), &topo, &fcfg).unwrap();
-        let sharded = sim.run_with_faults(&capped, &[], &plan).unwrap();
-        let serial = serial_sim.run_with_faults(&capped, &[], &plan).unwrap();
-        assert_eq!(
-            serde_json::to_string(&sharded).unwrap(),
-            serde_json::to_string(&serial).unwrap()
-        );
+    /// One run's outcome, fault tally and `dissem.*` metrics. `in_order`
+    /// hands the run an empty fault plan, which sends it through the
+    /// in-order replay kernel and injects nothing.
+    fn observed_run(
+        sim: &DisseminationSim<'_>,
+        cfg: &DisseminationConfig,
+        updates: &[UpdateEvent],
+        in_order: bool,
+    ) -> (String, String, Vec<(String, MetricValue)>) {
+        let obs = Obs::new();
+        let _run = obs.install();
+        let none = FaultPlan::none();
+        let (out, tally) = sim
+            .run_inner(cfg, updates, in_order.then_some(&none))
+            .unwrap();
+        let metrics = obs
+            .snapshot()
+            .deterministic
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("dissem."))
+            .collect();
+        (
+            serde_json::to_string(&out).unwrap(),
+            format!("{tally:?}"),
+            metrics,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn demand_replay_equals_the_in_order_replay(
+            seed in 0u64..10_000,
+            n_servers in 1usize..=3,
+            fraction_pct in 0u32..=60,
+            n_proxies in 0usize..8,
+            explicit_mask in 0u32..256,
+        ) {
+            let topo = Topology::random(&specweb_core::rng::SeedTree::new(seed), 8, 20, 3);
+            let mut tc = TraceConfig::small(seed);
+            tc.n_servers = n_servers;
+            tc.duration_days = 3;
+            let trace = TraceGenerator::new(tc).unwrap().generate(&topo).unwrap();
+            let Ok(sim) = DisseminationSim::new(&trace, &topo) else {
+                return Ok(()); // no hit curve to fit: nothing to replay
+            };
+            let mut updates = UpdateProcess::default().generate(
+                &specweb_core::rng::SeedTree::new(seed),
+                &trace.catalog,
+                trace.days(),
+            );
+            // Plus one update of each server's densest document, which most
+            // replicas hold.
+            updates.extend(sim.profiles().iter().map(|p| UpdateEvent { day: 1, doc: p.docs[0].0 }));
+            let explicit: Vec<NodeId> = topo
+                .interior_nodes()
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| explicit_mask >> (i % 8) & 1 == 1)
+                .map(|(_, n)| n)
+                .collect();
+            for mask in 0u32..64 {
+                let on = |bit: u32| mask >> bit & 1 == 1;
+                let cfg = DisseminationConfig {
+                    fraction: f64::from(fraction_pct) / 100.0,
+                    n_proxies,
+                    tailored: on(0),
+                    rank_for_traffic: on(1),
+                    remote_only: on(2),
+                    count_dissemination_traffic: on(3),
+                    count_update_traffic: on(4),
+                    explicit_proxies: on(5).then(|| explicit.clone()),
+                    ..DisseminationConfig::default()
+                };
+                prop_assert_eq!(
+                    observed_run(&sim, &cfg, &updates, false),
+                    observed_run(&sim, &cfg, &updates, true),
+                    "{:?}", cfg
+                );
+            }
+        }
     }
 
     #[test]

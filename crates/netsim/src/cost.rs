@@ -102,9 +102,16 @@ impl TrafficAccount {
 
     /// Records one transfer of `size` bytes over `hops` hops.
     pub fn record(&mut self, size: Bytes, hops: u32) {
-        self.bytes += size;
-        self.byte_hops += size.over_hops(hops);
-        self.transfers += 1;
+        self.record_n(size, hops, 1);
+    }
+
+    /// Records `n` transfers of `size` bytes over `hops` hops: the same
+    /// account as `n` calls of [`TrafficAccount::record`] (the sums
+    /// saturate, so one saturating multiply equals the repeated adds).
+    pub fn record_n(&mut self, size: Bytes, hops: u32, n: u64) {
+        self.bytes += size * n;
+        self.byte_hops += size.over_hops(hops) * n;
+        self.transfers = self.transfers.saturating_add(n);
     }
 
     /// Merges another account.

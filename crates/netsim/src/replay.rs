@@ -5,17 +5,19 @@
 //! (§2.2, §3.2) — so both simulators split and reassemble that replay
 //! the same way, and this module is the one place that knows how:
 //!
-//! 1. **Partition.** [`ClusterShards::partition`] groups a trace's
-//!    access indices by the root-child subtree
-//!    ([`Topology::root_child`]) the requesting client lives under.
-//!    Shards are ordered by cluster node id and each keeps trace order.
-//!    Each client also gets a slot among the clients of its cluster, so
-//!    a part holds per-client state for the clients it owns
-//!    ([`ShardClients`]), not for the whole population once per shard.
+//! 1. **Partition.** [`ClusterShards::partition`] assigns each client
+//!    to the shard of the root-child subtree ([`Topology::root_child`])
+//!    it lives under, shards ordered by cluster node id, and gives it a
+//!    slot among the clients of its cluster, so a part holds per-client
+//!    state for the clients it owns ([`ShardClients`]), not for the
+//!    whole population once per shard. It holds O(clients), no access
+//!    indices.
 //! 2. **Gate.** [`ClusterShards::replay_sharded`] shards only when that
 //!    can pay: more than one shard *and* more than one worker in the
-//!    process-default pool. The index gather costs locality, so with one
-//!    worker the part closure gets the whole trace in a single pass.
+//!    process-default pool. Only then does it gather each shard's access
+//!    indices, in trace order, for that one replay; with one worker the
+//!    part closure gets the whole trace in a single pass and nothing is
+//!    gathered.
 //! 3. **Fold.** Partial outcomes fold into `T::default()` in shard
 //!    order, whatever order the workers finished in.
 //!
@@ -30,11 +32,11 @@ use specweb_core::par::Pool;
 
 use crate::topology::Topology;
 
-/// Static partition of a trace's access indices by the client's
-/// root-child cluster.
+/// Static partition of a client population by root-child cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterShards {
-    shards: Vec<Vec<usize>>,
+    /// `shard_of[c]`: the shard client `c` belongs to.
+    shard_of: Vec<usize>,
     /// `slot_of[c]`: client `c`'s rank among the clients of its shard.
     slot_of: Vec<usize>,
     /// Clients per shard.
@@ -71,14 +73,9 @@ impl ShardClients<'_> {
 }
 
 impl ClusterShards {
-    /// Partitions accesses `0..` by cluster. `client_nodes[c]` is the
-    /// node client `c` attaches at; `access_clients` yields each
-    /// access's client index in trace order.
-    pub fn partition(
-        topo: &Topology,
-        client_nodes: &[NodeId],
-        access_clients: impl Iterator<Item = usize>,
-    ) -> ClusterShards {
+    /// Partitions clients by cluster. `client_nodes[c]` is the node
+    /// client `c` attaches at.
+    pub fn partition(topo: &Topology, client_nodes: &[NodeId]) -> ClusterShards {
         let cluster_of: Vec<NodeId> = client_nodes.iter().map(|&n| topo.root_child(n)).collect();
         let mut clusters = cluster_of.clone();
         clusters.sort_unstable();
@@ -95,15 +92,21 @@ impl ClusterShards {
                 shard_clients[s] - 1
             })
             .collect();
-        let mut shards: Vec<Vec<usize>> = clusters.iter().map(|_| Vec::new()).collect();
-        for (i, c) in access_clients.enumerate() {
-            shards[shard_of[c]].push(i);
-        }
         ClusterShards {
-            shards,
+            shard_of,
             slot_of,
             shard_clients,
         }
+    }
+
+    /// Each shard's access indices, ascending: access `i` belongs to
+    /// the shard of client `client_of(&accesses[i])`.
+    fn gather<A>(&self, accesses: &[A], client_of: impl Fn(&A) -> usize) -> Vec<Vec<usize>> {
+        let mut shards = vec![Vec::new(); self.shard_clients.len()];
+        for (i, a) in accesses.iter().enumerate() {
+            shards[self.shard_of[client_of(a)]].push(i);
+        }
+        shards
     }
 
     /// Every client at its own index: what `part` receives when the
@@ -117,18 +120,20 @@ impl ClusterShards {
 
     /// Number of shards (distinct clusters with a client in them).
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.shard_clients.len()
     }
 
     /// Replays `accesses` through `part`, which receives them in trace
     /// order together with the clients they belong to — everything in
     /// one call, or one call per shard's gathered subsequence on
     /// `core::par` with the results combined by `fold` in shard order
-    /// (see the module docs for the gate). A failing shard surfaces as
-    /// the first error in shard order.
+    /// (see the module docs for the gate). `client_of` names an access's
+    /// client, an index into the partition's `client_nodes`. A failing
+    /// shard surfaces as the first error in shard order.
     pub fn replay_sharded<A, T, E>(
         &self,
         accesses: &[A],
+        client_of: impl Fn(&A) -> usize,
         part: impl Fn(ShardClients<'_>, &mut dyn Iterator<Item = &A>) -> Result<T, E> + Sync,
         mut fold: impl FnMut(&mut T, T),
     ) -> Result<T, E>
@@ -138,8 +143,9 @@ impl ClusterShards {
         E: Send,
     {
         let pool = Pool::auto();
-        if self.shards.len() > 1 && pool.jobs() > 1 {
-            let parts = pool.try_map_indexed(&self.shards, |shard, idxs| {
+        if self.n_shards() > 1 && pool.jobs() > 1 {
+            let shards = self.gather(accesses, client_of);
+            let parts = pool.try_map_indexed(&shards, |shard, idxs| {
                 let clients = ShardClients {
                     len: self.shard_clients[shard],
                     slot_of: Some(&self.slot_of),
@@ -204,21 +210,23 @@ mod tests {
     /// Sharded fold ≡ one serial pass at jobs 1/2/4, and the gate calls
     /// `part` once per shard exactly when it can pay.
     fn check(topo: &Topology, nodes: &[NodeId], accesses: &[(usize, u64)]) {
-        let shards = ClusterShards::partition(topo, nodes, accesses.iter().map(|a| a.0));
-        // The partition: every index once, ascending within a shard, one
+        let shards = ClusterShards::partition(topo, nodes);
+        // The gather: every index once, ascending within a shard, one
         // cluster per shard, shards ordered by cluster id.
-        let mut all: Vec<usize> = shards.shards.concat();
+        let gathered = shards.gather(accesses, |a| a.0);
+        let mut all: Vec<usize> = gathered.concat();
         all.sort_unstable();
         assert_eq!(all, (0..accesses.len()).collect::<Vec<_>>());
         let cluster_of = |i: usize| topo.root_child(nodes[accesses[i].0]);
-        for shard in &shards.shards {
+        for shard in &gathered {
             assert!(shard.windows(2).all(|w| w[0] < w[1]));
         }
         let mut clusters: Vec<NodeId> = nodes.iter().map(|&n| topo.root_child(n)).collect();
         clusters.sort_unstable();
         clusters.dedup();
         assert_eq!(shards.n_shards(), clusters.len());
-        for (shard, &cluster) in shards.shards.iter().zip(&clusters) {
+        assert_eq!(gathered.len(), clusters.len());
+        for (shard, &cluster) in gathered.iter().zip(&clusters) {
             assert!(shard.iter().all(|&i| cluster_of(i) == cluster));
         }
 
@@ -242,6 +250,7 @@ mod tests {
             let folded = shards
                 .replay_sharded(
                     accesses,
+                    |a| a.0,
                     |clients, accs| {
                         calls.fetch_add(1, Ordering::Relaxed);
                         Ok::<_, ()>(toy(clients, accs))
@@ -277,9 +286,10 @@ mod tests {
         specweb_core::par::set_default_jobs(2);
         let topo = Topology::two_level(3, 1);
         let nodes = topo.leaves().to_vec();
-        let shards = ClusterShards::partition(&topo, &nodes, [2usize, 1, 0].into_iter());
+        let shards = ClusterShards::partition(&topo, &nodes);
         let failed = shards.replay_sharded(
             &[2usize, 1, 0],
+            |&c| c,
             |_, accs| match accs.next() {
                 Some(&c) if c > 0 => Err(c),
                 _ => Ok(0u64),

@@ -351,11 +351,7 @@ impl<'a> SpecSim<'a> {
             })
             .collect();
         let nodes: Vec<specweb_core::ids::NodeId> = trace.clients.iter().map(|c| c.node).collect();
-        let shards = ClusterShards::partition(
-            topo,
-            &nodes,
-            trace.accesses.iter().map(|a| a.client.index()),
-        );
+        let shards = ClusterShards::partition(topo, &nodes);
 
         SpecSim {
             trace,
@@ -487,6 +483,7 @@ impl<'a> SpecSim<'a> {
         });
         let (totals, counters) = self.shards.replay_sharded(
             &self.trace.accesses,
+            |a| a.client.index(),
             |clients, accesses| self.replay_shard(cfg, store, faults, clients, accesses),
             |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
                 whole.0.merge(&totals);
