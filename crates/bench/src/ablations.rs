@@ -185,7 +185,8 @@ pub fn exp_closure(inputs: &Inputs) -> Result<Report> {
     }
     text.push_str(
         "\nexpected: tightening the bound increases truncation and can only\n\
-         shrink the speculation set — a bound that truncates nothing is\n\
+         shrink the speculation set (each row at a bound is a prefix of\n\
+         its row at any looser one) — a bound that truncates nothing is\n\
          provably free, and the default should sit in that regime.\n",
     );
 

@@ -143,37 +143,3 @@ fn topology_roundtrips() {
         assert_eq!(back.parent(l), topo.parent(l));
     }
 }
-
-#[test]
-fn dep_matrix_roundtrips() {
-    use specweb::trace::clients::Locality;
-    let accesses: Vec<Access> = (0..20u32)
-        .flat_map(|k| {
-            let t = u64::from(k) * 1_000_000;
-            [
-                Access {
-                    time: SimTime::from_millis(t),
-                    client: ClientId::new(k),
-                    doc: DocId::new(1),
-                    server: ServerId::new(0),
-                    locality: Locality::Remote,
-                    session: 0,
-                },
-                Access {
-                    time: SimTime::from_millis(t + 100),
-                    client: ClientId::new(k),
-                    doc: DocId::new(2 + k % 2),
-                    server: ServerId::new(0),
-                    locality: Locality::Remote,
-                    session: 0,
-                },
-            ]
-        })
-        .collect();
-    let m = DepMatrixBuilder::estimate(&accesses, Duration::from_secs(5), 1);
-    let back: DepMatrix = roundtrip(&m);
-    assert_eq!(back.n_entries(), m.n_entries());
-    for (i, j, p) in m.entries() {
-        assert_eq!(back.get(i, j), p);
-    }
-}
