@@ -186,8 +186,9 @@ pub fn exp_closure(inputs: &Inputs) -> Result<Report> {
     text.push_str(
         "\nexpected: tightening the bound increases truncation and can only\n\
          shrink the speculation set (each row at a bound is a prefix of\n\
-         its row at any looser one) — a bound that truncates nothing is\n\
-         provably free, and the default should sit in that regime.\n",
+         its row at any looser one) — a bound at or above every row's\n\
+         reach is free; `truncated` counts only rows reaching more than\n\
+         4·max_row, so a bound may cut shorter rows while it reads 0.\n",
     );
 
     Ok(Report::new(

@@ -459,9 +459,8 @@ impl ServiceTimeDist {
     }
 }
 
-/// Exact service-time summary of one run (or one degraded class of
-/// accesses within a run). All values are pure functions of the sample
-/// multiset, hence deterministic across `--jobs` counts.
+/// Exact service-time summary of one run. All values are pure functions
+/// of the sample multiset, hence deterministic across `--jobs` counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceQuantiles {
     /// Accesses summarized.

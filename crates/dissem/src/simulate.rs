@@ -32,13 +32,13 @@
 //! the tailored replicas' subtree demand from the table's remote entries
 //! — and replays.
 //!
-//! Without a daily cap and without faults, every request of one (node,
-//! document) pair takes the same path, so the outcome depends only on
-//! the counts: such a run replays the demand table, one interception
-//! lookup per entry with its count added to every account. A cap sheds
-//! by the order of requests within a day and a fault by their time, so
-//! capped and faulted runs replay the trace in order through the replay
-//! kernel; the in-order replay is also the count replay's slow twin.
+//! Without a daily cap, every request of one (node, document) pair
+//! takes the same path, so the outcome depends only on the counts: such
+//! a run replays the demand table, one interception lookup per entry
+//! with its count added to every account. A cap sheds by the order of
+//! requests within a day, so capped runs replay the trace in order
+//! through the replay kernel; the in-order replay is also the count
+//! replay's slow twin.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -50,7 +50,6 @@ use specweb_core::units::{ByteHops, Bytes};
 use specweb_core::{CoreError, Result};
 use specweb_netsim::cluster::{Cluster, ClusterMap};
 use specweb_netsim::cost::{LatencyModel, TrafficAccount};
-use specweb_netsim::fault::FaultPlan;
 use specweb_netsim::proxystore::ProxyStore;
 use specweb_netsim::replay::ClusterShards;
 use specweb_netsim::routing::{RouteTable, Router};
@@ -149,62 +148,6 @@ pub struct DisseminationOutcome {
     pub baseline_service_times: ServiceQuantiles,
 }
 
-/// Counters accumulated by a faulted replay.
-#[derive(Debug, Default, Clone)]
-struct FaultTally {
-    fault_denied: u64,
-    retries: u64,
-    unavailable: u64,
-    stalled: u64,
-    slow_served: u64,
-    partial_write_resends: u64,
-    /// Service times of the requests deferred by a client stall.
-    stalled_service: ServiceTimeDist,
-    /// Service times of the requests drained by a slow client.
-    slow_service: ServiceTimeDist,
-}
-
-/// Results of [`DisseminationSim::run_with_faults`]: the faulted
-/// outcome, its healthy twin, and the degraded-mode metrics connecting
-/// them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DegradedDisseminationOutcome {
-    /// The outcome measured while the fault plan was active.
-    pub outcome: DisseminationOutcome,
-    /// The same configuration replayed with no faults.
-    pub healthy: DisseminationOutcome,
-    /// Interception opportunities denied by a crash, a broken path or a
-    /// capacity fault (the request fell through toward the origin).
-    pub fault_denied: u64,
-    /// Client retries caused by faults (fall-throughs + waits for the
-    /// origin path to recover).
-    pub retries: u64,
-    /// Requests that could not be served at all: the path to the home
-    /// server never recovered inside the plan's horizon.
-    pub unavailable: u64,
-    /// Fraction of requests served (`1 −` unavailable/attempted).
-    pub availability: f64,
-    /// Faulted `bytes×hops` (requests + pushes) over the healthy run's
-    /// — how much extra traffic the faults induced (> 1 when fall-
-    /// throughs outweigh the traffic removed by unavailability).
-    pub byte_hops_inflation: f64,
-    /// Requests deferred because the client was stalled (a leaf in a
-    /// `stall` window); the request waits out the window and is served
-    /// at the deferred instant.
-    pub stalled: u64,
-    /// Requests served to a slow-draining client (a leaf in a
-    /// `slow_client` window).
-    pub slow_served: u64,
-    /// Transfers that fragmented at a partial-writing client and were
-    /// re-sent whole; the wasted first copy's `bytes×hops` are charged
-    /// to the faulted run's traffic.
-    pub partial_write_resends: u64,
-    /// Service-time quantiles of just the stall-deferred requests.
-    pub stalled_service_times: ServiceQuantiles,
-    /// Service-time quantiles of the requests served to slow clients.
-    pub slow_service_times: ServiceQuantiles,
-}
-
 /// Each client node's demand: every distinct document requested there,
 /// split by requester locality, with its request count — 12 bytes an
 /// entry, one entry per (node, locality, document) the trace requests.
@@ -278,7 +221,7 @@ pub struct DisseminationSim<'a> {
     trace: &'a Trace,
     topo: &'a Topology,
     profiles: Vec<ServerProfile>,
-    /// What a run without a cap or faults replays.
+    /// What a run without a cap replays.
     demand: DemandTable,
     /// Bytes of remote requests from the clients attached at each node,
     /// indexed by `NodeId` — the demand
@@ -287,34 +230,32 @@ pub struct DisseminationSim<'a> {
     /// The same over all requests.
     node_bytes: Vec<u64>,
     /// The replay kernel's cluster partition, for the in-order replay of
-    /// capped and faulted runs. A route's interceptions stop at the root,
-    /// so every proxy's counters are touched by exactly one shard and the
-    /// merged replay is bit-identical to a serial pass (DESIGN §12).
+    /// capped runs. A route's interceptions stop at the root, so every
+    /// proxy's counters are touched by exactly one shard and the merged
+    /// replay is bit-identical to a serial pass (DESIGN §12).
     shards: ClusterShards,
 }
 
 /// Partial outcome of replaying one shard of the trace.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct ReplayPart {
     baseline: TrafficAccount,
     with_d: TrafficAccount,
     proxy_hits: u64,
     origin_hits: u64,
     shed: u64,
-    tally: FaultTally,
     /// Per-request service times of every served request (multiset, so
     /// the cluster-shard merge compares equal to a serial pass).
     service: ServiceTimeDist,
     /// Service times of the no-dissemination baseline (full origin
-    /// path, fault-free by construction).
+    /// path).
     baseline_service: ServiceTimeDist,
 }
 
 impl ReplayPart {
     /// Records `n` requests of `size` bytes from `origin_hops` below the
     /// root in the no-dissemination baseline, which pays the full origin
-    /// path, fault-free by construction (faults degrade the treatment,
-    /// not the reference point).
+    /// path.
     fn record_baseline(
         &mut self,
         cfg: &DisseminationConfig,
@@ -335,24 +276,8 @@ impl ReplayPart {
         self.proxy_hits = self.proxy_hits.saturating_add(other.proxy_hits);
         self.origin_hits = self.origin_hits.saturating_add(other.origin_hits);
         self.shed = self.shed.saturating_add(other.shed);
-        self.tally.merge(&other.tally);
         self.service.merge(&other.service);
         self.baseline_service.merge(&other.baseline_service);
-    }
-}
-
-impl FaultTally {
-    fn merge(&mut self, other: &FaultTally) {
-        self.fault_denied = self.fault_denied.saturating_add(other.fault_denied);
-        self.retries = self.retries.saturating_add(other.retries);
-        self.unavailable = self.unavailable.saturating_add(other.unavailable);
-        self.stalled = self.stalled.saturating_add(other.stalled);
-        self.slow_served = self.slow_served.saturating_add(other.slow_served);
-        self.partial_write_resends = self
-            .partial_write_resends
-            .saturating_add(other.partial_write_resends);
-        self.stalled_service.merge(&other.stalled_service);
-        self.slow_service.merge(&other.slow_service);
     }
 }
 
@@ -489,64 +414,6 @@ impl<'a> DisseminationSim<'a> {
         cfg: &DisseminationConfig,
         updates: &[UpdateEvent],
     ) -> Result<DisseminationOutcome> {
-        Ok(self.run_inner(cfg, updates, None)?.0)
-    }
-
-    /// Runs the simulation twice — once healthy, once against `plan` —
-    /// and reports degraded-mode metrics alongside the faulted outcome.
-    ///
-    /// Fault semantics during replay: a proxy that is crashed,
-    /// unreachable (a down link between client and proxy), or out of
-    /// capacity is skipped — the request falls through toward the home
-    /// server exactly like a §2.3 shed, costing one retry. A request
-    /// that cannot even reach the home server waits for the path to
-    /// recover (one more retry) or, if the path never recovers inside
-    /// the plan's horizon, goes unserved.
-    pub fn run_with_faults(
-        &self,
-        cfg: &DisseminationConfig,
-        updates: &[UpdateEvent],
-        plan: &FaultPlan,
-    ) -> Result<DegradedDisseminationOutcome> {
-        // One fault log per degraded run; the healthy twin replays the
-        // same plan-free path and records nothing here.
-        plan.record_to();
-        let healthy = self.run_inner(cfg, updates, None)?.0;
-        let (outcome, tally) = self.run_inner(cfg, updates, Some(plan))?;
-        let attempted = outcome
-            .proxy_hits
-            .saturating_add(outcome.origin_hits)
-            .saturating_add(tally.unavailable);
-        let availability = if attempted == 0 {
-            1.0
-        } else {
-            (attempted - tally.unavailable) as f64 / attempted as f64
-        };
-        let faulted_total = outcome.with_dissemination.byte_hops + outcome.push_traffic;
-        let healthy_total = healthy.with_dissemination.byte_hops + healthy.push_traffic;
-        let byte_hops_inflation = faulted_total.ratio(healthy_total);
-        Ok(DegradedDisseminationOutcome {
-            healthy,
-            outcome,
-            fault_denied: tally.fault_denied,
-            retries: tally.retries,
-            unavailable: tally.unavailable,
-            availability,
-            byte_hops_inflation,
-            stalled: tally.stalled,
-            slow_served: tally.slow_served,
-            partial_write_resends: tally.partial_write_resends,
-            stalled_service_times: tally.stalled_service.quantiles(),
-            slow_service_times: tally.slow_service.quantiles(),
-        })
-    }
-
-    fn run_inner(
-        &self,
-        cfg: &DisseminationConfig,
-        updates: &[UpdateEvent],
-        faults: Option<&FaultPlan>,
-    ) -> Result<(DisseminationOutcome, FaultTally)> {
         if !(0.0..=1.0).contains(&cfg.fraction) {
             return Err(CoreError::invalid_config(
                 "dissem.fraction",
@@ -560,131 +427,16 @@ impl<'a> DisseminationSim<'a> {
             ));
         }
 
-        // Phase frames: one per run_inner call, independent of --jobs
+        // Phase frames: one per run, independent of --jobs
         // (the shard gate below changes scheduling, never call counts).
         let _run_frame = specweb_core::obs::profile::frame("dissem.run");
-        let proxy_nodes = {
-            let _f = specweb_core::obs::profile::frame("placement");
-            match &cfg.explicit_proxies {
-                Some(nodes) => nodes.clone(),
-                None => self.place_proxies_for(cfg.n_proxies, cfg.remote_only),
-            }
-        };
-
-        // The run's tables: routes, replicas and what pushing them costs.
-        let (routes, stores, push_traffic, total_storage) = {
-            let _f = specweb_core::obs::profile::frame("stores");
-            let all_servers: Vec<ServerId> = (0..self.profiles.len()).map(ServerId::from).collect();
-            let mut clusters = ClusterMap::new();
-            for &node in &proxy_nodes {
-                clusters.add(self.topo, Cluster::new(node, all_servers.clone()))?;
-            }
-            // `ClusterMap::add` checked every node is a topology node.
-            let mut is_proxy = vec![false; self.topo.len()];
-            for &node in &proxy_nodes {
-                if std::mem::replace(&mut is_proxy[node.index()], true) {
-                    return Err(CoreError::invalid_config(
-                        "dissem.explicit_proxies",
-                        format!("{node} is listed more than once"),
-                    ));
-                }
-            }
-            let routes = Router::new(self.topo, &clusters).table(self.profiles.len());
-            let subtree = if cfg.tailored {
-                self.subtree_counts(&proxy_nodes)
-            } else {
-                Vec::new()
-            };
-
-            let budgets: Vec<Bytes> = self
-                .profiles
-                .iter()
-                .map(|p| Bytes::new((p.remotely_accessed_bytes().as_f64() * cfg.fraction) as u64))
-                .collect();
-            // Untailored, every proxy holds the same replica of a server.
-            let shared: Vec<Vec<(DocId, Bytes)>> = if cfg.tailored {
-                Vec::new()
-            } else {
-                self.profiles
-                    .iter()
-                    .zip(&budgets)
-                    .map(|(profile, &budget)| {
-                        if cfg.rank_for_traffic {
-                            profile.top_docs_for_traffic(budget)
-                        } else {
-                            profile.top_docs_within(budget)
-                        }
-                    })
-                    .collect()
-            };
-
-            // Build each proxy's store.
-            let mut stores = vec![ProxyStore::default(); self.topo.len()];
-            let mut push_traffic = ByteHops::ZERO;
-            let mut total_storage = Bytes::ZERO;
-            for (slot, &node) in proxy_nodes.iter().enumerate() {
-                let hops_from_origin = self.topo.depth(node);
-                let mut store = ProxyStore::new(Bytes::new(u64::MAX / 2));
-                for (i, (profile, &budget)) in self.profiles.iter().zip(&budgets).enumerate() {
-                    store.set_quota(profile.server, budget);
-                    let tailored;
-                    let docs = if cfg.tailored {
-                        tailored = tailored_top_docs(
-                            profile,
-                            &subtree[slot],
-                            budget,
-                            cfg.rank_for_traffic,
-                        );
-                        &tailored
-                    } else {
-                        &shared[i]
-                    };
-                    for &(doc, size) in docs {
-                        store.install(profile.server, doc, size)?;
-                        if cfg.count_dissemination_traffic {
-                            push_traffic += size.over_hops(hops_from_origin);
-                        }
-                    }
-                    // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
-                    total_storage += store.used_by(profile.server);
-                }
-                stores[node.index()] = store;
-            }
-
-            // Update pushes: every update of a disseminated doc re-sends it
-            // to each proxy holding it.
-            if cfg.count_update_traffic {
-                for u in updates {
-                    let size = self.trace.catalog.size(u.doc);
-                    let server = self.trace.catalog.get(u.doc).server;
-                    for &node in &proxy_nodes {
-                        if stores[node.index()].contains(server, u.doc) {
-                            push_traffic += size.over_hops(self.topo.depth(node));
-                        }
-                    }
-                }
-            }
-            (routes, stores, push_traffic, total_storage)
-        };
+        let (routes, stores, push_traffic, total_storage) = self.tables(cfg, updates)?;
 
         let _replay_frame = specweb_core::obs::profile::frame("replay");
-        let whole = if faults.is_none() && cfg.proxy_daily_request_cap.is_none() {
+        let whole = if cfg.proxy_daily_request_cap.is_none() {
             self.replay_demand(cfg, &routes, &stores)
         } else {
-            // In order through the kernel: every interception proxy lies
-            // strictly below the root on its client's path, so per-proxy
-            // counters (daily shedding, capacity thinning) are shard-local
-            // and the kernel's fold reproduces a serial pass bit for bit
-            // (DESIGN §12).
-            self.shards.replay_sharded(
-                &self.trace.accesses,
-                |a| a.client.index(),
-                // No per-client state here, so nothing to size by the part's clients.
-                |_, accesses| {
-                    Ok::<_, CoreError>(self.replay_shard(cfg, faults, &routes, &stores, accesses))
-                },
-                |whole: &mut ReplayPart, part| whole.merge(&part),
-            )?
+            self.replay_in_order(cfg, &routes, &stores)?
         };
 
         let total_with = whole.with_d.byte_hops + push_traffic;
@@ -698,7 +450,7 @@ impl<'a> DisseminationSim<'a> {
 
         // Per-replay accounting for the run's installed obs bundle
         // (deterministic channel — the replay is a pure function of
-        // trace + config + fault plan).
+        // trace + config).
         if let Some(obs) = &specweb_core::obs::current() {
             let pairs = [
                 ("dissem.requests", total_requests),
@@ -706,15 +458,6 @@ impl<'a> DisseminationSim<'a> {
                 ("dissem.origin_hits", whole.origin_hits),
                 ("dissem.shed_requests", whole.shed),
                 ("dissem.push_byte_hops", push_traffic.get()),
-                ("dissem.fault_denied", whole.tally.fault_denied),
-                ("dissem.retries", whole.tally.retries),
-                ("dissem.unavailable", whole.tally.unavailable),
-                ("dissem.stalled", whole.tally.stalled),
-                ("dissem.slow_served", whole.tally.slow_served),
-                (
-                    "dissem.partial_write_resends",
-                    whole.tally.partial_write_resends,
-                ),
             ];
             for (name, v) in pairs {
                 obs.metrics.counter(name).add(v);
@@ -728,27 +471,149 @@ impl<'a> DisseminationSim<'a> {
                 .publish(obs, "dissem.baseline.service_time_ms");
         }
 
-        Ok((
-            DisseminationOutcome {
-                baseline: whole.baseline,
-                with_dissemination: whole.with_d,
-                push_traffic,
-                proxy_hits: whole.proxy_hits,
-                origin_hits: whole.origin_hits,
-                shed_requests: whole.shed,
-                total_proxy_storage: total_storage,
-                reduction,
-                intercepted_fraction,
-                service_times: whole.service.quantiles(),
-                baseline_service_times: whole.baseline_service.quantiles(),
-            },
-            whole.tally,
-        ))
+        Ok(DisseminationOutcome {
+            baseline: whole.baseline,
+            with_dissemination: whole.with_d,
+            push_traffic,
+            proxy_hits: whole.proxy_hits,
+            origin_hits: whole.origin_hits,
+            shed_requests: whole.shed,
+            total_proxy_storage: total_storage,
+            reduction,
+            intercepted_fraction,
+            service_times: whole.service.quantiles(),
+            baseline_service_times: whole.baseline_service.quantiles(),
+        })
     }
 
-    /// Replays the demand table: the outcome of a run without a cap or
-    /// faults, where every request of one (node, document) pair takes
-    /// the same path. One interception lookup per entry; its count goes
+    /// The run's tables: routes, each proxy's replica (indexed by node),
+    /// what pushing the replicas and their updates costs, and the
+    /// storage they take.
+    fn tables(
+        &self,
+        cfg: &DisseminationConfig,
+        updates: &[UpdateEvent],
+    ) -> Result<(RouteTable, Vec<ProxyStore>, ByteHops, Bytes)> {
+        let proxy_nodes = {
+            let _f = specweb_core::obs::profile::frame("placement");
+            match &cfg.explicit_proxies {
+                Some(nodes) => nodes.clone(),
+                None => self.place_proxies_for(cfg.n_proxies, cfg.remote_only),
+            }
+        };
+
+        let _f = specweb_core::obs::profile::frame("stores");
+        let all_servers: Vec<ServerId> = (0..self.profiles.len()).map(ServerId::from).collect();
+        let mut clusters = ClusterMap::new();
+        for &node in &proxy_nodes {
+            clusters.add(self.topo, Cluster::new(node, all_servers.clone()))?;
+        }
+        // `ClusterMap::add` checked every node is a topology node.
+        let mut is_proxy = vec![false; self.topo.len()];
+        for &node in &proxy_nodes {
+            if std::mem::replace(&mut is_proxy[node.index()], true) {
+                return Err(CoreError::invalid_config(
+                    "dissem.explicit_proxies",
+                    format!("{node} is listed more than once"),
+                ));
+            }
+        }
+        let routes = Router::new(self.topo, &clusters).table(self.profiles.len());
+        let subtree = if cfg.tailored {
+            self.subtree_counts(&proxy_nodes)
+        } else {
+            Vec::new()
+        };
+
+        let budgets: Vec<Bytes> = self
+            .profiles
+            .iter()
+            .map(|p| Bytes::new((p.remotely_accessed_bytes().as_f64() * cfg.fraction) as u64))
+            .collect();
+        // Untailored, every proxy holds the same replica of a server.
+        let shared: Vec<Vec<(DocId, Bytes)>> = if cfg.tailored {
+            Vec::new()
+        } else {
+            self.profiles
+                .iter()
+                .zip(&budgets)
+                .map(|(profile, &budget)| {
+                    if cfg.rank_for_traffic {
+                        profile.top_docs_for_traffic(budget)
+                    } else {
+                        profile.top_docs_within(budget)
+                    }
+                })
+                .collect()
+        };
+
+        // Build each proxy's store.
+        let mut stores = vec![ProxyStore::default(); self.topo.len()];
+        let mut push_traffic = ByteHops::ZERO;
+        let mut total_storage = Bytes::ZERO;
+        for (slot, &node) in proxy_nodes.iter().enumerate() {
+            let hops_from_origin = self.topo.depth(node);
+            let mut store = ProxyStore::new(Bytes::new(u64::MAX / 2));
+            for (i, (profile, &budget)) in self.profiles.iter().zip(&budgets).enumerate() {
+                store.set_quota(profile.server, budget);
+                let tailored;
+                let docs = if cfg.tailored {
+                    tailored =
+                        tailored_top_docs(profile, &subtree[slot], budget, cfg.rank_for_traffic);
+                    &tailored
+                } else {
+                    &shared[i]
+                };
+                for &(doc, size) in docs {
+                    store.install(profile.server, doc, size)?;
+                    if cfg.count_dissemination_traffic {
+                        push_traffic += size.over_hops(hops_from_origin);
+                    }
+                }
+                // lint:allow(W1): Bytes AddAssign saturates (units::unit_arith!)
+                total_storage += store.used_by(profile.server);
+            }
+            stores[node.index()] = store;
+        }
+
+        // Update pushes: every update of a disseminated doc re-sends it
+        // to each proxy holding it.
+        if cfg.count_update_traffic {
+            for u in updates {
+                let size = self.trace.catalog.size(u.doc);
+                let server = self.trace.catalog.get(u.doc).server;
+                for &node in &proxy_nodes {
+                    if stores[node.index()].contains(server, u.doc) {
+                        push_traffic += size.over_hops(self.topo.depth(node));
+                    }
+                }
+            }
+        }
+        Ok((routes, stores, push_traffic, total_storage))
+    }
+
+    /// Replays the trace in order through the kernel: every interception
+    /// proxy lies strictly below the root on its client's path, so the
+    /// per-proxy daily shedding counters are shard-local and the kernel's
+    /// fold reproduces a serial pass bit for bit (DESIGN §12).
+    fn replay_in_order(
+        &self,
+        cfg: &DisseminationConfig,
+        routes: &RouteTable,
+        stores: &[ProxyStore],
+    ) -> Result<ReplayPart> {
+        self.shards.replay_sharded(
+            &self.trace.accesses,
+            |a| a.client.index(),
+            // No per-client state here, so nothing to size by the part's clients.
+            |_, accesses| Ok::<_, CoreError>(self.replay_shard(cfg, routes, stores, accesses)),
+            |whole: &mut ReplayPart, part| whole.merge(&part),
+        )
+    }
+
+    /// Replays the demand table: the outcome of a run without a cap,
+    /// where every request of one (node, document) pair takes the same
+    /// path. One interception lookup per entry; its count goes
     /// into every account at once.
     fn replay_demand(
         &self,
@@ -794,14 +659,13 @@ impl<'a> DisseminationSim<'a> {
     }
 
     /// Replays one shard of the trace (an in-order subsequence of
-    /// accesses) into a partial outcome. Per-proxy state — the daily
-    /// shedding counters and the capacity-fault thinning counters —
-    /// lives here, which is exact because a proxy only ever intercepts
-    /// clients of its own root-child subtree, i.e. of a single shard.
+    /// accesses) into a partial outcome. The per-proxy daily shedding
+    /// counters live here, which is exact because a proxy only ever
+    /// intercepts clients of its own root-child subtree, i.e. of a
+    /// single shard.
     fn replay_shard(
         &self,
         cfg: &DisseminationConfig,
-        faults: Option<&FaultPlan>,
         routes: &RouteTable,
         stores: &[ProxyStore],
         accesses: &mut dyn Iterator<Item = &Access>,
@@ -810,9 +674,6 @@ impl<'a> DisseminationSim<'a> {
         // Per-proxy request counters, reset daily (for shedding), by node.
         let mut day_counters = vec![0u64; self.topo.len()];
         let mut current_day = u64::MAX;
-        // Deterministic thinning at capacity-degraded proxies:
-        // (seen, served) per proxy node, counted inside fault windows only.
-        let mut cap_counters = vec![(0u64, 0u64); self.topo.len()];
 
         for a in accesses {
             if cfg.remote_only && a.locality == Locality::Local {
@@ -827,51 +688,10 @@ impl<'a> DisseminationSim<'a> {
             let origin_hops = self.topo.depth(client_node);
             part.record_baseline(cfg, size, origin_hops, 1);
 
-            // A stalled client defers its request to the end of the
-            // window; every later fault lookup sees the deferred
-            // instant. (Daily shedding counters stay on the access's
-            // calendar day — the cap is the proxy's, not the client's.)
-            let mut t = a.time;
-            let mut was_stalled = false;
-            let mut slow_factor = 1.0f64;
-            if let Some(plan) = faults {
-                if let Some(resume) = plan.stalled_until(client_node, t) {
-                    was_stalled = true;
-                    part.tally.stalled += 1;
-                    part.tally.retries += 1;
-                    t = resume;
-                }
-                let f = plan.client_slow_factor(client_node, t);
-                if f > 1.0 {
-                    slow_factor = f;
-                    part.tally.slow_served += 1;
-                }
-            }
-
             let mut served = None;
             for itc in routes.interceptions(client_node, a.server) {
                 if !stores[itc.proxy.index()].contains(a.server, a.doc) {
                     continue;
-                }
-                if let Some(plan) = faults {
-                    if !plan.proxy_up(itc.proxy, t)
-                        || !plan.path_up(self.topo, client_node, itc.proxy, t)
-                    {
-                        part.tally.fault_denied += 1;
-                        part.tally.retries += 1;
-                        continue; // fall through toward the home server
-                    }
-                    let f: f64 = plan.capacity_factor(itc.proxy, t);
-                    if f < 1.0 {
-                        let c = &mut cap_counters[itc.proxy.index()];
-                        c.0 += 1;
-                        if (c.1 + 1) as f64 > f * c.0 as f64 {
-                            part.tally.fault_denied += 1;
-                            part.tally.retries += 1;
-                            continue; // degraded proxy sheds this request
-                        }
-                        c.1 += 1;
-                    }
                 }
                 if let Some(cap) = cfg.proxy_daily_request_cap {
                     let ctr = &mut day_counters[itc.proxy.index()];
@@ -890,50 +710,13 @@ impl<'a> DisseminationSim<'a> {
                     hops
                 }
                 None => {
-                    if let Some(plan) = faults {
-                        if !plan.path_up(self.topo, client_node, Topology::ROOT, t) {
-                            if plan
-                                .path_recovery(self.topo, client_node, Topology::ROOT, t)
-                                .is_some()
-                            {
-                                // Served after the path recovers: one
-                                // client retry, full origin cost.
-                                part.tally.retries += 1;
-                            } else {
-                                part.tally.unavailable += 1;
-                                continue;
-                            }
-                        }
-                    }
                     part.origin_hits += 1;
                     origin_hops
                 }
             };
             part.with_d.record(size, served_hops);
-            // Service time: the (possibly slow-client-inflated) fetch
-            // over the hops that actually served the request, plus any
-            // stall deferral the client waited through first.
-            let fetch_ms = cfg.latency.fetch(size, served_hops).as_millis();
-            let mut service_ms =
-                (fetch_ms as f64 * slow_factor) as u64 + t.since(a.time).as_millis();
-            if let Some(plan) = faults {
-                if plan.partial_write_active(client_node, t) {
-                    // The transfer fragments at the client and
-                    // truncates; the re-send succeeds, but the wasted
-                    // first copy still crossed every hop — and the
-                    // client waited through both transfers.
-                    part.tally.partial_write_resends += 1;
-                    part.with_d.record(size, served_hops);
-                    service_ms += fetch_ms;
-                }
-            }
-            part.service.record(service_ms);
-            if was_stalled {
-                part.tally.stalled_service.record(service_ms);
-            }
-            if slow_factor > 1.0 {
-                part.tally.slow_service.record(service_ms);
-            }
+            part.service
+                .record(cfg.latency.fetch(size, served_hops).as_millis());
         }
         part
     }
@@ -1027,8 +810,6 @@ fn tailored_top_docs(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use specweb_core::obs::{MetricValue, Obs};
-    use specweb_netsim::fault::{FaultConfig, FaultWindow};
     use specweb_trace::generator::{TraceConfig, TraceGenerator};
     use specweb_trace::updates::UpdateProcess;
     use std::collections::BTreeMap;
@@ -1344,11 +1125,10 @@ mod tests {
     #[test]
     fn sharded_replay_equals_serial_replay() {
         // Forcing everything into one shard must reproduce the sharded
-        // merge bit for bit — with a daily cap (per-proxy day counters),
-        // under faults (capacity thinning, client stalls), and in the
-        // healthy case. Sharding, and the per-shard gather, only engage
+        // merge bit for bit — with a daily cap (per-proxy day counters)
+        // and without. Sharding, and the per-shard gather, only engage
         // with >1 worker, and the single-shard twin never shards, so a
-        // capped or faulted run must read the same at every width.
+        // capped run must read the same at every width.
         let _pinned = pin_jobs();
         let (trace, topo) = setup(93);
         let sim = DisseminationSim::new(&trace, &topo).unwrap();
@@ -1367,26 +1147,15 @@ mod tests {
             proxy_daily_request_cap: Some(5),
             ..DisseminationConfig::default()
         };
-        let plans = [
-            FaultConfig::light(trace.duration),
-            FaultConfig::chaotic(trace.duration),
-        ]
-        .map(|f| FaultPlan::generate(&specweb_core::rng::SeedTree::new(933), &topo, &f).unwrap());
         for jobs in [1, 2, 3, 4] {
             specweb_core::par::set_default_jobs(jobs);
             for cfg in [&DisseminationConfig::default(), &capped] {
                 let sharded = sim.run(cfg, &[]).unwrap();
                 let serial = serial_sim.run(cfg, &[]).unwrap();
                 assert_eq!(
-                    serde_json::to_string(&sharded).unwrap(),
-                    serde_json::to_string(&serial).unwrap(),
-                    "jobs {jobs}"
+                    sharded.shed_requests > 0,
+                    cfg.proxy_daily_request_cap.is_some()
                 );
-            }
-            for plan in &plans {
-                let sharded = sim.run_with_faults(&capped, &[], plan).unwrap();
-                let serial = serial_sim.run_with_faults(&capped, &[], plan).unwrap();
-                assert!(sharded.outcome.shed_requests > 0 && sharded.retries > 0);
                 assert_eq!(
                     serde_json::to_string(&sharded).unwrap(),
                     serde_json::to_string(&serial).unwrap(),
@@ -1394,34 +1163,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// One run's outcome, fault tally and `dissem.*` metrics. `in_order`
-    /// hands the run an empty fault plan, which sends it through the
-    /// in-order replay kernel and injects nothing.
-    fn observed_run(
-        sim: &DisseminationSim<'_>,
-        cfg: &DisseminationConfig,
-        updates: &[UpdateEvent],
-        in_order: bool,
-    ) -> (String, String, Vec<(String, MetricValue)>) {
-        let obs = Obs::new();
-        let _run = obs.install();
-        let none = FaultPlan::none();
-        let (out, tally) = sim
-            .run_inner(cfg, updates, in_order.then_some(&none))
-            .unwrap();
-        let metrics = obs
-            .snapshot()
-            .deterministic
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("dissem."))
-            .collect();
-        (
-            serde_json::to_string(&out).unwrap(),
-            format!("{tally:?}"),
-            metrics,
-        )
     }
 
     proptest! {
@@ -1471,9 +1212,10 @@ mod tests {
                     explicit_proxies: on(5).then(|| explicit.clone()),
                     ..DisseminationConfig::default()
                 };
+                let (routes, stores, ..) = sim.tables(&cfg, &updates).unwrap();
                 prop_assert_eq!(
-                    observed_run(&sim, &cfg, &updates, false),
-                    observed_run(&sim, &cfg, &updates, true),
+                    sim.replay_demand(&cfg, &routes, &stores),
+                    sim.replay_in_order(&cfg, &routes, &stores).unwrap(),
                     "{:?}", cfg
                 );
             }
@@ -1665,124 +1407,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn faulted_replay_is_bit_for_bit_deterministic() {
-        let (trace, topo) = setup(90);
-        let sim = DisseminationSim::new(&trace, &topo).unwrap();
-        let cfg = DisseminationConfig::default();
-        let fcfg = specweb_netsim::fault::FaultConfig::light(trace.duration);
-        let seed = specweb_core::rng::SeedTree::new(901);
-        let plan_a = FaultPlan::generate(&seed, &topo, &fcfg).unwrap();
-        let plan_b = FaultPlan::generate(&seed, &topo, &fcfg).unwrap();
-        let a = sim.run_with_faults(&cfg, &[], &plan_a).unwrap();
-        let b = sim.run_with_faults(&cfg, &[], &plan_b).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "same seed must replay identically"
-        );
-    }
-
-    #[test]
-    fn faults_degrade_gracefully_and_conserve_requests() {
-        let (trace, topo) = setup(91);
-        let sim = DisseminationSim::new(&trace, &topo).unwrap();
-        let cfg = DisseminationConfig::default();
-        let fcfg = specweb_netsim::fault::FaultConfig::light(trace.duration);
-        let plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(911), &topo, &fcfg).unwrap();
-        let d = sim.run_with_faults(&cfg, &[], &plan).unwrap();
-        // Every attempted request is accounted for exactly once.
-        assert_eq!(
-            d.outcome.proxy_hits + d.outcome.origin_hits + d.unavailable,
-            d.healthy.proxy_hits + d.healthy.origin_hits,
-            "requests leaked in the faulted replay"
-        );
-        assert!((0.0..=1.0).contains(&d.availability));
-        assert!(
-            d.outcome.proxy_hits <= d.healthy.proxy_hits,
-            "faults cannot create interceptions"
-        );
-        assert!(d.byte_hops_inflation.is_finite());
-    }
-
-    #[test]
-    fn crashed_proxies_fall_through_to_the_home_server() {
-        let (trace, topo) = setup(92);
-        let sim = DisseminationSim::new(&trace, &topo).unwrap();
-        let cfg = DisseminationConfig::default();
-        // Every interior node is crashed for the entire horizon.
-        let mut plan = FaultPlan::none();
-        plan.horizon = specweb_core::time::SimTime::ZERO.saturating_add(trace.duration);
-        let whole = FaultWindow {
-            start: specweb_core::time::SimTime::ZERO,
-            end: plan.horizon,
-        };
-        for n in topo.interior_nodes() {
-            plan.crashes.insert(n, vec![whole]);
-        }
-        let d = sim.run_with_faults(&cfg, &[], &plan).unwrap();
-        assert_eq!(d.outcome.proxy_hits, 0, "crashed proxies served requests");
-        assert_eq!(d.unavailable, 0, "links were healthy: origin must serve");
-        assert_eq!(
-            d.outcome.origin_hits,
-            d.healthy.proxy_hits + d.healthy.origin_hits
-        );
-        // Each request is denied at every crashed proxy that held its
-        // document, so denials are at least the healthy interceptions.
-        assert!(d.fault_denied >= d.healthy.proxy_hits);
-        // All interceptions lost: traffic inflates back toward baseline.
-        assert!(
-            d.byte_hops_inflation >= 1.0,
-            "inflation {} < 1 with all proxies down",
-            d.byte_hops_inflation
-        );
-        assert!((d.availability - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn client_side_chaos_surfaces_in_the_degraded_outcome() {
-        let (trace, topo) = setup(93);
-        let sim = DisseminationSim::new(&trace, &topo).unwrap();
-        let cfg = DisseminationConfig::default();
-        let chaotic = specweb_netsim::fault::FaultConfig::chaotic(trace.duration);
-        let plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(931), &topo, &chaotic).unwrap();
-        let d = sim.run_with_faults(&cfg, &[], &plan).unwrap();
-        // The chaotic preset keeps each leaf degraded for a sizable
-        // fraction of the horizon: every client-side class must leave a
-        // visible mark in the outcome.
-        assert!(d.stalled > 0, "no stalls surfaced");
-        assert!(d.slow_served > 0, "no slow-client serves surfaced");
-        assert!(d.partial_write_resends > 0, "no resends surfaced");
-        // A stalled request still arrives (deferred), so requests are
-        // conserved minus the truly unavailable ones.
-        assert_eq!(
-            d.outcome.proxy_hits + d.outcome.origin_hits + d.unavailable,
-            d.healthy.proxy_hits + d.healthy.origin_hits,
-            "requests leaked in the chaotic replay"
-        );
-        // Each resend moves the document once more over the same hops.
-        assert_eq!(
-            d.outcome.with_dissemination.transfers,
-            d.outcome.proxy_hits + d.outcome.origin_hits + d.partial_write_resends
-        );
-        // Bit-for-bit determinism holds with the new classes active.
-        let again = sim.run_with_faults(&cfg, &[], &plan).unwrap();
-        assert_eq!(
-            serde_json::to_string(&d).unwrap(),
-            serde_json::to_string(&again).unwrap()
-        );
-        // The light preset keeps every client-side counter at zero, so
-        // the committed degraded-mode experiments are untouched.
-        let light = specweb_netsim::fault::FaultConfig::light(trace.duration);
-        let light_plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(931), &topo, &light).unwrap();
-        let quiet = sim.run_with_faults(&cfg, &[], &light_plan).unwrap();
-        assert_eq!(quiet.stalled, 0);
-        assert_eq!(quiet.slow_served, 0);
-        assert_eq!(quiet.partial_write_resends, 0);
     }
 }

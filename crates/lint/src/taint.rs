@@ -35,11 +35,9 @@ use crate::Diag;
 /// immediately.
 const ROOTS: &[(&str, &str, bool)] = &[
     ("dissem::simulate", "run", true),
-    ("dissem::simulate", "run_with_faults", true),
     ("spec::simulate", "run", true),
     ("spec::simulate", "run_with_store_and_baseline", true),
     ("spec::simulate", "baseline_totals", true),
-    ("spec::simulate", "run_with_faults", true),
     ("trace::generator", "generate", true),
     ("spec::deps", "closure", true),
     ("spec::deps", "closure_jobs", true),
@@ -312,24 +310,24 @@ pub fn predict() {
 
     #[test]
     fn a_root_spec_that_matches_no_fn_is_reported_by_name() {
-        // `run` still resolves; `run_with_faults` was renamed away.
+        // `run` still resolves; `baseline_totals` was renamed away.
         let g = build(&[(
-            "crates/dissem/src/simulate.rs",
-            "pub fn run() {}\npub fn run_degraded() {}",
+            "crates/spec/src/simulate.rs",
+            "pub fn run() {}\npub fn baseline_replay() {}",
         )]);
         let (roots, hot, unmatched) = resolve_roots(&g);
-        assert_eq!(roots, ["dissem::simulate::run"]);
-        assert_eq!(hot, ["dissem::simulate::run"]);
+        assert_eq!(roots, ["spec::simulate::run"]);
+        assert_eq!(hot, ["spec::simulate::run"]);
         let names = |rule: &str, spec: &str| {
             let spec = format!("root spec `{spec}` ");
             unmatched
                 .iter()
                 .any(|d| d.rule == rule && d.message.contains(&spec))
         };
-        assert!(names("G1", "dissem::simulate::run_with_faults"));
-        assert!(names("G3", "dissem::simulate::run_with_faults"));
+        assert!(names("G1", "spec::simulate::baseline_totals"));
+        assert!(names("G3", "spec::simulate::baseline_totals"));
         assert!(names("G1", "dissem::alloc::*"), "{unmatched:#?}");
-        assert!(!names("G1", "dissem::simulate::run"));
+        assert!(!names("G1", "spec::simulate::run"));
         let hot_rows = ROOTS.iter().filter(|r| r.2).count();
         assert_eq!(unmatched.len(), ROOTS.len() + hot_rows - 2);
     }

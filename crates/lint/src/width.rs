@@ -60,14 +60,12 @@ pub const SEEDS: &[&str] = &[
     "bytes_sent",
     "cache_hits",
     "duration_days",
-    "fault_denied",
     "latency_ms",
     "miss_bytes",
     "n_accesses",
     "n_clients",
     "n_pages",
     "n_sessions",
-    "partial_write_resends",
     "prefetches",
     "push_bytes",
     "pushes",
@@ -75,8 +73,6 @@ pub const SEEDS: &[&str] = &[
     "server_requests",
     "sessions_generated",
     "sessions_per_day",
-    "slow_served",
-    "stalled",
     "transfers",
     "wasted_push_bytes",
     "wasted_pushes",

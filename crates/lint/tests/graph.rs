@@ -251,31 +251,33 @@ fn workspace_roots_resolve() {
 /// the same graph raises nothing there.
 #[test]
 fn unmatched_root_spec_is_a_workspace_violation() {
-    let src = "pub fn run() {}\npub fn run_degraded() {}\n";
+    let src = "pub fn run() {}\npub fn baseline_replay() {}\n";
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unrooted_workspace");
-    let dir = root.join("crates/dissem/src");
+    // A tree left by an earlier version of this test would add its roots.
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("crates/spec/src");
     std::fs::create_dir_all(&dir).expect("temp workspace");
     std::fs::write(dir.join("simulate.rs"), src).expect("temp workspace file");
 
     let a = analyze_workspace(&root, 1).expect("analysis");
-    assert_eq!(a.roots, ["dissem::simulate::run"]);
+    assert_eq!(a.roots, ["spec::simulate::run"]);
     let named = |rule: &str, spec: &str| {
         a.report
             .violations
             .iter()
             .any(|d| d.rule == rule && d.message.contains(&format!("root spec `{spec}`")))
     };
-    // `run_with_faults` was renamed to `run_degraded`: a hot row says so
-    // under both rules it feeds.
-    assert!(named("G1", "dissem::simulate::run_with_faults"));
-    assert!(named("G3", "dissem::simulate::run_with_faults"));
+    // `baseline_totals` was renamed to `baseline_replay`: a hot row says
+    // so under both rules it feeds.
+    assert!(named("G1", "spec::simulate::baseline_totals"));
+    assert!(named("G3", "spec::simulate::baseline_totals"));
     assert!(
-        !named("G1", "dissem::simulate::run"),
+        !named("G1", "spec::simulate::run"),
         "a matched spec is fine"
     );
 
     let files = [(
-        "crates/dissem/src/simulate.rs".to_string(),
+        "crates/spec/src/simulate.rs".to_string(),
         FileKind::Lib,
         src.to_string(),
     )];

@@ -19,9 +19,8 @@
 //!   (`B_i`) and the dynamic load-shedding of §2.3;
 //! * [`queueing`] — an M/G/1 server model translating the paper's
 //!   request-count "server load" into response time under load;
-//! * [`fault`] — deterministic fault-injection plans (link failures and
-//!   delays, proxy crash/recovery windows, capacity faults) for
-//!   degraded-mode evaluation;
+//! * [`fault`] — the deterministic client-side fault windows (slow
+//!   clients, partial writes, stalls) the live chaos harness drives;
 //! * [`replay`] — the cluster-sharded replay kernel both simulators run
 //!   on: partition a trace by root-child subtree, replay the shards on
 //!   `core::par`, fold the partial outcomes in canonical order.
@@ -43,7 +42,7 @@ pub mod topology;
 
 pub use cluster::{Cluster, ClusterMap};
 pub use cost::{CostModel, LatencyModel, TrafficAccount};
-pub use fault::{FaultConfig, FaultPlan, FaultRate, FaultWindow, RetrySchedule};
+pub use fault::FaultPlan;
 pub use proxystore::ProxyStore;
 pub use replay::ClusterShards;
 pub use routing::Router;

@@ -29,7 +29,7 @@ use specweb_core::obs::{self, Channel};
 use specweb_core::rng::SeedTree;
 use specweb_core::time::{Duration as SimDuration, SimTime};
 use specweb_core::{CoreError, Result};
-use specweb_netsim::fault::{FaultConfig, FaultPlan};
+use specweb_netsim::fault::FaultPlan;
 use specweb_netsim::topology::Topology;
 
 /// Knobs for one chaos run.
@@ -182,8 +182,7 @@ pub fn run_chaos(addr: SocketAddr, cfg: &ChaosConfig) -> Result<ChaosReport> {
     cfg.validate()?;
     // One leaf per client: each gets an independent seeded schedule.
     let topo = Topology::two_level(1, cfg.clients as u32);
-    let fault_cfg = FaultConfig::chaotic(cfg.horizon);
-    let plan = FaultPlan::generate(&SeedTree::new(cfg.seed).child("chaos"), &topo, &fault_cfg)?;
+    let plan = FaultPlan::generate(&SeedTree::new(cfg.seed).child("chaos"), &topo, cfg.horizon)?;
     let leaves: Vec<NodeId> = topo.leaves().to_vec();
 
     let start = Instant::now();

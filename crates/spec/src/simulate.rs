@@ -31,7 +31,6 @@ use specweb_core::stats::{ServiceQuantiles, ServiceTimeDist};
 use specweb_core::units::Bytes;
 use specweb_core::{CoreError, Result};
 use specweb_netsim::cost::LatencyModel;
-use specweb_netsim::fault::{FaultPlan, RetrySchedule};
 use specweb_netsim::replay::{ClusterShards, ShardClients};
 use specweb_netsim::topology::Topology;
 use specweb_trace::generator::Trace;
@@ -185,17 +184,10 @@ pub struct SpecSim<'a> {
     trace: &'a Trace,
     /// Per-client hop distance to the home servers (at the tree root).
     hops: Vec<u32>,
-    /// Per-client edge-owning nodes on the path to the root (for fault
-    /// lookups; the root owns no edge and is excluded).
-    paths: Vec<Vec<specweb_core::ids::NodeId>>,
-    /// Per-client leaf node (for client-side fault lookups: slow
-    /// clients, partial writes, stalls).
-    nodes: Vec<specweb_core::ids::NodeId>,
     /// The replay kernel's cluster partition (DESIGN.md §12). Replay
     /// state is strictly per-client (caches, profiles), the matrices
-    /// and fault plan are read-only, and every accumulator is an
-    /// integer sum — so any client partition replays independently and
-    /// merges *exactly*.
+    /// are read-only, and every accumulator is an integer sum — so any
+    /// client partition replays independently and merges *exactly*.
     shards: ClusterShards,
 }
 
@@ -207,22 +199,10 @@ struct ReplayCounters {
     wasted_push_bytes: u64,
     cache_hits: u64,
     prefetches: u64,
-    retries: u64,
-    unavailable: u64,
-    retry_wait_ms: u64,
-    stalled: u64,
-    stall_wait_ms: u64,
-    slow_served: u64,
-    partial_write_pushes: u64,
-    /// Per-access service times of every *served* access (cache hits
-    /// record 0 ms; unavailable requests record nothing — they were
-    /// never served). A multiset, so shard merges compare equal to a
-    /// serial replay structurally.
+    /// Per-access service times of every access (cache hits record
+    /// 0 ms). A multiset, so shard merges compare equal to a serial
+    /// replay structurally.
     service: ServiceTimeDist,
-    /// Service times of the accesses deferred by a client stall.
-    stalled_service: ServiceTimeDist,
-    /// Service times of the accesses drained by a slow client.
-    slow_service: ServiceTimeDist,
 }
 
 impl ReplayCounters {
@@ -238,101 +218,7 @@ impl ReplayCounters {
             .saturating_add(other.wasted_push_bytes);
         self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
         self.prefetches = self.prefetches.saturating_add(other.prefetches);
-        self.retries = self.retries.saturating_add(other.retries);
-        self.unavailable = self.unavailable.saturating_add(other.unavailable);
-        self.retry_wait_ms = self.retry_wait_ms.saturating_add(other.retry_wait_ms);
-        self.stalled = self.stalled.saturating_add(other.stalled);
-        self.stall_wait_ms = self.stall_wait_ms.saturating_add(other.stall_wait_ms);
-        self.slow_served = self.slow_served.saturating_add(other.slow_served);
-        self.partial_write_pushes = self
-            .partial_write_pushes
-            .saturating_add(other.partial_write_pushes);
         self.service.merge(&other.service);
-        self.stalled_service.merge(&other.stalled_service);
-        self.slow_service.merge(&other.slow_service);
-    }
-}
-
-/// Fault context threaded through a degraded replay.
-struct FaultCtx<'p> {
-    plan: &'p FaultPlan,
-    retry: RetrySchedule,
-}
-
-/// Results of [`SpecSim::run_with_faults`]: the (degraded) outcome plus
-/// availability and retry-traffic metrics. Both replays — speculative
-/// and baseline — run against the same fault plan, so the ratios
-/// compare like with like.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DegradedSpecOutcome {
-    /// The paper's outcome, measured under faults.
-    pub outcome: SpecOutcome,
-    /// Retry attempts in the speculative replay (measured window).
-    pub retries: u64,
-    /// Requests never served: the client's path to the server stayed
-    /// down through every backoff attempt (measured window).
-    pub unavailable: u64,
-    /// Total backoff the speculative replay's clients waited through,
-    /// in milliseconds (already included in the latency totals).
-    pub retry_wait_ms: u64,
-    /// Fraction of accesses served (cache hits count as served).
-    pub availability: f64,
-    /// Retry attempts in the baseline replay — more misses mean more
-    /// exposure to the same faults; the gap is speculation's
-    /// availability benefit.
-    pub baseline_retries: u64,
-    /// Unserved requests in the baseline replay.
-    pub baseline_unavailable: u64,
-    /// Misses deferred because the client was stalled mid-session (a
-    /// leaf in a `stall` window); the request waits out the window.
-    pub stalled: u64,
-    /// Total deferral those stalls imposed, in milliseconds (already
-    /// included in the latency totals).
-    pub stall_wait_ms: u64,
-    /// Misses served to a slow-draining client (a leaf in a
-    /// `slow_client` window): the fetch latency was inflated by the
-    /// plan's slow-client factor.
-    pub slow_served: u64,
-    /// Speculative pushes that landed on a client in a `partial_write`
-    /// window: the first copy arrived truncated, and the re-send's
-    /// bytes are charged to the speculative run's traffic.
-    pub partial_write_pushes: u64,
-    /// Service-time quantiles of just the stall-deferred accesses (the
-    /// degraded class the paper's mean hides: a handful of multi-second
-    /// waits vanish inside millions of fast ones).
-    pub stalled_service_times: ServiceQuantiles,
-    /// Service-time quantiles of the accesses served to slow-draining
-    /// clients (latency inflated by the plan's slow factor).
-    pub slow_service_times: ServiceQuantiles,
-}
-
-impl DegradedSpecOutcome {
-    /// The outcome of a speculative and a baseline replay under one
-    /// fault plan.
-    fn assemble(
-        cfg: &SpecConfig,
-        (speculative, counters): (RunTotals, ReplayCounters),
-        (baseline, base_counters): (RunTotals, ReplayCounters),
-    ) -> DegradedSpecOutcome {
-        let base = BaselineRun::under(cfg, baseline, &base_counters);
-        let outcome = SpecOutcome::assemble(cfg, speculative, &counters, base);
-        let attempted = outcome.speculative.accesses.max(1);
-        DegradedSpecOutcome {
-            availability: (attempted - counters.unavailable.min(attempted)) as f64
-                / attempted as f64,
-            retries: counters.retries,
-            unavailable: counters.unavailable,
-            retry_wait_ms: counters.retry_wait_ms,
-            baseline_retries: base_counters.retries,
-            baseline_unavailable: base_counters.unavailable,
-            stalled: counters.stalled,
-            stall_wait_ms: counters.stall_wait_ms,
-            slow_served: counters.slow_served,
-            partial_write_pushes: counters.partial_write_pushes,
-            stalled_service_times: counters.stalled_service.quantiles(),
-            slow_service_times: counters.slow_service.quantiles(),
-            outcome,
-        }
     }
 }
 
@@ -341,23 +227,11 @@ impl<'a> SpecSim<'a> {
     /// live on.
     pub fn new(trace: &'a Trace, topo: &Topology) -> SpecSim<'a> {
         let hops = trace.clients.iter().map(|c| topo.depth(c.node)).collect();
-        let paths = trace
-            .clients
-            .iter()
-            .map(|c| {
-                let mut p = topo.path_to_root(c.node);
-                p.pop(); // the root owns no edge
-                p
-            })
-            .collect();
         let nodes: Vec<specweb_core::ids::NodeId> = trace.clients.iter().map(|c| c.node).collect();
         let shards = ClusterShards::partition(topo, &nodes);
-
         SpecSim {
             trace,
             hops,
-            paths,
-            nodes,
             shards,
         }
     }
@@ -374,7 +248,7 @@ impl<'a> SpecSim<'a> {
     /// hand it to [`SpecSim::run_with_store_and_baseline`] instead of
     /// re-replaying an identical baseline at every sweep point.
     pub fn baseline_totals(&self, cfg: &SpecConfig) -> Result<BaselineRun> {
-        let (totals, counters) = self.replay(cfg, None, None)?;
+        let (totals, counters) = self.replay(cfg, None)?;
         Ok(BaselineRun::under(cfg, totals, &counters))
     }
 
@@ -426,41 +300,12 @@ impl<'a> SpecSim<'a> {
                 &own
             }
         };
-        let (speculative, counters) = self.replay(cfg, Some(store), None)?;
+        let (speculative, counters) = self.replay(cfg, Some(store))?;
         let base = match baseline {
             Some(b) => *b,
             None => self.baseline_totals(cfg)?,
         };
         Ok(SpecOutcome::assemble(cfg, speculative, &counters, base))
-    }
-
-    /// Runs both replays under a deterministic fault plan and reports
-    /// the paper's ratios alongside availability and retry-traffic
-    /// metrics. A miss whose path to the root crosses a down link (or a
-    /// crashed node's edge) is retried on the [`RetrySchedule`]'s capped
-    /// exponential backoff; if the path never recovers within the
-    /// schedule the request is counted unavailable and the client goes
-    /// unserved. Slow links inflate fetch latency by the plan's delay
-    /// factor. The replay consumes no randomness, so the same plan
-    /// yields bit-for-bit identical outcomes.
-    pub fn run_with_faults(
-        &self,
-        cfg: &SpecConfig,
-        plan: &FaultPlan,
-        retry: RetrySchedule,
-    ) -> Result<DegradedSpecOutcome> {
-        cfg.policy.validate()?;
-        retry.validate()?;
-        let store = MatrixStore::precompute(&cfg.estimator, self.trace, self.trace.days())?;
-        // One fault log per degraded run (both replays share the plan,
-        // so recording per replay would double-count).
-        plan.record_to();
-        let ctx = FaultCtx { plan, retry };
-        Ok(DegradedSpecOutcome::assemble(
-            cfg,
-            self.replay(cfg, Some(&store), Some(&ctx))?,
-            self.replay(cfg, None, Some(&ctx))?,
-        ))
     }
 
     /// One replay pass through the kernel — speculative on `store`'s
@@ -472,7 +317,6 @@ impl<'a> SpecSim<'a> {
         &self,
         cfg: &SpecConfig,
         store: Option<&MatrixStore>,
-        faults: Option<&FaultCtx<'_>>,
     ) -> Result<(RunTotals, ReplayCounters)> {
         // One frame per replay pass — placed here (not per shard, whose
         // call count varies with the kernel's worker gate) so profiler
@@ -484,7 +328,7 @@ impl<'a> SpecSim<'a> {
         let (totals, counters) = self.shards.replay_sharded(
             &self.trace.accesses,
             |a| a.client.index(),
-            |clients, accesses| self.replay_shard(cfg, store, faults, clients, accesses),
+            |clients, accesses| self.replay_shard(cfg, store, clients, accesses),
             |whole: &mut (RunTotals, ReplayCounters), (totals, counters)| {
                 whole.0.merge(&totals);
                 whole.1.merge(&counters);
@@ -504,7 +348,6 @@ impl<'a> SpecSim<'a> {
         &self,
         cfg: &SpecConfig,
         store: Option<&MatrixStore>,
-        faults: Option<&FaultCtx<'_>>,
         owned: ShardClients<'_>,
         accesses: &mut dyn Iterator<Item = &specweb_trace::generator::Access>,
     ) -> Result<(RunTotals, ReplayCounters)> {
@@ -565,83 +408,14 @@ impl<'a> SpecSim<'a> {
                 continue;
             }
 
-            // Miss: fetch from the server — but under faults the path
-            // to the root may be down. Retry on the backoff schedule;
-            // an exhausted schedule leaves the request unserved.
-            let mut fetch_time = a.time;
-            let mut delay_factor = 1.0;
-            let mut was_stalled = false;
-            let mut was_slow = false;
-            if let Some(f) = faults {
-                // A stalled client cannot even send its request: the
-                // miss is deferred to the end of the stall window, and
-                // every later fault lookup sees the deferred instant.
-                if let Some(resume) = f.plan.stalled_until(self.nodes[ci], fetch_time) {
-                    was_stalled = true;
-                    if measured {
-                        counters.stalled += 1;
-                        counters.stall_wait_ms = counters
-                            .stall_wait_ms
-                            .saturating_add(resume.since(fetch_time).as_millis());
-                    }
-                    fetch_time = resume;
-                }
-                let edges = &self.paths[ci];
-                let after_stall = fetch_time;
-                if !f.plan.edges_up(edges, fetch_time) {
-                    let mut reached = false;
-                    for attempt in 0..f.retry.max_attempts {
-                        fetch_time = fetch_time.saturating_add(f.retry.delay(attempt));
-                        if measured {
-                            counters.retries += 1;
-                        }
-                        if f.plan.edges_up(edges, fetch_time) {
-                            reached = true;
-                            break;
-                        }
-                    }
-                    if !reached {
-                        if measured {
-                            counters.unavailable += 1;
-                        }
-                        if needs_profiles {
-                            profiles[slot].record(a.time, a.doc);
-                        }
-                        continue;
-                    }
-                    if measured {
-                        counters.retry_wait_ms = counters
-                            .retry_wait_ms
-                            .saturating_add(fetch_time.since(after_stall).as_millis());
-                    }
-                }
-                delay_factor = f.plan.edges_delay_factor(edges, fetch_time);
-                // A slow-draining client stretches the whole transfer:
-                // its factor stacks on top of any slow links en route.
-                let client_factor = f.plan.client_slow_factor(self.nodes[ci], fetch_time);
-                if client_factor > 1.0 {
-                    was_slow = true;
-                    delay_factor *= client_factor;
-                    if measured {
-                        counters.slow_served += 1;
-                    }
-                }
-            }
+            // Miss: fetch from the server.
             if measured {
                 totals.miss_bytes += size;
                 totals.server_requests += 1;
                 totals.bytes_sent += size;
-                let fetch_ms = cfg.latency.fetch(size, hops).as_millis();
-                let served_ms =
-                    (fetch_ms as f64 * delay_factor) as u64 + fetch_time.since(a.time).as_millis();
-                totals.latency_ms += served_ms;
+                let served_ms = cfg.latency.fetch(size, hops).as_millis();
+                totals.latency_ms = totals.latency_ms.saturating_add(served_ms);
                 counters.service.record(served_ms);
-                if was_stalled {
-                    counters.stalled_service.record(served_ms);
-                }
-                if was_slow {
-                    counters.slow_service.record(served_ms);
-                }
             }
             caches[slot].insert(a.doc, size);
 
@@ -683,17 +457,6 @@ impl<'a> SpecSim<'a> {
                     }
                     if measured {
                         totals.bytes_sent += jsize;
-                    }
-                    if let Some(f) = faults {
-                        if f.plan.partial_write_active(self.nodes[ci], fetch_time) {
-                            // The push fragments at the client and
-                            // truncates; the re-send succeeds, but the
-                            // wasted first copy still crossed the wire.
-                            counters.partial_write_pushes += 1;
-                            if measured {
-                                totals.bytes_sent += jsize;
-                            }
-                        }
                     }
                     cache.insert(j, jsize);
                 }
@@ -777,12 +540,6 @@ impl<'a> SpecSim<'a> {
             ("pushes_wasted", counters.wasted_pushes),
             ("pushes_wasted_bytes", counters.wasted_push_bytes),
             ("prefetches", counters.prefetches),
-            ("retries", counters.retries),
-            ("unavailable", counters.unavailable),
-            ("stalled", counters.stalled),
-            ("stall_wait_ms", counters.stall_wait_ms),
-            ("slow_served", counters.slow_served),
-            ("pushes_partial_write", counters.partial_write_pushes),
         ];
         for (name, v) in pairs {
             obs.metrics.counter(&format!("spec.{name}")).add(v);
@@ -1157,46 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_records_fault_log_once_per_degraded_run() {
-        use specweb_core::obs::{MetricValue, Obs};
-        let (trace, topo) = setup(231);
-        let fcfg = fault_config(14);
-        let plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(77), &topo, &fcfg).unwrap();
-        let obs = Obs::new();
-        let _run = obs.install();
-        let sim = SpecSim::new(&trace, &topo);
-        sim.run_with_faults(&cfg(0.3), &plan, RetrySchedule::default())
-            .unwrap();
-        assert_eq!(
-            obs.snapshot().deterministic["netsim.faults_injected"],
-            MetricValue::Counter {
-                value: plan.n_windows() as u64
-            },
-            "one fault log per run, not per replay"
-        );
-    }
-
-    #[test]
-    fn an_invalid_retry_schedule_fails_before_the_estimation() {
-        let (trace, topo) = setup(232);
-        let obs = specweb_core::obs::Obs::new();
-        let _run = obs.install();
-        let retry = RetrySchedule {
-            base: specweb_core::time::Duration::ZERO,
-            ..RetrySchedule::default()
-        };
-        let err = SpecSim::new(&trace, &topo)
-            .run_with_faults(&cfg(0.3), &FaultPlan::none(), retry)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
-        assert!(
-            !obs.profile.snapshot().contains_key("estimator.precompute"),
-            "the schedule must be rejected before any matrix is estimated"
-        );
-    }
-
-    #[test]
     fn deterministic() {
         let (trace, topo) = setup(211);
         let sim = SpecSim::new(&trace, &topo);
@@ -1388,9 +1105,9 @@ mod tests {
         // The per-cluster shards — each holding caches and profiles for
         // its own clients only — must merge to exactly what a single
         // full-order pass over the whole population produces:
-        // speculative, baseline, and faulted, on every replay path.
-        // Sharding only engages with >1 worker; output is identical at
-        // any width, so pinning the process default is side-effect-free.
+        // speculative and baseline, on every replay path. Sharding only
+        // engages with >1 worker; output is identical at any width, so
+        // pinning the process default is side-effect-free.
         let _pinned = pin_jobs();
         let (trace, topo) = setup(240);
         let sim = SpecSim::new(&trace, &topo);
@@ -1399,43 +1116,28 @@ mod tests {
             "topology must yield several shards"
         );
         let store = MatrixStore::precompute(&cfg(0.3).estimator, &trace, 14).unwrap();
-        // Under faults too: the plan is read-only, so shards see the
-        // same outage windows a serial replay would.
-        let plan = FaultPlan::generate(
-            &specweb_core::rng::SeedTree::new(991),
-            &topo,
-            &fault_config(14),
-        )
-        .unwrap();
-        let ctx = FaultCtx {
-            plan: &plan,
-            retry: RetrySchedule::default(),
-        };
         for (label, c) in state_variants() {
-            for faults in [None, Some(&ctx)] {
-                for store in [Some(&store), None] {
-                    let serial = sim
-                        .replay_shard(
-                            &c,
-                            store,
-                            faults,
-                            sim.shards.all_clients(),
-                            &mut trace.accesses.iter(),
-                        )
-                        .unwrap();
-                    for jobs in [1, 2, 4] {
-                        specweb_core::par::set_default_jobs(jobs);
-                        let sharded = sim.replay(&c, store, faults).unwrap();
-                        let which = (label, store.is_some(), faults.is_some(), jobs);
-                        assert_eq!(
-                            serial.0, sharded.0,
-                            "totals diverge (path, spec, faults, jobs) = {which:?}"
-                        );
-                        assert_eq!(
-                            serial.1, sharded.1,
-                            "counters diverge (path, spec, faults, jobs) = {which:?}"
-                        );
-                    }
+            for store in [Some(&store), None] {
+                let serial = sim
+                    .replay_shard(
+                        &c,
+                        store,
+                        sim.shards.all_clients(),
+                        &mut trace.accesses.iter(),
+                    )
+                    .unwrap();
+                for jobs in [1, 2, 4] {
+                    specweb_core::par::set_default_jobs(jobs);
+                    let sharded = sim.replay(&c, store).unwrap();
+                    let which = (label, store.is_some(), jobs);
+                    assert_eq!(
+                        serial.0, sharded.0,
+                        "totals diverge (path, spec, jobs) = {which:?}"
+                    );
+                    assert_eq!(
+                        serial.1, sharded.1,
+                        "counters diverge (path, spec, jobs) = {which:?}"
+                    );
                 }
             }
         }
@@ -1443,54 +1145,31 @@ mod tests {
 
     #[test]
     fn run_equals_a_serial_replay_of_from_scratch_estimates() {
-        // The two things `run` and `run_with_faults` do on their own —
-        // precompute the store over the trace's day span, replay through
-        // the kernel — against the slow twin of each: the from-scratch
-        // estimate of every boundary, replayed in one pass.
+        // The two things `run` does on its own — precompute the store
+        // over the trace's day span, replay through the kernel — against
+        // the slow twin of each: the from-scratch estimate of every
+        // boundary, replayed in one pass.
         let _pinned = pin_jobs();
         let (trace, topo) = setup(243);
         let sim = SpecSim::new(&trace, &topo);
-        let plan = FaultPlan::generate(
-            &specweb_core::rng::SeedTree::new(992),
-            &topo,
-            &specweb_netsim::FaultConfig::chaotic(specweb_core::time::Duration::from_days(14)),
-        )
-        .unwrap();
-        let ctx = FaultCtx {
-            plan: &plan,
-            retry: RetrySchedule::default(),
-        };
         let hard = cfg(0.3);
         let mut aged = hard;
         aged.estimator.aging_decay = Some(0.8);
         for c in [hard, aged] {
             let slow = MatrixStore::from_scratch(&c.estimator, &trace, trace.days());
-            let serial = |faults| {
-                let [spec, base] = [Some(&slow), None].map(|store| {
-                    let all = sim.shards.all_clients();
-                    (sim.replay_shard(&c, store, faults, all, &mut trace.accesses.iter())).unwrap()
-                });
-                DegradedSpecOutcome::assemble(&c, spec, base)
-            };
-            let healthy = serde_json::to_string(&serial(None).outcome).unwrap();
-            let degraded = serde_json::to_string(&serial(Some(&ctx))).unwrap();
+            let [(spec, counters), (base, base_counters)] = [Some(&slow), None].map(|store| {
+                let all = sim.shards.all_clients();
+                (sim.replay_shard(&c, store, all, &mut trace.accesses.iter())).unwrap()
+            });
+            let base = BaselineRun::under(&c, base, &base_counters);
+            let serial = SpecOutcome::assemble(&c, spec, &counters, base);
+            let serial = serde_json::to_string(&serial).unwrap();
             for jobs in [1, 2] {
                 specweb_core::par::set_default_jobs(jobs);
                 assert_eq!(
                     serde_json::to_string(&sim.run(&c).unwrap()).unwrap(),
-                    healthy,
+                    serial,
                     "run at jobs {jobs}, {:?}",
-                    c.estimator
-                );
-                let out = sim.run_with_faults(&c, &plan, ctx.retry).unwrap();
-                assert!(
-                    out.stalled > 0 && out.retries > 0,
-                    "the plan injected nothing"
-                );
-                assert_eq!(
-                    serde_json::to_string(&out).unwrap(),
-                    degraded,
-                    "run_with_faults at jobs {jobs}, {:?}",
                     c.estimator
                 );
             }
@@ -1575,7 +1254,7 @@ mod tests {
             serde_json::to_string(&parallel).unwrap(),
             "service-time quantiles diverged across --jobs"
         );
-        // Every measured access was served (no faults), so the summary
+        // Every measured access records one sample, so the summary
         // covers all of them; hits at 0 ms drag the median below the
         // miss-dominated mean.
         assert_eq!(serial.service_times.count, serial.speculative.accesses);
@@ -1593,137 +1272,5 @@ mod tests {
         let mut c = cfg(0.3);
         c.policy = Policy::Threshold { tp: 0.0 };
         assert!(sim.run(&c).is_err());
-    }
-
-    fn fault_config(days: u64) -> specweb_netsim::FaultConfig {
-        specweb_netsim::FaultConfig::light(specweb_core::time::Duration::from_days(days))
-    }
-
-    #[test]
-    fn faulted_replay_is_bit_for_bit_deterministic() {
-        let (trace, topo) = setup(220);
-        let sim = SpecSim::new(&trace, &topo);
-        let seed = specweb_core::rng::SeedTree::new(1009);
-        let fcfg = fault_config(14);
-        let plan_a = FaultPlan::generate(&seed, &topo, &fcfg).unwrap();
-        let plan_b = FaultPlan::generate(&seed, &topo, &fcfg).unwrap();
-        let retry = RetrySchedule::default();
-        let a = sim.run_with_faults(&cfg(0.3), &plan_a, retry).unwrap();
-        let b = sim.run_with_faults(&cfg(0.3), &plan_b, retry).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn faults_reduce_availability_but_not_below_reason() {
-        let (trace, topo) = setup(221);
-        let sim = SpecSim::new(&trace, &topo);
-        // Harsh link faults: down half the time on average.
-        let mut fcfg = fault_config(14);
-        fcfg.link.mean_up = specweb_core::time::Duration::from_days(1);
-        fcfg.link.mean_down = specweb_core::time::Duration::from_secs(12 * 3600);
-        let plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(1013), &topo, &fcfg).unwrap();
-        let c = cfg(0.3);
-        let healthy = sim.run(&c).unwrap();
-        let degraded = sim
-            .run_with_faults(&c, &plan, RetrySchedule::default())
-            .unwrap();
-        assert!(
-            degraded.unavailable > 0,
-            "harsh faults must strand requests"
-        );
-        assert!(degraded.retries >= degraded.unavailable);
-        assert!(degraded.availability < 1.0 && degraded.availability > 0.2);
-        // Unserved misses never reach the server.
-        assert!(degraded.outcome.speculative.server_requests < healthy.speculative.server_requests);
-        // Both replays face the same plan; the baseline has more misses,
-        // hence at least as much fault exposure.
-        assert!(degraded.baseline_retries >= degraded.retries);
-    }
-
-    #[test]
-    fn no_faults_matches_the_healthy_run() {
-        let (trace, topo) = setup(222);
-        let sim = SpecSim::new(&trace, &topo);
-        let c = cfg(0.3);
-        let healthy = sim.run(&c).unwrap();
-        let degraded = sim
-            .run_with_faults(&c, &FaultPlan::none(), RetrySchedule::default())
-            .unwrap();
-        assert_eq!(degraded.unavailable, 0);
-        assert_eq!(degraded.retries, 0);
-        assert_eq!(degraded.availability, 1.0);
-        assert_eq!(degraded.outcome.speculative, healthy.speculative);
-        assert_eq!(degraded.outcome.baseline, healthy.baseline);
-        assert_eq!(degraded.stalled, 0);
-        assert_eq!(degraded.slow_served, 0);
-        assert_eq!(degraded.partial_write_pushes, 0);
-    }
-
-    #[test]
-    fn client_side_chaos_surfaces_in_the_degraded_outcome() {
-        let (trace, topo) = setup(223);
-        let sim = SpecSim::new(&trace, &topo);
-        let horizon = specweb_core::time::Duration::from_days(14);
-        let chaotic = specweb_netsim::FaultConfig::chaotic(horizon);
-        let plan =
-            FaultPlan::generate(&specweb_core::rng::SeedTree::new(1021), &topo, &chaotic).unwrap();
-        let c = cfg(0.3);
-        let healthy = sim.run(&c).unwrap();
-        let degraded = sim
-            .run_with_faults(&c, &plan, RetrySchedule::default())
-            .unwrap();
-        // The chaotic preset keeps each leaf degraded for a sizable
-        // fraction of the horizon: every client-side class must leave a
-        // visible mark in the outcome.
-        assert!(degraded.stalled > 0, "no stalls surfaced");
-        assert!(degraded.stall_wait_ms > 0, "stalls cost no time");
-        assert!(degraded.slow_served > 0, "no slow-client serves surfaced");
-        // The degraded classes expose their own service-time tails:
-        // every *served* stalled/slow access contributes one sample, and
-        // a deferred or slowed fetch can never be instant.
-        assert!(degraded.stalled_service_times.count <= degraded.stalled);
-        assert!(degraded.stalled_service_times.count > 0);
-        assert!(degraded.stalled_service_times.p50_ms > 0.0);
-        assert_eq!(degraded.slow_service_times.count, degraded.slow_served);
-        assert!(degraded.slow_service_times.p50_ms > 0.0);
-        assert!(
-            degraded.partial_write_pushes > 0,
-            "no partial-write pushes surfaced"
-        );
-        // Truncated pushes are re-sent, so the degraded replay moves
-        // strictly more bytes than the healthy one; deferred and slowed
-        // fetches make it strictly slower.
-        assert!(
-            degraded.outcome.speculative.bytes_sent > healthy.speculative.bytes_sent,
-            "re-sent pushes must inflate traffic"
-        );
-        assert!(degraded.outcome.speculative.latency_ms > healthy.speculative.latency_ms);
-        // Bit-for-bit determinism holds with the new classes active.
-        let again = sim
-            .run_with_faults(&c, &plan, RetrySchedule::default())
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&degraded).unwrap(),
-            serde_json::to_string(&again).unwrap()
-        );
-        // The light preset keeps every client-side counter at zero, so
-        // the committed degraded-mode experiments are untouched.
-        let light = FaultPlan::generate(
-            &specweb_core::rng::SeedTree::new(1021),
-            &topo,
-            &fault_config(14),
-        )
-        .unwrap();
-        let quiet = sim
-            .run_with_faults(&c, &light, RetrySchedule::default())
-            .unwrap();
-        assert_eq!(quiet.stalled, 0);
-        assert_eq!(quiet.stall_wait_ms, 0);
-        assert_eq!(quiet.slow_served, 0);
-        assert_eq!(quiet.partial_write_pushes, 0);
     }
 }

@@ -26,9 +26,10 @@
 //!   trace statistics the paper reports, plus a log format and the
 //!   paper's log-cleaning pipeline;
 //! * [`netsim`] — the clientele tree, clusters, routing, cost/latency
-//!   models, proxy stores, and deterministic fault-injection plans;
+//!   models, proxy stores, and the client-side fault windows of the
+//!   live chaos harness;
 //! * [`dissem`] / [`spec`] — the two protocols and their trace-driven
-//!   simulators (each with a degraded-mode `run_with_faults` replay);
+//!   simulators;
 //! * [`serve`] — a hardened multi-threaded TCP prototype of the §3/§4
 //!   speculative-service protocol, with bounded parsing, deadlines,
 //!   graceful overload degradation, and a retrying client.
@@ -86,7 +87,6 @@ pub mod prelude {
         DisseminationConfig, DisseminationOutcome, DisseminationSim,
     };
     pub use specweb_netsim::cost::{CostModel, LatencyModel};
-    pub use specweb_netsim::fault::{FaultConfig, FaultPlan, RetrySchedule};
     pub use specweb_netsim::topology::Topology;
     pub use specweb_serve::client::{ClientConfig, SpecClient};
     pub use specweb_serve::overload::{OverloadPolicy, ServiceLevel};
